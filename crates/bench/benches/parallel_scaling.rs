@@ -8,7 +8,10 @@
 //! measures the throughput side of that contract on the image-kernel
 //! workload (the widest per-frame MAC loop), sweeping worker counts
 //! {1, 2, 4, 8}, and emits the curve as `BENCH_parallel_scaling.json`
-//! with a headline **≥ 3×** assertion at 8 workers.
+//! with a headline **≥ 3×** assertion at 8 workers. Eight workers can only
+//! run in parallel on eight cores, so the ratio is asserted only when
+//! `available_parallelism()` is at least 8; smaller hosts print why the
+//! check was skipped, and the JSON records the core count either way.
 //!
 //! Smoke mode (`LIGHTATOR_BENCH_SMOKE=1`, used by the CI bench-smoke
 //! step) runs one short round — enough to exercise the harness and
@@ -60,6 +63,7 @@ fn throughput(rounds: usize, mut run: impl FnMut()) -> f64 {
 
 fn bench_parallel_scaling(c: &mut Criterion) {
     let smoke = std::env::var("LIGHTATOR_BENCH_SMOKE").is_ok();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let frame = scene();
 
     // The contract the speedup rides on: tiling must be bit-exact. Guard
@@ -122,22 +126,39 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             "frames simulated per wall-clock second",
         ));
     }
-    println!("parallel speedup at 8 workers: {speedup_8:.2}x (target >= 3x on >= 8 cores)");
+    println!(
+        "parallel speedup at 8 workers: {speedup_8:.2}x on {cores} core(s) \
+         (target >= 3x on >= 8 cores)"
+    );
     metrics.push(BenchMetric::new(
         "parallel_speedup_8_workers",
         speedup_8,
         "x",
+    ));
+    metrics.push(BenchMetric::new(
+        "available_parallelism",
+        cores as f64,
+        "cores",
     ));
 
     let path = emit::emit("parallel_scaling", &metrics)
         .expect("BENCH_parallel_scaling.json written and validated");
     println!("wrote {}", path.display());
 
-    assert!(
-        smoke || speedup_8 >= 3.0,
-        "worker tiling must sustain >= 3x single-session simulation throughput at 8 workers, \
-         measured {speedup_8:.2}x"
-    );
+    if smoke {
+        println!("smoke run: the 8-worker speedup is not asserted");
+    } else if cores < 8 {
+        println!(
+            "skipped the >= 3x check at 8 workers: available_parallelism() is {cores}, \
+             so 8 workers cannot all run at once on this host"
+        );
+    } else {
+        assert!(
+            speedup_8 >= 3.0,
+            "worker tiling must sustain >= 3x single-session simulation throughput at \
+             8 workers, measured {speedup_8:.2}x"
+        );
+    }
 }
 
 criterion_group!(benches, bench_parallel_scaling);

@@ -20,7 +20,7 @@
 //! tile MAC loops across threads bit-exactly.
 
 use crate::error::{PhotonicsError, Result};
-use crate::microring::{MicroringConfig, MicroringResonator};
+use crate::microring::{MicroringConfig, MicroringResonator, Notch};
 use crate::noise::{NoiseConfig, NoiseInjector};
 use crate::units::Power;
 use crate::wdm::{CrosstalkModel, WdmGrid};
@@ -84,6 +84,9 @@ pub struct OpticalArm {
     config: ArmConfig,
     grid: WdmGrid,
     rings: Vec<MicroringResonator>,
+    /// The ring design's off-resonance transmission: the largest weight
+    /// magnitude a ring can realise.
+    max_transmission: f64,
     weights: Vec<f64>,
     crosstalk: CrosstalkModel,
     injector: NoiseInjector,
@@ -107,10 +110,13 @@ impl OpticalArm {
         }
         config.ring.validate()?;
         let grid = WdmGrid::lightator_arm(config.channels)?;
-        let mut rings = Vec::with_capacity(config.channels);
-        for i in 0..config.channels {
-            rings.push(MicroringResonator::new(config.ring, grid.wavelength(i)?)?);
-        }
+        // Every ring shares one design, so its notch constants are computed
+        // once here rather than per ring.
+        let notch = Notch::new(&config.ring);
+        let rings = grid
+            .iter()
+            .map(|channel| MicroringResonator::parked(config.ring, notch, channel))
+            .collect();
         let crosstalk = if config.noise.apply_crosstalk {
             CrosstalkModel::new(grid.clone(), config.ring)
         } else {
@@ -122,6 +128,7 @@ impl OpticalArm {
             config,
             grid,
             rings,
+            max_transmission: notch.t_max,
             weights: vec![0.0; channels],
             crosstalk,
             injector,
@@ -212,12 +219,9 @@ impl OpticalArm {
             } else {
                 // The MR holds the magnitude; the sign selects the BPD rail.
                 // Weight 1.0 maps to the maximum representable transmission.
-                let magnitude = w.abs().min(ring.config().maximum_transmission());
+                let magnitude = w.abs().min(self.max_transmission);
                 ring.set_weight(magnitude)?;
             }
-        }
-        for w in self.weights.iter_mut().skip(weights.len()) {
-            *w = 0.0;
         }
         Ok(())
     }
@@ -225,12 +229,12 @@ impl OpticalArm {
     /// Evaluates one MAC: `Σ aᵢ·wᵢ` for activations `a ∈ [0, 1]`.
     ///
     /// The activation vector may be shorter than the arm; missing channels
-    /// contribute nothing. Non-idealities (VCSEL noise, crosstalk, weight
-    /// error, detection noise) are applied according to the arm's
-    /// [`NoiseConfig`], keyed by the MAC cursor: lane `i` of cursor `c`
-    /// draws intensity/weight noise at element `c·channels + i` and the
-    /// balanced detector draws at element `c`. The cursor advances by one
-    /// per call.
+    /// are dark: they draw no noise and contribute nothing. Non-idealities
+    /// (VCSEL noise, crosstalk, weight error, detection noise) are applied
+    /// according to the arm's [`NoiseConfig`], keyed by the MAC cursor:
+    /// lane `i` of cursor `c` draws intensity/weight noise at element
+    /// `c·channels + i` and the balanced detector draws at element `c`. The
+    /// cursor advances by one per call.
     ///
     /// # Errors
     ///
@@ -251,40 +255,35 @@ impl OpticalArm {
             }
         }
 
-        let mut intensities: Vec<f64> = (0..self.config.channels)
-            .map(|i| activations.get(i).copied().unwrap_or(0.0))
-            .collect();
-        let ideal: f64 = intensities
+        let ideal: f64 = activations
             .iter()
+            .chain(std::iter::repeat(&0.0))
             .zip(&self.weights)
             .map(|(a, w)| a * w)
             .sum();
 
         let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
-        // 1. VCSEL amplitude noise, keyed per lane.
-        for (i, value) in intensities.iter_mut().enumerate() {
-            *value = self
-                .injector
-                .perturb_intensity(lane_base.wrapping_add(i as u64), *value);
-        }
-        // 2. Inter-channel crosstalk along the shared bus.
-        self.crosstalk.apply(&mut intensities)?;
-        // 3. Weighting by the realised (noisy) MR transmissions, routed to the
-        //    positive or negative BPD rail according to the weight sign. Weight
-        //    noise is keyed by lane, so parked rings skip their draws without
-        //    shifting any other lane's sequence.
+        let crosstalk = self.crosstalk.factors()?;
         let mut positive = 0.0;
         let mut negative = 0.0;
-        for (i, &a) in intensities.iter().enumerate() {
+        // Every draw is keyed by lane, so lanes that cannot contribute —
+        // parked rings and dark channels past the activations — skip their
+        // draws without shifting any other lane's sequence.
+        for (i, &a) in activations.iter().enumerate() {
             let w = self.weights[i];
             if w == 0.0 {
                 continue;
             }
-            let realised = self.rings[i].channel_transmission();
+            let lane = lane_base.wrapping_add(i as u64);
+            // 1. VCSEL amplitude noise, then 2. inter-channel crosstalk along
+            //    the shared bus.
+            let light = self.injector.perturb_intensity(lane, a) * crosstalk[i];
+            // 3. Weighting by the realised (noisy) MR transmission, routed to
+            //    the positive or negative BPD rail according to the weight sign.
             let realised = self
                 .injector
-                .perturb_weight(lane_base.wrapping_add(i as u64), realised);
-            let product = a * realised;
+                .perturb_weight(lane, self.rings[i].channel_transmission());
+            let product = light * realised;
             if w >= 0.0 {
                 positive += product;
             } else {
@@ -378,6 +377,41 @@ mod tests {
         let out = arm.mac(&[0.5]).expect("ok");
         assert!((out.ideal - 0.5).abs() < 1e-12);
         assert_eq!(arm.active_rings(), 2);
+    }
+
+    /// Regression test: channels past the activation vector are dark. With
+    /// VCSEL noise on, they used to draw intensity noise, and rings holding
+    /// weights there added `max(0, σ·z)·t` to the sum. A fully loaded arm fed
+    /// one activation must now match the arm whose other rings are parked.
+    #[test]
+    fn missing_activation_channels_are_dark() {
+        let noise = NoiseConfig {
+            vcsel_relative_sigma: NoiseConfig::default().vcsel_relative_sigma,
+            ..NoiseConfig::ideal()
+        };
+        let loaded_arm = |weights: &[f64]| {
+            let mut arm = OpticalArm::new(ArmConfig {
+                noise,
+                ..ArmConfig::default()
+            })
+            .expect("valid");
+            arm.load_weights(weights).expect("ok");
+            arm
+        };
+        let mut full = loaded_arm(&[0.5; 9]);
+        let mut parked = loaded_arm(&[0.5]);
+        for frame in 0..200 {
+            full.begin_frame(6, frame);
+            parked.begin_frame(6, frame);
+            let dark = full.mac(&[0.5]).expect("ok");
+            let reference = parked.mac(&[0.5]).expect("ok");
+            assert_eq!(
+                dark.value.to_bits(),
+                reference.value.to_bits(),
+                "frame {frame}: dark channels changed the MAC"
+            );
+            assert_eq!(dark.ideal.to_bits(), reference.ideal.to_bits());
+        }
     }
 
     #[test]

@@ -149,6 +149,29 @@ impl MicroringConfig {
     }
 }
 
+/// The constants of a ring design's Lorentzian notch. They depend only on
+/// the [`MicroringConfig`], so they are computed once per design and shared
+/// by every ring built from it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Notch {
+    /// [`MicroringConfig::minimum_transmission`].
+    pub(crate) t_min: f64,
+    /// [`MicroringConfig::maximum_transmission`].
+    pub(crate) t_max: f64,
+    /// Half the [`MicroringConfig::fwhm`], in nm.
+    pub(crate) half_width: f64,
+}
+
+impl Notch {
+    pub(crate) fn new(config: &MicroringConfig) -> Self {
+        Self {
+            t_min: config.minimum_transmission(),
+            t_max: config.maximum_transmission(),
+            half_width: config.fwhm().nm() / 2.0,
+        }
+    }
+}
+
 /// An actively tuned micro-ring resonator holding one weight value.
 ///
 /// The ring is created from a [`MicroringConfig`] and a *target* wavelength —
@@ -174,6 +197,7 @@ impl MicroringConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MicroringResonator {
     config: MicroringConfig,
+    notch: Notch,
     channel: Wavelength,
     /// Current resonance detuning relative to the channel wavelength, nm.
     detuning_nm: f64,
@@ -183,6 +207,9 @@ pub struct MicroringResonator {
     weight: f64,
     /// Whether the tuning circuit is powered (a parked ring consumes nothing).
     active: bool,
+    /// Through-port transmission at `channel` for the current tuning,
+    /// refreshed whenever the ring is programmed.
+    transmission: f64,
 }
 
 impl MicroringResonator {
@@ -196,13 +223,24 @@ impl MicroringResonator {
     /// invalid.
     pub fn new(config: MicroringConfig, channel: Wavelength) -> Result<Self> {
         config.validate()?;
-        Ok(Self {
+        Ok(Self::parked(config, Notch::new(&config), channel))
+    }
+
+    /// A parked ring of a validated design whose notch constants the caller
+    /// computed once for all rings of that design.
+    pub(crate) fn parked(config: MicroringConfig, notch: Notch, channel: Wavelength) -> Self {
+        // `park` sets the tuning state and the cached transmission.
+        let mut ring = Self {
             config,
+            notch,
             channel,
-            detuning_nm: config.tunable_range_nm,
-            weight: 1.0,
+            detuning_nm: 0.0,
+            weight: 0.0,
             active: false,
-        })
+            transmission: 0.0,
+        };
+        ring.park();
+        ring
     }
 
     /// The static configuration of this ring.
@@ -241,19 +279,23 @@ impl MicroringResonator {
         self.detuning_nm = self.config.tunable_range_nm;
         self.weight = 1.0;
         self.active = false;
+        self.transmission = self.transmission_at(self.channel);
+    }
+
+    /// Lorentzian line shape `1 / (1 + (δ/HWHM)²)` of the current resonance,
+    /// seen at `probe`.
+    fn lorentz_at(&self, probe: Wavelength) -> f64 {
+        let resonance_nm = self.channel.nm() + self.detuning_nm;
+        let delta = probe.nm() - resonance_nm;
+        1.0 / (1.0 + (delta / self.notch.half_width).powi(2))
     }
 
     /// Through-port transmission at an arbitrary probe wavelength, for the
     /// current tuning state. Lorentzian notch model.
     #[must_use]
     pub fn transmission_at(&self, probe: Wavelength) -> f64 {
-        let resonance_nm = self.channel.nm() + self.detuning_nm;
-        let delta = probe.nm() - resonance_nm;
-        let half_width = self.config.fwhm().nm() / 2.0;
-        let lorentz = 1.0 / (1.0 + (delta / half_width).powi(2));
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
-        t_max * (1.0 - (1.0 - t_min) * lorentz)
+        let Notch { t_min, t_max, .. } = self.notch;
+        t_max * (1.0 - (1.0 - t_min) * self.lorentz_at(probe))
     }
 
     /// Drop-port transmission at a probe wavelength (complementary Lorentzian
@@ -261,19 +303,18 @@ impl MicroringResonator {
     /// banks.
     #[must_use]
     pub fn drop_transmission_at(&self, probe: Wavelength) -> f64 {
-        let resonance_nm = self.channel.nm() + self.detuning_nm;
-        let delta = probe.nm() - resonance_nm;
-        let half_width = self.config.fwhm().nm() / 2.0;
-        let lorentz = 1.0 / (1.0 + (delta / half_width).powi(2));
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
-        t_max * (1.0 - t_min) * lorentz
+        let Notch { t_min, t_max, .. } = self.notch;
+        t_max * (1.0 - t_min) * self.lorentz_at(probe)
     }
 
-    /// Transmission realised at the assigned channel wavelength.
+    /// Transmission realised at the assigned channel wavelength:
+    /// [`MicroringResonator::transmission_at`] the channel, computed when the
+    /// ring is programmed ([`MicroringResonator::new`],
+    /// [`MicroringResonator::set_weight`], [`MicroringResonator::park`]) and
+    /// cached, so reading it costs nothing.
     #[must_use]
     pub fn channel_transmission(&self) -> f64 {
-        self.transmission_at(self.channel)
+        self.transmission
     }
 
     /// Programs the ring so that the channel transmission equals `weight`.
@@ -296,13 +337,15 @@ impl MicroringResonator {
         if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
             return Err(PhotonicsError::WeightOutOfRange { weight });
         }
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
+        let Notch {
+            t_min,
+            t_max,
+            half_width,
+        } = self.notch;
         let clamped = (weight / t_max).clamp(t_min, 1.0 - 1e-12);
         // Invert the Lorentzian: clamped = 1 - (1 - t_min) * L, with
         // L = 1 / (1 + (δ/HWHM)²).
         let lorentz = (1.0 - clamped) / (1.0 - t_min);
-        let half_width = self.config.fwhm().nm() / 2.0;
         let detuning = if lorentz >= 1.0 {
             0.0
         } else {
@@ -311,6 +354,7 @@ impl MicroringResonator {
         self.detuning_nm = detuning.min(self.config.tunable_range_nm);
         self.weight = weight;
         self.active = true;
+        self.transmission = self.transmission_at(self.channel);
         Ok(())
     }
 

@@ -10,6 +10,7 @@ use crate::error::{PhotonicsError, Result};
 use crate::microring::MicroringConfig;
 use crate::units::Wavelength;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A uniformly spaced WDM channel grid.
 ///
@@ -118,11 +119,26 @@ impl WdmGrid {
 /// distance `|i − j| · spacing` and the ring linewidth. The model exposes the
 /// full crosstalk matrix so the arm simulation can apply it to the activation
 /// vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The grid and ring design are fixed at construction, so the aggregate
+/// per-channel factors `Π_{j≠i} M[i][j]` never change: they are computed on
+/// first use (the first [`CrosstalkModel::apply`] or arm MAC) and cached.
+/// Models that have never applied crosstalk never pay for them. Clones and
+/// comparisons see only the configuration, whether or not the cache is
+/// filled yet.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CrosstalkModel {
     grid: WdmGrid,
     ring: MicroringConfig,
     enabled: bool,
+    #[serde(skip)]
+    factors: OnceLock<Vec<f64>>,
+}
+
+impl PartialEq for CrosstalkModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid && self.ring == other.ring && self.enabled == other.enabled
+    }
 }
 
 impl CrosstalkModel {
@@ -133,6 +149,7 @@ impl CrosstalkModel {
             grid,
             ring,
             enabled: true,
+            factors: OnceLock::new(),
         }
     }
 
@@ -143,6 +160,7 @@ impl CrosstalkModel {
             grid,
             ring,
             enabled: false,
+            factors: OnceLock::new(),
         }
     }
 
@@ -205,6 +223,29 @@ impl CrosstalkModel {
         Ok(m)
     }
 
+    /// The aggregate factor `Π_{j≠i} parasitic_transmission(j, i)` each
+    /// channel `i` sees from all other rings of the arm (all 1.0 when the
+    /// model is disabled), computed on the first call and cached.
+    ///
+    /// # Errors
+    ///
+    /// Propagates grid errors (cannot occur for a well-formed grid).
+    pub(crate) fn factors(&self) -> Result<&[f64]> {
+        if let Some(factors) = self.factors.get() {
+            return Ok(factors);
+        }
+        let n = self.grid.channels();
+        let mut factors = vec![1.0; n];
+        for (i, factor) in factors.iter_mut().enumerate() {
+            for j in 0..n {
+                if i != j {
+                    *factor *= self.parasitic_transmission(j, i)?;
+                }
+            }
+        }
+        Ok(self.factors.get_or_init(|| factors))
+    }
+
     /// Applies the aggregate crosstalk of all rings in an arm to a vector of
     /// per-channel optical intensities, in place.
     ///
@@ -222,16 +263,7 @@ impl CrosstalkModel {
         if !self.enabled {
             return Ok(());
         }
-        let n = intensities.len();
-        let mut factors = vec![1.0; n];
-        for (i, factor) in factors.iter_mut().enumerate() {
-            for j in 0..n {
-                if i != j {
-                    *factor *= self.parasitic_transmission(j, i)?;
-                }
-            }
-        }
-        for (value, factor) in intensities.iter_mut().zip(factors) {
+        for (value, factor) in intensities.iter_mut().zip(self.factors()?) {
             *value *= factor;
         }
         Ok(())
@@ -244,17 +276,10 @@ impl CrosstalkModel {
     ///
     /// Propagates grid errors (cannot occur for a well-formed grid).
     pub fn worst_case_penalty_db(&self) -> Result<f64> {
-        let n = self.grid.channels();
-        let mut worst: f64 = 1.0;
-        for i in 0..n {
-            let mut factor = 1.0;
-            for j in 0..n {
-                if i != j {
-                    factor *= self.parasitic_transmission(j, i)?;
-                }
-            }
-            worst = worst.min(factor);
-        }
+        let worst = self
+            .factors()?
+            .iter()
+            .fold(1.0f64, |worst, &f| worst.min(f));
         Ok(-10.0 * worst.log10())
     }
 }
@@ -343,6 +368,59 @@ mod tests {
                 actual: 4
             })
         ));
+    }
+
+    /// The cached factors reproduce the reference definition bit for bit:
+    /// `apply` multiplies channel `i` by `Π_{j≠i} parasitic_transmission(j, i)`,
+    /// taken in channel order.
+    #[test]
+    fn apply_matches_the_parasitic_transmission_products() {
+        for channels in [1, 2, 9, 16] {
+            let model = CrosstalkModel::new(
+                WdmGrid::lightator_arm(channels).expect("valid"),
+                MicroringConfig::default(),
+            );
+            let input: Vec<f64> = (0..channels).map(|i| 1.0 - i as f64 / 32.0).collect();
+            for _ in 0..2 {
+                let mut got = input.clone();
+                model.apply(&mut got).expect("ok");
+                for (i, (g, x)) in got.iter().zip(&input).enumerate() {
+                    let mut factor = 1.0;
+                    for j in (0..channels).filter(|&j| j != i) {
+                        factor *= model.parasitic_transmission(j, i).expect("ok");
+                    }
+                    assert_eq!(
+                        g.to_bits(),
+                        (x * factor).to_bits(),
+                        "{channels} channels, channel {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The factor cache is invisible: clones taken before or after the first
+    /// `apply` behave identically and compare equal to the original.
+    #[test]
+    fn cache_state_does_not_leak_into_clones_or_equality() {
+        let fresh = CrosstalkModel::new(grid(), MicroringConfig::default());
+        let cold_clone = fresh.clone();
+        let mut reference = vec![0.75; 9];
+        fresh.apply(&mut reference).expect("ok");
+        let warm_clone = fresh.clone();
+        assert_eq!(fresh, cold_clone);
+        assert_eq!(fresh, warm_clone);
+        assert_eq!(cold_clone, warm_clone);
+        for model in [&cold_clone, &warm_clone] {
+            let mut v = vec![0.75; 9];
+            model.apply(&mut v).expect("ok");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v), bits(&reference));
+        }
+        assert_ne!(
+            fresh,
+            CrosstalkModel::ideal(grid(), MicroringConfig::default())
+        );
     }
 
     #[test]

@@ -25,6 +25,33 @@ proptest! {
         prop_assert!((t - weight).abs() < 0.05, "weight {} realised {}", weight, t);
     }
 
+    /// The cached channel transmission equals its reference definition,
+    /// `transmission_at(channel)`, bit for bit after any sequence of
+    /// programming steps (a negative step parks the ring).
+    #[test]
+    fn mr_cached_transmission_matches_reference(
+        steps in proptest::collection::vec(-0.5f64..1.0, 0..12),
+        channel_nm in 1540.0f64..1560.0,
+    ) {
+        let channel = Wavelength::from_nm(channel_nm);
+        let mut mr = MicroringResonator::new(MicroringConfig::default(), channel).unwrap();
+        prop_assert_eq!(
+            mr.channel_transmission().to_bits(),
+            mr.transmission_at(channel).to_bits()
+        );
+        for step in steps {
+            if step < 0.0 {
+                mr.park();
+            } else {
+                mr.set_weight(step).unwrap();
+            }
+            prop_assert_eq!(
+                mr.channel_transmission().to_bits(),
+                mr.transmission_at(channel).to_bits()
+            );
+        }
+    }
+
     /// Through-port transmission is bounded in [0, 1] for any probe
     /// wavelength and any tuning state.
     #[test]
