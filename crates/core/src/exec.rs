@@ -509,11 +509,9 @@ impl PhotonicExecutor {
         let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
         let mut out = Tensor::zeros(&out_shape);
         let row_len = in_c * k * k;
-        // Kernels that fit one arm run weight-stationary: the row is
-        // programmed once per output channel and every stride (of every
-        // frame in a batch) streams against it. Wider kernels fall back to
-        // the segmented dot.
-        let weight_stationary = row_len <= self.mac_unit.segment_length();
+        // Every conv runs weight-stationary: each output channel's row is
+        // programmed once, one arm per segment, and every stride (of every
+        // frame in a batch) streams against it.
         let items = oc_n * oh_n * ow_n;
         let workers = self.workers.min(items).max(1);
         if workers > 1 {
@@ -521,11 +519,7 @@ impl PhotonicExecutor {
             // chunks. MAC call `j` of the layer draws its noise purely from
             // the cursor position `layer_base + j`, so each worker clone
             // positioned at its chunk start reproduces the sequential bits.
-            let calls_per_item = if weight_stationary {
-                1u64
-            } else {
-                row_len.div_ceil(self.mac_unit.segment_length()) as u64
-            };
+            let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
             let layer_base = self.mac_unit.mac_cursor();
             let chunk = items.div_ceil(workers);
             if scratch.worker_patch.len() < workers {
@@ -574,15 +568,11 @@ impl PhotonicExecutor {
                                     activation_bits,
                                     a_norm,
                                 );
-                                let normalized = if weight_stationary {
-                                    if oc != loaded {
-                                        worker_unit.load_row(&rows[oc])?;
-                                        loaded = oc;
-                                    }
-                                    worker_unit.mac_loaded(a_norm)?
-                                } else {
-                                    worker_unit.dot(&rows[oc], a_norm)?
-                                };
+                                if oc != loaded {
+                                    worker_unit.load_row(&rows[oc])?;
+                                    loaded = oc;
+                                }
+                                let normalized = worker_unit.mac_loaded(a_norm)?;
                                 let value = normalized * weight_scale * f64::from(activation_scale);
                                 *slot = value as f32 + bias[oc];
                             }
@@ -622,10 +612,7 @@ impl PhotonicExecutor {
         );
         for oc in 0..oc_n {
             let bias = conv.bias().data()[oc];
-            let w_norm = &encoded.rows[oc];
-            if weight_stationary {
-                self.mac_unit.load_row(w_norm)?;
-            }
+            self.mac_unit.load_row(&encoded.rows[oc])?;
             for oh in 0..oh_n {
                 for ow in 0..ow_n {
                     gather_patch(
@@ -640,25 +627,15 @@ impl PhotonicExecutor {
                         ow,
                         patch,
                     );
-                    let value = if weight_stationary {
-                        quantize_activations_into(
-                            patch,
-                            activation_scale,
-                            precision.activation_bits,
-                            a_norm,
-                        );
-                        let normalized = self.mac_unit.mac_loaded(a_norm)?;
-                        normalized * f64::from(encoded.weight_scale) * f64::from(activation_scale)
-                    } else {
-                        quantize_activations_into(
-                            patch,
-                            activation_scale,
-                            precision.activation_bits,
-                            a_norm,
-                        );
-                        let normalized = self.mac_unit.dot(w_norm, a_norm)?;
-                        normalized * f64::from(encoded.weight_scale) * f64::from(activation_scale)
-                    };
+                    quantize_activations_into(
+                        patch,
+                        activation_scale,
+                        precision.activation_bits,
+                        a_norm,
+                    );
+                    let normalized = self.mac_unit.mac_loaded(a_norm)?;
+                    let value =
+                        normalized * f64::from(encoded.weight_scale) * f64::from(activation_scale);
                     out.data_mut()[(oc * oh_n + oh) * ow_n + ow] = value as f32 + bias;
                 }
             }

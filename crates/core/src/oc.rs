@@ -1,9 +1,10 @@
 //! Optical core: MVM banks, the summation tree and the photonic MAC unit.
 //!
 //! The functional behaviour of every bank arm is identical (same ring design,
-//! same WDM grid), so functional inference reuses one [`OpticalArm`] per
-//! execution context and models the two-stage electronic summation tree that
-//! combines partial sums of long dot products (paper Figs. 5 and 6).
+//! same WDM grid), so functional inference keeps one [`OpticalArm`] per
+//! segment of the widest row it has programmed, not one per physical arm,
+//! and models the two-stage electronic summation tree that combines partial
+//! sums of long dot products (paper Figs. 5 and 6).
 
 use crate::config::OcGeometry;
 use crate::error::{CoreError, Result};
@@ -16,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// A photonic dot-product engine of arbitrary length.
 ///
 /// Long dot products are segmented into arm-sized (9-MAC) chunks; each chunk
-/// is evaluated optically on an [`OpticalArm`] and the partial results are
-/// accumulated electronically, exactly as the bank summation tree does.
+/// is evaluated optically on its own [`OpticalArm`] and the partial results
+/// are accumulated electronically, exactly as the bank summation tree does.
 ///
 /// ```
 /// use lightator_core::oc::PhotonicMacUnit;
@@ -32,8 +33,14 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhotonicMacUnit {
-    arm: OpticalArm,
+    /// One arm per segment of the widest row loaded so far. The first arm
+    /// exists from construction; the others are cloned from it on the
+    /// first row that needs them.
+    arms: Vec<OpticalArm>,
+    /// Length of the row programmed by [`PhotonicMacUnit::load_row`].
+    row_len: usize,
     seed: u64,
+    mac_cursor: u64,
     segments_evaluated: u64,
 }
 
@@ -65,8 +72,10 @@ impl PhotonicMacUnit {
         // A fresh unit sits at the frame-0 stream.
         arm.begin_frame(seed, 0);
         Ok(Self {
-            arm,
+            arms: vec![arm],
+            row_len: 0,
             seed,
+            mac_cursor: 0,
             segments_evaluated: 0,
         })
     }
@@ -81,14 +90,18 @@ impl PhotonicMacUnit {
     /// evaluate it. This is what lets batched, pooled and worker-tiled
     /// execution reproduce sequential runs bit for bit.
     pub fn begin_frame(&mut self, index: u64) {
-        self.arm.begin_frame(self.seed, index);
+        for arm in &mut self.arms {
+            arm.begin_frame(self.seed, index);
+        }
+        self.mac_cursor = 0;
     }
 
-    /// The MAC-call cursor within the current frame's noise stream (see
-    /// [`lightator_photonics::arm::OpticalArm::mac_cursor`]).
+    /// The MAC-call cursor within the current frame's noise stream: the
+    /// number of segments evaluated since [`PhotonicMacUnit::begin_frame`]
+    /// (see [`lightator_photonics::arm::OpticalArm::mac_cursor`]).
     #[must_use]
     pub fn mac_cursor(&self) -> u64 {
-        self.arm.mac_cursor()
+        self.mac_cursor
     }
 
     /// Repositions the MAC-call cursor within the current frame's noise
@@ -97,7 +110,7 @@ impl PhotonicMacUnit {
     /// reproduces the `n`-th sequential MAC call bit for bit — the hook the
     /// executor's parallel tiling is built on.
     pub fn set_mac_cursor(&mut self, cursor: u64) {
-        self.arm.set_mac_cursor(cursor);
+        self.mac_cursor = cursor;
     }
 
     /// Adds externally evaluated segments (e.g. from worker clones of this
@@ -115,14 +128,16 @@ impl PhotonicMacUnit {
     /// Number of MAC elements one segment carries.
     #[must_use]
     pub fn segment_length(&self) -> usize {
-        self.arm.channels()
+        self.arms[0].channels()
     }
 
-    /// Programs one arm-sized weight row onto the MRs for weight-stationary
-    /// streaming: the row stays loaded across subsequent
-    /// [`PhotonicMacUnit::mac_loaded`] calls, which is how a bank serves all
-    /// strides of one output channel (and, in a batch, all frames) with a
-    /// single DAC programming pass.
+    /// Programs a weight row of any length for weight-stationary
+    /// streaming: the row is cut into arm-sized segments and each segment is
+    /// programmed onto an arm of its own, ⌈len/9⌉ arms in all, as a bank
+    /// maps a 5×5 or 7×7 kernel onto several arms (paper Fig. 6). The row
+    /// stays loaded across subsequent [`PhotonicMacUnit::mac_loaded`] calls,
+    /// which is how a bank serves all strides of one output channel (and,
+    /// in a batch, all frames) with a single DAC programming pass.
     ///
     /// Weight programming is deterministic (analog noise is drawn during the
     /// MAC itself), so hoisting it out of the stride loop does not change any
@@ -130,28 +145,61 @@ impl PhotonicMacUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Photonics`] if the row is longer than the arm or
-    /// a weight is outside `[-1, 1]`.
+    /// Returns [`CoreError::Photonics`] if a weight is outside `[-1, 1]`;
+    /// the unit is then left with no row loaded.
     pub fn load_row(&mut self, weights: &[f64]) -> Result<()> {
-        self.arm.load_weights(weights)?;
+        let segment = self.segment_length();
+        let segments = weights.len().div_ceil(segment);
+        if self.arms.len() < segments {
+            let spare = self.arms[0].clone();
+            self.arms.resize(segments, spare);
+        }
+        self.row_len = 0;
+        for (arm, chunk) in self.arms.iter_mut().zip(weights.chunks(segment)) {
+            arm.load_weights(chunk)?;
+        }
+        self.row_len = weights.len();
         Ok(())
     }
 
-    /// Evaluates one MAC against the row programmed by
-    /// [`PhotonicMacUnit::load_row`], advancing the analog-noise stream
-    /// exactly as one segment of [`PhotonicMacUnit::dot`] would.
+    /// Evaluates `Σ wᵢ·aᵢ` against the row programmed by
+    /// [`PhotonicMacUnit::load_row`]: each of the row's segments runs on its
+    /// arm at the next MAC cursor and the partial results are summed in
+    /// segment order, exactly as [`PhotonicMacUnit::dot`] does. The cursor
+    /// advances by the row's segment count.
+    ///
+    /// Activations may be shorter than the row; the missing lanes are dark,
+    /// as on a single arm.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Photonics`] for activations outside `[0, 1]` or
-    /// longer than the arm.
+    /// longer than the loaded row.
     pub fn mac_loaded(&mut self, activations: &[f64]) -> Result<f64> {
-        let out = self.arm.mac(activations)?;
-        self.segments_evaluated += 1;
-        Ok(out.value)
+        if activations.len() > self.row_len {
+            return Err(CoreError::Photonics(
+                lightator_photonics::PhotonicsError::LengthMismatch {
+                    expected: self.row_len,
+                    actual: activations.len(),
+                },
+            ));
+        }
+        let segment = self.segment_length();
+        let segments = self.row_len.div_ceil(segment);
+        let mut total = 0.0;
+        for (s, arm) in self.arms[..segments].iter_mut().enumerate() {
+            let lanes =
+                (s * segment).min(activations.len())..((s + 1) * segment).min(activations.len());
+            arm.set_mac_cursor(self.mac_cursor);
+            total += arm.mac(&activations[lanes])?.value;
+            self.mac_cursor = self.mac_cursor.wrapping_add(1);
+            self.segments_evaluated += 1;
+        }
+        Ok(total)
     }
 
-    /// Evaluates `Σ wᵢ·aᵢ` photonically.
+    /// Evaluates `Σ wᵢ·aᵢ` photonically: [`PhotonicMacUnit::load_row`]
+    /// followed by one [`PhotonicMacUnit::mac_loaded`].
     ///
     /// Weights must lie in `[-1, 1]` and activations in `[0, 1]` (the
     /// caller — the photonic executor — normalises and de-normalises around
@@ -159,8 +207,8 @@ impl PhotonicMacUnit {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Nn`]-free: length mismatches between the two slices are
-    ///   reported as [`CoreError::Photonics`] length errors.
+    /// Returns [`CoreError::Photonics`] if the two slices differ in length
+    /// or a value is out of range.
     pub fn dot(&mut self, weights: &[f64], activations: &[f64]) -> Result<f64> {
         if weights.len() != activations.len() {
             return Err(CoreError::Photonics(
@@ -170,15 +218,8 @@ impl PhotonicMacUnit {
                 },
             ));
         }
-        let segment = self.arm.channels();
-        let mut total = 0.0;
-        for (w_chunk, a_chunk) in weights.chunks(segment).zip(activations.chunks(segment)) {
-            self.arm.load_weights(w_chunk)?;
-            let out = self.arm.mac(a_chunk)?;
-            total += out.value;
-            self.segments_evaluated += 1;
-        }
-        Ok(total)
+        self.load_row(weights)?;
+        self.mac_loaded(activations)
     }
 }
 
