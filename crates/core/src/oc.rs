@@ -318,6 +318,39 @@ mod tests {
         assert!((value - exact).abs() < 0.15, "{value} vs {exact}");
     }
 
+    /// Regression: an invalid sigma used to reach the arm unchecked, so a
+    /// NaN weight sigma returned a NaN MAC and an infinite detector sigma
+    /// returned −∞.
+    #[test]
+    fn mac_unit_and_executor_reject_invalid_noise_sigmas() {
+        use lightator_nn::quant::{Precision, PrecisionSchedule};
+        let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            for noise in [
+                NoiseConfig {
+                    vcsel_relative_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+                NoiseConfig {
+                    detector_relative_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+                NoiseConfig {
+                    weight_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+            ] {
+                assert!(matches!(
+                    PhotonicMacUnit::new(noise, 1),
+                    Err(CoreError::Photonics(
+                        lightator_photonics::PhotonicsError::InvalidParameter { .. }
+                    ))
+                ));
+                assert!(crate::exec::PhotonicExecutor::new(schedule, noise, 1).is_err());
+            }
+        }
+    }
+
     #[test]
     fn mac_unit_rejects_mismatched_lengths() {
         let mut unit = PhotonicMacUnit::new(NoiseConfig::ideal(), 3).expect("ok");

@@ -17,6 +17,7 @@ use crate::sim::{ArchitectureSimulator, SimulationReport};
 use lightator_nn::quant::{Precision, PrecisionSchedule};
 use lightator_nn::spec::NetworkSpec;
 use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::PhotonicsError;
 use lightator_sensor::array::SensorArrayConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -224,34 +225,19 @@ impl PlatformBuilder {
     pub fn build(self) -> Result<Platform> {
         let Self { config, backends } = self;
         config.hardware.validate()?;
-        // Noise sigmas are RMS magnitudes: a negative value would silently
-        // sign-flip every draw of its channel (and NaN would poison all of
-        // them), so reject both here rather than at draw time.
-        let sigmas = [
-            (
-                "vcsel_relative_sigma",
-                config.hardware.noise.vcsel_relative_sigma,
-            ),
-            (
-                "detector_relative_sigma",
-                config.hardware.noise.detector_relative_sigma,
-            ),
-            ("weight_sigma", config.hardware.noise.weight_sigma),
-        ];
-        for (name, sigma) in sigmas {
-            if !sigma.is_finite() || sigma < 0.0 {
-                return Err(CoreError::invalid_config(
-                    name,
-                    sigma,
-                    format!(
-                        "noise sigmas are RMS magnitudes and must be finite and \
+        config.hardware.noise.validate().map_err(|err| match err {
+            PhotonicsError::InvalidParameter { name, value } => CoreError::invalid_config(
+                name,
+                value,
+                format!(
+                    "noise sigmas are RMS magnitudes and must be finite and \
                          non-negative; use NoiseConfig::scaled with a non-negative \
                          factor (negative factors are clamped to zero) or zero the \
                          `{name}` channel explicitly to ablate it"
-                    ),
-                ));
-            }
-        }
+                ),
+            ),
+            other => CoreError::Photonics(other),
+        })?;
         if config.workers == 0 {
             return Err(CoreError::invalid_config(
                 "workers",
@@ -537,6 +523,40 @@ mod tests {
             })
             .build()
             .is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            for (field, noise) in [
+                (
+                    "vcsel_relative_sigma",
+                    NoiseConfig {
+                        vcsel_relative_sigma: bad,
+                        ..NoiseConfig::default()
+                    },
+                ),
+                (
+                    "detector_relative_sigma",
+                    NoiseConfig {
+                        detector_relative_sigma: bad,
+                        ..NoiseConfig::default()
+                    },
+                ),
+                (
+                    "weight_sigma",
+                    NoiseConfig {
+                        weight_sigma: bad,
+                        ..NoiseConfig::default()
+                    },
+                ),
+            ] {
+                let err = Platform::builder()
+                    .noise(noise)
+                    .build()
+                    .expect_err("invalid sigma must be rejected");
+                assert!(
+                    matches!(err, CoreError::InvalidConfig { name, .. } if name == field),
+                    "{field} = {bad}: {err}"
+                );
+            }
+        }
         // ... and the documented clamp keeps `scaled` safe to pass through.
         assert!(Platform::builder()
             .noise(NoiseConfig::default().scaled(-1.0))

@@ -100,7 +100,8 @@ impl OpticalArm {
     /// # Errors
     ///
     /// Returns [`PhotonicsError::InvalidParameter`] if the configuration is
-    /// invalid (zero channels or a bad ring design).
+    /// invalid (zero channels, a bad ring design or a noise sigma that is
+    /// not finite and non-negative).
     pub fn new(config: ArmConfig) -> Result<Self> {
         if config.channels == 0 {
             return Err(PhotonicsError::InvalidParameter {
@@ -109,6 +110,7 @@ impl OpticalArm {
             });
         }
         config.ring.validate()?;
+        config.noise.validate()?;
         let grid = WdmGrid::lightator_arm(config.channels)?;
         // Every ring shares one design, so its notch constants are computed
         // once here rather than per ring.
@@ -337,6 +339,38 @@ mod tests {
             ..ArmConfig::default()
         };
         assert!(OpticalArm::new(cfg).is_err());
+    }
+
+    /// Regression: the arm used to accept any sigma, so a NaN weight sigma
+    /// returned a NaN MAC and an infinite detector sigma returned −∞.
+    #[test]
+    fn rejects_invalid_noise_sigmas() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            for noise in [
+                NoiseConfig {
+                    vcsel_relative_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+                NoiseConfig {
+                    detector_relative_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+                NoiseConfig {
+                    weight_sigma: bad,
+                    ..NoiseConfig::default()
+                },
+            ] {
+                let err = OpticalArm::new(ArmConfig {
+                    noise,
+                    ..ArmConfig::default()
+                })
+                .expect_err("invalid sigma must be rejected");
+                assert!(
+                    matches!(err, PhotonicsError::InvalidParameter { .. }),
+                    "{err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
 
+use crate::error::{PhotonicsError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the analog non-idealities applied to the photonic MAC.
@@ -62,6 +63,29 @@ impl NoiseConfig {
             weight_sigma: 0.0,
             apply_crosstalk: false,
         }
+    }
+
+    /// Checks that every noise sigma is an RMS magnitude: finite and
+    /// non-negative. A negative sigma would sign-flip every draw of its
+    /// channel, a NaN one would poison them, and an infinite one would
+    /// saturate or overflow the MAC.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhotonicsError::InvalidParameter`] naming the first field
+    /// that fails.
+    pub fn validate(&self) -> Result<()> {
+        let sigmas = [
+            ("vcsel_relative_sigma", self.vcsel_relative_sigma),
+            ("detector_relative_sigma", self.detector_relative_sigma),
+            ("weight_sigma", self.weight_sigma),
+        ];
+        for (name, value) in sigmas {
+            if !value.is_finite() || value < 0.0 {
+                return Err(PhotonicsError::InvalidParameter { name, value });
+            }
+        }
+        Ok(())
     }
 
     /// Returns `true` when every stochastic term is zero.
@@ -302,6 +326,46 @@ mod tests {
     fn ideal_config_reports_ideal() {
         assert!(NoiseConfig::ideal().is_ideal());
         assert!(!NoiseConfig::default().is_ideal());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_and_negative_sigmas() {
+        assert!(NoiseConfig::default().validate().is_ok());
+        assert!(NoiseConfig::ideal().validate().is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            let base = NoiseConfig::default();
+            for (field, config) in [
+                (
+                    "vcsel_relative_sigma",
+                    NoiseConfig {
+                        vcsel_relative_sigma: bad,
+                        ..base
+                    },
+                ),
+                (
+                    "detector_relative_sigma",
+                    NoiseConfig {
+                        detector_relative_sigma: bad,
+                        ..base
+                    },
+                ),
+                (
+                    "weight_sigma",
+                    NoiseConfig {
+                        weight_sigma: bad,
+                        ..base
+                    },
+                ),
+            ] {
+                match config.validate() {
+                    Err(PhotonicsError::InvalidParameter { name, value }) => {
+                        assert_eq!(name, field);
+                        assert_eq!(value.to_bits(), bad.to_bits());
+                    }
+                    other => panic!("{field} = {bad}: expected InvalidParameter, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
