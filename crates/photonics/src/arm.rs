@@ -234,9 +234,10 @@ impl OpticalArm {
     /// are dark: they draw no noise and contribute nothing. Non-idealities
     /// (VCSEL noise, crosstalk, weight error, detection noise) are applied
     /// according to the arm's [`NoiseConfig`], keyed by the MAC cursor:
-    /// lane `i` of cursor `c` draws intensity/weight noise at element
-    /// `c·channels + i` and the balanced detector draws at element `c`. The
-    /// cursor advances by one per call.
+    /// lane `i` of cursor `c` draws its intensity and weight noise from one
+    /// Philox block at element `c·channels + i`
+    /// ([`crate::noise::CounterRng::lane_normals`]) and the balanced
+    /// detector draws at element `c`. The cursor advances by one per call.
     ///
     /// # Errors
     ///
@@ -277,15 +278,15 @@ impl OpticalArm {
                 continue;
             }
             let lane = lane_base.wrapping_add(i as u64);
-            // 1. VCSEL amplitude noise, then 2. inter-channel crosstalk along
-            //    the shared bus.
-            let light = self.injector.perturb_intensity(lane, a) * crosstalk[i];
-            // 3. Weighting by the realised (noisy) MR transmission, routed to
-            //    the positive or negative BPD rail according to the weight sign.
-            let realised = self
-                .injector
-                .perturb_weight(lane, self.rings[i].channel_transmission());
-            let product = light * realised;
+            // 1. VCSEL amplitude noise and the realised (noisy) MR
+            //    transmission, both drawn from the lane's one Philox block.
+            let (light, realised) =
+                self.injector
+                    .perturb_lane(lane, a, self.rings[i].channel_transmission());
+            // 2. Inter-channel crosstalk along the shared bus, then
+            // 3. weighting by the ring, routed to the positive or negative BPD
+            //    rail according to the weight sign.
+            let product = light * crosstalk[i] * realised;
             if w >= 0.0 {
                 positive += product;
             } else {

@@ -9,13 +9,20 @@
 //! Gaussian samples come from a counter-based (Philox-style) generator: each
 //! draw is a pure function of `(seed, frame index, channel, element index)`,
 //! with `channel` tagging the physical noise source (intensity / weight /
-//! detection). Two consequences follow directly from the keying:
+//! detection). One Philox block feeds one Box–Muller transform, whose two
+//! branches are two independent standard normals. A MAC lane's intensity
+//! draw is the cosine branch of its block and its weight draw the sine
+//! branch of the same block, so a full 9-lane MAC computes 10 blocks: one
+//! per lane plus the detection block. Two consequences follow from the
+//! keying:
 //!
 //! * **Per-channel independence.** Zeroing one channel's sigma leaves every
-//!   other channel's draw sequence bit-identical, so noise-ablation sweeps
-//!   compare exactly what they claim to compare. (The previous sequential
-//!   Box–Muller stream shared one cached spare across channels, so ablating
-//!   one channel silently shifted the others.)
+//!   other channel's draws bit-identical, so noise-ablation sweeps compare
+//!   exactly what they claim to compare. A lane still computes its block
+//!   while either of its sigmas is non-zero, and each branch is read only by
+//!   its own channel. (The previous sequential Box–Muller stream shared one
+//!   cached spare across channels *and* elements, so ablating one channel
+//!   silently shifted the others.)
 //! * **Order independence.** Draws need no sequential RNG state, so MAC
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
@@ -115,8 +122,13 @@ impl NoiseConfig {
     }
 }
 
-/// The physical noise source a draw belongs to. Each channel keys an
-/// independent Philox stream, so the channels never share entropy.
+/// The physical noise source a draw belongs to.
+///
+/// [`NoiseChannel::Intensity`] and [`NoiseChannel::Weight`] draws at the
+/// same element are the two branches of one Philox block's Box–Muller
+/// transform: cosine and sine. The two branches are independent standard
+/// normals, so the channels stay uncorrelated while sharing one block.
+/// [`NoiseChannel::Detection`] keys a Philox stream of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NoiseChannel {
     /// VCSEL amplitude noise on the modulated intensities.
@@ -127,15 +139,11 @@ pub enum NoiseChannel {
     Detection,
 }
 
-impl NoiseChannel {
-    fn tag(self) -> u64 {
-        match self {
-            NoiseChannel::Intensity => 0,
-            NoiseChannel::Weight => 1,
-            NoiseChannel::Detection => 2,
-        }
-    }
-}
+/// Philox key tag of the per-lane block (intensity and weight draws).
+const LANE_TAG: u64 = 0;
+/// Philox key tag of the detection block. Tag 1 keyed the weight channel's
+/// own block before the weight draw moved onto the lane block.
+const DETECTION_TAG: u64 = 2;
 
 /// Philox-2x64 round multiplier (Salmon et al., "Parallel random numbers:
 /// as easy as 1, 2, 3", SC'11).
@@ -143,8 +151,8 @@ const PHILOX_M: u64 = 0xD2B7_4407_B1CE_6E93;
 /// Weyl sequence increment applied to the Philox key each round (the golden
 /// ratio in 0.64 fixed point, as in the reference implementation).
 const PHILOX_W: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Odd multiplier mixing the channel tag into the Philox key so the three
-/// channel streams are decorrelated even under identical counters.
+/// Odd multiplier mixing the block tag into the Philox key so the lane and
+/// detection streams are decorrelated even under identical counters.
 const CHANNEL_KEY_MUL: u64 = 0xA076_1D64_78BD_642F;
 
 /// A counter-based Gaussian generator (Philox-2x64, 10 rounds).
@@ -152,9 +160,10 @@ const CHANNEL_KEY_MUL: u64 = 0xA076_1D64_78BD_642F;
 /// Unlike a sequential RNG, a `CounterRng` carries no mutable stream state:
 /// every draw is a pure function of `(seed, frame, channel, element)`. Draws
 /// can therefore be evaluated in any order — or concurrently — and still
-/// reproduce the exact bits of a sequential walk, and each draw consumes a
-/// whole Philox block (no cached Box–Muller spare), so ablating one channel
-/// cannot shift another channel's sequence.
+/// reproduce the exact bits of a sequential walk. No Box–Muller spare is
+/// cached across calls: the sine branch of a block is the weight draw of
+/// the same element, so ablating one channel cannot shift another
+/// channel's sequence.
 ///
 /// ```
 /// use lightator_photonics::noise::{CounterRng, NoiseChannel};
@@ -164,6 +173,10 @@ const CHANNEL_KEY_MUL: u64 = 0xA076_1D64_78BD_642F;
 /// let b = rng.standard_normal(NoiseChannel::Intensity, 3);
 /// assert_eq!(a.to_bits(), b.to_bits()); // pure function of the key
 /// assert!(a.is_finite());
+/// // A lane's intensity and weight draws share one block.
+/// let (intensity, weight) = rng.lane_normals(3);
+/// assert_eq!(intensity.to_bits(), a.to_bits());
+/// assert_eq!(weight.to_bits(), rng.standard_normal(NoiseChannel::Weight, 3).to_bits());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
@@ -190,9 +203,9 @@ impl CounterRng {
         self.frame
     }
 
-    /// One Philox-2x64-10 block for `(seed, frame, channel, element)`.
-    fn block(&self, channel: NoiseChannel, element: u64) -> [u64; 2] {
-        let mut key = self.seed ^ channel.tag().wrapping_add(1).wrapping_mul(CHANNEL_KEY_MUL);
+    /// One Philox-2x64-10 block for `(seed, frame, tag, element)`.
+    fn block(&self, tag: u64, element: u64) -> [u64; 2] {
+        let mut key = self.seed ^ tag.wrapping_add(1).wrapping_mul(CHANNEL_KEY_MUL);
         let mut ctr = [element, self.frame];
         for _ in 0..10 {
             let product = u128::from(PHILOX_M) * u128::from(ctr[0]);
@@ -204,20 +217,51 @@ impl CounterRng {
         ctr
     }
 
-    /// One standard-normal draw — a pure function of
-    /// `(seed, frame, channel, element)`.
-    ///
-    /// Both uniforms of the Philox block feed a single Box–Muller cosine
-    /// branch; no spare is cached, so draws never couple across channels or
-    /// elements.
-    #[must_use]
-    pub fn standard_normal(&self, channel: NoiseChannel, element: u64) -> f64 {
-        let [x0, x1] = self.block(channel, element);
+    /// The Box–Muller polar form `(r, θ)` of one Philox block: the normals
+    /// are `r·cos θ` and `r·sin θ`.
+    fn polar(&self, tag: u64, element: u64) -> (f64, f64) {
+        let [x0, x1] = self.block(tag, element);
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
         // u1 ∈ (0, 1] keeps the logarithm finite; u2 ∈ [0, 1).
         let u1 = ((x0 >> 11) as f64 + 1.0) * SCALE;
         let u2 = (x1 >> 11) as f64 * SCALE;
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+    }
+
+    /// One standard-normal draw — a pure function of
+    /// `(seed, frame, channel, element)`.
+    ///
+    /// Intensity and detection draws are the cosine branch of their block;
+    /// a weight draw is the sine branch of the intensity block at the same
+    /// element. This is exactly the pair [`CounterRng::lane_normals`]
+    /// returns, computed one branch at a time.
+    #[must_use]
+    pub fn standard_normal(&self, channel: NoiseChannel, element: u64) -> f64 {
+        match channel {
+            NoiseChannel::Intensity => {
+                let (r, theta) = self.polar(LANE_TAG, element);
+                r * theta.cos()
+            }
+            NoiseChannel::Weight => {
+                let (r, theta) = self.polar(LANE_TAG, element);
+                r * theta.sin()
+            }
+            NoiseChannel::Detection => {
+                let (r, theta) = self.polar(DETECTION_TAG, element);
+                r * theta.cos()
+            }
+        }
+    }
+
+    /// Both draws of MAC lane `element` from its one Philox block:
+    /// `(intensity, weight)`, bit-identical to
+    /// `standard_normal(Intensity, element)` and
+    /// `standard_normal(Weight, element)`.
+    #[must_use]
+    pub fn lane_normals(&self, element: u64) -> (f64, f64) {
+        let (r, theta) = self.polar(LANE_TAG, element);
+        let (sin, cos) = theta.sin_cos();
+        (r * cos, r * sin)
     }
 
     /// Draws one sample from `N(mean, sigma²)` at `(channel, element)`.
@@ -275,32 +319,36 @@ impl NoiseInjector {
         self.rng = CounterRng::new(seed, frame);
     }
 
-    /// Perturbs a normalised VCSEL intensity (full scale = 1.0). The result
-    /// is clamped to `[0, 1]` because intensity cannot be negative nor exceed
-    /// the saturated laser output.
+    /// Perturbs one MAC lane: its normalised VCSEL intensity (full scale =
+    /// 1.0) and its realised MR weight (transmission in `[0, 1]`), returned
+    /// as `(intensity, weight)`. Both draws come from the lane's one Philox
+    /// block ([`CounterRng::lane_normals`]), which is not computed when both
+    /// sigmas are zero. A zero sigma returns its mean exactly. Both results
+    /// are clamped to `[0, 1]`: intensity can be neither negative nor above
+    /// the saturated laser output, and a ring cannot transmit more than it
+    /// receives.
     #[must_use]
-    pub fn perturb_intensity(&self, element: u64, intensity: f64) -> f64 {
-        self.rng
-            .sample(
-                NoiseChannel::Intensity,
-                element,
-                intensity,
-                self.config.vcsel_relative_sigma,
-            )
-            .clamp(0.0, 1.0)
-    }
-
-    /// Perturbs a realised MR weight (transmission in `[0, 1]`).
-    #[must_use]
-    pub fn perturb_weight(&self, element: u64, weight: f64) -> f64 {
-        self.rng
-            .sample(
-                NoiseChannel::Weight,
-                element,
-                weight,
-                self.config.weight_sigma,
-            )
-            .clamp(0.0, 1.0)
+    pub fn perturb_lane(&self, element: u64, intensity: f64, weight: f64) -> (f64, f64) {
+        let NoiseConfig {
+            vcsel_relative_sigma,
+            weight_sigma,
+            ..
+        } = self.config;
+        if vcsel_relative_sigma == 0.0 && weight_sigma == 0.0 {
+            return (intensity.clamp(0.0, 1.0), weight.clamp(0.0, 1.0));
+        }
+        let (z_intensity, z_weight) = self.rng.lane_normals(element);
+        let offset = |mean: f64, sigma: f64, z: f64| {
+            if sigma == 0.0 {
+                mean
+            } else {
+                mean + sigma * z
+            }
+        };
+        (
+            offset(intensity, vcsel_relative_sigma, z_intensity).clamp(0.0, 1.0),
+            offset(weight, weight_sigma, z_weight).clamp(0.0, 1.0),
+        )
     }
 
     /// Adds detector-referred noise to a normalised MAC result (full scale
@@ -453,14 +501,76 @@ mod tests {
         );
     }
 
+    /// The pair a MAC lane draws is exactly the two per-channel draws the
+    /// public API names for that element.
+    #[test]
+    fn lane_normals_are_the_intensity_and_weight_draws() {
+        for (seed, frame) in [(0u64, 0u64), (7, 13), (u64::MAX, 1 << 40)] {
+            let rng = CounterRng::new(seed, frame);
+            for element in (0..2_000u64).chain([u64::MAX - 1, u64::MAX]) {
+                let (intensity, weight) = rng.lane_normals(element);
+                assert_eq!(
+                    intensity.to_bits(),
+                    rng.standard_normal(NoiseChannel::Intensity, element)
+                        .to_bits()
+                );
+                assert_eq!(
+                    weight.to_bits(),
+                    rng.standard_normal(NoiseChannel::Weight, element).to_bits()
+                );
+            }
+        }
+    }
+
+    /// The two branches of a lane block are standard normals and
+    /// uncorrelated with each other.
+    #[test]
+    fn lane_normal_halves_are_standard_and_uncorrelated() {
+        let rng = CounterRng::new(42, 5);
+        let n = 20_000u64;
+        let pairs: Vec<(f64, f64)> = (0..n).map(|element| rng.lane_normals(element)).collect();
+        let mean = |f: fn(&(f64, f64)) -> f64| pairs.iter().map(f).sum::<f64>() / n as f64;
+        let (mean_i, mean_w) = (mean(|p| p.0), mean(|p| p.1));
+        let (sigma_i, sigma_w) = (mean(|p| p.0 * p.0).sqrt(), mean(|p| p.1 * p.1).sqrt());
+        let correlation = (mean(|p| p.0 * p.1) - mean_i * mean_w) / (sigma_i * sigma_w);
+        for (what, m, sigma) in [("intensity", mean_i, sigma_i), ("weight", mean_w, sigma_w)] {
+            assert!(m.abs() < 0.02, "{what} mean {m}");
+            assert!((sigma - 1.0).abs() < 0.02, "{what} sigma {sigma}");
+        }
+        assert!(correlation.abs() < 0.02, "correlation {correlation}");
+    }
+
+    /// A zero lane sigma returns its mean exactly while the other channel
+    /// still draws.
+    #[test]
+    fn perturb_lane_returns_the_mean_of_a_zero_sigma_channel() {
+        for config in [
+            NoiseConfig {
+                vcsel_relative_sigma: 0.0,
+                ..NoiseConfig::default()
+            },
+            NoiseConfig {
+                weight_sigma: 0.0,
+                ..NoiseConfig::default()
+            },
+        ] {
+            let mut injector = NoiseInjector::new(config);
+            injector.begin_frame(9, 4);
+            for element in 0..256u64 {
+                let (i, w) = injector.perturb_lane(element, 0.375, 0.625);
+                assert_eq!(i == 0.375, config.vcsel_relative_sigma == 0.0);
+                assert_eq!(w == 0.625, config.weight_sigma == 0.0);
+            }
+        }
+    }
+
     #[test]
     fn perturbed_values_stay_in_physical_range() {
         let mut injector = NoiseInjector::new(NoiseConfig::default().scaled(20.0));
         injector.begin_frame(3, 0);
         for element in 0..1_000u64 {
-            let i = injector.perturb_intensity(element, 0.98);
+            let (i, w) = injector.perturb_lane(element, 0.98, 0.02);
             assert!((0.0..=1.0).contains(&i));
-            let w = injector.perturb_weight(element, 0.02);
             assert!((0.0..=1.0).contains(&w));
         }
     }
@@ -469,8 +579,7 @@ mod tests {
     fn ideal_injector_is_transparent() {
         let mut injector = NoiseInjector::new(NoiseConfig::ideal());
         injector.begin_frame(5, 2);
-        assert_eq!(injector.perturb_intensity(0, 0.33), 0.33);
-        assert_eq!(injector.perturb_weight(1, 0.66), 0.66);
+        assert_eq!(injector.perturb_lane(0, 0.33, 0.66), (0.33, 0.66));
         assert_eq!(injector.perturb_detection(2, -0.4), -0.4);
     }
 
@@ -518,14 +627,14 @@ mod tests {
             for element in 0..64u64 {
                 if ablated_config.vcsel_relative_sigma != 0.0 {
                     assert_eq!(
-                        full.perturb_intensity(element, 0.5).to_bits(),
-                        ablated.perturb_intensity(element, 0.5).to_bits()
+                        full.perturb_lane(element, 0.5, 0.5).0.to_bits(),
+                        ablated.perturb_lane(element, 0.5, 0.5).0.to_bits()
                     );
                 }
                 if ablated_config.weight_sigma != 0.0 {
                     assert_eq!(
-                        full.perturb_weight(element, 0.5).to_bits(),
-                        ablated.perturb_weight(element, 0.5).to_bits()
+                        full.perturb_lane(element, 0.5, 0.5).1.to_bits(),
+                        ablated.perturb_lane(element, 0.5, 0.5).1.to_bits()
                     );
                 }
                 if ablated_config.detector_relative_sigma != 0.0 {
