@@ -21,8 +21,8 @@
 //!   exactly what they claim to compare. A lane still computes its block
 //!   while either of its sigmas is non-zero, and each branch is read only by
 //!   its own channel. (The previous sequential Box–Muller stream shared one
-//!   cached spare across channels *and* elements, so ablating one channel
-//!   silently shifted the others.)
+//!   cached spare across channels, so ablating one channel silently shifted
+//!   the others.)
 //! * **Order independence.** Draws need no sequential RNG state, so MAC
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
@@ -141,8 +141,8 @@ pub enum NoiseChannel {
 
 /// Philox key tag of the per-lane block (intensity and weight draws).
 const LANE_TAG: u64 = 0;
-/// Philox key tag of the detection block. Tag 1 keyed the weight channel's
-/// own block before the weight draw moved onto the lane block.
+/// Philox key tag of the detection block. Renumbering a tag moves every
+/// draw of its stream.
 const DETECTION_TAG: u64 = 2;
 
 /// Philox-2x64 round multiplier (Salmon et al., "Parallel random numbers:
