@@ -12,9 +12,9 @@
 //! hand-checked table.
 //!
 //! The frame counter is maintained exactly like the photonic executor's —
-//! one index per `forward`, one per batch element, one per frame batch —
-//! so seek/replay semantics are identical across backends even though the
-//! digital path draws no noise.
+//! one index per `forward`, one per frame batch — so seek/replay semantics
+//! are identical across backends even though the digital path draws no
+//! noise.
 
 use lightator_core::backend::{Backend, BackendId, LoweredPlan};
 use lightator_core::plan::CompiledPlan;
@@ -83,7 +83,6 @@ impl Backend for ElectronicReference {
         Ok(Box::new(ElectronicLowered {
             plan,
             next_frame: 0,
-            plan_reuse: true,
         }))
     }
 
@@ -120,7 +119,6 @@ impl Backend for ElectronicReference {
 pub struct ElectronicLowered {
     plan: CompiledPlan,
     next_frame: u64,
-    plan_reuse: bool,
 }
 
 impl ElectronicLowered {
@@ -135,28 +133,13 @@ impl ElectronicLowered {
 impl LoweredPlan for ElectronicLowered {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         self.next_frame += 1;
-        if self.plan_reuse {
-            self.plan.record_hits(1);
-        }
+        self.plan.record_hits(1);
         Self::model_forward(&mut self.plan, input)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame += inputs.len() as u64;
-        if self.plan_reuse {
-            self.plan.record_hits(inputs.len() as u64);
-        }
-        inputs
-            .iter()
-            .map(|input| Self::model_forward(&mut self.plan, input))
-            .collect()
     }
 
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
         self.next_frame += 1;
-        if self.plan_reuse {
-            self.plan.record_hits(1);
-        }
+        self.plan.record_hits(1);
         inputs
             .iter()
             .map(|input| Self::model_forward(&mut self.plan, input))
@@ -177,14 +160,6 @@ impl LoweredPlan for ElectronicLowered {
 
     fn plan_mut(&mut self) -> &mut CompiledPlan {
         &mut self.plan
-    }
-
-    fn plan_reuse(&self) -> bool {
-        self.plan_reuse
-    }
-
-    fn set_plan_reuse(&mut self, enabled: bool) {
-        self.plan_reuse = enabled;
     }
 
     fn clone_box(&self) -> Box<dyn LoweredPlan> {
@@ -257,15 +232,11 @@ mod tests {
         let expected = reference.forward(&input).expect("digital");
         assert_eq!(out.data(), expected.data());
 
-        // Batch and frame-batch advance the counter like the photonic
-        // executor: one index per element vs one per frame.
-        lowered
-            .forward_batch(&[input.clone(), input.clone()])
-            .expect("batch");
-        assert_eq!(lowered.next_frame_index(), 3);
+        // A frame batch advances the counter like the photonic executor:
+        // one index for the whole frame, however many inputs it carries.
         lowered
             .forward_frame_batch(&[input.clone(), input])
             .expect("frame batch");
-        assert_eq!(lowered.next_frame_index(), 4);
+        assert_eq!(lowered.next_frame_index(), 2);
     }
 }

@@ -1,15 +1,16 @@
 //! Machine-readable benchmark artifacts: `BENCH_<name>.json`.
 //!
-//! Every headline harness (the `headline_claims` bin, the `plan_reuse`
-//! bench) writes its measured numbers as a small JSON document so the perf
-//! trajectory can be tracked across PRs without scraping stdout:
+//! Every headline harness (the `headline_claims` bin, the
+//! `parallel_scaling` bench) writes its measured numbers as a small JSON
+//! document so the perf trajectory can be tracked across PRs without
+//! scraping stdout:
 //!
 //! ```json
 //! {
-//!   "bench": "plan_reuse",
+//!   "bench": "parallel_scaling",
 //!   "seed_commit": "413702c...",
 //!   "metrics": [
-//!     { "name": "single_scene_speedup", "value": 1.62, "units": "x" }
+//!     { "name": "parallel_speedup_8_workers", "value": 1.62, "units": "x" }
 //!   ]
 //! }
 //! ```
@@ -374,10 +375,10 @@ mod tests {
 
     #[test]
     fn rendered_documents_parse_and_carry_the_metric_names() {
-        let json = render("plan_reuse", "abc123", &metrics());
+        let json = render("parallel_scaling", "abc123", &metrics());
         let names = validate(&json).expect("valid JSON");
         assert_eq!(names, vec!["single_scene_speedup", "cached_throughput"]);
-        assert!(json.contains("\"bench\": \"plan_reuse\""));
+        assert!(json.contains("\"bench\": \"parallel_scaling\""));
         assert!(json.contains("\"seed_commit\": \"abc123\""));
         assert!(json.contains("\"units\": \"frames/s\""));
     }

@@ -16,7 +16,8 @@
 //!
 //! [`emit`] writes machine-readable `BENCH_*.json` artifacts (metric name,
 //! value, units, seed commit) so the `headline_claims` bin and the
-//! `plan_reuse` bench leave a trackable perf trail across PRs.
+//! `telemetry_overhead` and `parallel_scaling` benches leave a trackable
+//! perf trail across PRs.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -33,13 +33,11 @@
 
 use std::fmt;
 
-use crate::error::{CoreError, Result};
-use crate::exec::{PhotonicAccuracy, PhotonicExecutor};
+use crate::error::Result;
+use crate::exec::PhotonicExecutor;
 use crate::plan::CompiledPlan;
 use crate::platform::{PlatformConfig, Workload};
 use crate::sim::{ArchitectureSimulator, SimulationReport};
-use lightator_nn::datasets::Dataset;
-use lightator_nn::model::Sequential;
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::spec::NetworkSpec;
 use lightator_nn::tensor::Tensor;
@@ -103,24 +101,17 @@ impl From<&str> for BackendId {
 /// only answers "run these tensors".
 ///
 /// **Determinism contract.** `forward` consumes exactly one frame index;
-/// `forward_batch` one per input; `forward_frame_batch` runs every input
-/// inside a *single* frame's noise stream (the video-stream tile path).
-/// Backends without analog noise still maintain the frame counter so
-/// seek/replay semantics are identical across backends.
+/// `forward_frame_batch` runs every input inside a *single* frame's noise
+/// stream (the video-stream tile path). Backends without analog noise
+/// still maintain the frame counter so seek/replay semantics are identical
+/// across backends.
 pub trait LoweredPlan: fmt::Debug + Send + Sync {
-    /// Runs one input through the lowered model.
+    /// Runs one input through the lowered model as one frame.
     ///
     /// # Errors
     ///
     /// Propagates backend execution errors.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
-
-    /// Runs a batch, one frame index per input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend execution errors.
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
 
     /// Runs every input inside one frame's noise stream (the per-block
     /// stream tile path), consuming exactly one frame index.
@@ -142,12 +133,6 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     /// Mutable access to the compiled plan (hit accounting, tile buffers).
     fn plan_mut(&mut self) -> &mut CompiledPlan;
 
-    /// Whether executions reuse the compiled plan (the default).
-    fn plan_reuse(&self) -> bool;
-
-    /// Switches between plan-cached execution and the per-call-encode path.
-    fn set_plan_reuse(&mut self, enabled: bool);
-
     /// How many workers tile the MAC loops (1 = sequential). Backends
     /// without a tiled execution path report 1.
     fn workers(&self) -> usize {
@@ -159,25 +144,6 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     /// tiled path ignore it.
     fn set_workers(&mut self, workers: usize) {
         let _ = workers;
-    }
-
-    /// Evaluates classify accuracy through this backend's datapath and
-    /// digitally for reference.
-    ///
-    /// # Errors
-    ///
-    /// The default implementation reports that the backend does not
-    /// support accuracy evaluation.
-    fn evaluate(
-        &mut self,
-        model: &mut Sequential,
-        dataset: &Dataset,
-        limit: usize,
-    ) -> Result<PhotonicAccuracy> {
-        let _ = (model, dataset, limit);
-        Err(CoreError::ModelMismatch {
-            reason: "this backend does not implement accuracy evaluation".to_string(),
-        })
     }
 
     /// Clones the lowered plan behind the trait object (keeps `Session`
@@ -339,11 +305,7 @@ impl Backend for PhotonicBackend {
         let mut executor = PhotonicExecutor::new(config.schedule, config.hardware.noise, seed)?;
         executor.set_workers(config.workers);
         let plan = CompiledPlan::compile(workload, &config, seed)?;
-        Ok(Box::new(PhotonicLowered {
-            executor,
-            plan,
-            plan_reuse: true,
-        }))
+        Ok(Box::new(PhotonicLowered { executor, plan }))
     }
 
     fn performance(
@@ -362,53 +324,15 @@ impl Backend for PhotonicBackend {
 pub struct PhotonicLowered {
     executor: PhotonicExecutor,
     plan: CompiledPlan,
-    plan_reuse: bool,
 }
 
 impl LoweredPlan for PhotonicLowered {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.plan_reuse {
-            self.executor.forward_planned(&mut self.plan, input)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its lowered model (weighted workloads always carry one)"
-                        .to_string(),
-                })?;
-            self.executor.forward(model, input)
-        }
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if self.plan_reuse {
-            self.executor.forward_batch_planned(&mut self.plan, inputs)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its lowered model (weighted workloads always carry one)"
-                        .to_string(),
-                })?;
-            self.executor.forward_batch(model, inputs)
-        }
+        self.executor.forward(&mut self.plan, input)
     }
 
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if self.plan_reuse {
-            self.executor
-                .forward_frame_batch_planned(&mut self.plan, inputs)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its tile model (stream plans always carry one)".to_string(),
-                })?;
-            self.executor.forward_frame_batch(model, inputs)
-        }
+        self.executor.forward_frame_batch(&mut self.plan, inputs)
     }
 
     fn next_frame_index(&self) -> u64 {
@@ -427,29 +351,12 @@ impl LoweredPlan for PhotonicLowered {
         &mut self.plan
     }
 
-    fn plan_reuse(&self) -> bool {
-        self.plan_reuse
-    }
-
-    fn set_plan_reuse(&mut self, enabled: bool) {
-        self.plan_reuse = enabled;
-    }
-
     fn workers(&self) -> usize {
         self.executor.workers()
     }
 
     fn set_workers(&mut self, workers: usize) {
         self.executor.set_workers(workers);
-    }
-
-    fn evaluate(
-        &mut self,
-        model: &mut Sequential,
-        dataset: &Dataset,
-        limit: usize,
-    ) -> Result<PhotonicAccuracy> {
-        self.executor.evaluate(model, dataset, limit)
     }
 
     fn clone_box(&self) -> Box<dyn LoweredPlan> {

@@ -1,21 +1,20 @@
-//! Functional photonic execution of trained models.
+//! Functional photonic execution of compiled plans.
 //!
 //! The All-in-One Convolver evaluates every weighted layer as optical dot
 //! products: weights sit in MR transmissions, activations arrive as VCSEL
 //! intensities, and partial sums are combined by the balanced detectors and
-//! the summation tree. This module runs a trained
-//! [`Sequential`] model through that analog
-//! datapath — including quantization to the `[W:A]` configuration and the
+//! the summation tree. This module streams inputs through a
+//! [`CompiledPlan`]'s pre-encoded MR weight bank on that analog datapath —
+//! quantizing activations to the `[W:A]` configuration and drawing the
 //! analog non-idealities — so the inference accuracy of Table 1 can be
-//! measured.
+//! measured. Every conv and linear layer runs through one tiled MAC-loop
+//! driver; one worker runs it inline, several split it into chunks.
 
 use crate::error::{CoreError, Result};
 use crate::oc::PhotonicMacUnit;
-use crate::plan::{encode_model, CompiledPlan, EncodedWeights, PlanScratch};
-use lightator_nn::datasets::Dataset;
-use lightator_nn::layers::LayerNode;
-use lightator_nn::model::Sequential;
-use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, PrecisionSchedule};
+use crate::plan::{CompiledPlan, EncodedWeights, PlanScratch, WorkerScratch};
+use lightator_nn::layers::{Conv2d, LayerNode, Linear};
+use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, Precision, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::noise::NoiseConfig;
 use serde::{Deserialize, Serialize};
@@ -39,7 +38,7 @@ impl PhotonicAccuracy {
     }
 }
 
-/// Executes trained models on the photonic datapath.
+/// Executes compiled plans on the photonic datapath.
 ///
 /// Every frame draws its analog noise from an independent stream derived
 /// from `(seed, frame index)`; the executor assigns indices sequentially and
@@ -73,9 +72,7 @@ pub fn default_workers() -> usize {
 
 /// Quantizes one weight row into `[-1, 1]` MR transmission values. This is
 /// the single definition of the weight encoding; the plan compiler
-/// ([`crate::plan::encode_model`]) and the per-call execution paths all go
-/// through it, which is what keeps plan-cached execution bit-identical to
-/// per-call-encode execution.
+/// ([`crate::plan::encode_model`]) programs every MR row through it.
 pub(crate) fn quantize_weight_row(row: &[f32], weight_scale: f32, weight_bits: u8) -> Vec<f64> {
     row.iter()
         .map(|&w| {
@@ -91,7 +88,7 @@ pub(crate) fn quantize_weight_row(row: &[f32], weight_scale: f32, weight_bits: u
 
 /// Quantizes an activation slice into `[0, 1]` VCSEL drive codes, writing
 /// into a caller-provided buffer. This is the single definition of the
-/// activation encoding shared by every execution path.
+/// activation encoding.
 fn quantize_activations_into(
     activations: &[f32],
     activation_scale: f32,
@@ -109,16 +106,13 @@ fn quantize_activations_into(
     }
 }
 
-/// The shared input-shape mismatch error of every executor entry point,
-/// planned or per-call-encode.
-fn input_mismatch(input: &[usize], expected: &[usize]) -> CoreError {
-    CoreError::ModelMismatch {
-        reason: format!("input shape {input:?} does not match the model's {expected:?}"),
-    }
+/// The activation scale of a layer input: its largest non-negative value.
+fn activation_scale(input: &Tensor) -> f32 {
+    input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)))
 }
 
-/// Validates one planned input: the plan must carry an optical model and
-/// the input must match its shape.
+/// Validates one input: the plan must carry an optical model and the input
+/// must match its shape.
 fn check_plan_input(plan: &CompiledPlan, input: &Tensor) -> Result<()> {
     let Some(model) = plan.model() else {
         return Err(CoreError::ModelMismatch {
@@ -130,7 +124,13 @@ fn check_plan_input(plan: &CompiledPlan, input: &Tensor) -> Result<()> {
         });
     };
     if input.shape() != model.input_shape() {
-        return Err(input_mismatch(input.shape(), model.input_shape()));
+        return Err(CoreError::ModelMismatch {
+            reason: format!(
+                "input shape {:?} does not match the model's {:?}",
+                input.shape(),
+                model.input_shape()
+            ),
+        });
     }
     Ok(())
 }
@@ -226,8 +226,10 @@ impl PhotonicExecutor {
         self.next_frame = self.next_frame.saturating_add(1);
     }
 
-    /// Runs one input through the model with every weighted layer executed on
-    /// the photonic MAC unit.
+    /// Runs one input through a [`CompiledPlan`] as one frame: every
+    /// weighted layer streams against the plan's pre-encoded MR rows on the
+    /// photonic MAC unit, unweighted layers run digitally, and the plan's
+    /// scratch buffers serve every stride.
     ///
     /// Activations are clamped to the non-negative range before being encoded
     /// as light intensities (Lightator encodes activations as unsigned VCSEL
@@ -235,62 +237,19 @@ impl PhotonicExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the model and photonic errors from the
-    /// MAC unit.
-    pub fn forward(&mut self, model: &mut Sequential, input: &Tensor) -> Result<Tensor> {
-        if input.shape() != model.input_shape() {
-            return Err(input_mismatch(input.shape(), model.input_shape()));
-        }
+    /// Returns [`CoreError::ModelMismatch`] for acquisition-only plans
+    /// (no optical model) or a mismatched input shape, without consuming a
+    /// frame index, and propagates photonic errors.
+    pub fn forward(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
+        check_plan_input(plan, input)?;
         self.begin_frame();
-        let mut value = input.clone();
-        let mut weighted_index = 0usize;
-        for layer_index in 0..model.layers().len() {
-            let is_weighted = model.layers()[layer_index].is_weighted();
-            if is_weighted {
-                let precision = self.schedule.for_layer(weighted_index);
-                value = match &model.layers()[layer_index] {
-                    LayerNode::Conv2d(conv) => self.conv_forward(conv, &value, precision)?,
-                    LayerNode::Linear(linear) => self.linear_forward(linear, &value, precision)?,
-                    _ => unreachable!("is_weighted covers exactly conv and linear"),
-                };
-                weighted_index += 1;
-            } else {
-                value = model.layers_mut()[layer_index].forward(&value)?;
-            }
-        }
-        Ok(value)
+        plan.record_hits(1);
+        self.forward_in_frame(plan, input)
     }
 
-    /// Runs a batch of inputs through the model, encoding every weighted
-    /// layer's quantized MR values once and streaming all frames through the
-    /// shared encoding — the photonic analogue of programming the weight DACs
-    /// a single time for the whole batch.
-    ///
-    /// The results are bit-identical to calling [`PhotonicExecutor::forward`]
-    /// once per input on the same executor state: frames are processed in
-    /// order and the analog noise stream advances exactly as in the
-    /// sequential case.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhotonicExecutor::forward`], checked per input.
-    pub fn forward_batch(
-        &mut self,
-        model: &mut Sequential,
-        inputs: &[Tensor],
-    ) -> Result<Vec<Tensor>> {
-        let encodings = encode_model(model, self.schedule);
-        let mut scratch = PlanScratch::default();
-        inputs
-            .iter()
-            .map(|input| self.forward_encoded(model, &encodings, &mut scratch, input))
-            .collect()
-    }
-
-    /// Runs several inputs through the model **within one frame's noise
-    /// stream**: the frame counter advances exactly once, the weights are
-    /// encoded once, and the inputs consume the frame's analog-noise draws
-    /// in order.
+    /// Runs several inputs through a [`CompiledPlan`] **within one frame's
+    /// noise stream**: the frame counter advances exactly once and the
+    /// inputs consume the frame's analog-noise draws in order.
     ///
     /// This is the primitive behind the frame-delta streaming path, where
     /// one video frame decomposes into a variable number of block tiles:
@@ -304,75 +263,6 @@ impl PhotonicExecutor {
     /// Same as [`PhotonicExecutor::forward`], checked per input.
     pub fn forward_frame_batch(
         &mut self,
-        model: &mut Sequential,
-        inputs: &[Tensor],
-    ) -> Result<Vec<Tensor>> {
-        let encodings = encode_model(model, self.schedule);
-        let mut scratch = PlanScratch::default();
-        self.begin_frame();
-        inputs
-            .iter()
-            .map(|input| self.forward_encoded_in_frame(model, &encodings, &mut scratch, input))
-            .collect()
-    }
-
-    /// Runs one input through a [`CompiledPlan`]: the pre-encoded MR weight
-    /// bank is reused as-is (no per-call encoding pass) and the plan's
-    /// preallocated scratch buffers serve every stride.
-    ///
-    /// Bit-identical to [`PhotonicExecutor::forward`] on the plan's model
-    /// for the same executor state: encoding draws no analog noise, so the
-    /// frame's noise-draw order is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ModelMismatch`] for acquisition-only plans
-    /// (no optical model) or a mismatched input shape, and propagates
-    /// photonic errors.
-    pub fn forward_planned(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
-        check_plan_input(plan, input)?;
-        self.begin_frame();
-        plan.record_hits(1);
-        self.forward_planned_in_frame(plan, input)
-    }
-
-    /// Runs a batch of inputs through a [`CompiledPlan`] — the plan-cached
-    /// counterpart of [`PhotonicExecutor::forward_batch`], with the
-    /// encoding pass already paid at compile time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhotonicExecutor::forward_planned`], checked per input.
-    pub fn forward_batch_planned(
-        &mut self,
-        plan: &mut CompiledPlan,
-        inputs: &[Tensor],
-    ) -> Result<Vec<Tensor>> {
-        inputs
-            .iter()
-            .map(|input| {
-                check_plan_input(plan, input)?;
-                self.begin_frame();
-                // Count the hit only once the input is actually admitted
-                // to the cached encoding, matching `forward_planned`.
-                plan.record_hits(1);
-                self.forward_planned_in_frame(plan, input)
-            })
-            .collect()
-    }
-
-    /// Runs several inputs through a [`CompiledPlan`] **within one frame's
-    /// noise stream** — the plan-cached counterpart of
-    /// [`PhotonicExecutor::forward_frame_batch`]: the frame counter
-    /// advances exactly once and the inputs consume the frame's noise
-    /// draws in order. An empty `inputs` slice still consumes the frame
-    /// index (a fully-skipped frame is still a frame).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhotonicExecutor::forward_planned`], checked per input.
-    pub fn forward_frame_batch_planned(
-        &mut self,
         plan: &mut CompiledPlan,
         inputs: &[Tensor],
     ) -> Result<Vec<Tensor>> {
@@ -382,18 +272,14 @@ impl PhotonicExecutor {
             .iter()
             .map(|input| {
                 check_plan_input(plan, input)?;
-                self.forward_planned_in_frame(plan, input)
+                self.forward_in_frame(plan, input)
             })
             .collect()
     }
 
     /// One forward pass through the plan's cached encodings *inside the
     /// already open frame*.
-    fn forward_planned_in_frame(
-        &mut self,
-        plan: &mut CompiledPlan,
-        input: &Tensor,
-    ) -> Result<Tensor> {
+    fn forward_in_frame(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
         let (model, encodings, scratch) =
             plan.exec_parts_mut()
                 .ok_or_else(|| CoreError::ModelMismatch {
@@ -401,50 +287,6 @@ impl PhotonicExecutor {
                          model-carrying plans)"
                         .to_string(),
                 })?;
-        self.forward_rows(model, encodings, scratch, input)
-    }
-
-    /// One forward pass reusing pre-encoded weights, opening a fresh frame
-    /// noise stream.
-    fn forward_encoded(
-        &mut self,
-        model: &mut Sequential,
-        encodings: &[Option<EncodedWeights>],
-        scratch: &mut PlanScratch,
-        input: &Tensor,
-    ) -> Result<Tensor> {
-        if input.shape() != model.input_shape() {
-            return Err(input_mismatch(input.shape(), model.input_shape()));
-        }
-        self.begin_frame();
-        self.forward_encoded_in_frame(model, encodings, scratch, input)
-    }
-
-    /// One forward pass reusing pre-encoded weights *inside the already
-    /// open frame*: consumes the current frame's noise draws without
-    /// touching the frame counter.
-    fn forward_encoded_in_frame(
-        &mut self,
-        model: &mut Sequential,
-        encodings: &[Option<EncodedWeights>],
-        scratch: &mut PlanScratch,
-        input: &Tensor,
-    ) -> Result<Tensor> {
-        if input.shape() != model.input_shape() {
-            return Err(input_mismatch(input.shape(), model.input_shape()));
-        }
-        self.forward_rows(model, encodings, scratch, input)
-    }
-
-    /// The shared encoded-row execution loop: every weighted layer streams
-    /// against its pre-encoded MR rows, unweighted layers run digitally.
-    fn forward_rows(
-        &mut self,
-        model: &mut Sequential,
-        encodings: &[Option<EncodedWeights>],
-        scratch: &mut PlanScratch,
-        input: &Tensor,
-    ) -> Result<Tensor> {
         let mut value = input.clone();
         let mut weighted_index = 0usize;
         for (layer_index, encoding) in encodings.iter().enumerate() {
@@ -452,12 +294,12 @@ impl PhotonicExecutor {
                 (LayerNode::Conv2d(conv), Some(encoded)) => {
                     let precision = self.schedule.for_layer(weighted_index);
                     weighted_index += 1;
-                    self.conv_forward_encoded(conv, encoded, scratch, &value, precision)?
+                    self.conv_forward(conv, encoded, scratch, &value, precision)?
                 }
                 (LayerNode::Linear(linear), Some(encoded)) => {
                     let precision = self.schedule.for_layer(weighted_index);
                     weighted_index += 1;
-                    self.linear_forward_encoded(linear, encoded, scratch, &value, precision)?
+                    self.linear_forward(linear, encoded, scratch, &value, precision)?
                 }
                 _ => model.layers_mut()[layer_index].forward(&value)?,
             };
@@ -465,391 +307,186 @@ impl PhotonicExecutor {
         Ok(value)
     }
 
-    /// Predicted class through the photonic datapath.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhotonicExecutor::forward`].
-    pub fn predict(&mut self, model: &mut Sequential, input: &Tensor) -> Result<usize> {
-        let logits = self.forward(model, input)?;
-        logits.argmax().ok_or(CoreError::ModelMismatch {
-            reason: "model produced an empty logit vector".to_string(),
-        })
-    }
-
-    fn photonic_dot(
-        &mut self,
-        weights: &[f32],
-        activations: &[f32],
-        weight_scale: f32,
-        activation_scale: f32,
-        weight_bits: u8,
-        activation_bits: u8,
-    ) -> Result<f64> {
-        debug_assert_eq!(weights.len(), activations.len());
-        let w_norm = quantize_weight_row(weights, weight_scale, weight_bits);
-        let mut a_norm = vec![0.0f64; activations.len()];
-        quantize_activations_into(activations, activation_scale, activation_bits, &mut a_norm);
-        let normalized = self.mac_unit.dot(&w_norm, &a_norm)?;
-        Ok(normalized * f64::from(weight_scale) * f64::from(activation_scale))
-    }
-
-    fn conv_forward_encoded(
-        &mut self,
-        conv: &lightator_nn::layers::Conv2d,
-        encoded: &EncodedWeights,
-        scratch: &mut PlanScratch,
-        input: &Tensor,
-        precision: lightator_nn::quant::Precision,
-    ) -> Result<Tensor> {
-        let out_shape = conv.output_shape(input.shape())?;
-        let (oc_n, oh_n, ow_n) = (out_shape[0], out_shape[1], out_shape[2]);
-        let (in_c, in_h, in_w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let k = conv.kernel();
-        let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
-        let mut out = Tensor::zeros(&out_shape);
-        let row_len = in_c * k * k;
-        // Every conv runs weight-stationary: each output channel's row is
-        // programmed once, one arm per segment, and every stride (of every
-        // frame in a batch) streams against it.
-        let items = oc_n * oh_n * ow_n;
-        let workers = self.workers.min(items).max(1);
-        if workers > 1 {
-            // Tiled path: the flattened stride loop splits into per-worker
-            // chunks. MAC call `j` of the layer draws its noise purely from
-            // the cursor position `layer_base + j`, so each worker clone
-            // positioned at its chunk start reproduces the sequential bits.
-            let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
-            let layer_base = self.mac_unit.mac_cursor();
-            let chunk = items.div_ceil(workers);
-            if scratch.worker_patch.len() < workers {
-                scratch.worker_patch.resize_with(workers, Vec::new);
-            }
-            if scratch.worker_a_norm.len() < workers {
-                scratch.worker_a_norm.resize_with(workers, Vec::new);
-            }
-            let stride_span = oh_n * ow_n;
-            let weight_scale = f64::from(encoded.weight_scale);
-            let unit = &self.mac_unit;
-            let bias = conv.bias().data();
-            let rows = &encoded.rows;
-            let (stride, padding) = (conv.stride(), conv.padding());
-            let activation_bits = precision.activation_bits;
-            let worker_buffers = scratch
-                .worker_patch
-                .iter_mut()
-                .zip(scratch.worker_a_norm.iter_mut());
-            let results: Vec<Result<()>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = out
-                    .data_mut()
-                    .chunks_mut(chunk)
-                    .zip(worker_buffers)
-                    .enumerate()
-                    .map(|(worker, (out_chunk, (patch, a_norm)))| {
-                        let mut worker_unit = unit.clone();
-                        scope.spawn(move || -> Result<()> {
-                            let start = worker * chunk;
-                            worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
-                            patch.resize(row_len, 0.0);
-                            a_norm.resize(row_len, 0.0);
-                            let patch = &mut patch[..row_len];
-                            let a_norm = &mut a_norm[..row_len];
-                            let mut loaded = usize::MAX;
-                            for (slot, item) in out_chunk.iter_mut().zip(start..) {
-                                let oc = item / stride_span;
-                                let rest = item % stride_span;
-                                let (oh, ow) = (rest / ow_n, rest % ow_n);
-                                gather_patch(
-                                    input, in_c, in_h, in_w, k, stride, padding, oh, ow, patch,
-                                );
-                                quantize_activations_into(
-                                    patch,
-                                    activation_scale,
-                                    activation_bits,
-                                    a_norm,
-                                );
-                                if oc != loaded {
-                                    worker_unit.load_row(&rows[oc])?;
-                                    loaded = oc;
-                                }
-                                let normalized = worker_unit.mac_loaded(a_norm)?;
-                                let value = normalized * weight_scale * f64::from(activation_scale);
-                                *slot = value as f32 + bias[oc];
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|_| {
-                            Err(CoreError::ModelMismatch {
-                                reason: "a tiled conv execution worker panicked".to_string(),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-            for result in results {
-                result?;
-            }
-            // The parent unit takes over at the end of the layer's cursor
-            // range, exactly where a sequential walk would have landed.
-            self.mac_unit
-                .set_mac_cursor(layer_base + items as u64 * calls_per_item);
-            self.mac_unit
-                .add_segments_evaluated(items as u64 * calls_per_item);
-            return Ok(out);
-        }
-        // Compiled plans preallocate these at their widest-row size, so the
-        // resize is a no-op on the steady-state path.
-        scratch.patch.resize(row_len, 0.0);
-        scratch.a_norm.resize(row_len, 0.0);
-        let (patch, a_norm) = (
-            &mut scratch.patch[..row_len],
-            &mut scratch.a_norm[..row_len],
-        );
-        for oc in 0..oc_n {
-            let bias = conv.bias().data()[oc];
-            self.mac_unit.load_row(&encoded.rows[oc])?;
-            for oh in 0..oh_n {
-                for ow in 0..ow_n {
-                    gather_patch(
-                        input,
-                        in_c,
-                        in_h,
-                        in_w,
-                        k,
-                        conv.stride(),
-                        conv.padding(),
-                        oh,
-                        ow,
-                        patch,
-                    );
-                    quantize_activations_into(
-                        patch,
-                        activation_scale,
-                        precision.activation_bits,
-                        a_norm,
-                    );
-                    let normalized = self.mac_unit.mac_loaded(a_norm)?;
-                    let value =
-                        normalized * f64::from(encoded.weight_scale) * f64::from(activation_scale);
-                    out.data_mut()[(oc * oh_n + oh) * ow_n + ow] = value as f32 + bias;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn linear_forward_encoded(
-        &mut self,
-        linear: &lightator_nn::layers::Linear,
-        encoded: &EncodedWeights,
-        scratch: &mut PlanScratch,
-        input: &Tensor,
-        precision: lightator_nn::quant::Precision,
-    ) -> Result<Tensor> {
-        linear.output_shape(input.shape())?;
-        let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
-        let mut out = Tensor::zeros(&[linear.out_features()]);
-        // The activation vector is the same for every output row; quantize
-        // it once per layer (bit-identical: quantization draws no noise).
-        let len = input.data().len();
-        scratch.a_norm.resize(len, 0.0);
-        quantize_activations_into(
-            input.data(),
-            activation_scale,
-            precision.activation_bits,
-            &mut scratch.a_norm[..len],
-        );
-        let a_norm: &[f64] = &scratch.a_norm[..len];
-        let scale = f64::from(encoded.weight_scale) * f64::from(activation_scale);
-        let out_features = linear.out_features();
-        let workers = self.workers.min(out_features).max(1);
-        if workers > 1 {
-            // Tiled path: output rows split into per-worker chunks; row `o`
-            // draws its noise purely from cursor `layer_base + o·calls`, so
-            // worker clones reproduce the sequential bits (see the conv
-            // path for the cursor contract).
-            let calls_per_item = len.div_ceil(self.mac_unit.segment_length()) as u64;
-            let layer_base = self.mac_unit.mac_cursor();
-            let chunk = out_features.div_ceil(workers);
-            let unit = &self.mac_unit;
-            let bias = linear.bias().data();
-            let rows = &encoded.rows;
-            let results: Vec<Result<()>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = out
-                    .data_mut()
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(worker, out_chunk)| {
-                        let mut worker_unit = unit.clone();
-                        scope.spawn(move || -> Result<()> {
-                            let start = worker * chunk;
-                            worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
-                            for (slot, o) in out_chunk.iter_mut().zip(start..) {
-                                let normalized = worker_unit.dot(&rows[o], a_norm)?;
-                                *slot = (normalized * scale) as f32 + bias[o];
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|_| {
-                            Err(CoreError::ModelMismatch {
-                                reason: "a tiled linear execution worker panicked".to_string(),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-            for result in results {
-                result?;
-            }
-            self.mac_unit
-                .set_mac_cursor(layer_base + out_features as u64 * calls_per_item);
-            self.mac_unit
-                .add_segments_evaluated(out_features as u64 * calls_per_item);
-            return Ok(out);
-        }
-        for o in 0..out_features {
-            let normalized = self.mac_unit.dot(&encoded.rows[o], a_norm)?;
-            out.data_mut()[o] = (normalized * scale) as f32 + linear.bias().data()[o];
-        }
-        Ok(out)
-    }
-
+    /// Every conv runs weight-stationary: each output channel's row is
+    /// programmed once per chunk, one arm per segment, and every stride
+    /// streams against it.
     fn conv_forward(
         &mut self,
-        conv: &lightator_nn::layers::Conv2d,
+        conv: &Conv2d,
+        encoded: &EncodedWeights,
+        scratch: &mut PlanScratch,
         input: &Tensor,
-        precision: lightator_nn::quant::Precision,
+        precision: Precision,
     ) -> Result<Tensor> {
         let out_shape = conv.output_shape(input.shape())?;
-        let (oc_n, oh_n, ow_n) = (out_shape[0], out_shape[1], out_shape[2]);
+        let (oh_n, ow_n) = (out_shape[1], out_shape[2]);
         let (in_c, in_h, in_w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let k = conv.kernel();
-        let weight_scale = conv.weight().max_abs();
-        let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
+        let (stride, padding) = (conv.stride(), conv.padding());
+        let activation_scale = activation_scale(input);
+        let activation_bits = precision.activation_bits;
+        let weight_scale = f64::from(encoded.weight_scale);
+        let row_len = in_c * k * k;
+        let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
+        let (rows, bias) = (&encoded.rows, conv.bias().data());
+        let stride_span = oh_n * ow_n;
         let mut out = Tensor::zeros(&out_shape);
-        let patch_len = in_c * k * k;
-        let mut patch = vec![0.0f32; patch_len];
-        let mut kernel = vec![0.0f32; patch_len];
-        for oc in 0..oc_n {
-            // Gather this output channel's kernel once.
-            for ic in 0..in_c {
-                for kh in 0..k {
-                    for kw in 0..k {
-                        kernel[(ic * k + kh) * k + kw] =
-                            conv.weight().data()[((oc * in_c + ic) * k + kh) * k + kw];
+        self.run_tiled(
+            out.data_mut(),
+            calls_per_item,
+            &mut scratch.workers,
+            |unit, buffers, start, out_chunk| {
+                buffers.patch.resize(row_len, 0.0);
+                buffers.a_norm.resize(row_len, 0.0);
+                let (patch, a_norm) = (&mut buffers.patch[..], &mut buffers.a_norm[..]);
+                // Walk (oc, oh, ow) from the chunk's first output, loading
+                // the row whenever the walk enters a new output channel.
+                let (mut oc, rest) = (start / stride_span, start % stride_span);
+                let (mut oh, mut ow) = (rest / ow_n, rest % ow_n);
+                let mut loaded = usize::MAX;
+                for slot in out_chunk.iter_mut() {
+                    if oc != loaded {
+                        unit.load_row(&rows[oc])?;
+                        loaded = oc;
+                    }
+                    gather_patch(input, in_c, in_h, in_w, k, stride, padding, oh, ow, patch);
+                    quantize_activations_into(patch, activation_scale, activation_bits, a_norm);
+                    let normalized = unit.mac_loaded(a_norm)?;
+                    let value = normalized * weight_scale * f64::from(activation_scale);
+                    *slot = value as f32 + bias[oc];
+                    ow += 1;
+                    if ow == ow_n {
+                        (ow, oh) = (0, oh + 1);
+                    }
+                    if oh == oh_n {
+                        (oh, oc) = (0, oc + 1);
                     }
                 }
-            }
-            let bias = conv.bias().data()[oc];
-            for oh in 0..oh_n {
-                for ow in 0..ow_n {
-                    gather_patch(
-                        input,
-                        in_c,
-                        in_h,
-                        in_w,
-                        k,
-                        conv.stride(),
-                        conv.padding(),
-                        oh,
-                        ow,
-                        &mut patch,
-                    );
-                    let value = self.photonic_dot(
-                        &kernel,
-                        &patch,
-                        weight_scale,
-                        activation_scale,
-                        precision.weight_bits,
-                        precision.activation_bits,
-                    )?;
-                    out.data_mut()[(oc * oh_n + oh) * ow_n + ow] = value as f32 + bias;
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
         Ok(out)
     }
 
     fn linear_forward(
         &mut self,
-        linear: &lightator_nn::layers::Linear,
+        linear: &Linear,
+        encoded: &EncodedWeights,
+        scratch: &mut PlanScratch,
         input: &Tensor,
-        precision: lightator_nn::quant::Precision,
+        precision: Precision,
     ) -> Result<Tensor> {
         linear.output_shape(input.shape())?;
-        let weight_scale = linear.weight().max_abs();
-        let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
+        let activation_scale = activation_scale(input);
+        // The activation vector is the same for every output row; quantize
+        // it once per layer (bit-identical: quantization draws no noise).
+        let len = input.data().len();
+        let PlanScratch {
+            a_norm, workers, ..
+        } = scratch;
+        a_norm.resize(len, 0.0);
+        quantize_activations_into(
+            input.data(),
+            activation_scale,
+            precision.activation_bits,
+            a_norm,
+        );
+        let a_norm: &[f64] = a_norm;
+        let scale = f64::from(encoded.weight_scale) * f64::from(activation_scale);
+        let calls_per_item = len.div_ceil(self.mac_unit.segment_length()) as u64;
+        let (rows, bias) = (&encoded.rows, linear.bias().data());
         let mut out = Tensor::zeros(&[linear.out_features()]);
-        for o in 0..linear.out_features() {
-            let row =
-                &linear.weight().data()[o * linear.in_features()..(o + 1) * linear.in_features()];
-            let value = self.photonic_dot(
-                row,
-                input.data(),
-                weight_scale,
-                activation_scale,
-                precision.weight_bits,
-                precision.activation_bits,
-            )?;
-            out.data_mut()[o] = value as f32 + linear.bias().data()[o];
-        }
+        self.run_tiled(
+            out.data_mut(),
+            calls_per_item,
+            workers,
+            |unit, _, start, out_chunk| {
+                for (slot, o) in out_chunk.iter_mut().zip(start..) {
+                    let normalized = unit.dot(&rows[o], a_norm)?;
+                    *slot = (normalized * scale) as f32 + bias[o];
+                }
+                Ok(())
+            },
+        )?;
         Ok(out)
     }
 
-    /// Evaluates top-1 accuracy through the photonic datapath on at most
-    /// `limit` test samples, alongside the digital accuracy of the same
-    /// model for reference.
+    /// The one MAC-loop driver: `body(unit, buffers, start, chunk)` fills
+    /// `chunk`, the outputs `start..start + chunk.len()` of a layer whose
+    /// every output costs `calls_per_item` MAC calls.
     ///
-    /// # Errors
-    ///
-    /// Propagates model/photonic errors.
-    pub fn evaluate(
+    /// With one worker the single chunk runs inline on the executor's own
+    /// MAC unit. With more, the outputs split into one chunk per worker,
+    /// each run on a clone of the unit positioned at cursor
+    /// `layer_base + start·calls_per_item`. MAC call `j` of a layer draws
+    /// its noise purely from cursor `layer_base + j`, so every worker count
+    /// reproduces the sequential bits.
+    fn run_tiled<F>(
         &mut self,
-        model: &mut Sequential,
-        dataset: &Dataset,
-        limit: usize,
-    ) -> Result<PhotonicAccuracy> {
-        let mut total = 0usize;
-        let mut photonic_correct = 0usize;
-        let mut digital_correct = 0usize;
-        for sample in dataset.test().iter().take(limit.max(1)) {
-            total += 1;
-            if self.predict(model, &sample.input)? == sample.label {
-                photonic_correct += 1;
-            }
-            if model.predict(&sample.input)? == sample.label {
-                digital_correct += 1;
-            }
+        out: &mut [f32],
+        calls_per_item: u64,
+        buffers: &mut Vec<WorkerScratch>,
+        body: F,
+    ) -> Result<()>
+    where
+        F: Fn(&mut PhotonicMacUnit, &mut WorkerScratch, usize, &mut [f32]) -> Result<()> + Sync,
+    {
+        let workers = self.workers.min(out.len()).max(1);
+        if buffers.len() < workers {
+            buffers.resize_with(workers, WorkerScratch::default);
         }
-        Ok(PhotonicAccuracy {
-            photonic: photonic_correct as f64 / total.max(1) as f64,
-            digital: digital_correct as f64 / total.max(1) as f64,
-            samples: total,
-        })
+        if workers == 1 {
+            return body(&mut self.mac_unit, &mut buffers[0], 0, out);
+        }
+        let layer_base = self.mac_unit.mac_cursor();
+        let items = out.len();
+        let chunk = items.div_ceil(workers);
+        let (unit, body) = (&self.mac_unit, &body);
+        let results: Vec<Result<()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = out
+                .chunks_mut(chunk)
+                .zip(buffers.iter_mut())
+                .enumerate()
+                .map(|(worker, (out_chunk, buffers))| {
+                    let start = worker * chunk;
+                    let mut worker_unit = unit.clone();
+                    worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
+                    scope.spawn(move || body(&mut worker_unit, buffers, start, out_chunk))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle.join().unwrap_or_else(|_| {
+                        Err(CoreError::ModelMismatch {
+                            reason: "a tiled MAC-loop worker panicked".to_string(),
+                        })
+                    })
+                })
+                .collect()
+        });
+        results.into_iter().collect::<Result<()>>()?;
+        // The executor's unit takes over at the end of the layer's cursor
+        // range, exactly where a sequential walk would have landed.
+        self.mac_unit
+            .set_mac_cursor(layer_base + items as u64 * calls_per_item);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightator_nn::datasets::{generate, SyntheticConfig};
+    use crate::platform::{Platform, Workload};
+    use lightator_nn::datasets::{generate, Dataset, SyntheticConfig};
+    use lightator_nn::model::Sequential;
     use lightator_nn::models::build_mlp;
-    use lightator_nn::quant::{quantize_model_weights, Precision};
+    use lightator_nn::quant::quantize_model_weights;
     use lightator_nn::train::{evaluate, train, TrainConfig};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn trained_setup() -> (Sequential, lightator_nn::datasets::Dataset) {
+    fn trained_setup() -> (Sequential, Dataset) {
         let mut rng = SmallRng::seed_from_u64(77);
         let dataset = generate("tiny", SyntheticConfig::tiny(3), &mut rng).expect("ok");
         let mut model = build_mlp(&dataset.input_shape(), 3, 24, &mut rng).expect("ok");
@@ -865,18 +502,40 @@ mod tests {
         (model, dataset)
     }
 
+    /// Compiles `model` into a classify plan encoded under `schedule`.
+    fn compile(model: &Sequential, schedule: PrecisionSchedule) -> CompiledPlan {
+        let platform = Platform::builder()
+            .precision(schedule)
+            .build()
+            .expect("platform");
+        let workload = Workload::Classify {
+            model: model.clone(),
+        };
+        CompiledPlan::compile(&workload, platform.config(), 0).expect("plan")
+    }
+
+    fn test_inputs(dataset: &Dataset, count: usize) -> Vec<Tensor> {
+        dataset
+            .test()
+            .iter()
+            .take(count)
+            .map(|s| s.input.clone())
+            .collect()
+    }
+
     #[test]
     fn photonic_forward_matches_digital_argmax_for_ideal_optics() {
         let (mut model, dataset) = trained_setup();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
+        let mut plan = compile(&model, schedule);
         let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::ideal(), 1).expect("ok");
         let mut agree = 0usize;
         let n = 6;
         for sample in dataset.test().iter().take(n) {
-            let photonic = executor.predict(&mut model, &sample.input).expect("ok");
+            let photonic = executor.forward(&mut plan, &sample.input).expect("ok");
             let digital = model.predict(&sample.input).expect("ok");
-            if photonic == digital {
+            if photonic.argmax() == Some(digital) {
                 agree += 1;
             }
         }
@@ -892,8 +551,15 @@ mod tests {
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
         let digital = evaluate(&mut model, &dataset).expect("ok");
-        let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::default(), 3).expect("ok");
-        let result = executor.evaluate(&mut model, &dataset, 8).expect("ok");
+        let mut session = Platform::builder()
+            .precision(schedule)
+            .noise(NoiseConfig::default())
+            .seed(3)
+            .build()
+            .expect("platform")
+            .session(Workload::Classify { model })
+            .expect("session");
+        let result = session.evaluate(&dataset, 8).expect("ok");
         assert!(result.samples == 8);
         assert!(
             result.photonic >= digital - 0.4,
@@ -904,36 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_bit_identical_to_sequential_forwards() {
-        // The batch path encodes the weights once, but it must consume the
-        // analog noise stream in exactly the same order as sequential calls.
-        let (mut model, dataset) = trained_setup();
-        let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
-        quantize_model_weights(&mut model, schedule);
-        let inputs: Vec<_> = dataset
-            .test()
-            .iter()
-            .take(4)
-            .map(|s| s.input.clone())
-            .collect();
-
-        let mut sequential =
-            PhotonicExecutor::new(schedule, NoiseConfig::default(), 9).expect("ok");
-        let expected: Vec<Tensor> = inputs
-            .iter()
-            .map(|input| sequential.forward(&mut model, input).expect("ok"))
-            .collect();
-
-        let mut batched = PhotonicExecutor::new(schedule, NoiseConfig::default(), 9).expect("ok");
-        let got = batched.forward_batch(&mut model, &inputs).expect("ok");
-
-        assert_eq!(expected.len(), got.len());
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.data(), b.data(), "batched result diverged");
-        }
-    }
-
-    #[test]
     fn frame_indexed_noise_reproduces_any_position_in_the_stream() {
         // A second executor positioned at frame 2 must reproduce exactly
         // what the first executor produced for its third frame, without
@@ -941,24 +577,20 @@ mod tests {
         let (mut model, dataset) = trained_setup();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
-        let inputs: Vec<_> = dataset
-            .test()
-            .iter()
-            .take(3)
-            .map(|s| s.input.clone())
-            .collect();
+        let mut plan = compile(&model, schedule);
+        let inputs = test_inputs(&dataset, 3);
 
         let mut sequential =
             PhotonicExecutor::new(schedule, NoiseConfig::default(), 11).expect("ok");
         let expected: Vec<Tensor> = inputs
             .iter()
-            .map(|input| sequential.forward(&mut model, input).expect("ok"))
+            .map(|input| sequential.forward(&mut plan, input).expect("ok"))
             .collect();
         assert_eq!(sequential.next_frame_index(), 3);
 
         let mut seeked = PhotonicExecutor::new(schedule, NoiseConfig::default(), 11).expect("ok");
         seeked.set_next_frame_index(2);
-        let got = seeked.forward(&mut model, &inputs[2]).expect("ok");
+        let got = seeked.forward(&mut plan, &inputs[2]).expect("ok");
         assert_eq!(expected[2].data(), got.data(), "seeked frame diverged");
     }
 
@@ -967,16 +599,12 @@ mod tests {
         let (mut model, dataset) = trained_setup();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
-        let inputs: Vec<_> = dataset
-            .test()
-            .iter()
-            .take(3)
-            .map(|s| s.input.clone())
-            .collect();
+        let mut plan = compile(&model, schedule);
+        let inputs = test_inputs(&dataset, 3);
 
         let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::default(), 13).expect("ok");
         let expected = executor
-            .forward_frame_batch(&mut model, &inputs)
+            .forward_frame_batch(&mut plan, &inputs)
             .expect("ok");
         assert_eq!(
             executor.next_frame_index(),
@@ -987,7 +615,7 @@ mod tests {
         // An executor seeked to the same frame reproduces every tile.
         let mut replay = PhotonicExecutor::new(schedule, NoiseConfig::default(), 13).expect("ok");
         replay.set_next_frame_index(0);
-        let got = replay.forward_frame_batch(&mut model, &inputs).expect("ok");
+        let got = replay.forward_frame_batch(&mut plan, &inputs).expect("ok");
         for (a, b) in expected.iter().zip(&got) {
             assert_eq!(a.data(), b.data(), "in-frame replay diverged");
         }
@@ -995,7 +623,7 @@ mod tests {
         // An empty frame still consumes its index.
         let before = replay.next_frame_index();
         assert!(replay
-            .forward_frame_batch(&mut model, &[])
+            .forward_frame_batch(&mut plan, &[])
             .expect("ok")
             .is_empty());
         assert_eq!(replay.next_frame_index(), before + 1);
@@ -1010,12 +638,13 @@ mod tests {
         let (mut model, dataset) = trained_setup();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
+        let mut plan = compile(&model, schedule);
         let input = &dataset.test()[0].input;
         let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::default(), 21).expect("ok");
         executor.set_next_frame_index(u64::MAX);
-        let last = executor.forward(&mut model, input).expect("ok");
+        let last = executor.forward(&mut plan, input).expect("ok");
         assert_eq!(executor.next_frame_index(), u64::MAX);
-        let saturated = executor.forward(&mut model, input).expect("ok");
+        let saturated = executor.forward(&mut plan, input).expect("ok");
         assert_eq!(
             last.data(),
             saturated.data(),
@@ -1023,7 +652,7 @@ mod tests {
         );
         // ... and that stream is NOT frame 0's (no wrap-around replay).
         let mut fresh = PhotonicExecutor::new(schedule, NoiseConfig::default(), 21).expect("ok");
-        let frame0 = fresh.forward(&mut model, input).expect("ok");
+        let frame0 = fresh.forward(&mut plan, input).expect("ok");
         assert_ne!(
             last.data(),
             frame0.data(),
@@ -1036,24 +665,15 @@ mod tests {
         let (mut model, dataset) = trained_setup();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         quantize_model_weights(&mut model, schedule);
-        let inputs: Vec<_> = dataset
-            .test()
-            .iter()
-            .take(3)
-            .map(|s| s.input.clone())
-            .collect();
+        let mut plan = compile(&model, schedule);
+        let inputs = test_inputs(&dataset, 3);
 
         let mut sequential =
             PhotonicExecutor::new(schedule, NoiseConfig::default(), 31).expect("ok");
         sequential.set_workers(1);
         let expected: Vec<Tensor> = inputs
             .iter()
-            .map(|input| {
-                sequential
-                    .forward_batch(&mut model, std::slice::from_ref(input))
-                    .expect("ok")
-                    .remove(0)
-            })
+            .map(|input| sequential.forward(&mut plan, input).expect("ok"))
             .collect();
 
         for workers in [2usize, 4, 8] {
@@ -1061,11 +681,11 @@ mod tests {
                 PhotonicExecutor::new(schedule, NoiseConfig::default(), 31).expect("ok");
             tiled.set_workers(workers);
             assert_eq!(tiled.workers(), workers);
-            let got = tiled.forward_batch(&mut model, &inputs).expect("ok");
-            for (a, b) in expected.iter().zip(&got) {
+            for (input, expected) in inputs.iter().zip(&expected) {
+                let got = tiled.forward(&mut plan, input).expect("ok");
                 assert_eq!(
-                    a.data(),
-                    b.data(),
+                    expected.data(),
+                    got.data(),
                     "{workers}-worker tiling diverged from sequential"
                 );
             }
@@ -1074,15 +694,18 @@ mod tests {
 
     #[test]
     fn executor_rejects_mismatched_input() {
-        let (mut model, _) = trained_setup();
-        let mut executor = PhotonicExecutor::new(
-            PrecisionSchedule::Uniform(Precision::w4a4()),
-            NoiseConfig::ideal(),
-            1,
-        )
-        .expect("ok");
+        let (model, _) = trained_setup();
+        let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
+        let mut plan = compile(&model, schedule);
+        let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::ideal(), 1).expect("ok");
         let bad = Tensor::zeros(&[1, 3, 3]);
-        assert!(executor.forward(&mut model, &bad).is_err());
+        assert!(executor.forward(&mut plan, &bad).is_err());
+        assert_eq!(
+            executor.next_frame_index(),
+            0,
+            "a rejected input runs no frame"
+        );
+        assert_eq!(plan.stats().cache_hits, 0);
     }
 
     #[test]
@@ -1095,9 +718,10 @@ mod tests {
         let mut deltas = Vec::new();
         for precision in [Precision::w4a4(), Precision::w2a4()] {
             let schedule = PrecisionSchedule::Uniform(precision);
+            let mut plan = compile(&model, schedule);
             let mut executor =
                 PhotonicExecutor::new(schedule, NoiseConfig::ideal(), 5).expect("ok");
-            let photonic = executor.forward(&mut model, &sample.input).expect("ok");
+            let photonic = executor.forward(&mut plan, &sample.input).expect("ok");
             let delta: f32 = digital
                 .data()
                 .iter()

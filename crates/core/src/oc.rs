@@ -113,12 +113,6 @@ impl PhotonicMacUnit {
         self.mac_cursor = cursor;
     }
 
-    /// Adds externally evaluated segments (e.g. from worker clones of this
-    /// unit) to the segment counter.
-    pub(crate) fn add_segments_evaluated(&mut self, segments: u64) {
-        self.segments_evaluated += segments;
-    }
-
     /// Number of arm-sized segments evaluated so far (one per optical wave).
     #[must_use]
     pub fn segments_evaluated(&self) -> u64 {

@@ -13,22 +13,21 @@
 //! * the **pre-encoded MR weight bank** — one [`EncodedWeights`] per
 //!   weighted layer, exactly the normalised transmissions the DACs program —
 //! * the **resolved precision schedule**, and
-//! * **preallocated scratch and tile buffers** sized for the model's widest
-//!   row, so the steady-state execution path performs no per-frame encoding
-//!   work and no per-stride allocation.
+//! * **reusable scratch and tile buffers**, so the steady-state execution
+//!   path performs no per-frame encoding work and no per-stride allocation.
 //!
 //! A plan is built once when a `Session` opens and reused by every entry
-//! point (`run`, `run_batch`, `run_stream`, `resume_stream`); a serving
-//! shard therefore compiles its workload group's plan exactly once at
-//! spawn. [`PlanStats`] counts encoding passes versus cache hits so the
-//! reuse is observable end to end (the serve crate surfaces the counters
-//! per shard).
+//! point (`run`, `run_batch`, `run_stream`, `resume_stream`, `evaluate`);
+//! a serving shard therefore compiles its workload group's plan exactly
+//! once at spawn. [`PlanStats`] counts encoding passes versus cache hits so
+//! the reuse is observable end to end (the serve crate surfaces the
+//! counters per shard).
 //!
 //! **Determinism contract.** Encoding draws no analog noise — noise is
-//! sampled only inside the photonic MAC — so a plan-cached execution
-//! consumes the identical frame-indexed noise-draw order as a per-call
-//! encode. Plan reuse is a pure-performance transform: golden kernels,
-//! stream resume and pooled serving all stay bit-exact.
+//! sampled only inside the photonic MAC — so the noise a frame sees depends
+//! only on its global frame index, never on how many frames the plan served
+//! before: golden kernels, stream resume and pooled serving all stay
+//! bit-exact.
 //!
 //! ```
 //! use lightator_core::plan::CompiledPlan;
@@ -101,9 +100,8 @@ impl EncodedWeights {
 /// Encodes every weighted layer of `model` under `schedule`, indexed by
 /// model layer position (`None` for unweighted layers).
 ///
-/// This is the single weight-encoding pass shared by the compiled-plan
-/// path and the legacy per-call-encode entry points, which is what keeps
-/// the two bit-identical.
+/// This is the single weight-encoding pass: [`CompiledPlan::compile`] runs
+/// it once and every frame streams through its result.
 #[must_use]
 pub fn encode_model(
     model: &Sequential,
@@ -157,22 +155,26 @@ pub struct PlanStats {
     pub cache_hits: u64,
 }
 
-/// Reusable execution buffers, preallocated at compile time and sized for
-/// the lowered model's widest weight row, so the steady-state path never
-/// allocates per stride.
+/// Reusable execution buffers. They grow to the widest row on a plan's
+/// first frame and are reused after, so the steady-state path never
+/// allocates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanScratch {
-    /// Gathered input patch of one convolution stride.
-    pub(crate) patch: Vec<f32>,
-    /// Quantized VCSEL drive codes of one activation row.
+    /// Quantized VCSEL drive codes of a linear layer's input vector.
     pub(crate) a_norm: Vec<f64>,
+    /// One conv buffer pair per MAC worker.
+    pub(crate) workers: Vec<WorkerScratch>,
     /// Reusable `block+halo` tile tensors for the streaming path.
     pub(crate) tiles: Vec<Tensor>,
-    /// Per-worker patch buffers for the tiled conv path (grown lazily to
-    /// the executor's worker count, then reused frame after frame).
-    pub(crate) worker_patch: Vec<Vec<f32>>,
-    /// Per-worker activation buffers for the tiled conv path.
-    pub(crate) worker_a_norm: Vec<Vec<f64>>,
+}
+
+/// One MAC worker's conv buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WorkerScratch {
+    /// Gathered input patch of one convolution stride.
+    pub(crate) patch: Vec<f32>,
+    /// Quantized VCSEL drive codes of that patch.
+    pub(crate) a_norm: Vec<f64>,
 }
 
 /// A lowered, ready-to-run workload: CA operator, optical model, encoded
@@ -201,8 +203,8 @@ impl CompiledPlan {
     /// workload's optical model (cloning the classify network, or
     /// constructing the filter/tile convolution from the kernel
     /// coefficients), encodes every weighted layer's quantized MR rows
-    /// under the platform's precision schedule, and preallocates the
-    /// execution scratch. `seed` only seeds the RNG of freshly constructed
+    /// under the platform's precision schedule, and reserves the stream
+    /// tile buffer. `seed` only seeds the RNG of freshly constructed
     /// layers whose weights are immediately overwritten, mirroring the
     /// session-opening behaviour.
     ///
@@ -224,13 +226,6 @@ impl CompiledPlan {
             .as_ref()
             .map(|m| encode_model(m, config.schedule))
             .unwrap_or_default();
-        let widest_row = encodings
-            .iter()
-            .flatten()
-            .flat_map(|e| e.rows.first())
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
         let tiles = match workload {
             Workload::VideoStream { stream, .. } => {
                 let blocks = (acquired[1] / stream.block_size.max(1))
@@ -246,11 +241,8 @@ impl CompiledPlan {
             model,
             encodings,
             scratch: PlanScratch {
-                patch: vec![0.0; widest_row],
-                a_norm: vec![0.0; widest_row],
                 tiles,
-                worker_patch: Vec::new(),
-                worker_a_norm: Vec::new(),
+                ..PlanScratch::default()
             },
             stats: PlanStats {
                 encodes: 1,
@@ -310,9 +302,8 @@ impl CompiledPlan {
         self.stats.cache_hits += hits;
     }
 
-    /// Mutable access to the lowered model (the per-call-encode fallback
-    /// drives the legacy executor entry points with it; out-of-crate
-    /// backends execute it directly).
+    /// Mutable access to the lowered model (out-of-crate backends execute
+    /// it directly).
     pub fn model_mut(&mut self) -> Option<&mut Sequential> {
         self.model.as_mut()
     }
@@ -457,9 +448,6 @@ mod tests {
         let plan = CompiledPlan::compile(&Workload::Classify { model }, &config, config.seed)
             .expect("plan");
         assert_eq!(plan.encoded_layer_count(), 2);
-        // Scratch is sized for the widest row (the 64-feature linear).
-        assert_eq!(plan.scratch.patch.len(), 64);
-        assert_eq!(plan.scratch.a_norm.len(), 64);
         assert_eq!(plan.schedule(), config.schedule);
     }
 

@@ -152,13 +152,18 @@ pub(crate) fn model_mismatch(acquired: &[usize], expected: &[usize]) -> CoreErro
     }
 }
 
+/// The error of a classify model whose logit vector is empty.
+pub(crate) fn empty_logits() -> CoreError {
+    CoreError::ModelMismatch {
+        reason: "model produced an empty logit vector".to_string(),
+    }
+}
+
 pub(crate) fn classification_from_logits(
     logits: &Tensor,
     input_shape: &[usize],
 ) -> Result<Outcome> {
-    let class = logits.argmax().ok_or(CoreError::ModelMismatch {
-        reason: "model produced an empty logit vector".to_string(),
-    })?;
+    let class = logits.argmax().ok_or_else(empty_logits)?;
     Ok(Outcome::Classification {
         class,
         logits: logits.data().to_vec(),
@@ -173,8 +178,7 @@ pub(crate) fn acquisition_outcome(input: &Tensor) -> Outcome {
     }
 }
 
-/// Builds a filtered outcome from an already-computed frame tensor (the
-/// single definition shared by the planned and per-call-encode paths).
+/// Builds a filtered outcome from an already-computed frame tensor.
 pub(crate) fn filtered_from(filtered: &Tensor, kernel: &str) -> Outcome {
     Outcome::Filtered {
         kernel: kernel.to_string(),

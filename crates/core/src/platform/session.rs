@@ -3,14 +3,11 @@
 //!
 //! Opening a [`Session`] **compiles** its workload once into a
 //! [`CompiledPlan`] — the pre-encoded MR weight bank, the CA operator and
-//! preallocated scratch buffers — and every execution entry point
+//! reusable scratch buffers — and every execution entry point
 //! ([`Session::run`], [`Session::run_batch`], [`Session::run_stream`],
-//! [`Session::resume_stream`]) reuses that plan instead of re-encoding the
-//! quantized weights per call. Plan reuse is a pure-performance transform:
-//! encoding draws no analog noise, so plan-cached execution consumes the
-//! identical frame-indexed noise-draw order as the per-call-encode path
-//! (switchable for differential testing via [`Session::set_plan_reuse`])
-//! and stays bit-exact.
+//! [`Session::resume_stream`], [`Session::evaluate`]) streams through that
+//! plan. Encoding draws no analog noise, so the noise a frame sees depends
+//! only on its global frame index.
 
 use crate::backend::{BackendId, LoweredPlan};
 use crate::error::{CoreError, Result};
@@ -18,8 +15,8 @@ use crate::exec::PhotonicAccuracy;
 use crate::plan::{CompiledPlan, PlanStats};
 use crate::platform::builder::Platform;
 use crate::platform::report::{
-    acquisition_outcome, check_model_input, classification_from_logits, filtered_from,
-    model_mismatch, Outcome, Report,
+    acquisition_outcome, check_model_input, classification_from_logits, empty_logits,
+    filtered_from, model_mismatch, Outcome, Report,
 };
 use crate::platform::workload::{network_spec_of, Workload};
 use crate::sim::SimulationReport;
@@ -203,25 +200,6 @@ impl Session {
         self.lowered.plan().stats()
     }
 
-    /// Whether executions reuse the compiled plan (the default).
-    #[must_use]
-    pub fn plan_reuse(&self) -> bool {
-        self.lowered.plan_reuse()
-    }
-
-    /// Switches between plan-cached execution (the default) and the
-    /// per-call-encode path that re-encodes the quantized MR weights on
-    /// every call.
-    ///
-    /// Both paths are **bit-identical** — weight encoding draws no analog
-    /// noise, so the frame-indexed noise-draw order is unchanged. The
-    /// switch exists for differential testing (the property suite asserts
-    /// the equivalence) and for benchmarking the reuse win
-    /// (`cargo bench -p lightator-bench --bench plan_reuse`).
-    pub fn set_plan_reuse(&mut self, enabled: bool) {
-        self.lowered.set_plan_reuse(enabled);
-    }
-
     /// How many workers tile the MAC loops (1 = sequential).
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -333,9 +311,7 @@ impl Session {
             FrameStep::Acquire => {
                 // Acquisition runs through the plan's cached CA operator;
                 // count the reuse even though no weight bank is involved.
-                if self.lowered.plan_reuse() {
-                    self.lowered.plan_mut().record_hits(1);
-                }
+                self.lowered.plan_mut().record_hits(1);
                 acquisition_outcome(&input)
             }
             FrameStep::Kernel(name) => {
@@ -350,11 +326,9 @@ impl Session {
         })
     }
 
-    /// Processes a batch of frames through the cached plan: the quantized
-    /// MR weight bank was encoded once when the session opened and every
-    /// frame streams through the shared encoding — strictly faster than N
-    /// sequential [`Session::run`] calls and bit-identical to them for the
-    /// same starting session state.
+    /// Processes a batch of frames through the cached plan, one frame
+    /// index per scene: bit-identical to one [`Session::run`] per scene
+    /// from the same starting session state.
     ///
     /// # Errors
     ///
@@ -395,27 +369,22 @@ impl Session {
                 unreachable!("`ensure_frame_workload` rejects stream sessions before batches")
             }
         };
+        let lowered = &mut self.lowered;
         let outcomes: Vec<Outcome> = match step {
-            FrameStep::Classify => {
-                let logits = self.lowered.forward_batch(&inputs)?;
-                inputs
-                    .iter()
-                    .zip(logits)
-                    .map(|(input, l)| classification_from_logits(&l, input.shape()))
-                    .collect::<Result<_>>()?
-            }
+            FrameStep::Classify => inputs
+                .iter()
+                .map(|input| classification_from_logits(&lowered.forward(input)?, input.shape()))
+                .collect::<Result<_>>()?,
             FrameStep::Acquire => {
                 // Acquisition runs through the plan's cached CA operator;
                 // count the reuse even though no weight bank is involved.
-                if self.lowered.plan_reuse() {
-                    self.lowered.plan_mut().record_hits(inputs.len() as u64);
-                }
+                lowered.plan_mut().record_hits(inputs.len() as u64);
                 inputs.iter().map(acquisition_outcome).collect()
             }
-            FrameStep::Kernel(name) => {
-                let filtered = self.lowered.forward_batch(&inputs)?;
-                filtered.iter().map(|t| filtered_from(t, name)).collect()
-            }
+            FrameStep::Kernel(name) => inputs
+                .iter()
+                .map(|input| Ok(filtered_from(&lowered.forward(input)?, name)))
+                .collect::<Result<_>>()?,
         };
         Ok(outcomes
             .into_iter()
@@ -888,26 +857,44 @@ impl Session {
         }
     }
 
-    /// Evaluates the classify workload's accuracy on a dataset split,
-    /// through the photonic datapath and digitally for reference.
+    /// Evaluates the classify workload's top-1 accuracy on at most `limit`
+    /// samples of a dataset's test split: through the session's lowered
+    /// plan, one frame index per sample, and digitally on the workload's
+    /// model for reference. `limit = 0` evaluates nothing and reports
+    /// `samples: 0`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ModelMismatch`] for non-classify workloads and
-    /// propagates photonic errors.
+    /// propagates backend errors.
     pub fn evaluate(&mut self, dataset: &Dataset, limit: usize) -> Result<PhotonicAccuracy> {
         let Self {
             lowered, workload, ..
         } = self;
-        match workload {
-            Workload::Classify { model } => lowered.evaluate(model, dataset, limit),
-            other => Err(CoreError::ModelMismatch {
+        let Workload::Classify { model } = workload else {
+            return Err(CoreError::ModelMismatch {
                 reason: format!(
                     "accuracy evaluation needs a classify workload, not `{}`",
-                    other.label()
+                    workload.label()
                 ),
-            }),
+            });
+        };
+        let (mut samples, mut photonic, mut digital) = (0usize, 0usize, 0usize);
+        for sample in dataset.test().iter().take(limit) {
+            samples += 1;
+            let class = lowered.forward(&sample.input)?.argmax();
+            if class.ok_or_else(empty_logits)? == sample.label {
+                photonic += 1;
+            }
+            if model.predict(&sample.input)? == sample.label {
+                digital += 1;
+            }
         }
+        Ok(PhotonicAccuracy {
+            photonic: photonic as f64 / samples.max(1) as f64,
+            digital: digital as f64 / samples.max(1) as f64,
+            samples,
+        })
     }
 }
 
@@ -1183,43 +1170,6 @@ mod tests {
         let stats = session.plan_stats();
         assert_eq!(stats.encodes, 1, "steady state never re-encodes");
         assert_eq!(stats.cache_hits, 7, "3 runs + 4 batched frames");
-        assert!(session.plan_reuse());
-    }
-
-    #[test]
-    fn run_is_bit_identical_with_and_without_plan_reuse() {
-        // Regression for the plan refactor: `Session::run` now goes through
-        // the cached plan; it must reproduce the per-call-encode path bit
-        // for bit, analog noise included.
-        let platform = Platform::builder()
-            .sensor_resolution(8, 8)
-            .build()
-            .expect("noisy platform");
-        let scenes: Vec<RgbFrame> = (0..3)
-            .map(|i| RgbFrame::filled(8, 8, [0.1 + 0.25 * f64::from(i), 0.5, 0.8]).expect("ok"))
-            .collect();
-        for workload in [
-            Workload::Classify {
-                model: tiny_model([1, 4, 4], 3),
-            },
-            Workload::ImageKernel {
-                kernel: ImageKernel::Laplacian,
-            },
-            Workload::Acquire,
-        ] {
-            let mut planned = platform.session(workload.clone()).expect("session");
-            let mut unplanned = platform.session(workload).expect("session");
-            unplanned.set_plan_reuse(false);
-            assert!(!unplanned.plan_reuse());
-            for scene in &scenes {
-                assert_eq!(
-                    planned.run(scene).expect("ok"),
-                    unplanned.run(scene).expect("ok"),
-                    "plan-cached run diverged from per-call encode"
-                );
-            }
-            assert_eq!(unplanned.plan_stats().cache_hits, 0);
-        }
     }
 
     #[test]
@@ -1610,5 +1560,31 @@ mod tests {
         )
         .expect("dataset");
         assert!(session.evaluate(&dataset, 2).is_err());
+    }
+
+    #[test]
+    fn evaluate_honours_its_sample_limit_including_zero() {
+        // Regression: a limit of 0 used to evaluate one sample.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let dataset = lightator_nn::datasets::generate(
+            "tiny",
+            lightator_nn::datasets::SyntheticConfig::tiny(2),
+            &mut rng,
+        )
+        .expect("dataset");
+        let platform = small_platform(true, 8);
+        let mut session = platform
+            .session(Workload::Classify {
+                model: tiny_model(dataset.input_shape(), 2),
+            })
+            .expect("session");
+        let none = session.evaluate(&dataset, 0).expect("empty evaluation");
+        assert_eq!(none.samples, 0);
+        assert_eq!(session.next_frame_index(), 0, "nothing ran");
+        assert_eq!(session.plan_stats().cache_hits, 0);
+        assert_eq!(session.evaluate(&dataset, 3).expect("ok").samples, 3);
+        let all = dataset.test().len();
+        let capped = session.evaluate(&dataset, all + 5).expect("ok");
+        assert_eq!(capped.samples, all, "a limit past the split is capped");
     }
 }

@@ -5,9 +5,9 @@
 //! only differences between them are the photonic datapath's weight and
 //! activation quantization (`[4:4]` MR transmissions and VCSEL drive
 //! codes versus exact fp32 arithmetic). The test pins that property for
-//! all seven image kernels and for classify logits, with plan reuse both
-//! on and off — photonic-vs-electronic agreement is a checked invariant
-//! of the backend abstraction, not a hand-maintained table.
+//! all seven image kernels and for classify logits — photonic-vs-electronic
+//! agreement is a checked invariant of the backend abstraction, not a
+//! hand-maintained table.
 //!
 //! [`CompiledPlan`]: lightator_core::plan::CompiledPlan
 
@@ -17,6 +17,7 @@ use lightator_baselines::electronic::ElectronicBaseline;
 use lightator_baselines::reference::ElectronicReference;
 use lightator_core::backend::BackendId;
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
+use lightator_nn::datasets::{generate, SyntheticConfig};
 use lightator_nn::layers::{Activation, Flatten, Linear};
 use lightator_nn::model::Sequential;
 use lightator_photonics::noise::NoiseConfig;
@@ -71,8 +72,7 @@ fn electronic_id() -> BackendId {
     BackendId::new("electronic:eyeriss")
 }
 
-fn run_frame(session: &mut Session, reuse: bool) -> Vec<f32> {
-    session.set_plan_reuse(reuse);
+fn run_frame(session: &mut Session) -> Vec<f32> {
     let report = session.run(&scene()).expect("frame");
     match report.frame() {
         Some((_, data)) => data.to_vec(),
@@ -96,20 +96,18 @@ fn all_image_kernels_agree_across_backends() {
     for kernel in ImageKernel::ALL {
         let workload = Workload::ImageKernel { kernel };
         let l1: f32 = kernel.coefficients().iter().map(|c| c.abs()).sum();
-        for reuse in [true, false] {
-            let mut photonic = platform.session(workload.clone()).expect("photonic");
-            let mut electronic = platform
-                .session_on(workload.clone(), &electronic_id())
-                .expect("electronic");
-            let p = run_frame(&mut photonic, reuse);
-            let e = run_frame(&mut electronic, reuse);
-            assert_close(
-                &format!("kernel {} (reuse={reuse})", kernel.name()),
-                &p,
-                &e,
-                TOLERANCE_PER_L1 * l1,
-            );
-        }
+        let mut photonic = platform.session(workload.clone()).expect("photonic");
+        let mut electronic = platform
+            .session_on(workload, &electronic_id())
+            .expect("electronic");
+        let p = run_frame(&mut photonic);
+        let e = run_frame(&mut electronic);
+        assert_close(
+            &format!("kernel {}", kernel.name()),
+            &p,
+            &e,
+            TOLERANCE_PER_L1 * l1,
+        );
     }
 }
 
@@ -126,16 +124,14 @@ fn classify_logits_agree_across_backends() {
     model.push(Linear::new(8, 4, &mut rng).expect("head"));
     let workload = Workload::Classify { model };
 
-    for reuse in [true, false] {
-        let mut photonic = platform.session(workload.clone()).expect("photonic");
-        let mut electronic = platform
-            .session_on(workload.clone(), &electronic_id())
-            .expect("electronic");
-        let p = run_frame(&mut photonic, reuse);
-        let e = run_frame(&mut electronic, reuse);
-        assert_eq!(p.len(), 4);
-        assert_close(&format!("logits (reuse={reuse})"), &p, &e, LOGIT_TOLERANCE);
-    }
+    let mut photonic = platform.session(workload.clone()).expect("photonic");
+    let mut electronic = platform
+        .session_on(workload, &electronic_id())
+        .expect("electronic");
+    let p = run_frame(&mut photonic);
+    let e = run_frame(&mut electronic);
+    assert_eq!(p.len(), 4);
+    assert_close("logits", &p, &e, LOGIT_TOLERANCE);
 }
 
 #[test]
@@ -156,4 +152,39 @@ fn electronic_sessions_report_the_electronic_cost_model() {
     // optical core's figure, so the two cost models must differ.
     assert_eq!(e.max_power().watts(), 0.278);
     assert!((e.max_power().watts() - p.max_power().watts()).abs() > 1e-6);
+}
+
+/// `Session::evaluate` runs through the session's lowered plan on every
+/// executing backend: each sample is one frame and one plan-cache hit.
+#[test]
+fn evaluate_runs_through_the_lowered_plan_on_every_backend() {
+    let platform = platform();
+    let mut rng = SmallRng::seed_from_u64(13);
+    let dataset = generate("tiny", SyntheticConfig::tiny(3), &mut rng).expect("dataset");
+    let input = dataset.input_shape();
+    let mut model = Sequential::new(&input);
+    model.push(Flatten::new());
+    model.push(Linear::new(input.iter().product(), 8, &mut rng).expect("hidden"));
+    model.push(Activation::relu());
+    model.push(Linear::new(8, 3, &mut rng).expect("head"));
+    let workload = Workload::Classify { model };
+    let samples = 5;
+
+    let mut photonic = platform.session(workload.clone()).expect("photonic");
+    photonic.seek_frame(2);
+    let result = photonic.evaluate(&dataset, samples).expect("photonic");
+    assert_eq!(result.samples, samples);
+    assert_eq!(photonic.plan_stats().cache_hits, samples as u64);
+    assert_eq!(photonic.next_frame_index(), 2 + samples as u64);
+
+    let mut electronic = platform
+        .session_on(workload, &electronic_id())
+        .expect("electronic");
+    let result = electronic.evaluate(&dataset, samples).expect("electronic");
+    assert_eq!(result.samples, samples);
+    assert_eq!(electronic.plan_stats().cache_hits, samples as u64);
+    assert_eq!(electronic.next_frame_index(), samples as u64);
+    // The fp32 reference executes the workload's own model, so its
+    // accuracy is the digital accuracy exactly.
+    assert_eq!(result.photonic, result.digital);
 }

@@ -7,7 +7,9 @@
 //! noise and once with ideal optics. Unlike the 3×3 image-kernel fixtures,
 //! this reaches conv rows wider than one arm (25 and 150 weights) and the
 //! linear layers (400, 120 and 84 weights). Values are hex-encoded
-//! IEEE-754 bits, so the assertion is exact to the last bit.
+//! IEEE-754 bits, so the assertion is exact to the last bit. The fixture is
+//! checked at the default worker count and again with three workers, so
+//! the threaded MAC-loop driver is pinned on wide rows in every test run.
 //!
 //! To regenerate after an *intentional* numerical change:
 //!
@@ -47,8 +49,9 @@ fn scenes() -> Vec<RgbFrame> {
 }
 
 /// One fixture line per (noise, scene, frame):
-/// `noise scene frame` followed by the ten logits' f32 bits.
-fn golden_lines() -> Vec<String> {
+/// `noise scene frame` followed by the ten logits' f32 bits. `workers`
+/// overrides the sessions' default MAC worker count.
+fn golden_lines(workers: Option<usize>) -> Vec<String> {
     let mut rng = SmallRng::seed_from_u64(SEED);
     let model = build_lenet(10, &mut rng).expect("lenet");
     let scenes = scenes();
@@ -68,6 +71,9 @@ fn golden_lines() -> Vec<String> {
                 model: model.clone(),
             })
             .expect("session");
+        if let Some(workers) = workers {
+            session.set_workers(workers);
+        }
         for (index, scene) in scenes.iter().enumerate() {
             for frame in FRAMES {
                 session.seek_frame(frame);
@@ -84,8 +90,7 @@ fn golden_lines() -> Vec<String> {
     lines
 }
 
-#[test]
-fn lenet_logits_are_bit_exact_against_the_fixture() {
+fn check_fixture(workers: Option<usize>) {
     let path = fixture_path();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -97,11 +102,21 @@ fn lenet_logits_are_bit_exact_against_the_fixture() {
         .lines()
         .filter(|l| !l.starts_with('#') && !l.is_empty())
         .collect();
-    let got = golden_lines();
+    let got = golden_lines(workers);
     assert_eq!(got.len(), expected.len(), "fixture length drifted");
     for (g, e) in got.iter().zip(&expected) {
         assert_eq!(g, e, "LeNet logits drifted (noise scene frame logits)");
     }
+}
+
+#[test]
+fn lenet_logits_are_bit_exact_against_the_fixture() {
+    check_fixture(None);
+}
+
+#[test]
+fn lenet_logits_are_bit_exact_against_the_fixture_with_three_workers() {
+    check_fixture(Some(3));
 }
 
 /// Writes the fixture. Run explicitly after an intentional numerical
@@ -112,7 +127,7 @@ fn regenerate_golden_fixture() {
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create golden dir");
     let mut text = String::from("# noise scene frame logit_bits x10 (f32 hex)\n");
-    for line in golden_lines() {
+    for line in golden_lines(None) {
         text.push_str(&line);
         text.push('\n');
     }

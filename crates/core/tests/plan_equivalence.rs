@@ -1,21 +1,17 @@
 //! The compiled-plan determinism contract, property-tested with the
-//! paper's **analog noise enabled**: plan-cached execution is bit-exactly
-//! equal to per-call-encode execution for every workload, across batch
-//! sizes and stream split points.
+//! paper's **analog noise enabled**: batched, worker-tiled and resumed
+//! execution are bit-exactly equal to one sequential `run` per frame for
+//! every workload, across batch sizes, worker counts and stream split
+//! points.
 //!
-//! Weight encoding draws no analog noise (noise is sampled only inside the
-//! photonic MAC), so caching the encoding in a `CompiledPlan` must not
-//! move a single noise draw. These properties pin that contract at both
-//! the executor level (`forward*` vs `forward*_planned`) and the session
-//! level (`set_plan_reuse(false)` replays the seed's per-call path).
+//! The noise a frame sees is a function of its global frame index alone,
+//! so how frames are grouped into calls, tiled across workers or split
+//! across sessions must not move a single noise draw.
 
-use lightator_core::plan::CompiledPlan;
-use lightator_core::platform::{ImageKernel, Platform, Workload};
+use lightator_core::platform::{ImageKernel, Platform, Report, Workload};
 use lightator_core::stream::StreamConfig;
-use lightator_core::PhotonicExecutor;
 use lightator_nn::layers::{Activation, Conv2d, Flatten, Linear};
 use lightator_nn::model::Sequential;
-use lightator_nn::tensor::Tensor;
 use lightator_sensor::frame::RgbFrame;
 use proptest::proptest;
 use rand::rngs::SmallRng;
@@ -67,74 +63,9 @@ fn stream_scenes(count: usize) -> Vec<RgbFrame> {
 }
 
 proptest! {
-    /// Executor level: the planned entry points reuse the pre-encoded
-    /// weight bank yet reproduce the per-call-encode entry points bit for
-    /// bit — same noise draws, same frame indices.
-    #[test]
-    fn planned_executor_paths_match_per_call_encode(
-        model_seed in 1u64..64,
-        noise_seed in 1u64..64,
-        batch in 1usize..5,
-        value in 0.0f64..1.0,
-    ) {
-        let platform = noisy_platform();
-        let mut model = conv_classifier(model_seed);
-        let workload = Workload::Classify { model: model.clone() };
-        let mut plan =
-            CompiledPlan::compile(&workload, platform.config(), noise_seed).expect("plan");
-        let schedule = platform.config().schedule;
-        let noise = platform.config().hardware.noise;
-
-        let mut rng = SmallRng::seed_from_u64(model_seed ^ noise_seed);
-        let inputs: Vec<Tensor> = (0..batch)
-            .map(|_| {
-                let data: Vec<f32> = (0..16)
-                    .map(|_| (rng.gen::<f64>() * value) as f32)
-                    .collect();
-                Tensor::from_vec(data, &[1, 4, 4]).expect("tensor")
-            })
-            .collect();
-
-        let mut reference =
-            PhotonicExecutor::new(schedule, noise, noise_seed).expect("executor");
-        let mut planned =
-            PhotonicExecutor::new(schedule, noise, noise_seed).expect("executor");
-
-        // forward vs forward_planned, one frame at a time.
-        for input in &inputs {
-            let expected = reference.forward(&mut model, input).expect("forward");
-            let got = planned.forward_planned(&mut plan, input).expect("planned");
-            assert_eq!(expected.data(), got.data(), "forward_planned diverged");
-        }
-        assert_eq!(reference.next_frame_index(), planned.next_frame_index());
-
-        // forward_batch vs forward_batch_planned.
-        let expected = reference.forward_batch(&mut model, &inputs).expect("batch");
-        let got = planned
-            .forward_batch_planned(&mut plan, &inputs)
-            .expect("planned batch");
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.data(), b.data(), "forward_batch_planned diverged");
-        }
-
-        // forward_frame_batch vs forward_frame_batch_planned (one frame's
-        // noise stream shared by all inputs).
-        let expected = reference
-            .forward_frame_batch(&mut model, &inputs)
-            .expect("frame batch");
-        let got = planned
-            .forward_frame_batch_planned(&mut plan, &inputs)
-            .expect("planned frame batch");
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.data(), b.data(), "forward_frame_batch_planned diverged");
-        }
-        assert_eq!(reference.next_frame_index(), planned.next_frame_index());
-    }
-}
-
-proptest! {
-    /// Session level, classify: plan-cached `run`/`run_batch` equal the
-    /// per-call-encode path bit for bit across batch sizes (0 included).
+    /// Classify, through both frame entry points of the plan: `run_batch`
+    /// equals one `run` per scene bit for bit across batch sizes
+    /// (0 included) and leaves the same frame index.
     #[test]
     fn classify_sessions_match_across_plan_modes(
         batch in 0usize..6,
@@ -144,34 +75,36 @@ proptest! {
         let frames = scenes(batch, scene_seed);
         let workload = || Workload::Classify { model: conv_classifier(7) };
 
-        let mut cached = platform.session(workload()).expect("session");
-        let mut per_call = platform.session(workload()).expect("session");
-        per_call.set_plan_reuse(false);
-
+        let mut batched = platform.session(workload()).expect("session");
+        let mut single = platform.session(workload()).expect("session");
+        let expected: Vec<Report> =
+            frames.iter().map(|frame| single.run(frame).expect("run")).collect();
         assert_eq!(
-            cached.run_batch(&frames).expect("cached batch"),
-            per_call.run_batch(&frames).expect("per-call batch"),
-            "plan-cached run_batch diverged"
+            batched.run_batch(&frames).expect("batch"),
+            expected,
+            "run_batch diverged from one run per scene"
         );
+        assert_eq!(batched.next_frame_index(), batch as u64);
         // And frame by frame from the post-batch stream position.
         for frame in &frames {
             assert_eq!(
-                cached.run(frame).expect("cached run"),
-                per_call.run(frame).expect("per-call run"),
-                "plan-cached run diverged"
+                batched.run(frame).expect("run after batch"),
+                single.run(frame).expect("run"),
+                "run after a batch diverged"
             );
         }
-        assert_eq!(cached.next_frame_index(), per_call.next_frame_index());
+        assert_eq!(batched.next_frame_index(), single.next_frame_index());
     }
 }
 
 proptest! {
-    /// Session level, acquire + every image kernel: identical outcomes with
-    /// and without plan reuse for any batch size.
+    /// Acquire + every image kernel, through both frame entry points:
+    /// `run_batch` equals one `run` per scene for any batch size and
+    /// leaves the same frame index and plan counters.
     #[test]
     fn acquire_and_kernel_sessions_match_across_plan_modes(
         kernel_index in 0usize..7,
-        batch in 1usize..5,
+        batch in 0usize..6,
         scene_seed in 1u64..256,
     ) {
         let platform = noisy_platform();
@@ -180,21 +113,17 @@ proptest! {
             Workload::Acquire,
             Workload::ImageKernel { kernel: ImageKernel::ALL[kernel_index] },
         ] {
-            let mut cached = platform.session(workload.clone()).expect("session");
-            let mut per_call = platform.session(workload).expect("session");
-            per_call.set_plan_reuse(false);
+            let mut batched = platform.session(workload.clone()).expect("session");
+            let mut single = platform.session(workload).expect("session");
+            let expected: Vec<Report> =
+                frames.iter().map(|frame| single.run(frame).expect("run")).collect();
             assert_eq!(
-                cached.run_batch(&frames).expect("cached"),
-                per_call.run_batch(&frames).expect("per-call"),
+                batched.run_batch(&frames).expect("batch"),
+                expected,
                 "batch diverged"
             );
-            for frame in &frames {
-                assert_eq!(
-                    cached.run(frame).expect("cached"),
-                    per_call.run(frame).expect("per-call"),
-                    "single frame diverged"
-                );
-            }
+            assert_eq!(batched.next_frame_index(), single.next_frame_index());
+            assert_eq!(batched.plan_stats(), single.plan_stats());
         }
     }
 }
@@ -276,14 +205,12 @@ proptest! {
 }
 
 proptest! {
-    /// Session level, video streams: plan-cached streaming equals the
-    /// per-call-encode stream bit for bit, and a tail resumed at any split
-    /// point — in either plan mode — replays the cached full run exactly.
+    /// Video streams, whole or split: a tail resumed at any split point on
+    /// a fresh session replays the full run exactly.
     #[test]
     fn video_streams_match_across_plan_modes_and_split_points(
         frame_count in 2usize..7,
         split in 1usize..6,
-        resume_cached in proptest::bool::ANY,
     ) {
         proptest::prop_assume!(split < frame_count);
         let platform = Platform::builder()
@@ -296,23 +223,13 @@ proptest! {
         };
         let frames = stream_scenes(frame_count);
 
-        let mut cached = platform.session(workload()).expect("session");
-        let full = cached.run_stream(&frames).expect("cached stream");
+        let mut session = platform.session(workload()).expect("session");
+        let full = session.run_stream(&frames).expect("stream");
 
-        let mut per_call = platform.session(workload()).expect("session");
-        per_call.set_plan_reuse(false);
-        let per_call_full = per_call.run_stream(&frames).expect("per-call stream");
-        assert_eq!(
-            full.frames, per_call_full.frames,
-            "plan-cached stream diverged from per-call encode"
-        );
-
-        // Replay the tail from `split` on a fresh session in either mode.
         let mut prefix = platform.session(workload()).expect("session");
         prefix.run_stream(&frames[..split]).expect("prefix");
         let state = prefix.stream_state().expect("state");
         let mut tail_session = platform.session(workload()).expect("session");
-        tail_session.set_plan_reuse(resume_cached);
         tail_session.seek_frame(split as u64);
         let tail = tail_session
             .resume_stream(state, &frames[split..])
@@ -320,7 +237,7 @@ proptest! {
         assert_eq!(
             tail.frames,
             full.frames[split..],
-            "resumed tail diverged from the full cached run"
+            "resumed tail diverged from the full run"
         );
     }
 }
