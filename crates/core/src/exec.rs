@@ -86,29 +86,26 @@ pub(crate) fn quantize_weight_row(row: &[f32], weight_scale: f32, weight_bits: u
         .collect()
 }
 
-/// Quantizes an activation slice into `[0, 1]` VCSEL drive codes, writing
-/// into a caller-provided buffer. This is the single definition of the
-/// activation encoding.
-fn quantize_activations_into(
-    activations: &[f32],
-    activation_scale: f32,
+/// Quantizes a whole layer input into `[0, 1]` VCSEL drive codes, once
+/// per layer, writing into a reusable buffer. The activation scale is the
+/// input's largest non-negative value; it is returned with the codes. This
+/// is the single definition of the activation encoding.
+fn quantize_layer_input<'a>(
+    input: &Tensor,
     activation_bits: u8,
-    out: &mut [f64],
-) {
-    for (slot, &a) in out.iter_mut().zip(activations) {
-        let clamped = a.max(0.0);
-        let q = quantize_unsigned(clamped, activation_scale, activation_bits);
+    codes: &'a mut Vec<f64>,
+) -> (&'a [f64], f32) {
+    let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
+    codes.resize(input.data().len(), 0.0);
+    for (slot, &a) in codes.iter_mut().zip(input.data()) {
+        let q = quantize_unsigned(a.max(0.0), activation_scale, activation_bits);
         *slot = if activation_scale == 0.0 {
             0.0
         } else {
             f64::from(q / activation_scale).clamp(0.0, 1.0)
         };
     }
-}
-
-/// The activation scale of a layer input: its largest non-negative value.
-fn activation_scale(input: &Tensor) -> f32 {
-    input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)))
+    (codes, activation_scale)
 }
 
 /// Validates one input: the plan must carry an optical model and the input
@@ -135,11 +132,13 @@ fn check_plan_input(plan: &CompiledPlan, input: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Copies the `(oh, ow)` input patch of a convolution into `patch`, matching
-/// the gathering order of the weight rows (channel-major, then kernel rows).
+/// Copies the drive codes of the `(oh, ow)` input patch of a convolution
+/// from the layer's quantized input plane into `patch`, matching the
+/// gathering order of the weight rows (channel-major, then kernel rows).
+/// Padding gathers `0.0`, exactly what quantizing a zero activation gives.
 #[allow(clippy::too_many_arguments)]
 fn gather_patch(
-    input: &Tensor,
+    plane: &[f64],
     in_c: usize,
     in_h: usize,
     in_w: usize,
@@ -148,7 +147,7 @@ fn gather_patch(
     padding: usize,
     oh: usize,
     ow: usize,
-    patch: &mut [f32],
+    patch: &mut [f64],
 ) {
     for ic in 0..in_c {
         for kh in 0..k {
@@ -159,7 +158,7 @@ fn gather_patch(
                     if ih < 0 || iw < 0 || ih as usize >= in_h || iw as usize >= in_w {
                         0.0
                     } else {
-                        input.data()[(ic * in_h + ih as usize) * in_w + iw as usize]
+                        plane[(ic * in_h + ih as usize) * in_w + iw as usize]
                     };
             }
         }
@@ -309,7 +308,9 @@ impl PhotonicExecutor {
 
     /// Every conv runs weight-stationary: each output channel's row is
     /// programmed once per chunk, one arm per segment, and every stride
-    /// streams against it.
+    /// streams against it. The input is quantized once per layer; each
+    /// stride gathers its drive codes from that plane, which every worker
+    /// reads.
     fn conv_forward(
         &mut self,
         conv: &Conv2d,
@@ -323,9 +324,13 @@ impl PhotonicExecutor {
         let (in_c, in_h, in_w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let k = conv.kernel();
         let (stride, padding) = (conv.stride(), conv.padding());
-        let activation_scale = activation_scale(input);
-        let activation_bits = precision.activation_bits;
-        let weight_scale = f64::from(encoded.weight_scale);
+        let PlanScratch {
+            a_norm, workers, ..
+        } = scratch;
+        let (plane, activation_scale) =
+            quantize_layer_input(input, precision.activation_bits, a_norm);
+        let (weight_scale, activation_scale) =
+            (f64::from(encoded.weight_scale), f64::from(activation_scale));
         let row_len = in_c * k * k;
         let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
         let (rows, bias) = (&encoded.rows, conv.bias().data());
@@ -334,11 +339,10 @@ impl PhotonicExecutor {
         self.run_tiled(
             out.data_mut(),
             calls_per_item,
-            &mut scratch.workers,
+            workers,
             |unit, buffers, start, out_chunk| {
-                buffers.patch.resize(row_len, 0.0);
                 buffers.a_norm.resize(row_len, 0.0);
-                let (patch, a_norm) = (&mut buffers.patch[..], &mut buffers.a_norm[..]);
+                let patch = &mut buffers.a_norm[..];
                 // Walk (oc, oh, ow) from the chunk's first output, loading
                 // the row whenever the walk enters a new output channel.
                 let (mut oc, rest) = (start / stride_span, start % stride_span);
@@ -349,10 +353,9 @@ impl PhotonicExecutor {
                         unit.load_row(&rows[oc])?;
                         loaded = oc;
                     }
-                    gather_patch(input, in_c, in_h, in_w, k, stride, padding, oh, ow, patch);
-                    quantize_activations_into(patch, activation_scale, activation_bits, a_norm);
-                    let normalized = unit.mac_loaded(a_norm)?;
-                    let value = normalized * weight_scale * f64::from(activation_scale);
+                    gather_patch(plane, in_c, in_h, in_w, k, stride, padding, oh, ow, patch);
+                    let normalized = unit.mac_loaded(patch)?;
+                    let value = normalized * weight_scale * activation_scale;
                     *slot = value as f32 + bias[oc];
                     ow += 1;
                     if ow == ow_n {
@@ -377,23 +380,14 @@ impl PhotonicExecutor {
         precision: Precision,
     ) -> Result<Tensor> {
         linear.output_shape(input.shape())?;
-        let activation_scale = activation_scale(input);
-        // The activation vector is the same for every output row; quantize
-        // it once per layer (bit-identical: quantization draws no noise).
-        let len = input.data().len();
+        // The activation vector is the same for every output row.
         let PlanScratch {
             a_norm, workers, ..
         } = scratch;
-        a_norm.resize(len, 0.0);
-        quantize_activations_into(
-            input.data(),
-            activation_scale,
-            precision.activation_bits,
-            a_norm,
-        );
-        let a_norm: &[f64] = a_norm;
+        let (a_norm, activation_scale) =
+            quantize_layer_input(input, precision.activation_bits, a_norm);
         let scale = f64::from(encoded.weight_scale) * f64::from(activation_scale);
-        let calls_per_item = len.div_ceil(self.mac_unit.segment_length()) as u64;
+        let calls_per_item = a_norm.len().div_ceil(self.mac_unit.segment_length()) as u64;
         let (rows, bias) = (&encoded.rows, linear.bias().data());
         let mut out = Tensor::zeros(&[linear.out_features()]);
         self.run_tiled(

@@ -160,20 +160,21 @@ pub struct PlanStats {
 /// allocates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanScratch {
-    /// Quantized VCSEL drive codes of a linear layer's input vector.
+    /// Quantized VCSEL drive codes of the current weighted layer's whole
+    /// input, conv or linear, written once per layer; the MAC workers read
+    /// it concurrently.
     pub(crate) a_norm: Vec<f64>,
-    /// One conv buffer pair per MAC worker.
+    /// One conv patch buffer per MAC worker.
     pub(crate) workers: Vec<WorkerScratch>,
     /// Reusable `block+halo` tile tensors for the streaming path.
     pub(crate) tiles: Vec<Tensor>,
 }
 
-/// One MAC worker's conv buffers.
+/// One MAC worker's conv buffer.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WorkerScratch {
-    /// Gathered input patch of one convolution stride.
-    pub(crate) patch: Vec<f32>,
-    /// Quantized VCSEL drive codes of that patch.
+    /// VCSEL drive codes of one convolution stride's patch, gathered from
+    /// [`PlanScratch::a_norm`].
     pub(crate) a_norm: Vec<f64>,
 }
 
