@@ -26,6 +26,13 @@
 //! * **Order independence.** Draws need no sequential RNG state, so MAC
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
+//!
+//! The transform itself is computed from the two Philox words with `+ − × ÷
+//! √` and integer operations only: an exact integer range reduction and
+//! table-free polynomials for `ln`, `sin` and `cos`, each within one ulp.
+//! Those operations are correctly rounded on every IEEE-754 target, so a
+//! draw's bits do not depend on the host's libm: the same key gives the
+//! same draw on any platform.
 
 use crate::error::{PhotonicsError, Result};
 use serde::{Deserialize, Serialize};
@@ -217,15 +224,18 @@ impl CounterRng {
         ctr
     }
 
-    /// The Box–Muller polar form `(r, θ)` of one Philox block: the normals
-    /// are `r·cos θ` and `r·sin θ`.
-    fn polar(&self, tag: u64, element: u64) -> (f64, f64) {
-        let [x0, x1] = self.block(tag, element);
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        // u1 ∈ (0, 1] keeps the logarithm finite; u2 ∈ [0, 1).
-        let u1 = ((x0 >> 11) as f64 + 1.0) * SCALE;
-        let u2 = (x1 >> 11) as f64 * SCALE;
-        ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+    /// The Box–Muller polar form of one Philox block's two words,
+    /// `(r, sin θ, cos θ)`: the block's two normals are `r·cos θ` and
+    /// `r·sin θ`.
+    ///
+    /// The first word gives `u1 = (m + 1)·2⁻⁵³ ∈ (0, 1]` from its top 53
+    /// bits `m`, so `r = √(−2 ln u1)` is finite and exactly 0 at `u1 = 1`.
+    /// The second gives the angle `θ = 2π·k·2⁻⁵³` from its top 53 bits `k`,
+    /// reduced to a quarter turn exactly in integers: nothing multiplies by
+    /// a rounded 2π. See [`ln_unit`] and [`sin_cos_turn`].
+    fn polar([x0, x1]: [u64; 2]) -> (f64, f64, f64) {
+        let (sin, cos) = sin_cos_turn(x1 >> 11);
+        ((-2.0 * ln_unit((x0 >> 11) + 1)).sqrt(), sin, cos)
     }
 
     /// One standard-normal draw — a pure function of
@@ -237,19 +247,15 @@ impl CounterRng {
     /// returns, computed one branch at a time.
     #[must_use]
     pub fn standard_normal(&self, channel: NoiseChannel, element: u64) -> f64 {
+        let (r, sin, cos) = match channel {
+            NoiseChannel::Intensity | NoiseChannel::Weight => {
+                Self::polar(self.block(LANE_TAG, element))
+            }
+            NoiseChannel::Detection => Self::polar(self.block(DETECTION_TAG, element)),
+        };
         match channel {
-            NoiseChannel::Intensity => {
-                let (r, theta) = self.polar(LANE_TAG, element);
-                r * theta.cos()
-            }
-            NoiseChannel::Weight => {
-                let (r, theta) = self.polar(LANE_TAG, element);
-                r * theta.sin()
-            }
-            NoiseChannel::Detection => {
-                let (r, theta) = self.polar(DETECTION_TAG, element);
-                r * theta.cos()
-            }
+            NoiseChannel::Weight => r * sin,
+            NoiseChannel::Intensity | NoiseChannel::Detection => r * cos,
         }
     }
 
@@ -259,8 +265,7 @@ impl CounterRng {
     /// `standard_normal(Weight, element)`.
     #[must_use]
     pub fn lane_normals(&self, element: u64) -> (f64, f64) {
-        let (r, theta) = self.polar(LANE_TAG, element);
-        let (sin, cos) = theta.sin_cos();
+        let (r, sin, cos) = Self::polar(self.block(LANE_TAG, element));
         (r * cos, r * sin)
     }
 
@@ -275,6 +280,124 @@ impl CounterRng {
         }
         mean + sigma * self.standard_normal(channel, element)
     }
+}
+
+// The Box–Muller arithmetic below uses only `+ − × ÷ √` and integer
+// operations. Each is correctly rounded on every IEEE-754 target and Rust
+// never contracts a multiply-add into an FMA, so a draw's bits do not depend
+// on the host's libm. There are no tables.
+//
+// The polynomial coefficients are fdlibm's (k_sin.c, k_cos.c, e_log.c):
+// Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+// Developed at SunPro, a Sun Microsystems, Inc. business. Permission to use,
+// copy, modify, and distribute this software is freely granted, provided
+// that this notice is preserved.
+
+/// Minimax coefficients of `sin x = x + x³·(S1 + x²·S2 + … + x¹⁰·S6)` on
+/// `|x| ≤ π/4`.
+const SIN: [f64; 6] = [
+    -0.16666666666666632,
+    0.00833333333332249,
+    -0.0001984126982985795,
+    2.7557313707070068e-06,
+    -2.5050760253406863e-08,
+    1.58969099521155e-10,
+];
+/// Minimax coefficients of `cos x = 1 − x²/2 + x⁴·(C1 + x²·C2 + … + x¹⁰·C6)`
+/// on `|x| ≤ π/4`.
+const COS: [f64; 6] = [
+    0.0416666666666666,
+    -0.001388888888887411,
+    2.480158728947673e-05,
+    -2.7557314351390663e-07,
+    2.087572321298175e-09,
+    -1.1359647557788195e-11,
+];
+/// Minimax coefficients of `(ln((1+s)/(1−s)) − 2s)/s` in `z = s²` for
+/// `|s| ≤ 3 − 2√2` (`Lg1`…`Lg7`).
+const LG: [f64; 7] = [
+    0.6666666666666735,
+    0.3999999999940942,
+    0.2857142874366239,
+    0.22222198432149784,
+    0.1818357216161805,
+    0.15313837699209373,
+    0.14798198605116586,
+];
+/// `ln 2` split so that `k·LN2_HI` is exact for `|k| < 2¹¹`.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+/// `π/2` rounded to a double, split into halves of at most 25 significant
+/// bits so that each product with a 26-bit factor is exact, and the
+/// residue `π/2 − (FRAC_PI_2_HI + FRAC_PI_2_LO)`.
+const FRAC_PI_2_HI: f64 = f64::from_bits(0x3FF9_21FB_5000_0000);
+const FRAC_PI_2_LO: f64 = f64::from_bits(0x3E51_10B4_6000_0000);
+const FRAC_PI_2_TAIL: f64 = f64::from_bits(0x3C91_A626_3314_5C07);
+/// `2⁻⁵¹`, one step of a quarter-turn remainder.
+const TWO_POW_M51: f64 = 1.0 / (1u64 << 51) as f64;
+
+/// `ln(n·2⁻⁵³)` for `n ∈ [1, 2⁵³]`, within one ulp.
+///
+/// `n = 2ᵉ·f` with `f ∈ [√½, √2)` is split exactly from the bits of `n` as
+/// a double. Then `ln f = 2 atanh s` with `s = (f − 1)/(f + 1)`, finished
+/// by a polynomial in `s²`, and `ln(n·2⁻⁵³) = (e − 53)·ln 2 + ln f`.
+/// `n = 2⁵³` gives exactly 0.
+fn ln_unit(n: u64) -> f64 {
+    // n ≤ 2⁵³ converts exactly. Adding the high word of 1.0 minus that of
+    // √½ carries every mantissa at or above √2's (to 20 bits) into the
+    // exponent; masking the mantissa and adding √½'s high word back leaves
+    // f ∈ [√½, √2) with f·2^(k+53) = n exactly, and no branch.
+    const SQRT_HALF_HIGH: u64 = 0x3FE6_A09E << 32;
+    let bits = (n as i64 as f64).to_bits() + ((0x3FF0_0000 << 32) - SQRT_HALF_HIGH);
+    let k = ((bits >> 52) as i64 - 1023 - 53) as f64;
+    let f = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) + SQRT_HALF_HIGH);
+    let f = f - 1.0;
+    let half_f2 = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let odd = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    let even = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let r = odd + even;
+    k * LN2_HI - ((half_f2 - (s * (half_f2 + r) + k * LN2_LO)) - f)
+}
+
+/// `(sin θ, cos θ)` for `θ = 2π·k·2⁻⁵³`, `k < 2⁵³`, within one ulp.
+///
+/// The nearest quarter turn `n = ⌊(k + 2⁵⁰)/2⁵¹⌋` and the remainder
+/// `t = (k − n·2⁵¹)·2⁻⁵¹ ∈ [−½, ½]` are exact. `x = t·π/2` is formed as
+/// a double-double (Dekker's exact product plus the residue of π/2), the
+/// sine and cosine polynomials run on it (`|x| ≤ π/4`), and the quadrant
+/// `n mod 4` swaps and negates them. Quadrant points give exact `0`/`±1`.
+fn sin_cos_turn(k: u64) -> (f64, f64) {
+    let n = (k + (1 << 50)) >> 51;
+    // |j| ≤ 2⁵⁰. Splitting it at 2²⁶ (rounding to nearest) leaves halves
+    // of at most 25 and 26 bits, so every partial product below is exact.
+    let j = k as i64 - (n << 51) as i64;
+    let j_hi = ((j + (1 << 25)) >> 26) << 26;
+    let (t_hi, t_lo) = (j_hi as f64 * TWO_POW_M51, (j - j_hi) as f64 * TWO_POW_M51);
+    let t = j as f64 * TWO_POW_M51;
+    let x = t * (FRAC_PI_2_HI + FRAC_PI_2_LO);
+    let x_err = t_lo * FRAC_PI_2_LO
+        - (((x - t_hi * FRAC_PI_2_HI) - t_lo * FRAC_PI_2_HI) - t_hi * FRAC_PI_2_LO);
+    let y = x_err + t * FRAC_PI_2_TAIL;
+
+    let z = x * x;
+    let v = z * x;
+    let r = SIN[1] + z * (SIN[2] + z * (SIN[3] + z * (SIN[4] + z * SIN[5])));
+    let sin = x - ((z * (0.5 * y - v * r) - y) - v * SIN[0]);
+    let w = z * z;
+    let r = z * (COS[0] + z * (COS[1] + z * COS[2])) + w * w * (COS[3] + z * (COS[4] + z * COS[5]));
+    let half_z = 0.5 * z;
+    let w = 1.0 - half_z;
+    let cos = w + (((1.0 - w) - half_z) + (z * r - x * y));
+
+    // θ = n·π/2 + x: odd quadrants swap sine and cosine; the sine is
+    // negative in quadrants 2 and 3, the cosine in quadrants 1 and 2.
+    let (sin, cos) = if n & 1 == 0 { (sin, cos) } else { (cos, sin) };
+    let negate =
+        |value: f64, quadrants: u64| f64::from_bits(value.to_bits() ^ ((quadrants & 2) << 62));
+    (negate(sin, n), negate(cos, n + 1))
 }
 
 /// Applies the configured non-idealities to analog quantities.
@@ -365,6 +488,9 @@ impl NoiseInjector {
         )
     }
 }
+
+#[cfg(test)]
+mod accuracy;
 
 #[cfg(test)]
 mod tests {
