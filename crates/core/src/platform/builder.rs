@@ -220,8 +220,9 @@ impl PlatformBuilder {
     ///
     /// Returns [`CoreError::InvalidConfig`] describing the violated
     /// constraint: invalid optical-core geometry or periphery, a zero-sized
-    /// sensor, a CA window that does not divide the sensor resolution, or a
-    /// degenerate CA configuration.
+    /// sensor, a CA window that does not divide the sensor resolution, a
+    /// degenerate CA configuration, or a schedule with fewer than 2 weight
+    /// bits on some layer.
     pub fn build(self) -> Result<Platform> {
         let Self { config, backends } = self;
         config.hardware.validate()?;
@@ -238,6 +239,25 @@ impl PlatformBuilder {
             ),
             other => CoreError::Photonics(other),
         })?;
+        let (first, rest) = match config.schedule {
+            PrecisionSchedule::Uniform(precision) => (precision, precision),
+            PrecisionSchedule::Mixed { first, rest } => (first, rest),
+        };
+        if let Some(bits) = [first.weight_bits, rest.weight_bits]
+            .into_iter()
+            .find(|&bits| bits < 2)
+        {
+            return Err(CoreError::invalid_config(
+                "weight_bits",
+                f64::from(bits),
+                format!(
+                    "schedule {} needs at least 2 weight bits on every layer: \
+                     signed weights quantize to 2^(bits-1) - 1 positive levels, \
+                     none with 1 bit",
+                    config.schedule.label()
+                ),
+            ));
+        }
         if config.workers == 0 {
             return Err(CoreError::invalid_config(
                 "workers",
@@ -573,6 +593,57 @@ mod tests {
         assert!(err.to_string().contains("workers"));
         let platform = Platform::builder().workers(8).build().expect("ok");
         assert_eq!(platform.config().workers, 8);
+    }
+
+    /// Regression: a 1-bit weight precision built, then every frame failed
+    /// with a NaN weight (`quantize_symmetric` divides by `q_max = 0`).
+    #[test]
+    fn builder_rejects_one_bit_weight_precisions() {
+        use crate::platform::{ImageKernel, Workload};
+        use lightator_sensor::frame::RgbFrame;
+        let one_bit: Precision = "[1:4]".parse().expect("a valid label");
+        for schedule in [
+            PrecisionSchedule::Uniform(one_bit),
+            PrecisionSchedule::Mixed {
+                first: one_bit,
+                rest: Precision::w4a4(),
+            },
+            PrecisionSchedule::Mixed {
+                first: Precision::w4a4(),
+                rest: one_bit,
+            },
+        ] {
+            let err = Platform::builder()
+                .precision(schedule)
+                .build()
+                .expect_err("1-bit weights must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        name: "weight_bits",
+                        ..
+                    }
+                ),
+                "{}: {err}",
+                schedule.label()
+            );
+        }
+        // A text config fails at load.
+        let config = PlatformConfig::from_text("schedule = [1:4]").expect("parses");
+        assert!(Platform::from_config(config).is_err());
+        // Two bits still build and run.
+        let mut session = Platform::builder()
+            .sensor_resolution(16, 16)
+            .precision(PrecisionSchedule::Uniform(Precision::w2a4()))
+            .build()
+            .expect("[2:4] builds")
+            .session(Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            })
+            .expect("session");
+        let scene = RgbFrame::filled(16, 16, [0.4, 0.6, 0.2]).expect("scene");
+        assert!(session.run(&scene).is_ok());
     }
 
     #[test]

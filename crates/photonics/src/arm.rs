@@ -243,8 +243,9 @@ impl OpticalArm {
     ///
     /// * [`PhotonicsError::LengthMismatch`] if more activations than channels
     ///   are supplied.
-    /// * [`PhotonicsError::WeightOutOfRange`] if an activation is outside
-    ///   `[0, 1]` or not finite (activations are unsigned light intensities).
+    /// * [`PhotonicsError::ActivationOutOfRange`] if an activation is
+    ///   outside `[0, 1]` or not finite (activations are unsigned light
+    ///   intensities).
     pub fn mac(&mut self, activations: &[f64]) -> Result<ArmOutput> {
         if activations.len() > self.config.channels {
             return Err(PhotonicsError::LengthMismatch {
@@ -254,7 +255,7 @@ impl OpticalArm {
         }
         for &a in activations {
             if !a.is_finite() || !(0.0..=1.0).contains(&a) {
-                return Err(PhotonicsError::WeightOutOfRange { weight: a });
+                return Err(PhotonicsError::ActivationOutOfRange { activation: a });
             }
         }
 

@@ -12,10 +12,16 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhotonicsError {
-    /// A weight outside the representable transmission range was requested.
+    /// A weight outside the representable range was requested: `[-1, 1]`
+    /// for a signed arm weight, `[0, 1]` for a ring transmission.
     WeightOutOfRange {
         /// The offending weight value.
         weight: f64,
+    },
+    /// An activation outside the unsigned VCSEL drive range `[0, 1]`.
+    ActivationOutOfRange {
+        /// The offending activation value.
+        activation: f64,
     },
     /// A requested detuning exceeds the tunable range of the device.
     DetuningOutOfRange {
@@ -57,12 +63,15 @@ pub enum PhotonicsError {
 impl fmt::Display for PhotonicsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::WeightOutOfRange { weight } => {
-                write!(
-                    f,
-                    "weight {weight} is outside the representable range [0, 1]"
-                )
-            }
+            Self::WeightOutOfRange { weight } => write!(
+                f,
+                "weight {weight} is outside the representable range [-1, 1] \
+                 ([0, 1] for a ring transmission)"
+            ),
+            Self::ActivationOutOfRange { activation } => write!(
+                f,
+                "activation {activation} is outside the representable range [0, 1]"
+            ),
             Self::DetuningOutOfRange {
                 requested_nm,
                 max_nm,
@@ -102,6 +111,7 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let cases: Vec<PhotonicsError> = vec![
             PhotonicsError::WeightOutOfRange { weight: 2.0 },
+            PhotonicsError::ActivationOutOfRange { activation: -0.5 },
             PhotonicsError::DetuningOutOfRange {
                 requested_nm: 5.0,
                 max_nm: 2.0,
@@ -128,6 +138,18 @@ mod tests {
             assert!(!msg.is_empty());
             assert!(msg.chars().next().unwrap().is_lowercase());
         }
+    }
+
+    /// Regression: the weight message claimed `[0, 1]`, the activation
+    /// range, although an arm accepts signed weights in `[-1, 1]`.
+    #[test]
+    fn range_messages_name_the_range_that_was_violated() {
+        let weight = PhotonicsError::WeightOutOfRange { weight: f64::NAN }.to_string();
+        assert!(weight.starts_with("weight NaN"), "{weight}");
+        assert!(weight.contains("[-1, 1]"), "{weight}");
+        let activation = PhotonicsError::ActivationOutOfRange { activation: 1.5 }.to_string();
+        assert!(activation.starts_with("activation 1.5"), "{activation}");
+        assert!(activation.contains("[0, 1]"), "{activation}");
     }
 
     #[test]
