@@ -239,14 +239,14 @@ impl PlatformBuilder {
             ),
             other => CoreError::Photonics(other),
         })?;
-        let (first, rest) = match config.schedule {
-            PrecisionSchedule::Uniform(precision) => (precision, precision),
-            PrecisionSchedule::Mixed { first, rest } => (first, rest),
-        };
-        if let Some(bits) = [first.weight_bits, rest.weight_bits]
-            .into_iter()
-            .find(|&bits| bits < 2)
-        {
+        // Layer 0 carries a mixed schedule's `first` precision and layer 1
+        // its `rest`; a uniform schedule has one precision for both.
+        let schedule = config.schedule;
+        let bits = schedule
+            .for_layer(0)
+            .weight_bits
+            .min(schedule.for_layer(1).weight_bits);
+        if bits < 2 {
             return Err(CoreError::invalid_config(
                 "weight_bits",
                 f64::from(bits),
@@ -254,7 +254,7 @@ impl PlatformBuilder {
                     "schedule {} needs at least 2 weight bits on every layer: \
                      signed weights quantize to 2^(bits-1) - 1 positive levels, \
                      none with 1 bit",
-                    config.schedule.label()
+                    schedule.label()
                 ),
             ));
         }

@@ -247,15 +247,19 @@ impl CounterRng {
     /// returns, computed one branch at a time.
     #[must_use]
     pub fn standard_normal(&self, channel: NoiseChannel, element: u64) -> f64 {
-        let (r, sin, cos) = match channel {
-            NoiseChannel::Intensity | NoiseChannel::Weight => {
-                Self::polar(self.block(LANE_TAG, element))
-            }
-            NoiseChannel::Detection => Self::polar(self.block(DETECTION_TAG, element)),
-        };
         match channel {
-            NoiseChannel::Weight => r * sin,
-            NoiseChannel::Intensity | NoiseChannel::Detection => r * cos,
+            NoiseChannel::Intensity => {
+                let (r, _, cos) = Self::polar(self.block(LANE_TAG, element));
+                r * cos
+            }
+            NoiseChannel::Weight => {
+                let (r, sin, _) = Self::polar(self.block(LANE_TAG, element));
+                r * sin
+            }
+            NoiseChannel::Detection => {
+                let (r, _, cos) = Self::polar(self.block(DETECTION_TAG, element));
+                r * cos
+            }
         }
     }
 

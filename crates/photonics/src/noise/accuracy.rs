@@ -21,7 +21,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 const MAX_ULPS: f64 = 2.0;
 
 /// An unevaluated sum `hi + lo` with `|lo| ≤ ulp(hi)/2`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Dd {
     hi: f64,
     lo: f64,
