@@ -1,39 +1,18 @@
 //! Machine-readable findings artifact: `BENCH_lint_workspace.json`.
 //!
 //! The lint gate writes its result in the same `BENCH_*.json` shape the
-//! bench harnesses emit (hand-rendered JSON, `bench`/`seed_commit`/
-//! `metrics` header), extended with a `findings` array carrying every
-//! diagnostic — suppressed ones included, so the artifact records exactly
-//! which escape hatches the tree uses. The written bytes are round-tripped
-//! through [`lightator_bench::emit::validate`] before the gate exits, and
+//! bench harnesses emit (the [`json::render`] header: `bench`/
+//! `seed_commit`/`metrics`), extended with a `findings` array carrying
+//! every diagnostic — suppressed ones included, so the artifact records
+//! exactly which escape hatches the tree uses. [`json::write`] round-trips
+//! the written bytes through [`json::validate`] before the gate exits, and
 //! CI re-validates them with `python3 -m json.tool`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use crate::rules::Rule;
 use crate::scan::{Finding, ScanReport};
-use lightator_bench::emit::{self, BenchMetric};
-
-/// Escapes a string for a JSON string literal (same escapes as the bench
-/// writer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use lightator_telemetry::json::{self, escape, BenchMetric};
 
 /// The summary metrics of a scan: files scanned, total/unsuppressed/
 /// suppressed finding counts, plus a per-rule unsuppressed count.
@@ -82,15 +61,10 @@ fn render_finding(finding: &Finding) -> String {
 /// the `findings` array.
 #[must_use]
 pub fn render(report: &ScanReport, seed_commit: &str) -> String {
-    // Reuse the bench renderer for the header, then splice the findings
-    // array in before the closing brace so both documents stay one format.
-    let base = emit::render("lint_workspace", seed_commit, &metrics_of(report));
-    let mut out = base
-        .strip_suffix('}')
-        .map_or_else(|| base.clone(), |prefix| prefix.to_string());
-    // `  ]\n` of the metrics array is still there; continue the object.
-    let trimmed = out.trim_end().to_string();
-    out = trimmed;
+    // Reuse the bench renderer for the header, then reopen its object after
+    // the metrics array so both documents stay one format.
+    let base = json::render("lint_workspace", seed_commit, &metrics_of(report));
+    let mut out = base.trim_end_matches('}').trim_end().to_string();
     out.push_str(",\n  \"findings\": [\n");
     let rendered: Vec<String> = report.findings.iter().map(render_finding).collect();
     out.push_str(&rendered.join(",\n"));
@@ -102,26 +76,14 @@ pub fn render(report: &ScanReport, seed_commit: &str) -> String {
 }
 
 /// Writes `BENCH_lint_workspace.json` into `LIGHTATOR_BENCH_DIR` (or the
-/// current directory), validates the written bytes with the bench JSON
-/// parser, and returns the path.
+/// current directory) through [`json::write`], which validates the written
+/// bytes, and returns the path.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; an artifact that fails validation (a bug in
-/// this module) is reported as [`std::io::ErrorKind::InvalidData`].
+/// As [`json::write`].
 pub fn write_artifact(report: &ScanReport) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("LIGHTATOR_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = PathBuf::from(dir).join("BENCH_lint_workspace.json");
-    let body = render(report, &emit::seed_commit());
-    std::fs::write(&path, &body)?;
-    let written = std::fs::read_to_string(&path)?;
-    emit::validate(&written).map_err(|reason| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("emitted {} does not parse: {reason}", path.display()),
-        )
-    })?;
-    Ok(path)
+    json::write("lint_workspace", &render(report, &json::seed_commit()))
 }
 
 #[cfg(test)]
@@ -143,7 +105,7 @@ mod tests {
     fn artifact_parses_with_the_bench_validator() {
         let report = sample_report();
         let json = render(&report, "deadbeef");
-        let names = emit::validate(&json).expect("valid JSON");
+        let names = json::validate(&json).expect("valid JSON");
         assert!(names.iter().any(|n| n == "files_scanned"));
         assert!(names.iter().any(|n| n == "findings_unsuppressed"));
         assert!(json.contains("\"findings\": ["));
@@ -155,7 +117,7 @@ mod tests {
     fn empty_reports_render_an_empty_findings_array() {
         let report = ScanReport::default();
         let json = render(&report, "deadbeef");
-        emit::validate(&json).expect("valid JSON");
+        json::validate(&json).expect("valid JSON");
         assert!(json.contains("\"findings\": [\n  ]"));
     }
 
@@ -181,6 +143,6 @@ mod tests {
         let mut report = sample_report();
         report.findings[0].message = "a \"quoted\"\nmessage\twith\\escapes".to_string();
         let json = render(&report, "deadbeef");
-        emit::validate(&json).expect("valid JSON");
+        json::validate(&json).expect("valid JSON");
     }
 }

@@ -133,7 +133,7 @@ fn artifact_is_written_and_validates() {
     );
     let artifact = dir.join("BENCH_lint_workspace.json");
     let json = std::fs::read_to_string(&artifact).expect("artifact written");
-    let metrics = lightator_bench::emit::validate(&json).expect("artifact parses");
+    let metrics = lightator_telemetry::json::validate(&json).expect("artifact parses");
     assert!(metrics.iter().any(|m| m == "findings_unsuppressed"));
     assert!(json.contains("\"rule\": \"no-wall-clock\""));
     std::fs::remove_dir_all(&dir).ok();

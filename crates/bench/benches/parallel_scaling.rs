@@ -18,14 +18,12 @@
 //! validate the emitted JSON without asserting the scaling ratio on
 //! single-core or noisy shared runners.
 
-// Bench targets: criterion_group! expands to undocumented functions.
-#![allow(missing_docs)]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lightator_bench::emit::{self, BenchMetric};
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
 use lightator_sensor::frame::RgbFrame;
+use lightator_telemetry::json::{self, BenchMetric};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 const SENSOR: usize = 64;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -61,7 +59,7 @@ fn throughput(rounds: usize, mut run: impl FnMut()) -> f64 {
     rounds as f64 / start.elapsed().as_secs_f64()
 }
 
-fn bench_parallel_scaling(c: &mut Criterion) {
+fn main() {
     let smoke = std::env::var("LIGHTATOR_BENCH_SMOKE").is_ok();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let frame = scene();
@@ -78,16 +76,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             "tiled output diverged from sequential at {workers} workers"
         );
     }
-
-    // Criterion-visible timings at the sweep's endpoints.
-    let mut one = session(1);
-    c.bench_function("parallel_scaling/kernel_1_worker", |b| {
-        b.iter(|| black_box(one.run(&frame).expect("run")));
-    });
-    let mut eight = session(8);
-    c.bench_function("parallel_scaling/kernel_8_workers", |b| {
-        b.iter(|| black_box(eight.run(&frame).expect("run")));
-    });
 
     // Headline measurement: sustained single-session simulation throughput
     // per worker count, medianed over interleaved rounds so every count
@@ -141,7 +129,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         "cores",
     ));
 
-    let path = emit::emit("parallel_scaling", &metrics)
+    let path = json::emit("parallel_scaling", &metrics)
         .expect("BENCH_parallel_scaling.json written and validated");
     println!("wrote {}", path.display());
 
@@ -160,6 +148,3 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_parallel_scaling);
-criterion_main!(benches);

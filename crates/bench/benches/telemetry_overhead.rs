@@ -16,16 +16,14 @@
 //!
 //! [`TraceRecorder`]: lightator_telemetry::TraceRecorder
 
-// Bench targets: criterion_group! expands to undocumented functions.
-#![allow(missing_docs)]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lightator_bench::emit::{self, BenchMetric};
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
 use lightator_photonics::noise::NoiseConfig;
 use lightator_sensor::frame::RgbFrame;
+use lightator_telemetry::json::{self, BenchMetric};
 use lightator_telemetry::TraceRecorder;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::sync::Arc;
 
 const SENSOR: usize = 32;
@@ -60,21 +58,14 @@ fn throughput(reps: usize, mut run: impl FnMut()) -> f64 {
     reps as f64 / start.elapsed().as_secs_f64()
 }
 
-fn bench_telemetry_overhead(c: &mut Criterion) {
+fn main() {
     let smoke = std::env::var("LIGHTATOR_BENCH_SMOKE").is_ok();
     let frame = scene();
 
-    // Criterion-visible timings.
     let mut detached = kernel_session();
-    c.bench_function("telemetry_overhead/kernel_detached", |b| {
-        b.iter(|| black_box(detached.run(&frame).expect("run")));
-    });
     let mut attached = kernel_session();
     let recorder = Arc::new(TraceRecorder::new());
     attached.attach_recorder(recorder.clone());
-    c.bench_function("telemetry_overhead/kernel_attached", |b| {
-        b.iter(|| black_box(attached.run(&frame).expect("run")));
-    });
 
     // Headline measurement: interleaved rounds, median ratio.
     let rounds = if smoke { 2 } else { 7 };
@@ -108,7 +99,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
          ({overhead_pct:+.2}% overhead, budget 5%)"
     );
 
-    let path = emit::emit(
+    let path = json::emit(
         "telemetry_overhead",
         &[
             BenchMetric::new("attached_over_detached_throughput", median_ratio, "x"),
@@ -130,6 +121,3 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
          {median_ratio:.3}x (overhead {overhead_pct:.2}%)"
     );
 }
-
-criterion_group!(benches, bench_telemetry_overhead);
-criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Recomputes the paper's headline claims (abstract / §5 observations) and
 //! emits them as a machine-readable `BENCH_headline_claims.json`.
 
-use lightator_bench::emit::{self, BenchMetric};
 use lightator_bench::headline;
+use lightator_telemetry::json::{self, BenchMetric};
 
 fn main() {
     let claims = match headline::compute() {
@@ -32,7 +32,7 @@ fn main() {
             "%",
         ),
     ];
-    match emit::emit("headline_claims", &metrics) {
+    match json::emit("headline_claims", &metrics) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(err) => {
             eprintln!("failed to emit BENCH_headline_claims.json: {err}");

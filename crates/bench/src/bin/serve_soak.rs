@@ -25,7 +25,6 @@
 //! assertion — shared runners measure nothing reliably; the full run is
 //! the artifact that carries the claim.
 
-use lightator_bench::emit::{self, BenchMetric};
 use lightator_core::ca::CaConfig;
 use lightator_core::config::OcGeometry;
 use lightator_core::platform::{ImageKernel, Platform, Workload};
@@ -37,6 +36,7 @@ use lightator_serve::{
     run_soak, ArrivalProcess, MetricsSnapshot, ServeError, Server, SloConfig, SoakConfig,
     SoakOutcome, TrafficMix,
 };
+use lightator_telemetry::json::{self, BenchMetric};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -356,7 +356,7 @@ fn main() -> Result<(), ServeError> {
         ),
         BenchMetric::new("mixed_drop_rate", mixed.snapshot.drop_rate(), "fraction"),
     ];
-    match emit::emit("serve_soak", &metrics) {
+    match json::emit("serve_soak", &metrics) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(err) => {
             eprintln!("failed to emit BENCH_serve_soak.json: {err}");

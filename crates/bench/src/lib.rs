@@ -9,21 +9,21 @@
 //! | [`fig10`] | Fig. 10 — execution time vs electronic accelerators |
 //! | [`headline`] | Abstract/§5 headline claims |
 //!
-//! Each module exposes `generate()` (the dataset), `render()` (the text
-//! table) and is wrapped by both a binary (`cargo run -p lightator-bench
-//! --bin fig8_lenet_power`) and a criterion bench (`cargo bench -p
-//! lightator-bench`).
+//! Each module exposes `generate()` (the dataset) and `render()` (the text
+//! table), and a binary prints it (`cargo run -p lightator-bench --bin
+//! fig8_lenet_power`). The `ablations` binary prints the CA, core-geometry,
+//! kernel-mapping (Fig. 6) and analog-noise ablation tables.
 //!
-//! [`emit`] writes machine-readable `BENCH_*.json` artifacts (metric name,
-//! value, units, seed commit) so the `headline_claims` bin and the
-//! `telemetry_overhead` and `parallel_scaling` benches leave a trackable
-//! perf trail across PRs.
+//! The `headline_claims`, `table1_comparison` and `serve_soak` binaries and
+//! the `telemetry_overhead` and `parallel_scaling` benches write
+//! machine-readable `BENCH_*.json` artifacts (metric name, value, units,
+//! seed commit) through [`lightator_telemetry::json`], so they leave a
+//! trackable perf trail across PRs.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod emit;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;

@@ -2,7 +2,6 @@
 //! baselines and the GPU reference — process node, max power, KFPS/W and
 //! inference accuracy on the three (synthetic stand-in) datasets.
 
-use crate::emit::BenchMetric;
 use crate::harness::{lightator_variants, platform};
 use lightator_baselines::optical::OpticalBaseline;
 use lightator_baselines::registry::{table1_registry, Table1Entry};
@@ -16,6 +15,7 @@ use lightator_nn::quant::{quantize_model_weights, PrecisionSchedule};
 use lightator_nn::spec::NetworkSpec;
 use lightator_nn::train::{evaluate, fine_tune_quantized, train, TrainConfig};
 use lightator_photonics::noise::NoiseConfig;
+use lightator_telemetry::json::BenchMetric;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -72,8 +72,8 @@ fn registry_performance() -> Result<Vec<(Table1Entry, SimulationReport, f64)>, C
         .collect()
 }
 
-/// Performance-only rows (no accuracy columns): fast enough for CI and
-/// criterion measurement. One row per backend-registry entry.
+/// Performance-only rows (no accuracy columns): fast enough for CI. One
+/// row per backend-registry entry.
 ///
 /// # Errors
 ///
@@ -456,8 +456,8 @@ mod tests {
             .iter()
             .any(|m| m.name == "electronic_rtx-3060-ti_kfps_per_watt"));
         // The emitted document is valid JSON with all metric names intact.
-        let json = crate::emit::render("table1_backends", "test", &metrics);
-        let names = crate::emit::validate(&json).expect("valid JSON");
+        let json = lightator_telemetry::json::render("table1_backends", "test", &metrics);
+        let names = lightator_telemetry::json::validate(&json).expect("valid JSON");
         assert_eq!(names.len(), metrics.len());
     }
 

@@ -6,9 +6,6 @@
 //! count (target ≥ 2× at 4 shards) regardless of how many host CPUs run
 //! the simulation.
 
-// Bench targets: criterion_group! expands to undocumented functions.
-#![allow(missing_docs)]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lightator_core::ca::CaConfig;
 use lightator_core::platform::{Platform, Workload};
 use lightator_nn::layers::{Activation, Flatten, Linear};
@@ -18,6 +15,7 @@ use lightator_sensor::frame::RgbFrame;
 use lightator_serve::{MetricsSnapshot, Request, ServeError, Server};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 const SENSOR: usize = 8;
 const MAX_BATCH: usize = 4;
@@ -89,16 +87,10 @@ fn closed_loop(shards: usize, clients: usize, frames_per_client: usize) -> Metri
     server.shutdown()
 }
 
-fn bench_serve_throughput(c: &mut Criterion) {
+fn main() {
     // Saturating load for 4 shards: clients >= shards * max_batch.
     let clients = 4 * MAX_BATCH * 2;
     let frames_per_client = 3;
-
-    for shards in [1usize, 4] {
-        c.bench_function(format!("serve_throughput/shards_{shards}"), |b| {
-            b.iter(|| black_box(closed_loop(shards, clients, frames_per_client)));
-        });
-    }
 
     // Headline: sustained simulated throughput must scale >= 2x from 1 to
     // 4 shards (each shard is an independent virtual chip). The spread of
@@ -126,6 +118,3 @@ fn bench_serve_throughput(c: &mut Criterion) {
          across 3 attempts"
     );
 }
-
-criterion_group!(benches, bench_serve_throughput);
-criterion_main!(benches);

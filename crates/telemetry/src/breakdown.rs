@@ -3,8 +3,10 @@
 //! A [`StageBreakdown`] aggregates every recorded span into
 //! (track, category, stage) rows — the same decomposition the paper argues
 //! its wins with (acquisition vs. conversion vs. compute vs. readout) —
-//! and renders them as a table or as flat metrics for `bench::emit`.
+//! and renders them as a table or as flat metrics for
+//! [`json::emit`](crate::json::emit).
 
+use crate::json::BenchMetric;
 use crate::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 
@@ -182,15 +184,16 @@ impl StageBreakdown {
         out
     }
 
-    /// Flattens the rollup into `(name, value, units)` metrics suitable for
-    /// `bench::emit`: per row, sim-time in ns and energy in pJ.
+    /// Flattens the rollup into metrics for
+    /// [`json::emit`](crate::json::emit): per row, sim-time in ns and
+    /// energy in pJ.
     #[must_use]
-    pub fn to_metrics(&self) -> Vec<(String, f64, String)> {
+    pub fn to_metrics(&self) -> Vec<BenchMetric> {
         let mut metrics = Vec::with_capacity(self.rows.len() * 2);
         for row in &self.rows {
-            let base = format!("{}/{}", row.track, row.stage);
-            metrics.push((format!("{base}/sim_ns"), row.sim_ns, "ns".to_string()));
-            metrics.push((format!("{base}/energy_pj"), row.energy_pj, "pJ".to_string()));
+            let name = |quantity: &str| format!("{}/{}/{quantity}", row.track, row.stage);
+            metrics.push(BenchMetric::new(&name("sim_ns"), row.sim_ns, "ns"));
+            metrics.push(BenchMetric::new(&name("energy_pj"), row.energy_pj, "pJ"));
         }
         metrics
     }
@@ -238,7 +241,7 @@ mod tests {
         assert!(table.contains("25.0%"), "ca is 25% of sim time:\n{table}");
         let metrics = b.to_metrics();
         assert_eq!(metrics.len(), 4);
-        assert_eq!(metrics[0].0, "session:acquire/ca/sim_ns");
+        assert_eq!(metrics[0].name, "session:acquire/ca/sim_ns");
     }
 
     #[test]

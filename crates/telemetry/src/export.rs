@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON export (`trace.json`, loadable in Perfetto).
 //!
-//! The writer follows the hand-rolled JSON idiom of `bench::emit` — the
+//! The writer builds on the [`json`](crate::json) primitives — the
 //! workspace is dependency-free offline — and produces the [Trace Event
 //! Format] consumed by <https://ui.perfetto.dev> and `chrome://tracing`:
 //! one process, one thread lane per [`TraceEvent`] track, timestamps and
@@ -24,39 +24,10 @@
 //! assert!(json.starts_with('{') && json.contains("\"ph\": \"X\""));
 //! ```
 
+use crate::json::{escape, number};
 use crate::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Escapes a string for a JSON string literal (the `bench::emit` idiom).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an f64 as a JSON number (`null` if non-finite). Rust's `{}`
-/// formatting of finite floats never emits scientific notation, so the
-/// output is always a valid JSON number.
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Converts simulated nanoseconds to trace-format microseconds.
 fn to_us(ns: f64) -> f64 {
@@ -84,7 +55,7 @@ fn write_args(out: &mut String, numeric: &[(&str, f64)], strings: &[(String, Str
             out.push_str(", ");
         }
         first = false;
-        let _ = write!(out, "\"{}\": {}", escape(key), json_number(*value));
+        let _ = write!(out, "\"{}\": {}", escape(key), number(*value));
     }
     for (key, value) in strings {
         if !first {
@@ -154,8 +125,8 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
                      \"name\": \"{}\", \"ts\": {}, \"dur\": {}, \"args\": ",
                     escape(&event.category),
                     escape(&event.name),
-                    json_number(to_us(event.ts_ns)),
-                    json_number(to_us(dur_ns)),
+                    number(to_us(event.ts_ns)),
+                    number(to_us(dur_ns)),
                 );
                 write_args(&mut out, &[("energy_pj", energy_pj)], &event.args);
                 out.push_str(" }");
@@ -167,7 +138,7 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
                      \"name\": \"{}\", \"ts\": {}, \"s\": \"t\", \"args\": ",
                     escape(&event.category),
                     escape(&event.name),
-                    json_number(to_us(event.ts_ns)),
+                    number(to_us(event.ts_ns)),
                 );
                 write_args(&mut out, &[], &event.args);
                 out.push_str(" }");
@@ -179,7 +150,7 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
                      \"name\": \"{}\", \"ts\": {}, \"args\": ",
                     escape(&event.category),
                     escape(&event.name),
-                    json_number(to_us(event.ts_ns)),
+                    number(to_us(event.ts_ns)),
                 );
                 write_args(&mut out, &[("value", value)], &event.args);
                 out.push_str(" }");

@@ -1,9 +1,10 @@
-//! Machine-readable benchmark artifacts: `BENCH_<name>.json`.
+//! The workspace's JSON writer and validator, and the `BENCH_<name>.json`
+//! artifacts built on them.
 //!
 //! Every headline harness (the `headline_claims` bin, the
-//! `parallel_scaling` bench) writes its measured numbers as a small JSON
-//! document so the perf trajectory can be tracked across PRs without
-//! scraping stdout:
+//! `parallel_scaling` bench, the lint gate) writes its measured numbers as
+//! a small JSON document so the perf trajectory can be tracked across PRs
+//! without scraping stdout:
 //!
 //! ```json
 //! {
@@ -16,10 +17,12 @@
 //! ```
 //!
 //! The workspace is dependency-free offline (the vendored `serde` stub is a
-//! no-op), so this module hand-writes the JSON and ships a minimal
-//! recursive-descent [`validate`] parser used by the unit tests, by the
-//! emitting harnesses themselves (write → read back → validate) and by the
-//! CI bench-smoke step.
+//! no-op), so JSON is hand-written from two primitives, [`escape`] and
+//! [`number`], which the Chrome trace [`export`](crate::export) uses too.
+//! [`fn@write`] reads every artifact back through the recursive-descent
+//! [`validate`] parser before reporting success. CI re-checks the files
+//! with `python3 -m json.tool`, so `validate` follows the same grammar: it
+//! rejects leading zeros and raw control characters inside strings too.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -68,8 +71,10 @@ pub fn seed_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escapes a string for the inside of a JSON string literal: quotes,
+/// backslashes and every character below U+0020.
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -87,6 +92,18 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Renders an `f64` as a JSON number: finite values in Rust's `{}` form,
+/// plain decimal digits that always parse as JSON, and anything else as
+/// `null`.
+#[must_use]
+pub fn number(value: f64) -> String {
+    if value.is_finite() {
+        format!("{value}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Renders the `BENCH_*.json` document.
 #[must_use]
 pub fn render(bench: &str, seed_commit: &str, metrics: &[BenchMetric]) -> String {
@@ -96,16 +113,11 @@ pub fn render(bench: &str, seed_commit: &str, metrics: &[BenchMetric]) -> String
     let _ = writeln!(out, "  \"seed_commit\": \"{}\",", escape(seed_commit));
     let _ = writeln!(out, "  \"metrics\": [");
     for (i, metric) in metrics.iter().enumerate() {
-        let value = if metric.value.is_finite() {
-            format!("{}", metric.value)
-        } else {
-            "null".to_string()
-        };
         let _ = writeln!(
             out,
             "    {{ \"name\": \"{}\", \"value\": {}, \"units\": \"{}\" }}{}",
             escape(&metric.name),
-            value,
+            number(metric.value),
             escape(&metric.units),
             if i + 1 < metrics.len() { "," } else { "" }
         );
@@ -115,18 +127,27 @@ pub fn render(bench: &str, seed_commit: &str, metrics: &[BenchMetric]) -> String
     out
 }
 
-/// Writes `BENCH_<bench>.json` into `LIGHTATOR_BENCH_DIR` (or the current
-/// directory), validates the written bytes parse, and returns the path.
+/// Renders the metrics with [`render`] and writes them with [`fn@write`].
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; an invalid render (a bug in this module) is
-/// reported as [`std::io::ErrorKind::InvalidData`].
+/// As [`fn@write`].
 pub fn emit(bench: &str, metrics: &[BenchMetric]) -> std::io::Result<PathBuf> {
+    write(bench, &render(bench, &seed_commit(), metrics))
+}
+
+/// Writes `body` as `BENCH_<bench>.json` into `LIGHTATOR_BENCH_DIR` (or the
+/// current directory), validates the bytes read back from the file, and
+/// returns the path.
+///
+/// # Errors
+///
+/// Propagates I/O errors; a body that does not parse (a bug in its
+/// renderer) is reported as [`std::io::ErrorKind::InvalidData`].
+pub fn write(bench: &str, body: &str) -> std::io::Result<PathBuf> {
     let dir = std::env::var("LIGHTATOR_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     let path = PathBuf::from(dir).join(format!("BENCH_{bench}.json"));
-    let body = render(bench, &seed_commit(), metrics);
-    std::fs::write(&path, &body)?;
+    std::fs::write(&path, body)?;
     let written = std::fs::read_to_string(&path)?;
     validate(&written).map_err(|reason| {
         std::io::Error::new(
@@ -300,6 +321,12 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character in string at offset {}",
+                        self.pos
+                    ))
+                }
                 Some(c) => {
                     // Multi-byte UTF-8 passes through byte-wise: the input
                     // is a &str, so it is valid UTF-8 by construction.
@@ -316,13 +343,16 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut digits = 0usize;
+        let int_start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
-            digits += 1;
         }
-        if digits == 0 {
+        let int_digits = &self.bytes[int_start..self.pos];
+        if int_digits.is_empty() {
             return Err(format!("bad number at offset {start}"));
+        }
+        if int_digits.len() > 1 && int_digits[0] == b'0' {
+            return Err(format!("leading zero in number at offset {start}"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -375,12 +405,26 @@ mod tests {
 
     #[test]
     fn rendered_documents_parse_and_carry_the_metric_names() {
-        let json = render("parallel_scaling", "abc123", &metrics());
+        let mut metrics = metrics();
+        metrics.push(BenchMetric::new("overflowed", f64::NAN, "x"));
+        let json = render("parallel_scaling", "abc123", &metrics);
+        assert_eq!(
+            json,
+            r#"{
+  "bench": "parallel_scaling",
+  "seed_commit": "abc123",
+  "metrics": [
+    { "name": "single_scene_speedup", "value": 1.62, "units": "x" },
+    { "name": "cached_throughput", "value": 123.456, "units": "frames/s" },
+    { "name": "overflowed", "value": null, "units": "x" }
+  ]
+}"#
+        );
         let names = validate(&json).expect("valid JSON");
-        assert_eq!(names, vec!["single_scene_speedup", "cached_throughput"]);
-        assert!(json.contains("\"bench\": \"parallel_scaling\""));
-        assert!(json.contains("\"seed_commit\": \"abc123\""));
-        assert!(json.contains("\"units\": \"frames/s\""));
+        assert_eq!(
+            names,
+            vec!["single_scene_speedup", "cached_throughput", "overflowed"]
+        );
     }
 
     #[test]
@@ -404,12 +448,18 @@ mod tests {
         assert!(validate("{\"a\": 1} trailing").is_err());
         assert!(validate("\"unterminated").is_err());
         assert!(validate("01abc").is_err());
+        // Leading zeros and raw control characters in strings, which
+        // `python3 -m json.tool` rejects too.
+        for bad in ["01", "-01", "[00.5]", "\"a\nb\"", "\"a\tb\"", "\"a\u{1}b\""] {
+            assert!(validate(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
     fn validator_accepts_plain_values() {
         assert!(validate("null").is_ok());
         assert!(validate("[1, -2.5, 3e-4, true, \"x\"]").is_ok());
+        assert!(validate("[0, -0, 0.5, -0.25, 0e1, 10]").is_ok());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * [`export`] — the Chrome trace-event JSON writer (`trace.json`,
 //!   loadable in [Perfetto](https://ui.perfetto.dev)). Wall-clock reads are
 //!   confined to this module, as the `telemetry` crate class in
-//!   `analysis.cfg` enforces.
+//!   `analysis.cfg` enforces;
+//! * [`json`] — the workspace's one JSON writer and validator, and the
+//!   `BENCH_*.json` artifacts every harness and the lint gate write.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@
 
 pub mod breakdown;
 pub mod export;
+pub mod json;
 
 pub use breakdown::{StageBreakdown, StageTotals};
 

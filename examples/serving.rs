@@ -12,13 +12,13 @@
 //! prints the server's metrics table — per-lane admissions and p99 queue
 //! waits included — and emits the `BENCH_serve_metrics.json` artifact.
 
-use lightator_suite::bench::emit::{self, BenchMetric};
 use lightator_suite::core::ca::CaConfig;
 use lightator_suite::nn::layers::{Activation, Flatten, Linear};
 use lightator_suite::nn::model::Sequential;
 use lightator_suite::photonics::units::Time;
 use lightator_suite::sensor::frame::RgbFrame;
 use lightator_suite::serve::{Priority, Request, ServeError, Server, SloConfig};
+use lightator_suite::telemetry::json::{self, BenchMetric};
 use lightator_suite::{ImageKernel, Platform, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -142,7 +142,7 @@ fn main() -> Result<(), ServeError> {
 
     // Machine-readable artifact for the perf trajectory, next to the other
     // BENCH_*.json documents.
-    let path = emit::emit(
+    let path = json::emit(
         "serve_metrics",
         &[
             BenchMetric::new("completed_requests", metrics.completed as f64, "requests"),

@@ -17,13 +17,12 @@
 //!   <https://ui.perfetto.dev> to see the session and shard timelines;
 //! * `BENCH_stage_attribution.json` — the flat per-stage rollup.
 
-use lightator_suite::bench::emit::{self, BenchMetric};
 use lightator_suite::core::ca::CaConfig;
 use lightator_suite::nn::layers::{Activation, Flatten, Linear};
 use lightator_suite::nn::model::Sequential;
 use lightator_suite::sensor::frame::RgbFrame;
 use lightator_suite::serve::{Request, Server};
-use lightator_suite::telemetry::{export, StageBreakdown, TraceRecorder};
+use lightator_suite::telemetry::{export, json, StageBreakdown, TraceRecorder};
 use lightator_suite::{ImageKernel, Platform, StreamConfig, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -164,12 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace_path.display(),
         events.len()
     );
-    let bench_metrics: Vec<BenchMetric> = breakdown
-        .to_metrics()
-        .into_iter()
-        .map(|(name, value, units)| BenchMetric::new(&name, value, &units))
-        .collect();
-    let bench_path = emit::emit("stage_attribution", &bench_metrics)?;
+    let bench_path = json::emit("stage_attribution", &breakdown.to_metrics())?;
     println!("wrote {}", bench_path.display());
     Ok(())
 }

@@ -1,15 +1,15 @@
 //! Exporter round trip: the Chrome trace-event JSON produced by
 //! `lightator_telemetry::export` parses under the workspace's own JSON
-//! validator (`lightator_bench::emit::validate`) — the same recursive-
-//! descent scanner CI runs over every `BENCH_*.json` artifact — and the
-//! event names survive the trip. The trace comes from a real traced
-//! session, so the test covers every event shape the executor emits
-//! (spans with durations and energies, markers, string args).
+//! validator (`lightator_telemetry::json::validate`) — the same
+//! recursive-descent scanner every `BENCH_*.json` writer reads its file
+//! back through — and the event names survive the trip. The trace comes
+//! from a real traced session, so the test covers every event shape the
+//! executor emits (spans with durations and energies, markers, string
+//! args).
 
-use lightator_suite::bench::emit;
 use lightator_suite::core::ca::CaConfig;
 use lightator_suite::sensor::frame::RgbFrame;
-use lightator_suite::telemetry::{export, TraceEvent, TraceRecorder};
+use lightator_suite::telemetry::{export, json, TraceEvent, TraceRecorder};
 use lightator_suite::{ImageKernel, Platform, Workload};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ fn chrome_trace_round_trips_through_the_json_validator() {
 
     // The validator collects every string under a "name" key — for a
     // Chrome trace that is exactly the per-event names.
-    let names = emit::validate(&json).expect("exported trace is valid JSON");
+    let names = json::validate(&json).expect("exported trace is valid JSON");
     for stage in ["kernel:sobel-x", "weight_encode", "mac_rows", "readout"] {
         assert!(
             names.iter().any(|name| name == stage),
@@ -60,7 +60,7 @@ fn every_event_kind_exports_as_valid_json() {
         TraceEvent::counter("cache", "plan_hits", "session:demo", 99.0, 3.0),
     ];
     let json = export::chrome_trace(&events);
-    let names = emit::validate(&json).expect("exported events are valid JSON");
+    let names = json::validate(&json).expect("exported events are valid JSON");
     for name in ["mac_rows", "admit", "plan_hits"] {
         assert!(names.iter().any(|n| n == name));
     }
