@@ -17,7 +17,7 @@
 //!   path performs no per-frame encoding work and no per-stride allocation.
 //!
 //! A plan is built once when a `Session` opens and reused by every entry
-//! point (`run`, `run_batch`, `run_stream`, `resume_stream`, `evaluate`);
+//! point (`run`, `run_stream`, `resume_stream`, `evaluate`);
 //! a serving shard therefore compiles its workload group's plan exactly
 //! once at spawn. [`PlanStats`] counts encoding passes versus cache hits so
 //! the reuse is observable end to end (the serve crate surfaces the

@@ -399,23 +399,7 @@ impl Platform {
     /// Propagates sensor/CA/executor/plan construction errors and
     /// mapping/simulation errors for the workload's performance spec.
     pub fn session(&self, workload: Workload) -> Result<Session> {
-        self.session_seeded(workload, self.config.seed)
-    }
-
-    /// Opens a session like [`Platform::session`], but with an explicit
-    /// analog-noise seed instead of the platform's.
-    ///
-    /// A serving pool uses this to model physically distinct chips: shards
-    /// with different seeds draw decorrelated noise, while shards sharing
-    /// the platform seed (plus the frame-indexed noise streams of
-    /// [`Session::seek_frame`]) reproduce a single sequential session bit
-    /// for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Platform::session`].
-    pub fn session_seeded(&self, workload: Workload, seed: u64) -> Result<Session> {
-        Session::open(self, workload, seed)
+        Session::open(self, workload, &BackendId::photonic())
     }
 
     /// Opens a session like [`Platform::session`], but lowered onto the
@@ -426,22 +410,7 @@ impl Platform {
     /// Same as [`Platform::session`], plus an error when the backend id is
     /// unknown or names an analytical backend that cannot execute.
     pub fn session_on(&self, workload: Workload, backend: &BackendId) -> Result<Session> {
-        self.session_seeded_on(workload, self.config.seed, backend)
-    }
-
-    /// Opens a session on an explicit backend with an explicit seed — the
-    /// combination a heterogeneous serving pool uses per shard.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Platform::session_on`].
-    pub fn session_seeded_on(
-        &self,
-        workload: Workload,
-        seed: u64,
-        backend: &BackendId,
-    ) -> Result<Session> {
-        Session::open_on(self, workload, seed, backend)
+        Session::open(self, workload, backend)
     }
 
     /// Resolves a registered backend by id.

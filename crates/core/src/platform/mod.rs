@@ -21,10 +21,10 @@
 //!   architecture-level performance numbers (latency, power, energy, FPS,
 //!   KFPS/W) for the workload — see [`report`].
 //!
-//! [`Session::run_batch`] streams whole batches through the compiled plan —
-//! the photonic analogue of programming the MR weight DACs once and letting
-//! frames stream through — and [`Session::process_iter`] adapts a frame
-//! iterator to a report stream.
+//! The compiled plan is the software analogue of programming the MR weight
+//! DACs once and letting frames stream through: a sequence of frames is
+//! one [`Session::run`] per frame (`frames.iter().map(|f| session.run(f))`),
+//! each at the next global frame index.
 //!
 //! [`Workload::VideoStream`] sessions run whole frame sequences through
 //! [`Session::run_stream`]: a per-block temporal delta gate (built on the
@@ -77,7 +77,7 @@ pub mod workload;
 
 pub use builder::{Platform, PlatformBuilder, PlatformConfig};
 pub use report::{Outcome, Report};
-pub use session::{ProcessIter, Session};
+pub use session::Session;
 pub use workload::{ImageKernel, Workload};
 
 // Compile-time guarantee that the facade types can cross threads: the serve

@@ -9,7 +9,6 @@
 
 use crate::error::{CoreError, Result};
 use crate::sim::SimulationReport;
-use lightator_nn::model::Sequential;
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::units::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
@@ -131,16 +130,6 @@ impl Report {
     pub fn stage_breakdown(&self) -> lightator_telemetry::StageBreakdown {
         crate::trace::stage_breakdown(&format!("session:{}", self.workload), &self.perf)
     }
-}
-
-/// Validates a classify model against the acquired inputs once per batch.
-pub(crate) fn check_model_input(model: &Sequential, inputs: &[Tensor]) -> Result<()> {
-    for input in inputs {
-        if input.shape() != model.input_shape() {
-            return Err(model_mismatch(input.shape(), model.input_shape()));
-        }
-    }
-    Ok(())
 }
 
 pub(crate) fn model_mismatch(acquired: &[usize], expected: &[usize]) -> CoreError {

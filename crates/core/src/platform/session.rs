@@ -4,10 +4,10 @@
 //! Opening a [`Session`] **compiles** its workload once into a
 //! [`CompiledPlan`] — the pre-encoded MR weight bank, the CA operator and
 //! reusable scratch buffers — and every execution entry point
-//! ([`Session::run`], [`Session::run_batch`], [`Session::run_stream`],
-//! [`Session::resume_stream`], [`Session::evaluate`]) streams through that
-//! plan. Encoding draws no analog noise, so the noise a frame sees depends
-//! only on its global frame index.
+//! ([`Session::run`], [`Session::run_stream`], [`Session::resume_stream`],
+//! [`Session::evaluate`]) streams through that plan. Encoding draws no
+//! analog noise, so the noise a frame sees depends only on its global frame
+//! index.
 
 use crate::backend::{BackendId, LoweredPlan};
 use crate::error::{CoreError, Result};
@@ -15,8 +15,8 @@ use crate::exec::PhotonicAccuracy;
 use crate::plan::{CompiledPlan, PlanStats};
 use crate::platform::builder::Platform;
 use crate::platform::report::{
-    acquisition_outcome, check_model_input, classification_from_logits, empty_logits,
-    filtered_from, model_mismatch, Outcome, Report,
+    acquisition_outcome, classification_from_logits, empty_logits, filtered_from, model_mismatch,
+    Report,
 };
 use crate::platform::workload::{network_spec_of, Workload};
 use crate::sim::SimulationReport;
@@ -80,18 +80,12 @@ struct StreamPipeline {
 }
 
 impl Session {
-    /// Opens a session on the default photonic backend: validates the
-    /// workload against the platform, lowers it into a [`CompiledPlan`] and
-    /// derives its performance model.
-    pub(crate) fn open(platform: &Platform, workload: Workload, seed: u64) -> Result<Self> {
-        Self::open_on(platform, workload, seed, &BackendId::photonic())
-    }
-
-    /// Opens a session lowered onto an explicit backend.
-    pub(crate) fn open_on(
+    /// Opens a session on `backend_id`: validates the workload against the
+    /// platform, lowers it into a [`CompiledPlan`] under the platform seed
+    /// and derives its performance model.
+    pub(crate) fn open(
         platform: &Platform,
         workload: Workload,
-        seed: u64,
         backend_id: &BackendId,
     ) -> Result<Self> {
         let backend = platform.backend(backend_id)?;
@@ -132,7 +126,7 @@ impl Session {
                 (kernel_spec()?, Some(pipeline))
             }
         };
-        let lowered = backend.lower(&workload, config, seed)?;
+        let lowered = backend.lower(&workload, config, config.seed)?;
         crate::verify::verify_plan_structural(lowered.plan(), &workload, config, backend.as_ref())?;
         let perf = backend.performance(&spec, config)?;
         Ok(Session {
@@ -272,7 +266,13 @@ impl Session {
     /// [`Session::run`] (without consuming an index) — use
     /// [`Session::run_stream`].
     pub fn run(&mut self, scene: &RgbFrame) -> Result<Report> {
-        self.ensure_frame_workload()?;
+        if matches!(self.workload, Workload::VideoStream { .. }) {
+            return Err(CoreError::ModelMismatch {
+                reason: "video-stream sessions process frames through `run_stream` \
+                         (or `resume_stream`), not `run`"
+                    .to_string(),
+            });
+        }
         let index = self.lowered.next_frame_index();
         let stats_before = self.tracer.as_ref().map(|_| self.lowered.plan().stats());
         let result = self.run_inner(scene);
@@ -281,7 +281,7 @@ impl Session {
         // model mismatch.)
         self.lowered.set_next_frame_index(index + 1);
         if let Some(before) = stats_before {
-            self.trace_frames(index, 1, before, result.is_ok());
+            self.trace_frame(index, before, result.is_ok());
         }
         result
     }
@@ -289,34 +289,27 @@ impl Session {
     fn run_inner(&mut self, scene: &RgbFrame) -> Result<Report> {
         let input = self.acquire(scene)?;
         // Workload-level checks first (against the workload's own model),
-        // then hand the tensors to the backend's lowered plan.
-        let step = match &self.workload {
+        // then hand the tensor to the backend's lowered plan.
+        let outcome = match &self.workload {
             Workload::Classify { model } => {
                 if input.shape() != model.input_shape() {
                     return Err(model_mismatch(input.shape(), model.input_shape()));
                 }
-                FrameStep::Classify
-            }
-            Workload::Acquire => FrameStep::Acquire,
-            Workload::ImageKernel { kernel } => FrameStep::Kernel(kernel.name()),
-            Workload::VideoStream { .. } => {
-                unreachable!("`ensure_frame_workload` rejects stream sessions before run_inner")
-            }
-        };
-        let outcome = match step {
-            FrameStep::Classify => {
                 let logits = self.lowered.forward(&input)?;
                 classification_from_logits(&logits, input.shape())?
             }
-            FrameStep::Acquire => {
+            Workload::Acquire => {
                 // Acquisition runs through the plan's cached CA operator;
                 // count the reuse even though no weight bank is involved.
                 self.lowered.plan_mut().record_hits(1);
                 acquisition_outcome(&input)
             }
-            FrameStep::Kernel(name) => {
+            Workload::ImageKernel { kernel } => {
                 let filtered = self.lowered.forward(&input)?;
-                filtered_from(&filtered, name)
+                filtered_from(&filtered, kernel.name())
+            }
+            Workload::VideoStream { .. } => {
+                unreachable!("`run` rejects stream sessions before run_inner")
             }
         };
         Ok(Report {
@@ -326,81 +319,11 @@ impl Session {
         })
     }
 
-    /// Processes a batch of frames through the cached plan, one frame
-    /// index per scene: bit-identical to one [`Session::run`] per scene
-    /// from the same starting session state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::run`], checked per frame. As with [`Session::run`],
-    /// a failed batch still consumes one frame index per scene.
-    pub fn run_batch(&mut self, scenes: &[RgbFrame]) -> Result<Vec<Report>> {
-        self.ensure_frame_workload()?;
-        if scenes.is_empty() {
-            // Nothing to acquire or execute: leave the executor (and its
-            // noise-stream position) untouched instead of programming the
-            // weight DACs for zero frames.
-            return Ok(Vec::new());
-        }
-        let index = self.lowered.next_frame_index();
-        let stats_before = self.tracer.as_ref().map(|_| self.lowered.plan().stats());
-        let result = self.run_batch_inner(scenes);
-        self.lowered
-            .set_next_frame_index(index + scenes.len() as u64);
-        if let Some(before) = stats_before {
-            self.trace_frames(index, scenes.len(), before, result.is_ok());
-        }
-        result
-    }
-
-    fn run_batch_inner(&mut self, scenes: &[RgbFrame]) -> Result<Vec<Report>> {
-        let inputs: Vec<Tensor> = scenes
-            .iter()
-            .map(|scene| self.acquire(scene))
-            .collect::<Result<_>>()?;
-        let step = match &self.workload {
-            Workload::Classify { model } => {
-                check_model_input(model, &inputs)?;
-                FrameStep::Classify
-            }
-            Workload::Acquire => FrameStep::Acquire,
-            Workload::ImageKernel { kernel } => FrameStep::Kernel(kernel.name()),
-            Workload::VideoStream { .. } => {
-                unreachable!("`ensure_frame_workload` rejects stream sessions before batches")
-            }
-        };
-        let lowered = &mut self.lowered;
-        let outcomes: Vec<Outcome> = match step {
-            FrameStep::Classify => inputs
-                .iter()
-                .map(|input| classification_from_logits(&lowered.forward(input)?, input.shape()))
-                .collect::<Result<_>>()?,
-            FrameStep::Acquire => {
-                // Acquisition runs through the plan's cached CA operator;
-                // count the reuse even though no weight bank is involved.
-                lowered.plan_mut().record_hits(inputs.len() as u64);
-                inputs.iter().map(acquisition_outcome).collect()
-            }
-            FrameStep::Kernel(name) => inputs
-                .iter()
-                .map(|input| Ok(filtered_from(&lowered.forward(input)?, name)))
-                .collect::<Result<_>>()?,
-        };
-        Ok(outcomes
-            .into_iter()
-            .map(|outcome| Report {
-                workload: self.label.clone(),
-                outcome,
-                perf: self.perf.clone(),
-            })
-            .collect())
-    }
-
-    /// Emits the trace of `count` frames starting at global index
-    /// `first_index`: per-frame spans, their stage decomposition and the
-    /// plan-cache delta since `before`. Reads only the performance model
-    /// and the plan counters — never executor or RNG state.
-    fn trace_frames(&mut self, first_index: u64, count: usize, before: PlanStats, ok: bool) {
+    /// Emits the trace of the frame at global index `index`: its span, its
+    /// stage decomposition and the plan-cache delta since `before`. Reads
+    /// only the performance model and the plan counters — never executor or
+    /// RNG state.
+    fn trace_frame(&mut self, index: u64, before: PlanStats, ok: bool) {
         let Self {
             tracer,
             lowered,
@@ -413,35 +336,30 @@ impl Session {
         };
         let track = format!("session:{label}");
         if ok {
-            let stages = crate::trace::frame_stages(perf);
-            for offset in 0..count {
-                let start = tracer.now_ns;
-                let dur = perf.frame_latency.ns();
-                tracer.sink.record(
-                    TraceEvent::span("frame", label, &track, start, dur, perf.frame_energy.pj())
-                        .with_arg("frame", first_index + offset as u64),
-                );
-                let mut cursor = start;
-                for stage in &stages {
-                    tracer.sink.record(TraceEvent::span(
-                        "stage",
-                        stage.stage,
-                        &track,
-                        cursor,
-                        stage.latency.ns(),
-                        stage.energy.pj(),
-                    ));
-                    cursor += stage.latency.ns();
-                }
-                tracer.now_ns = start + dur;
+            let start = tracer.now_ns;
+            let dur = perf.frame_latency.ns();
+            tracer.sink.record(
+                TraceEvent::span("frame", label, &track, start, dur, perf.frame_energy.pj())
+                    .with_arg("frame", index),
+            );
+            let mut cursor = start;
+            for stage in crate::trace::frame_stages(perf) {
+                tracer.sink.record(TraceEvent::span(
+                    "stage",
+                    stage.stage,
+                    &track,
+                    cursor,
+                    stage.latency.ns(),
+                    stage.energy.pj(),
+                ));
+                cursor += stage.latency.ns();
             }
+            tracer.now_ns = start + dur;
         } else {
-            for offset in 0..count {
-                tracer.sink.record(
-                    TraceEvent::instant("frame", "frame-error", &track, tracer.now_ns)
-                        .with_arg("frame", first_index + offset as u64),
-                );
-            }
+            tracer.sink.record(
+                TraceEvent::instant("frame", "frame-error", &track, tracer.now_ns)
+                    .with_arg("frame", index),
+            );
         }
         let after = lowered.plan().stats();
         let hits = after.cache_hits.saturating_sub(before.cache_hits);
@@ -532,10 +450,9 @@ impl Session {
     /// Index of the global frame the next [`Session::run`] executes as.
     ///
     /// Fresh sessions start at frame 0 and every processed frame —
-    /// successful or not, on any workload — consumes exactly one index
-    /// ([`Session::run_batch`] one per scene). This is what keeps a serving
-    /// pool's ticket accounting aligned with sequential execution even
-    /// around failed requests.
+    /// successful or not, on any workload — consumes exactly one index.
+    /// This is what keeps a serving pool's ticket accounting aligned with
+    /// sequential execution even around failed requests.
     #[must_use]
     pub fn next_frame_index(&self) -> u64 {
         self.lowered.next_frame_index()
@@ -551,18 +468,6 @@ impl Session {
     /// keeps pooled execution bit-identical to sequential execution.
     pub fn seek_frame(&mut self, index: u64) {
         self.lowered.set_next_frame_index(index);
-    }
-
-    /// Rejects the per-frame entry points on video-stream sessions.
-    fn ensure_frame_workload(&self) -> Result<()> {
-        if matches!(self.workload, Workload::VideoStream { .. }) {
-            return Err(CoreError::ModelMismatch {
-                reason: "video-stream sessions process frames through `run_stream` \
-                         (or `resume_stream`), not `run`/`run_batch`"
-                    .to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// Processes a video stream end to end under the frame-delta gate,
@@ -844,19 +749,6 @@ impl Session {
         Ok(frame)
     }
 
-    /// Adapts an iterator of frames into a streaming iterator of reports,
-    /// processing one frame per `next()` call.
-    pub fn process_iter<I>(&mut self, frames: I) -> ProcessIter<'_, I::IntoIter>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<RgbFrame>,
-    {
-        ProcessIter {
-            session: self,
-            frames: frames.into_iter(),
-        }
-    }
-
     /// Evaluates the classify workload's top-1 accuracy on at most `limit`
     /// samples of a dataset's test split: through the session's lowered
     /// plan, one frame index per sample, and digitally on the workload's
@@ -896,35 +788,6 @@ impl Session {
             samples,
         })
     }
-}
-
-/// Streaming adapter returned by [`Session::process_iter`].
-#[derive(Debug)]
-pub struct ProcessIter<'s, I> {
-    session: &'s mut Session,
-    frames: I,
-}
-
-impl<I> Iterator for ProcessIter<'_, I>
-where
-    I: Iterator,
-    I::Item: Borrow<RgbFrame>,
-{
-    type Item = Result<Report>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let frame = self.frames.next()?;
-        Some(self.session.run(frame.borrow()))
-    }
-}
-
-/// What the frame entry points hand the lowered plan once the
-/// workload-level checks passed (borrow-splits `self.workload` from
-/// `self.lowered`).
-enum FrameStep {
-    Classify,
-    Acquire,
-    Kernel(&'static str),
 }
 
 fn non_stream_error() -> CoreError {
@@ -1120,35 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
-        let scenes: Vec<RgbFrame> = (0..4)
-            .map(|i| {
-                RgbFrame::filled(8, 8, [0.2 + 0.1 * i as f64, 0.5, 0.9 - 0.2 * i as f64])
-                    .expect("ok")
-            })
-            .collect();
-        let platform = small_platform(true, 8);
-
-        let mut sequential = platform
-            .session(Workload::Classify {
-                model: tiny_model([1, 4, 4], 3),
-            })
-            .expect("session");
-        let expected: Vec<Report> = scenes
-            .iter()
-            .map(|s| sequential.run(s).expect("ok"))
-            .collect();
-
-        let mut batched = platform
-            .session(Workload::Classify {
-                model: tiny_model([1, 4, 4], 3),
-            })
-            .expect("session");
-        let got = batched.run_batch(&scenes).expect("ok");
-        assert_eq!(expected, got);
-    }
-
-    #[test]
     fn sessions_compile_their_plan_once_and_count_reuse() {
         // The tentpole contract: one encode at open, a cache hit per frame.
         let platform = Platform::builder()
@@ -1163,42 +997,12 @@ mod tests {
         assert_eq!(session.plan_stats().encodes, 1);
         assert_eq!(session.plan_stats().cache_hits, 0);
         let scene = RgbFrame::filled(8, 8, [0.3, 0.6, 0.9]).expect("ok");
-        for _ in 0..3 {
+        for _ in 0..7 {
             session.run(&scene).expect("ok");
         }
-        session.run_batch(&vec![scene; 4]).expect("ok");
         let stats = session.plan_stats();
         assert_eq!(stats.encodes, 1, "steady state never re-encodes");
-        assert_eq!(stats.cache_hits, 7, "3 runs + 4 batched frames");
-    }
-
-    #[test]
-    fn empty_batch_returns_no_reports_and_leaves_the_session_untouched() {
-        // Regression: `run_batch(&[])` used to hand the executor an empty
-        // input list; it must early-return without touching any state.
-        let platform = Platform::builder()
-            .sensor_resolution(8, 8)
-            .build()
-            .expect("platform with default (noisy) optics");
-        let model = tiny_model([1, 4, 4], 3);
-        let mut touched = platform
-            .session(Workload::Classify {
-                model: model.clone(),
-            })
-            .expect("session");
-        assert_eq!(touched.run_batch(&[]).expect("empty batch"), Vec::new());
-        assert_eq!(touched.next_frame_index(), 0, "frame index advanced");
-
-        // The next frame behaves exactly as on a session that never saw the
-        // empty batch — including its analog noise draw.
-        let mut fresh = platform
-            .session(Workload::Classify { model })
-            .expect("session");
-        let scene = RgbFrame::filled(8, 8, [0.3, 0.8, 0.5]).expect("ok");
-        assert_eq!(
-            touched.run(&scene).expect("ok"),
-            fresh.run(&scene).expect("ok")
-        );
+        assert_eq!(stats.cache_hits, 7, "one hit per run");
     }
 
     #[test]
@@ -1224,19 +1028,6 @@ mod tests {
         let mut seeked = platform.session(workload()).expect("session");
         seeked.seek_frame(1);
         assert_eq!(seeked.run(&good).expect("ok"), after_error);
-
-        // Batches account the same way: a failed batch consumes one index
-        // per scene.
-        let mut batched = platform.session(workload()).expect("session");
-        assert!(batched
-            .run_batch(&[good.clone(), bad, good.clone()])
-            .is_err());
-        assert_eq!(batched.next_frame_index(), 3);
-        assert_eq!(batched.run(&good).expect("ok"), {
-            let mut reference = platform.session(workload()).expect("session");
-            reference.seek_frame(3);
-            reference.run(&good).expect("ok")
-        });
     }
 
     #[test]
@@ -1263,21 +1054,6 @@ mod tests {
             seeked.seek_frame(i as u64);
             assert_eq!(seeked.run(scene).expect("ok"), expected[i]);
         }
-    }
-
-    #[test]
-    fn process_iter_streams_reports() {
-        let platform = small_platform(true, 8);
-        let mut session = platform.session(Workload::Acquire).expect("session");
-        let scenes: Vec<RgbFrame> = (0..3)
-            .map(|_| RgbFrame::filled(8, 8, [0.5, 0.5, 0.5]).expect("ok"))
-            .collect();
-        let reports: Vec<Report> = session
-            .process_iter(&scenes)
-            .collect::<Result<_>>()
-            .expect("ok");
-        assert_eq!(reports.len(), 3);
-        assert!(reports.iter().all(|r| r.workload == "acquire"));
     }
 
     #[test]
@@ -1424,7 +1200,6 @@ mod tests {
         let mut session = platform.session(stream_workload(0.05)).expect("session");
         let scene = RgbFrame::filled(16, 16, [0.5, 0.5, 0.5]).expect("ok");
         assert!(session.run(&scene).is_err());
-        assert!(session.run_batch(&[scene]).is_err());
         assert_eq!(session.next_frame_index(), 0, "rejection consumes nothing");
         // And frame sessions reject the stream entry points.
         let mut acquire = platform.session(Workload::Acquire).expect("session");

@@ -1,14 +1,13 @@
 //! The compiled-plan determinism contract, property-tested with the
-//! paper's **analog noise enabled**: batched, worker-tiled and resumed
-//! execution are bit-exactly equal to one sequential `run` per frame for
-//! every workload, across batch sizes, worker counts and stream split
-//! points.
+//! paper's **analog noise enabled**: worker-tiled and resumed execution are
+//! bit-exactly equal to one sequential `run` per frame for every workload,
+//! across worker counts and stream split points.
 //!
 //! The noise a frame sees is a function of its global frame index alone,
-//! so how frames are grouped into calls, tiled across workers or split
-//! across sessions must not move a single noise draw.
+//! so how frames are tiled across workers or split across sessions must
+//! not move a single noise draw.
 
-use lightator_core::platform::{ImageKernel, Platform, Report, Workload};
+use lightator_core::platform::{ImageKernel, Platform, Workload};
 use lightator_core::stream::StreamConfig;
 use lightator_nn::layers::{Activation, Conv2d, Flatten, Linear};
 use lightator_nn::model::Sequential;
@@ -63,72 +62,6 @@ fn stream_scenes(count: usize) -> Vec<RgbFrame> {
 }
 
 proptest! {
-    /// Classify, through both frame entry points of the plan: `run_batch`
-    /// equals one `run` per scene bit for bit across batch sizes
-    /// (0 included) and leaves the same frame index.
-    #[test]
-    fn classify_sessions_match_across_plan_modes(
-        batch in 0usize..6,
-        scene_seed in 1u64..256,
-    ) {
-        let platform = noisy_platform();
-        let frames = scenes(batch, scene_seed);
-        let workload = || Workload::Classify { model: conv_classifier(7) };
-
-        let mut batched = platform.session(workload()).expect("session");
-        let mut single = platform.session(workload()).expect("session");
-        let expected: Vec<Report> =
-            frames.iter().map(|frame| single.run(frame).expect("run")).collect();
-        assert_eq!(
-            batched.run_batch(&frames).expect("batch"),
-            expected,
-            "run_batch diverged from one run per scene"
-        );
-        assert_eq!(batched.next_frame_index(), batch as u64);
-        // And frame by frame from the post-batch stream position.
-        for frame in &frames {
-            assert_eq!(
-                batched.run(frame).expect("run after batch"),
-                single.run(frame).expect("run"),
-                "run after a batch diverged"
-            );
-        }
-        assert_eq!(batched.next_frame_index(), single.next_frame_index());
-    }
-}
-
-proptest! {
-    /// Acquire + every image kernel, through both frame entry points:
-    /// `run_batch` equals one `run` per scene for any batch size and
-    /// leaves the same frame index and plan counters.
-    #[test]
-    fn acquire_and_kernel_sessions_match_across_plan_modes(
-        kernel_index in 0usize..7,
-        batch in 0usize..6,
-        scene_seed in 1u64..256,
-    ) {
-        let platform = noisy_platform();
-        let frames = scenes(batch, scene_seed);
-        for workload in [
-            Workload::Acquire,
-            Workload::ImageKernel { kernel: ImageKernel::ALL[kernel_index] },
-        ] {
-            let mut batched = platform.session(workload.clone()).expect("session");
-            let mut single = platform.session(workload).expect("session");
-            let expected: Vec<Report> =
-                frames.iter().map(|frame| single.run(frame).expect("run")).collect();
-            assert_eq!(
-                batched.run_batch(&frames).expect("batch"),
-                expected,
-                "batch diverged"
-            );
-            assert_eq!(batched.next_frame_index(), single.next_frame_index());
-            assert_eq!(batched.plan_stats(), single.plan_stats());
-        }
-    }
-}
-
-proptest! {
     /// Worker tiling: with analog noise **on**, every worker count replays
     /// the sequential noise stream bit for bit across classify, acquire
     /// and kernel workloads — the counter-based generator keys each draw
@@ -154,11 +87,6 @@ proptest! {
             let mut tiled = platform.session(workload).expect("session");
             tiled.set_workers(workers);
             assert_eq!(tiled.workers(), workers);
-            assert_eq!(
-                sequential.run_batch(&frames).expect("sequential batch"),
-                tiled.run_batch(&frames).expect("tiled batch"),
-                "tiled run_batch diverged at {workers} workers"
-            );
             for frame in &frames {
                 assert_eq!(
                     sequential.run(frame).expect("sequential run"),

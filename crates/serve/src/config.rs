@@ -19,7 +19,7 @@
 
 use crate::error::{Result, ServeError};
 use lightator_core::textcfg::{
-    malformed_value, parse_bool, parse_f64, parse_u64, parse_usize, split_key_value, write_line,
+    malformed_value, parse_f64, parse_usize, split_key_value, write_line,
 };
 use lightator_photonics::units::Time;
 
@@ -27,6 +27,12 @@ use lightator_photonics::units::Time;
 /// `f64` no longer represents every nanosecond exactly, so converting to
 /// the u64 nanosecond clock would silently garble the value.
 const MAX_CONFIG_NS: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Largest batch bound (`max_batch`, `slo.max_batch`) a config may carry:
+/// every shard keeps one batch-size counter per size up to the bound and
+/// sizes each drain buffer by it, so an unbounded value would exhaust memory
+/// when the server builds.
+const MAX_BATCH: usize = 4096;
 
 /// Latency-SLO controller settings for the adaptive micro-batcher.
 ///
@@ -50,9 +56,9 @@ pub struct SloConfig {
     pub target_queue_wait: Time,
     /// Lower bound of the adaptive batch-size limit.
     pub min_batch: usize,
-    /// Upper bound of the adaptive batch-size limit. This — not
-    /// [`ServeConfig::max_batch`] — caps batch sizes when the controller is
-    /// active.
+    /// Upper bound of the adaptive batch-size limit, at most 4096. This —
+    /// not [`ServeConfig::max_batch`] — caps batch sizes when the controller
+    /// is active.
     pub max_batch: usize,
 }
 
@@ -75,9 +81,9 @@ impl Default for SloConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads per workload group, each owning one virtual Lightator
-    /// chip (its own seeded `Session`).
+    /// chip (its own `Session`, opened under the platform seed).
     pub shards: usize,
-    /// Largest number of frames one `run_batch` call serves (the weights
+    /// Largest number of frames one batch serves, at most 4096 (the weights
     /// are programmed once per batch).
     pub max_batch: usize,
     /// Bound on queued requests per workload group; requests beyond it are
@@ -87,21 +93,11 @@ pub struct ServeConfig {
     /// stragglers before flushing it. Zero flushes as soon as the queue is
     /// drained.
     pub flush_deadline: Time,
-    /// Distance between consecutive shard noise seeds. Zero (the default)
-    /// keeps every shard on the platform seed, which — together with the
-    /// frame-indexed noise streams — makes pooled serving bit-identical to
-    /// sequential execution. A non-zero stride decorrelates the shards'
-    /// analog noise, modelling physically distinct chips.
-    pub seed_stride: u64,
     /// Largest number of frames one [`crate::Request::VideoStream`] may
     /// carry; longer streams are rejected at admission with
     /// [`ServeError::InvalidRequest`] so one client cannot monopolise a
     /// shard's timeline.
     pub max_stream_frames: usize,
-    /// Intra-session worker threads tiling each shard's MAC loops. Zero
-    /// (the default) inherits the platform's `workers` setting; tiling is
-    /// bit-exact, so the knob only affects per-shard throughput.
-    pub workers: usize,
     /// Per-workload-group backend assignments: `(workload label, backend
     /// id)` pairs, e.g. `("kernel:sobel-x", "electronic:eyeriss")`.
     /// Workloads not listed here run on the photonic default. An explicit
@@ -118,13 +114,6 @@ pub struct ServeConfig {
     /// `serve.slo.max_batch` text keys (writing any one of them enables the
     /// controller; the others keep [`SloConfig::default`]).
     pub slo: Option<SloConfig>,
-    /// Work stealing between a workload group's shards (the
-    /// `serve.steal` text key). When `true` (the default) admission routes
-    /// runs of consecutive tickets onto per-shard sub-deques and an idle
-    /// shard drains the front run of its fullest sibling — work moves, frame
-    /// indices don't, so report bits stay identical to sequential
-    /// execution. `false` keeps a single shared deque per group.
-    pub steal: bool,
     /// Consecutive priority-first drains allowed before a shard must take
     /// the queue head even if it is batch-lane (the `serve.interactive_weight`
     /// text key). Bounds batch-lane starvation under interactive floods:
@@ -140,12 +129,9 @@ impl Default for ServeConfig {
             max_batch: 4,
             queue_depth: 32,
             flush_deadline: Time::from_ns(0.0),
-            seed_stride: 0,
             max_stream_frames: 256,
-            workers: 0,
             backends: Vec::new(),
             slo: None,
-            steal: true,
             interactive_weight: 4,
         }
     }
@@ -157,9 +143,9 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] naming the violated
-    /// constraint: zero shards, a zero batch bound, a zero queue depth, a
-    /// non-finite/negative/oversized flush deadline, or inconsistent SLO
-    /// bounds.
+    /// constraint: zero shards, a zero or oversized (above 4096) batch
+    /// bound, a zero queue depth, a non-finite/negative/oversized flush
+    /// deadline, or inconsistent SLO bounds.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(ServeError::InvalidConfig {
@@ -169,6 +155,14 @@ impl ServeConfig {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig {
                 reason: "max_batch must admit at least one frame per batch".into(),
+            });
+        }
+        if self.max_batch > MAX_BATCH {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "max_batch ({}) exceeds the bound of {MAX_BATCH} frames per batch",
+                    self.max_batch
+                ),
             });
         }
         if self.queue_depth == 0 {
@@ -216,6 +210,14 @@ impl ServeConfig {
                     reason: format!(
                         "slo.max_batch ({}) must be at least slo.min_batch ({})",
                         slo.max_batch, slo.min_batch
+                    ),
+                });
+            }
+            if slo.max_batch > MAX_BATCH {
+                return Err(ServeError::InvalidConfig {
+                    reason: format!(
+                        "slo.max_batch ({}) exceeds the bound of {MAX_BATCH} frames per batch",
+                        slo.max_batch
                     ),
                 });
             }
@@ -285,10 +287,7 @@ impl ServeConfig {
             "serve.flush_deadline_ns",
             self.flush_deadline.ns(),
         );
-        write_line(&mut out, "serve.seed_stride", self.seed_stride);
         write_line(&mut out, "serve.max_stream_frames", self.max_stream_frames);
-        write_line(&mut out, "serve.workers", self.workers);
-        write_line(&mut out, "serve.steal", self.steal);
         write_line(
             &mut out,
             "serve.interactive_weight",
@@ -336,12 +335,9 @@ impl ServeConfig {
                 "serve.flush_deadline_ns" => {
                     config.flush_deadline = Time::from_ns(parse_f64(key, value)?);
                 }
-                "serve.seed_stride" => config.seed_stride = parse_u64(key, value)?,
                 "serve.max_stream_frames" => {
                     config.max_stream_frames = parse_usize(key, value)?;
                 }
-                "serve.workers" => config.workers = parse_usize(key, value)?,
-                "serve.steal" => config.steal = parse_bool(key, value)?,
                 "serve.interactive_weight" => {
                     config.interactive_weight = parse_usize(key, value)?;
                 }
@@ -403,21 +399,17 @@ mod tests {
             max_batch: 8,
             queue_depth: 128,
             flush_deadline: Time::from_us(2.5),
-            seed_stride: 17,
             max_stream_frames: 48,
-            workers: 2,
             backends: Vec::new(),
             slo: Some(SloConfig {
                 target_queue_wait: Time::from_us(1.5),
                 min_batch: 2,
                 max_batch: 32,
             }),
-            steal: false,
             interactive_weight: 7,
         };
         let text = config.to_text();
         assert!(text.contains("serve.slo.target_queue_wait_ns = 1500"));
-        assert!(text.contains("serve.steal = false"));
         assert!(text.contains("serve.interactive_weight = 7"));
         assert_eq!(ServeConfig::from_text(&text).expect("parse"), config);
     }
@@ -500,8 +492,19 @@ mod tests {
     fn unknown_keys_and_bad_values_are_rejected_with_context() {
         let err = ServeConfig::from_text("serve.shards = four").expect_err("bad value");
         assert!(err.to_string().contains("serve.shards"));
-        let err = ServeConfig::from_text("serve.shardz = 4").expect_err("typo");
-        assert!(err.to_string().contains("unknown serve configuration key"));
+        // A typo, and options that no longer exist, are unknown keys.
+        for line in [
+            "serve.shardz = 4",
+            "serve.steal = true",
+            "serve.workers = 2",
+            "serve.seed_stride = 3",
+        ] {
+            let err = ServeConfig::from_text(line).expect_err(line);
+            assert!(
+                err.to_string().contains("unknown serve configuration key"),
+                "{line}: {err}"
+            );
+        }
         assert!(ServeConfig::from_text("no equals sign").is_err());
     }
 
@@ -521,6 +524,22 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("max_batch"));
+        for oversized in [usize::MAX, 100_000_000_000] {
+            let bad = ServeConfig {
+                max_batch: oversized,
+                ..ServeConfig::default()
+            };
+            let message = bad.validate().unwrap_err().to_string();
+            assert!(
+                message.contains("max_batch") && message.contains("4096"),
+                "got: {message}"
+            );
+        }
+        let edge = ServeConfig {
+            max_batch: 4096,
+            ..ServeConfig::default()
+        };
+        assert!(edge.validate().is_ok());
         let bad = ServeConfig {
             queue_depth: 0,
             ..ServeConfig::default()
@@ -607,6 +626,28 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("slo.max_batch"));
+        for oversized in [usize::MAX, 100_000_000_000] {
+            let bad = ServeConfig {
+                slo: Some(SloConfig {
+                    max_batch: oversized,
+                    ..SloConfig::default()
+                }),
+                ..ServeConfig::default()
+            };
+            let message = bad.validate().unwrap_err().to_string();
+            assert!(
+                message.contains("slo.max_batch") && message.contains("4096"),
+                "got: {message}"
+            );
+        }
+        let edge = ServeConfig {
+            slo: Some(SloConfig {
+                max_batch: 4096,
+                ..SloConfig::default()
+            }),
+            ..ServeConfig::default()
+        };
+        assert!(edge.validate().is_ok());
         let bad = ServeConfig {
             interactive_weight: 0,
             ..ServeConfig::default()
@@ -621,5 +662,74 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(good.validate().is_ok());
+    }
+
+    /// Key fragments and separators that bias random bytes toward
+    /// `key = value` lines, so the fuzzer reaches the value parsers.
+    const ALPHABET: &[u8] = b"serve.shards_max_batch_slo_backend=#\n \t0123456789-+.eENaxin";
+
+    /// Zero, one past the batch bound, `u64::MAX` and one beyond it, a
+    /// negative, a huge float, NaN, the empty string and a non-number.
+    const EXTREMES: [&str; 9] = [
+        "0",
+        "4097",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "1e300",
+        "NaN",
+        "",
+        "x",
+    ];
+
+    proptest::proptest! {
+        /// Arbitrary bytes make `from_text` and `validate` return `Ok` or a
+        /// typed error, never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            picks in proptest::collection::vec((0u8..4, 0u8..=255), 0..512),
+        ) {
+            let bytes: Vec<u8> = picks
+                .into_iter()
+                .map(|(pick, byte)| match pick {
+                    0 => byte,
+                    _ => ALPHABET[usize::from(byte) % ALPHABET.len()],
+                })
+                .collect();
+            if let Ok(config) = ServeConfig::from_text(&String::from_utf8_lossy(&bytes)) {
+                let _ = config.validate();
+            }
+        }
+
+        /// Extreme `serve.*` lines appended to a valid file never panic, and
+        /// every config that still validates round-trips exactly with its
+        /// batches inside the bound.
+        #[test]
+        fn extreme_values_never_panic_and_valid_configs_round_trip(
+            lines in proptest::collection::vec((0usize..64, 0usize..EXTREMES.len()), 1..6),
+        ) {
+            // Every key the writer emits, the SLO and backend keys included.
+            let full = ServeConfig {
+                slo: Some(SloConfig::default()),
+                backends: vec![("classify".into(), "photonic".into())],
+                ..ServeConfig::default()
+            }
+            .to_text();
+            let keys: Vec<&str> = full
+                .lines()
+                .filter_map(|line| Some(line.split_once(" = ")?.0))
+                .collect();
+            let mut text = ServeConfig::default().to_text();
+            for (key, value) in lines {
+                text.push_str(&format!("{} = {}\n", keys[key % keys.len()], EXTREMES[value]));
+            }
+            if let Ok(config) = ServeConfig::from_text(&text) {
+                if config.validate().is_ok() {
+                    assert!(config.effective_max_batch() <= MAX_BATCH);
+                    let reparsed = ServeConfig::from_text(&config.to_text()).expect("reparse");
+                    assert_eq!(reparsed, config);
+                }
+            }
+        }
     }
 }

@@ -2,31 +2,33 @@
 //! the [`Platform`](lightator_core::platform::Platform) facade.
 //!
 //! The paper's throughput story (KFPS per watt) only pays off when frames
-//! keep flowing; this crate turns the per-batch weight-stationary win of
-//! `Session::run_batch` into system-level throughput. It is std-only
+//! keep flowing; this crate turns the weight-stationary win of a session's
+//! compiled plan into system-level throughput. It is std-only
 //! (`std::thread` + `Mutex`/`Condvar`, no async runtime):
 //!
 //! * a [`ServerBuilder`] mirrors the `PlatformBuilder` idiom: shards per
-//!   workload group, `max_batch`, bounded `queue_depth`, a flush deadline
-//!   in simulated time, per-shard seed stride;
-//! * a **shard pool** of worker threads, each owning its own seeded
-//!   `Session` — one virtual Lightator chip with its own simulated
+//!   workload group, `max_batch`, bounded `queue_depth` and a flush
+//!   deadline in simulated time;
+//! * a **shard pool** of worker threads, each owning its own `Session`
+//!   (opened through `Platform::session_on`, exactly what a sequential
+//!   client opens) — one virtual Lightator chip with its own simulated
 //!   timeline;
 //! * a **dynamic micro-batcher** drains each group's bounded queue into
-//!   `run_batch` calls of up to `max_batch` frames (flush on deadline or
-//!   queue-empty), so the quantized MR weights are programmed once per
-//!   batch — batched frames after the first skip the weight-encode
-//!   stages entirely, which is the amortization the adaptive controller
-//!   harvests;
+//!   batches of up to `max_batch` frames (flush on deadline or
+//!   queue-empty), each frame one `Session::run`. The virtual chip
+//!   programs the quantized MR weights once per batch, so on the
+//!   simulated timeline batched frames after the first skip the
+//!   weight-encode stages entirely, which is the amortization the
+//!   adaptive controller harvests;
 //! * an optional **latency-SLO controller** ([`SloConfig`], AIMD): each
 //!   shard grows its batch limit and flush deadline while observed queue
 //!   wait sits under `target_queue_wait`, and backs the deadline off
 //!   multiplicatively on overshoot, trading batch amortization against
 //!   tail latency automatically;
-//! * **work stealing**: idle shards drain the fullest sibling sub-queue
-//!   in their `(workload, backend)` group ([`ServeConfig::steal`]),
-//!   keeping every virtual chip busy under skewed load without changing
-//!   a single report bit;
+//! * **work stealing**: each shard owns a sub-queue of its group's queue,
+//!   and an idle shard drains the fullest sibling sub-queue in its
+//!   `(workload, backend)` group, keeping every virtual chip busy under
+//!   skewed load without changing a single report bit;
 //! * **priority lanes** ([`Priority::Interactive`] /
 //!   [`Priority::Batch`], [`Server::submit_with_priority`]): weighted
 //!   draining lets interactive requests overtake queued batch work,

@@ -134,7 +134,7 @@ pub(crate) struct ShardMetrics {
     pub(crate) backend: String,
     pub(crate) batches: AtomicU64,
     pub(crate) frames: AtomicU64,
-    /// `batch_sizes[s - 1]` counts batches of exactly `s` frames.
+    /// `batch_sizes[s - 1]` counts batches of exactly `s` requests.
     pub(crate) batch_sizes: Vec<AtomicU64>,
     /// Batches this shard pulled from a sibling's sub-deque (work
     /// stealing).
@@ -678,10 +678,12 @@ pub struct ShardSnapshot {
     pub backend: String,
     /// Batches executed.
     pub batches: u64,
-    /// Frames served.
+    /// Frames served (in a stream group, the frames its streams carried).
     pub frames: u64,
-    /// `batch_sizes[s - 1]` counts batches of exactly `s` frames — the
-    /// micro-batcher's batch-size distribution.
+    /// `batch_sizes[s - 1]` counts batches of exactly `s` requests — the
+    /// micro-batcher's batch-size distribution. In a frame group a request
+    /// is one frame; in a stream group a batch's size is its request count,
+    /// while [`ShardSnapshot::frames`] counts stream frames.
     pub batch_sizes: Vec<u64>,
     /// Batches this shard pulled from a sibling's sub-deque (work
     /// stealing).

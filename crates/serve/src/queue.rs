@@ -14,9 +14,8 @@
 //!   batch-formation time, bounded by the interactive credit.
 //!
 //! Admission lands each run of consecutive tickets on one **sub-deque**
-//! (one per shard when work stealing is on), so a shard's drain is
-//! contiguous by construction instead of racing its siblings for the head
-//! of one shared deque. An idle shard whose own sub-deque ran dry *steals*
+//! (one per shard), so a shard's drain is contiguous by construction
+//! instead of racing its siblings for the head of one shared deque. An idle shard whose own sub-deque ran dry *steals*
 //! the contiguous run at the front of the longest sibling sub-deque —
 //! execution still happens at the stolen tickets' frame indices, so
 //! stealing moves wall-clock work without moving a single noise draw.
@@ -61,8 +60,8 @@ pub(crate) struct DrainedBatch {
 
 #[derive(Debug)]
 struct QueueState {
-    /// One sub-deque per shard when stealing is enabled, else a single
-    /// shared deque. Each holds runs of consecutive tickets.
+    /// One sub-deque per shard (a single shared deque at one shard). Each
+    /// holds runs of consecutive tickets.
     slots: Vec<VecDeque<QueuedRequest>>,
     /// Sub-deque currently receiving the run of consecutive tickets.
     fill: usize,
@@ -98,8 +97,8 @@ pub(crate) struct SharedQueue {
 }
 
 impl SharedQueue {
-    /// `slots` sub-deques (one per shard when work stealing is on, one
-    /// shared otherwise) bounded by `capacity` requests in total.
+    /// `slots` sub-deques (one per shard) bounded by `capacity` requests in
+    /// total.
     pub(crate) fn new(
         capacity: usize,
         slots: usize,

@@ -63,7 +63,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the largest number of frames one `run_batch` call serves.
+    /// Sets the largest number of frames one batch serves (the weights are
+    /// programmed once per batch).
     #[must_use]
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
@@ -95,39 +96,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Enables or disables work stealing between a group's shards (on by
-    /// default; see [`ServeConfig::steal`]).
-    #[must_use]
-    pub fn steal(mut self, steal: bool) -> Self {
-        self.config.steal = steal;
-        self
-    }
-
     /// Sets the interactive-lane credit: how many consecutive drains may
     /// start at an interactive request past a batch-lane queue head (see
     /// [`ServeConfig::interactive_weight`]).
     #[must_use]
     pub fn interactive_weight(mut self, weight: usize) -> Self {
         self.config.interactive_weight = weight;
-        self
-    }
-
-    /// Sets the distance between consecutive shard noise seeds (zero keeps
-    /// pooled serving bit-identical to sequential execution; see
-    /// [`ServeConfig::seed_stride`]).
-    #[must_use]
-    pub fn seed_stride(mut self, stride: u64) -> Self {
-        self.config.seed_stride = stride;
-        self
-    }
-
-    /// Sets the intra-session worker count tiling each shard's MAC loops
-    /// (zero inherits the platform's `workers` setting; see
-    /// [`ServeConfig::workers`]). Tiling is bit-exact, so pooled serving
-    /// stays bit-identical to sequential execution at any count.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
         self
     }
 
@@ -237,7 +211,6 @@ impl ServerBuilder {
     pub fn build(self) -> Result<Server> {
         self.validate()?;
         let clock = Arc::new(VirtualClock::new());
-        let base_seed = self.platform.config().seed;
 
         // Open every session first so build is all-or-nothing: no threads
         // are spawned if any workload is rejected by the platform (or names
@@ -250,14 +223,10 @@ impl ServerBuilder {
             String,
             usize,
         )> = Vec::new();
-        // With work stealing each shard owns a sub-deque of its group's
-        // queue; admission routes runs of `effective_max_batch` consecutive
-        // tickets onto one sub-deque so drains stay ticket-contiguous.
-        let queue_slots = if self.config.steal {
-            self.config.shards
-        } else {
-            1
-        };
+        // Each shard owns a sub-deque of its group's queue; admission routes
+        // runs of `effective_max_batch` consecutive tickets onto one
+        // sub-deque so drains stay ticket-contiguous, and an idle shard
+        // steals the front run of its fullest sibling.
         let run_length = self.config.effective_max_batch();
         for (workload, pinned) in &self.workloads {
             let kind = RequestKind::of_workload(workload);
@@ -272,19 +241,14 @@ impl ServerBuilder {
             };
             let queue = Arc::new(SharedQueue::new(
                 self.config.queue_depth,
-                queue_slots,
+                self.config.shards,
                 run_length,
                 self.config.interactive_weight,
             ));
             for index in 0..self.config.shards {
-                let seed =
-                    base_seed.wrapping_add(self.config.seed_stride.wrapping_mul(index as u64));
-                let mut session =
-                    self.platform
-                        .session_seeded_on(workload.clone(), seed, &backend)?;
-                if self.config.workers > 0 {
-                    session.set_workers(self.config.workers);
-                }
+                // Every shard runs what a sequential client runs: the same
+                // session, at the tickets' frame indices.
+                let session = self.platform.session_on(workload.clone(), &backend)?;
                 let shard_label = format!("{group_label}/{index}");
                 shard_labels.push((shard_label.clone(), backend.to_string()));
                 shard_plans.push((session, Arc::clone(&queue), shard_label, index));
@@ -1137,6 +1101,15 @@ mod tests {
             .build()
             .expect_err("no workloads");
         assert!(err.to_string().contains("at least one workload"));
+        // An oversized batch bound fails validation, not an allocation.
+        let config =
+            ServeConfig::from_text("serve.max_batch = 18446744073709551615").expect("parses");
+        let err = Server::builder(small_platform())
+            .serve_config(config)
+            .workload(Workload::Acquire)
+            .build()
+            .expect_err("oversized max_batch");
+        assert!(matches!(err, ServeError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
@@ -1407,7 +1380,6 @@ mod tests {
                 min_batch: 1,
                 max_batch: 8,
             })
-            .steal(true)
             .workload(Workload::Classify {
                 model: tiny_model(),
             })

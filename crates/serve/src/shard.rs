@@ -1,17 +1,17 @@
 //! The shard worker: one thread, one virtual Lightator chip.
 //!
-//! Each shard owns its own session (opened through
-//! `Platform::session_seeded`) and loops on its group's queue:
+//! Each shard runs exactly what a sequential client runs. It owns a session
+//! opened through `Platform::session_on` and loops on its group's queue:
 //! drain a contiguous-ticket micro-batch, seek the session to the batch's
-//! first ticket, execute it (frame batches through `run_batch` with the
-//! weights programmed once per batch; video streams one request at a time
-//! through `run_stream`), fulfil the response slots and account the batch
-//! on the shard's simulated timeline. The loop exits once the queue shut
-//! down and ran dry, which is what makes server shutdown graceful.
+//! first ticket, execute it (frame batches one `Session::run` per frame;
+//! video streams one request at a time through `run_stream`), fulfil the
+//! response slots and account the batch on the shard's simulated timeline.
+//! The loop exits once the queue shut down and ran dry, which is what makes
+//! server shutdown graceful.
 //!
 //! # Batch amortisation
 //!
-//! `run_batch` programs the plan's weights once per batch, so on the
+//! The virtual chip programs the plan's weights once per batch, so on the
 //! simulated timeline only the *first* frame of a batch pays the
 //! electronic weight-encode phase; every follow-on frame occupies the chip
 //! for the resident latency (MAC + readout) alone, and meters the resident
@@ -168,8 +168,8 @@ pub(crate) struct ShardContext {
     pub(crate) metrics: Arc<MetricsInner>,
     /// Index into `metrics.shards` (global across groups).
     pub(crate) shard_index: usize,
-    /// This shard's sub-deque within its group's queue (0 when work
-    /// stealing is off and the group shares one deque).
+    /// This shard's sub-deque within its group's queue (its index in the
+    /// group).
     pub(crate) slot_index: usize,
     /// Batch-formation policy (fixed or SLO-adaptive).
     pub(crate) batcher: Batcher,
@@ -215,11 +215,6 @@ impl ShardCosts {
     /// Simulated chip occupancy of a batch of `len` frames.
     fn batch_latency_ns(&self, len: usize) -> u64 {
         self.frame_latency_ns + (len as u64 - 1) * self.resident_latency_ns
-    }
-
-    /// Simulated energy of a batch of `len` completed frames.
-    fn batch_energy_pj(&self, len: usize) -> f64 {
-        self.frame_energy_pj + (len as f64 - 1.0) * self.resident_energy_pj
     }
 
     /// Simulated completion offset of frame `index` within a batch.
@@ -631,10 +626,13 @@ fn run_stream_batch(
     (busy_until_ns, max_wait_ns)
 }
 
-/// Runs one drained batch and fulfils its slots in ticket order. Energy is
-/// charged to the shard per *completed* frame (rejected or errored frames
-/// never occupied the datapath), amortised: the batch's first frame pays
-/// the full frame energy, follow-on frames the resident share.
+/// Runs one drained batch, one [`Session::run`] per frame from the batch's
+/// first ticket, and fulfils its slots in ticket order. Every run consumes
+/// its frame index, failed or not, so an error reaches only its own
+/// request. Energy is charged to the shard per *completed* frame (errored
+/// frames never occupied the datapath), amortised: the batch's first
+/// completed frame pays the full frame energy, later ones the resident
+/// share.
 fn execute_batch(
     session: &mut Session,
     metrics: &MetricsInner,
@@ -646,39 +644,19 @@ fn execute_batch(
 ) {
     let shard = &metrics.shards[shard_index];
     session.seek_frame(first_ticket);
-    match session.run_batch(frames) {
-        Ok(reports) => {
-            metrics
-                .completed
-                .fetch_add(reports.len() as u64, Ordering::Relaxed);
-            metrics
-                .served_frames
-                .fetch_add(reports.len() as u64, Ordering::Relaxed);
-            shard.add_energy_pj(costs.batch_energy_pj(reports.len()));
-            for report in reports {
+    let mut energy_pj = costs.frame_energy_pj;
+    for frame in frames {
+        match session.run(frame) {
+            Ok(report) => {
+                metrics.completed.fetch_add(1, Ordering::Relaxed);
+                metrics.served_frames.fetch_add(1, Ordering::Relaxed);
+                shard.add_energy_pj(energy_pj);
+                energy_pj = costs.resident_energy_pj;
                 guard.fulfil(Ok(Response::Frame(report)));
             }
-        }
-        Err(_) => {
-            // One bad frame fails the whole `run_batch` call; isolate it by
-            // re-running each frame at its own ticket so only the offending
-            // request sees the error. Each isolated re-run programs the
-            // weights again, so it meters the full (unamortised) frame
-            // energy.
-            for (offset, frame) in frames.iter().enumerate() {
-                session.seek_frame(first_ticket + offset as u64);
-                match session.run(frame) {
-                    Ok(report) => {
-                        metrics.completed.fetch_add(1, Ordering::Relaxed);
-                        metrics.served_frames.fetch_add(1, Ordering::Relaxed);
-                        shard.add_energy_pj(costs.frame_energy_pj);
-                        guard.fulfil(Ok(Response::Frame(report)));
-                    }
-                    Err(err) => {
-                        metrics.errored.fetch_add(1, Ordering::Relaxed);
-                        guard.fulfil(Err(ServeError::Core(err)));
-                    }
-                }
+            Err(err) => {
+                metrics.errored.fetch_add(1, Ordering::Relaxed);
+                guard.fulfil(Err(ServeError::Core(err)));
             }
         }
     }

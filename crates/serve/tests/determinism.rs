@@ -156,11 +156,16 @@ proptest! {
         let frames = scenes(frame_count, 0x703B ^ frame_count as u64);
         let workload = || Workload::ImageKernel { kernel: ImageKernel::SobelX };
         let expected = sequential_reports(workload(), &frames);
-        let server = Server::builder(noisy_platform())
+        let platform = Platform::builder()
+            .sensor_resolution(SENSOR, SENSOR)
+            .compressive_acquisition(CaConfig::default())
+            .workers(workers)
+            .build()
+            .expect("platform");
+        let server = Server::builder(platform)
             .shards(shards)
             .max_batch(3)
             .queue_depth(frames.len().max(1))
-            .workers(workers)
             .workload(workload())
             .build()
             .expect("server");
@@ -208,7 +213,6 @@ proptest! {
         );
         let server = Server::builder(noisy_platform())
             .shards(shards)
-            .steal(true)
             .interactive_weight(interactive_weight)
             .slo(SloConfig {
                 target_queue_wait: Time::from_us(target_us as f64),

@@ -58,7 +58,7 @@ fn main() -> Result<(), ServeError> {
     let server = Server::builder(platform)
         .shards(SHARDS)
         // Adaptive batching: each shard grows its batch limit while the
-        // observed queue wait stays under the target (stealing defaults on).
+        // observed queue wait stays under the target.
         .slo(SloConfig {
             target_queue_wait: Time::from_us(20.0),
             min_batch: 1,

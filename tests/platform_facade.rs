@@ -1,15 +1,9 @@
 //! Facade-level integration tests: config round-trips through the text
-//! format and batch/sequential equivalence of `Session::run_batch`.
+//! format.
 
 use lightator_suite::core::ca::CaConfig;
-use lightator_suite::core::platform::{Platform, PlatformConfig, Workload};
-use lightator_suite::nn::layers::{Activation, Conv2d, Flatten, Linear};
-use lightator_suite::nn::model::Sequential;
+use lightator_suite::core::platform::{Platform, PlatformConfig};
 use lightator_suite::nn::quant::{Precision, PrecisionSchedule};
-use lightator_suite::sensor::frame::RgbFrame;
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// `LightatorConfig`, `OcGeometry`, `CaConfig` and `PrecisionSchedule` all
 /// survive a round-trip through the text config format, exactly.
@@ -60,73 +54,4 @@ fn disabled_ca_round_trips_through_text() {
     let parsed = PlatformConfig::from_text(&original.to_text()).expect("parse");
     assert_eq!(parsed, original);
     assert!(parsed.ca.is_none());
-}
-
-fn classifier(seed: u64) -> Sequential {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut model = Sequential::new(&[1, 8, 8]);
-    model.push(Conv2d::new(1, 3, 3, 1, 1, &mut rng).expect("conv"));
-    model.push(Activation::relu());
-    model.push(Flatten::new());
-    model.push(Linear::new(3 * 8 * 8, 4, &mut rng).expect("linear"));
-    model
-}
-
-fn random_scenes(count: usize, seed: u64) -> Vec<RgbFrame> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let data: Vec<f64> = (0..16 * 16 * 3).map(|_| rng.gen::<f64>()).collect();
-            RgbFrame::new(16, 16, data).expect("frame")
-        })
-        .collect()
-}
-
-proptest! {
-    /// For any seed, batch size and scene content, `run_batch` produces
-    /// exactly the same reports as the equivalent sequential `run` calls on
-    /// a fresh session with the same platform seed — including with analog
-    /// noise enabled, because the batch path consumes the noise stream in
-    /// the same order.
-    #[test]
-    fn run_batch_equals_sequential_runs(seed in 0u64..512, batch in 2usize..5, scene_seed in 0u64..512) {
-        let scenes = random_scenes(batch, scene_seed);
-        let platform = Platform::builder()
-            .sensor_resolution(16, 16)
-            .seed(seed)
-            .build()
-            .expect("platform");
-
-        let mut sequential = platform
-            .session(Workload::Classify { model: classifier(seed) })
-            .expect("session");
-        let expected: Vec<_> = scenes
-            .iter()
-            .map(|s| sequential.run(s).expect("run"))
-            .collect();
-
-        let mut batched = platform
-            .session(Workload::Classify { model: classifier(seed) })
-            .expect("session");
-        let got = batched.run_batch(&scenes).expect("run_batch");
-
-        prop_assert_eq!(expected, got);
-    }
-
-    /// The acquisition workload is deterministic for a fixed scene, and its
-    /// batch path matches sequential runs too.
-    #[test]
-    fn acquire_batch_equals_sequential(seed in 0u64..256) {
-        let scenes = random_scenes(3, seed);
-        let platform = Platform::builder()
-            .sensor_resolution(16, 16)
-            .seed(seed)
-            .build()
-            .expect("platform");
-        let mut a = platform.session(Workload::Acquire).expect("session");
-        let expected: Vec<_> = scenes.iter().map(|s| a.run(s).expect("run")).collect();
-        let mut b = platform.session(Workload::Acquire).expect("session");
-        let got = b.run_batch(&scenes).expect("run_batch");
-        prop_assert_eq!(expected, got);
-    }
 }
