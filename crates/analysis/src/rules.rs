@@ -107,8 +107,10 @@ impl Default for AnalysisConfig {
     /// workspace root (a test keeps the two in sync).
     fn default() -> Self {
         let classes = [
-            ("sim", vec!["core", "photonics", "sensor", "nn"]),
-            ("metering", vec!["bench", "serve"]),
+            // Serving schedules every batch on the simulated clock, so it
+            // is held to the simulation's contract.
+            ("sim", vec!["core", "photonics", "sensor", "nn", "serve"]),
+            ("metering", vec!["bench"]),
             ("baselines", vec!["baselines"]),
             // Tracing is simulated-time only; the lone wall-clock read (the
             // export annotation) carries an explicit suppression.
@@ -268,7 +270,7 @@ mod tests {
         // Wall clocks: banned in sim, allowed for metering.
         assert!(config.applies(Rule::NoWallClock, "core"));
         assert!(!config.applies(Rule::NoWallClock, "bench"));
-        assert!(!config.applies(Rule::NoWallClock, "serve"));
+        assert!(config.applies(Rule::NoWallClock, "serve"));
         // The telemetry crate traces in simulated time only, so it is held
         // to the wall-clock ban like the simulation crates.
         assert_eq!(config.class_of("telemetry"), Some("telemetry"));

@@ -410,10 +410,14 @@ mod tests {
 
     #[test]
     fn class_table_steers_rule_applicability() {
-        // bench/serve are metering-class: wall clocks allowed.
+        // bench is metering-class: wall clocks allowed.
         assert!(lint("crates/bench/src/emit.rs", "let t = Instant::now();").is_empty());
-        assert!(lint("crates/serve/src/metrics.rs", "use std::time::Instant;").is_empty());
-        // ...but the rest of the contract still applies to them.
+        // serve schedules on the simulated clock: held to the ban.
+        assert_eq!(
+            lint("crates/serve/src/metrics.rs", "use std::time::Instant;").len(),
+            1
+        );
+        // ...but the rest of the contract still applies to bench.
         assert_eq!(lint("crates/bench/src/emit.rs", "x.unwrap();").len(), 1);
         // Unknown crates are held to everything.
         assert_eq!(

@@ -112,8 +112,8 @@ impl Arm {
 }
 
 /// Builds one classify server for the requested arm. Both arms share
-/// shard count, queue depth, stealing and lane weighting — the only
-/// difference is the batching policy under test.
+/// shard count, queue depth, shard assignment and lane weighting — the
+/// only difference is the batching policy under test.
 fn classify_server(arm: Arm) -> Result<Server, ServeError> {
     let builder = Server::builder(edge_platform()?)
         .shards(SHARDS)

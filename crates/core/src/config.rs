@@ -6,6 +6,17 @@ use lightator_photonics::power::DevicePowerTable;
 use lightator_photonics::units::Area;
 use serde::{Deserialize, Serialize};
 
+/// Largest optical core a configuration may describe, in MRs. The paper's
+/// core has 5,184; the bound keeps every geometry product (banks, arms,
+/// MRs) and the mapper's per-MR arithmetic far from `usize` overflow.
+pub const MAX_MRS: usize = 1 << 24;
+
+/// Largest per-unit periphery count (DACs per arm, ADCs per bank, VCSELs per
+/// arm) and timing count (cycles per bank reload, per 1024 outputs, per MAC
+/// wave) a configuration may carry. The simulator multiplies each by
+/// per-frame unit and cycle counts, which stay exact in `usize` under it.
+pub const MAX_COUNT: usize = 1 << 20;
+
 /// Geometry of the optical core's MVM banks.
 ///
 /// The paper's design (§4): 9 MRs per arm (one 3×3 kernel stride), 6 arms per
@@ -78,8 +89,9 @@ impl OcGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if any extent is zero or the CA
-    /// reservation exceeds the number of banks.
+    /// Returns [`CoreError::InvalidConfig`] if any extent is zero, the core
+    /// holds more than [`MAX_MRS`] MRs, or the CA reservation exceeds the
+    /// number of banks.
     pub fn validate(&self) -> Result<()> {
         let params = [
             ("mrs_per_arm", self.mrs_per_arm),
@@ -95,6 +107,21 @@ impl OcGeometry {
                     "every optical-core extent must be at least 1 (a zero extent leaves no MRs to map onto)",
                 ));
             }
+        }
+        let mrs = params
+            .iter()
+            .try_fold(1usize, |mrs, &(_, value)| mrs.checked_mul(value))
+            .filter(|&mrs| mrs <= MAX_MRS);
+        if mrs.is_none() {
+            return Err(CoreError::invalid_config(
+                "mrs",
+                params.iter().map(|&(_, value)| value as f64).product(),
+                format!(
+                    "the optical core may hold at most {MAX_MRS} MRs \
+                     (mrs_per_arm x arms_per_bank x bank_columns x bank_rows; \
+                     the paper's core has 5184)"
+                ),
+            ));
         }
         if self.ca_banks > self.banks() {
             return Err(CoreError::invalid_config(
@@ -211,8 +238,10 @@ impl LightatorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for invalid geometry or zero
-    /// periphery counts that the simulator divides by.
+    /// Returns [`CoreError::InvalidConfig`] for invalid geometry, zero
+    /// periphery counts that the simulator divides by, periphery or timing
+    /// counts above [`MAX_COUNT`], negative or non-finite device figures,
+    /// and non-positive or non-finite clock periods or die area.
     pub fn validate(&self) -> Result<()> {
         self.geometry.validate()?;
         if self.periphery.vcsels_per_arm == 0 {
@@ -229,12 +258,72 @@ impl LightatorConfig {
                 "a MAC wave takes at least one optical cycle (symbol + detection settling)",
             ));
         }
-        if self.area.mm2() <= 0.0 {
-            return Err(CoreError::invalid_config(
-                "area",
-                self.area.mm2(),
-                "the die area budget must be positive to compare against other accelerators",
-            ));
+        let (p, t) = (&self.periphery, &self.timing);
+        for (name, value) in [
+            ("dacs_per_arm", p.dacs_per_arm),
+            ("adcs_per_bank", p.adcs_per_bank),
+            ("vcsels_per_arm", p.vcsels_per_arm),
+            (
+                "weight_reload_cycles_per_bank",
+                t.weight_reload_cycles_per_bank,
+            ),
+            (
+                "electronic_post_cycles_per_kilo_output",
+                t.electronic_post_cycles_per_kilo_output,
+            ),
+            ("optical_cycles_per_wave", t.optical_cycles_per_wave),
+        ] {
+            if value > MAX_COUNT {
+                return Err(CoreError::invalid_config(
+                    name,
+                    value as f64,
+                    format!("periphery and timing counts may be at most {MAX_COUNT}"),
+                ));
+            }
+        }
+        let w = &self.power;
+        for (name, value) in [
+            ("dac_power_mw", w.dac_power_mw),
+            ("adc_power_mw", w.adc_power_mw),
+            (
+                "adc_energy_per_conversion_pj",
+                w.adc_energy_per_conversion_pj,
+            ),
+            ("mr_tuning_power_mw", w.mr_tuning_power_mw),
+            ("crc_comparator_power_uw", w.crc_comparator_power_uw),
+            ("vcsel_power_mw", w.vcsel_power_mw),
+            ("bpd_power_mw", w.bpd_power_mw),
+            ("controller_power_mw", w.controller_power_mw),
+            (
+                "sram_read_energy_per_byte_pj",
+                w.sram_read_energy_per_byte_pj,
+            ),
+            (
+                "sram_write_energy_per_byte_pj",
+                w.sram_write_energy_per_byte_pj,
+            ),
+            ("sram_leakage_per_kib_uw", w.sram_leakage_per_kib_uw),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(CoreError::invalid_config(
+                    name,
+                    value,
+                    "device power and energy figures must be finite and non-negative",
+                ));
+            }
+        }
+        for (name, value) in [
+            ("optical_cycle_ns", w.optical_cycle_ns),
+            ("electronic_cycle_ns", w.electronic_cycle_ns),
+            ("area", self.area.mm2()),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(CoreError::invalid_config(
+                    name,
+                    value,
+                    "clock periods and the die area budget must be finite and positive",
+                ));
+            }
         }
         Ok(())
     }

@@ -22,6 +22,10 @@ use lightator_sensor::array::SensorArrayConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Largest sensor extent per axis, in photosites. The paper's sensor is
+/// 256×256; the bound keeps every per-frame shape product exact.
+pub const MAX_SENSOR_AXIS: usize = 4096;
+
 /// Complete, serialisable description of one Lightator platform: hardware,
 /// sensor, acquisition mode, precision schedule and the analog noise seed.
 ///
@@ -219,10 +223,11 @@ impl PlatformBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] describing the violated
-    /// constraint: invalid optical-core geometry or periphery, a zero-sized
-    /// sensor, a CA window that does not divide the sensor resolution, a
-    /// degenerate CA configuration, or a schedule with fewer than 2 weight
-    /// bits on some layer.
+    /// constraint: invalid optical-core geometry, periphery, timing or
+    /// device figures (see [`LightatorConfig::validate`]), a sensor axis of
+    /// zero or above [`MAX_SENSOR_AXIS`] photosites, a CA window that does
+    /// not divide the sensor resolution, a degenerate CA configuration, or
+    /// a schedule with fewer than 2 weight bits on some layer.
     pub fn build(self) -> Result<Platform> {
         let Self { config, backends } = self;
         config.hardware.validate()?;
@@ -266,14 +271,14 @@ impl PlatformBuilder {
                  larger counts tile the MAC loops bit-exactly)",
             ));
         }
-        if config.sensor.height == 0 || config.sensor.width == 0 {
+        let (height, width) = (config.sensor.height, config.sensor.width);
+        if !(1..=MAX_SENSOR_AXIS).contains(&height) || !(1..=MAX_SENSOR_AXIS).contains(&width) {
             return Err(CoreError::invalid_config(
                 "sensor_resolution",
-                (config.sensor.height * config.sensor.width) as f64,
+                height as f64 * width as f64,
                 format!(
-                    "the sensor needs at least one photosite per axis \
-                     (got {}x{})",
-                    config.sensor.height, config.sensor.width
+                    "the sensor needs between 1 and {MAX_SENSOR_AXIS} photosites \
+                     per axis (got {height}x{width})"
                 ),
             ));
         }

@@ -75,7 +75,7 @@ pub mod report;
 pub mod session;
 pub mod workload;
 
-pub use builder::{Platform, PlatformBuilder, PlatformConfig};
+pub use builder::{Platform, PlatformBuilder, PlatformConfig, MAX_SENSOR_AXIS};
 pub use report::{Outcome, Report};
 pub use session::Session;
 pub use workload::{ImageKernel, Workload};

@@ -387,7 +387,7 @@ impl PlatformConfig {
 mod tests {
     use super::*;
     use crate::ca::CaConfig;
-    use crate::platform::Platform;
+    use crate::platform::{ImageKernel, Platform, Workload};
     use lightator_nn::quant::Precision;
 
     #[test]
@@ -453,5 +453,128 @@ mod tests {
     fn comments_and_blank_lines_are_ignored() {
         let parsed = PlatformConfig::from_text("# comment\n\nseed = 42\n").expect("parse");
         assert_eq!(parsed.seed, 42);
+    }
+
+    #[test]
+    fn extreme_platform_inputs_fail_the_build_with_typed_errors() {
+        // Each row used to panic on overflow while building or opening a
+        // session, or to build with NaN or negative figures.
+        for text in [
+            "geometry.bank_columns = 18446744073709551615\ngeometry.bank_rows = 2",
+            "geometry.mrs_per_arm = 18446744073709551615",
+            "geometry.arms_per_bank = 18446744073709551615",
+            "timing.optical_cycles_per_wave = 18446744073709551615",
+            "timing.electronic_post_cycles_per_kilo_output = 18446744073709551615",
+            "sensor.height = 4294967296\nsensor.width = 4294967296",
+            "periphery.dacs_per_arm = 18446744073709551615",
+            "periphery.adcs_per_bank = 18446744073709551615",
+            "periphery.vcsels_per_arm = 18446744073709551615",
+            "power.optical_cycle_ns = NaN",
+            "power.optical_cycle_ns = -1",
+            "power.dac_power_mw = inf",
+            "area_mm2 = NaN",
+        ] {
+            let config = PlatformConfig::from_text(text).expect("parses");
+            assert!(
+                matches!(
+                    Platform::from_config(config),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "`{text}` must fail the build with InvalidConfig"
+            );
+        }
+    }
+
+    /// Key fragments and separators that bias random bytes toward
+    /// `key = value` lines, so the fuzzer reaches the value parsers.
+    const ALPHABET: &[u8] =
+        b"geometry.mrs_per_arm_bank_columns_rows_periphery.dacs_vcsels_power.cycle_ns\
+          timing.wave_sensor.height_width_area_mm2_ca.enabled=#\n \t0123456789-+.eENaxinf";
+
+    /// Values tried against every key: small counts, one past each bound,
+    /// `2^32`, `u64::MAX` and one beyond it, a negative, NaN, infinities,
+    /// the float extremes, a boolean, a non-number and the empty string.
+    const EXTREMES: [&str; 18] = [
+        "0",
+        "1",
+        "3",
+        "4097",
+        "16385",
+        "1048577",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e308",
+        "1e-308",
+        "true",
+        "x",
+        "",
+    ];
+
+    /// Parses and builds `text`; a platform that builds must open its
+    /// sessions without a panic and round-trip through the text format.
+    fn build_if_valid(text: &str) {
+        let Ok(config) = PlatformConfig::from_text(text) else {
+            return;
+        };
+        let Ok(platform) = Platform::from_config(config) else {
+            return;
+        };
+        let _ = platform.session(Workload::Acquire);
+        let _ = platform.session(Workload::ImageKernel {
+            kernel: ImageKernel::SobelX,
+        });
+        let config = platform.config();
+        assert_eq!(
+            &PlatformConfig::from_text(&config.to_text()).expect("reparse"),
+            config,
+            "built config must round-trip:\n{text}"
+        );
+    }
+
+    #[test]
+    fn every_key_takes_extreme_values_without_a_panic() {
+        let bases = [
+            String::new(),
+            "ca.enabled = false\n".to_string(),
+            "sensor.height = 4096\nsensor.width = 4096\n".to_string(),
+            "geometry.bank_columns = 4096\ngeometry.bank_rows = 4096\n\
+             geometry.arms_per_bank = 1\ngeometry.mrs_per_arm = 1\n"
+                .to_string(),
+        ];
+        let full = Platform::paper().expect("paper").config().to_text();
+        let keys: Vec<&str> = full
+            .lines()
+            .filter_map(|line| Some(line.split_once(" = ")?.0))
+            .collect();
+        for base in &bases {
+            for key in &keys {
+                for value in EXTREMES {
+                    build_if_valid(&format!("{base}{key} = {value}\n"));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes make `from_text` and `Platform::from_config`
+        /// return `Ok` or a typed error, never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser_or_the_build(
+            picks in proptest::collection::vec((0u8..4, 0u8..=255), 0..512),
+        ) {
+            let bytes: Vec<u8> = picks
+                .into_iter()
+                .map(|(pick, byte)| match pick {
+                    0 => byte,
+                    _ => ALPHABET[usize::from(byte) % ALPHABET.len()],
+                })
+                .collect();
+            build_if_valid(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -93,28 +93,21 @@ fn main() {
     let frames_per_client = 3;
 
     // Headline: sustained simulated throughput must scale >= 2x from 1 to
-    // 4 shards (each shard is an independent virtual chip). The spread of
-    // frames across shards depends on host scheduling, so a transient
-    // unfair run is retried — a genuine serialization regression fails all
-    // three attempts.
+    // 4 shards (each shard is an independent virtual chip). The scheduler
+    // hands every batch to the earliest-free shard on the simulated clock,
+    // so the spread of frames across shards does not hinge on which host
+    // thread wins a lock.
     let single = closed_loop(1, clients, 2 * frames_per_client);
-    let mut ratio = 0.0;
-    for attempt in 1..=3 {
-        let pooled = closed_loop(4, clients, 2 * frames_per_client);
-        ratio = pooled.throughput_fps() / single.throughput_fps();
-        println!(
-            "sustained throughput (attempt {attempt}): 1 shard {:.0} frames/s (sim), \
-             4 shards {:.0} frames/s (sim) -> {ratio:.2}x (target >= 2x)",
-            single.throughput_fps(),
-            pooled.throughput_fps(),
-        );
-        if ratio >= 2.0 {
-            break;
-        }
-    }
+    let pooled = closed_loop(4, clients, 2 * frames_per_client);
+    let ratio = pooled.throughput_fps() / single.throughput_fps();
+    println!(
+        "sustained throughput: 1 shard {:.0} frames/s (sim), \
+         4 shards {:.0} frames/s (sim) -> {ratio:.2}x (target >= 2x)",
+        single.throughput_fps(),
+        pooled.throughput_fps(),
+    );
     assert!(
         ratio >= 2.0,
-        "4-shard sustained throughput stayed below the 2x acceptance bar ({ratio:.2}x) \
-         across 3 attempts"
+        "4-shard sustained throughput stayed below the 2x acceptance bar ({ratio:.2}x)"
     );
 }

@@ -12,12 +12,14 @@
 //! * a **shard pool** of worker threads, each owning its own `Session`
 //!   (opened through `Platform::session_on`, exactly what a sequential
 //!   client opens) — one virtual Lightator chip with its own simulated
-//!   timeline;
-//! * a **dynamic micro-batcher** drains each group's bounded queue into
-//!   batches of up to `max_batch` frames (flush on deadline or
-//!   queue-empty), each frame one `Session::run`. The virtual chip
-//!   programs the quantized MR weights once per batch, so on the
-//!   simulated timeline batched frames after the first skip the
+//!   timeline. A shard only executes the batches it is handed;
+//! * one **discrete-event scheduler** per workload group decides every
+//!   batch on the simulated clock: it admits requests, holds a batch open
+//!   until it is full (`max_batch`, or the SLO controller's limit) or its
+//!   flush deadline passes, and hands it to the group's earliest-free
+//!   shard (ties to the lower index), each frame one `Session::run`. The
+//!   virtual chip programs the quantized MR weights once per batch, so on
+//!   the simulated timeline batched frames after the first skip the
 //!   weight-encode stages entirely, which is the amortization the
 //!   adaptive controller harvests;
 //! * an optional **latency-SLO controller** ([`SloConfig`], AIMD): each
@@ -25,18 +27,16 @@
 //!   wait sits under `target_queue_wait`, and backs the deadline off
 //!   multiplicatively on overshoot, trading batch amortization against
 //!   tail latency automatically;
-//! * **work stealing**: each shard owns a sub-queue of its group's queue,
-//!   and an idle shard drains the fullest sibling sub-queue in its
-//!   `(workload, backend)` group, keeping every virtual chip busy under
-//!   skewed load without changing a single report bit;
 //! * **priority lanes** ([`Priority::Interactive`] /
-//!   [`Priority::Batch`], [`Server::submit_with_priority`]): weighted
-//!   draining lets interactive requests overtake queued batch work,
-//!   bounded by [`ServeConfig::interactive_weight`];
+//!   [`Priority::Batch`], [`Server::submit_with_priority`]): a batch may
+//!   start at the first arrived interactive request instead of a
+//!   batch-lane queue head, bounded by
+//!   [`ServeConfig::interactive_weight`];
 //! * an **open-loop soak harness** ([`load`]): seeded Poisson or bursty
 //!   arrival schedules on the simulated clock, mixed-kind traffic, and
 //!   exact `offered == admitted + dropped` accounting via
-//!   [`Server::submit_at`];
+//!   [`Server::submit_at`], which runs the group's events up to each
+//!   arrival before admitting it;
 //! * a **router** dispatches typed [`Request`]s to the matching workload
 //!   group (classify / acquire / image kernel / video stream — streams get
 //!   their own shard queue with weighted tickets, one frame index per
@@ -46,8 +46,9 @@
 //!   `serve.backend.<label>` keys in [`ServeConfig`]); groups are keyed by
 //!   `(workload, backend)` and [`Server::submit_on`] routes between two
 //!   registrations of the same workload;
-//! * **admission control** rejects with [`ServeError::Overloaded`] when a
-//!   queue is full instead of blocking forever;
+//! * **admission control** rejects with [`ServeError::Overloaded`] when
+//!   `queue_depth` requests still wait at an arrival, instead of blocking
+//!   forever;
 //! * **telemetry** ([`MetricsSnapshot`]) reports sustained throughput,
 //!   p50/p95/p99/p99.9 queueing latency, queue depth, the per-shard
 //!   batch-size distribution, and per-backend frame/energy/plan totals
@@ -64,7 +65,12 @@
 //! global frame index), shards execute contiguous-ticket batches at those
 //! indices, and the analog-noise stream is a pure function of
 //! `(seed, frame index)` — so a multi-shard pool produces bit-identical
-//! reports to one sequential `Session`, analog noise included.
+//! reports to one sequential `Session`, analog noise included. The
+//! *metrics* are deterministic too: no scheduling decision reads a host
+//! clock, so an open-loop run ([`Server::submit_at`]) reports the same
+//! queue waits, batch sizes, shard loads and drops on every host. The
+//! serving clock ([`Server::sim_now`]) moves with admitted arrivals and
+//! with the completions a client observes through [`Pending::wait`].
 //!
 //! # Quickstart
 //!

@@ -7,10 +7,14 @@
 //! weights are programmed once per batch, so follow-on frames skip the
 //! weight-encode phase), starting no earlier than the newest request it
 //! contains arrived and no earlier than the shard's previous batch
-//! finished. A global virtual clock tracks the latest completion so
-//! arrivals are stamped causally. Measuring in simulated time keeps the
-//! figures meaningful for the accelerator (KFPS-scale latencies) and
-//! independent of how many host CPUs happen to run the simulation.
+//! finished. Each group's scheduler decides every batch on that timeline
+//! (see the `queue` module), so a queue wait, a batch size or a drop is a
+//! function of the offered traffic alone. A server-wide virtual clock
+//! tracks the latest admitted arrival and the latest completion a waiting
+//! client observed, so closed-loop arrivals are stamped causally.
+//! Measuring in simulated time keeps the figures meaningful for the
+//! accelerator (KFPS-scale latencies) and independent of how many host
+//! CPUs happen to run the simulation.
 
 use crate::request::Priority;
 use lightator_photonics::units::{Energy, Time};
@@ -28,8 +32,9 @@ const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
 
 /// The server-wide simulated clock (nanoseconds).
 ///
-/// Advanced to each batch's completion time; read to stamp request
-/// arrivals. Monotone by construction (`fetch_max`).
+/// Advanced to each admitted arrival and to each completion a waiting
+/// client observes; read to stamp closed-loop arrivals. Monotone by
+/// construction (`fetch_max`).
 #[derive(Debug, Default)]
 pub(crate) struct VirtualClock {
     now_ns: AtomicU64,
@@ -126,7 +131,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-shard counters, updated by the owning worker thread.
+/// Per-shard counters, updated by the group's scheduler (batch shape,
+/// gauges) and by the owning worker thread (execution).
 #[derive(Debug)]
 pub(crate) struct ShardMetrics {
     pub(crate) label: String,
@@ -136,9 +142,6 @@ pub(crate) struct ShardMetrics {
     pub(crate) frames: AtomicU64,
     /// `batch_sizes[s - 1]` counts batches of exactly `s` requests.
     pub(crate) batch_sizes: Vec<AtomicU64>,
-    /// Batches this shard pulled from a sibling's sub-deque (work
-    /// stealing).
-    pub(crate) steals: AtomicU64,
     /// The shard's current batch-size bound — a gauge; constant without an
     /// SLO controller, adapted batch to batch with one.
     pub(crate) batch_limit: AtomicU64,
@@ -228,7 +231,6 @@ impl MetricsInner {
                     batches: AtomicU64::new(0),
                     frames: AtomicU64::new(0),
                     batch_sizes: (0..max_batch).map(|_| AtomicU64::new(0)).collect(),
-                    steals: AtomicU64::new(0),
                     batch_limit: AtomicU64::new(0),
                     flush_deadline_ns: AtomicU64::new(0),
                     plan_encodes: AtomicU64::new(0),
@@ -287,7 +289,7 @@ impl MetricsInner {
                     .iter()
                     .map(|c| c.load(Ordering::Relaxed))
                     .collect(),
-                steals: s.steals.load(Ordering::Relaxed),
+                steals: 0,
                 batch_limit: s.batch_limit.load(Ordering::Relaxed),
                 flush_deadline: Time::from_ns(s.flush_deadline_ns.load(Ordering::Relaxed) as f64),
                 plan_encodes: s.plan_encodes.load(Ordering::Relaxed),
@@ -578,14 +580,13 @@ impl MetricsSnapshot {
             let _ = writeln!(
                 out,
                 "  {:<16} {:>5} frames in {:>4} batches (mean {:.2}) [{}] \
-                 limit now {}, {} stolen, plan: {} encode{}, {} hits",
+                 limit now {}, plan: {} encode{}, {} hits",
                 shard.shard,
                 shard.frames,
                 shard.batches,
                 shard.mean_batch_size(),
                 sizes.join(", "),
                 shard.batch_limit,
-                shard.steals,
                 shard.plan_encodes,
                 if shard.plan_encodes == 1 { "" } else { "s" },
                 shard.plan_hits,
@@ -685,8 +686,9 @@ pub struct ShardSnapshot {
     /// is one frame; in a stream group a batch's size is its request count,
     /// while [`ShardSnapshot::frames`] counts stream frames.
     pub batch_sizes: Vec<u64>,
-    /// Batches this shard pulled from a sibling's sub-deque (work
-    /// stealing).
+    /// Always 0: the scheduler hands every batch to its earliest-free
+    /// shard, so no shard takes work from a sibling. Kept for readers of
+    /// the former work-stealing count.
     pub steals: u64,
     /// The shard's batch-size bound at snapshot time (a gauge; the SLO
     /// controller adapts it batch to batch).

@@ -1,41 +1,45 @@
-//! The bounded per-group request queue and the micro-batcher's drain rules.
+//! One discrete-event scheduler per workload group: admission, batch
+//! formation and shard assignment, all decided on the simulated clock.
 //!
 //! Every admitted request gets a monotone **ticket** — its first global
 //! frame index within the workload group — and a **weight** — how many
 //! frame indices it consumes (1 for single-frame requests, the frame count
-//! for video streams). Tickets drive two guarantees:
+//! for video streams). A batch only takes a run of requests whose tickets
+//! are contiguous *by weight*, and its shard seeks to the first ticket, so
+//! every frame executes at exactly the frame index a single sequential
+//! session would have used. Within a lane no request is overtaken; an
+//! interactive request may overtake waiting batch-lane requests at
+//! batch-formation time, bounded by the interactive credit.
 //!
-//! * **Determinism.** A shard seeks its session to the first ticket of the
-//!   batch it drained; because a drain only takes a run of requests whose
-//!   tickets are contiguous *by weight*, every frame executes at exactly
-//!   the frame index a single sequential session would have used.
-//! * **FIFO fairness.** Within a lane no request is overtaken; an
-//!   interactive request may overtake queued batch-lane requests at
-//!   batch-formation time, bounded by the interactive credit.
+//! The [`Scheduler`] is a discrete-event simulation driven only by the
+//! offered arrivals. The earliest-free shard (ties to the lower index)
+//! **opens** a batch at `max(its free time, first waiting arrival)`;
+//! ticket-contiguous requests that arrive within the shard's flush
+//! deadline **join** it; it **closes** once full or once the deadline
+//! passed, and goes to the shard's worker as a [`Job`]. A frame batch's
+//! cost, and so its shard's next free time, is known when it closes. A
+//! stream batch's cost is only known once its shard ran it, so decisions
+//! that the shard's report could change wait for
+//! [`Scheduler::report_stream`]. No decision reads a host clock, so the
+//! same offered traffic always yields the same batches, shard assignment
+//! and drops, whatever the host.
 //!
-//! Admission lands each run of consecutive tickets on one **sub-deque**
-//! (one per shard), so a shard's drain is contiguous by construction
-//! instead of racing its siblings for the head of one shared deque. An idle shard whose own sub-deque ran dry *steals*
-//! the contiguous run at the front of the longest sibling sub-deque —
-//! execution still happens at the stolen tickets' frame indices, so
-//! stealing moves wall-clock work without moving a single noise draw.
-//!
-//! Admission control is strictly non-blocking: a full queue rejects with
-//! [`ServeError::Overloaded`] rather than stalling the caller.
+//! A request that finds `queue_depth` requests still waiting at its
+//! arrival is rejected with [`ServeError::Overloaded`].
 
 use crate::error::{Result, ServeError};
-use crate::metrics::VirtualClock;
-use crate::request::{Payload, Priority, ResponseSlot};
+use crate::metrics::{MetricsInner, VirtualClock};
+use crate::request::{Payload, Priority, Response, ResponseSlot};
+use crate::shard::{Batcher, ShardCosts};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Real-time backstop for the straggler wait: the simulated flush deadline
-/// only advances while other shards complete work, so an otherwise idle
-/// server flushes partial batches after this wall-clock pause instead.
-const STRAGGLER_BACKSTOP: Duration = Duration::from_micros(200);
+/// `advance(FOREVER)` runs every pending event.
+const FOREVER: u64 = u64::MAX;
 
-/// One admitted request, queued for a shard group.
+/// One admitted request, waiting for a batch.
 #[derive(Debug)]
 pub(crate) struct QueuedRequest {
     pub(crate) payload: Payload,
@@ -43,123 +47,201 @@ pub(crate) struct QueuedRequest {
     pub(crate) ticket: u64,
     /// Frame indices the request consumes (`payload.weight()`).
     pub(crate) weight: u64,
-    /// Simulated arrival time (virtual-clock stamp at admission).
+    /// Simulated arrival time, stamped at admission.
     pub(crate) arrival_ns: u64,
     /// Scheduling lane the request was submitted on.
     pub(crate) priority: Priority,
     pub(crate) slot: Arc<ResponseSlot>,
 }
 
-/// One drained micro-batch plus where it came from.
+/// One closed batch, handed to the shard that runs it.
 #[derive(Debug)]
-pub(crate) struct DrainedBatch {
+pub(crate) struct Job {
     pub(crate) requests: Vec<QueuedRequest>,
-    /// The batch was pulled from a sibling shard's sub-deque.
-    pub(crate) stolen: bool,
+    /// A frame batch starts on the chip at this simulated time. A stream
+    /// batch finds the chip free from it, and each stream starts at
+    /// `max(previous completion, its arrival)`.
+    pub(crate) start_ns: u64,
+}
+
+/// The scheduler's view of one shard (one virtual chip).
+#[derive(Debug)]
+struct Chip {
+    batcher: Batcher,
+    /// Completion of the shard's last batch.
+    free_ns: u64,
+    /// Start of the stream batch the shard is running. Its completion, and
+    /// so `free_ns`, is unknown until the shard reports.
+    streaming: Option<u64>,
+    /// The worker's job channel; `None` once shutdown released it.
+    jobs: Option<Sender<Job>>,
+}
+
+/// The batch being formed (at most one per group).
+#[derive(Debug)]
+struct OpenBatch {
+    shard: usize,
+    open_ns: u64,
+    /// Position in the waiting FIFO where the batch's ticket successor sits.
+    at: usize,
+    requests: Vec<QueuedRequest>,
 }
 
 #[derive(Debug)]
-struct QueueState {
-    /// One sub-deque per shard (a single shared deque at one shard). Each
-    /// holds runs of consecutive tickets.
-    slots: Vec<VecDeque<QueuedRequest>>,
-    /// Sub-deque currently receiving the run of consecutive tickets.
-    fill: usize,
-    /// Requests placed into the current run so far.
-    run_filled: usize,
-    /// Remaining drains that may start at an interactive request instead
+struct State {
+    /// Admitted requests not yet in a batch, in ticket order (and so in
+    /// arrival order).
+    waiting: VecDeque<QueuedRequest>,
+    next_ticket: u64,
+    /// Remaining batches that may start at an interactive request instead
     /// of the queue head; refilled to `interactive_weight` once spent.
     jump_credit: usize,
-    next_ticket: u64,
-    queued: usize,
+    /// The latest arrival the group took, or the latest close time a
+    /// waiting client made it decide. Later arrivals are stamped no
+    /// earlier, so the group sees arrivals in order.
+    horizon_ns: u64,
+    chips: Vec<Chip>,
+    open: Option<OpenBatch>,
+    /// Clients blocked in `Pending::wait*` on this group.
+    waiters: usize,
     shutdown: bool,
 }
 
-impl QueueState {
-    fn is_empty(&self) -> bool {
-        self.queued == 0
+impl State {
+    /// The shard that frees up first (ties to the lower index), or `None`
+    /// while a stream in flight might still free its shard earlier.
+    fn earliest_free(&self) -> Option<usize> {
+        let (shard, free_ns) = self
+            .chips
+            .iter()
+            .enumerate()
+            .filter(|(_, chip)| chip.streaming.is_none())
+            .map(|(shard, chip)| (shard, chip.free_ns))
+            .min_by_key(|&(_, free_ns)| free_ns)?;
+        // A stream completes strictly after it starts, so one that started
+        // at or after `free_ns` cannot win the choice.
+        let may_free_first =
+            |chip: &Chip| chip.streaming.is_some_and(|start_ns| start_ns < free_ns);
+        (!self.chips.iter().any(may_free_first)).then_some(shard)
     }
 }
 
-/// The bounded MPMC queue one workload group's shards drain.
+/// The discrete-event scheduler of one workload group. See the module
+/// docs.
 #[derive(Debug)]
-pub(crate) struct SharedQueue {
+pub(crate) struct Scheduler {
     capacity: usize,
-    /// Consecutive-ticket requests routed to one sub-deque before the fill
-    /// cursor advances (the group's effective max batch, so a full batch
-    /// drains from a single sub-deque).
-    run_length: usize,
-    /// Consecutive priority-first drains allowed before one head drain is
-    /// forced (the batch-lane starvation bound).
+    /// Consecutive interactive-first batches allowed before one head batch
+    /// is forced (the batch-lane starvation bound).
     interactive_weight: usize,
-    state: Mutex<QueueState>,
-    ready: Condvar,
+    costs: ShardCosts,
+    metrics: Arc<MetricsInner>,
+    /// Index of the group's first shard in `metrics.shards`.
+    first_shard: usize,
+    /// The server's clock, moved by admitted arrivals and by the
+    /// completions waiting clients observe.
+    clock: Arc<VirtualClock>,
+    state: Mutex<State>,
+    /// Signalled whenever a shard reports a stream batch.
+    reported: Condvar,
 }
 
-impl SharedQueue {
-    /// `slots` sub-deques (one per shard) bounded by `capacity` requests in
-    /// total.
+impl Scheduler {
+    /// A scheduler bounding `capacity` waiting requests over one shard per
+    /// `(batcher, job channel)` pair. Publishes each shard's batching
+    /// gauges.
     pub(crate) fn new(
         capacity: usize,
-        slots: usize,
-        run_length: usize,
         interactive_weight: usize,
+        costs: ShardCosts,
+        metrics: Arc<MetricsInner>,
+        first_shard: usize,
+        clock: Arc<VirtualClock>,
+        shards: Vec<(Batcher, Sender<Job>)>,
     ) -> Self {
-        let slots = slots.max(1);
         let interactive_weight = interactive_weight.max(1);
-        Self {
+        let scheduler = Self {
             capacity,
-            run_length: run_length.max(1),
             interactive_weight,
-            state: Mutex::new(QueueState {
-                slots: (0..slots).map(|_| VecDeque::new()).collect(),
-                fill: 0,
-                run_filled: 0,
-                jump_credit: interactive_weight,
+            costs,
+            metrics,
+            first_shard,
+            clock,
+            state: Mutex::new(State {
+                waiting: VecDeque::new(),
                 next_ticket: 0,
-                queued: 0,
+                jump_credit: interactive_weight,
+                horizon_ns: 0,
+                chips: shards
+                    .into_iter()
+                    .map(|(batcher, jobs)| Chip {
+                        batcher,
+                        free_ns: 0,
+                        streaming: None,
+                        jobs: Some(jobs),
+                    })
+                    .collect(),
+                open: None,
+                waiters: 0,
                 shutdown: false,
             }),
-            ready: Condvar::new(),
+            reported: Condvar::new(),
+        };
+        for (shard, chip) in scheduler.lock().chips.iter().enumerate() {
+            scheduler.publish(shard, &chip.batcher);
         }
+        scheduler
     }
 
-    /// Requests currently waiting in this queue (all sub-deques).
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Requests admitted but not yet in a batch.
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").queued // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
+        self.lock().waiting.len()
     }
 
-    /// Admits one request, assigning it the group's next ticket and
-    /// advancing the ticket counter by the payload's weight (one frame
-    /// index per frame the request carries). Runs of `run_length`
-    /// consecutive tickets land on one sub-deque so shard drains stay
-    /// contiguous.
+    /// Offers one request arriving at `arrival_ns`, stamped no earlier than
+    /// the group's horizon. Runs every event up to the stamp, then admits
+    /// the request unless `capacity` requests still wait, moving the clock
+    /// to the stamp. Returns the request's ticket and its arrival stamp.
+    ///
+    /// A full queue only rejects once no stream in flight could still free
+    /// a place first; until then the call waits for that stream's report.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the queue is at capacity,
+    /// [`ServeError::Overloaded`] when the queue is full at the arrival,
     /// [`ServeError::ShuttingDown`] once shutdown began.
-    pub(crate) fn push(
+    pub(crate) fn submit(
         &self,
         payload: Payload,
         priority: Priority,
         arrival_ns: u64,
         slot: Arc<ResponseSlot>,
-    ) -> Result<u64> {
-        let weight = payload.weight();
-        let mut state = self.state.lock().expect("queue poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
+    ) -> Result<(u64, u64)> {
+        let mut state = self.lock();
         if state.shutdown {
             return Err(ServeError::ShuttingDown);
         }
-        if state.queued >= self.capacity {
+        let arrival_ns = arrival_ns.max(state.horizon_ns);
+        state.horizon_ns = arrival_ns;
+        while self.advance(&mut state, arrival_ns) && state.waiting.len() >= self.capacity {
+            state = self
+                .reported
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if state.waiting.len() >= self.capacity {
             return Err(ServeError::Overloaded {
                 queue_depth: self.capacity,
             });
         }
         let ticket = state.next_ticket;
+        let weight = payload.weight();
         state.next_ticket += weight;
-        let fill = state.fill;
-        state.slots[fill].push_back(QueuedRequest {
+        state.waiting.push_back(QueuedRequest {
             payload,
             ticket,
             weight,
@@ -167,237 +249,224 @@ impl SharedQueue {
             priority,
             slot,
         });
-        state.queued += 1;
-        state.run_filled += 1;
-        if state.run_filled >= self.run_length {
-            state.fill = (state.fill + 1) % state.slots.len();
-            state.run_filled = 0;
-        }
-        drop(state);
-        self.ready.notify_one();
-        Ok(ticket)
+        self.advance(&mut state, arrival_ns);
+        self.clock.advance_to(arrival_ns);
+        Ok((ticket, arrival_ns))
     }
 
-    /// Begins shutdown: no further admissions, all waiting shards wake up
-    /// and drain whatever is still queued before exiting.
-    pub(crate) fn shutdown(&self) {
-        self.state.lock().expect("queue poisoned").shutdown = true; // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
-        self.ready.notify_all();
+    /// Blocks a client on `slot` and moves the clock to the request's
+    /// completion. A waiting client submits nothing further, so every held
+    /// batch may close: the group runs all pending events, and its horizon
+    /// moves to the close times it used.
+    pub(crate) fn wait(&self, slot: &ResponseSlot) -> Result<Response> {
+        {
+            let mut state = self.lock();
+            state.waiters += 1;
+            self.advance(&mut state, FOREVER);
+        }
+        let (outcome, completion_ns) = slot.take();
+        self.lock().waiters -= 1;
+        self.clock.advance_to(completion_ns);
+        outcome
     }
 
-    /// Blocks for work, then drains one micro-batch of up to `max_batch`
-    /// contiguous-ticket requests — from the shard's own sub-deque, or
-    /// (work stealing) from the fullest sibling sub-deque when its own ran
-    /// dry.
-    ///
-    /// Flush rules: a batch flushes once it reaches `max_batch`, once the
-    /// queue ran dry and the simulated flush deadline (or its real-time
-    /// idle backstop) expired, or once no queued request can extend the
-    /// batch contiguously. Returns `None` when the queue shut down and
-    /// nothing is left to drain.
-    pub(crate) fn wait_batch(
-        &self,
-        slot_index: usize,
-        max_batch: usize,
-        flush_deadline_ns: u64,
-        clock: &VirtualClock,
-    ) -> Option<DrainedBatch> {
-        let mut state = self.state.lock().expect("queue poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
-        loop {
-            if !state.is_empty() {
-                break;
-            }
-            if state.shutdown {
-                return None;
-            }
-            state = self.ready.wait(state).expect("queue poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
-        }
-        let own = slot_index.min(state.slots.len() - 1);
-        // Drain the shard's own sub-deque; when it ran dry, steal the run
-        // at the front of the fullest sibling.
-        let source = if state.slots[own].is_empty() {
-            state
-                .slots
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, deque)| deque.len())
-                .map(|(i, _)| i)
-                .unwrap_or(own) // lightator: allow(no-unwrap) — slots is non-empty by construction
+    /// A shard finished its stream batch: it is free at `free_ns`, and the
+    /// batch carried `len` requests whose worst queue wait was
+    /// `max_wait_ns`. Feeds the shard's batcher and resumes the events the
+    /// batch held up.
+    pub(crate) fn report_stream(&self, shard: usize, free_ns: u64, max_wait_ns: u64, len: usize) {
+        let mut state = self.lock();
+        let chip = &mut state.chips[shard];
+        chip.streaming = None;
+        chip.free_ns = free_ns;
+        chip.batcher.observe(max_wait_ns, len);
+        self.publish(shard, &chip.batcher);
+        let until_ns = if state.waiters > 0 || state.shutdown {
+            FOREVER
         } else {
-            own
+            state.horizon_ns
         };
-        let stolen = source != own;
-        let mut batch = Vec::with_capacity(max_batch);
-        self.drain_slot(&mut state, source, &mut batch, max_batch);
-        if flush_deadline_ns > 0 {
-            let opened_ns = clock.now();
-            while batch.len() < max_batch && !state.shutdown {
-                if !state.is_empty() && !Self::can_extend(&state, &batch) {
-                    // No queued request continues our ticket run: flush.
-                    break;
-                }
-                if clock.now().saturating_sub(opened_ns) >= flush_deadline_ns {
-                    break;
-                }
-                let (next, timeout) = self
-                    .ready
-                    .wait_timeout(state, STRAGGLER_BACKSTOP)
-                    .expect("queue poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
-                state = next;
-                let was_empty = state.is_empty();
-                Self::extend_contiguous(&mut state, &mut batch, max_batch);
-                if timeout.timed_out() && was_empty {
-                    // Idle backstop: nothing arrived in real time either.
-                    break;
-                }
-            }
-        }
-        Some(DrainedBatch {
-            requests: batch,
-            stolen,
-        })
+        self.advance(&mut state, until_ns);
+        drop(state);
+        self.reported.notify_all();
     }
 
-    /// Drains one contiguous run from `slots[source]` into `batch`.
-    ///
-    /// When the sub-deque's head request is batch-lane, the head holds a
-    /// mix, and interactive credit remains, the batch *starts* at the first
-    /// interactive request instead (spending one credit); with credit
-    /// exhausted the head drains and the credit refills. Either way the
-    /// batch extends only with ticket-contiguous successors, so the
-    /// determinism contract is untouched.
-    fn drain_slot(
-        &self,
-        state: &mut QueueState,
-        source: usize,
-        batch: &mut Vec<QueuedRequest>,
-        max_batch: usize,
-    ) {
-        let start = {
-            let deque = &state.slots[source];
-            let head_is_batch_lane = deque.front().is_some_and(|r| r.priority == Priority::Batch);
-            if head_is_batch_lane && state.jump_credit > 0 {
-                deque
-                    .iter()
-                    .position(|r| r.priority == Priority::Interactive)
-            } else {
-                None
-            }
-        };
-        match start {
-            Some(index) => {
-                state.jump_credit -= 1;
-                let deque = &mut state.slots[source];
-                // Start the batch at the first interactive request; the
-                // overtaken batch-lane requests stay queued in order.
-                let first = deque.remove(index).expect("position() found it"); // lightator: allow(no-unwrap) — index comes from position()
-                state.queued -= 1;
-                batch.push(first);
-                // After the removal the contiguous successors sit at the
-                // same index; extend while tickets continue the run.
-                while batch.len() < max_batch {
-                    let deque = &mut state.slots[source];
-                    let continues = deque.get(index).is_some_and(|next| {
-                        let last = &batch[batch.len() - 1];
-                        next.ticket == last.ticket + last.weight
-                    });
-                    if !continues {
-                        break;
+    /// Stops admitting, hands every waiting request to a shard and releases
+    /// the job channels, so each worker exits once it ran its last job.
+    pub(crate) fn shutdown(&self) {
+        let mut state = self.lock();
+        state.shutdown = true;
+        while self.advance(&mut state, FOREVER) {
+            state = self
+                .reported
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        for chip in &mut state.chips {
+            chip.jobs = None;
+        }
+    }
+
+    /// Runs every event at or before `until_ns`: opens, holds and closes
+    /// batches until the next event lies later or waits on a stream report.
+    /// Returns whether it stopped for a stream report.
+    fn advance(&self, state: &mut State, until_ns: u64) -> bool {
+        loop {
+            let mut batch = match state.open.take() {
+                Some(batch) => batch,
+                None => {
+                    let Some(first_ns) = state.waiting.front().map(|r| r.arrival_ns) else {
+                        return false;
+                    };
+                    let Some(shard) = state.earliest_free() else {
+                        return true;
+                    };
+                    let open_ns = state.chips[shard].free_ns.max(first_ns);
+                    if open_ns > until_ns {
+                        return false;
                     }
-                    let next = deque.remove(index).expect("get() found it"); // lightator: allow(no-unwrap) — the guard checked the index
-                    state.queued -= 1;
-                    batch.push(next);
+                    let at = self.start_index(state, open_ns);
+                    let Some(first) = state.waiting.remove(at) else {
+                        return false;
+                    };
+                    OpenBatch {
+                        shard,
+                        open_ns,
+                        at,
+                        requests: vec![first],
+                    }
                 }
+            };
+            let batcher = &state.chips[batch.shard].batcher;
+            let limit = batcher.limit();
+            let deadline_ns = batch.open_ns.saturating_add(batcher.deadline_ns());
+            let join_by_ns = deadline_ns.min(until_ns);
+            while batch.requests.len() < limit {
+                let last = &batch.requests[batch.requests.len() - 1];
+                let joins = state.waiting.get(batch.at).is_some_and(|next| {
+                    next.arrival_ns <= join_by_ns && next.ticket == last.ticket + last.weight
+                });
+                let Some(next) = joins.then(|| state.waiting.remove(batch.at)).flatten() else {
+                    break;
+                };
+                batch.requests.push(next);
+            }
+            let close_ns = if batch.requests.len() >= limit {
+                let newest_ns = batch.requests[batch.requests.len() - 1].arrival_ns;
+                newest_ns.max(batch.open_ns)
+            } else if deadline_ns <= until_ns {
+                deadline_ns
+            } else {
+                state.open = Some(batch);
+                return false;
+            };
+            self.close(state, batch, close_ns);
+        }
+    }
+
+    /// Where the next batch starts: the queue head, or — while interactive
+    /// credit remains and the head is batch-lane — the first interactive
+    /// request that arrived by `open_ns`, spending one credit. A batch that
+    /// starts at a batch-lane head refills the credit.
+    fn start_index(&self, state: &mut State, open_ns: u64) -> usize {
+        if state
+            .waiting
+            .front()
+            .is_none_or(|head| head.priority != Priority::Batch)
+        {
+            return 0;
+        }
+        let mut arrived = state.waiting.iter().take_while(|r| r.arrival_ns <= open_ns);
+        let jump = (state.jump_credit > 0)
+            .then(|| arrived.position(|r| r.priority == Priority::Interactive))
+            .flatten();
+        match jump {
+            Some(at) => {
+                state.jump_credit -= 1;
+                at
             }
             None => {
-                if state.slots[source]
-                    .front()
-                    .is_some_and(|r| r.priority == Priority::Batch)
-                {
-                    // A forced head drain repays the overtaken lane; let
-                    // the next mixed drain jump again.
-                    state.jump_credit = self.interactive_weight;
-                }
-                Self::drain_front(state, source, batch, max_batch);
+                state.jump_credit = self.interactive_weight;
+                0
             }
         }
     }
 
-    /// Pops `slots[source]`-front requests into `batch` while their tickets
-    /// stay contiguous and the batch has room.
-    fn drain_front(
-        state: &mut QueueState,
-        source: usize,
-        batch: &mut Vec<QueuedRequest>,
-        max_batch: usize,
-    ) {
-        while batch.len() < max_batch {
-            let deque = &state.slots[source];
-            let contiguous = match (batch.last(), deque.front()) {
-                (_, None) => false,
-                (None, Some(_)) => true,
-                (Some(last), Some(front)) => front.ticket == last.ticket + last.weight,
-            };
-            if !contiguous {
-                return;
+    /// Closes `batch` at `close_ns` and hands it to its shard. A frame
+    /// batch is costed here: it starts once its shard is free and its
+    /// newest request arrived, and occupies the chip for one full frame
+    /// plus one resident frame per follow-on frame. A stream batch is
+    /// costed by the shard that runs it.
+    fn close(&self, state: &mut State, batch: OpenBatch, close_ns: u64) {
+        state.horizon_ns = state.horizon_ns.max(close_ns);
+        let OpenBatch {
+            shard, requests, ..
+        } = batch;
+        let chip = &mut state.chips[shard];
+        let start_ns = if matches!(requests[0].payload, Payload::Stream(_)) {
+            chip.streaming = Some(chip.free_ns.max(requests[0].arrival_ns));
+            chip.free_ns
+        } else {
+            let len = requests.len();
+            let start_ns = chip.free_ns.max(requests[len - 1].arrival_ns);
+            let completion_ns = start_ns.saturating_add(self.costs.batch_latency_ns(len));
+            let metrics = &self.metrics.shards[self.first_shard + shard];
+            metrics.batches.fetch_add(1, Ordering::Relaxed);
+            metrics.frames.fetch_add(len as u64, Ordering::Relaxed);
+            metrics.batch_sizes[len - 1].fetch_add(1, Ordering::Relaxed);
+            let mut max_wait_ns = 0u64;
+            for request in &requests {
+                let wait_ns = start_ns.saturating_sub(request.arrival_ns);
+                max_wait_ns = max_wait_ns.max(wait_ns);
+                self.metrics.record_wait(request.priority, wait_ns);
             }
-            let front = state.slots[source]
-                .pop_front()
-                .expect("front checked above"); // lightator: allow(no-unwrap) — loop guard checked the front
-            state.queued -= 1;
-            batch.push(front);
-        }
-    }
-
-    /// Whether any sub-deque's front continues the batch's ticket run.
-    fn can_extend(state: &QueueState, batch: &[QueuedRequest]) -> bool {
-        let Some(last) = batch.last() else {
-            return !state.is_empty();
+            self.metrics
+                .first_start_ns
+                .fetch_min(start_ns, Ordering::Relaxed);
+            self.metrics
+                .last_completion_ns
+                .fetch_max(completion_ns, Ordering::Relaxed);
+            chip.free_ns = completion_ns;
+            chip.batcher.observe(max_wait_ns, len);
+            self.publish(shard, &chip.batcher);
+            start_ns
         };
-        let next_ticket = last.ticket + last.weight;
-        state
-            .slots
-            .iter()
-            .any(|deque| deque.front().is_some_and(|r| r.ticket == next_ticket))
+        let job = Job { requests, start_ns };
+        let sent = match &chip.jobs {
+            Some(jobs) => jobs.send(job).map_err(|err| err.0),
+            None => Err(job),
+        };
+        if let Err(job) = sent {
+            // The shard's worker is gone: fail the batch rather than strand
+            // its clients.
+            chip.streaming = None;
+            self.metrics
+                .errored
+                .fetch_add(job.requests.len() as u64, Ordering::Relaxed);
+            for request in job.requests {
+                request.slot.fulfil(Err(ServeError::WorkerPanicked), 0);
+            }
+        }
     }
 
-    /// Extends `batch` with ticket-contiguous requests from whichever
-    /// sub-deque's front continues the run (the straggler-window drain:
-    /// the continuation may have been placed on a different sub-deque when
-    /// admission rolled the fill cursor).
-    fn extend_contiguous(state: &mut QueueState, batch: &mut Vec<QueuedRequest>, max_batch: usize) {
-        while batch.len() < max_batch {
-            let next_ticket = match batch.last() {
-                Some(last) => last.ticket + last.weight,
-                None => {
-                    // Empty batch: fall back to any non-empty sub-deque.
-                    let Some(source) = state.slots.iter().position(|d| !d.is_empty()) else {
-                        return;
-                    };
-                    Self::drain_front(state, source, batch, max_batch);
-                    continue;
-                }
-            };
-            let Some(source) = state
-                .slots
-                .iter()
-                .position(|deque| deque.front().is_some_and(|r| r.ticket == next_ticket))
-            else {
-                return;
-            };
-            let front = state.slots[source]
-                .pop_front()
-                .expect("position() checked the front"); // lightator: allow(no-unwrap) — the guard checked the front
-            state.queued -= 1;
-            batch.push(front);
-        }
+    /// Publishes a shard's batching gauges.
+    fn publish(&self, shard: usize, batcher: &Batcher) {
+        let metrics = &self.metrics.shards[self.first_shard + shard];
+        metrics
+            .batch_limit
+            .store(batcher.limit() as u64, Ordering::Relaxed);
+        metrics
+            .flush_deadline_ns
+            .store(batcher.deadline_ns(), Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightator_core::platform::{Platform, Workload};
     use lightator_sensor::frame::RgbFrame;
+    use std::sync::mpsc::{self, Receiver};
 
     fn frame() -> Payload {
         Payload::Frame(RgbFrame::filled(2, 2, [0.5, 0.5, 0.5]).expect("ok"))
@@ -410,69 +479,92 @@ mod tests {
         ])
     }
 
-    fn slot() -> Arc<ResponseSlot> {
-        Arc::new(ResponseSlot::new())
+    /// The acquire workload's cost model: no weight encode, so every frame
+    /// of a batch costs the same.
+    fn costs() -> ShardCosts {
+        let platform = Platform::builder()
+            .sensor_resolution(8, 8)
+            .build()
+            .expect("platform");
+        ShardCosts::of(&platform.session(Workload::Acquire).expect("session"))
     }
 
-    fn single(capacity: usize) -> SharedQueue {
-        SharedQueue::new(capacity, 1, 4, 4)
+    /// A scheduler over `shards` fixed-policy shards, with each shard's job
+    /// channel.
+    fn scheduler(
+        capacity: usize,
+        shards: usize,
+        max_batch: usize,
+        deadline_ns: u64,
+        interactive_weight: usize,
+    ) -> (Scheduler, Vec<Receiver<Job>>) {
+        let labels = (0..shards)
+            .map(|i| (format!("test/{i}"), "photonic".to_string()))
+            .collect();
+        let metrics = Arc::new(MetricsInner::new(labels, max_batch));
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
+        let shards = senders
+            .into_iter()
+            .map(|jobs| (Batcher::fixed(max_batch, deadline_ns), jobs))
+            .collect();
+        let clock = Arc::new(VirtualClock::new());
+        let scheduler = Scheduler::new(
+            capacity,
+            interactive_weight,
+            costs(),
+            metrics,
+            0,
+            clock,
+            shards,
+        );
+        (scheduler, receivers)
     }
 
-    fn tickets(batch: &DrainedBatch) -> Vec<u64> {
-        batch.requests.iter().map(|r| r.ticket).collect()
+    fn single(capacity: usize, max_batch: usize, deadline_ns: u64) -> (Scheduler, Receiver<Job>) {
+        let (scheduler, mut receivers) = scheduler(capacity, 1, max_batch, deadline_ns, 4);
+        (scheduler, receivers.remove(0))
+    }
+
+    /// Submits a fresh request and returns its ticket.
+    fn push(scheduler: &Scheduler, payload: Payload, priority: Priority, arrival_ns: u64) -> u64 {
+        let slot = Arc::new(ResponseSlot::new());
+        let (ticket, _) = scheduler
+            .submit(payload, priority, arrival_ns, slot)
+            .expect("admitted");
+        ticket
+    }
+
+    fn tickets(job: Job) -> Vec<u64> {
+        job.requests.iter().map(|r| r.ticket).collect()
+    }
+
+    /// The tickets of every job sent to `jobs` so far.
+    fn batches(jobs: &Receiver<Job>) -> Vec<Vec<u64>> {
+        jobs.try_iter().map(tickets).collect()
     }
 
     #[test]
     fn tickets_are_assigned_in_admission_order() {
-        let queue = single(4);
-        assert_eq!(
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            0
-        );
-        assert_eq!(
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            1
-        );
-        assert_eq!(
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            2
-        );
-        assert_eq!(queue.len(), 3);
+        let (scheduler, _jobs) = single(4, 1, 0);
+        assert_eq!(push(&scheduler, frame(), Priority::Interactive, 0), 0);
+        assert_eq!(push(&scheduler, frame(), Priority::Interactive, 0), 1);
+        assert_eq!(push(&scheduler, frame(), Priority::Interactive, 0), 2);
+        // The first request went straight into a batch; the chip is busy
+        // with it, so the other two still wait.
+        assert_eq!(scheduler.len(), 2);
     }
 
     #[test]
     fn stream_requests_advance_tickets_by_their_frame_count() {
-        let queue = single(8);
+        let (scheduler, jobs) = single(8, 8, 1_000);
+        assert_eq!(push(&scheduler, stream(3), Priority::Interactive, 0), 0);
+        assert_eq!(push(&scheduler, frame(), Priority::Interactive, 0), 3);
+        assert_eq!(push(&scheduler, stream(2), Priority::Interactive, 0), 4);
+        scheduler.shutdown();
+        // Weighted tickets still batch as one contiguous run.
+        let job = jobs.try_recv().expect("one batch");
         assert_eq!(
-            queue
-                .push(stream(3), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            0
-        );
-        assert_eq!(
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            3
-        );
-        assert_eq!(
-            queue
-                .push(stream(2), Priority::Interactive, 0, slot())
-                .expect("ok"),
-            4
-        );
-        let clock = VirtualClock::new();
-        // Weighted tickets still drain as one contiguous run.
-        let batch = queue.wait_batch(0, 8, 0, &clock).expect("work");
-        assert_eq!(
-            batch
-                .requests
+            job.requests
                 .iter()
                 .map(|r| (r.ticket, r.weight))
                 .collect::<Vec<_>>(),
@@ -482,207 +574,235 @@ mod tests {
 
     #[test]
     fn a_full_queue_rejects_instead_of_blocking() {
-        let queue = single(2);
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok");
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok");
+        let (scheduler, jobs) = single(2, 4, 0);
+        // The first request occupies the chip; two more fill the queue.
+        for _ in 0..3 {
+            push(&scheduler, frame(), Priority::Interactive, 0);
+        }
         assert_eq!(
-            queue.push(frame(), Priority::Interactive, 0, slot()),
+            scheduler.submit(
+                frame(),
+                Priority::Interactive,
+                0,
+                Arc::new(ResponseSlot::new())
+            ),
             Err(ServeError::Overloaded { queue_depth: 2 })
         );
         // Rejections do not consume tickets.
-        let clock = VirtualClock::new();
-        let batch = queue.wait_batch(0, 4, 0, &clock).expect("work");
-        assert_eq!(tickets(&batch), vec![0, 1]);
+        scheduler.shutdown();
+        assert_eq!(batches(&jobs), vec![vec![0], vec![1, 2]]);
     }
 
     #[test]
     fn wait_batch_drains_up_to_max_batch_in_fifo_order() {
-        let queue = single(8);
+        let (scheduler, jobs) = single(8, 3, 1_000);
         for _ in 0..5 {
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok");
+            push(&scheduler, frame(), Priority::Interactive, 0);
         }
-        let clock = VirtualClock::new();
-        let first = queue.wait_batch(0, 3, 0, &clock).expect("work");
-        assert_eq!(tickets(&first), vec![0, 1, 2]);
-        let second = queue.wait_batch(0, 3, 0, &clock).expect("work");
-        assert_eq!(tickets(&second), vec![3, 4]);
+        scheduler.shutdown();
+        assert_eq!(batches(&jobs), vec![vec![0, 1, 2], vec![3, 4]]);
     }
 
     #[test]
-    fn shutdown_rejects_new_work_and_wakes_waiters() {
-        let queue = Arc::new(single(4));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.wait_batch(0, 4, 0, &VirtualClock::new()))
-        };
-        queue.shutdown();
-        assert!(waiter.join().expect("no panic").is_none());
+    fn shutdown_rejects_new_work() {
+        let (scheduler, _jobs) = single(4, 4, 0);
+        scheduler.shutdown();
         assert_eq!(
-            queue.push(frame(), Priority::Interactive, 0, slot()),
+            scheduler.submit(
+                frame(),
+                Priority::Interactive,
+                0,
+                Arc::new(ResponseSlot::new())
+            ),
             Err(ServeError::ShuttingDown)
         );
     }
 
     #[test]
     fn shutdown_still_drains_queued_work() {
-        let queue = single(4);
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok");
-        queue.shutdown();
-        let clock = VirtualClock::new();
-        assert_eq!(
-            queue
-                .wait_batch(0, 4, 0, &clock)
-                .expect("drain")
-                .requests
-                .len(),
-            1
-        );
-        assert!(queue.wait_batch(0, 4, 0, &clock).is_none());
+        let (scheduler, jobs) = single(4, 4, 1_000);
+        push(&scheduler, frame(), Priority::Interactive, 0);
+        // The batch is held open for more arrivals.
+        assert!(jobs.try_recv().is_err());
+        scheduler.shutdown();
+        assert_eq!(tickets(jobs.recv().expect("drained")), vec![0]);
+        // Shutdown released the channel: the worker loop ends here.
+        assert!(jobs.recv().is_err());
     }
 
     #[test]
     fn straggler_wait_extends_a_partial_batch() {
-        let queue = Arc::new(single(8));
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok");
-        let worker = {
-            let queue = Arc::clone(&queue);
-            // A generous simulated deadline that never expires (the clock
-            // stays at zero): the batch closes on max_batch.
-            std::thread::spawn(move || queue.wait_batch(0, 2, u64::MAX, &VirtualClock::new()))
+        let (scheduler, jobs) = single(8, 2, 100);
+        push(&scheduler, frame(), Priority::Interactive, 0);
+        assert!(jobs.try_recv().is_err(), "held until full or deadline");
+        // A straggler within the deadline fills the batch, which closes at
+        // once; the chip starts it when its newest request arrived.
+        push(&scheduler, frame(), Priority::Interactive, 50);
+        let Job { requests, start_ns } = jobs.try_recv().expect("full batch closed");
+        assert_eq!(requests.len(), 2);
+        assert_eq!(requests[1].ticket, requests[0].ticket + 1);
+        assert_eq!(start_ns, 50);
+        // A lone request waits out its deadline: the next arrival past it
+        // closes the batch without joining.
+        push(&scheduler, frame(), Priority::Interactive, 10_000);
+        assert!(jobs.try_recv().is_err());
+        push(&scheduler, frame(), Priority::Interactive, 10_101);
+        assert_eq!(batches(&jobs), vec![vec![2]]);
+    }
+
+    #[test]
+    fn the_earliest_free_shard_takes_the_next_batch() {
+        let (scheduler, receivers) = scheduler(16, 2, 2, 100, 4);
+        // Shard 0 runs a two-frame batch, shard 1 a one-frame batch that
+        // closes at its deadline.
+        for _ in 0..3 {
+            push(&scheduler, frame(), Priority::Interactive, 0);
+        }
+        push(&scheduler, frame(), Priority::Interactive, 10_000);
+        scheduler.shutdown();
+        assert_eq!(batches(&receivers[0]), vec![vec![0, 1]]);
+        // Shard 1 frees first, so it takes the next batch although its
+        // index is higher.
+        assert_eq!(batches(&receivers[1]), vec![vec![2], vec![3]]);
+    }
+
+    #[test]
+    fn free_time_ties_go_to_the_lower_shard_index() {
+        let (scheduler, receivers) = scheduler(16, 2, 1, 0, 4);
+        for _ in 0..4 {
+            push(&scheduler, frame(), Priority::Interactive, 0);
+        }
+        scheduler.shutdown();
+        // Both shards free up at the same simulated time after their first
+        // batch: the lower index takes the next one.
+        assert_eq!(batches(&receivers[0]), vec![vec![0], vec![2]]);
+        assert_eq!(batches(&receivers[1]), vec![vec![1], vec![3]]);
+    }
+
+    #[test]
+    fn a_stream_in_flight_gates_admission_until_its_shard_reports() {
+        // One shard, one waiting place: stream 0 runs, stream 1 waits, and
+        // stream 2 (arriving at 20 ns) is admitted exactly when the running
+        // stream freed the chip by then — whichever thread gets there first.
+        for (free_ns, admitted) in [(15u64, true), (25, false)] {
+            let (scheduler, jobs) = single(1, 1, 0);
+            let scheduler = Arc::new(scheduler);
+            push(&scheduler, stream(2), Priority::Interactive, 0);
+            push(&scheduler, stream(2), Priority::Interactive, 10);
+            let late = {
+                let scheduler = Arc::clone(&scheduler);
+                std::thread::spawn(move || {
+                    scheduler.submit(
+                        stream(2),
+                        Priority::Interactive,
+                        20,
+                        Arc::new(ResponseSlot::new()),
+                    )
+                })
+            };
+            assert_eq!(tickets(jobs.recv().expect("stream batch")), vec![0]);
+            scheduler.report_stream(0, free_ns, 0, 1);
+            let outcome = late.join().expect("no panic");
+            assert_eq!(outcome.is_ok(), admitted, "chip free at {free_ns} ns");
+            if !admitted {
+                assert_eq!(outcome, Err(ServeError::Overloaded { queue_depth: 1 }));
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiting_client_closes_a_held_batch() {
+        let (scheduler, jobs) = single(4, 4, 1_000);
+        let scheduler = Arc::new(scheduler);
+        let slot = Arc::new(ResponseSlot::new());
+        scheduler
+            .submit(frame(), Priority::Interactive, 0, Arc::clone(&slot))
+            .expect("admitted");
+        assert!(jobs.try_recv().is_err(), "held for more arrivals");
+        let client = {
+            let scheduler = Arc::clone(&scheduler);
+            std::thread::spawn(move || scheduler.wait(&slot))
         };
-        // Feed the straggler from this thread; the worker either drains
-        // both up front or picks it up in its wait_timeout loop.
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok");
-        let batch = worker.join().expect("no panic").expect("work");
-        assert_eq!(batch.requests.len(), 2);
-        assert_eq!(batch.requests[1].ticket, batch.requests[0].ticket + 1);
-    }
-
-    #[test]
-    fn runs_of_consecutive_tickets_land_on_alternating_sub_deques() {
-        // Two sub-deques, run length 2: tickets {0,1} on deque 0, {2,3} on
-        // deque 1, {4} back on deque 0 — each shard's drain is contiguous
-        // by construction.
-        let queue = SharedQueue::new(16, 2, 2, 4);
-        for _ in 0..5 {
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok");
-        }
-        let clock = VirtualClock::new();
-        let shard0 = queue.wait_batch(0, 2, 0, &clock).expect("work");
-        assert_eq!(tickets(&shard0), vec![0, 1]);
-        assert!(!shard0.stolen);
-        let shard1 = queue.wait_batch(1, 2, 0, &clock).expect("work");
-        assert_eq!(tickets(&shard1), vec![2, 3]);
-        assert!(!shard1.stolen);
-        let shard0_again = queue.wait_batch(0, 2, 0, &clock).expect("work");
-        assert_eq!(tickets(&shard0_again), vec![4]);
-    }
-
-    #[test]
-    fn an_idle_shard_steals_a_contiguous_run_from_its_sibling() {
-        let queue = SharedQueue::new(16, 2, 2, 4);
-        for _ in 0..2 {
-            queue
-                .push(frame(), Priority::Interactive, 0, slot())
-                .expect("ok");
-        }
-        // All work landed on sub-deque 0; shard 1's own deque is empty, so
-        // it steals the contiguous run {0, 1}.
-        let clock = VirtualClock::new();
-        let stolen = queue.wait_batch(1, 2, 0, &clock).expect("work");
-        assert_eq!(tickets(&stolen), vec![0, 1]);
-        assert!(stolen.stolen);
-        assert_eq!(queue.len(), 0);
+        // The waiting client will submit nothing more: the batch closes.
+        let job = jobs.recv().expect("closed by the wait");
+        assert_eq!(job.requests.len(), 1);
+        job.requests[0]
+            .slot
+            .fulfil(Err(ServeError::ShuttingDown), 77);
+        assert_eq!(
+            client.join().expect("no panic"),
+            Err(ServeError::ShuttingDown)
+        );
+        assert_eq!(scheduler.clock.now(), 77, "the client saw the completion");
+        // The group decided up to the close time, so a later submission
+        // arrives no earlier.
+        let (_, arrival_ns) = scheduler
+            .submit(
+                frame(),
+                Priority::Interactive,
+                10,
+                Arc::new(ResponseSlot::new()),
+            )
+            .expect("admitted");
+        assert_eq!(arrival_ns, 1_000);
     }
 
     #[test]
     fn interactive_requests_overtake_batch_lane_heads() {
-        let queue = single(16);
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // ticket 0
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // ticket 1
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // ticket 2
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // ticket 3
-        let clock = VirtualClock::new();
+        let (scheduler, jobs) = single(16, 4, 0);
+        push(&scheduler, frame(), Priority::Interactive, 0); // 0 occupies the chip
+        push(&scheduler, frame(), Priority::Batch, 0); // 1
+        push(&scheduler, frame(), Priority::Batch, 0); // 2
+        push(&scheduler, frame(), Priority::Interactive, 0); // 3
+        push(&scheduler, frame(), Priority::Interactive, 0); // 4
+        scheduler.shutdown();
         // Batch formation starts at the first interactive request (ticket
-        // 2) and extends contiguously — never with the skipped heads.
-        let first = queue.wait_batch(0, 4, 0, &clock).expect("work");
-        assert_eq!(tickets(&first), vec![2, 3]);
-        // The overtaken batch-lane requests drain next, still in order.
-        let second = queue.wait_batch(0, 4, 0, &clock).expect("work");
-        assert_eq!(tickets(&second), vec![0, 1]);
+        // 3) and extends contiguously — never with the skipped heads. The
+        // overtaken batch-lane requests go next, still in order.
+        assert_eq!(batches(&jobs), vec![vec![0], vec![3, 4], vec![1, 2]]);
     }
 
     #[test]
     fn interactive_credit_bounds_batch_lane_starvation() {
-        // Credit 1: after one priority-first drain the next drain must take
-        // the batch-lane head even though interactive work is queued.
-        let queue = SharedQueue::new(64, 1, 64, 1);
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // 0
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // 1
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // 2
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // 3
-        let clock = VirtualClock::new();
-        let first = queue.wait_batch(0, 1, 0, &clock).expect("work");
-        assert_eq!(tickets(&first), vec![1], "first drain jumps the head");
-        let second = queue.wait_batch(0, 1, 0, &clock).expect("work");
+        // Credit 1: after one interactive-first batch the next batch must
+        // take the batch-lane head even though interactive work waits.
+        let (scheduler, mut receivers) = scheduler(64, 1, 1, 0, 1);
+        let jobs = receivers.remove(0);
+        push(&scheduler, frame(), Priority::Interactive, 0); // 0 occupies the chip
+        push(&scheduler, frame(), Priority::Batch, 0); // 1
+        push(&scheduler, frame(), Priority::Interactive, 0); // 2
+        push(&scheduler, frame(), Priority::Batch, 0); // 3
+        push(&scheduler, frame(), Priority::Interactive, 0); // 4
+        scheduler.shutdown();
         assert_eq!(
-            tickets(&second),
-            vec![0],
-            "credit spent: the head drains before more interactive work"
+            batches(&jobs),
+            vec![vec![0], vec![2], vec![1], vec![4], vec![3]],
+            "jump, forced head (refills the credit), jump, head"
         );
-        let third = queue.wait_batch(0, 1, 0, &clock).expect("work");
-        assert_eq!(
-            tickets(&third),
-            vec![3],
-            "the head drain refilled the credit"
-        );
-        let fourth = queue.wait_batch(0, 1, 0, &clock).expect("work");
-        assert_eq!(tickets(&fourth), vec![2]);
     }
 
     #[test]
     fn priority_jumps_never_break_ticket_contiguity() {
-        let queue = single(16);
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // 0
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // 1
-        queue.push(frame(), Priority::Batch, 0, slot()).expect("ok"); // 2
-        queue
-            .push(frame(), Priority::Interactive, 0, slot())
-            .expect("ok"); // 3
-        let clock = VirtualClock::new();
-        // The jump starts at ticket 1 and takes the contiguous {1, 2, 3}
-        // run; ticket 0 is left queued, so every drained batch satisfies
-        // `front.ticket == last.ticket + last.weight`.
-        let batch = queue.wait_batch(0, 4, 0, &clock).expect("work");
-        assert_eq!(tickets(&batch), vec![1, 2, 3]);
-        for pair in batch.requests.windows(2) {
-            assert_eq!(pair[1].ticket, pair[0].ticket + pair[0].weight);
+        let (scheduler, jobs) = single(16, 4, 0);
+        push(&scheduler, frame(), Priority::Interactive, 0); // 0 occupies the chip
+        push(&scheduler, frame(), Priority::Batch, 0); // 1
+        push(&scheduler, frame(), Priority::Interactive, 0); // 2
+        push(&scheduler, frame(), Priority::Batch, 0); // 3
+        push(&scheduler, frame(), Priority::Interactive, 0); // 4
+        scheduler.shutdown();
+        // The jump starts at ticket 2 and takes the contiguous {2, 3, 4}
+        // run; ticket 1 is left waiting, so every batch satisfies
+        // `next.ticket == last.ticket + last.weight`.
+        let all: Vec<_> = jobs.try_iter().map(|job| job.requests).collect();
+        let tickets: Vec<Vec<u64>> = all
+            .iter()
+            .map(|batch| batch.iter().map(|r| r.ticket).collect())
+            .collect();
+        assert_eq!(tickets, vec![vec![0], vec![2, 3, 4], vec![1]]);
+        for batch in &all {
+            for pair in batch.windows(2) {
+                assert_eq!(pair[1].ticket, pair[0].ticket + pair[0].weight);
+            }
         }
-        let rest = queue.wait_batch(0, 4, 0, &clock).expect("work");
-        assert_eq!(tickets(&rest), vec![0]);
     }
 }

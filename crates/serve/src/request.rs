@@ -1,20 +1,21 @@
 //! Typed requests, their routing keys and the client-side response handle.
 
 use crate::error::{Result, ServeError};
+use crate::queue::Scheduler;
 use lightator_core::platform::{ImageKernel, Report, Workload};
 use lightator_core::stream::StreamReport;
 use lightator_sensor::frame::RgbFrame;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Scheduling lane of a submitted request.
 ///
-/// The micro-batcher drains both lanes from one ticketed FIFO, but when a
-/// queue holds a mix, batch formation may *start* at the first
+/// The scheduler batches both lanes from one ticketed FIFO, but when a
+/// queue holds a mix, batch formation may *start* at the first arrived
 /// [`Priority::Interactive`] request instead of the queue head, so
 /// interactive tail latency holds while [`Priority::Batch`] traffic soaks
 /// the leftover capacity. An interactive-credit scheme (see
 /// [`ServeConfig::interactive_weight`](crate::ServeConfig::interactive_weight))
-/// bounds how many consecutive drains may overtake the head, so batch-lane
+/// bounds how many consecutive batches may overtake the head, so batch-lane
 /// requests cannot starve. Lane choice never changes a request's ticket or
 /// its report bits — only the order batches form in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,11 +201,14 @@ impl Response {
     }
 }
 
+/// A served request's outcome and its simulated completion time (ns).
+type Outcome = (Result<Response>, u64);
+
 /// One-shot rendezvous between the client that submitted a request and the
 /// shard that serves it.
 #[derive(Debug, Default)]
 pub(crate) struct ResponseSlot {
-    outcome: Mutex<Option<Result<Response>>>,
+    outcome: Mutex<Option<Outcome>>,
     done: Condvar,
 }
 
@@ -213,21 +217,22 @@ impl ResponseSlot {
         Self::default()
     }
 
-    /// Publishes the outcome and wakes the waiting client.
-    pub(crate) fn fulfil(&self, outcome: Result<Response>) {
-        let mut slot = self.outcome.lock().expect("response slot poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
-        *slot = Some(outcome);
+    /// Publishes the outcome, completed at `completion_ns`, and wakes the
+    /// waiting client.
+    pub(crate) fn fulfil(&self, outcome: Result<Response>, completion_ns: u64) {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        *slot = Some((outcome, completion_ns));
         self.done.notify_all();
     }
 
     /// Blocks until the outcome is published, then takes it.
-    pub(crate) fn take(&self) -> Result<Response> {
-        let mut slot = self.outcome.lock().expect("response slot poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
+    pub(crate) fn take(&self) -> Outcome {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(outcome) = slot.take() {
                 return outcome;
             }
-            slot = self.done.wait(slot).expect("response slot poisoned"); // lightator: allow(no-unwrap) — poisoned lock means a shard panicked
+            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -239,26 +244,33 @@ impl ResponseSlot {
 /// [`Pending::wait`] always terminates once the request was admitted.
 #[derive(Debug)]
 pub struct Pending {
-    slot: std::sync::Arc<ResponseSlot>,
+    slot: Arc<ResponseSlot>,
+    /// The scheduler of the group serving the request.
+    scheduler: Arc<Scheduler>,
 }
 
 impl Pending {
-    pub(crate) fn new(slot: std::sync::Arc<ResponseSlot>) -> Self {
-        Self { slot }
+    pub(crate) fn new(slot: Arc<ResponseSlot>, scheduler: Arc<Scheduler>) -> Self {
+        Self { slot, scheduler }
     }
 
     /// Blocks until the shard group serves the request, returning its
     /// [`Response`] — frame or stream.
     ///
+    /// A waiting client submits nothing further, so the group closes every
+    /// batch it holds open instead of waiting for more arrivals. When the
+    /// call returns, [`Server::sim_now`](crate::Server::sim_now) has moved
+    /// to the request's simulated completion.
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::Core`] if the platform rejected the work.
     pub fn wait_response(self) -> Result<Response> {
-        self.slot.take()
+        self.scheduler.wait(&self.slot)
     }
 
     /// Blocks until a single-frame request is served, returning its
-    /// [`Report`].
+    /// [`Report`] (see [`Pending::wait_response`]).
     ///
     /// # Errors
     ///
@@ -361,15 +373,15 @@ mod tests {
 
     #[test]
     fn response_slot_hands_the_outcome_to_the_waiter() {
-        let slot = std::sync::Arc::new(ResponseSlot::new());
+        let slot = Arc::new(ResponseSlot::new());
         let waiter = {
-            let slot = std::sync::Arc::clone(&slot);
+            let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.take())
         };
-        slot.fulfil(Err(ServeError::ShuttingDown));
+        slot.fulfil(Err(ServeError::ShuttingDown), 42);
         assert_eq!(
             waiter.join().expect("no panic"),
-            Err(ServeError::ShuttingDown)
+            (Err(ServeError::ShuttingDown), 42)
         );
     }
 }

@@ -3,14 +3,14 @@
 use crate::config::{ServeConfig, SloConfig};
 use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsInner, MetricsSnapshot, VirtualClock};
-use crate::queue::SharedQueue;
+use crate::queue::Scheduler;
 use crate::request::{Pending, Priority, Request, RequestKind, ResponseSlot};
-use crate::shard::{self, Batcher, ShardContext};
+use crate::shard::{self, Batcher, ShardContext, ShardCosts};
 use lightator_core::backend::BackendId;
 use lightator_core::platform::{Platform, Workload};
 use lightator_photonics::units::Time;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// Fluent builder for a [`Server`], mirroring the `PlatformBuilder` idiom:
@@ -80,7 +80,8 @@ impl ServerBuilder {
     }
 
     /// Sets how long (in simulated time) a shard holds a partial batch
-    /// open for stragglers.
+    /// open for stragglers: the batch closes once full or once this long
+    /// after it opened.
     #[must_use]
     pub fn flush_deadline(mut self, deadline: Time) -> Self {
         self.config.flush_deadline = deadline;
@@ -96,7 +97,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the interactive-lane credit: how many consecutive drains may
+    /// Sets the interactive-lane credit: how many consecutive batches may
     /// start at an interactive request past a batch-lane queue head (see
     /// [`ServeConfig::interactive_weight`]).
     #[must_use]
@@ -113,7 +114,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Registers a workload: one shard group (queue + workers) will serve
+    /// Registers a workload: one shard group (scheduler + workers) will serve
     /// requests routed to it. The group runs on the backend assigned in
     /// [`ServeConfig::backends`] for the workload's label, or the photonic
     /// default when no assignment exists.
@@ -210,26 +211,13 @@ impl ServerBuilder {
     /// first).
     pub fn build(self) -> Result<Server> {
         self.validate()?;
-        let clock = Arc::new(VirtualClock::new());
 
         // Open every session first so build is all-or-nothing: no threads
         // are spawned if any workload is rejected by the platform (or names
         // an unknown / non-executing backend).
-        let mut groups = Vec::new();
+        let mut opened = Vec::new();
         let mut shard_labels = Vec::new();
-        let mut shard_plans: Vec<(
-            lightator_core::platform::Session,
-            Arc<SharedQueue>,
-            String,
-            usize,
-        )> = Vec::new();
-        // Each shard owns a sub-deque of its group's queue; admission routes
-        // runs of `effective_max_batch` consecutive tickets onto one
-        // sub-deque so drains stay ticket-contiguous, and an idle shard
-        // steals the front run of its fullest sibling.
-        let run_length = self.config.effective_max_batch();
         for (workload, pinned) in &self.workloads {
-            let kind = RequestKind::of_workload(workload);
             let label = workload.label();
             let backend = self.resolved_backend(&label, pinned.as_ref());
             // Non-photonic groups carry the backend in their display label
@@ -239,26 +227,20 @@ impl ServerBuilder {
             } else {
                 format!("{label}@{backend}")
             };
-            let queue = Arc::new(SharedQueue::new(
-                self.config.queue_depth,
-                self.config.shards,
-                run_length,
-                self.config.interactive_weight,
-            ));
-            for index in 0..self.config.shards {
-                // Every shard runs what a sequential client runs: the same
-                // session, at the tickets' frame indices.
-                let session = self.platform.session_on(workload.clone(), &backend)?;
-                let shard_label = format!("{group_label}/{index}");
-                shard_labels.push((shard_label.clone(), backend.to_string()));
-                shard_plans.push((session, Arc::clone(&queue), shard_label, index));
+            // Every shard runs what a sequential client runs: the same
+            // session, at the tickets' frame indices.
+            let sessions = (0..self.config.shards)
+                .map(|_| self.platform.session_on(workload.clone(), &backend))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            for index in 0..sessions.len() {
+                shard_labels.push((format!("{group_label}/{index}"), backend.to_string()));
             }
-            groups.push(Group {
-                kind,
+            opened.push((
+                RequestKind::of_workload(workload),
                 backend,
-                label: group_label,
-                queue,
-            });
+                group_label,
+                sessions,
+            ));
         }
 
         let metrics = Arc::new(MetricsInner::new(
@@ -270,41 +252,74 @@ impl ServerBuilder {
         // here — never the silent saturation it used to be for NaN or
         // oversized inputs.
         let flush_deadline_ns = self.config.flush_deadline.ns().ceil() as u64;
-        let mut handles = Vec::with_capacity(shard_plans.len());
-        for (shard_index, (session, queue, shard_label, slot_index)) in
-            shard_plans.into_iter().enumerate()
-        {
-            let batcher = match &self.config.slo {
-                Some(slo) => Batcher::adaptive(slo),
-                None => Batcher::fixed(self.config.max_batch, flush_deadline_ns),
-            };
-            let ctx = ShardContext {
-                session,
-                queue,
-                clock: Arc::clone(&clock),
-                metrics: Arc::clone(&metrics),
-                shard_index,
-                slot_index,
-                batcher,
-                tracer: self.recorder.clone(),
-            };
-            let spawned = std::thread::Builder::new()
-                .name(format!("lightator-serve:{shard_label}"))
-                .spawn(move || shard::run(ctx));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(err) => {
-                    // Unwind the partial pool: stop and join the workers
-                    // spawned so far before reporting the failure.
-                    for group in &groups {
-                        group.queue.shutdown();
+        let clock = Arc::new(VirtualClock::new());
+        let mut groups: Vec<Group> = Vec::new();
+        let mut handles = Vec::new();
+        for (kind, backend, label, sessions) in opened {
+            // Shards are numbered across groups in spawn order.
+            let first_shard = handles.len();
+            // A group's shards run the same session, so they share one cost
+            // model. It comes from the session's backend, so an electronic
+            // group runs (and meters) on the electronic cost model.
+            let costs = ShardCosts::of(&sessions[0]);
+            let (shards, receivers): (Vec<_>, Vec<_>) = sessions
+                .iter()
+                .map(|_| {
+                    let (jobs, receiver) = mpsc::channel();
+                    let batcher = match &self.config.slo {
+                        Some(slo) => Batcher::adaptive(slo),
+                        None => Batcher::fixed(self.config.max_batch, flush_deadline_ns),
+                    };
+                    ((batcher, jobs), receiver)
+                })
+                .unzip();
+            let scheduler = Arc::new(Scheduler::new(
+                self.config.queue_depth,
+                self.config.interactive_weight,
+                costs,
+                Arc::clone(&metrics),
+                first_shard,
+                Arc::clone(&clock),
+                shards,
+            ));
+            groups.push(Group {
+                kind,
+                backend,
+                label,
+                scheduler: Arc::clone(&scheduler),
+            });
+            for (group_index, (session, jobs)) in sessions.into_iter().zip(receivers).enumerate() {
+                let shard_index = first_shard + group_index;
+                let ctx = ShardContext {
+                    session,
+                    scheduler: Arc::clone(&scheduler),
+                    metrics: Arc::clone(&metrics),
+                    shard_index,
+                    group_index,
+                    costs,
+                    tracer: self.recorder.clone(),
+                };
+                let spawned = std::thread::Builder::new()
+                    .name(format!(
+                        "lightator-serve:{}",
+                        metrics.shards[shard_index].label
+                    ))
+                    .spawn(move || shard::run(ctx, jobs));
+                match spawned {
+                    Ok(handle) => handles.push(handle),
+                    Err(err) => {
+                        // Unwind the partial pool: stop and join the workers
+                        // spawned so far before reporting the failure.
+                        for group in &groups {
+                            group.scheduler.shutdown();
+                        }
+                        for handle in handles {
+                            let _ = handle.join();
+                        }
+                        return Err(ServeError::WorkerSpawn {
+                            reason: err.to_string(),
+                        });
                     }
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                    return Err(ServeError::WorkerSpawn {
-                        reason: err.to_string(),
-                    });
                 }
             }
         }
@@ -320,13 +335,13 @@ impl ServerBuilder {
 }
 
 /// One workload group: the `(request kind, backend)` routing key and the
-/// queue its shards drain.
+/// scheduler that feeds its shards.
 #[derive(Debug)]
 struct Group {
     kind: RequestKind,
     backend: BackendId,
     label: String,
-    queue: Arc<SharedQueue>,
+    scheduler: Arc<Scheduler>,
 }
 
 /// A running pool of shard workers serving typed requests over one
@@ -334,7 +349,8 @@ struct Group {
 ///
 /// Built through [`Server::builder`]. Submissions are admitted into the
 /// matching workload group's bounded queue (or rejected with
-/// [`ServeError::Overloaded`]); shards drain the queues into micro-batches.
+/// [`ServeError::Overloaded`]); each group's scheduler forms micro-batches
+/// on the simulated clock and hands each to its earliest-free shard.
 /// Dropping the server (or calling [`Server::shutdown`]) drains all
 /// in-flight work before the workers exit.
 #[derive(Debug)]
@@ -366,9 +382,10 @@ impl Server {
         self.groups.iter().map(|g| g.label.clone()).collect()
     }
 
-    /// Submits a request, returning a [`Pending`] handle once admitted.
+    /// Submits a request arriving now ([`Server::sim_now`]), returning a
+    /// [`Pending`] handle once admitted.
     ///
-    /// Never blocks: a full queue rejects with
+    /// Never queues in simulated time: a full queue rejects with
     /// [`ServeError::Overloaded`] (counted in the metrics), an
     /// unregistered workload with [`ServeError::UnknownWorkload`], and a
     /// malformed video stream (empty, or longer than the configured
@@ -394,7 +411,7 @@ impl Server {
     pub fn submit_with_priority(&self, request: Request, priority: Priority) -> Result<Pending> {
         self.validate_request(&request)?;
         let group = self.route(&request)?;
-        self.try_admit(group, request, priority, self.clock.now(), true)
+        self.admit(group, request, priority, self.clock.now())
     }
 
     /// Submits a request that *arrives* at simulated time `arrival_ns` —
@@ -402,17 +419,19 @@ impl Server {
     /// ([`crate::load`]), where arrivals follow a generated schedule
     /// instead of the server's own completions.
     ///
-    /// The simulated clock only advances on admission (offered traffic
-    /// that is dropped never existed on the timeline). When the queue is
-    /// full but the simulated clock still lags `arrival_ns`, the call
-    /// waits in *wall-clock* time for the shards to catch up — in
-    /// simulated time the request arrives exactly once, at `arrival_ns`,
-    /// and is admitted or dropped there; it is never counted twice.
+    /// The group first runs every scheduling event up to `arrival_ns` —
+    /// batch opens and closes, in simulated time — and then admits the
+    /// request, or drops it if `queue_depth` requests still wait there.
+    /// Arrivals before one the group already took are stamped at that
+    /// later arrival, so each group sees its arrivals in order. The request
+    /// arrives exactly once and is counted once; admission advances the
+    /// simulated clock to its arrival (offered traffic that is dropped
+    /// never existed on the timeline).
     ///
     /// # Errors
     ///
     /// Same as [`Server::submit`]; [`ServeError::Overloaded`] means the
-    /// queue was full when the simulated clock reached `arrival_ns`.
+    /// queue was full at `arrival_ns` in simulated time.
     pub fn submit_at(
         &self,
         request: Request,
@@ -421,23 +440,12 @@ impl Server {
     ) -> Result<Pending> {
         self.validate_request(&request)?;
         let group = self.route(&request)?;
-        loop {
-            // Only account a rejection once the simulated clock reached the
-            // arrival: a full queue *before* then is a wall-clock artefact
-            // (the simulation lags the generated schedule), not a drop.
-            let arrived = self.clock.now() >= arrival_ns;
-            match self.try_admit(group, request.clone(), priority, arrival_ns, arrived) {
-                Err(ServeError::Overloaded { .. }) if !arrived => std::thread::yield_now(),
-                Ok(pending) => {
-                    self.clock.advance_to(arrival_ns);
-                    return Ok(pending);
-                }
-                other => return other,
-            }
-        }
+        self.admit(group, request, priority, arrival_ns)
     }
 
-    /// The current simulated time of the serving timeline.
+    /// The current simulated time of the serving timeline: the latest
+    /// admitted arrival, or the latest completion a waiting client
+    /// observed, whichever is later.
     #[must_use]
     pub fn sim_now(&self) -> Time {
         Time::from_ns(self.clock.now() as f64)
@@ -474,13 +482,7 @@ impl Server {
             .ok_or_else(|| ServeError::UnknownWorkload {
                 label: format!("{}@{}", request.label(), backend),
             })?;
-        self.try_admit(
-            group,
-            request,
-            Priority::Interactive,
-            self.clock.now(),
-            true,
-        )
+        self.admit(group, request, Priority::Interactive, self.clock.now())
     }
 
     fn validate_request(&self, request: &Request) -> Result<()> {
@@ -504,27 +506,23 @@ impl Server {
         Ok(())
     }
 
-    /// Pushes `request` into `group`'s queue with the given lane and
-    /// simulated arrival stamp. `count_reject` gates the rejection
-    /// accounting: [`Server::submit_at`] retries uncounted attempts while
-    /// the simulated clock still lags the arrival, so every *returned*
-    /// [`ServeError::Overloaded`] is counted exactly once.
-    fn try_admit(
+    /// Offers `request` to `group`'s scheduler on the given lane, arriving
+    /// at `arrival_ns`, and accounts the admission or rejection.
+    fn admit(
         &self,
         group: &Group,
         request: Request,
         priority: Priority,
         arrival_ns: u64,
-        count_reject: bool,
     ) -> Result<Pending> {
         let slot = Arc::new(ResponseSlot::new());
-        match group.queue.push(
+        match group.scheduler.submit(
             request.into_payload(),
             priority,
             arrival_ns,
             Arc::clone(&slot),
         ) {
-            Ok(ticket) => {
+            Ok((ticket, arrival_ns)) => {
                 self.metrics.count_admitted(priority);
                 if let Some(recorder) = &self.recorder {
                     recorder.record(
@@ -534,10 +532,10 @@ impl Server {
                             .with_arg("ticket", ticket),
                     );
                 }
-                Ok(Pending::new(slot))
+                Ok(Pending::new(slot, Arc::clone(&group.scheduler)))
             }
             Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) && count_reject {
+                if matches!(err, ServeError::Overloaded { .. }) {
                     self.metrics.count_rejected(priority);
                     if let Some(recorder) = &self.recorder {
                         recorder.record(
@@ -611,10 +609,11 @@ impl Server {
         snapshot
     }
 
-    /// Requests currently queued across all workload groups.
+    /// Requests currently queued (admitted, not yet in a batch) across all
+    /// workload groups.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.groups.iter().map(|g| g.queue.len()).sum()
+        self.groups.iter().map(|g| g.scheduler.len()).sum()
     }
 
     /// Gracefully shuts down: stops admitting, drains every queue, joins
@@ -642,7 +641,7 @@ impl Server {
 
     fn stop_workers(&mut self) {
         for group in &self.groups {
-            group.queue.shutdown();
+            group.scheduler.shutdown();
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -1370,7 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_and_stealing_serve_the_same_reports_with_shard_gauges_published() {
+    fn slo_and_shard_assignment_serve_the_same_reports_with_shard_gauges_published() {
         use crate::config::SloConfig;
         let server = Server::builder(small_platform())
             .shards(2)

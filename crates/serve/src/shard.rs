@@ -1,13 +1,14 @@
 //! The shard worker: one thread, one virtual Lightator chip.
 //!
 //! Each shard runs exactly what a sequential client runs. It owns a session
-//! opened through `Platform::session_on` and loops on its group's queue:
-//! drain a contiguous-ticket micro-batch, seek the session to the batch's
-//! first ticket, execute it (frame batches one `Session::run` per frame;
-//! video streams one request at a time through `run_stream`), fulfil the
-//! response slots and account the batch on the shard's simulated timeline.
-//! The loop exits once the queue shut down and ran dry, which is what makes
-//! server shutdown graceful.
+//! opened through `Platform::session_on` and executes the jobs its group's
+//! [`Scheduler`] sends it: seek the session to the batch's first ticket,
+//! execute the batch (frame batches one `Session::run` per frame; video
+//! streams one request at a time through `run_stream`), meter the energy,
+//! replay the trace and fulfil the response slots. The scheduler decides
+//! which requests form a batch, which shard runs it and when; the worker
+//! loop exits once the scheduler released its job channel, which is what
+//! makes server shutdown graceful.
 //!
 //! # Batch amortisation
 //!
@@ -15,36 +16,36 @@
 //! simulated timeline only the *first* frame of a batch pays the
 //! electronic weight-encode phase; every follow-on frame occupies the chip
 //! for the resident latency (MAC + readout) alone, and meters the resident
-//! energy alone. Batching therefore buys real simulated throughput on
-//! layered workloads — which is exactly what the adaptive [`Batcher`]
-//! trades against queue wait.
+//! energy alone ([`ShardCosts`]). Batching therefore buys real simulated
+//! throughput on layered workloads — which is exactly what the adaptive
+//! [`Batcher`] trades against queue wait.
 //!
 //! # The SLO controller
 //!
-//! With an [`SloConfig`] the shard runs an AIMD loop around batch
-//! formation. After each batch it observes the worst queue wait the batch
-//! carried: at or under target, the batch limit grows by one and the flush
-//! deadline stretches additively (bigger batches while latency is cheap);
-//! over target, the deadline halves, and the limit halves too unless the
-//! batch was *full* — a full, late batch means arrival backlog, which only
-//! bigger batches (more amortisation) can drain, so the limit grows
-//! instead of collapsing to `min_batch` under sustained overload.
+//! With an [`SloConfig`] each shard's [`Batcher`] runs an AIMD loop around
+//! batch formation. After each batch it observes the worst queue wait the
+//! batch carried: at or under target, the batch limit grows by one and the
+//! flush deadline stretches additively (bigger batches while latency is
+//! cheap); over target, the deadline halves, and the limit halves too
+//! unless the batch was *full* — a full, late batch means arrival backlog,
+//! which only bigger batches (more amortisation) can drain, so the limit
+//! grows instead of collapsing to `min_batch` under sustained overload.
 
 use crate::config::SloConfig;
 use crate::error::ServeError;
-use crate::metrics::{MetricsInner, VirtualClock};
-use crate::queue::{QueuedRequest, SharedQueue};
-use crate::request::{Payload, Priority, Response, ResponseSlot};
+use crate::metrics::MetricsInner;
+use crate::queue::{Job, QueuedRequest, Scheduler};
+use crate::request::{Payload, Response, ResponseSlot};
 use lightator_core::platform::Session;
 use lightator_sensor::frame::RgbFrame;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 /// Client-side bookkeeping of one batched request: its ticket, its
-/// simulated arrival time, its scheduling lane, and the slot awaiting the
-/// report.
-type RequestHandle = (u64, u64, Priority, Arc<ResponseSlot>);
+/// simulated arrival time, and the slot awaiting the report.
+type RequestHandle = (u64, u64, Arc<ResponseSlot>);
 
 /// Fulfils a batch's slots strictly in ticket order, and — if the worker
 /// unwinds mid-batch — fails whatever is left with
@@ -64,10 +65,11 @@ impl SlotGuard {
         &self.handles
     }
 
-    /// Publishes the outcome of the next unfulfilled request.
-    fn fulfil(&mut self, outcome: crate::error::Result<Response>) {
-        let (_, _, _, slot) = &self.handles[self.next];
-        slot.fulfil(outcome);
+    /// Publishes the outcome of the next unfulfilled request, completed at
+    /// `completion_ns` on the simulated timeline.
+    fn fulfil(&mut self, outcome: crate::error::Result<Response>, completion_ns: u64) {
+        let (_, _, slot) = &self.handles[self.next];
+        slot.fulfil(outcome, completion_ns);
         self.next += 1;
     }
 
@@ -80,19 +82,21 @@ impl SlotGuard {
 impl Drop for SlotGuard {
     fn drop(&mut self) {
         while self.next < self.handles.len() {
-            self.fulfil(Err(ServeError::WorkerPanicked));
+            self.fulfil(Err(ServeError::WorkerPanicked), 0);
         }
     }
 }
 
 /// The per-shard batch-formation policy: a batch-size limit and a flush
 /// deadline, either fixed (no SLO) or AIMD-adapted batch to batch.
+#[derive(Debug)]
 pub(crate) struct Batcher {
     limit: usize,
     deadline_ns: u64,
     slo: Option<SloTargets>,
 }
 
+#[derive(Debug)]
 struct SloTargets {
     target_ns: u64,
     min: usize,
@@ -133,7 +137,7 @@ impl Batcher {
         self.deadline_ns
     }
 
-    /// Feeds back one drained batch: its worst queue wait (simulated, over
+    /// Feeds back one batch: its worst queue wait (simulated, over
     /// every request it carried) and its size. No-op without an SLO.
     pub(crate) fn observe(&mut self, max_wait_ns: u64, batch_len: usize) {
         let Some(slo) = &self.slo else {
@@ -163,24 +167,24 @@ impl Batcher {
 /// Everything one worker thread needs, moved into it at spawn.
 pub(crate) struct ShardContext {
     pub(crate) session: Session,
-    pub(crate) queue: Arc<SharedQueue>,
-    pub(crate) clock: Arc<VirtualClock>,
+    /// The group's scheduler, which stream batches report back to.
+    pub(crate) scheduler: Arc<Scheduler>,
     pub(crate) metrics: Arc<MetricsInner>,
     /// Index into `metrics.shards` (global across groups).
     pub(crate) shard_index: usize,
-    /// This shard's sub-deque within its group's queue (its index in the
-    /// group).
-    pub(crate) slot_index: usize,
-    /// Batch-formation policy (fixed or SLO-adaptive).
-    pub(crate) batcher: Batcher,
+    /// This shard's index within its group.
+    pub(crate) group_index: usize,
+    /// The simulated cost model of the group's session.
+    pub(crate) costs: ShardCosts,
     /// Optional trace sink shared by the whole pool; events land on this
     /// shard's `shard:<label>` track, timestamped on the serve timeline.
     pub(crate) tracer: Option<Arc<TraceRecorder>>,
 }
 
-/// Simulated cost model of one shard, derived once at spawn from the
+/// Simulated cost model of one shard, derived once at build from the
 /// session's perf report.
-struct ShardCosts {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardCosts {
     /// Full cost of the batch's first frame.
     frame_latency_ns: u64,
     frame_energy_pj: f64,
@@ -191,7 +195,7 @@ struct ShardCosts {
 }
 
 impl ShardCosts {
-    fn of(session: &Session) -> Self {
+    pub(crate) fn of(session: &Session) -> Self {
         let perf = session.perf();
         let frame_latency_ns = perf.frame_latency.ns().ceil().max(1.0) as u64;
         let frame_energy_pj = perf.frame_energy.pj();
@@ -213,7 +217,7 @@ impl ShardCosts {
     }
 
     /// Simulated chip occupancy of a batch of `len` frames.
-    fn batch_latency_ns(&self, len: usize) -> u64 {
+    pub(crate) fn batch_latency_ns(&self, len: usize) -> u64 {
         self.frame_latency_ns + (len as u64 - 1) * self.resident_latency_ns
     }
 
@@ -223,15 +227,9 @@ impl ShardCosts {
     }
 }
 
-/// The worker loop. Returns when the group's queue shut down and drained.
-pub(crate) fn run(mut ctx: ShardContext) {
-    // One frame of this workload occupies the virtual chip for its
-    // simulated frame latency; follow-on frames of the same batch skip the
-    // weight-encode phase. Stream requests instead occupy the chip for
-    // their gated `sim_time`. All figures come from the session's backend,
-    // so an electronic shard runs (and meters) on the electronic cost
-    // model.
-    let costs = ShardCosts::of(&ctx.session);
+/// The worker loop. Returns once the scheduler released the job channel
+/// and every job sent before it ran.
+pub(crate) fn run(mut ctx: ShardContext, jobs: Receiver<Job>) {
     // Trace bookkeeping: the shard's Perfetto track and its per-frame stage
     // decomposition. Both are pure functions of the spawn-time perf model,
     // computed once so the serving path only replays them.
@@ -240,72 +238,25 @@ pub(crate) fn run(mut ctx: ShardContext) {
         .tracer
         .as_ref()
         .map(|_| lightator_core::frame_stages(ctx.session.perf()));
-    let mut busy_until_ns = 0u64;
     // The workload group's plan was compiled exactly once when this shard's
     // session opened (at spawn); publish the encode counter up front so an
     // idle shard still reports its compile.
     publish_plan_stats(&ctx);
-    loop {
-        // Publish the policy gauges before blocking so snapshots taken
-        // while the shard waits show its current posture.
-        {
-            let shard = &ctx.metrics.shards[ctx.shard_index];
-            shard
-                .batch_limit
-                .store(ctx.batcher.limit() as u64, Ordering::Relaxed);
-            shard
-                .flush_deadline_ns
-                .store(ctx.batcher.deadline_ns(), Ordering::Relaxed);
-        }
-        let Some(drained) = ctx.queue.wait_batch(
-            ctx.slot_index,
-            ctx.batcher.limit(),
-            ctx.batcher.deadline_ns(),
-            &ctx.clock,
-        ) else {
-            break;
-        };
-        let batch = drained.requests;
-        if batch.is_empty() {
-            continue;
-        }
-        if drained.stolen {
-            ctx.metrics.shards[ctx.shard_index]
-                .steals
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let batch_len = batch.len();
-        // A group's queue is homogeneous (the router keys on the workload),
-        // so one stream payload means a stream batch.
-        let (next_busy, max_wait_ns) = if batch
-            .iter()
-            .any(|r| matches!(r.payload, Payload::Stream(_)))
-        {
-            run_stream_batch(&mut ctx, batch, &costs, busy_until_ns, &track)
+    for Job { requests, start_ns } in jobs {
+        // A group serves one workload, so one stream payload means a
+        // stream batch.
+        if matches!(requests[0].payload, Payload::Stream(_)) {
+            let len = requests.len();
+            let (free_ns, max_wait_ns) = run_stream_batch(&mut ctx, requests, start_ns, &track);
+            ctx.scheduler
+                .report_stream(ctx.group_index, free_ns, max_wait_ns, len);
         } else {
-            run_frame_batch(
-                &mut ctx,
-                batch,
-                &costs,
-                busy_until_ns,
-                &track,
-                stages.as_deref().unwrap_or(&[]),
-            )
-        };
-        busy_until_ns = next_busy;
-        ctx.batcher.observe(max_wait_ns, batch_len);
-
+            let stages = stages.as_deref().unwrap_or(&[]);
+            run_frame_batch(&mut ctx, requests, start_ns, &track, stages);
+        }
         // Every batch ran against the spawn-time plan: refresh the shard's
         // encode/hit counters from the session's cumulative stats.
         publish_plan_stats(&ctx);
-
-        // Fair handoff: on few host CPUs, the worker that just finished
-        // tends to win the queue lock again before its siblings wake,
-        // concentrating frames on one virtual timeline. Yielding here lets
-        // the other shards drain their share, which is what keeps the
-        // simulated timelines (and the measured throughput scaling) close
-        // to the hardware they model.
-        std::thread::yield_now();
     }
 }
 
@@ -318,24 +269,16 @@ fn publish_plan_stats(ctx: &ShardContext) {
     shard.plan_hits.store(stats.cache_hits, Ordering::Relaxed);
 }
 
-/// Executes one drained batch of single-frame requests. Returns the
-/// shard's new `busy_until` and the worst queue wait the batch carried.
+/// Executes one batch of single-frame requests that the scheduler costed
+/// and started at `start_ns`.
 fn run_frame_batch(
     ctx: &mut ShardContext,
     batch: Vec<QueuedRequest>,
-    costs: &ShardCosts,
-    busy_until_ns: u64,
+    start_ns: u64,
     track: &str,
     stages: &[lightator_core::StageSpan],
-) -> (u64, u64) {
+) {
     let first_ticket = batch[0].ticket;
-    let newest_arrival_ns = batch.iter().map(|r| r.arrival_ns).max().unwrap_or(0);
-    // The virtual chip starts the batch as soon as it is free and the
-    // whole batch has arrived (its own timeline, not the global clock:
-    // shards process in parallel in simulated time).
-    let start_ns = busy_until_ns.max(newest_arrival_ns);
-    let completion_ns = start_ns + costs.batch_latency_ns(batch.len());
-
     let (frames, handles): (Vec<RgbFrame>, Vec<RequestHandle>) = batch
         .into_iter()
         .map(|r| {
@@ -343,7 +286,7 @@ fn run_frame_batch(
                 Payload::Frame(frame) => frame,
                 Payload::Stream(_) => unreachable!("frame batches carry frame payloads"),
             };
-            (frame, (r.ticket, r.arrival_ns, r.priority, r.slot))
+            (frame, (r.ticket, r.arrival_ns, r.slot))
         })
         .unzip();
     let mut guard = SlotGuard::new(handles);
@@ -355,62 +298,24 @@ fn run_frame_batch(
             stages,
             guard.handles(),
             start_ns,
-            costs,
+            &ctx.costs,
         );
     }
-
-    // Publish the batch on the timelines *before* fulfilling any slot:
-    // a closed-loop client wakes inside `fulfil` and stamps its next
-    // arrival immediately, so the clock must already reflect this
-    // batch's completion for arrivals to stay causal.
-    let shard = &ctx.metrics.shards[ctx.shard_index];
-    shard.batches.fetch_add(1, Ordering::Relaxed);
-    shard
-        .frames
-        .fetch_add(frames.len() as u64, Ordering::Relaxed);
-    shard.batch_sizes[frames.len() - 1].fetch_add(1, Ordering::Relaxed);
-    let mut max_wait_ns = 0u64;
-    for (_, arrival_ns, priority, _) in guard.handles() {
-        let wait_ns = start_ns.saturating_sub(*arrival_ns);
-        max_wait_ns = max_wait_ns.max(wait_ns);
-        ctx.metrics.record_wait(*priority, wait_ns);
-    }
-    ctx.metrics
-        .first_start_ns
-        .fetch_min(start_ns, Ordering::Relaxed);
-    ctx.metrics
-        .last_completion_ns
-        .fetch_max(completion_ns, Ordering::Relaxed);
-    ctx.clock.advance_to(completion_ns);
 
     // Execute at the tickets' frame indices: bit-identical to a single
     // sequential session running these frames at the same positions.
     // `catch_unwind` keeps the worker alive across a panic in core
     // code, and the guard fails the batch's unfulfilled slots so no
     // client hangs.
-    let session = &mut ctx.session;
-    let metrics = &ctx.metrics;
-    let shard_index = ctx.shard_index;
     let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_batch(
-            session,
-            metrics,
-            shard_index,
-            costs,
-            first_ticket,
-            &frames,
-            &mut guard,
-        )
+        execute_batch(ctx, first_ticket, start_ns, &frames, &mut guard)
     }));
     if executed.is_err() {
-        metrics
+        ctx.metrics
             .errored
             .fetch_add(guard.remaining() as u64, Ordering::Relaxed);
     }
-    drop(guard);
-    (completion_ns, max_wait_ns)
 }
-
 /// Replays one frame batch onto the trace: the request lifecycle (queue →
 /// batch-form → execute → respond) plus each frame's stage decomposition,
 /// all timestamped on the shard's simulated timeline. Everything emitted
@@ -433,7 +338,7 @@ fn trace_frame_batch(
         TraceEvent::instant("request", "batch-form", track, start_ns as f64)
             .with_arg("batch", handles.len()),
     );
-    for (ticket, arrival_ns, _, _) in handles {
+    for (ticket, arrival_ns, _) in handles {
         tracer.record(
             TraceEvent::span(
                 "request",
@@ -457,7 +362,7 @@ fn trace_frame_batch(
         )
         .with_arg("frames", handles.len()),
     );
-    for (i, (ticket, _, _, _)) in handles.iter().enumerate() {
+    for (i, (ticket, _, _)) in handles.iter().enumerate() {
         // Frame 0 starts at the batch start; follow-on frame `i` starts
         // where frame `i - 1` ended on the amortised timeline.
         let mut cursor = if i == 0 {
@@ -492,16 +397,15 @@ fn trace_frame_batch(
     }
 }
 
-/// Executes one drained batch of video-stream requests, one request at a
-/// time: each stream seeks to its ticket, runs under the delta gate, and
-/// occupies the virtual chip for its *gated* simulated time — the serving
-/// payoff of skipped blocks. Returns the shard's new `busy_until` and the
-/// worst queue wait the batch carried.
+/// Executes one batch of video-stream requests, one request at a time:
+/// each stream seeks to its ticket, runs under the delta gate, and occupies
+/// the virtual chip for its *gated* simulated time — the serving payoff of
+/// skipped blocks. Returns the shard's new free time and the worst queue
+/// wait the batch carried.
 fn run_stream_batch(
     ctx: &mut ShardContext,
     batch: Vec<QueuedRequest>,
-    costs: &ShardCosts,
-    mut busy_until_ns: u64,
+    mut free_ns: u64,
     track: &str,
 ) -> (u64, u64) {
     let shard = &ctx.metrics.shards[ctx.shard_index];
@@ -521,7 +425,7 @@ fn run_stream_batch(
             Payload::Stream(frames) => frames,
             Payload::Frame(_) => unreachable!("stream batches carry stream payloads"),
         };
-        let start_ns = busy_until_ns.max(arrival_ns);
+        let start_ns = free_ns.max(arrival_ns);
         let wait_ns = start_ns.saturating_sub(arrival_ns);
         max_wait_ns = max_wait_ns.max(wait_ns);
         ctx.metrics.record_wait(priority, wait_ns);
@@ -530,7 +434,7 @@ fn run_stream_batch(
             .fetch_min(start_ns, Ordering::Relaxed);
         shard.frames.fetch_add(weight, Ordering::Relaxed);
 
-        let mut guard = SlotGuard::new(vec![(ticket, arrival_ns, priority, slot)]);
+        let mut guard = SlotGuard::new(vec![(ticket, arrival_ns, slot)]);
         let session = &mut ctx.session;
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             session.seek_frame(ticket);
@@ -541,13 +445,12 @@ fn run_stream_batch(
             // A failed or panicked stream still occupied the chip for the
             // frames it consumed; charge a dense-cost upper bound so the
             // timeline never runs backwards.
-            _ => start_ns + weight * costs.frame_latency_ns,
+            _ => start_ns + weight * ctx.costs.frame_latency_ns,
         };
         ctx.metrics
             .last_completion_ns
             .fetch_max(completion_ns, Ordering::Relaxed);
-        busy_until_ns = completion_ns;
-        ctx.clock.advance_to(completion_ns);
+        free_ns = completion_ns;
 
         if let Some(tracer) = &ctx.tracer {
             // Stream lifecycle: queue → execute → respond. The execute span
@@ -610,11 +513,11 @@ fn run_stream_batch(
                 ctx.metrics
                     .stream_blocks_skipped
                     .fetch_add(report.blocks_skipped() as u64, Ordering::Relaxed);
-                guard.fulfil(Ok(Response::Stream(report)));
+                guard.fulfil(Ok(Response::Stream(report)), completion_ns);
             }
             Ok(Err(err)) => {
                 ctx.metrics.errored.fetch_add(1, Ordering::Relaxed);
-                guard.fulfil(Err(ServeError::Core(err)));
+                guard.fulfil(Err(ServeError::Core(err)), completion_ns);
             }
             Err(_) => {
                 ctx.metrics.errored.fetch_add(1, Ordering::Relaxed);
@@ -623,40 +526,41 @@ fn run_stream_batch(
         }
         drop(guard);
     }
-    (busy_until_ns, max_wait_ns)
+    (free_ns, max_wait_ns)
 }
 
-/// Runs one drained batch, one [`Session::run`] per frame from the batch's
-/// first ticket, and fulfils its slots in ticket order. Every run consumes
-/// its frame index, failed or not, so an error reaches only its own
-/// request. Energy is charged to the shard per *completed* frame (errored
-/// frames never occupied the datapath), amortised: the batch's first
-/// completed frame pays the full frame energy, later ones the resident
-/// share.
+/// Runs one batch, one [`Session::run`] per frame from the batch's first
+/// ticket, and fulfils its slots in ticket order, each with its frame's
+/// completion on the batch's amortised timeline from `start_ns`. Every run
+/// consumes its frame index, failed or not, so an error reaches only its
+/// own request. Energy is charged to the shard per *completed* frame
+/// (errored frames never occupied the datapath), amortised: the batch's
+/// first completed frame pays the full frame energy, later ones the
+/// resident share.
 fn execute_batch(
-    session: &mut Session,
-    metrics: &MetricsInner,
-    shard_index: usize,
-    costs: &ShardCosts,
+    ctx: &mut ShardContext,
     first_ticket: u64,
+    start_ns: u64,
     frames: &[RgbFrame],
     guard: &mut SlotGuard,
 ) {
-    let shard = &metrics.shards[shard_index];
-    session.seek_frame(first_ticket);
+    let (metrics, costs) = (&ctx.metrics, &ctx.costs);
+    let shard = &metrics.shards[ctx.shard_index];
+    ctx.session.seek_frame(first_ticket);
     let mut energy_pj = costs.frame_energy_pj;
-    for frame in frames {
-        match session.run(frame) {
+    for (index, frame) in frames.iter().enumerate() {
+        let completion_ns = start_ns + costs.frame_end_ns(index);
+        match ctx.session.run(frame) {
             Ok(report) => {
                 metrics.completed.fetch_add(1, Ordering::Relaxed);
                 metrics.served_frames.fetch_add(1, Ordering::Relaxed);
                 shard.add_energy_pj(energy_pj);
                 energy_pj = costs.resident_energy_pj;
-                guard.fulfil(Ok(Response::Frame(report)));
+                guard.fulfil(Ok(Response::Frame(report)), completion_ns);
             }
             Err(err) => {
                 metrics.errored.fetch_add(1, Ordering::Relaxed);
-                guard.fulfil(Err(ServeError::Core(err)));
+                guard.fulfil(Err(ServeError::Core(err)), completion_ns);
             }
         }
     }
@@ -673,15 +577,15 @@ mod tests {
         let handles: Vec<RequestHandle> = slots
             .iter()
             .enumerate()
-            .map(|(i, slot)| (i as u64, 0u64, Priority::Interactive, Arc::clone(slot)))
+            .map(|(i, slot)| (i as u64, 0u64, Arc::clone(slot)))
             .collect();
         let mut guard = SlotGuard::new(handles);
-        guard.fulfil(Err(ServeError::ShuttingDown));
+        guard.fulfil(Err(ServeError::ShuttingDown), 7);
         assert_eq!(guard.remaining(), 2);
         drop(guard); // simulates a worker unwinding mid-batch
-        assert_eq!(slots[0].take(), Err(ServeError::ShuttingDown));
-        assert_eq!(slots[1].take(), Err(ServeError::WorkerPanicked));
-        assert_eq!(slots[2].take(), Err(ServeError::WorkerPanicked));
+        assert_eq!(slots[0].take(), (Err(ServeError::ShuttingDown), 7));
+        assert_eq!(slots[1].take(), (Err(ServeError::WorkerPanicked), 0));
+        assert_eq!(slots[2].take(), (Err(ServeError::WorkerPanicked), 0));
     }
 
     #[test]

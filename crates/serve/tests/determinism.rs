@@ -16,7 +16,10 @@ use lightator_nn::model::Sequential;
 use lightator_photonics::units::Time;
 use lightator_sensor::frame::RgbFrame;
 use lightator_sensor::video::{SyntheticVideo, SyntheticVideoConfig};
-use lightator_serve::{Priority, Request, Server, SloConfig};
+use lightator_serve::{
+    run_soak, ArrivalProcess, MetricsSnapshot, Priority, Request, Server, SloConfig, SoakConfig,
+    SoakOutcome, TrafficMix,
+};
 use proptest::proptest;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -190,14 +193,14 @@ proptest! {
         );
     }
 
-    /// The adaptive SLO controller, work stealing between shards, and the
+    /// The adaptive SLO controller, shard assignment, and the
     /// priority lanes only move *when* work executes and on *which*
     /// virtual chip — never what it computes. Tickets are assigned at
     /// admission in submission order and the analog-noise stream keys on
     /// the ticket, so any shard count × SLO configuration × lane mix must
     /// reproduce the sequential reports bit-for-bit, analog noise on.
     #[test]
-    fn slo_stealing_and_priority_lanes_never_change_report_bits(
+    fn slo_shard_assignment_and_priority_lanes_never_change_report_bits(
         shards in 1usize..=4,
         target_us in 1u64..=50,
         min_batch in 1usize..=3,
@@ -243,7 +246,7 @@ proptest! {
             .collect();
         assert_eq!(
             expected, got,
-            "SLO batching / stealing / lanes changed a report bit"
+            "SLO batching / shard assignment / lanes changed a report bit"
         );
     }
 }
@@ -496,5 +499,74 @@ fn pooled_equals_sequential_with_plans_compiled_once_per_shard() {
         snapshot.plan_hits,
         frames.len() as u64,
         "every pooled frame must ride the cached encoding"
+    );
+}
+
+/// Serving *metrics* are as reproducible as report bits: one scheduler per
+/// group decides every batch, shard and drop on the simulated clock, so a
+/// bursty open-loop soak that overloads a shallow queue reports the same
+/// outcome and the same snapshot run after run, whatever the intra-session
+/// worker count or the host's thread interleaving.
+#[test]
+fn open_loop_soak_metrics_do_not_depend_on_the_host() {
+    let soak = |workers: usize| -> (SoakOutcome, MetricsSnapshot) {
+        let platform = Platform::builder()
+            .sensor_resolution(SENSOR, SENSOR)
+            .compressive_acquisition(CaConfig::default())
+            .workers(workers)
+            .build()
+            .expect("platform");
+        let server = Server::builder(platform)
+            .shards(2)
+            .queue_depth(8)
+            .slo(SloConfig {
+                target_queue_wait: Time::from_us(40.0),
+                min_batch: 1,
+                max_batch: 16,
+            })
+            .workload(Workload::Classify {
+                model: tiny_model(),
+            })
+            .workload(Workload::Acquire)
+            .workload(stream_workload())
+            .build()
+            .expect("server");
+        let config = SoakConfig {
+            seed: 23,
+            requests: 3_000,
+            width: SENSOR,
+            height: SENSOR,
+            frame_pool: 16,
+            arrivals: ArrivalProcess::Bursty {
+                calm_qps: 2e5,
+                burst_qps: 2e7,
+                cycle: 500,
+                burst_len: 200,
+            },
+            mix: TrafficMix {
+                classify: 0.3,
+                acquire: 0.5,
+                kernel: 0.0,
+                stream: 0.2,
+                kernel_filter: ImageKernel::SobelX,
+                stream_frames: 3,
+                interactive_fraction: 0.6,
+            },
+        };
+        let outcome = run_soak(&server, &config).expect("soak");
+        let mut snapshot = server.shutdown();
+        snapshot.stages.clear();
+        (outcome, snapshot)
+    };
+    let first = soak(1);
+    assert!(
+        first.0.dropped() > 0,
+        "the burst must overload the queue for the drops to be compared"
+    );
+    assert_eq!(first, soak(1), "two identical soaks disagreed");
+    assert_eq!(
+        first,
+        soak(4),
+        "the intra-session worker count moved a metric"
     );
 }

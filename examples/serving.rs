@@ -7,8 +7,9 @@
 //!
 //! Six client threads submit classify / acquire / Sobel-kernel requests in
 //! a closed loop against a 2-shard-per-workload pool running the adaptive
-//! SLO batching controller, with work stealing on and requests split
-//! across the interactive and batch priority lanes. The example then
+//! SLO batching controller, each group's scheduler handing batches to its
+//! earliest-free shard, with requests split across the interactive and
+//! batch priority lanes. The example then
 //! prints the server's metrics table — per-lane admissions and p99 queue
 //! waits included — and emits the `BENCH_serve_metrics.json` artifact.
 
