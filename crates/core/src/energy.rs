@@ -104,7 +104,12 @@ impl ComponentPower {
         self.adcs + self.dacs + self.dmva + self.tuning + self.bpd + self.misc
     }
 
-    /// Fraction contributed by the DACs (the paper reports >85 % for VGG9).
+    /// Fraction contributed by the DACs.
+    ///
+    /// The paper reports DACs above 85% of every VGG9 layer's power (Fig. 9).
+    /// This model gives 67.3–77.0% per layer on VGG9 at `[3:4]`
+    /// (`fig9_vgg9_power`; 70.0% for L8). The claims ledger in ROADMAP.md
+    /// (item 5a) is to name the constants behind the gap.
     #[must_use]
     pub fn dac_share(&self) -> f64 {
         let total = self.total();
@@ -189,7 +194,8 @@ impl EnergyModel {
             .min(mapping.active_mrs.max(1));
 
         // DACs re-program the MR weights; one DAC per arm, gated by the
-        // weight bit-width (paper: "DACs contribute to more than 85% ...").
+        // weight bit-width. The paper puts DACs above 85% of VGG9's power;
+        // here they come to 67.3–77.0% (see `ComponentPower::dac_share`).
         let dacs = table.dac_power_at_bits(precision.weight_bits)
             * (arms_active * periphery.dacs_per_arm) as f64;
 

@@ -192,11 +192,13 @@ impl ArchitectureSimulator {
         }
     }
 
-    /// Simulates one network under a precision schedule.
+    /// Simulates one network under a precision schedule, layer by layer as
+    /// given, on the network's own input size.
     ///
-    /// When compressive acquisition is enabled in the configuration, an extra
-    /// CA pass over the input frame is prepended (the paper's Fig. 9 setup,
-    /// which reduces first-layer power by shrinking its input).
+    /// No CA pass is added, whatever the configuration's
+    /// `use_compressive_acquisition` says. The paper's Fig. 9 setup, in which
+    /// CA shrinks the first layer's input, is
+    /// [`ArchitectureSimulator::simulate_with_ca`].
     ///
     /// # Errors
     ///
@@ -319,7 +321,9 @@ impl ArchitectureSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates mapping/simulation errors.
+    /// Propagates mapping/simulation errors, and returns
+    /// [`crate::error::CoreError::Nn`] if a layer of `network` does not fit
+    /// the input reduced by `pooling_window`.
     pub fn simulate_with_ca(
         &self,
         network: &NetworkSpec,
@@ -329,7 +333,7 @@ impl ArchitectureSimulator {
         let baseline = self.simulate(network, schedule)?;
         // With CA enabled the first conv layer sees a spatially reduced
         // input: rebuild the spec with the reduced first-layer geometry.
-        let reduced = reduce_first_layer(network, pooling_window);
+        let reduced = reduce_first_layer(network, pooling_window)?;
         let compressed = self.simulate(&reduced, schedule)?;
         let first_energy_before = baseline
             .layers
@@ -350,9 +354,16 @@ impl ArchitectureSimulator {
     }
 }
 
-/// Builds a copy of `network` whose first convolution runs on an input frame
+/// Builds a copy of `network` whose first layer runs on an input frame
 /// spatially reduced by `window` (the effect of the CA pass).
-fn reduce_first_layer(network: &NetworkSpec, window: usize) -> NetworkSpec {
+///
+/// # Errors
+///
+/// Returns [`crate::error::CoreError::Nn`] when a layer no longer fits the
+/// reduced frame, such as a kernel or pooling window larger than the map
+/// it now sees: a saving measured on any other network would be reported
+/// for this one.
+fn reduce_first_layer(network: &NetworkSpec, window: usize) -> Result<NetworkSpec> {
     use lightator_nn::spec::NetworkSpecBuilder;
     let window = window.max(1);
     let [c, h, w] = network.input_shape();
@@ -360,35 +371,18 @@ fn reduce_first_layer(network: &NetworkSpec, window: usize) -> NetworkSpec {
         &format!("{}+CA", network.name()),
         [c, (h / window).max(1), (w / window).max(1)],
     );
-    let mut first_conv_seen = false;
     for layer in network.layers() {
         builder = match layer {
             LayerSpec::Conv(conv) => {
-                first_conv_seen = true;
-                builder
-                    .conv(conv.out_channels, conv.kernel, conv.stride, conv.padding)
-                    .unwrap_or_else(|_| {
-                        NetworkSpecBuilder::new(network.name(), network.input_shape())
-                    })
+                builder.conv(conv.out_channels, conv.kernel, conv.stride, conv.padding)?
             }
             LayerSpec::Pool(pool) => {
-                // Pooling windows may no longer divide the reduced map; skip
-                // pools that became degenerate.
-                match builder
-                    .clone()
-                    .pool_strided(pool.window, pool.stride, pool.average)
-                {
-                    Ok(b) => b,
-                    Err(_) => builder,
-                }
+                builder.pool_strided(pool.window, pool.stride, pool.average)?
             }
-            LayerSpec::Linear(linear) => builder
-                .linear(linear.out_features)
-                .unwrap_or_else(|_| NetworkSpecBuilder::new(network.name(), network.input_shape())),
+            LayerSpec::Linear(linear) => builder.linear(linear.out_features)?,
         };
-        let _ = first_conv_seen;
     }
-    builder.build()
+    Ok(builder.build())
 }
 
 #[cfg(test)]
@@ -506,6 +500,39 @@ mod tests {
         // meaningful saving without demanding the exact number.
         assert!(saving > 0.15, "CA saving {saving}");
         assert!(saving < 0.95);
+    }
+
+    /// Regression: a layer that no longer fit the reduced input used to be
+    /// dropped (a pool) or to restart the network from an empty builder (a
+    /// conv or linear layer), and the saving of that other network was
+    /// reported.
+    #[test]
+    fn ca_reduction_that_cannot_build_the_network_is_an_error() {
+        use crate::error::CoreError;
+        use lightator_nn::spec::NetworkSpecBuilder;
+        use lightator_nn::NnError;
+        // On 8×8 both build; the 2×2 reduction leaves 4×4, which holds
+        // neither a 5×5 unpadded kernel nor an 8×8 pooling window.
+        let conv = NetworkSpecBuilder::new("conv5", [1, 8, 8])
+            .conv(4, 5, 1, 0)
+            .and_then(|b| b.linear(10))
+            .expect("builds on 8x8");
+        let pool = NetworkSpecBuilder::new("pool8", [1, 8, 8])
+            .conv(4, 3, 1, 1)
+            .and_then(|b| b.pool(8, true))
+            .and_then(|b| b.linear(10))
+            .expect("builds on 8x8");
+        let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
+        for (network, field) in [(conv.build(), "kernel"), (pool.build(), "window")] {
+            let err = simulator()
+                .simulate_with_ca(&network, schedule, 2)
+                .expect_err("the reduced network cannot be built");
+            assert!(
+                matches!(err, CoreError::Nn(NnError::InvalidParameter { name, .. }) if name == field),
+                "{}: {err:?}",
+                network.name()
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
-use crate::noise::{NoiseConfig, NoiseInjector};
+use crate::noise::{normal_pairs, offset, offset_unit, NoiseConfig, NoiseInjector};
 use crate::units::Power;
 use crate::wdm::{CrosstalkModel, WdmGrid};
 use serde::{Deserialize, Serialize};
@@ -91,6 +91,12 @@ pub struct OpticalArm {
     crosstalk: CrosstalkModel,
     injector: NoiseInjector,
     mac_cursor: u64,
+    /// Scratch of [`OpticalArm::mac`], sized at [`OpticalArm::new`]: the
+    /// indices of the lanes that contribute to the current MAC, then one
+    /// Philox block and one normal pair per lane plus one for detection.
+    active: Vec<usize>,
+    blocks: Vec<[u64; 2]>,
+    normals: Vec<(f64, f64)>,
 }
 
 impl OpticalArm {
@@ -135,6 +141,9 @@ impl OpticalArm {
             crosstalk,
             injector,
             mac_cursor: 0,
+            active: vec![0; channels],
+            blocks: vec![[0; 2]; channels + 1],
+            normals: vec![(0.0, 0.0); channels + 1],
         })
     }
 
@@ -239,6 +248,22 @@ impl OpticalArm {
     /// ([`crate::noise::CounterRng::lane_normals`]) and the balanced
     /// detector draws at element `c`. The cursor advances by one per call.
     ///
+    /// A MAC runs in three array-shaped phases over its lanes with a
+    /// non-zero weight (parked rings and dark channels draw nothing):
+    ///
+    /// 1. the Philox words of every such lane's block, then of the
+    ///    detection block;
+    /// 2. the Box–Muller transform of the whole batch, whose iterations are
+    ///    independent, so the CPU overlaps the blocks' `ln` → `√` chains;
+    /// 3. the lane combine in lane order — VCSEL offset and clamp, the
+    ///    realised ring transmission, crosstalk, the rail of the weight's
+    ///    sign — then balanced detection.
+    ///
+    /// This is bit-identical to evaluating one lane at a time. A draw is a
+    /// pure function of its key, so computing it earlier changes nothing;
+    /// every value goes through the same IEEE-754 operations; and both
+    /// rails still sum their products in lane order.
+    ///
     /// # Errors
     ///
     /// * [`PhotonicsError::LengthMismatch`] if more activations than channels
@@ -266,39 +291,68 @@ impl OpticalArm {
             .map(|(a, w)| a * w)
             .sum();
 
-        let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
+        let NoiseConfig {
+            vcsel_relative_sigma,
+            detector_relative_sigma,
+            weight_sigma,
+            ..
+        } = *self.injector.config();
+        let rng = *self.injector.rng();
         let crosstalk = self.crosstalk.factors()?;
+        let lanes_draw = vcsel_relative_sigma != 0.0 || weight_sigma != 0.0;
+        let detection_draws = detector_relative_sigma != 0.0;
+
+        // 1. Philox words: the blocks of the lanes that contribute, then the
+        //    detection block. A noise source whose sigmas are zero computes
+        //    none. Every draw is keyed by lane, so parked rings and dark
+        //    channels skip theirs without shifting any other lane's sequence.
+        //    The blocks are computed in the scan that finds the lanes: in a
+        //    loop of their own LLVM vectorizes the rounds, and as SSE2 has no
+        //    64×64→128-bit multiply, every round then crosses between vector
+        //    and scalar registers, which doubled a block's cost.
+        let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
+        let mut lanes = 0;
+        for (i, &w) in self.weights[..activations.len()].iter().enumerate() {
+            if w != 0.0 {
+                self.active[lanes] = i;
+                if lanes_draw {
+                    self.blocks[lanes] = rng.lane_block(lane_base.wrapping_add(i as u64));
+                }
+                lanes += 1;
+            }
+        }
+        let active = &self.active[..lanes];
+        if detection_draws {
+            self.blocks[lanes] = rng.detection_block(self.mac_cursor);
+        }
+        // 2. Box–Muller over the batch. Slots left undrawn are read only
+        //    with a zero sigma, which `offset` ignores.
+        let drawn = if lanes_draw { 0 } else { lanes }..lanes + usize::from(detection_draws);
+        normal_pairs(&self.blocks[drawn.clone()], &mut self.normals[drawn]);
+        // 3. Per lane, in lane order: VCSEL amplitude noise and the realised
+        //    (noisy) MR transmission, inter-channel crosstalk along the shared
+        //    bus, then weighting by the ring, routed to the positive or
+        //    negative BPD rail according to the weight sign. Then balanced
+        //    detection plus detector-referred noise, keyed by the MAC cursor
+        //    (one detection event per call).
         let mut positive = 0.0;
         let mut negative = 0.0;
-        // Every draw is keyed by lane, so lanes that cannot contribute —
-        // parked rings and dark channels past the activations — skip their
-        // draws without shifting any other lane's sequence.
-        for (i, &a) in activations.iter().enumerate() {
-            let w = self.weights[i];
-            if w == 0.0 {
-                continue;
-            }
-            let lane = lane_base.wrapping_add(i as u64);
-            // 1. VCSEL amplitude noise and the realised (noisy) MR
-            //    transmission, both drawn from the lane's one Philox block.
-            let (light, realised) =
-                self.injector
-                    .perturb_lane(lane, a, self.rings[i].channel_transmission());
-            // 2. Inter-channel crosstalk along the shared bus, then
-            // 3. weighting by the ring, routed to the positive or negative BPD
-            //    rail according to the weight sign.
+        for (&i, &(z_light, z_weight)) in active.iter().zip(&self.normals) {
+            let light = offset_unit(activations[i], vcsel_relative_sigma, z_light);
+            let realised =
+                offset_unit(self.rings[i].channel_transmission(), weight_sigma, z_weight);
             let product = light * crosstalk[i] * realised;
-            if w >= 0.0 {
+            if self.weights[i] >= 0.0 {
                 positive += product;
             } else {
                 negative += product;
             }
         }
-        // 4. Balanced detection plus detector-referred noise, keyed by the
-        //    MAC cursor (one detection event per call).
-        let detected = self
-            .injector
-            .perturb_detection(self.mac_cursor, positive - negative);
+        let detected = offset(
+            positive - negative,
+            detector_relative_sigma,
+            self.normals[lanes].0,
+        );
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
         Ok(ArmOutput {
             value: detected,
@@ -325,6 +379,9 @@ impl OpticalArm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn ideal_arm() -> OpticalArm {
         OpticalArm::new(ArmConfig {
@@ -332,6 +389,197 @@ mod tests {
             ..ArmConfig::default()
         })
         .expect("valid")
+    }
+
+    /// The per-lane MAC that [`OpticalArm::mac`]'s three phases replaced,
+    /// kept as their bit-exact reference: each lane draws its block,
+    /// perturbs its intensity and ring, crosses the bus and lands on its
+    /// rail before the next lane starts. Inputs must be in range.
+    fn reference_mac(arm: &mut OpticalArm, activations: &[f64]) -> ArmOutput {
+        let ideal: f64 = activations
+            .iter()
+            .chain(std::iter::repeat(&0.0))
+            .zip(&arm.weights)
+            .map(|(a, w)| a * w)
+            .sum();
+        let lane_base = arm.mac_cursor.wrapping_mul(arm.config.channels as u64);
+        let crosstalk = arm.crosstalk.factors().expect("well-formed grid");
+        let mut positive = 0.0;
+        let mut negative = 0.0;
+        for (i, &a) in activations.iter().enumerate() {
+            let w = arm.weights[i];
+            if w == 0.0 {
+                continue;
+            }
+            let lane = lane_base.wrapping_add(i as u64);
+            let (light, realised) =
+                arm.injector
+                    .perturb_lane(lane, a, arm.rings[i].channel_transmission());
+            let product = light * crosstalk[i] * realised;
+            if w >= 0.0 {
+                positive += product;
+            } else {
+                negative += product;
+            }
+        }
+        let value = arm
+            .injector
+            .perturb_detection(arm.mac_cursor, positive - negative);
+        arm.mac_cursor = arm.mac_cursor.wrapping_add(1);
+        ArmOutput { value, ideal }
+    }
+
+    /// One unloaded arm per checked channel count and noise setting. The
+    /// settings switch each source on alone as well as together, and
+    /// `scaled(50.0)` pushes intensities and transmissions past `[0, 1]`,
+    /// so both clamps fire.
+    fn reference_arms() -> Vec<OpticalArm> {
+        let default = NoiseConfig::default();
+        let ideal = NoiseConfig::ideal();
+        let settings = [
+            default,
+            ideal,
+            NoiseConfig {
+                vcsel_relative_sigma: default.vcsel_relative_sigma,
+                ..ideal
+            },
+            NoiseConfig {
+                weight_sigma: default.weight_sigma,
+                ..ideal
+            },
+            NoiseConfig {
+                detector_relative_sigma: default.detector_relative_sigma,
+                ..ideal
+            },
+            NoiseConfig {
+                apply_crosstalk: true,
+                ..ideal
+            },
+            default.scaled(50.0),
+        ];
+        [1, 2, 4, 9, 16, 25]
+            .into_iter()
+            .flat_map(|channels| {
+                settings.map(|noise| {
+                    OpticalArm::new(ArmConfig {
+                        channels,
+                        noise,
+                        ..ArmConfig::default()
+                    })
+                    .expect("valid")
+                })
+            })
+            .collect()
+    }
+
+    /// Loads `weights` on a copy of `arm` and checks `macs` consecutive
+    /// MACs from `cursor` on `(seed, frame)` against [`reference_mac`], bit
+    /// for bit.
+    fn assert_matches_reference(
+        arm: &OpticalArm,
+        weights: &[f64],
+        activations: &[f64],
+        (seed, frame, cursor): (u64, u64, u64),
+        macs: u64,
+    ) {
+        let mut kernel = arm.clone();
+        kernel.load_weights(weights).expect("weights in range");
+        kernel.begin_frame(seed, frame);
+        kernel.set_mac_cursor(cursor);
+        let mut reference = kernel.clone();
+        for call in 0..macs {
+            let got = kernel.mac(activations).expect("activations in range");
+            let want = reference_mac(&mut reference, activations);
+            assert_eq!(
+                (got.value.to_bits(), got.ideal.to_bits()),
+                (want.value.to_bits(), want.ideal.to_bits()),
+                "{} lanes, {:?}, cursor {cursor} + {call}: {got:?} vs {want:?}",
+                arm.channels(),
+                arm.config().noise
+            );
+        }
+        assert_eq!(kernel.mac_cursor(), reference.mac_cursor());
+    }
+
+    /// A weight from a sampled `(value, tag)` pair: a quarter of them are
+    /// parked (zero) and an eighth full scale.
+    fn weight((w, tag): (f64, u8)) -> f64 {
+        match tag {
+            0 | 1 => 0.0,
+            2 => w.signum(),
+            _ => w,
+        }
+    }
+
+    /// An activation from a sampled `(value, tag)` pair, with dark (both
+    /// zeros) and full-scale lanes.
+    fn activation((a, tag): (f64, u8)) -> f64 {
+        match tag {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            _ => a,
+        }
+    }
+
+    proptest! {
+        /// The three-phase kernel reproduces the per-lane loop bit for bit
+        /// on every checked channel count and noise setting, with zero and
+        /// negative weights, rows and activations shorter than the arm, and
+        /// cursors near `u64::MAX`, where the lane key and the cursor wrap.
+        #[test]
+        fn mac_matches_the_per_lane_reference(
+            row in proptest::collection::vec((-1.0f64..=1.0, 0u8..8), 0..=25),
+            lanes in proptest::collection::vec((0.0f64..=1.0, 0u8..8), 0..=25),
+            key in (0u64..u64::MAX, 0u64..1 << 40, 0u64..1 << 20),
+            wraps in proptest::bool::ANY,
+        ) {
+            let weights: Vec<f64> = row.into_iter().map(weight).collect();
+            let activations: Vec<f64> = lanes.into_iter().map(activation).collect();
+            let (seed, frame, cursor) = key;
+            let cursor = if wraps { u64::MAX - cursor % 4 } else { cursor };
+            for arm in &reference_arms() {
+                let n = arm.channels();
+                assert_matches_reference(
+                    arm,
+                    &weights[..weights.len().min(n)],
+                    &activations[..activations.len().min(n)],
+                    (seed, frame, cursor),
+                    4,
+                );
+            }
+        }
+    }
+
+    /// [`mac_matches_the_per_lane_reference`] over 10⁶ random MACs: 250,000
+    /// rows of 4 MACs each, spread over every arm of [`reference_arms`].
+    /// Run it in release:
+    ///
+    /// ```text
+    /// cargo test --release -p lightator-photonics --lib -- --ignored arm::tests::mac_matches
+    /// ```
+    #[test]
+    #[ignore = "10^6 MACs; run in release"]
+    fn mac_matches_the_per_lane_reference_over_a_million_macs() {
+        let arms = reference_arms();
+        let mut rng = SmallRng::seed_from_u64(21);
+        for row in 0..250_000 {
+            let arm = &arms[row % arms.len()];
+            let n = arm.channels();
+            let weights: Vec<f64> = (0..rng.gen_range(0..=n))
+                .map(|_| weight((rng.gen_range(-1.0..=1.0), rng.gen_range(0..8))))
+                .collect();
+            let activations: Vec<f64> = (0..rng.gen_range(0..=n))
+                .map(|_| activation((rng.gen_range(0.0..=1.0), rng.gen_range(0..8))))
+                .collect();
+            let cursor = if rng.gen_bool(0.5) {
+                u64::MAX - rng.gen_range(0..4)
+            } else {
+                rng.gen_range(0..1 << 40)
+            };
+            let key = (rng.gen(), rng.gen_range(0..1 << 40), cursor);
+            assert_matches_reference(arm, &weights, &activations, key, 4);
+        }
     }
 
     #[test]

@@ -33,6 +33,20 @@
 //! Those operations are correctly rounded on every IEEE-754 target, so a
 //! draw's bits do not depend on the host's libm: the same key gives the
 //! same draw on any platform.
+//!
+//! [`crate::arm::OpticalArm::mac`] computes a MAC's blocks as one batch, in
+//! three phases: the Philox words of every lane with a non-zero weight and
+//! of the detection block; the Box–Muller transform over the batch, whose
+//! iterations are independent, so the CPU overlaps their `ln` → `√`
+//! chains and the compiler packs part of them two to an SSE2 register; and
+//! the lane combine in lane order, then detection. The batch cannot move a
+//! bit: a draw is a pure function of its key, so computing it earlier or
+//! next to another changes nothing; each value goes through the same
+//! IEEE-754 operations as [`CounterRng::lane_normals`] and
+//! [`NoiseInjector::perturb_lane`], which share its `ln`, `sin`/`cos` and
+//! offset-and-clamp code; `+ − × ÷ √` round the same in a vector lane as
+//! in scalar code, and Rust never fuses a multiply-add; and both rails
+//! still sum in lane order.
 
 use crate::error::{PhotonicsError, Result};
 use serde::{Deserialize, Serialize};
@@ -211,6 +225,7 @@ impl CounterRng {
     }
 
     /// One Philox-2x64-10 block for `(seed, frame, tag, element)`.
+    #[inline]
     fn block(&self, tag: u64, element: u64) -> [u64; 2] {
         let mut key = self.seed ^ tag.wrapping_add(1).wrapping_mul(CHANNEL_KEY_MUL);
         let mut ctr = [element, self.frame];
@@ -224,6 +239,20 @@ impl CounterRng {
         ctr
     }
 
+    /// The Philox words of MAC lane `element`'s block, the input of
+    /// [`normal_pairs`].
+    #[inline]
+    pub(crate) fn lane_block(&self, element: u64) -> [u64; 2] {
+        self.block(LANE_TAG, element)
+    }
+
+    /// The Philox words of detection event `element`'s block, the input of
+    /// [`normal_pairs`].
+    #[inline]
+    pub(crate) fn detection_block(&self, element: u64) -> [u64; 2] {
+        self.block(DETECTION_TAG, element)
+    }
+
     /// The Box–Muller polar form of one Philox block's two words,
     /// `(r, sin θ, cos θ)`: the block's two normals are `r·cos θ` and
     /// `r·sin θ`.
@@ -233,6 +262,7 @@ impl CounterRng {
     /// The second gives the angle `θ = 2π·k·2⁻⁵³` from its top 53 bits `k`,
     /// reduced to a quarter turn exactly in integers: nothing multiplies by
     /// a rounded 2π. See [`ln_unit`] and [`sin_cos_turn`].
+    #[inline]
     fn polar([x0, x1]: [u64; 2]) -> (f64, f64, f64) {
         let (sin, cos) = sin_cos_turn(x1 >> 11);
         ((-2.0 * ln_unit((x0 >> 11) + 1)).sqrt(), sin, cos)
@@ -269,8 +299,7 @@ impl CounterRng {
     /// `standard_normal(Weight, element)`.
     #[must_use]
     pub fn lane_normals(&self, element: u64) -> (f64, f64) {
-        let (r, sin, cos) = Self::polar(self.block(LANE_TAG, element));
-        (r * cos, r * sin)
+        normal_pair(self.block(LANE_TAG, element))
     }
 
     /// Draws one sample from `N(mean, sigma²)` at `(channel, element)`.
@@ -284,6 +313,43 @@ impl CounterRng {
         }
         mean + sigma * self.standard_normal(channel, element)
     }
+}
+
+/// The two standard normals of one Philox block, `(r·cos θ, r·sin θ)`: a
+/// lane's intensity and weight draws, or a detection draw and an unused
+/// branch.
+#[inline]
+fn normal_pair(words: [u64; 2]) -> (f64, f64) {
+    let (r, sin, cos) = CounterRng::polar(words);
+    (r * cos, r * sin)
+}
+
+/// Phase 2 of [`crate::arm::OpticalArm::mac`]: [`normal_pair`] over a batch
+/// of Philox blocks, written to `normals` in block order. No iteration
+/// reads another's result; the module doc says why the batch gives the
+/// same bits as one block at a time.
+pub(crate) fn normal_pairs(blocks: &[[u64; 2]], normals: &mut [(f64, f64)]) {
+    for (normal, &words) in normals.iter_mut().zip(blocks) {
+        *normal = normal_pair(words);
+    }
+}
+
+/// `mean + sigma·z`; a zero `sigma` returns `mean` exactly, whatever `z`
+/// holds, so a channel switched off needs no draw.
+#[inline]
+pub(crate) fn offset(mean: f64, sigma: f64, z: f64) -> f64 {
+    if sigma == 0.0 {
+        mean
+    } else {
+        mean + sigma * z
+    }
+}
+
+/// [`offset`] clamped to `[0, 1]`: one perturbed lane quantity, a VCSEL
+/// intensity or a ring transmission (see [`NoiseInjector::perturb_lane`]).
+#[inline]
+pub(crate) fn offset_unit(mean: f64, sigma: f64, z: f64) -> f64 {
+    offset(mean, sigma, z).clamp(0.0, 1.0)
 }
 
 // The Box–Muller arithmetic below uses only `+ − × ÷ √` and integer
@@ -461,20 +527,14 @@ impl NoiseInjector {
             weight_sigma,
             ..
         } = self.config;
-        if vcsel_relative_sigma == 0.0 && weight_sigma == 0.0 {
-            return (intensity.clamp(0.0, 1.0), weight.clamp(0.0, 1.0));
-        }
-        let (z_intensity, z_weight) = self.rng.lane_normals(element);
-        let offset = |mean: f64, sigma: f64, z: f64| {
-            if sigma == 0.0 {
-                mean
-            } else {
-                mean + sigma * z
-            }
+        let (z_intensity, z_weight) = if vcsel_relative_sigma == 0.0 && weight_sigma == 0.0 {
+            (0.0, 0.0)
+        } else {
+            self.rng.lane_normals(element)
         };
         (
-            offset(intensity, vcsel_relative_sigma, z_intensity).clamp(0.0, 1.0),
-            offset(weight, weight_sigma, z_weight).clamp(0.0, 1.0),
+            offset_unit(intensity, vcsel_relative_sigma, z_intensity),
+            offset_unit(weight, weight_sigma, z_weight),
         )
     }
 
