@@ -85,7 +85,7 @@ pub use energy::{ComponentPower, EnergyModel, SramModel};
 pub use error::{CoreError, Result};
 pub use exec::{PhotonicAccuracy, PhotonicExecutor};
 pub use mapping::{HardwareMapper, LayerMapping, SummationUsage};
-pub use oc::{MvmBank, OpticalCore, PhotonicMacUnit};
+pub use oc::{MvmBank, PhotonicMacUnit};
 pub use plan::{CompiledPlan, EncodedWeights, PlanStats};
 pub use platform::{
     ImageKernel, Outcome, Platform, PlatformBuilder, PlatformConfig, Report, Session, Workload,

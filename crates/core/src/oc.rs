@@ -6,12 +6,10 @@
 //! and models the two-stage electronic summation tree that combines partial
 //! sums of long dot products (paper Figs. 5 and 6).
 
-use crate::config::OcGeometry;
 use crate::error::{CoreError, Result};
 use lightator_photonics::arm::{ArmConfig, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
 use lightator_photonics::noise::NoiseConfig;
-use lightator_photonics::units::Power;
 use serde::{Deserialize, Serialize};
 
 /// A photonic dot-product engine of arbitrary length.
@@ -249,43 +247,6 @@ impl MvmBank {
     }
 }
 
-/// Aggregated optical core: geometry plus the per-device power hooks needed
-/// by the energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpticalCore {
-    geometry: OcGeometry,
-}
-
-impl OpticalCore {
-    /// Creates an optical core for a geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid geometry.
-    pub fn new(geometry: OcGeometry) -> Result<Self> {
-        geometry.validate()?;
-        Ok(Self { geometry })
-    }
-
-    /// The geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &OcGeometry {
-        &self.geometry
-    }
-
-    /// One bank of this core.
-    #[must_use]
-    pub fn bank(&self) -> MvmBank {
-        MvmBank::new(self.geometry.arms_per_bank, self.geometry.mrs_per_arm)
-    }
-
-    /// Peak MR tuning power when `active_mrs` rings hold weights.
-    #[must_use]
-    pub fn tuning_power(&self, active_mrs: usize, per_mr: Power) -> Power {
-        per_mr * active_mrs.min(self.geometry.mrs()) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,15 +368,5 @@ mod tests {
         assert_eq!(bank.strides_for_kernel(3), 6);
         assert_eq!(bank.strides_for_kernel(5), 2);
         assert_eq!(bank.strides_for_kernel(7), 1);
-    }
-
-    #[test]
-    fn optical_core_tuning_power_saturates_at_capacity() {
-        let core = OpticalCore::new(OcGeometry::paper()).expect("ok");
-        let per_mr = Power::from_mw(0.1);
-        let at_capacity = core.tuning_power(5184, per_mr);
-        let beyond = core.tuning_power(10_000, per_mr);
-        assert_eq!(at_capacity, beyond);
-        assert!((at_capacity.mw() - 518.4).abs() < 1e-9);
     }
 }

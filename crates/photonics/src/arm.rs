@@ -22,7 +22,6 @@
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
 use crate::noise::{normal_pairs, offset, offset_unit, NoiseConfig, NoiseInjector};
-use crate::units::Power;
 use crate::wdm::{CrosstalkModel, WdmGrid};
 use serde::{Deserialize, Serialize};
 
@@ -358,15 +357,6 @@ impl OpticalArm {
             value: detected,
             ideal,
         })
-    }
-
-    /// Total MR tuning power currently drawn by the arm.
-    #[must_use]
-    pub fn tuning_power(&self) -> Power {
-        self.rings
-            .iter()
-            .map(MicroringResonator::tuning_power)
-            .sum()
     }
 
     /// Number of rings currently holding a non-zero weight.
@@ -720,18 +710,7 @@ mod tests {
     fn zero_weights_draw_no_tuning_power() {
         let mut arm = ideal_arm();
         arm.load_weights(&[0.0; 9]).expect("ok");
-        assert_eq!(arm.tuning_power(), Power::zero());
         assert_eq!(arm.active_rings(), 0);
-    }
-
-    #[test]
-    fn tuning_power_increases_with_active_rings() {
-        let mut arm = ideal_arm();
-        arm.load_weights(&[0.5, 0.5]).expect("ok");
-        let two = arm.tuning_power();
-        arm.load_weights(&[0.5; 9]).expect("ok");
-        let nine = arm.tuning_power();
-        assert!(nine.mw() > two.mw());
     }
 
     #[test]

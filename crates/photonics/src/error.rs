@@ -23,20 +23,6 @@ pub enum PhotonicsError {
         /// The offending activation value.
         activation: f64,
     },
-    /// A requested detuning exceeds the tunable range of the device.
-    DetuningOutOfRange {
-        /// Requested detuning in nanometres.
-        requested_nm: f64,
-        /// Maximum supported detuning in nanometres.
-        max_nm: f64,
-    },
-    /// A drive level beyond the supported number of levels was requested.
-    DriveLevelOutOfRange {
-        /// Requested level.
-        level: u16,
-        /// Number of supported levels.
-        levels: u16,
-    },
     /// A configuration parameter was invalid (non-positive, NaN, ...).
     InvalidParameter {
         /// Name of the offending parameter.
@@ -72,17 +58,6 @@ impl fmt::Display for PhotonicsError {
                 f,
                 "activation {activation} is outside the representable range [0, 1]"
             ),
-            Self::DetuningOutOfRange {
-                requested_nm,
-                max_nm,
-            } => write!(
-                f,
-                "requested detuning of {requested_nm} nm exceeds the tunable range of {max_nm} nm"
-            ),
-            Self::DriveLevelOutOfRange { level, levels } => write!(
-                f,
-                "drive level {level} is outside the supported range of {levels} levels"
-            ),
             Self::InvalidParameter { name, value } => {
                 write!(f, "invalid value {value} for parameter `{name}`")
             }
@@ -112,14 +87,6 @@ mod tests {
         let cases: Vec<PhotonicsError> = vec![
             PhotonicsError::WeightOutOfRange { weight: 2.0 },
             PhotonicsError::ActivationOutOfRange { activation: -0.5 },
-            PhotonicsError::DetuningOutOfRange {
-                requested_nm: 5.0,
-                max_nm: 2.0,
-            },
-            PhotonicsError::DriveLevelOutOfRange {
-                level: 99,
-                levels: 16,
-            },
             PhotonicsError::InvalidParameter {
                 name: "q_factor",
                 value: -1.0,

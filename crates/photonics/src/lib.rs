@@ -1,22 +1,20 @@
-//! Silicon-photonic device models for the Lightator reproduction.
+//! Silicon-photonic substrate of the Lightator reproduction.
 //!
-//! This crate provides the device-level substrate that the Lightator optical
-//! near-sensor accelerator (DAC 2024) is built on:
+//! This crate holds the two descriptions of the optical devices of the
+//! Lightator near-sensor accelerator (DAC 2024) that the simulator reads:
 //!
-//! * [`microring`] — add-drop micro-ring resonators with Lorentzian
-//!   transmission, active tuning and weight imprinting (paper Fig. 1);
-//! * [`vcsel`] — directly modulated VCSELs whose intensity encodes
-//!   activations (paper Fig. 4(c));
-//! * [`photodetector`] — photodiodes and balanced photodetectors performing
-//!   the optical accumulation of each MVM-bank arm;
-//! * [`waveguide`] — passive loss / link-budget models;
-//! * [`wdm`] — wavelength grids and inter-channel crosstalk;
-//! * [`noise`] — analog non-ideality injection for functional accuracy
-//!   studies;
-//! * [`arm`] — the composed optical multiply-and-accumulate arm, the compute
-//!   primitive of the optical core;
-//! * [`power`] — per-device power/energy constants consumed by the
-//!   architecture simulator.
+//! * the **functional** model of the optical core's compute primitive, which
+//!   produces every output value and its analog error:
+//!   * [`microring`] — add-drop micro-ring resonators with Lorentzian
+//!     transmission and weight imprinting (paper Fig. 1);
+//!   * [`wdm`] — wavelength grids and inter-channel crosstalk;
+//!   * [`noise`] — analog non-idealities as constant sigmas relative to
+//!     full scale, with keyed, host-independent draws;
+//!   * [`arm`] — the composed optical multiply-and-accumulate arm;
+//! * the **cost** model: [`power`], one per-device power or energy constant
+//!   per device quantity, from the paper's circuit-level extraction. The
+//!   architecture simulator multiplies them by instance counts and duty
+//!   cycles; no device model derives them.
 //!
 //! # Example
 //!
@@ -44,20 +42,14 @@ pub mod arm;
 pub mod error;
 pub mod microring;
 pub mod noise;
-pub mod photodetector;
 pub mod power;
 pub mod units;
-pub mod vcsel;
-pub mod waveguide;
 pub mod wdm;
 
 pub use arm::{ArmConfig, ArmOutput, OpticalArm};
 pub use error::{PhotonicsError, Result};
 pub use microring::{MicroringConfig, MicroringResonator};
 pub use noise::{CounterRng, NoiseChannel, NoiseConfig, NoiseInjector};
-pub use photodetector::{BalancedPhotodetector, Photodetector, PhotodetectorConfig};
 pub use power::DevicePowerTable;
-pub use units::{Area, Current, Energy, Power, Time, Voltage, Wavelength};
-pub use vcsel::{ModulatedVcsel, Vcsel, VcselConfig};
-pub use waveguide::{LinkBudget, WaveguideConfig};
+pub use units::{Area, Energy, Power, Time, Voltage, Wavelength};
 pub use wdm::{CrosstalkModel, WdmGrid};

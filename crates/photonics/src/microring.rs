@@ -9,11 +9,12 @@
 //! The model follows the standard Lorentzian approximation of an add-drop
 //! resonator: the through port exhibits a notch of configurable extinction at
 //! the resonant wavelength and the drop port the complementary peak. Tuning
-//! shifts the resonance; the heater power required is proportional to the
-//! resonance shift.
+//! shifts the resonance. What holding a ring tuned costs is not modelled
+//! here: it is the per-ring constant
+//! [`DevicePowerTable::mr_tuning_power_mw`](crate::power::DevicePowerTable::mr_tuning_power_mw).
 
 use crate::error::{PhotonicsError, Result};
-use crate::units::{Power, Wavelength};
+use crate::units::Wavelength;
 use serde::{Deserialize, Serialize};
 
 /// Static design parameters of a micro-ring resonator.
@@ -42,13 +43,8 @@ pub struct MicroringConfig {
     pub extinction_ratio_db: f64,
     /// Insertion loss of the ring far from resonance, in dB (positive).
     pub insertion_loss_db: f64,
-    /// Thermal tuning efficiency in mW of heater power per nm of shift.
-    pub tuning_efficiency_mw_per_nm: f64,
     /// Maximum resonance shift achievable by the tuning mechanism, in nm.
     pub tunable_range_nm: f64,
-    /// Static (bias) power of the tuning circuit in mW, drawn whenever the
-    /// ring is locked, even at zero detuning.
-    pub static_tuning_power_mw: f64,
 }
 
 impl Default for MicroringConfig {
@@ -60,9 +56,7 @@ impl Default for MicroringConfig {
             quality_factor: 8_000.0,
             extinction_ratio_db: 20.0,
             insertion_loss_db: 0.05,
-            tuning_efficiency_mw_per_nm: 2.2,
             tunable_range_nm: 1.2,
-            static_tuning_power_mw: 0.02,
         }
     }
 }
@@ -74,17 +68,13 @@ impl MicroringConfig {
     /// # Errors
     ///
     /// Returns [`PhotonicsError::InvalidParameter`] when a parameter is not a
-    /// positive finite number (the static tuning power may be zero).
+    /// positive finite number (the insertion loss may be zero).
     pub fn validate(&self) -> Result<()> {
         let strictly_positive = [
             ("effective_index", self.effective_index),
             ("circumference_um", self.circumference_um),
             ("quality_factor", self.quality_factor),
             ("extinction_ratio_db", self.extinction_ratio_db),
-            (
-                "tuning_efficiency_mw_per_nm",
-                self.tuning_efficiency_mw_per_nm,
-            ),
             ("tunable_range_nm", self.tunable_range_nm),
         ];
         for (name, value) in strictly_positive {
@@ -92,14 +82,12 @@ impl MicroringConfig {
                 return Err(PhotonicsError::InvalidParameter { name, value });
             }
         }
-        let non_negative = [
-            ("insertion_loss_db", self.insertion_loss_db),
-            ("static_tuning_power_mw", self.static_tuning_power_mw),
-        ];
-        for (name, value) in non_negative {
-            if !value.is_finite() || value < 0.0 {
-                return Err(PhotonicsError::InvalidParameter { name, value });
-            }
+        let loss = self.insertion_loss_db;
+        if !loss.is_finite() || loss < 0.0 {
+            return Err(PhotonicsError::InvalidParameter {
+                name: "insertion_loss_db",
+                value: loss,
+            });
         }
         if self.resonance_order == 0 {
             return Err(PhotonicsError::InvalidParameter {
@@ -357,29 +345,6 @@ impl MicroringResonator {
         self.transmission = self.transmission_at(self.channel);
         Ok(())
     }
-
-    /// Heater/PIN power currently consumed by the tuning circuit.
-    ///
-    /// The tuning shift is measured from the parked position (the edge of the
-    /// tunable range), matching the convention that weighting a channel
-    /// requires actively pulling the resonance towards it.
-    #[must_use]
-    pub fn tuning_power(&self) -> Power {
-        if !self.active {
-            return Power::zero();
-        }
-        let shift_nm = (self.config.tunable_range_nm - self.detuning_nm).abs();
-        Power::from_mw(
-            self.config.static_tuning_power_mw + shift_nm * self.config.tuning_efficiency_mw_per_nm,
-        )
-    }
-
-    /// Applies the ring to an input optical power on its channel, returning
-    /// the through-port power.
-    #[must_use]
-    pub fn weight_power(&self, input: Power) -> Power {
-        input.attenuated_by(self.channel_transmission())
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +405,6 @@ mod tests {
         let mr = ring();
         assert!(!mr.is_active());
         assert!(mr.channel_transmission() > 0.9);
-        assert_eq!(mr.tuning_power(), Power::zero());
     }
 
     #[test]
@@ -485,25 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn stronger_attenuation_costs_more_tuning_power() {
-        let mut mr = ring();
-        mr.set_weight(0.9).expect("ok");
-        let p_light = mr.tuning_power();
-        mr.set_weight(0.1).expect("ok");
-        let p_heavy = mr.tuning_power();
-        assert!(
-            p_heavy.mw() > p_light.mw(),
-            "pulling the resonance closer to the channel must cost more power"
-        );
-    }
-
-    #[test]
     fn park_resets_power_and_weight() {
         let mut mr = ring();
         mr.set_weight(0.3).expect("ok");
-        assert!(mr.tuning_power().mw() > 0.0);
+        assert!(mr.is_active());
         mr.park();
-        assert_eq!(mr.tuning_power(), Power::zero());
+        assert!(!mr.is_active());
         assert!((mr.weight() - 1.0).abs() < 1e-12);
     }
 
@@ -525,13 +476,5 @@ mod tests {
         let drop = mr.drop_transmission_at(probe);
         let loss = mr.config().maximum_transmission();
         assert!((thru + drop - loss).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weight_power_scales_input() {
-        let mut mr = ring();
-        mr.set_weight(0.5).expect("ok");
-        let out = mr.weight_power(Power::from_mw(2.0));
-        assert!((out.mw() - 1.0).abs() < 0.1);
     }
 }

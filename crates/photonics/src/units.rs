@@ -7,7 +7,7 @@
 //!
 //! All newtypes are thin wrappers over `f64`, are `Copy`, and expose their
 //! canonical unit through an accessor named after the unit (`nm()`, `mw()`,
-//! `ma()`, ...). Conversions to secondary units (`dbm()`, `um()`, ...) are
+//! `ns()`, ...). Conversions to secondary units (`watts()`, `um()`, ...) are
 //! provided where they are commonly needed.
 
 use serde::{Deserialize, Serialize};
@@ -170,7 +170,7 @@ unit_newtype!(
     /// ```
     /// use lightator_photonics::units::Power;
     /// let p = Power::from_mw(1.0);
-    /// assert!((p.dbm() - 0.0).abs() < 1e-12);
+    /// assert!((p.watts() - 1e-3).abs() < 1e-15);
     /// ```
     Power, "mW", mw, from_mw
 );
@@ -198,60 +198,6 @@ impl Power {
     #[must_use]
     pub fn from_uw(uw: f64) -> Self {
         Self::from_mw(uw / 1e3)
-    }
-
-    /// Returns the power in dBm.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; non-positive powers map to negative infinity, matching
-    /// the convention that 0 mW has no finite dBm representation.
-    #[must_use]
-    pub fn dbm(&self) -> f64 {
-        10.0 * (self.mw()).log10()
-    }
-
-    /// Creates a power value from dBm.
-    #[must_use]
-    pub fn from_dbm(dbm: f64) -> Self {
-        Self::from_mw(10f64.powf(dbm / 10.0))
-    }
-
-    /// Multiplies this power by a linear (not dB) transmission factor.
-    #[must_use]
-    pub fn attenuated_by(self, linear_factor: f64) -> Self {
-        Self::from_mw(self.mw() * linear_factor)
-    }
-
-    /// Multiplies this power by a loss expressed in dB (positive = loss).
-    #[must_use]
-    pub fn after_loss_db(self, loss_db: f64) -> Self {
-        self.attenuated_by(db_to_linear(-loss_db))
-    }
-}
-
-unit_newtype!(
-    /// Electrical current, canonically expressed in milliamps.
-    Current, "mA", ma, from_ma
-);
-
-impl Current {
-    /// Creates a current from microamps.
-    #[must_use]
-    pub fn from_ua(ua: f64) -> Self {
-        Self::from_ma(ua / 1e3)
-    }
-
-    /// Returns the current in microamps.
-    #[must_use]
-    pub fn ua(&self) -> f64 {
-        self.ma() * 1e3
-    }
-
-    /// Returns the current in amps.
-    #[must_use]
-    pub fn amps(&self) -> f64 {
-        self.ma() / 1e3
     }
 }
 
@@ -393,28 +339,6 @@ unit_newtype!(
     TemperatureDelta, "K", kelvin, from_kelvin
 );
 
-/// Converts a ratio expressed in decibels to a linear factor.
-///
-/// ```
-/// use lightator_photonics::units::db_to_linear;
-/// assert!((db_to_linear(3.0103) - 2.0).abs() < 1e-3);
-/// ```
-#[must_use]
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a linear factor to decibels.
-///
-/// ```
-/// use lightator_photonics::units::linear_to_db;
-/// assert!((linear_to_db(2.0) - 3.0103).abs() < 1e-3);
-/// ```
-#[must_use]
-pub fn linear_to_db(linear: f64) -> f64 {
-    10.0 * linear.log10()
-}
-
 /// Multiplies `power` by `energy-per-op × ops/s` style products; convenience
 /// for converting a per-operation energy plus an operating rate to power.
 #[must_use]
@@ -432,27 +356,6 @@ mod tests {
         assert!((w.um() - 1.55).abs() < 1e-12);
         assert!((w.meters() - 1.55e-6).abs() < 1e-18);
         assert_eq!(Wavelength::from_um(1.55), w);
-    }
-
-    #[test]
-    fn power_dbm_round_trip() {
-        for dbm in [-30.0, -10.0, 0.0, 3.0, 10.0] {
-            let p = Power::from_dbm(dbm);
-            assert!((p.dbm() - dbm).abs() < 1e-9, "round trip failed at {dbm}");
-        }
-    }
-
-    #[test]
-    fn power_loss_application() {
-        let p = Power::from_mw(2.0);
-        let after = p.after_loss_db(3.0103);
-        assert!((after.mw() - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn zero_power_dbm_is_negative_infinity() {
-        assert!(Power::zero().dbm().is_infinite());
-        assert!(Power::zero().dbm() < 0.0);
     }
 
     #[test]
@@ -483,14 +386,6 @@ mod tests {
         assert_eq!(a / b, 3.0);
         let total: Power = [a, b, b].into_iter().sum();
         assert_eq!(total.mw(), 2.5);
-    }
-
-    #[test]
-    fn db_linear_round_trip() {
-        for db in [-20.0, -3.0, 0.0, 3.0, 10.0, 30.0] {
-            let lin = db_to_linear(db);
-            assert!((linear_to_db(lin) - db).abs() < 1e-9);
-        }
     }
 
     #[test]

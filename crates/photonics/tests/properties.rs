@@ -3,10 +3,7 @@
 use lightator_photonics::arm::{ArmConfig, OpticalArm};
 use lightator_photonics::microring::{MicroringConfig, MicroringResonator};
 use lightator_photonics::noise::NoiseConfig;
-use lightator_photonics::photodetector::{BalancedPhotodetector, PhotodetectorConfig};
-use lightator_photonics::units::{Power, Wavelength};
-use lightator_photonics::vcsel::{ModulatedVcsel, VcselConfig};
-use lightator_photonics::waveguide::{LinkBudget, WaveguideConfig};
+use lightator_photonics::units::Wavelength;
 use lightator_photonics::wdm::{CrosstalkModel, WdmGrid};
 use proptest::prelude::*;
 
@@ -71,76 +68,6 @@ proptest! {
         prop_assert!(t + d <= 1.0 + 1e-9);
     }
 
-    /// MR tuning power is non-negative and monotonically non-increasing in
-    /// the programmed weight (heavier attenuation costs more heater power).
-    #[test]
-    fn mr_tuning_power_monotone(w_low in 0.05f64..0.45, delta in 0.05f64..0.5) {
-        let w_high = w_low + delta;
-        let mut mr = MicroringResonator::new(
-            MicroringConfig::default(),
-            Wavelength::from_nm(1550.0),
-        ).unwrap();
-        mr.set_weight(w_low).unwrap();
-        let p_low = mr.tuning_power().mw();
-        mr.set_weight(w_high).unwrap();
-        let p_high = mr.tuning_power().mw();
-        prop_assert!(p_low >= 0.0 && p_high >= 0.0);
-        prop_assert!(p_low >= p_high - 1e-12,
-            "weight {} costs {} mW but weight {} costs {} mW", w_low, p_low, w_high, p_high);
-    }
-
-    /// VCSEL modulation produces intensities that are monotone in the code
-    /// and bounded in [0, 1].
-    #[test]
-    fn vcsel_codes_monotone(levels in 2u16..64) {
-        let m = ModulatedVcsel::new(
-            VcselConfig::default(),
-            Wavelength::from_nm(1550.0),
-            levels,
-        ).unwrap();
-        let mut last = -1.0;
-        for level in 0..levels {
-            let i = m.normalized_intensity(level).unwrap();
-            prop_assert!((0.0..=1.0).contains(&i));
-            prop_assert!(i >= last);
-            last = i;
-        }
-    }
-
-    /// The balanced detector output is antisymmetric under swapping its
-    /// inputs and bounded by the full-scale clamp.
-    #[test]
-    fn bpd_antisymmetric(p_pos in 0.0f64..2.0, p_neg in 0.0f64..2.0) {
-        let bpd = BalancedPhotodetector::new(PhotodetectorConfig::default()).unwrap();
-        let full = Power::from_mw(2.0);
-        let a = bpd.normalized_output(Power::from_mw(p_pos), Power::from_mw(p_neg), full).unwrap();
-        let b = bpd.normalized_output(Power::from_mw(p_neg), Power::from_mw(p_pos), full).unwrap();
-        prop_assert!((-1.0..=1.0).contains(&a));
-        prop_assert!((a + b).abs() < 1e-9);
-    }
-
-    /// Link budgets: delivered power never exceeds launch power, and the
-    /// required-launch/delivered pair are mutually consistent.
-    #[test]
-    fn link_budget_consistency(
-        length_mm in 0.0f64..50.0,
-        couplers in 0u32..4,
-        stages in 0u32..6,
-        rings in 0u32..54,
-        launch_mw in 0.01f64..10.0,
-    ) {
-        let link = LinkBudget::new(WaveguideConfig::default())
-            .with_length_mm(length_mm)
-            .with_couplers(couplers)
-            .with_splitter_stages(stages)
-            .with_rings_passed(rings);
-        let launch = Power::from_mw(launch_mw);
-        let delivered = link.delivered_power(launch).unwrap();
-        prop_assert!(delivered.mw() <= launch.mw() + 1e-12);
-        let needed = link.required_launch_power(delivered).unwrap();
-        prop_assert!((needed.mw() - launch.mw()).abs() < 1e-6);
-    }
-
     /// Crosstalk factors always lie in [0, 1] and the ideal model never
     /// changes an intensity vector.
     #[test]
@@ -179,18 +106,5 @@ proptest! {
         prop_assert!((out.ideal - exact).abs() < 1e-12);
         // 9 products, each off by at most ~2% of its magnitude.
         prop_assert!((out.value - exact).abs() < 0.2, "value {} exact {}", out.value, exact);
-    }
-
-    /// Arm tuning power scales with the number of active (non-zero) weights.
-    #[test]
-    fn arm_tuning_power_nonnegative(
-        weights in proptest::collection::vec(-1.0f64..1.0, 0..9),
-    ) {
-        let mut arm = OpticalArm::new(ArmConfig::default()).unwrap();
-        arm.load_weights(&weights).unwrap();
-        prop_assert!(arm.tuning_power().mw() >= 0.0);
-        if arm.active_rings() == 0 {
-            prop_assert!(arm.tuning_power().mw() == 0.0);
-        }
     }
 }

@@ -10,7 +10,6 @@ use crate::crc::{ComparatorReadCircuit, CrcConfig};
 use crate::error::{Result, SensorError};
 use crate::frame::{Channel, RgbFrame};
 use crate::pixel::{Pixel, PixelConfig};
-use lightator_photonics::units::Power;
 use serde::{Deserialize, Serialize};
 
 /// Default sensor resolution used by the paper.
@@ -262,24 +261,6 @@ impl SensorArray {
         }
         BayerMosaic::from_rgb(scene, self.config.pattern)
     }
-
-    /// Total read-out power when every pixel is read through its CRC share
-    /// simultaneously (global shutter). In practice the CRC is shared across
-    /// a column group; `crc_share` expresses how many pixels share one CRC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidParameter`] if `crc_share` is zero.
-    pub fn readout_power(&self, crc_share: usize) -> Result<Power> {
-        if crc_share == 0 {
-            return Err(SensorError::InvalidParameter {
-                name: "crc_share",
-                value: 0.0,
-            });
-        }
-        let units = self.pixel_count().div_ceil(crc_share);
-        Ok(Power::from_mw(self.crc.power().mw() * units as f64))
-    }
 }
 
 #[cfg(test)]
@@ -362,15 +343,6 @@ mod tests {
         assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![0; 3]).is_err());
         assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![16, 0, 0, 0]).is_err());
         assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![15, 0, 7, 3]).is_ok());
-    }
-
-    #[test]
-    fn readout_power_scales_with_sharing() {
-        let sensor = small_sensor();
-        let dedicated = sensor.readout_power(1).expect("ok");
-        let shared = sensor.readout_power(8).expect("ok");
-        assert!(dedicated.mw() > shared.mw());
-        assert!(sensor.readout_power(0).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::error::{Result, SensorError};
 use crate::pixel::PixelConfig;
-use lightator_photonics::units::{Power, Voltage};
+use lightator_photonics::units::Voltage;
 use serde::{Deserialize, Serialize};
 
 /// Number of comparators in a CRC unit (paper Fig. 4(a)).
@@ -22,9 +22,6 @@ pub struct CrcConfig {
     /// `k` being *above* the pixel voltage means the pixel has dropped past
     /// level `k`, turning comparator output `VS_{k+1}` on.
     pub reference_voltages_v: Vec<f64>,
-    /// Static power of one comparator (including its share of the reference
-    /// ladder), in µW.
-    pub comparator_power_uw: f64,
     /// Input-referred comparator offset (one sigma), in mV. Zero for an
     /// ideal ladder.
     pub offset_sigma_mv: f64,
@@ -49,13 +46,12 @@ impl CrcConfig {
             .collect();
         Ok(Self {
             reference_voltages_v: references,
-            comparator_power_uw: 7.5,
             offset_sigma_mv: 0.0,
         })
     }
 
     /// Validates the configuration: exactly 15 strictly decreasing, finite
-    /// references and non-negative power/offset.
+    /// references and a non-negative offset.
     ///
     /// # Errors
     ///
@@ -74,12 +70,6 @@ impl CrcConfig {
                     value: window[1],
                 });
             }
-        }
-        if !self.comparator_power_uw.is_finite() || self.comparator_power_uw < 0.0 {
-            return Err(SensorError::InvalidParameter {
-                name: "comparator_power_uw",
-                value: self.comparator_power_uw,
-            });
         }
         if !self.offset_sigma_mv.is_finite() || self.offset_sigma_mv < 0.0 {
             return Err(SensorError::InvalidParameter {
@@ -189,12 +179,6 @@ impl ComparatorReadCircuit {
     pub fn read_code(&self, pixel_voltage: Voltage) -> u8 {
         self.read(pixel_voltage).code()
     }
-
-    /// Static power of the complete 15-comparator unit.
-    #[must_use]
-    pub fn power(&self) -> Power {
-        Power::from_mw(self.config.comparator_power_uw * CRC_COMPARATORS as f64 / 1e3)
-    }
 }
 
 #[cfg(test)]
@@ -258,23 +242,14 @@ mod tests {
     fn validate_rejects_bad_ladders() {
         let cfg = CrcConfig {
             reference_voltages_v: vec![0.5; CRC_COMPARATORS],
-            comparator_power_uw: 7.5,
             offset_sigma_mv: 0.0,
         };
         assert!(cfg.validate().is_err());
         let cfg = CrcConfig {
             reference_voltages_v: vec![0.5; 10],
-            comparator_power_uw: 7.5,
             offset_sigma_mv: 0.0,
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn power_counts_all_comparators() {
-        let crc = crc();
-        let expected = crc.config().comparator_power_uw * 15.0 / 1e3;
-        assert!((crc.power().mw() - expected).abs() < 1e-12);
     }
 
     #[test]

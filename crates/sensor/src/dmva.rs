@@ -4,21 +4,24 @@
 //! array or the digital output of the previous DNN layer) and the optical
 //! core. It has three components (paper Fig. 4):
 //!
-//! * the [`ComparatorReadCircuit`] that digitises a pixel voltage into a
-//!   thermometer code,
+//! * the [comparator read circuit](crate::crc::ComparatorReadCircuit) that
+//!   digitises a pixel voltage into a thermometer code,
 //! * a [`Selector`] that chooses between the pixel path (first layer) and the
 //!   feedback path carrying the previous layer's output (subsequent layers),
-//! * a [`VcselDriver`] whose 16 parallel transistors convert the selected
-//!   4-bit code into a drive current for a wavelength-assigned VCSEL.
+//! * a VCSEL driver whose [`DRIVER_TRANSISTORS`] parallel transistors convert
+//!   the selected 4-bit code into a drive current for a wavelength-assigned
+//!   VCSEL.
 //!
 //! Because the activation is encoded directly in the laser intensity, no DAC
 //! is needed anywhere on the activation path — the key source of Lightator's
 //! power advantage over MR-per-activation designs.
+//!
+//! This module keeps the selector and the driver's transistor count. The
+//! VCSEL and CRC power are per-device constants of
+//! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable), and
+//! the VCSEL's intensity noise is a sigma of
+//! [`NoiseConfig`](lightator_photonics::noise::NoiseConfig).
 
-use crate::crc::{ComparatorReadCircuit, CrcReading};
-use crate::error::{Result, SensorError};
-use lightator_photonics::units::{Power, Voltage, Wavelength};
-use lightator_photonics::vcsel::{ModulatedVcsel, VcselConfig};
 use serde::{Deserialize, Serialize};
 
 /// Number of parallel driving transistors in a VCSEL driver (paper Fig. 4(c)).
@@ -70,204 +73,9 @@ impl Selector {
     }
 }
 
-/// Configuration of a single VCSEL driver slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VcselDriverConfig {
-    /// Laser parameters of the driven VCSEL.
-    pub vcsel: VcselConfig,
-    /// Static bias power of the driver (pre-driver, bias network), in mW.
-    pub static_power_mw: f64,
-    /// Switching energy per transistor toggle, in fJ.
-    pub switching_energy_fj: f64,
-}
-
-impl Default for VcselDriverConfig {
-    fn default() -> Self {
-        Self {
-            vcsel: VcselConfig::default(),
-            static_power_mw: 0.015,
-            switching_energy_fj: 1.8,
-        }
-    }
-}
-
-/// A 16-transistor VCSEL driver converting a 4-bit code into laser light of
-/// proportional intensity on a fixed wavelength.
-///
-/// ```
-/// use lightator_sensor::dmva::{VcselDriver, VcselDriverConfig};
-/// use lightator_photonics::units::Wavelength;
-///
-/// # fn main() -> Result<(), lightator_sensor::SensorError> {
-/// let driver = VcselDriver::new(VcselDriverConfig::default(), Wavelength::from_nm(1550.0))?;
-/// let dim = driver.emit(3)?;
-/// let bright = driver.emit(12)?;
-/// assert!(bright > dim);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VcselDriver {
-    config: VcselDriverConfig,
-    laser: ModulatedVcsel,
-}
-
-impl VcselDriver {
-    /// Creates a driver for a VCSEL emitting at `wavelength`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidParameter`] for invalid static power or
-    /// switching energy, or a photonics error for an invalid laser
-    /// configuration.
-    pub fn new(config: VcselDriverConfig, wavelength: Wavelength) -> Result<Self> {
-        if !config.static_power_mw.is_finite() || config.static_power_mw < 0.0 {
-            return Err(SensorError::InvalidParameter {
-                name: "static_power_mw",
-                value: config.static_power_mw,
-            });
-        }
-        if !config.switching_energy_fj.is_finite() || config.switching_energy_fj < 0.0 {
-            return Err(SensorError::InvalidParameter {
-                name: "switching_energy_fj",
-                value: config.switching_energy_fj,
-            });
-        }
-        let laser = ModulatedVcsel::new(config.vcsel, wavelength, DRIVER_TRANSISTORS)?;
-        Ok(Self { config, laser })
-    }
-
-    /// The driver configuration.
-    #[must_use]
-    pub fn config(&self) -> &VcselDriverConfig {
-        &self.config
-    }
-
-    /// The wavelength this driver's laser emits on.
-    #[must_use]
-    pub fn wavelength(&self) -> Wavelength {
-        self.laser.vcsel().wavelength()
-    }
-
-    /// Emits the normalised optical intensity (`[0, 1]`) for a 4-bit code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::Photonics`] if the code exceeds 15.
-    pub fn emit(&self, code: u8) -> Result<f64> {
-        Ok(self.laser.normalized_intensity(u16::from(code))?)
-    }
-
-    /// Electrical power drawn while emitting a 4-bit code (laser + driver
-    /// static power).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::Photonics`] if the code exceeds 15.
-    pub fn electrical_power(&self, code: u8) -> Result<Power> {
-        let laser = self.laser.electrical_power(u16::from(code))?;
-        Ok(laser + Power::from_mw(self.config.static_power_mw))
-    }
-}
-
-/// One DMVA lane: CRC + selector + VCSEL driver serving one optical-core
-/// input wavelength.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DmvaLane {
-    crc: ComparatorReadCircuit,
-    selector: Selector,
-    driver: VcselDriver,
-}
-
-impl DmvaLane {
-    /// Creates a lane from its three components.
-    #[must_use]
-    pub fn new(crc: ComparatorReadCircuit, driver: VcselDriver) -> Self {
-        Self {
-            crc,
-            selector: Selector::new(),
-            driver,
-        }
-    }
-
-    /// Creates a lane with default CRC and driver configurations, emitting on
-    /// `wavelength`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from the CRC or driver constructors.
-    pub fn with_defaults(wavelength: Wavelength) -> Result<Self> {
-        Ok(Self::new(
-            ComparatorReadCircuit::for_default_pixel()?,
-            VcselDriver::new(VcselDriverConfig::default(), wavelength)?,
-        ))
-    }
-
-    /// The lane's selector state.
-    #[must_use]
-    pub fn source(&self) -> ActivationSource {
-        self.selector.source()
-    }
-
-    /// Switches the lane between the pixel path and the feedback path.
-    pub fn select(&mut self, source: ActivationSource) {
-        self.selector.select(source);
-    }
-
-    /// The comparator read circuit.
-    #[must_use]
-    pub fn crc(&self) -> &ComparatorReadCircuit {
-        &self.crc
-    }
-
-    /// The VCSEL driver.
-    #[must_use]
-    pub fn driver(&self) -> &VcselDriver {
-        &self.driver
-    }
-
-    /// Digitises a pixel voltage through the CRC (first-layer path).
-    #[must_use]
-    pub fn read_pixel(&self, pixel_voltage: Voltage) -> CrcReading {
-        self.crc.read(pixel_voltage)
-    }
-
-    /// Produces the optical activation for this lane given both candidate
-    /// inputs; which one is used depends on the selector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::Photonics`] if the resolved code exceeds 15
-    /// (cannot happen for well-formed inputs).
-    pub fn activate(&self, pixel_voltage: Voltage, feedback_code: u8) -> Result<f64> {
-        let pixel_code = self.crc.read_code(pixel_voltage);
-        let code = self.selector.resolve(pixel_code, feedback_code.min(15));
-        self.driver.emit(code)
-    }
-
-    /// Electrical power of the lane while emitting `code`: CRC (only when the
-    /// pixel path is selected) plus driver plus laser.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::Photonics`] if the code exceeds 15.
-    pub fn power(&self, code: u8) -> Result<Power> {
-        let crc_power = match self.selector.source() {
-            ActivationSource::PixelArray => self.crc.power(),
-            ActivationSource::PreviousLayer => Power::zero(),
-        };
-        Ok(crc_power + self.driver.electrical_power(code)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::{Pixel, PixelConfig};
-
-    fn lane() -> DmvaLane {
-        DmvaLane::with_defaults(Wavelength::from_nm(1550.0)).expect("valid")
-    }
 
     #[test]
     fn selector_defaults_to_pixel_array() {
@@ -281,87 +89,5 @@ mod tests {
         let mut s = Selector::new();
         s.select(ActivationSource::PreviousLayer);
         assert_eq!(s.resolve(7, 12), 12);
-    }
-
-    #[test]
-    fn driver_intensity_monotone_in_code() {
-        let driver = VcselDriver::new(VcselDriverConfig::default(), Wavelength::from_nm(1550.0))
-            .expect("valid");
-        let mut last = -1.0;
-        for code in 0..=15u8 {
-            let i = driver.emit(code).expect("ok");
-            assert!((0.0..=1.0).contains(&i));
-            assert!(i >= last);
-            last = i;
-        }
-    }
-
-    #[test]
-    fn driver_rejects_codes_above_fifteen() {
-        let driver = VcselDriver::new(VcselDriverConfig::default(), Wavelength::from_nm(1550.0))
-            .expect("valid");
-        assert!(driver.emit(16).is_err());
-    }
-
-    #[test]
-    fn driver_power_grows_with_code() {
-        let driver = VcselDriver::new(VcselDriverConfig::default(), Wavelength::from_nm(1550.0))
-            .expect("valid");
-        let low = driver.electrical_power(1).expect("ok");
-        let high = driver.electrical_power(15).expect("ok");
-        assert!(high.mw() > low.mw());
-    }
-
-    #[test]
-    fn driver_rejects_invalid_static_power() {
-        let cfg = VcselDriverConfig {
-            static_power_mw: -1.0,
-            ..VcselDriverConfig::default()
-        };
-        assert!(VcselDriver::new(cfg, Wavelength::from_nm(1550.0)).is_err());
-    }
-
-    #[test]
-    fn lane_first_layer_uses_pixel_voltage() {
-        let lane = lane();
-        let pixel = Pixel::new(PixelConfig::default()).expect("valid");
-        let bright = lane
-            .activate(pixel.output_voltage(1.0).expect("ok"), 0)
-            .expect("ok");
-        let dark = lane
-            .activate(pixel.output_voltage(0.0).expect("ok"), 15)
-            .expect("ok");
-        assert!(bright > dark, "pixel path must dominate while selected");
-    }
-
-    #[test]
-    fn lane_feedback_path_uses_previous_layer_code() {
-        let mut lane = lane();
-        lane.select(ActivationSource::PreviousLayer);
-        let pixel = Pixel::new(PixelConfig::default()).expect("valid");
-        let v_dark = pixel.output_voltage(0.0).expect("ok");
-        let strong = lane.activate(v_dark, 15).expect("ok");
-        let weak = lane.activate(v_dark, 1).expect("ok");
-        assert!(strong > weak);
-    }
-
-    #[test]
-    fn lane_feedback_codes_above_fifteen_are_clamped() {
-        let mut lane = lane();
-        lane.select(ActivationSource::PreviousLayer);
-        let pixel = Pixel::new(PixelConfig::default()).expect("valid");
-        let v = pixel.output_voltage(0.5).expect("ok");
-        let clamped = lane.activate(v, 200).expect("ok");
-        let top = lane.activate(v, 15).expect("ok");
-        assert!((clamped - top).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lane_power_excludes_crc_on_feedback_path() {
-        let mut lane = lane();
-        let with_crc = lane.power(8).expect("ok");
-        lane.select(ActivationSource::PreviousLayer);
-        let without_crc = lane.power(8).expect("ok");
-        assert!(with_crc.mw() > without_crc.mw());
     }
 }

@@ -43,8 +43,6 @@ pub enum SensorError {
         /// Array width.
         width: usize,
     },
-    /// An error bubbled up from the photonic device models.
-    Photonics(lightator_photonics::PhotonicsError),
 }
 
 impl fmt::Display for SensorError {
@@ -76,25 +74,11 @@ impl fmt::Display for SensorError {
                     "pixel ({row}, {col}) is outside the {height}x{width} array"
                 )
             }
-            Self::Photonics(err) => write!(f, "photonic device error: {err}"),
         }
     }
 }
 
-impl StdError for SensorError {
-    fn source(&self) -> Option<&(dyn StdError + 'static)> {
-        match self {
-            Self::Photonics(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<lightator_photonics::PhotonicsError> for SensorError {
-    fn from(err: lightator_photonics::PhotonicsError) -> Self {
-        Self::Photonics(err)
-    }
-}
+impl StdError for SensorError {}
 
 /// Convenience result alias for sensor operations.
 pub type Result<T> = std::result::Result<T, SensorError>;
@@ -129,15 +113,6 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn photonics_errors_convert() {
-        let photon_err = lightator_photonics::PhotonicsError::WeightOutOfRange { weight: 3.0 };
-        let err: SensorError = photon_err.into();
-        assert!(err.to_string().contains("photonic"));
-        use std::error::Error;
-        assert!(err.source().is_some());
     }
 
     #[test]

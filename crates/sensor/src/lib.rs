@@ -8,11 +8,16 @@
 //! * [`pixel`] — photodiode pixels with global-shutter exposure;
 //! * [`crc`] — the Comparator-based pixel Reading Circuit that replaces
 //!   column ADCs with a 15-comparator ladder (4-bit codes);
-//! * [`dmva`] — the Directly-Modulated VCSEL Array: selector and
-//!   16-transistor VCSEL drivers turning digital activations into light;
+//! * [`dmva`] — the Directly-Modulated VCSEL Array's selector between the
+//!   pixel path and the feedback path, and its driver's transistor count;
 //! * [`array`](mod@array) — the complete 256×256 global-shutter sensor;
 //! * [`video`] — deterministic frame-sequence sources (synthetic moving
 //!   patterns and validated raw-frame iterators) for streaming workloads.
+//!
+//! These models compute the codes the sensor produces, not what producing
+//! them costs: the CRC and VCSEL power the simulator charges are per-device
+//! constants of
+//! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable).
 //!
 //! # Example
 //!
@@ -48,9 +53,7 @@ pub mod video;
 pub use array::{DigitalFrame, SensorArray, SensorArrayConfig, DEFAULT_RESOLUTION};
 pub use bayer::{BayerMosaic, BayerPattern};
 pub use crc::{ComparatorReadCircuit, CrcConfig, CrcReading, CRC_COMPARATORS};
-pub use dmva::{
-    ActivationSource, DmvaLane, Selector, VcselDriver, VcselDriverConfig, DRIVER_TRANSISTORS,
-};
+pub use dmva::{ActivationSource, Selector, DRIVER_TRANSISTORS};
 pub use error::{Result, SensorError};
 pub use frame::{Channel, GrayFrame, RgbFrame};
 pub use pixel::{Pixel, PixelConfig};

@@ -1,12 +1,9 @@
 //! Capture scenarios: the ADC-less read-out chain under structured scenes,
 //! exercising the sensor the way the Lightator node uses it.
 
-use lightator_photonics::units::Wavelength;
 use lightator_sensor::array::{SensorArray, SensorArrayConfig};
 use lightator_sensor::bayer::BayerPattern;
-use lightator_sensor::dmva::{ActivationSource, DmvaLane};
 use lightator_sensor::frame::{Channel, RgbFrame};
-use lightator_sensor::pixel::{Pixel, PixelConfig};
 
 fn gradient_scene(size: usize) -> RgbFrame {
     let mut data = Vec::with_capacity(size * size * 3);
@@ -63,31 +60,6 @@ fn bayer_patterns_agree_on_uniform_scenes() {
         sums.windows(2).all(|w| w[0] == w[1]),
         "sums {sums:?} differ across patterns"
     );
-}
-
-/// The DMVA lane reproduces the paper's layer-by-layer reuse: the same lane
-/// serves the pixel path for the first layer and the feedback path for every
-/// later layer, with consistent intensity scaling.
-#[test]
-fn dmva_lane_switches_between_layers() {
-    let mut lane = DmvaLane::with_defaults(Wavelength::from_nm(1550.0)).expect("lane");
-    let pixel = Pixel::new(PixelConfig::default()).expect("pixel");
-
-    // Layer 1: driven by the pixel voltage.
-    assert_eq!(lane.source(), ActivationSource::PixelArray);
-    let v_bright = pixel.output_voltage(0.9).expect("voltage");
-    let first_layer = lane.activate(v_bright, 0).expect("activate");
-    assert!(first_layer > 0.5);
-
-    // Later layers: driven by the previous layer's 4-bit output.
-    lane.select(ActivationSource::PreviousLayer);
-    let later = lane.activate(v_bright, 3).expect("activate");
-    let later_strong = lane.activate(v_bright, 14).expect("activate");
-    assert!(
-        later < first_layer,
-        "code 3 must be dimmer than the bright pixel"
-    );
-    assert!(later_strong > later);
 }
 
 /// Full-well scenes never overflow the 4-bit range, and the darkest scene

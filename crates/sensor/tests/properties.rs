@@ -1,10 +1,8 @@
 //! Property-based tests for the ADC-less sensor models.
 
-use lightator_photonics::units::Wavelength;
 use lightator_sensor::array::{SensorArray, SensorArrayConfig};
 use lightator_sensor::bayer::{BayerMosaic, BayerPattern};
 use lightator_sensor::crc::ComparatorReadCircuit;
-use lightator_sensor::dmva::{ActivationSource, DmvaLane};
 use lightator_sensor::frame::{GrayFrame, RgbFrame};
 use lightator_sensor::pixel::{Pixel, PixelConfig};
 use proptest::prelude::*;
@@ -89,20 +87,5 @@ proptest! {
             prop_assert!(*d <= 15 && *b <= 15);
             prop_assert!(b >= d);
         }
-    }
-
-    /// A DMVA lane on the feedback path produces intensities that are
-    /// monotone in the previous-layer code.
-    #[test]
-    fn dmva_feedback_monotone(code_a in 0u8..16, code_b in 0u8..16) {
-        let mut lane = DmvaLane::with_defaults(Wavelength::from_nm(1550.0)).unwrap();
-        lane.select(ActivationSource::PreviousLayer);
-        let pixel = Pixel::new(PixelConfig::default()).unwrap();
-        let v = pixel.output_voltage(0.0).unwrap();
-        let (lo, hi) = if code_a <= code_b { (code_a, code_b) } else { (code_b, code_a) };
-        let i_lo = lane.activate(v, lo).unwrap();
-        let i_hi = lane.activate(v, hi).unwrap();
-        prop_assert!((0.0..=1.0).contains(&i_lo));
-        prop_assert!(i_hi >= i_lo);
     }
 }
