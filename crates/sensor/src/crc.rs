@@ -22,9 +22,6 @@ pub struct CrcConfig {
     /// `k` being *above* the pixel voltage means the pixel has dropped past
     /// level `k`, turning comparator output `VS_{k+1}` on.
     pub reference_voltages_v: Vec<f64>,
-    /// Input-referred comparator offset (one sigma), in mV. Zero for an
-    /// ideal ladder.
-    pub offset_sigma_mv: f64,
 }
 
 impl CrcConfig {
@@ -46,12 +43,11 @@ impl CrcConfig {
             .collect();
         Ok(Self {
             reference_voltages_v: references,
-            offset_sigma_mv: 0.0,
         })
     }
 
     /// Validates the configuration: exactly 15 strictly decreasing, finite
-    /// references and a non-negative offset.
+    /// references.
     ///
     /// # Errors
     ///
@@ -70,12 +66,6 @@ impl CrcConfig {
                     value: window[1],
                 });
             }
-        }
-        if !self.offset_sigma_mv.is_finite() || self.offset_sigma_mv < 0.0 {
-            return Err(SensorError::InvalidParameter {
-                name: "offset_sigma_mv",
-                value: self.offset_sigma_mv,
-            });
         }
         Ok(())
     }
@@ -242,12 +232,10 @@ mod tests {
     fn validate_rejects_bad_ladders() {
         let cfg = CrcConfig {
             reference_voltages_v: vec![0.5; CRC_COMPARATORS],
-            offset_sigma_mv: 0.0,
         };
         assert!(cfg.validate().is_err());
         let cfg = CrcConfig {
             reference_voltages_v: vec![0.5; 10],
-            offset_sigma_mv: 0.0,
         };
         assert!(cfg.validate().is_err());
     }
