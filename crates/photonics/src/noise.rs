@@ -53,9 +53,11 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the analog non-idealities applied to the photonic MAC.
 ///
-/// All noise magnitudes are expressed relative to the full-scale signal so
-/// the same configuration applies regardless of the absolute laser power
-/// chosen for a link budget.
+/// Each sigma is a constant relative to the full-scale signal: the arm's
+/// only source for that noise, not derived from a device model, and the
+/// same at every signal level. The detector's sigma of 0.003 puts 333
+/// levels in full scale, above the 16 a 4-bit activation needs; the claims
+/// ledger (`crates/bench/tests/claims_ledger.rs`) pins that as its SNR row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseConfig {
     /// Relative RMS amplitude noise of each modulated VCSEL (RIN + driver).

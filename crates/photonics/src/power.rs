@@ -7,6 +7,12 @@
 //! stress-tested. The defaults are chosen to reproduce the paper's reported
 //! component shares: DACs dominating weight-tuning designs, DMVA and BPD an
 //! order of magnitude below, ADCs only where a design converts activations.
+//!
+//! [`DevicePowerTable`] is the single source of device power: the energy
+//! model reads every VCSEL, BPD, MR-tuning and CRC term from it, and no
+//! device model in this workspace computes a second number for any of its
+//! rows. The claims ledger (`crates/bench/tests/claims_ledger.rs`) pins the
+//! headline numbers these constants produce.
 
 use crate::units::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
@@ -16,6 +22,11 @@ use serde::{Deserialize, Serialize};
 /// All quantities are per *instance*: one DAC, one ADC conversion, one MR
 /// being tuned, one VCSEL being driven, etc. Architecture models multiply by
 /// their instance counts and duty cycles.
+///
+/// Each row is a per-device constant from the paper's circuit-level
+/// extraction, not derived from a device model: the ring model in
+/// [`microring`](crate::microring) computes transmission, not tuning power,
+/// and the sensor crate computes codes, not CRC or VCSEL power.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DevicePowerTable {
     /// Power of one weight-tuning DAC at full (4-bit) resolution, mW.
