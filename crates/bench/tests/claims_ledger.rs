@@ -8,11 +8,11 @@
 //! "untraced (5a)", after the ledger's item in ROADMAP.md.
 //!
 //! The band is 1e-9 of the golden. Moving one `DevicePowerTable` constant
-//! by 1% moves the claims it feeds by 1.6e-6 (SRAM leakage on the KFPS/W
-//! row) to 9e-3 (the electronic cycle on the same row) of their value, so
-//! every such move fails a row. A ±0.1% band would pass a 1% move of the
-//! VCSEL, BPD, MR-tuning, ADC, CRC or controller power. Last-bit
-//! differences between hosts stay far inside 1e-9.
+//! by 1% moves the claim that reacts most to it by 6e-6 (SRAM leakage) to
+//! 9e-3 (the electronic cycle) of its value, so every such move fails a
+//! row. A ±0.1% band would pass a 1% move of the MR-tuning, BPD, CRC or
+//! controller power, the SRAM leakage or the optical cycle on every row.
+//! Last-bit differences between hosts stay far inside 1e-9.
 //!
 //! Run: `cargo test -p lightator-bench --test claims_ledger`.
 
