@@ -27,7 +27,7 @@ const BAND: f64 = 1e-9;
 /// One claim of the ledger.
 struct Row {
     claim: &'static str,
-    /// What the paper reports, with its unit.
+    /// What the paper reports, in the unit the claim names.
     paper: &'static str,
     measured: f64,
     golden: f64,
