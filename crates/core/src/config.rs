@@ -3,7 +3,6 @@
 use crate::error::{CoreError, Result};
 use lightator_photonics::noise::NoiseConfig;
 use lightator_photonics::power::DevicePowerTable;
-use lightator_photonics::units::Area;
 use serde::{Deserialize, Serialize};
 
 /// Largest optical core a configuration may describe, in MRs. The paper's
@@ -207,10 +206,6 @@ pub struct LightatorConfig {
     pub noise: NoiseConfig,
     /// Timing parameters.
     pub timing: TimingConfig,
-    /// Whether the compressive acquisitor pre-compresses input frames.
-    pub use_compressive_acquisition: bool,
-    /// Total die area budget (used only for reporting / comparisons).
-    pub area: Area,
 }
 
 impl Default for LightatorConfig {
@@ -221,8 +216,6 @@ impl Default for LightatorConfig {
             power: DevicePowerTable::node_45nm(),
             noise: NoiseConfig::default(),
             timing: TimingConfig::default(),
-            use_compressive_acquisition: true,
-            area: Area::from_mm2(28.0),
         }
     }
 }
@@ -241,7 +234,7 @@ impl LightatorConfig {
     /// Returns [`CoreError::InvalidConfig`] for invalid geometry, zero
     /// periphery counts that the simulator divides by, periphery or timing
     /// counts above [`MAX_COUNT`], negative or non-finite device figures,
-    /// and non-positive or non-finite clock periods or die area.
+    /// and non-positive or non-finite clock periods.
     pub fn validate(&self) -> Result<()> {
         self.geometry.validate()?;
         if self.periphery.vcsels_per_arm == 0 {
@@ -285,43 +278,30 @@ impl LightatorConfig {
         for (name, value) in [
             ("dac_power_mw", w.dac_power_mw),
             ("adc_power_mw", w.adc_power_mw),
-            (
-                "adc_energy_per_conversion_pj",
-                w.adc_energy_per_conversion_pj,
-            ),
             ("mr_tuning_power_mw", w.mr_tuning_power_mw),
             ("crc_comparator_power_uw", w.crc_comparator_power_uw),
             ("vcsel_power_mw", w.vcsel_power_mw),
             ("bpd_power_mw", w.bpd_power_mw),
             ("controller_power_mw", w.controller_power_mw),
-            (
-                "sram_read_energy_per_byte_pj",
-                w.sram_read_energy_per_byte_pj,
-            ),
-            (
-                "sram_write_energy_per_byte_pj",
-                w.sram_write_energy_per_byte_pj,
-            ),
             ("sram_leakage_per_kib_uw", w.sram_leakage_per_kib_uw),
         ] {
             if !(value.is_finite() && value >= 0.0) {
                 return Err(CoreError::invalid_config(
                     name,
                     value,
-                    "device power and energy figures must be finite and non-negative",
+                    "device power figures must be finite and non-negative",
                 ));
             }
         }
         for (name, value) in [
             ("optical_cycle_ns", w.optical_cycle_ns),
             ("electronic_cycle_ns", w.electronic_cycle_ns),
-            ("area", self.area.mm2()),
         ] {
             if !(value.is_finite() && value > 0.0) {
                 return Err(CoreError::invalid_config(
                     name,
                     value,
-                    "clock periods and the die area budget must be finite and positive",
+                    "clock periods must be finite and positive",
                 ));
             }
         }
@@ -368,20 +348,8 @@ mod tests {
         let mut cfg = LightatorConfig::default();
         cfg.periphery.vcsels_per_arm = 0;
         assert!(cfg.validate().is_err());
-        let cfg = LightatorConfig {
-            area: Area::from_mm2(0.0),
-            ..LightatorConfig::default()
-        };
-        assert!(cfg.validate().is_err());
         let mut cfg = LightatorConfig::default();
         cfg.timing.optical_cycles_per_wave = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn area_is_within_the_papers_constraint() {
-        // The paper evaluates all accelerators under a ~20-60 mm^2 constraint.
-        let cfg = LightatorConfig::paper();
-        assert!(cfg.area.mm2() >= 20.0 && cfg.area.mm2() <= 60.0);
     }
 }

@@ -2,83 +2,20 @@
 //!
 //! Reproduces the component breakdown the paper reports in Figs. 8 and 9:
 //! ADCs, DACs, DMVA (CRC + VCSELs + drivers), MR tuning (TUN), balanced
-//! photodetectors (BPD) and miscellaneous electronics (controller, SRAM).
+//! photodetectors (BPD) and miscellaneous electronics (the controller plus
+//! the leakage of the weight and activation SRAMs).
 //! The absolute constants live in
 //! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable); this
 //! module multiplies them by the instance counts and utilisations implied by
-//! a layer's [`LayerMapping`].
+//! a layer's [`LayerMapping`]. Every term is a power; the simulator turns it
+//! into energy by the layer's latency, so no term is charged per access.
 
 use crate::config::LightatorConfig;
 use crate::error::Result;
 use crate::mapping::LayerMapping;
 use lightator_nn::quant::Precision;
-use lightator_photonics::units::{Area, Energy, Power};
+use lightator_photonics::units::Power;
 use serde::{Deserialize, Serialize};
-
-/// A simple analytical SRAM model standing in for CACTI (see DESIGN.md §5).
-///
-/// Per-access energy grows with the square root of the capacity (bit-line /
-/// word-line lengths) and leakage linearly with capacity, which is the
-/// functional form CACTI exhibits over the small buffer range Lightator
-/// needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SramModel {
-    /// Capacity in KiB.
-    pub capacity_kib: usize,
-    /// Word width in bytes.
-    pub word_bytes: usize,
-    /// Base read energy per byte at 1 KiB, in pJ.
-    pub base_read_energy_pj: f64,
-    /// Base write energy per byte at 1 KiB, in pJ.
-    pub base_write_energy_pj: f64,
-    /// Leakage power per KiB, in µW.
-    pub leakage_per_kib_uw: f64,
-    /// Area per KiB, in mm².
-    pub area_per_kib_mm2: f64,
-}
-
-impl SramModel {
-    /// Creates an SRAM model from the device power table's base energies.
-    #[must_use]
-    pub fn new(capacity_kib: usize, word_bytes: usize, config: &LightatorConfig) -> Self {
-        Self {
-            capacity_kib,
-            word_bytes,
-            base_read_energy_pj: config.power.sram_read_energy_per_byte_pj,
-            base_write_energy_pj: config.power.sram_write_energy_per_byte_pj,
-            leakage_per_kib_uw: config.power.sram_leakage_per_kib_uw,
-            area_per_kib_mm2: 0.0018,
-        }
-    }
-
-    fn size_factor(&self) -> f64 {
-        (self.capacity_kib.max(1) as f64).sqrt()
-    }
-
-    /// Energy of one word read.
-    #[must_use]
-    pub fn read_energy(&self) -> Energy {
-        Energy::from_pj(self.base_read_energy_pj * self.word_bytes as f64 * self.size_factor())
-    }
-
-    /// Energy of one word write.
-    #[must_use]
-    pub fn write_energy(&self) -> Energy {
-        Energy::from_pj(self.base_write_energy_pj * self.word_bytes as f64 * self.size_factor())
-    }
-
-    /// Leakage power of the whole macro.
-    #[must_use]
-    pub fn leakage(&self) -> Power {
-        Power::from_mw(self.leakage_per_kib_uw * self.capacity_kib as f64 / 1e3)
-    }
-
-    /// Estimated macro area.
-    #[must_use]
-    pub fn area(&self) -> Area {
-        Area::from_mm2(self.area_per_kib_mm2 * self.capacity_kib as f64)
-    }
-}
 
 /// Per-component power of one layer (the bars of Figs. 8 and 9).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -219,13 +156,12 @@ impl EnergyModel {
         let adcs =
             Power::from_mw(table.adc_power_mw) * (banks_active * periphery.adcs_per_bank) as f64;
 
-        // Controller plus SRAM leakage; dynamic SRAM energy is folded into
-        // the simulator's energy (not power) accounting.
-        let weight_sram = SramModel::new(periphery.weight_sram_kib, 8, &self.config);
-        let activation_sram = SramModel::new(periphery.activation_sram_kib, 8, &self.config);
+        // Controller plus the leakage of the weight and activation SRAMs.
+        let sram_leakage =
+            |kib: usize| Power::from_mw(table.sram_leakage_per_kib_uw * kib as f64 / 1e3);
         let misc = Power::from_mw(table.controller_power_mw)
-            + weight_sram.leakage()
-            + activation_sram.leakage();
+            + sram_leakage(periphery.weight_sram_kib)
+            + sram_leakage(periphery.activation_sram_kib);
 
         ComponentPower {
             adcs,
@@ -255,27 +191,6 @@ impl EnergyModel {
             uses_ca_banks: false,
         };
         self.layer_power(&full, precision, true)
-    }
-
-    /// Total die area estimate: optical core (MR pitch), VCSELs, detectors
-    /// and the SRAM macros.
-    #[must_use]
-    pub fn area(&self) -> Area {
-        let geometry = &self.config.geometry;
-        let mr_area = Area::from_um2(20.0 * 20.0) * geometry.mrs() as f64;
-        let vcsel_area = Area::from_um2(15.0 * 15.0)
-            * (geometry.arms() * self.config.periphery.vcsels_per_arm) as f64;
-        let bpd_area = Area::from_um2(12.0 * 12.0) * geometry.arms() as f64;
-        let weight_sram = SramModel::new(self.config.periphery.weight_sram_kib, 8, &self.config);
-        let activation_sram =
-            SramModel::new(self.config.periphery.activation_sram_kib, 8, &self.config);
-        let periphery_area = Area::from_mm2(3.5);
-        mr_area
-            + vcsel_area
-            + bpd_area
-            + weight_sram.area()
-            + activation_sram.area()
-            + periphery_area
     }
 }
 
@@ -307,13 +222,15 @@ mod tests {
 
     #[test]
     fn sram_model_scales_with_capacity() {
-        let config = LightatorConfig::paper();
-        let small = SramModel::new(16, 8, &config);
-        let large = SramModel::new(256, 8, &config);
-        assert!(large.read_energy().pj() > small.read_energy().pj());
-        assert!(large.leakage().mw() > small.leakage().mw());
-        assert!(large.area().mm2() > small.area().mm2());
-        assert!(small.write_energy().pj() > small.read_energy().pj());
+        let misc = |weight_sram_kib: usize| {
+            let mut config = LightatorConfig::paper();
+            config.periphery.weight_sram_kib = weight_sram_kib;
+            EnergyModel::new(config)
+                .expect("valid")
+                .layer_power(&conv_mapping(), Precision::w4a4(), false)
+                .misc
+        };
+        assert!(misc(256).mw() > misc(16).mw());
     }
 
     #[test]
@@ -374,15 +291,6 @@ mod tests {
         assert_eq!(ComponentPower::LABELS.len(), power.values().len());
         let sum: f64 = power.values().iter().map(|p| p.mw()).sum();
         assert!((sum - power.total().mw()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn area_fits_the_papers_constraint() {
-        let area = model().area();
-        assert!(
-            area.mm2() > 5.0 && area.mm2() < 60.0,
-            "area {area} outside the 20-60 mm^2 band the paper assumes"
-        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub mod verify;
 pub use backend::{Backend, BackendId, LoweredPlan, PhotonicBackend};
 pub use ca::{CaConfig, CompressiveAcquisitor};
 pub use config::{LightatorConfig, OcGeometry, PeripheryCounts, TimingConfig};
-pub use energy::{ComponentPower, EnergyModel, SramModel};
+pub use energy::{ComponentPower, EnergyModel};
 pub use error::{CoreError, Result};
 pub use exec::{PhotonicAccuracy, PhotonicExecutor};
 pub use mapping::{HardwareMapper, LayerMapping, SummationUsage};

@@ -167,7 +167,6 @@ impl PlatformBuilder {
     #[must_use]
     pub fn compressive_acquisition(mut self, ca: CaConfig) -> Self {
         self.config.ca = Some(ca);
-        self.config.hardware.use_compressive_acquisition = true;
         self
     }
 
@@ -175,7 +174,6 @@ impl PlatformBuilder {
     #[must_use]
     pub fn without_compressive_acquisition(mut self) -> Self {
         self.config.ca = None;
-        self.config.hardware.use_compressive_acquisition = false;
         self
     }
 

@@ -195,9 +195,8 @@ impl ArchitectureSimulator {
     /// Simulates one network under a precision schedule, layer by layer as
     /// given, on the network's own input size.
     ///
-    /// No CA pass is added, whatever the configuration's
-    /// `use_compressive_acquisition` says. The paper's Fig. 9 setup, in which
-    /// CA shrinks the first layer's input, is
+    /// No CA pass is added. The paper's Fig. 9 setup, in which CA shrinks
+    /// the first layer's input, is
     /// [`ArchitectureSimulator::simulate_with_ca`].
     ///
     /// # Errors

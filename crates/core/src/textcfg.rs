@@ -21,7 +21,6 @@
 use crate::error::{CoreError, Result};
 use crate::platform::{PlatformBuilder, PlatformConfig};
 use lightator_nn::quant::PrecisionSchedule;
-use lightator_photonics::units::Area;
 use std::fmt::Write as _;
 
 /// Writes one typed field as a `key = value` line.
@@ -139,11 +138,6 @@ impl PlatformConfig {
         let w = &self.hardware.power;
         write_line(&mut out, "power.dac_power_mw", w.dac_power_mw);
         write_line(&mut out, "power.adc_power_mw", w.adc_power_mw);
-        write_line(
-            &mut out,
-            "power.adc_energy_per_conversion_pj",
-            w.adc_energy_per_conversion_pj,
-        );
         write_line(&mut out, "power.mr_tuning_power_mw", w.mr_tuning_power_mw);
         write_line(
             &mut out,
@@ -153,16 +147,6 @@ impl PlatformConfig {
         write_line(&mut out, "power.vcsel_power_mw", w.vcsel_power_mw);
         write_line(&mut out, "power.bpd_power_mw", w.bpd_power_mw);
         write_line(&mut out, "power.controller_power_mw", w.controller_power_mw);
-        write_line(
-            &mut out,
-            "power.sram_read_energy_per_byte_pj",
-            w.sram_read_energy_per_byte_pj,
-        );
-        write_line(
-            &mut out,
-            "power.sram_write_energy_per_byte_pj",
-            w.sram_write_energy_per_byte_pj,
-        );
         write_line(
             &mut out,
             "power.sram_leakage_per_kib_uw",
@@ -202,7 +186,6 @@ impl PlatformConfig {
             t.optical_cycles_per_wave,
         );
 
-        write_line(&mut out, "area_mm2", self.hardware.area.mm2());
         write_line(&mut out, "sensor.height", self.sensor.height);
         write_line(&mut out, "sensor.width", self.sensor.width);
 
@@ -282,9 +265,6 @@ impl PlatformConfig {
                 "power.adc_power_mw" => {
                     config.hardware.power.adc_power_mw = parse_f64(key, value)?;
                 }
-                "power.adc_energy_per_conversion_pj" => {
-                    config.hardware.power.adc_energy_per_conversion_pj = parse_f64(key, value)?;
-                }
                 "power.mr_tuning_power_mw" => {
                     config.hardware.power.mr_tuning_power_mw = parse_f64(key, value)?;
                 }
@@ -299,12 +279,6 @@ impl PlatformConfig {
                 }
                 "power.controller_power_mw" => {
                     config.hardware.power.controller_power_mw = parse_f64(key, value)?;
-                }
-                "power.sram_read_energy_per_byte_pj" => {
-                    config.hardware.power.sram_read_energy_per_byte_pj = parse_f64(key, value)?;
-                }
-                "power.sram_write_energy_per_byte_pj" => {
-                    config.hardware.power.sram_write_energy_per_byte_pj = parse_f64(key, value)?;
                 }
                 "power.sram_leakage_per_kib_uw" => {
                     config.hardware.power.sram_leakage_per_kib_uw = parse_f64(key, value)?;
@@ -338,9 +312,6 @@ impl PlatformConfig {
                 }
                 "timing.optical_cycles_per_wave" => {
                     config.hardware.timing.optical_cycles_per_wave = parse_usize(key, value)?;
-                }
-                "area_mm2" => {
-                    config.hardware.area = Area::from_mm2(parse_f64(key, value)?);
                 }
                 "sensor.height" => {
                     config.sensor.height = parse_usize(key, value)?;
@@ -377,7 +348,6 @@ impl PlatformConfig {
             }
         }
 
-        config.hardware.use_compressive_acquisition = ca_enabled;
         config.ca = ca_enabled.then_some(ca);
         Ok(config)
     }
@@ -444,8 +414,21 @@ mod tests {
     fn unknown_keys_and_bad_values_are_rejected_with_context() {
         let err = PlatformConfig::from_text("geometry.mrs_per_arm = nine").expect_err("bad value");
         assert!(err.to_string().contains("geometry.mrs_per_arm"));
-        let err = PlatformConfig::from_text("geometry.mrs_per_harm = 9").expect_err("typo");
-        assert!(err.to_string().contains("unknown configuration key"));
+        // A typo, and keys that no simulation read and were removed, are
+        // unknown keys.
+        for line in [
+            "geometry.mrs_per_harm = 9",
+            "power.adc_energy_per_conversion_pj = 2.9",
+            "power.sram_read_energy_per_byte_pj = 0.35",
+            "power.sram_write_energy_per_byte_pj = 0.42",
+            "area_mm2 = 28",
+        ] {
+            let err = PlatformConfig::from_text(line).expect_err(line);
+            assert!(
+                err.to_string().contains("unknown configuration key"),
+                "{line}: {err}"
+            );
+        }
         assert!(PlatformConfig::from_text("no equals sign here").is_err());
     }
 
@@ -472,7 +455,6 @@ mod tests {
             "power.optical_cycle_ns = NaN",
             "power.optical_cycle_ns = -1",
             "power.dac_power_mw = inf",
-            "area_mm2 = NaN",
         ] {
             let config = PlatformConfig::from_text(text).expect("parses");
             assert!(

@@ -3,7 +3,6 @@
 
 use lightator_core::ca::{CaConfig, CompressiveAcquisitor};
 use lightator_core::config::{LightatorConfig, OcGeometry};
-use lightator_core::energy::EnergyModel;
 use lightator_core::mapping::{HardwareMapper, SummationUsage};
 use lightator_core::oc::MvmBank;
 use lightator_core::sim::ArchitectureSimulator;
@@ -129,16 +128,6 @@ fn figure9_dac_dominance() {
             }
         }
     }
-}
-
-/// Table 1: the paper's area constraint is ~20-60 mm^2; the Lightator
-/// configuration and its estimated die area respect it.
-#[test]
-fn table1_area_constraint() {
-    let config = LightatorConfig::paper();
-    let energy = EnergyModel::new(config.clone()).expect("energy model");
-    assert!(config.area.mm2() >= 20.0 && config.area.mm2() <= 60.0);
-    assert!(energy.area().mm2() <= 60.0);
 }
 
 /// §5 observation (3): "As we reduce the weight bit-width, the power

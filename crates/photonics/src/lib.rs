@@ -51,5 +51,5 @@ pub use error::{PhotonicsError, Result};
 pub use microring::{MicroringConfig, MicroringResonator};
 pub use noise::{CounterRng, NoiseChannel, NoiseConfig, NoiseInjector};
 pub use power::DevicePowerTable;
-pub use units::{Area, Energy, Power, Time, Voltage, Wavelength};
+pub use units::{Energy, Power, Time, Voltage, Wavelength};
 pub use wdm::{CrosstalkModel, WdmGrid};

@@ -1,4 +1,4 @@
-//! Device-level power and energy constants.
+//! Device-level power constants and clock periods.
 //!
 //! The paper's architecture simulator consumes per-device circuit parameters
 //! extracted from Cadence Spectre / SPICE runs (Fig. 7). Here those extracted
@@ -9,19 +9,22 @@
 //! order of magnitude below, ADCs only where a design converts activations.
 //!
 //! [`DevicePowerTable`] is the single source of device power: the energy
-//! model reads every VCSEL, BPD, MR-tuning and CRC term from it, and no
-//! device model in this workspace computes a second number for any of its
-//! rows. The claims ledger (`crates/bench/tests/claims_ledger.rs`) pins the
-//! headline numbers these constants produce.
+//! model reads every VCSEL, BPD, MR-tuning and CRC term from it, and its
+//! misc power is the controller plus SRAM leakage. Every row is a power or
+//! a clock period; the table has no per-operation energy rows, because
+//! frame energy is layer power times layer latency. No device model in this
+//! workspace computes a second number for any of its rows. The claims
+//! ledger (`crates/bench/tests/claims_ledger.rs`) pins the headline numbers
+//! these constants produce.
 
-use crate::units::{Energy, Power, Time};
+use crate::units::{Power, Time};
 use serde::{Deserialize, Serialize};
 
-/// Per-device power/energy table used by architecture-level simulations.
+/// Per-device power table used by architecture-level simulations.
 ///
-/// All quantities are per *instance*: one DAC, one ADC conversion, one MR
-/// being tuned, one VCSEL being driven, etc. Architecture models multiply by
-/// their instance counts and duty cycles.
+/// All quantities are per *instance*: one DAC, one ADC, one MR being tuned,
+/// one VCSEL being driven, one KiB of SRAM, etc. Architecture models
+/// multiply by their instance counts and duty cycles.
 ///
 /// Each row is a per-device constant from the paper's circuit-level
 /// extraction, not derived from a device model: the ring model in
@@ -33,8 +36,6 @@ pub struct DevicePowerTable {
     pub dac_power_mw: f64,
     /// Power of one ADC used for detector read-out, mW.
     pub adc_power_mw: f64,
-    /// Energy of a single ADC conversion, pJ.
-    pub adc_energy_per_conversion_pj: f64,
     /// Average tuning power per actively weighted MR, mW.
     pub mr_tuning_power_mw: f64,
     /// Power of one comparator in the CRC, µW.
@@ -45,10 +46,6 @@ pub struct DevicePowerTable {
     pub bpd_power_mw: f64,
     /// Controller / timing / miscellaneous power for the whole chip, mW.
     pub controller_power_mw: f64,
-    /// SRAM read energy per byte, pJ (CACTI-style).
-    pub sram_read_energy_per_byte_pj: f64,
-    /// SRAM write energy per byte, pJ (CACTI-style).
-    pub sram_write_energy_per_byte_pj: f64,
     /// SRAM leakage power per KiB, µW.
     pub sram_leakage_per_kib_uw: f64,
     /// Optical cycle time of the core (symbol period), ns.
@@ -66,14 +63,11 @@ impl Default for DevicePowerTable {
             // two orders of magnitude below).
             dac_power_mw: 7.9,
             adc_power_mw: 2.6,
-            adc_energy_per_conversion_pj: 2.9,
             mr_tuning_power_mw: 0.06,
             crc_comparator_power_uw: 7.5,
             vcsel_power_mw: 0.05,
             bpd_power_mw: 0.12,
             controller_power_mw: 18.0,
-            sram_read_energy_per_byte_pj: 0.35,
-            sram_write_energy_per_byte_pj: 0.42,
             sram_leakage_per_kib_uw: 1.6,
             optical_cycle_ns: 0.2,
             electronic_cycle_ns: 1.0,
@@ -87,27 +81,6 @@ impl DevicePowerTable {
     #[must_use]
     pub fn node_45nm() -> Self {
         Self::default()
-    }
-
-    /// Table scaled to a 32 nm-class process (used by LightBulb / HolyLight in
-    /// Table 1). Dynamic power scales roughly with the square of the supply
-    /// and linearly with capacitance; a fixed 0.8× factor on dynamic power
-    /// and 1.1× on leakage captures the published trend well enough for
-    /// architecture comparisons.
-    #[must_use]
-    pub fn node_32nm() -> Self {
-        let base = Self::default();
-        Self {
-            dac_power_mw: base.dac_power_mw * 0.8,
-            adc_power_mw: base.adc_power_mw * 0.8,
-            adc_energy_per_conversion_pj: base.adc_energy_per_conversion_pj * 0.8,
-            crc_comparator_power_uw: base.crc_comparator_power_uw * 0.8,
-            controller_power_mw: base.controller_power_mw * 0.8,
-            sram_read_energy_per_byte_pj: base.sram_read_energy_per_byte_pj * 0.8,
-            sram_write_energy_per_byte_pj: base.sram_write_energy_per_byte_pj * 0.8,
-            sram_leakage_per_kib_uw: base.sram_leakage_per_kib_uw * 1.1,
-            ..base
-        }
     }
 
     /// DAC power when driving a reduced weight bit-width.
@@ -147,18 +120,6 @@ impl DevicePowerTable {
     #[must_use]
     pub fn crc_power(&self) -> Power {
         Power::from_mw(15.0 * self.crc_comparator_power_uw / 1e3)
-    }
-
-    /// Energy of one SRAM read of `bytes` bytes.
-    #[must_use]
-    pub fn sram_read_energy(&self, bytes: usize) -> Energy {
-        Energy::from_pj(self.sram_read_energy_per_byte_pj * bytes as f64)
-    }
-
-    /// Energy of one SRAM write of `bytes` bytes.
-    #[must_use]
-    pub fn sram_write_energy(&self, bytes: usize) -> Energy {
-        Energy::from_pj(self.sram_write_energy_per_byte_pj * bytes as f64)
     }
 
     /// The optical symbol period as a [`Time`].
@@ -216,21 +177,5 @@ mod tests {
     fn crc_power_counts_fifteen_comparators() {
         let t = DevicePowerTable::default();
         assert!((t.crc_power().mw() - 15.0 * t.crc_comparator_power_uw / 1e3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smaller_node_draws_less_dynamic_power() {
-        let n45 = DevicePowerTable::node_45nm();
-        let n32 = DevicePowerTable::node_32nm();
-        assert!(n32.dac_power_mw < n45.dac_power_mw);
-        assert!(n32.adc_power_mw < n45.adc_power_mw);
-        assert!(n32.sram_leakage_per_kib_uw > n45.sram_leakage_per_kib_uw);
-    }
-
-    #[test]
-    fn sram_energies_scale_with_bytes() {
-        let t = DevicePowerTable::default();
-        assert!((t.sram_read_energy(100).pj() - 35.0).abs() < 1e-9);
-        assert!(t.sram_write_energy(64).pj() > t.sram_read_energy(64).pj());
     }
 }

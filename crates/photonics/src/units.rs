@@ -316,25 +316,6 @@ impl Time {
 }
 
 unit_newtype!(
-    /// Silicon area, canonically expressed in square millimetres.
-    Area, "mm^2", mm2, from_mm2
-);
-
-impl Area {
-    /// Creates an area from square micrometres.
-    #[must_use]
-    pub fn from_um2(um2: f64) -> Self {
-        Self::from_mm2(um2 / 1e6)
-    }
-
-    /// Returns the area in square micrometres.
-    #[must_use]
-    pub fn um2(&self) -> f64 {
-        self.mm2() * 1e6
-    }
-}
-
-unit_newtype!(
     /// Temperature difference, canonically expressed in kelvin.
     TemperatureDelta, "K", kelvin, from_kelvin
 );
@@ -401,10 +382,4 @@ mod tests {
         assert!((p.mw() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn area_conversions() {
-        let a = Area::from_um2(1e6);
-        assert!((a.mm2() - 1.0).abs() < 1e-12);
-        assert!((a.um2() - 1e6).abs() < 1e-3);
-    }
 }

@@ -98,12 +98,6 @@ pub struct ServeConfig {
     /// [`ServeError::InvalidRequest`] so one client cannot monopolise a
     /// shard's timeline.
     pub max_stream_frames: usize,
-    /// Per-workload-group backend assignments: `(workload label, backend
-    /// id)` pairs, e.g. `("kernel:sobel-x", "electronic:eyeriss")`.
-    /// Workloads not listed here run on the photonic default. An explicit
-    /// [`crate::ServerBuilder::workload_on`] call overrides the assignment
-    /// for that registration. Serialised as `serve.backend.<label>` keys.
-    pub backends: Vec<(String, String)>,
     /// Latency-SLO controller for adaptive batching. `None` (the default)
     /// keeps the fixed [`ServeConfig::max_batch`] /
     /// [`ServeConfig::flush_deadline`] batcher; `Some` makes every shard
@@ -130,7 +124,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             flush_deadline: Time::from_ns(0.0),
             max_stream_frames: 256,
-            backends: Vec::new(),
             slo: None,
             interactive_weight: 4,
         }
@@ -232,24 +225,6 @@ impl ServeConfig {
                 reason: "max_stream_frames must admit at least one frame per stream".into(),
             });
         }
-        for (label, backend) in &self.backends {
-            if label.is_empty() || backend.is_empty() {
-                return Err(ServeError::InvalidConfig {
-                    reason: "backend assignments need a workload label and a backend id".into(),
-                });
-            }
-            if self
-                .backends
-                .iter()
-                .filter(|(other, _)| other == label)
-                .count()
-                > 1
-            {
-                return Err(ServeError::InvalidConfig {
-                    reason: format!("workload `{label}` is assigned a backend twice"),
-                });
-            }
-        }
         Ok(())
     }
 
@@ -262,15 +237,6 @@ impl ServeConfig {
             Some(slo) => slo.max_batch.max(1),
             None => self.max_batch.max(1),
         }
-    }
-
-    /// The configured backend id for a workload label, if any.
-    #[must_use]
-    pub fn backend_for(&self, label: &str) -> Option<&str> {
-        self.backends
-            .iter()
-            .find(|(assigned, _)| assigned == label)
-            .map(|(_, backend)| backend.as_str())
     }
 
     /// Serialises the configuration to the `key = value` text format shared
@@ -301,9 +267,6 @@ impl ServeConfig {
             );
             write_line(&mut out, "serve.slo.min_batch", slo.min_batch);
             write_line(&mut out, "serve.slo.max_batch", slo.max_batch);
-        }
-        for (label, backend) in &self.backends {
-            write_line(&mut out, &format!("serve.backend.{label}"), backend);
         }
         out
     }
@@ -355,17 +318,6 @@ impl ServeConfig {
                     config.slo.get_or_insert_with(SloConfig::default).max_batch =
                         parse_usize(key, value)?;
                 }
-                assignment if assignment.starts_with("serve.backend.") => {
-                    let label = &assignment["serve.backend.".len()..];
-                    if label.is_empty() || value.is_empty() {
-                        return Err(malformed_value(
-                            assignment,
-                            "backend assignments need a workload label and a backend id",
-                        )
-                        .into());
-                    }
-                    config.backends.push((label.to_string(), value.to_string()));
-                }
                 unknown => {
                     return Err(malformed_value(
                         unknown,
@@ -400,7 +352,6 @@ mod tests {
             queue_depth: 128,
             flush_deadline: Time::from_us(2.5),
             max_stream_frames: 48,
-            backends: Vec::new(),
             slo: Some(SloConfig {
                 target_queue_wait: Time::from_us(1.5),
                 min_batch: 2,
@@ -433,48 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_assignments_round_trip_through_the_text_format() {
-        let config = ServeConfig {
-            shards: 2,
-            backends: vec![
-                ("kernel:sobel-x".into(), "electronic:eyeriss".into()),
-                ("classify".into(), "photonic".into()),
-            ],
-            ..ServeConfig::default()
-        };
-        let text = config.to_text();
-        assert!(text.contains("serve.backend.kernel:sobel-x = electronic:eyeriss"));
-        assert!(text.contains("serve.backend.classify = photonic"));
-        let parsed = ServeConfig::from_text(&text).expect("parse");
-        assert_eq!(parsed, config);
-        assert_eq!(
-            parsed.backend_for("kernel:sobel-x"),
-            Some("electronic:eyeriss")
-        );
-        assert_eq!(parsed.backend_for("acquire"), None);
-        assert!(parsed.validate().is_ok());
-    }
-
-    #[test]
-    fn malformed_backend_assignments_are_rejected() {
-        let err =
-            ServeConfig::from_text("serve.backend. = electronic:eyeriss").expect_err("empty label");
-        assert!(err.to_string().contains("workload label"));
-        let duplicated = ServeConfig {
-            backends: vec![
-                ("classify".into(), "photonic".into()),
-                ("classify".into(), "electronic:eyeriss".into()),
-            ],
-            ..ServeConfig::default()
-        };
-        assert!(duplicated
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("assigned a backend twice"));
-    }
-
-    #[test]
     fn partial_configs_fall_back_to_defaults() {
         let parsed = ServeConfig::from_text("serve.shards = 3\n").expect("parse");
         assert_eq!(parsed.shards, 3);
@@ -498,6 +407,7 @@ mod tests {
             "serve.steal = true",
             "serve.workers = 2",
             "serve.seed_stride = 3",
+            "serve.backend.classify = photonic",
         ] {
             let err = ServeConfig::from_text(line).expect_err(line);
             assert!(
@@ -708,10 +618,9 @@ mod tests {
         fn extreme_values_never_panic_and_valid_configs_round_trip(
             lines in proptest::collection::vec((0usize..64, 0usize..EXTREMES.len()), 1..6),
         ) {
-            // Every key the writer emits, the SLO and backend keys included.
+            // Every key the writer emits, the SLO keys included.
             let full = ServeConfig {
                 slo: Some(SloConfig::default()),
-                backends: vec![("classify".into(), "photonic".into())],
                 ..ServeConfig::default()
             }
             .to_text();

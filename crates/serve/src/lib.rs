@@ -42,10 +42,9 @@
 //!   their own shard queue with weighted tickets, one frame index per
 //!   carried frame);
 //! * **heterogeneous backends**: each workload group can be pinned to a
-//!   registered execution backend ([`ServerBuilder::workload_on`], or
-//!   `serve.backend.<label>` keys in [`ServeConfig`]); groups are keyed by
-//!   `(workload, backend)` and [`Server::submit_on`] routes between two
-//!   registrations of the same workload;
+//!   registered execution backend ([`ServerBuilder::workload_on`]); groups
+//!   are keyed by `(workload, backend)` and [`Server::submit_on`] routes
+//!   between two registrations of the same workload;
 //! * **admission control** rejects with [`ServeError::Overloaded`] when
 //!   `queue_depth` requests still wait at an arrival, instead of blocking
 //!   forever;

@@ -20,10 +20,8 @@ use std::thread::JoinHandle;
 pub struct ServerBuilder {
     platform: Platform,
     config: ServeConfig,
-    /// Registered workloads, each with its explicit backend pin (if any);
-    /// `None` falls back to the [`ServeConfig::backends`] assignment for
-    /// the workload's label, then to the photonic default.
-    workloads: Vec<(Workload, Option<BackendId>)>,
+    /// Registered workloads, each with the backend its group runs on.
+    workloads: Vec<(Workload, BackendId)>,
     /// Optional shared trace recorder every shard (and the router) writes
     /// into.
     recorder: Option<Arc<TraceRecorder>>,
@@ -115,13 +113,11 @@ impl ServerBuilder {
     }
 
     /// Registers a workload: one shard group (scheduler + workers) will serve
-    /// requests routed to it. The group runs on the backend assigned in
-    /// [`ServeConfig::backends`] for the workload's label, or the photonic
-    /// default when no assignment exists.
+    /// requests routed to it. The group runs on the photonic default; use
+    /// [`ServerBuilder::workload_on`] to pin it to another backend.
     #[must_use]
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads.push((workload, None));
-        self
+    pub fn workload(self, workload: Workload) -> Self {
+        self.workload_on(workload, BackendId::photonic())
     }
 
     /// Registers a workload pinned to an explicit execution backend —
@@ -130,21 +126,8 @@ impl ServerBuilder {
     /// its own shard group, and [`Server::submit_on`] routes between them.
     #[must_use]
     pub fn workload_on(mut self, workload: Workload, backend: BackendId) -> Self {
-        self.workloads.push((workload, Some(backend)));
+        self.workloads.push((workload, backend));
         self
-    }
-
-    /// The backend id a workload registration resolves to: the explicit
-    /// pin, else the [`ServeConfig::backends`] assignment for the label,
-    /// else the photonic default.
-    fn resolved_backend(&self, label: &str, pinned: Option<&BackendId>) -> BackendId {
-        match pinned {
-            Some(backend) => backend.clone(),
-            None => self
-                .config
-                .backend_for(label)
-                .map_or_else(BackendId::photonic, BackendId::new),
-        }
     }
 
     /// Statically dry-runs the deployment without opening a session or
@@ -174,10 +157,9 @@ impl ServerBuilder {
         }
         let config = self.platform.config();
         let mut keys: Vec<(RequestKind, BackendId)> = Vec::new();
-        for (workload, pinned) in &self.workloads {
+        for (workload, backend_id) in &self.workloads {
             let kind = RequestKind::of_workload(workload);
             let label = workload.label();
-            let backend_id = self.resolved_backend(&label, pinned.as_ref());
             if keys.contains(&(kind, backend_id.clone())) {
                 return Err(ServeError::InvalidConfig {
                     reason: format!(
@@ -185,7 +167,7 @@ impl ServerBuilder {
                     ),
                 });
             }
-            let backend = self.platform.backend(&backend_id)?;
+            let backend = self.platform.backend(backend_id)?;
             let lowered = backend.lower(workload, config, config.seed)?;
             lightator_core::verify::verify_plan(
                 lowered.plan(),
@@ -193,7 +175,7 @@ impl ServerBuilder {
                 config,
                 backend.as_ref(),
             )?;
-            keys.push((kind, backend_id));
+            keys.push((kind, backend_id.clone()));
         }
         Ok(())
     }
@@ -217,9 +199,8 @@ impl ServerBuilder {
         // an unknown / non-executing backend).
         let mut opened = Vec::new();
         let mut shard_labels = Vec::new();
-        for (workload, pinned) in &self.workloads {
+        for (workload, backend) in &self.workloads {
             let label = workload.label();
-            let backend = self.resolved_backend(&label, pinned.as_ref());
             // Non-photonic groups carry the backend in their display label
             // so shard telemetry stays unambiguous.
             let group_label = if backend.is_photonic() {
@@ -230,14 +211,14 @@ impl ServerBuilder {
             // Every shard runs what a sequential client runs: the same
             // session, at the tickets' frame indices.
             let sessions = (0..self.config.shards)
-                .map(|_| self.platform.session_on(workload.clone(), &backend))
+                .map(|_| self.platform.session_on(workload.clone(), backend))
                 .collect::<std::result::Result<Vec<_>, _>>()?;
             for index in 0..sessions.len() {
                 shard_labels.push((format!("{group_label}/{index}"), backend.to_string()));
             }
             opened.push((
                 RequestKind::of_workload(workload),
-                backend,
+                backend.clone(),
                 group_label,
                 sessions,
             ));
@@ -996,26 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn config_backend_assignments_steer_plain_workload_registrations() {
-        let server = Server::builder(heterogeneous_platform())
-            .serve_config(ServeConfig {
-                backends: vec![("acquire".into(), "electronic:eyeriss".into())],
-                ..ServeConfig::default()
-            })
-            .workload(Workload::Acquire)
-            .build()
-            .expect("server");
-        assert_eq!(
-            server.workloads(),
-            vec!["acquire@electronic:eyeriss".to_string()]
-        );
-        assert!(server.run(Request::Acquire { frame: scene(0) }).is_ok());
-        let snapshot = server.shutdown();
-        assert_eq!(snapshot.backends[0].backend, "electronic:eyeriss");
-        assert_eq!(snapshot.backends[0].frames, 1);
-    }
-
-    #[test]
     fn unknown_and_non_executing_backends_fail_the_build() {
         let err = Server::builder(small_platform())
             .workload_on(Workload::Acquire, BackendId::new("electronic:eyeriss"))
@@ -1042,14 +1003,10 @@ mod tests {
 
     #[test]
     fn validate_dry_runs_the_deployment_before_any_shard_spawns() {
-        // A ServeConfig naming an unregistered backend is rejected by the
+        // A workload pinned to an unregistered backend is rejected by the
         // static dry-run alone — no session opened, no thread spawned.
         let builder = Server::builder(small_platform())
-            .serve_config(ServeConfig {
-                backends: vec![("acquire".into(), "electronic:not-here".into())],
-                ..ServeConfig::default()
-            })
-            .workload(Workload::Acquire);
+            .workload_on(Workload::Acquire, BackendId::new("electronic:not-here"));
         let err = builder.validate().expect_err("unregistered backend");
         assert!(err.to_string().contains("no backend registered"));
         // The same builder fails build() with the same diagnosis.
