@@ -3,17 +3,17 @@
 use lightator_bench::fig8;
 
 fn main() {
-    match fig8::generate() {
-        Ok(rows) => {
-            print!("{}", fig8::render(&rows));
-            println!(
-                "\naverage efficiency gain [4:4] -> [2:4]: {:.2}x (paper reports ~2.4x on average)",
-                fig8::average_efficiency_gain(&rows)
-            );
-        }
-        Err(err) => {
-            eprintln!("fig8 harness failed: {err}");
-            std::process::exit(1);
-        }
+    let run = || -> Result<(), lightator_core::CoreError> {
+        let rows = fig8::generate()?;
+        let gain = fig8::average_efficiency_gain(&rows)?;
+        print!("{}", fig8::render(&rows));
+        println!(
+            "\naverage efficiency gain [4:4] -> [2:4]: {gain:.2}x (paper reports ~2.4x on average)"
+        );
+        Ok(())
+    };
+    if let Err(err) = run() {
+        eprintln!("fig8 harness failed: {err}");
+        std::process::exit(1);
     }
 }

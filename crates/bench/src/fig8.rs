@@ -83,20 +83,26 @@ pub fn render(rows: &[Fig8Row]) -> String {
 
 /// Average power-efficiency gain of dropping the weight precision from
 /// \[4:4\] to \[2:4\] across the LeNet layers (the paper reports ~2.4×).
-#[must_use]
-pub fn average_efficiency_gain(rows: &[Fig8Row]) -> f64 {
-    let total = |label: &str| -> f64 {
-        rows.iter()
+///
+/// # Errors
+///
+/// Returns [`CoreError::ModelMismatch`] naming the precision group that has
+/// no rows, instead of assuming a gain for it.
+pub fn average_efficiency_gain(rows: &[Fig8Row]) -> Result<f64, CoreError> {
+    let total = |label: &str| -> Result<f64, CoreError> {
+        let group: Vec<f64> = rows
+            .iter()
             .filter(|r| r.precision == label)
             .map(|r| r.total_w)
-            .sum()
+            .collect();
+        if group.is_empty() {
+            return Err(CoreError::ModelMismatch {
+                reason: format!("Fig. 8 has no {label} rows"),
+            });
+        }
+        Ok(group.iter().sum())
     };
-    let p44 = total("[4:4]");
-    let p24 = total("[2:4]");
-    if p24 == 0.0 {
-        return 0.0;
-    }
-    p44 / p24
+    Ok(total("[4:4]")? / total("[2:4]")?)
 }
 
 #[cfg(test)]
@@ -139,8 +145,26 @@ mod tests {
     #[test]
     fn efficiency_gain_is_in_the_papers_ballpark() {
         let rows = generate().expect("ok");
-        let gain = average_efficiency_gain(&rows);
+        let gain = average_efficiency_gain(&rows).expect("both groups");
         assert!(gain > 1.5 && gain < 5.0, "gain {gain}");
+    }
+
+    /// Regression: rows without \[2:4\] read as a gain of 0.0, and rows
+    /// without \[4:4\] as 0/x = 0.0.
+    #[test]
+    fn efficiency_gain_fails_on_a_missing_precision_group() {
+        let rows = generate().expect("ok");
+        for missing in ["[2:4]", "[4:4]"] {
+            let kept: Vec<Fig8Row> = rows
+                .iter()
+                .filter(|r| r.precision != missing)
+                .cloned()
+                .collect();
+            let err = average_efficiency_gain(&kept)
+                .expect_err(missing)
+                .to_string();
+            assert!(err.contains(missing), "without {missing}: {err}");
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub struct HeadlineClaims {
 /// # Errors
 ///
 /// Propagates harness errors, and returns [`CoreError::ModelMismatch`] when
-/// Table 1 lacks a row a claim is computed from.
+/// Table 1 lacks a row, or Fig. 8 a precision group, that a claim is
+/// computed from.
 pub fn compute() -> Result<HeadlineClaims, CoreError> {
     let table1 = table1_claims(&table1::performance_rows()?)?;
     let fig8_rows = fig8::generate()?;
@@ -44,7 +45,7 @@ pub fn compute() -> Result<HeadlineClaims, CoreError> {
         mx_kfps_per_watt: table1.mx_kfps_per_watt,
         photonic_power_reduction: table1.photonic_power_reduction,
         gpu_power_reduction: table1.gpu_power_reduction,
-        bit_width_efficiency_gain: fig8::average_efficiency_gain(&fig8_rows),
+        bit_width_efficiency_gain: fig8::average_efficiency_gain(&fig8_rows)?,
         ca_first_layer_saving: fig9_data.ca_first_layer_saving,
     })
 }
