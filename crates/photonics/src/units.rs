@@ -1,8 +1,8 @@
 //! Physical unit newtypes used throughout the photonic device models.
 //!
-//! The simulator mixes optical, electrical and thermal quantities; wrapping
-//! them in dedicated newtypes keeps call sites self-documenting and prevents
-//! a wavelength from being accidentally passed where a power is expected
+//! The simulator mixes optical and electrical quantities; wrapping them in
+//! dedicated newtypes keeps call sites self-documenting and prevents a
+//! wavelength from being accidentally passed where a power is expected
 //! (C-NEWTYPE).
 //!
 //! All newtypes are thin wrappers over `f64`, are `Copy`, and expose their
@@ -187,18 +187,6 @@ impl Power {
     pub fn watts(&self) -> f64 {
         self.mw() / 1e3
     }
-
-    /// Returns the power in microwatts.
-    #[must_use]
-    pub fn uw(&self) -> f64 {
-        self.mw() * 1e3
-    }
-
-    /// Creates a power value from microwatts.
-    #[must_use]
-    pub fn from_uw(uw: f64) -> Self {
-        Self::from_mw(uw / 1e3)
-    }
 }
 
 unit_newtype!(
@@ -315,18 +303,6 @@ impl Time {
     }
 }
 
-unit_newtype!(
-    /// Temperature difference, canonically expressed in kelvin.
-    TemperatureDelta, "K", kelvin, from_kelvin
-);
-
-/// Multiplies `power` by `energy-per-op × ops/s` style products; convenience
-/// for converting a per-operation energy plus an operating rate to power.
-#[must_use]
-pub fn energy_rate_to_power(energy_per_op: Energy, ops_per_second: f64) -> Power {
-    Power::from_watts(energy_per_op.joules() * ops_per_second)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,12 +350,4 @@ mod tests {
         assert_eq!(format!("{}", Wavelength::from_nm(1550.0)), "1550 nm");
         assert_eq!(format!("{}", Power::from_mw(2.0)), "2 mW");
     }
-
-    #[test]
-    fn energy_rate_to_power_matches_manual() {
-        // 1 pJ per op at 1 GHz = 1 mW
-        let p = energy_rate_to_power(Energy::from_pj(1.0), 1e9);
-        assert!((p.mw() - 1.0).abs() < 1e-12);
-    }
-
 }
