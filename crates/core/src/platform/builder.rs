@@ -457,12 +457,6 @@ impl Platform {
         }
         ids
     }
-
-    /// Spec of the acquisition pass itself: one optical weighted-sum layer
-    /// (the fused CA convolution, or the per-photosite readout without CA).
-    pub(crate) fn acquisition_spec(&self) -> Result<NetworkSpec> {
-        crate::verify::acquisition_spec_of(&self.config)
-    }
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@ use crate::platform::report::{
     acquisition_outcome, classification_from_logits, empty_logits, filtered_from, model_mismatch,
     Report,
 };
-use crate::platform::workload::{network_spec_of, Workload};
+use crate::platform::workload::Workload;
 use crate::sim::SimulationReport;
 use crate::stream::{
     StreamFrame, StreamReport, StreamState, TemporalDifferencer, GATE_COST_FRACTION,
 };
+use crate::verify;
 use lightator_nn::datasets::Dataset;
-use lightator_nn::spec::NetworkSpecBuilder;
 use lightator_nn::tensor::Tensor;
 use lightator_sensor::array::SensorArray;
 use lightator_sensor::frame::RgbFrame;
@@ -100,35 +100,28 @@ impl Session {
             });
         }
         let sensor = SensorArray::new(config.sensor.clone())?;
-        let label = workload.label();
-        let acquired = config.acquired_shape();
-        let kernel_spec = || -> Result<_> {
-            Ok(NetworkSpecBuilder::new(&label, acquired)
-                .conv(1, 3, 1, 1)
-                .map_err(CoreError::from)?
-                .build())
-        };
-        let (spec, stream) = match &workload {
-            Workload::Classify { model } => (network_spec_of(model, &label)?, None),
-            Workload::Acquire => (platform.acquisition_spec()?, None),
-            Workload::ImageKernel { .. } => (kernel_spec()?, None),
+        let spec = verify::performance_spec(&workload, config)?;
+        let stream = match &workload {
             Workload::VideoStream { stream, .. } => {
+                let acquired = config.acquired_shape();
                 let window = config.ca.map_or(1, |ca| ca.pooling_window);
                 let differencer =
                     TemporalDifferencer::new(*stream, acquired[1], acquired[2], window)?;
-                let perf_acquire = backend.performance(&platform.acquisition_spec()?, config)?;
-                let pipeline = StreamPipeline {
+                let perf_acquire =
+                    backend.performance(&verify::acquisition_spec_of(config)?, config)?;
+                Some(StreamPipeline {
                     differencer,
                     state: None,
                     perf_acquire,
                     window,
-                };
-                (kernel_spec()?, Some(pipeline))
+                })
             }
+            _ => None,
         };
         let lowered = backend.lower(&workload, config, config.seed)?;
-        crate::verify::verify_plan_structural(lowered.plan(), &workload, config, backend.as_ref())?;
+        verify::verify_plan_structural(lowered.plan(), &workload, config, backend.as_ref())?;
         let perf = backend.performance(&spec, config)?;
+        let label = workload.label();
         Ok(Session {
             sensor,
             lowered,

@@ -294,6 +294,7 @@ pub fn capability_matrix(platform: &Platform, workloads: &[Workload]) -> Vec<Cap
 /// Derives the performance spec a [`Report`](crate::platform::Report) for
 /// `workload` would simulate: the model-derived network for classify, the
 /// acquisition conv for acquire, the 3×3 filter conv for kernels/streams.
+/// Opening a session derives its performance model from this spec.
 ///
 /// # Errors
 ///
@@ -314,8 +315,8 @@ pub fn performance_spec(workload: &Workload, config: &PlatformConfig) -> Result<
 }
 
 /// Spec of the acquisition pass itself: the fused CA convolution, or the
-/// per-photosite readout without CA. (The platform's session path uses the
-/// same derivation.)
+/// per-photosite readout without CA. Video-stream sessions also charge it
+/// for every computed block.
 pub(crate) fn acquisition_spec_of(config: &PlatformConfig) -> Result<NetworkSpec> {
     let (h, w) = (config.sensor.height, config.sensor.width);
     let builder = match &config.ca {
