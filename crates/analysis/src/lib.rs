@@ -1,29 +1,17 @@
-//! Static analysis for the Lightator workspace: a determinism lint and a
-//! compile-time plan verifier.
+//! Static analysis for the Lightator workspace: a determinism lint.
 //!
-//! The crate has two layers:
+//! A hand-rolled Rust token scanner ([`lexer`], no external parser) walks
+//! the workspace sources ([`scan`]) and enforces the determinism contract
+//! ([`rules`]) — no wall-clock reads in simulation crates, no hash-ordered
+//! collections, no unseeded RNG constructors, no `unwrap()`/`expect("…")`
+//! in library paths, no `unsafe` anywhere. Rules are steered per crate
+//! class by `analysis.cfg` and individual findings can be waived with
+//! `// lightator: allow(rule)`.
 //!
-//! - **Syntactic** ([`lexer`], [`rules`], [`scan`]): a hand-rolled Rust
-//!   token scanner (no external parser) walks the workspace sources and
-//!   enforces the determinism contract — no wall-clock reads in simulation
-//!   crates, no hash-ordered collections, no unseeded RNG constructors, no
-//!   `unwrap()`/`expect("…")` in library paths, no `unsafe` anywhere.
-//!   Rules are steered per crate class by `analysis.cfg` and individual
-//!   findings can be waived with `// lightator: allow(rule)`.
-//! - **Semantic** (re-exported from `lightator_core::verify`):
-//!   [`verify_plan`] statically checks a lowered [`CompiledPlan`] against
-//!   a [`Backend`] — shape propagation, precision-schedule consistency,
-//!   capability matrix, energy-model presence — before anything executes.
-//!   `Session::open` runs the structural subset on every open and
-//!   `ServerBuilder::validate()` dry-runs a full deployment at startup.
-//!
-//! The `lint_workspace` binary ties both to CI: it prints
+//! The `lint_workspace` binary ties it to CI: it prints
 //! `path:line:col: rule: message` diagnostics, emits a machine-readable
 //! `BENCH_lint_workspace.json` findings artifact ([`report`]) and, with
 //! `--gate`, exits non-zero when unsuppressed findings remain.
-//!
-//! [`CompiledPlan`]: lightator_core::CompiledPlan
-//! [`Backend`]: lightator_core::Backend
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,14 +21,6 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod scan;
-
-// The semantic layer: static plan verification lives in `lightator-core`
-// (it needs the `Backend`/`CompiledPlan` types) and is surfaced here so
-// `lightator_analysis::verify_plan` is the one entry point for both
-// analysis families.
-pub use lightator_core::verify::{
-    capability_matrix, performance_spec, verify_plan, verify_plan_structural, Capability, PlanCheck,
-};
 
 pub use lexer::{lex, Token, TokenKind};
 pub use rules::{AnalysisConfig, Rule};

@@ -12,9 +12,9 @@
 //! hand-checked table.
 //!
 //! The frame counter is maintained exactly like the photonic executor's —
-//! one index per `forward`, one per frame batch — so seek/replay semantics
-//! are identical across backends even though the digital path draws no
-//! noise.
+//! one index per `forward`, one per frame batch, saturating at `u64::MAX`
+//! — so seek/replay semantics are identical across backends even though
+//! the digital path draws no noise.
 
 use lightator_core::backend::{Backend, BackendId, LoweredPlan};
 use lightator_core::plan::CompiledPlan;
@@ -67,10 +67,6 @@ impl Backend for ElectronicReference {
 
     fn name(&self) -> String {
         format!("{} (electronic fp32 reference)", self.baseline.name())
-    }
-
-    fn precision(&self, _config: &PlatformConfig) -> String {
-        "[32:32]".to_string()
     }
 
     fn lower(
@@ -132,13 +128,13 @@ impl ElectronicLowered {
 
 impl LoweredPlan for ElectronicLowered {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.next_frame += 1;
+        self.next_frame = self.next_frame.saturating_add(1);
         self.plan.record_hits(1);
         Self::model_forward(&mut self.plan, input)
     }
 
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame += 1;
+        self.next_frame = self.next_frame.saturating_add(1);
         self.plan.record_hits(1);
         inputs
             .iter()
@@ -178,10 +174,6 @@ mod tests {
         assert_eq!(gpu.id().as_str(), "electronic:rtx-3060-ti");
         let eyeriss = ElectronicReference::new(ElectronicBaseline::eyeriss());
         assert_eq!(eyeriss.id().as_str(), "electronic:eyeriss");
-        assert_eq!(
-            eyeriss.precision(Platform::paper().unwrap().config()),
-            "[32:32]"
-        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! CrossLight) are modelled analytically — component counts × per-device
 //! costs for power, an effective MAC rate for throughput. They cannot run
 //! a workload, so [`RooflineBackend`] answers [`Backend::performance`]
-//! while [`Backend::executes`] is `false` and [`Backend::lower`] rejects
-//! lowering. Putting them behind the same trait as the executable
-//! backends lets the Table-1 harness iterate one registry for every row.
+//! while its [`Backend::lower`] refuses every workload with a typed error.
+//! Putting them behind the same trait as the executable backends lets the
+//! Table-1 harness iterate one registry for every row.
 
 use lightator_core::backend::{Backend, BackendId, LoweredPlan};
 use lightator_core::platform::{PlatformConfig, Workload};
@@ -50,19 +50,6 @@ impl Backend for RooflineBackend {
 
     fn name(&self) -> String {
         format!("{} (analytical roofline)", self.baseline.name())
-    }
-
-    fn precision(&self, _config: &PlatformConfig) -> String {
-        let p = self.baseline.precision();
-        format!("[{}:{}]", p.weight_bits, p.activation_bits)
-    }
-
-    fn executes(&self) -> bool {
-        false
-    }
-
-    fn supports(&self, _workload: &Workload) -> bool {
-        false
     }
 
     fn lower(
@@ -115,11 +102,9 @@ mod tests {
     fn roofline_backends_do_not_execute() {
         let backend = RooflineBackend::new(OpticalBaseline::lightbulb());
         assert_eq!(backend.id().as_str(), "roofline:lightbulb");
-        assert!(!backend.executes());
         let workload = Workload::ImageKernel {
             kernel: ImageKernel::Identity,
         };
-        assert!(!backend.supports(&workload));
         let platform = Platform::paper().expect("platform");
         assert!(backend.lower(&workload, platform.config(), 1).is_err());
     }
@@ -148,6 +133,9 @@ mod tests {
     fn precision_labels_follow_the_designs() {
         let platform = Platform::paper().expect("platform");
         let robin = RooflineBackend::new(OpticalBaseline::robin());
-        assert_eq!(robin.precision(platform.config()), "[1:4]");
+        let report = robin
+            .performance(&NetworkSpec::lenet(), platform.config())
+            .expect("report");
+        assert_eq!(report.precision, "[1:4]");
     }
 }

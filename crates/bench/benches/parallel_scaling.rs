@@ -2,7 +2,7 @@
 //!
 //! The counter-based noise generator keys every Gaussian draw by
 //! `(seed, frame, channel, element)`, so the conv/linear inner loops can
-//! be tiled across `Session::set_workers(n)` worker threads without
+//! be tiled across `PlatformBuilder::workers(n)` worker threads without
 //! moving a single draw — the parallel output is bit-identical to the
 //! sequential one (asserted here before timing anything). This bench
 //! measures the throughput side of that contract on the image-kernel
@@ -32,16 +32,15 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// includes the per-draw generator work — with a sensor wide enough that
 /// one frame carries thousands of MAC segments to tile.
 fn session(workers: usize) -> Session {
-    let mut session = Platform::builder()
+    Platform::builder()
         .sensor_resolution(SENSOR, SENSOR)
+        .workers(workers)
         .build()
         .expect("platform")
         .session(Workload::ImageKernel {
             kernel: ImageKernel::SobelX,
         })
-        .expect("session");
-    session.set_workers(workers);
-    session
+        .expect("session")
 }
 
 fn scene() -> RgbFrame {

@@ -5,8 +5,8 @@
 //! turns those comparison points into first-class execution targets: a
 //! [`Backend`] lowers a [`Workload`] + [`PlatformConfig`] pair into a
 //! [`LoweredPlan`] (the executable form a
-//! [`Session`](crate::platform::Session) drives), reports the workload's
-//! performance model, and answers capability/precision queries.
+//! [`Session`](crate::platform::Session) drives) and reports the
+//! workload's performance model.
 //!
 //! Three implementations exist across the workspace:
 //!
@@ -21,8 +21,8 @@
 //!   agreement is a differential property test instead of a hand-checked
 //!   table.
 //! * `RooflineBackend` (in `lightator-baselines`) — the `OpticalBaseline`
-//!   analytical roofline models; it answers [`Backend::performance`] but
-//!   does not execute ([`Backend::executes`] is `false`).
+//!   analytical roofline models; it answers [`Backend::performance`], and
+//!   its [`Backend::lower`] refuses every workload with a typed error.
 //!
 //! Backends are registered on a
 //! [`PlatformBuilder`](crate::platform::PlatformBuilder) and resolved by
@@ -133,19 +133,6 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     /// Mutable access to the compiled plan (hit accounting, tile buffers).
     fn plan_mut(&mut self) -> &mut CompiledPlan;
 
-    /// How many workers tile the MAC loops (1 = sequential). Backends
-    /// without a tiled execution path report 1.
-    fn workers(&self) -> usize {
-        1
-    }
-
-    /// Sets the worker count used to tile the MAC loops. Tiling is
-    /// bit-exact, so this only affects throughput; backends without a
-    /// tiled path ignore it.
-    fn set_workers(&mut self, workers: usize) {
-        let _ = workers;
-    }
-
     /// Clones the lowered plan behind the trait object (keeps `Session`
     /// cloneable).
     fn clone_box(&self) -> Box<dyn LoweredPlan>;
@@ -169,24 +156,6 @@ pub trait Backend: fmt::Debug + Send + Sync {
 
     /// Human-readable backend name (`"Lightator photonic core"`, ...).
     fn name(&self) -> String;
-
-    /// Label of the numeric precision the backend executes at for the
-    /// given platform (`"[4:4]"` for the photonic default, `"[32:32]"`
-    /// for the fp32 electronic reference).
-    fn precision(&self, config: &PlatformConfig) -> String;
-
-    /// Whether the backend can actually execute lowered plans. Analytical
-    /// roofline backends answer `false` and only serve
-    /// [`Backend::performance`].
-    fn executes(&self) -> bool {
-        true
-    }
-
-    /// Whether the backend supports the given workload.
-    fn supports(&self, workload: &Workload) -> bool {
-        let _ = workload;
-        true
-    }
 
     /// Lowers a workload into an executable plan.
     ///
@@ -291,10 +260,6 @@ impl Backend for PhotonicBackend {
         self.name.clone()
     }
 
-    fn precision(&self, config: &PlatformConfig) -> String {
-        self.schedule.unwrap_or(config.schedule).label()
-    }
-
     fn lower(
         &self,
         workload: &Workload,
@@ -351,14 +316,6 @@ impl LoweredPlan for PhotonicLowered {
         &mut self.plan
     }
 
-    fn workers(&self) -> usize {
-        self.executor.workers()
-    }
-
-    fn set_workers(&mut self, workers: usize) {
-        self.executor.set_workers(workers);
-    }
-
     fn clone_box(&self) -> Box<dyn LoweredPlan> {
         Box::new(self.clone())
     }
@@ -386,8 +343,10 @@ mod tests {
             .expect("platform");
         let backend = PhotonicBackend::new();
         assert_eq!(backend.id(), BackendId::photonic());
-        assert!(backend.executes());
-        assert_eq!(backend.precision(platform.config()), "[4:4]");
+        let lowered = backend
+            .lower(&Workload::Acquire, platform.config(), 1)
+            .expect("lowered");
+        assert_eq!(lowered.plan().schedule().label(), "[4:4]");
     }
 
     #[test]
@@ -401,7 +360,10 @@ mod tests {
             "Lightator [2:4]",
             PrecisionSchedule::Uniform(Precision::w2a4()),
         );
-        assert_eq!(variant.precision(platform.config()), "[2:4]");
+        let lowered = variant
+            .lower(&Workload::Acquire, platform.config(), 1)
+            .expect("lowered");
+        assert_eq!(lowered.plan().schedule().label(), "[2:4]");
         let spec = NetworkSpec::lenet();
         let low = variant
             .performance(&spec, platform.config())

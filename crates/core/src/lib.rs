@@ -34,11 +34,7 @@
 //! * [`trace`] — per-stage trace attribution: pure derivation of
 //!   acquire/CA/weight-encode/MAC-rows/readout [`StageSpan`]s from a
 //!   [`SimulationReport`], feeding `lightator-telemetry` sinks without
-//!   touching execution state;
-//! * [`verify`] — **static plan verification**: prove a [`CompiledPlan`]
-//!   and a [`Backend`] agree (capability, schedule, shapes, energy model)
-//!   before any frame executes; run by every session open and re-exported
-//!   by `lightator-analysis` as its semantic layer.
+//!   touching execution state.
 //!
 //! # Example
 //!
@@ -76,7 +72,6 @@ pub mod sim;
 pub mod stream;
 pub mod textcfg;
 pub mod trace;
-pub mod verify;
 
 pub use backend::{Backend, BackendId, LoweredPlan, PhotonicBackend};
 pub use ca::{CaConfig, CompressiveAcquisitor};
@@ -95,6 +90,3 @@ pub use stream::{
     StreamConfig, StreamFrame, StreamReport, StreamState, TemporalDifferencer, GATE_COST_FRACTION,
 };
 pub use trace::{frame_stages, stage_breakdown, StageSpan};
-pub use verify::{
-    capability_matrix, performance_spec, verify_plan, verify_plan_structural, Capability, PlanCheck,
-};

@@ -400,7 +400,9 @@ impl Platform {
     /// # Errors
     ///
     /// Propagates sensor/CA/executor/plan construction errors and
-    /// mapping/simulation errors for the workload's performance spec.
+    /// mapping/simulation errors for the workload's performance spec, and
+    /// rejects a classify model whose layers do not chain or whose output
+    /// shape is empty.
     pub fn session(&self, workload: Workload) -> Result<Session> {
         Session::open(self, workload, &BackendId::photonic())
     }

@@ -18,12 +18,11 @@ use crate::platform::report::{
     acquisition_outcome, classification_from_logits, empty_logits, filtered_from, model_mismatch,
     Report,
 };
-use crate::platform::workload::Workload;
+use crate::platform::workload::{acquisition_spec_of, performance_spec, Workload};
 use crate::sim::SimulationReport;
 use crate::stream::{
     StreamFrame, StreamReport, StreamState, TemporalDifferencer, GATE_COST_FRACTION,
 };
-use crate::verify;
 use lightator_nn::datasets::Dataset;
 use lightator_nn::tensor::Tensor;
 use lightator_sensor::array::SensorArray;
@@ -90,25 +89,15 @@ impl Session {
     ) -> Result<Self> {
         let backend = platform.backend(backend_id)?;
         let config = platform.config();
-        if !backend.supports(&workload) {
-            return Err(CoreError::ModelMismatch {
-                reason: format!(
-                    "backend `{}` does not support the `{}` workload",
-                    backend.id(),
-                    workload.label()
-                ),
-            });
-        }
         let sensor = SensorArray::new(config.sensor.clone())?;
-        let spec = verify::performance_spec(&workload, config)?;
+        let spec = performance_spec(&workload, config)?;
         let stream = match &workload {
             Workload::VideoStream { stream, .. } => {
                 let acquired = config.acquired_shape();
                 let window = config.ca.map_or(1, |ca| ca.pooling_window);
                 let differencer =
                     TemporalDifferencer::new(*stream, acquired[1], acquired[2], window)?;
-                let perf_acquire =
-                    backend.performance(&verify::acquisition_spec_of(config)?, config)?;
+                let perf_acquire = backend.performance(&acquisition_spec_of(config)?, config)?;
                 Some(StreamPipeline {
                     differencer,
                     state: None,
@@ -119,7 +108,20 @@ impl Session {
             _ => None,
         };
         let lowered = backend.lower(&workload, config, config.seed)?;
-        verify::verify_plan_structural(lowered.plan(), &workload, config, backend.as_ref())?;
+        // A caller's classify model must chain: every layer takes the
+        // shape the previous one produces, down to a non-empty output.
+        // (Its input may differ from the acquired shape: `evaluate` feeds
+        // dataset tensors straight to the model.)
+        if let Workload::Classify { model } = &workload {
+            let output = model.output_shape()?;
+            if output.is_empty() || output.contains(&0) {
+                return Err(CoreError::ModelMismatch {
+                    reason: format!(
+                        "the classify model propagates to a degenerate output shape {output:?}"
+                    ),
+                });
+            }
+        }
         let perf = backend.performance(&spec, config)?;
         let label = workload.label();
         Ok(Session {
@@ -185,23 +187,6 @@ impl Session {
     #[must_use]
     pub fn plan_stats(&self) -> PlanStats {
         self.lowered.plan().stats()
-    }
-
-    /// How many workers tile the MAC loops (1 = sequential).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.lowered.workers()
-    }
-
-    /// Sets the worker count used to tile the conv/linear MAC loops.
-    ///
-    /// Tiling is **bit-exact**: the counter-based noise generator keys
-    /// every Gaussian draw by `(seed, frame, channel, element)`, so workers
-    /// produce the identical draws the sequential loop would. The knob only
-    /// affects throughput (`cargo bench -p lightator-bench --bench
-    /// parallel_scaling`). Counts below 1 are clamped to 1.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.lowered.set_workers(workers);
     }
 
     /// The workload's performance model on this platform (identical to the
@@ -272,7 +257,7 @@ impl Session {
         // One frame, one index — success or failure. (Failures can bail
         // out before the executor advances, e.g. on a sensor error or a
         // model mismatch.)
-        self.lowered.set_next_frame_index(index + 1);
+        self.lowered.set_next_frame_index(index.saturating_add(1));
         if let Some(before) = stats_before {
             self.trace_frame(index, before, result.is_ok());
         }
@@ -445,7 +430,9 @@ impl Session {
     /// Fresh sessions start at frame 0 and every processed frame —
     /// successful or not, on any workload — consumes exactly one index.
     /// This is what keeps a serving pool's ticket accounting aligned with
-    /// sequential execution even around failed requests.
+    /// sequential execution even around failed requests. The index
+    /// saturates at `u64::MAX`: frames past it replay that frame's noise
+    /// stream instead of wrapping to frame 0's.
     #[must_use]
     pub fn next_frame_index(&self) -> u64 {
         self.lowered.next_frame_index()
@@ -571,7 +558,7 @@ impl Session {
             let result = self.stream_frame(frame.borrow(), index);
             // One frame, one index — success or failure, however many
             // block tiles the gate actually computed.
-            self.lowered.set_next_frame_index(index + 1);
+            self.lowered.set_next_frame_index(index.saturating_add(1));
             let frame = match result {
                 Ok(frame) => frame,
                 Err(err) => {
@@ -645,49 +632,41 @@ impl Session {
         let bs = pipeline.differencer.config().block_size;
         let (ah, aw) = (rows * bs, cols * bs);
 
-        let mut state = match pipeline.state.take() {
-            Some(state) => state,
-            None => StreamState {
-                ref_scene: scene.clone(),
-                ref_acquired: acquired
-                    .clone()
-                    // The gate sees no reference scene on the first frame, so
-                    // every block computes and an acquisition always ran.
-                    // lightator: allow(no-unwrap)
-                    .expect("the first frame of a stream computes every block"),
-                prev_output: Tensor::zeros(&[1, ah, aw]),
-            },
-        };
+        // Grid positions of the blocks the gate computes, in row-major
+        // order: the order their tiles run and their outputs come back in.
+        let positions: Vec<(usize, usize)> = mask
+            .iter()
+            .enumerate()
+            .filter(|&(_, &compute)| compute)
+            .map(|(block, _)| (block / cols, block % cols))
+            .collect();
+
+        // A fresh stream's first frame has no reference scene, so the gate
+        // computes every block and the refresh below overwrites all of the
+        // zeroed acquired reference.
+        let mut state = pipeline.state.take().unwrap_or_else(|| StreamState {
+            ref_scene: scene.clone(),
+            ref_acquired: Tensor::zeros(&[1, ah, aw]),
+            prev_output: Tensor::zeros(&[1, ah, aw]),
+        });
 
         // Refresh the references of every computed block: the feedback path
         // of later frames replays the *last computed* values, and deltas are
         // measured against the last computed scene so sub-threshold drift
-        // cannot accumulate unboundedly.
-        for (block, &compute) in mask.iter().enumerate() {
-            if !compute {
-                continue;
+        // cannot accumulate unboundedly. (`acquired` is `None` only when no
+        // block computes.)
+        if let Some(acquired) = &acquired {
+            for &(br, bc) in &positions {
+                copy_scene_block(&mut state.ref_scene, scene, br, bc, bs * pipeline.window)?;
+                copy_tensor_block(&mut state.ref_acquired, acquired, aw, br, bc, bs);
             }
-            let (br, bc) = (block / cols, block % cols);
-            let acquired = acquired
-                .as_ref()
-                // `acquired` is only `None` when the mask has no computed
-                // block, and this loop body runs only for computed blocks.
-                // lightator: allow(no-unwrap)
-                .expect("computed blocks imply an acquisition pass");
-            copy_scene_block(&mut state.ref_scene, scene, br, bc, bs * pipeline.window)?;
-            copy_tensor_block(&mut state.ref_acquired, acquired, aw, br, bc, bs);
         }
 
         // Gather the computed blocks' tiles into the plan's reusable tile
         // buffer and run them — however many there are — inside one frame's
         // noise stream, in row-major block order.
         let mut tiles = lowered.plan_mut().take_tiles();
-        let mut used = 0usize;
-        for (block, &compute) in mask.iter().enumerate() {
-            if !compute {
-                continue;
-            }
-            let (br, bc) = (block / cols, block % cols);
+        for (used, &(br, bc)) in positions.iter().enumerate() {
             if used < tiles.len() {
                 gather_tile_into(
                     tiles[used].data_mut(),
@@ -701,27 +680,18 @@ impl Session {
             } else {
                 tiles.push(gather_tile(&state.ref_acquired, ah, aw, bs, br, bc)?);
             }
-            used += 1;
         }
-        tiles.truncate(used);
+        tiles.truncate(positions.len());
         let outputs = lowered.forward_frame_batch(&tiles);
         lowered.plan_mut().return_tiles(tiles);
         let outputs = outputs?;
 
         let mut output = state.prev_output.clone();
-        let mut outputs = outputs.into_iter();
-        for (block, &compute) in mask.iter().enumerate() {
-            if !compute {
-                continue;
-            }
-            // The tile batch was built from this same mask a few lines up,
-            // so the output iterator yields exactly one tile per computed
-            // block. lightator: allow(no-unwrap)
-            let tile = outputs.next().expect("one output per computed tile");
-            scatter_tile(&mut output, &tile, aw, bs, block / cols, block % cols);
+        for (&(br, bc), tile) in positions.iter().zip(&outputs) {
+            scatter_tile(&mut output, tile, aw, bs, br, bc);
         }
 
-        let computed = mask.iter().filter(|&&c| c).count();
+        let computed = positions.len();
         let skipped = mask.len() - computed;
         let fraction = computed as f64 / mask.len() as f64;
         let duty = fraction + GATE_COST_FRACTION * (1.0 - fraction);
@@ -1021,6 +991,61 @@ mod tests {
         let mut seeked = platform.session(workload()).expect("session");
         seeked.seek_frame(1);
         assert_eq!(seeked.run(&good).expect("ok"), after_error);
+    }
+
+    #[test]
+    fn frame_counters_saturate_at_the_last_index() {
+        // Noisy optics, so the last frame's noise differs from frame 0's.
+        // Running past `u64::MAX` replays the last frame instead of
+        // panicking or wrapping to frame 0.
+        let platform = Platform::builder()
+            .sensor_resolution(8, 8)
+            .build()
+            .expect("platform");
+        let workload = || Workload::ImageKernel {
+            kernel: ImageKernel::SobelX,
+        };
+        let data = (0..8 * 8 * 3).map(|i| f64::from(i % 7) / 7.0).collect();
+        let scene = RgbFrame::new(8, 8, data).expect("ok");
+        let bits = |report: Report| -> Vec<u32> {
+            let (_, values) = report.frame().expect("filtered frame");
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        let first = bits(
+            platform
+                .session(workload())
+                .expect("session")
+                .run(&scene)
+                .expect("ok"),
+        );
+        let mut session = platform.session(workload()).expect("session");
+        session.seek_frame(u64::MAX);
+        let last = bits(session.run(&scene).expect("frame u64::MAX"));
+        assert_eq!(session.next_frame_index(), u64::MAX);
+        let past = bits(session.run(&scene).expect("frame past u64::MAX"));
+        assert_eq!(past, last, "the counter saturates at the last frame");
+        assert_ne!(last, first, "the last frame is not frame 0");
+    }
+
+    #[test]
+    fn classify_models_whose_layers_do_not_chain_fail_to_open() {
+        // Flattening [1, 4, 4] yields 16 features; a `Linear` taking 10
+        // cannot follow. The spec builder accepts the model, the session
+        // does not.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut model = Sequential::new(&[1, 4, 4]);
+        model.push(Flatten::new());
+        model.push(Linear::new(10, 3, &mut rng).expect("linear"));
+        let err = small_platform(true, 8)
+            .session(Workload::Classify { model })
+            .expect_err("the layers do not chain");
+        assert!(
+            matches!(
+                err,
+                CoreError::Nn(lightator_nn::NnError::ShapeMismatch { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! [`Session`]: crate::platform::Session
 
 use crate::error::{CoreError, Result};
+use crate::platform::PlatformConfig;
 use lightator_nn::layers::LayerNode;
 use lightator_nn::model::Sequential;
 use lightator_nn::spec::{NetworkSpec, NetworkSpecBuilder};
@@ -128,7 +129,7 @@ impl ImageKernel {
 
 /// Derives the architecture-simulator spec of a trained [`Sequential`]
 /// model, so one session reports accuracy and performance from one place.
-pub(crate) fn network_spec_of(model: &Sequential, name: &str) -> Result<NetworkSpec> {
+fn network_spec_of(model: &Sequential, name: &str) -> Result<NetworkSpec> {
     let shape = model.input_shape();
     let input: [usize; 3] = match *shape {
         [c, h, w] => [c, h, w],
@@ -166,4 +167,42 @@ pub(crate) fn network_spec_of(model: &Sequential, name: &str) -> Result<NetworkS
         };
     }
     Ok(builder.build())
+}
+
+/// Derives the performance spec a [`Report`](crate::platform::Report) for
+/// `workload` simulates: the model-derived network for classify, the
+/// acquisition pass for acquire, the 3×3 filter conv for kernels and
+/// streams.
+pub(crate) fn performance_spec(
+    workload: &Workload,
+    config: &PlatformConfig,
+) -> Result<NetworkSpec> {
+    let label = workload.label();
+    match workload {
+        Workload::Classify { model } => network_spec_of(model, &label),
+        Workload::Acquire => acquisition_spec_of(config),
+        Workload::ImageKernel { .. } | Workload::VideoStream { .. } => {
+            Ok(NetworkSpecBuilder::new(&label, config.acquired_shape())
+                .conv(1, 3, 1, 1)
+                .map_err(CoreError::from)?
+                .build())
+        }
+    }
+}
+
+/// Spec of the acquisition pass itself: the fused CA convolution, or the
+/// per-photosite readout without CA. Video-stream sessions also charge it
+/// for every computed block.
+pub(crate) fn acquisition_spec_of(config: &PlatformConfig) -> Result<NetworkSpec> {
+    let (h, w) = (config.sensor.height, config.sensor.width);
+    let builder = match &config.ca {
+        Some(ca) => NetworkSpecBuilder::new("acquire+ca", [3, h, w]).conv(
+            1,
+            ca.pooling_window,
+            ca.pooling_window,
+            0,
+        ),
+        None => NetworkSpecBuilder::new("acquire", [1, h, w]).conv(1, 1, 1, 0),
+    };
+    Ok(builder.map_err(CoreError::from)?.build())
 }

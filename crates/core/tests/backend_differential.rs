@@ -188,3 +188,23 @@ fn evaluate_runs_through_the_lowered_plan_on_every_backend() {
     // accuracy is the digital accuracy exactly.
     assert_eq!(result.photonic, result.digital);
 }
+
+/// Past the last frame index, an electronic session's counter saturates
+/// the way the photonic executor's does: two frames seeked to `u64::MAX`
+/// run, and the session stays at `u64::MAX`.
+#[test]
+fn electronic_sessions_run_past_the_last_frame_index() {
+    let platform = platform();
+    let mut electronic = platform
+        .session_on(
+            Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            },
+            &electronic_id(),
+        )
+        .expect("electronic");
+    electronic.seek_frame(u64::MAX);
+    let last = run_frame(&mut electronic);
+    assert_eq!(run_frame(&mut electronic), last);
+    assert_eq!(electronic.next_frame_index(), u64::MAX);
+}

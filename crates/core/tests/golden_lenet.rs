@@ -50,7 +50,7 @@ fn scenes() -> Vec<RgbFrame> {
 
 /// One fixture line per (noise, scene, frame):
 /// `noise scene frame` followed by the ten logits' f32 bits. `workers`
-/// overrides the sessions' default MAC worker count.
+/// overrides the platform's default MAC worker count.
 fn golden_lines(workers: Option<usize>) -> Vec<String> {
     let mut rng = SmallRng::seed_from_u64(SEED);
     let model = build_lenet(10, &mut rng).expect("lenet");
@@ -60,20 +60,19 @@ fn golden_lines(workers: Option<usize>) -> Vec<String> {
         ("default", NoiseConfig::default()),
         ("ideal", NoiseConfig::ideal()),
     ] {
-        let platform = Platform::builder()
+        let mut builder = Platform::builder()
             .sensor_resolution(SENSOR, SENSOR)
             .noise(noise)
-            .seed(SEED)
-            .build()
-            .expect("paper platform");
+            .seed(SEED);
+        if let Some(workers) = workers {
+            builder = builder.workers(workers);
+        }
+        let platform = builder.build().expect("paper platform");
         let mut session = platform
             .session(Workload::Classify {
                 model: model.clone(),
             })
             .expect("session");
-        if let Some(workers) = workers {
-            session.set_workers(workers);
-        }
         for (index, scene) in scenes.iter().enumerate() {
             for frame in FRAMES {
                 session.seek_frame(frame);

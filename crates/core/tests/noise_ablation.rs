@@ -134,10 +134,10 @@ fn ablated_classify_logits_are_bit_exact_across_execution_paths() {
     model.push(Activation::relu());
     model.push(Linear::new(6, 3, &mut rng).expect("head"));
 
-    let platform = platform_with(NoiseConfig {
+    let noise = NoiseConfig {
         weight_sigma: 0.0,
         ..NoiseConfig::default()
-    });
+    };
     let workload = || Workload::Classify {
         model: model.clone(),
     };
@@ -148,10 +148,16 @@ fn ablated_classify_logits_are_bit_exact_across_execution_paths() {
         other => panic!("classify workload produced {other:?}"),
     };
 
-    let mut sequential = platform.session(workload()).expect("session");
-    sequential.set_workers(1);
-    let mut tiled = platform.session(workload()).expect("session");
-    tiled.set_workers(4);
+    let on_workers = |workers| {
+        Platform::builder()
+            .sensor_resolution(SENSOR, SENSOR)
+            .noise(noise)
+            .workers(workers)
+            .build()
+            .expect("platform")
+    };
+    let mut sequential = on_workers(1).session(workload()).expect("session");
+    let mut tiled = on_workers(4).session(workload()).expect("session");
 
     let expected = logits_of(sequential.run(&frame).expect("sequential"));
     let tiled_logits = logits_of(tiled.run(&frame).expect("tiled"));

@@ -18,10 +18,12 @@ use rand::{Rng, SeedableRng};
 
 const SENSOR: usize = 8;
 
-/// The paper's default platform (noise **on**), shrunk to a small sensor.
-fn noisy_platform() -> Platform {
+/// The paper's default platform (noise **on**), shrunk to a small sensor,
+/// tiling its MAC loops across `workers`.
+fn noisy_platform(workers: usize) -> Platform {
     Platform::builder()
         .sensor_resolution(SENSOR, SENSOR)
+        .workers(workers)
         .build()
         .expect("platform")
 }
@@ -75,18 +77,16 @@ proptest! {
         scene_seed in 1u64..256,
     ) {
         let workers = [1usize, 2, 4, 8][worker_index];
-        let platform = noisy_platform();
+        let sequential_platform = noisy_platform(1);
+        let tiled_platform = noisy_platform(workers);
         let frames = scenes(batch, scene_seed);
         for workload in [
             Workload::Classify { model: conv_classifier(7) },
             Workload::Acquire,
             Workload::ImageKernel { kernel: ImageKernel::ALL[kernel_index] },
         ] {
-            let mut sequential = platform.session(workload.clone()).expect("session");
-            sequential.set_workers(1);
-            let mut tiled = platform.session(workload).expect("session");
-            tiled.set_workers(workers);
-            assert_eq!(tiled.workers(), workers);
+            let mut sequential = sequential_platform.session(workload.clone()).expect("session");
+            let mut tiled = tiled_platform.session(workload).expect("session");
             for frame in &frames {
                 assert_eq!(
                     sequential.run(frame).expect("sequential run"),
@@ -108,22 +108,23 @@ proptest! {
         frame_count in 2usize..6,
     ) {
         let workers = [1usize, 2, 4, 8][worker_index];
-        let platform = Platform::builder()
-            .sensor_resolution(16, 16)
-            .build()
-            .expect("platform");
+        let platform = |workers| {
+            Platform::builder()
+                .sensor_resolution(16, 16)
+                .workers(workers)
+                .build()
+                .expect("platform")
+        };
         let workload = || Workload::VideoStream {
             kernel: ImageKernel::SobelX,
             stream: StreamConfig { block_size: 2, delta_threshold: 0.05 },
         };
         let frames = stream_scenes(frame_count);
 
-        let mut sequential = platform.session(workload()).expect("session");
-        sequential.set_workers(1);
+        let mut sequential = platform(1).session(workload()).expect("session");
         let full = sequential.run_stream(&frames).expect("sequential stream");
 
-        let mut tiled = platform.session(workload()).expect("session");
-        tiled.set_workers(workers);
+        let mut tiled = platform(workers).session(workload()).expect("session");
         let tiled_full = tiled.run_stream(&frames).expect("tiled stream");
         assert_eq!(
             full.frames, tiled_full.frames,

@@ -9,10 +9,10 @@
 //! * a [`ServerBuilder`] mirrors the `PlatformBuilder` idiom: shards per
 //!   workload group, `max_batch`, bounded `queue_depth` and a flush
 //!   deadline in simulated time;
-//! * a **shard pool** of worker threads, each owning its own `Session`
-//!   (opened through `Platform::session_on`, exactly what a sequential
-//!   client opens) — one virtual Lightator chip with its own simulated
-//!   timeline. A shard only executes the batches it is handed;
+//! * a **shard pool** of worker threads, each owning a clone of its
+//!   group's `Session` (opened once through `Platform::session_on`,
+//!   exactly what a sequential client opens) — one virtual Lightator chip
+//!   with its own simulated timeline. A shard only executes the batches it is handed;
 //! * one **discrete-event scheduler** per workload group decides every
 //!   batch on the simulated clock: it admits requests, holds a batch open
 //!   until it is full (`max_batch`, or the SLO controller's limit) or its

@@ -149,7 +149,7 @@ pub(crate) struct ShardMetrics {
     /// adapted by the SLO controller.
     pub(crate) flush_deadline_ns: AtomicU64,
     /// Weight-encoding passes of the shard session's compiled plan — a
-    /// healthy shard compiles once at spawn and stays at 1.
+    /// healthy shard's plan is encoded once at build and stays at 1.
     pub(crate) plan_encodes: AtomicU64,
     /// Executions the shard served from its cached plan encoding.
     pub(crate) plan_hits: AtomicU64,
@@ -402,9 +402,9 @@ pub struct MetricsSnapshot {
     /// Simulated time between the first batch start and the latest batch
     /// completion — the denominator of [`MetricsSnapshot::throughput_fps`].
     pub simulated_span: Time,
-    /// Weight-encoding passes across all shard plans: each shard compiles
-    /// its workload group's plan exactly once at spawn, so this equals the
-    /// shard count in a healthy pool.
+    /// Weight-encoding passes across all shard plans: each shard runs a
+    /// clone of its workload group's plan, encoded once at build, so this
+    /// equals the shard count in a healthy pool.
     pub plan_encodes: u64,
     /// Executions served from the shards' cached plan encodings.
     pub plan_hits: u64,
@@ -697,7 +697,7 @@ pub struct ShardSnapshot {
     /// controller).
     pub flush_deadline: Time,
     /// Weight-encoding passes of this shard's compiled plan (1 in a
-    /// healthy shard: compiled once at spawn, never re-encoded).
+    /// healthy shard: encoded once at build, never re-encoded).
     pub plan_encodes: u64,
     /// Executions this shard served from its cached plan encoding.
     pub plan_hits: u64,

@@ -7,7 +7,8 @@ use crate::queue::Scheduler;
 use crate::request::{Pending, Priority, Request, RequestKind, ResponseSlot};
 use crate::shard::{self, Batcher, ShardContext, ShardCosts};
 use lightator_core::backend::BackendId;
-use lightator_core::platform::{Platform, Workload};
+use lightator_core::platform::{Platform, Session, Workload};
+use lightator_core::CoreError;
 use lightator_photonics::units::Time;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
 use std::sync::{mpsc, Arc};
@@ -130,77 +131,58 @@ impl ServerBuilder {
         self
     }
 
-    /// Statically dry-runs the deployment without opening a session or
-    /// spawning a thread: validates the [`ServeConfig`], resolves every
-    /// workload's backend against the platform registry, rejects duplicate
-    /// `(workload, backend)` routing keys, lowers each group's plan once
-    /// and runs the full
-    /// [`verify_plan`](lightator_core::verify::verify_plan) contract on it
-    /// (capability, precision-schedule, shape and energy-model checks).
-    ///
-    /// [`ServerBuilder::build`] calls this first, so a bad deployment fails
-    /// before any shard spawns; call it directly to lint a `ServeConfig` at
-    /// startup without committing to a pool.
+    /// Validates the configuration, opens each workload group's session
+    /// once and spawns the worker pool, every shard on a clone of its
+    /// group's session.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for an invalid serving
-    /// configuration, no registered workloads or duplicate routing keys,
-    /// and [`ServeError::Core`] when a backend is unregistered, cannot
-    /// execute, or fails plan verification.
-    pub fn validate(&self) -> Result<()> {
+    /// configuration, no registered workloads, or two workloads routing to
+    /// the same key; [`ServeError::Core`] when opening a session fails or a
+    /// classify model cannot take acquired frames;
+    /// [`ServeError::WorkerSpawn`] when the OS refuses a worker thread (any
+    /// already-spawned workers are stopped and joined first).
+    pub fn build(self) -> Result<Server> {
         self.config.validate()?;
         if self.workloads.is_empty() {
             return Err(ServeError::InvalidConfig {
                 reason: "register at least one workload before build()".into(),
             });
         }
-        let config = self.platform.config();
-        let mut keys: Vec<(RequestKind, BackendId)> = Vec::new();
-        for (workload, backend_id) in &self.workloads {
+
+        // Open every group's session first so build is all-or-nothing: no
+        // threads are spawned if any workload is rejected by the platform
+        // (or names an unknown / non-executing backend).
+        let mut opened: Vec<(RequestKind, BackendId, String, Vec<Session>)> = Vec::new();
+        let mut shard_labels = Vec::new();
+        for (workload, backend) in &self.workloads {
             let kind = RequestKind::of_workload(workload);
             let label = workload.label();
-            if keys.contains(&(kind, backend_id.clone())) {
+            if opened.iter().any(|(k, b, ..)| *k == kind && b == backend) {
                 return Err(ServeError::InvalidConfig {
                     reason: format!(
-                        "workload `{label}` is registered twice on backend `{backend_id}`"
+                        "workload `{label}` is registered twice on backend `{backend}`"
                     ),
                 });
             }
-            let backend = self.platform.backend(backend_id)?;
-            let lowered = backend.lower(workload, config, config.seed)?;
-            lightator_core::verify::verify_plan(
-                lowered.plan(),
-                workload,
-                config,
-                backend.as_ref(),
-            )?;
-            keys.push((kind, backend_id.clone()));
-        }
-        Ok(())
-    }
-
-    /// Validates the configuration ([`ServerBuilder::validate`]), opens
-    /// every shard's session and spawns the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for an invalid serving
-    /// configuration, no registered workloads, or two workloads routing to
-    /// the same key; [`ServeError::Core`] when static validation or opening
-    /// a session fails; [`ServeError::WorkerSpawn`] when the OS refuses a
-    /// worker thread (any already-spawned workers are stopped and joined
-    /// first).
-    pub fn build(self) -> Result<Server> {
-        self.validate()?;
-
-        // Open every session first so build is all-or-nothing: no threads
-        // are spawned if any workload is rejected by the platform (or names
-        // an unknown / non-executing backend).
-        let mut opened = Vec::new();
-        let mut shard_labels = Vec::new();
-        for (workload, backend) in &self.workloads {
-            let label = workload.label();
+            let session = self.platform.session_on(workload.clone(), backend)?;
+            // Every served classify input is an acquired frame, so the
+            // model must take the acquired shape. (A session alone may
+            // not: `Session::evaluate` feeds dataset tensors.)
+            if let Workload::Classify { model } = workload {
+                let acquired = self.platform.config().acquired_shape();
+                if model.input_shape() != acquired {
+                    return Err(ServeError::Core(CoreError::ModelMismatch {
+                        reason: format!(
+                            "the classify model takes input shape {:?} but acquired \
+                             frames have shape {acquired:?}; it cannot serve frames \
+                             on this platform",
+                            model.input_shape()
+                        ),
+                    }));
+                }
+            }
             // Non-photonic groups carry the backend in their display label
             // so shard telemetry stays unambiguous.
             let group_label = if backend.is_photonic() {
@@ -208,30 +190,24 @@ impl ServerBuilder {
             } else {
                 format!("{label}@{backend}")
             };
-            // Every shard runs what a sequential client runs: the same
-            // session, at the tickets' frame indices.
-            let sessions = (0..self.config.shards)
-                .map(|_| self.platform.session_on(workload.clone(), backend))
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            for index in 0..sessions.len() {
+            for index in 0..self.config.shards {
                 shard_labels.push((format!("{group_label}/{index}"), backend.to_string()));
             }
-            opened.push((
-                RequestKind::of_workload(workload),
-                backend.clone(),
-                group_label,
-                sessions,
-            ));
+            // Every shard runs what a sequential client runs: the same
+            // session, at the tickets' frame indices. A clone taken before
+            // any frame runs is the session a second open would build.
+            let sessions = vec![session; self.config.shards];
+            opened.push((kind, backend.clone(), group_label, sessions));
         }
 
         let metrics = Arc::new(MetricsInner::new(
             shard_labels,
             self.config.effective_max_batch(),
         ));
-        // validate() bounded the deadline to finite, non-negative values no
-        // larger than 2^53 ns, so `ceil() as u64` is an exact conversion
-        // here — never the silent saturation it used to be for NaN or
-        // oversized inputs.
+        // `ServeConfig::validate` bounded the deadline to finite,
+        // non-negative values no larger than 2^53 ns, so `ceil() as u64` is
+        // an exact conversion here — never the silent saturation it used to
+        // be for NaN or oversized inputs.
         let flush_deadline_ns = self.config.flush_deadline.ns().ceil() as u64;
         let clock = Arc::new(VirtualClock::new());
         let mut groups: Vec<Group> = Vec::new();
@@ -873,6 +849,31 @@ mod tests {
         assert!(err.to_string().contains("registered twice"));
     }
 
+    #[test]
+    fn classify_models_that_cannot_take_acquired_frames_fail_the_build() {
+        // The platform acquires [1, 4, 4] frames. An 8x8-input model still
+        // opens a session (`evaluate` feeds dataset tensors), but a server
+        // only ever feeds it acquired frames.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut model = Sequential::new(&[1, 8, 8]);
+        model.push(Flatten::new());
+        model.push(Linear::new(64, 3, &mut rng).expect("linear"));
+        let workload = Workload::Classify { model };
+        small_platform()
+            .session(workload.clone())
+            .expect("the session opens");
+        let err = Server::builder(small_platform())
+            .workload(workload)
+            .build()
+            .expect_err("frame shape");
+        match err {
+            ServeError::Core(CoreError::ModelMismatch { reason }) => {
+                assert!(reason.contains("cannot serve frames"), "{reason}");
+            }
+            other => panic!("expected a model mismatch, got {other}"),
+        }
+    }
+
     fn heterogeneous_platform() -> Platform {
         use lightator_baselines::electronic::ElectronicBaseline;
         use lightator_baselines::reference::ElectronicReference;
@@ -999,31 +1000,6 @@ mod tests {
             .build()
             .expect_err("rooflines cannot execute");
         assert!(err.to_string().contains("roofline"));
-    }
-
-    #[test]
-    fn validate_dry_runs_the_deployment_before_any_shard_spawns() {
-        // A workload pinned to an unregistered backend is rejected by the
-        // static dry-run alone — no session opened, no thread spawned.
-        let builder = Server::builder(small_platform())
-            .workload_on(Workload::Acquire, BackendId::new("electronic:not-here"));
-        let err = builder.validate().expect_err("unregistered backend");
-        assert!(err.to_string().contains("no backend registered"));
-        // The same builder fails build() with the same diagnosis.
-        assert!(builder
-            .build()
-            .expect_err("build rejects too")
-            .to_string()
-            .contains("no backend registered"));
-
-        // A clean deployment passes the dry-run without building a pool.
-        Server::builder(small_platform())
-            .workload(Workload::Acquire)
-            .workload(Workload::ImageKernel {
-                kernel: ImageKernel::SobelX,
-            })
-            .validate()
-            .expect("clean deployment verifies");
     }
 
     #[test]

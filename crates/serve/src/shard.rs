@@ -1,7 +1,8 @@
 //! The shard worker: one thread, one virtual Lightator chip.
 //!
-//! Each shard runs exactly what a sequential client runs. It owns a session
-//! opened through `Platform::session_on` and executes the jobs its group's
+//! Each shard runs exactly what a sequential client runs. It owns a clone
+//! of its group's session, opened once through `Platform::session_on`, and
+//! executes the jobs its group's
 //! [`Scheduler`] sends it: seek the session to the batch's first ticket,
 //! execute the batch (frame batches one `Session::run` per frame; video
 //! streams one request at a time through `run_stream`), meter the energy,

@@ -3,7 +3,8 @@
 //! Re-exports every crate of the workspace so examples, integration tests and
 //! downstream users can depend on a single entry point:
 //!
-//! * [`photonics`] — micro-rings, VCSELs, detectors, WDM, noise;
+//! * [`photonics`] — micro-rings, optical arms, WDM crosstalk, analog
+//!   noise and the device power table;
 //! * [`sensor`] — the ADC-less imager and the DMVA;
 //! * [`nn`] — tensors, layers, quantization, training, topologies, datasets;
 //! * [`core`] — the Lightator optical core, mapper, energy model, simulator
@@ -14,8 +15,8 @@
 //!   per-batch wins into system-level throughput;
 //! * [`telemetry`] — deterministic simulated-time tracing: ring-buffer
 //!   recorder, per-stage energy/latency attribution and Perfetto export;
-//! * [`analysis`] — the determinism lint and static plan verifier backing
-//!   the `lint_workspace` CI gate.
+//! * [`analysis`] — the determinism lint backing the `lint_workspace` CI
+//!   gate.
 //!
 //! # Quickstart
 //!
