@@ -170,8 +170,7 @@ pub fn table1_registry() -> Vec<Table1Entry> {
     // VGG9/CIFAR workload (Table 1 discussion, observations 1 and 5).
     let vgg9 = NetworkSpec::vgg9(100);
     for variant in photonic_variants() {
-        // Every photonic variant is constructed with_schedule(), so the
-        // label always parses. lightator: allow(no-unwrap)
+        #[expect(clippy::expect_used, reason = "photonic variants pin a schedule")]
         let schedule = variant.schedule().expect("table-1 variants pin a schedule");
         entries.push(Table1Entry {
             label: variant.name(),

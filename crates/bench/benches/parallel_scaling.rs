@@ -18,6 +18,8 @@
 //! validate the emitted JSON without asserting the scaling ratio on
 //! single-core or noisy shared runners.
 
+#![expect(clippy::disallowed_methods, reason = "this bench times host execution")]
+
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
 use lightator_sensor::frame::RgbFrame;
 use lightator_telemetry::json::{self, BenchMetric};

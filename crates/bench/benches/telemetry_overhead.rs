@@ -16,6 +16,8 @@
 //!
 //! [`TraceRecorder`]: lightator_telemetry::TraceRecorder
 
+#![expect(clippy::disallowed_methods, reason = "this bench times host execution")]
+
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
 use lightator_photonics::noise::NoiseConfig;
 use lightator_sensor::frame::RgbFrame;

@@ -29,6 +29,7 @@ use lightator_core::ca::CaConfig;
 use lightator_core::config::OcGeometry;
 use lightator_core::platform::{ImageKernel, Platform, Workload};
 use lightator_core::stream::StreamConfig;
+use lightator_core::CoreError;
 use lightator_nn::layers::{Activation, Flatten, Linear};
 use lightator_nn::model::Sequential;
 use lightator_photonics::units::Time;
@@ -54,17 +55,17 @@ const FIXED_BATCH: usize = 4;
 const OVERLOAD_FACTOR: f64 = 1.5;
 
 /// The edge-sized classifier served by the comparison arms.
-fn classifier() -> Sequential {
+fn classifier() -> Result<Sequential, CoreError> {
     let mut rng = SmallRng::seed_from_u64(21);
     // CA halves the 8x8 sensor to [1, 4, 4] = 16 inputs.
     let mut model = Sequential::new(&[1, 4, 4]);
     model.push(Flatten::new());
-    model.push(Linear::new(16, 64, &mut rng).expect("linear")); // lightator: allow(no-unwrap) - static shapes
+    model.push(Linear::new(16, 64, &mut rng)?);
     model.push(Activation::relu());
-    model.push(Linear::new(64, 64, &mut rng).expect("linear")); // lightator: allow(no-unwrap) - static shapes
+    model.push(Linear::new(64, 64, &mut rng)?);
     model.push(Activation::relu());
-    model.push(Linear::new(64, 4, &mut rng).expect("linear")); // lightator: allow(no-unwrap) - static shapes
-    model
+    model.push(Linear::new(64, 4, &mut rng)?);
+    Ok(model)
 }
 
 /// The comparison arms run an *edge-sized* optical core: 12 banks, 8 of
@@ -119,7 +120,7 @@ fn classify_server(arm: Arm) -> Result<Server, ServeError> {
         .shards(SHARDS)
         .queue_depth(QUEUE_DEPTH)
         .workload(Workload::Classify {
-            model: classifier(),
+            model: classifier()?,
         });
     match arm {
         Arm::Fixed => builder
@@ -182,7 +183,7 @@ fn soak_mixed(requests: u64) -> Result<ArmReport, ServeError> {
             max_batch: 64,
         })
         .workload(Workload::Classify {
-            model: classifier(),
+            model: classifier()?,
         })
         .workload(Workload::Acquire)
         .workload(Workload::ImageKernel {

@@ -37,7 +37,8 @@ pub struct Fig10Data {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors, and returns [`CoreError::ModelMismatch`]
+/// when the registry lacks the Lightator row the speed-ups divide by.
 pub fn generate() -> Result<Fig10Data, CoreError> {
     let platform = platform()?;
     let alexnet = NetworkSpec::alexnet();
@@ -73,9 +74,9 @@ pub fn generate() -> Result<Fig10Data, CoreError> {
         .iter()
         .find(|(label, _, _)| label == "Lightator")
         .map(|(_, ms, _)| *ms)
-        // fig10_rows() appends the Lightator row unconditionally.
-        // lightator: allow(no-unwrap)
-        .expect("the registry always ends with the Lightator entry");
+        .ok_or_else(|| CoreError::ModelMismatch {
+            reason: "the Fig. 10 registry has no Lightator row".to_string(),
+        })?;
     let alexnet_speedups = alexnet_times
         .iter()
         .filter(|(_, _, electronic)| *electronic)

@@ -19,10 +19,9 @@ pub fn lightator_variants() -> Vec<(String, PrecisionSchedule)> {
     photonic_variants()
         .into_iter()
         .map(|variant| {
+            #[expect(clippy::expect_used, reason = "photonic variants pin a schedule")]
             let schedule = variant
                 .schedule()
-                // Every photonic variant is constructed with_schedule(), so
-                // the label always parses. lightator: allow(no-unwrap)
                 .expect("registry variants pin a schedule");
             (variant.name(), schedule)
         })

@@ -481,4 +481,30 @@ mod tests {
         let rest = encodings[3].as_ref().expect("linear encoding");
         assert!(distinct(rest) <= 2usize.pow(2));
     }
+
+    #[test]
+    fn lowering_runs_the_platform_worker_count() {
+        use crate::backend::{Backend, PhotonicBackend};
+        // Tiling is bit-exact, so outputs cannot show the worker count;
+        // `run_tiled` grows one scratch buffer per worker it runs. 3 is
+        // neither the plain default nor a `LIGHTATOR_DEFAULT_WORKERS` value
+        // CI uses.
+        let config = Platform::builder()
+            .sensor_resolution(16, 16)
+            .workers(3)
+            .build()
+            .expect("platform")
+            .config()
+            .clone();
+        let workload = Workload::ImageKernel {
+            kernel: ImageKernel::SobelX,
+        };
+        let mut lowered = PhotonicBackend::new()
+            .lower(&workload, &config, config.seed)
+            .expect("lowered");
+        lowered
+            .forward(&Tensor::zeros(&config.acquired_shape()))
+            .expect("forward");
+        assert_eq!(lowered.plan().scratch.workers.len(), 3);
+    }
 }

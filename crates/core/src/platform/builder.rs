@@ -89,13 +89,12 @@ impl PlatformBuilder {
     /// uniform `[4:4]` precision, default analog noise.
     #[must_use]
     pub fn paper() -> Self {
+        #[expect(clippy::expect_used, reason = "the paper constants are sensor-tested")]
+        let sensor = SensorArrayConfig::paper_default().expect("paper sensor defaults are valid");
         Self {
             config: PlatformConfig {
                 hardware: LightatorConfig::paper(),
-                sensor: SensorArrayConfig::paper_default()
-                    // The paper constants are fixed at compile time and
-                    // covered by sensor-crate tests. lightator: allow(no-unwrap)
-                    .expect("paper sensor defaults are valid"),
+                sensor,
                 ca: Some(CaConfig::default()),
                 schedule: PrecisionSchedule::Uniform(Precision::w4a4()),
                 seed: 7,

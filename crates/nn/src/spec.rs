@@ -428,6 +428,7 @@ impl NetworkSpec {
     /// Never panics; the topology is statically valid.
     #[must_use]
     pub fn lenet() -> Self {
+        #[expect(clippy::expect_used, reason = "the topology is statically valid")]
         NetworkSpecBuilder::new("LeNet", [1, 28, 28])
             .conv(6, 5, 1, 2)
             .and_then(|b| b.pool(2, true))
@@ -436,7 +437,6 @@ impl NetworkSpec {
             .and_then(|b| b.linear(120))
             .and_then(|b| b.linear(84))
             .and_then(|b| b.linear(10))
-            // lightator: allow(no-unwrap) — documented "Never panics".
             .expect("LeNet topology is statically valid")
             .build()
     }
@@ -449,6 +449,7 @@ impl NetworkSpec {
     /// Never panics; the topology is statically valid.
     #[must_use]
     pub fn vgg9(classes: usize) -> Self {
+        #[expect(clippy::expect_used, reason = "the topology is statically valid")]
         NetworkSpecBuilder::new("VGG9", [3, 32, 32])
             .conv(64, 3, 1, 1)
             .and_then(|b| b.conv(64, 3, 1, 1))
@@ -462,7 +463,6 @@ impl NetworkSpec {
             .and_then(|b| b.linear(512))
             .and_then(|b| b.linear(512))
             .and_then(|b| b.linear(classes))
-            // lightator: allow(no-unwrap) — documented "Never panics".
             .expect("VGG9 topology is statically valid")
             .build()
     }
@@ -488,6 +488,9 @@ impl NetworkSpec {
         Self::vgg_imagenet("VGG16", &[2, 2, 3, 3, 3])
     }
 
+    // One expectation for the three sites: two of them are assignments,
+    // which take no attribute.
+    #[expect(clippy::expect_used, reason = "the topology is statically valid")]
     fn vgg_imagenet(name: &str, convs_per_stage: &[usize]) -> Self {
         let widths = [64usize, 128, 256, 512, 512];
         let mut builder = NetworkSpecBuilder::new(name, [3, 224, 224]);
@@ -495,19 +498,16 @@ impl NetworkSpec {
             for _ in 0..reps {
                 builder = builder
                     .conv(widths[stage], 3, 1, 1)
-                    // lightator: allow(no-unwrap) — documented "Never panics".
                     .expect("VGG topology is statically valid");
             }
             builder = builder
                 .pool(2, false)
-                // lightator: allow(no-unwrap) — documented "Never panics".
                 .expect("VGG topology is statically valid");
         }
         builder
             .linear(4096)
             .and_then(|b| b.linear(4096))
             .and_then(|b| b.linear(1000))
-            // lightator: allow(no-unwrap) — documented "Never panics".
             .expect("VGG topology is statically valid")
             .build()
     }
@@ -519,6 +519,7 @@ impl NetworkSpec {
     /// Never panics; the topology is statically valid.
     #[must_use]
     pub fn alexnet() -> Self {
+        #[expect(clippy::expect_used, reason = "the topology is statically valid")]
         NetworkSpecBuilder::new("AlexNet", [3, 224, 224])
             .conv(64, 11, 4, 2)
             .and_then(|b| b.pool_strided(3, 2, false))
@@ -531,7 +532,6 @@ impl NetworkSpec {
             .and_then(|b| b.linear(4096))
             .and_then(|b| b.linear(4096))
             .and_then(|b| b.linear(1000))
-            // lightator: allow(no-unwrap) — documented "Never panics".
             .expect("AlexNet topology is statically valid")
             .build()
     }

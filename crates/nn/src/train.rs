@@ -25,9 +25,8 @@ pub fn softmax(logits: &Tensor) -> Tensor {
         .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
     let exps: Vec<f32> = logits.data().iter().map(|&x| (x - max).exp()).collect();
     let sum: f32 = exps.iter().sum();
+    #[expect(clippy::expect_used, reason = "softmax keeps the element count")]
     Tensor::from_vec(exps.into_iter().map(|e| e / sum).collect(), logits.shape())
-        // The element count is unchanged, so from_vec cannot reject the
-        // original shape. lightator: allow(no-unwrap)
         .expect("softmax preserves the shape")
 }
 

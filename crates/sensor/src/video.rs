@@ -168,9 +168,8 @@ impl SyntheticVideo {
     #[must_use]
     pub fn frame_at(&self, index: usize) -> RgbFrame {
         let c = &self.config;
+        #[expect(clippy::expect_used, reason = "the constructor validated the config")]
         let mut frame = RgbFrame::filled(c.height, c.width, c.background)
-            // The constructor validated dimensions and colour range.
-            // lightator: allow(no-unwrap)
             .expect("validated configuration renders valid frames");
         match c.pattern {
             MotionPattern::Static => {}
@@ -181,10 +180,9 @@ impl SyntheticVideo {
                 let col0 = offset % (c.width - size + 1);
                 for row in row0..row0 + size {
                     for col in col0..col0 + size {
+                        #[expect(clippy::expect_used, reason = "row/col wrap within the frame")]
                         frame
                             .set_pixel(row, col, c.foreground)
-                            // row/col are reduced modulo the frame extent.
-                            // lightator: allow(no-unwrap)
                             .expect("square fits the frame");
                     }
                 }
@@ -195,6 +193,7 @@ impl SyntheticVideo {
                         let phase = (col + index * step) % c.width;
                         let t = phase as f64 / c.width as f64;
                         let mix = |a: f64, b: f64| a + (b - a) * t;
+                        #[expect(clippy::expect_used, reason = "a convex mix stays in range")]
                         frame
                             .set_pixel(
                                 row,
@@ -205,8 +204,6 @@ impl SyntheticVideo {
                                     mix(c.background[2], c.foreground[2]),
                                 ],
                             )
-                            // A convex mix of validated colours is in range.
-                            // lightator: allow(no-unwrap)
                             .expect("mixed colours stay in range");
                     }
                 }

@@ -306,16 +306,15 @@ struct FramePool {
 
 impl FramePool {
     /// Generates `count` uniformly random frames from `seed`.
-    fn new(count: usize, width: usize, height: usize, seed: u64) -> Self {
+    fn new(count: usize, width: usize, height: usize, seed: u64) -> Result<Self> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let frames = (0..count)
             .map(|_| {
                 let data: Vec<f64> = (0..width * height * 3).map(|_| rng.gen()).collect();
-                // lightator: allow(no-unwrap) - dims validated non-empty.
-                RgbFrame::new(width, height, data).expect("soak frame")
+                RgbFrame::new(width, height, data).map_err(|err| ServeError::Core(err.into()))
             })
-            .collect();
-        FramePool { frames }
+            .collect::<Result<_>>()?;
+        Ok(FramePool { frames })
     }
 
     /// A uniformly chosen frame (cheap clone; frames share no state).
@@ -409,7 +408,7 @@ pub fn run_soak(server: &Server, config: &SoakConfig) -> Result<SoakOutcome> {
         config.width,
         config.height,
         config.seed ^ 0x5F0A_6B3D_9E1C_2487,
-    );
+    )?;
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut outcome = SoakOutcome::default();
     let mut arrival_ns: u64 = 0;
@@ -447,7 +446,8 @@ mod tests {
 
     /// The schedule a config generates, without a server.
     fn schedule(config: &SoakConfig) -> Vec<(u64, String, Priority)> {
-        let frames = FramePool::new(config.frame_pool, config.width, config.height, config.seed);
+        let frames = FramePool::new(config.frame_pool, config.width, config.height, config.seed)
+            .expect("test soak configs have a non-empty sensor");
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let mut arrival = 0u64;
         (0..config.requests)

@@ -301,8 +301,8 @@ impl MetricsInner {
         // (registration) order.
         let mut backends: Vec<BackendSnapshot> = Vec::new();
         for shard in &shards {
-            let entry = match backends.iter_mut().find(|b| b.backend == shard.backend) {
-                Some(entry) => entry,
+            let index = match backends.iter().position(|b| b.backend == shard.backend) {
+                Some(index) => index,
                 None => {
                     backends.push(BackendSnapshot {
                         backend: shard.backend.clone(),
@@ -314,11 +314,10 @@ impl MetricsInner {
                         plan_hits: 0,
                         simulated_span: Time::from_ns(span_ns),
                     });
-                    // The entry was pushed on the preceding line.
-                    // lightator: allow(no-unwrap)
-                    backends.last_mut().expect("just pushed")
+                    backends.len() - 1
                 }
             };
+            let entry = &mut backends[index];
             entry.shards += 1;
             entry.batches += shard.batches;
             entry.frames += shard.frames;

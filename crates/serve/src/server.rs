@@ -724,6 +724,69 @@ mod tests {
     }
 
     #[test]
+    fn huge_cycle_times_saturate_the_serve_timeline() {
+        use lightator_core::stream::StreamConfig;
+        // `build` accepts any finite positive cycle time; at 1e300 ns a
+        // frame costs more than u64::MAX ns, so every batch offset, frame
+        // completion and stream completion must saturate, not overflow.
+        for optical in [true, false] {
+            let mut config = small_platform().config().clone();
+            if optical {
+                config.hardware.power.optical_cycle_ns = 1e300;
+            } else {
+                config.hardware.power.electronic_cycle_ns = 1e300;
+            }
+            let server = Server::builder(Platform::from_config(config).expect("platform"))
+                .shards(1)
+                .max_batch(4)
+                .flush_deadline(Time::from_us(1.0))
+                .trace_recorder(Arc::new(TraceRecorder::new()))
+                .workload(Workload::ImageKernel {
+                    kernel: ImageKernel::SobelX,
+                })
+                .workload(Workload::VideoStream {
+                    kernel: ImageKernel::SobelX,
+                    stream: StreamConfig {
+                        block_size: 2,
+                        delta_threshold: 0.05,
+                    },
+                })
+                .build()
+                .expect("server");
+            // The batch starts at 1 ns, so a frame's completion and trace
+            // offsets overflow unless they saturate.
+            let pending: Vec<Pending> = (0..4)
+                .map(|i| {
+                    let frame = Request::ImageKernel {
+                        kernel: ImageKernel::SobelX,
+                        frame: scene(i),
+                    };
+                    server
+                        .submit_at(frame, Priority::Interactive, 1)
+                        .expect("admitted")
+                })
+                .collect();
+            for frame in pending {
+                assert!(frame.wait().is_ok());
+            }
+            // The second stream starts where the first saturated.
+            for _ in 0..2 {
+                let stream = Request::VideoStream {
+                    kernel: ImageKernel::SobelX,
+                    frames: vec![scene(0); 2],
+                };
+                assert!(server.run_stream(stream).is_ok());
+            }
+            let snapshot = server.shutdown();
+            assert_eq!(snapshot.completed, 6);
+            assert_eq!(snapshot.stream_frames, 4);
+            let kernel_shard = &snapshot.shards[0];
+            assert_eq!(kernel_shard.shard, "kernel:sobel-x/0");
+            assert_eq!(kernel_shard.batch_sizes, [0, 0, 0, 1], "one batch of four");
+        }
+    }
+
+    #[test]
     fn shards_compile_their_plan_once_and_reuse_it_per_frame() {
         let server = Server::builder(small_platform())
             .shards(2)

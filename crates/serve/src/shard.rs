@@ -219,12 +219,16 @@ impl ShardCosts {
 
     /// Simulated chip occupancy of a batch of `len` frames.
     pub(crate) fn batch_latency_ns(&self, len: usize) -> u64 {
-        self.frame_latency_ns + (len as u64 - 1) * self.resident_latency_ns
+        self.frame_end_ns(len - 1)
     }
 
-    /// Simulated completion offset of frame `index` within a batch.
+    /// Simulated completion offset of frame `index` within a batch,
+    /// saturating: a platform with huge cycle times pins the timeline at
+    /// `u64::MAX` instead of wrapping it.
     fn frame_end_ns(&self, index: usize) -> u64 {
-        self.frame_latency_ns + index as u64 * self.resident_latency_ns
+        (index as u64)
+            .saturating_mul(self.resident_latency_ns)
+            .saturating_add(self.frame_latency_ns)
     }
 }
 
@@ -369,7 +373,7 @@ fn trace_frame_batch(
         let mut cursor = if i == 0 {
             start_ns as f64
         } else {
-            (start_ns + costs.frame_end_ns(i - 1)) as f64
+            start_ns.saturating_add(costs.frame_end_ns(i - 1)) as f64
         };
         for stage in stages {
             if i > 0 && stage.stage == "weight_encode" {
@@ -391,7 +395,7 @@ fn trace_frame_batch(
                 "request",
                 "respond",
                 track,
-                (start_ns + costs.frame_end_ns(i)) as f64,
+                start_ns.saturating_add(costs.frame_end_ns(i)) as f64,
             )
             .with_arg("ticket", ticket),
         );
@@ -442,11 +446,11 @@ fn run_stream_batch(
             session.run_stream(&frames)
         }));
         let completion_ns = match &executed {
-            Ok(Ok(report)) => start_ns + report.sim_time.ns().ceil().max(1.0) as u64,
+            Ok(Ok(report)) => start_ns.saturating_add(report.sim_time.ns().ceil().max(1.0) as u64),
             // A failed or panicked stream still occupied the chip for the
             // frames it consumed; charge a dense-cost upper bound so the
             // timeline never runs backwards.
-            _ => start_ns + weight * ctx.costs.frame_latency_ns,
+            _ => start_ns.saturating_add(weight.saturating_mul(ctx.costs.frame_latency_ns)),
         };
         ctx.metrics
             .last_completion_ns
@@ -550,7 +554,7 @@ fn execute_batch(
     ctx.session.seek_frame(first_ticket);
     let mut energy_pj = costs.frame_energy_pj;
     for (index, frame) in frames.iter().enumerate() {
-        let completion_ns = start_ns + costs.frame_end_ns(index);
+        let completion_ns = start_ns.saturating_add(costs.frame_end_ns(index));
         match ctx.session.run(frame) {
             Ok(report) => {
                 metrics.completed.fetch_add(1, Ordering::Relaxed);

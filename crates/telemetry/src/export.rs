@@ -9,8 +9,9 @@
 //!
 //! This module is the **only** place the telemetry crate may look at the
 //! wall clock ([`wall_time_note`], used to annotate exported files with the
-//! export moment). Simulated-time recording never does; the `telemetry`
-//! crate class in `analysis.cfg` keeps that split honest.
+//! export moment). Simulated-time recording never does; the root
+//! `clippy.toml` bans `SystemTime::now` and `Instant::now`, and
+//! [`wall_time_note`] carries the crate's one expectation of that lint.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
@@ -167,7 +168,7 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
 /// if the system clock is unavailable or pre-epoch.
 #[must_use]
 pub fn wall_time_note() -> Option<String> {
-    // lightator: allow(no-wall-clock) — export annotation only, never simulation input.
+    #[expect(clippy::disallowed_methods, reason = "an export note, not sim input")]
     let elapsed = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
     elapsed
         .ok()

@@ -2,7 +2,7 @@
 //! artifacts built on them.
 //!
 //! Every headline harness (the `headline_claims` bin, the
-//! `parallel_scaling` bench, the lint gate) writes its measured numbers as
+//! `parallel_scaling` bench, the serve soak) writes its measured numbers as
 //! a small JSON document so the perf trajectory can be tracked across PRs
 //! without scraping stdout:
 //!
@@ -19,7 +19,7 @@
 //! The workspace is dependency-free offline (the vendored `serde` stub is a
 //! no-op), so JSON is hand-written from two primitives, [`escape`] and
 //! [`number`], which the Chrome trace [`export`](crate::export) uses too.
-//! [`fn@write`] reads every artifact back through the recursive-descent
+//! [`emit`] reads every artifact back through the recursive-descent
 //! [`validate`] parser before reporting success. CI re-checks the files
 //! with `python3 -m json.tool`, so `validate` follows the same grammar: it
 //! rejects leading zeros and raw control characters inside strings too.
@@ -127,27 +127,18 @@ pub fn render(bench: &str, seed_commit: &str, metrics: &[BenchMetric]) -> String
     out
 }
 
-/// Renders the metrics with [`render`] and writes them with [`fn@write`].
+/// Renders the metrics with [`render`], writes them as `BENCH_<bench>.json`
+/// into `LIGHTATOR_BENCH_DIR` (or the current directory), validates the
+/// bytes read back from the file, and returns the path.
 ///
 /// # Errors
 ///
-/// As [`fn@write`].
+/// Propagates I/O errors; a document that does not parse (a bug in
+/// [`render`]) is reported as [`std::io::ErrorKind::InvalidData`].
 pub fn emit(bench: &str, metrics: &[BenchMetric]) -> std::io::Result<PathBuf> {
-    write(bench, &render(bench, &seed_commit(), metrics))
-}
-
-/// Writes `body` as `BENCH_<bench>.json` into `LIGHTATOR_BENCH_DIR` (or the
-/// current directory), validates the bytes read back from the file, and
-/// returns the path.
-///
-/// # Errors
-///
-/// Propagates I/O errors; a body that does not parse (a bug in its
-/// renderer) is reported as [`std::io::ErrorKind::InvalidData`].
-pub fn write(bench: &str, body: &str) -> std::io::Result<PathBuf> {
     let dir = std::env::var("LIGHTATOR_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     let path = PathBuf::from(dir).join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, body)?;
+    std::fs::write(&path, render(bench, &seed_commit(), metrics))?;
     let written = std::fs::read_to_string(&path)?;
     validate(&written).map_err(|reason| {
         std::io::Error::new(

@@ -16,11 +16,10 @@
 //! * [`breakdown`] — per-stage sim-time/energy rollups ([`StageBreakdown`],
 //!   [`StageTotals`]);
 //! * [`export`] — the Chrome trace-event JSON writer (`trace.json`,
-//!   loadable in [Perfetto](https://ui.perfetto.dev)). Wall-clock reads are
-//!   confined to this module, as the `telemetry` crate class in
-//!   `analysis.cfg` enforces;
+//!   loadable in [Perfetto](https://ui.perfetto.dev)). Its one wall-clock
+//!   read is the crate's only `#[expect(clippy::disallowed_methods)]`;
 //! * [`json`] — the workspace's one JSON writer and validator, and the
-//!   `BENCH_*.json` artifacts every harness and the lint gate write.
+//!   `BENCH_*.json` artifacts every harness writes.
 //!
 //! # Example
 //!

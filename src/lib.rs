@@ -14,9 +14,11 @@
 //! * [`serve`] — the sharded, micro-batching inference server turning
 //!   per-batch wins into system-level throughput;
 //! * [`telemetry`] — deterministic simulated-time tracing: ring-buffer
-//!   recorder, per-stage energy/latency attribution and Perfetto export;
-//! * [`analysis`] — the determinism lint backing the `lint_workspace` CI
-//!   gate.
+//!   recorder, per-stage energy/latency attribution and Perfetto export.
+//!
+//! Outputs are pure functions of config and seed. Clippy keeps them so:
+//! the root `clippy.toml` bans host clocks, hash-ordered collections and
+//! unseeded RNGs, and CI denies `unwrap`/`expect` in library code.
 //!
 //! # Quickstart
 //!
@@ -41,7 +43,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use lightator_analysis as analysis;
 pub use lightator_baselines as baselines;
 pub use lightator_bench as bench;
 pub use lightator_core as core;
