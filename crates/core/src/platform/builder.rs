@@ -9,7 +9,7 @@
 
 use crate::backend::{Backend, BackendId, PhotonicBackend};
 use crate::ca::CaConfig;
-use crate::config::{LightatorConfig, OcGeometry, PeripheryCounts, TimingConfig};
+use crate::config::{LightatorConfig, OcGeometry};
 use crate::error::{CoreError, Result};
 use crate::platform::session::Session;
 use crate::platform::workload::Workload;
@@ -89,12 +89,10 @@ impl PlatformBuilder {
     /// uniform `[4:4]` precision, default analog noise.
     #[must_use]
     pub fn paper() -> Self {
-        #[expect(clippy::expect_used, reason = "the paper constants are sensor-tested")]
-        let sensor = SensorArrayConfig::paper_default().expect("paper sensor defaults are valid");
         Self {
             config: PlatformConfig {
                 hardware: LightatorConfig::paper(),
-                sensor,
+                sensor: SensorArrayConfig::paper_default(),
                 ca: Some(CaConfig::default()),
                 schedule: PrecisionSchedule::Uniform(Precision::w4a4()),
                 seed: 7,
@@ -104,47 +102,10 @@ impl PlatformBuilder {
         }
     }
 
-    /// Low-power preset: uniform `[2:4]` weights (gating half the DAC
-    /// slices) and aggressive 4×4 compressive acquisition.
-    #[must_use]
-    pub fn low_power() -> Self {
-        Self::paper()
-            .precision(PrecisionSchedule::Uniform(Precision::w2a4()))
-            .compressive_acquisition(CaConfig {
-                pooling_window: 4,
-                rgb_to_grayscale: true,
-            })
-    }
-
-    /// High-throughput preset: the paper's mixed `[4:4][2:4]` schedule
-    /// (first-layer fidelity, low-power deeper layers) with 2×2 CA — the
-    /// configuration family with the best KFPS/W in Table 1.
-    #[must_use]
-    pub fn high_throughput() -> Self {
-        Self::paper().precision(PrecisionSchedule::Mixed {
-            first: Precision::w4a4(),
-            rest: Precision::w2a4(),
-        })
-    }
-
     /// Sets the optical-core geometry.
     #[must_use]
     pub fn geometry(mut self, geometry: OcGeometry) -> Self {
         self.config.hardware.geometry = geometry;
-        self
-    }
-
-    /// Sets the electronic periphery block counts.
-    #[must_use]
-    pub fn periphery(mut self, periphery: PeripheryCounts) -> Self {
-        self.config.hardware.periphery = periphery;
-        self
-    }
-
-    /// Sets the platform timing parameters.
-    #[must_use]
-    pub fn timing(mut self, timing: TimingConfig) -> Self {
-        self.config.hardware.timing = timing;
         self
     }
 
@@ -176,8 +137,8 @@ impl PlatformBuilder {
         self
     }
 
-    /// Sets the sensor resolution (photosites), keeping the paper's pixel
-    /// and comparator designs.
+    /// Sets the sensor resolution (photosites); the pixel and comparator
+    /// designs are the paper's.
     #[must_use]
     pub fn sensor_resolution(mut self, height: usize, width: usize) -> Self {
         self.config.sensor.height = height;
@@ -611,30 +572,6 @@ mod tests {
             .expect("session");
         let scene = RgbFrame::filled(16, 16, [0.4, 0.6, 0.2]).expect("scene");
         assert!(session.run(&scene).is_ok());
-    }
-
-    #[test]
-    fn presets_build_and_differ() {
-        let paper = PlatformBuilder::paper().build().expect("paper");
-        let low_power = PlatformBuilder::low_power().build().expect("low power");
-        let high_throughput = PlatformBuilder::high_throughput()
-            .build()
-            .expect("high throughput");
-        assert_eq!(
-            paper.config().schedule,
-            PrecisionSchedule::Uniform(Precision::w4a4())
-        );
-        assert_eq!(
-            low_power.config().schedule,
-            PrecisionSchedule::Uniform(Precision::w2a4())
-        );
-        assert!(matches!(
-            high_throughput.config().schedule,
-            PrecisionSchedule::Mixed { .. }
-        ));
-        // Low power compresses harder.
-        assert_eq!(low_power.acquired_shape(), [1, 64, 64]);
-        assert_eq!(paper.acquired_shape(), [1, 128, 128]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! organised as an **acquire → compile → execute** pipeline:
 //!
 //! * a [`Platform`] is built once from a validated configuration via the
-//!   fluent [`PlatformBuilder`] (presets [`PlatformBuilder::paper`],
-//!   [`PlatformBuilder::low_power`], [`PlatformBuilder::high_throughput`])
-//!   — see [`builder`];
+//!   fluent [`PlatformBuilder`], which starts from the paper's platform
+//!   ([`PlatformBuilder::paper`]) — see [`builder`];
 //! * a [`Session`] is opened on the platform for one typed [`Workload`]
 //!   (classification, raw/compressive acquisition, an image kernel, or a
 //!   video stream — see [`workload`]); opening the session **compiles** the
@@ -27,9 +26,9 @@
 //! each at the next global frame index.
 //!
 //! [`Workload::VideoStream`] sessions run whole frame sequences through
-//! [`Session::run_stream`]: a per-block temporal delta gate (built on the
-//! DMVA selector/feedback model) skips the optical work of unchanged
-//! blocks, and the returned [`StreamReport`](crate::stream::StreamReport)
+//! [`Session::run_stream`]: a per-block temporal delta gate (its mask is
+//! the DMVA's choice between the pixel and the feedback path) skips the
+//! optical work of unchanged blocks, and the returned [`StreamReport`](crate::stream::StreamReport)
 //! carries frames processed, blocks skipped, simulated FPS, energy per
 //! frame and the speedup over dense per-frame execution:
 //!

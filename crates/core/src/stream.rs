@@ -4,15 +4,17 @@
 //! A video stream is temporally redundant: most blocks of most frames are
 //! identical to the previous frame. Lightator's sensing front end already
 //! has the machinery to exploit that — the CRC comparators can detect a
-//! static block electronically, and the DMVA [`Selector`] can keep a lane
-//! on its feedback path (the previous output) instead of re-driving the
+//! static block electronically, and the DMVA's selector can keep a lane on
+//! its feedback path (the previous output) instead of re-driving the
 //! optical core. This module models that path:
 //!
 //! * [`StreamConfig`] — the block grid and the delta threshold of the gate;
 //! * [`TemporalDifferencer`] — per-block change detection against the last
 //!   *computed* reference (not merely the previous frame, so slow drift
-//!   cannot accumulate unboundedly below the threshold), driving one DMVA
-//!   [`Selector`] per block;
+//!   cannot accumulate unboundedly below the threshold). The mask its
+//!   [`gate`](TemporalDifferencer::gate) returns is the DMVA selection:
+//!   `true` drives the block from the pixel path, `false` keeps it on the
+//!   feedback path;
 //! * [`StreamFrame`] / [`StreamReport`] — per-frame and per-stream results
 //!   layered on the session's performance model: frames processed, blocks
 //!   skipped, simulated time, energy, and the speedup over dense per-frame
@@ -25,7 +27,6 @@
 use crate::error::{CoreError, Result};
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::units::{Energy, Time};
-use lightator_sensor::dmva::{ActivationSource, Selector};
 use lightator_sensor::frame::RgbFrame;
 use serde::{Deserialize, Serialize};
 
@@ -102,10 +103,9 @@ pub struct StreamState {
     pub(crate) prev_output: Tensor,
 }
 
-/// Per-block temporal change detection, driving one DMVA [`Selector`] per
-/// block: blocks whose scene delta stays below the threshold keep their
-/// lane on [`ActivationSource::PreviousLayer`] (the feedback path), blocks
-/// that changed switch back to [`ActivationSource::PixelArray`].
+/// Per-block temporal change detection: blocks whose scene delta stays
+/// below the threshold keep their DMVA lane on the feedback path, blocks
+/// that changed switch back to the pixel path.
 #[derive(Debug, Clone)]
 pub struct TemporalDifferencer {
     config: StreamConfig,
@@ -114,8 +114,6 @@ pub struct TemporalDifferencer {
     /// Sensor pixels per acquired pixel (the CA pooling window, 1 without
     /// CA): blocks span `block_size × window` sensor pixels.
     window: usize,
-    /// One selector per block, row-major over the grid.
-    selectors: Vec<Selector>,
 }
 
 impl TemporalDifferencer {
@@ -155,7 +153,6 @@ impl TemporalDifferencer {
             config,
             grid,
             window: window.max(1),
-            selectors: vec![Selector::new(); grid.0 * grid.1],
         })
     }
 
@@ -177,22 +174,17 @@ impl TemporalDifferencer {
         self.grid.0 * self.grid.1
     }
 
-    /// The per-block DMVA selectors after the last gate pass (row-major):
-    /// [`ActivationSource::PixelArray`] for computed blocks,
-    /// [`ActivationSource::PreviousLayer`] for skipped ones.
-    #[must_use]
-    pub fn selectors(&self) -> &[Selector] {
-        &self.selectors
-    }
-
     /// Gates one scene against the reference: returns, per block
-    /// (row-major), whether the block must be recomputed. With no reference
-    /// (the first frame of a stream) every block is computed.
+    /// (row-major), whether the block must be recomputed — the DMVA
+    /// selection, `true` for the pixel path and `false` for the feedback
+    /// path. With no reference (the first frame of a stream) every block is
+    /// computed.
     ///
     /// The comparison covers the block *plus one acquired pixel of halo* in
     /// sensor space, because a 3×3 kernel output inside the block also
     /// depends on its immediate neighbours.
-    pub fn gate(&mut self, scene: &RgbFrame, reference: Option<&RgbFrame>) -> Vec<bool> {
+    #[must_use]
+    pub fn gate(&self, scene: &RgbFrame, reference: Option<&RgbFrame>) -> Vec<bool> {
         let (rows, cols) = self.grid;
         let sensor_block = self.config.block_size * self.window;
         let halo = self.window;
@@ -222,13 +214,6 @@ impl TemporalDifferencer {
                     mask[br * cols + bc] = delta >= self.config.delta_threshold;
                 }
             }
-        }
-        for (selector, &compute) in self.selectors.iter_mut().zip(&mask) {
-            selector.select(if compute {
-                ActivationSource::PixelArray
-            } else {
-                ActivationSource::PreviousLayer
-            });
         }
         mask
     }
@@ -414,36 +399,24 @@ mod tests {
 
     #[test]
     fn first_frame_computes_every_block() {
-        let mut differencer =
-            TemporalDifferencer::new(StreamConfig::default(), 4, 4, 2).expect("ok");
+        let differencer = TemporalDifferencer::new(StreamConfig::default(), 4, 4, 2).expect("ok");
         let mask = differencer.gate(&frame_of(0.5), None);
         assert!(mask.iter().all(|&c| c));
-        assert!(differencer
-            .selectors()
-            .iter()
-            .all(|s| s.source() == ActivationSource::PixelArray));
     }
 
     #[test]
     fn static_scenes_ride_the_feedback_path() {
-        let mut differencer =
-            TemporalDifferencer::new(StreamConfig::default(), 4, 4, 2).expect("ok");
+        let differencer = TemporalDifferencer::new(StreamConfig::default(), 4, 4, 2).expect("ok");
         let scene = frame_of(0.5);
-        differencer.gate(&scene, None);
         let mask = differencer.gate(&scene, Some(&scene));
         assert!(mask.iter().all(|&c| !c));
-        assert!(differencer
-            .selectors()
-            .iter()
-            .all(|s| s.source() == ActivationSource::PreviousLayer));
     }
 
     #[test]
     fn local_changes_wake_only_nearby_blocks() {
         // 8x8 acquired map, block 4 -> a 2x2 grid; window 1 so sensor
         // coordinates equal acquired coordinates.
-        let mut differencer =
-            TemporalDifferencer::new(StreamConfig::default(), 8, 8, 1).expect("ok");
+        let differencer = TemporalDifferencer::new(StreamConfig::default(), 8, 8, 1).expect("ok");
         let reference = frame_of(0.5);
         let mut scene = reference.clone();
         scene.set_pixel(0, 0, [0.9, 0.9, 0.9]).expect("ok");
@@ -457,7 +430,7 @@ mod tests {
 
     #[test]
     fn sub_threshold_changes_are_ignored() {
-        let mut differencer = TemporalDifferencer::new(
+        let differencer = TemporalDifferencer::new(
             StreamConfig {
                 delta_threshold: 0.2,
                 ..StreamConfig::default()

@@ -9,7 +9,6 @@ use lightator_core::sim::ArchitectureSimulator;
 use lightator_nn::quant::{Precision, PrecisionSchedule};
 use lightator_nn::spec::{ConvSpec, LayerSpec, NetworkSpec};
 use lightator_sensor::crc::CRC_COMPARATORS;
-use lightator_sensor::dmva::DRIVER_TRANSISTORS;
 use lightator_sensor::frame::{Channel, RgbFrame};
 
 /// "MRs are organized into groups of 9 inside each arm ... each set of 6 arms
@@ -29,12 +28,10 @@ fn section4_core_dimensions() {
     assert_eq!(g.macs_per_cycle(), 5184);
 }
 
-/// "Each CRC unit contains 15 voltage comparators" and "The VCSEL driver
-/// circuit comprises 16 parallel driving transistors that encode 4-bit data."
+/// "Each CRC unit contains 15 voltage comparators".
 #[test]
 fn section3_dmva_component_counts() {
     assert_eq!(CRC_COMPARATORS, 15);
-    assert_eq!(DRIVER_TRANSISTORS, 16);
 }
 
 /// Fig. 6: "each bank can execute 6 strides" for 3x3, "2 strides" for 5x5

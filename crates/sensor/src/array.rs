@@ -1,15 +1,15 @@
 //! Global-shutter sensor array.
 //!
-//! Combines the Bayer colour filter, the photodiode pixels and the comparator
+//! Combines the RGGB colour filter, the photodiode pixels and the comparator
 //! read circuits into the complete ADC-less imager of the paper (a 256×256
 //! global-shutter RGB sensor by default). A capture produces a
 //! [`DigitalFrame`] of 4-bit codes — the data that drives the DMVA.
 
-use crate::bayer::{BayerMosaic, BayerPattern};
-use crate::crc::{ComparatorReadCircuit, CrcConfig};
+use crate::bayer;
+use crate::crc::ComparatorReadCircuit;
 use crate::error::{Result, SensorError};
-use crate::frame::{Channel, RgbFrame};
-use crate::pixel::{Pixel, PixelConfig};
+use crate::frame::RgbFrame;
+use crate::pixel::Pixel;
 use serde::{Deserialize, Serialize};
 
 /// Default sensor resolution used by the paper.
@@ -21,7 +21,6 @@ pub const DEFAULT_RESOLUTION: usize = 256;
 pub struct DigitalFrame {
     height: usize,
     width: usize,
-    pattern: BayerPattern,
     codes: Vec<u8>,
 }
 
@@ -33,7 +32,7 @@ impl DigitalFrame {
     /// * [`SensorError::InvalidDimensions`] if a dimension is zero.
     /// * [`SensorError::DataLengthMismatch`] if the code count is wrong.
     /// * [`SensorError::IntensityOutOfRange`] if a code exceeds 15.
-    pub fn new(height: usize, width: usize, pattern: BayerPattern, codes: Vec<u8>) -> Result<Self> {
+    pub fn new(height: usize, width: usize, codes: Vec<u8>) -> Result<Self> {
         if height == 0 || width == 0 {
             return Err(SensorError::InvalidDimensions { height, width });
         }
@@ -51,7 +50,6 @@ impl DigitalFrame {
         Ok(Self {
             height,
             width,
-            pattern,
             codes,
         })
     }
@@ -68,39 +66,10 @@ impl DigitalFrame {
         self.width
     }
 
-    /// The Bayer pattern the codes were captured under.
-    #[must_use]
-    pub fn pattern(&self) -> BayerPattern {
-        self.pattern
-    }
-
     /// Raw 4-bit codes, row-major.
     #[must_use]
     pub fn codes(&self) -> &[u8] {
         &self.codes
-    }
-
-    /// Code at `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::PixelOutOfRange`] for out-of-frame coordinates.
-    pub fn code(&self, row: usize, col: usize) -> Result<u8> {
-        if row >= self.height || col >= self.width {
-            return Err(SensorError::PixelOutOfRange {
-                row,
-                col,
-                height: self.height,
-                width: self.width,
-            });
-        }
-        Ok(self.codes[row * self.width + col])
-    }
-
-    /// Colour of the photosite at `(row, col)`.
-    #[must_use]
-    pub fn channel_at(&self, row: usize, col: usize) -> Channel {
-        self.pattern.channel_at(row, col)
     }
 
     /// Codes normalised to `[0, 1]` (code / 15), the activation values the
@@ -111,40 +80,27 @@ impl DigitalFrame {
     }
 }
 
-/// Configuration of the complete sensor array.
+/// Resolution of the sensor array. The pixel and comparator designs are the
+/// paper's and have no settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorArrayConfig {
     /// Number of pixel rows.
     pub height: usize,
     /// Number of pixel columns.
     pub width: usize,
-    /// Colour filter layout.
-    pub pattern: BayerPattern,
-    /// Photodiode / exposure parameters shared by all pixels.
-    pub pixel: PixelConfig,
-    /// Comparator ladder shared by all read circuits.
-    pub crc: CrcConfig,
 }
 
 impl SensorArrayConfig {
-    /// The paper's 256×256 RGGB sensor with default pixel and CRC designs.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the built-in defaults.
-    pub fn paper_default() -> Result<Self> {
-        let pixel = PixelConfig::default();
-        let crc = CrcConfig::uniform_for_pixel(&pixel)?;
-        Ok(Self {
+    /// The paper's 256×256 sensor.
+    #[must_use]
+    pub fn paper_default() -> Self {
+        Self {
             height: DEFAULT_RESOLUTION,
             width: DEFAULT_RESOLUTION,
-            pattern: BayerPattern::Rggb,
-            pixel,
-            crc,
-        })
+        }
     }
 
-    /// Same design at a smaller resolution (useful for tests and fast
+    /// The paper's sensor at another resolution (useful for tests and fast
     /// experiments).
     ///
     /// # Errors
@@ -154,10 +110,7 @@ impl SensorArrayConfig {
         if height == 0 || width == 0 {
             return Err(SensorError::InvalidDimensions { height, width });
         }
-        let mut cfg = Self::paper_default()?;
-        cfg.height = height;
-        cfg.width = width;
-        Ok(cfg)
+        Ok(Self { height, width })
     }
 }
 
@@ -178,9 +131,8 @@ impl SensorArrayConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorArray {
-    config: SensorArrayConfig,
-    pixel: Pixel,
-    crc: ComparatorReadCircuit,
+    height: usize,
+    width: usize,
 }
 
 impl SensorArray {
@@ -188,84 +140,57 @@ impl SensorArray {
     ///
     /// # Errors
     ///
-    /// Returns [`SensorError::InvalidDimensions`] for a zero-sized array or
-    /// [`SensorError::InvalidParameter`] for invalid pixel/CRC designs.
+    /// Returns [`SensorError::InvalidDimensions`] for a zero-sized array.
     pub fn new(config: SensorArrayConfig) -> Result<Self> {
-        if config.height == 0 || config.width == 0 {
-            return Err(SensorError::InvalidDimensions {
-                height: config.height,
-                width: config.width,
-            });
+        let SensorArrayConfig { height, width } = config;
+        if height == 0 || width == 0 {
+            return Err(SensorError::InvalidDimensions { height, width });
         }
-        let pixel = Pixel::new(config.pixel)?;
-        let crc = ComparatorReadCircuit::new(config.crc.clone())?;
-        Ok(Self { config, pixel, crc })
+        Ok(Self { height, width })
     }
 
-    /// The array configuration.
+    /// Number of pixel rows.
     #[must_use]
-    pub fn config(&self) -> &SensorArrayConfig {
-        &self.config
+    pub fn height(&self) -> usize {
+        self.height
     }
 
-    /// Number of photosites in the array.
+    /// Number of pixel columns.
     #[must_use]
-    pub fn pixel_count(&self) -> usize {
-        self.config.height * self.config.width
+    pub fn width(&self) -> usize {
+        self.width
     }
 
-    /// Captures a scene: Bayer sampling, global-shutter exposure and
+    /// Captures a scene: RGGB sampling, global-shutter exposure and
     /// comparator read-out, producing one 4-bit code per photosite.
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::InvalidDimensions`] if the scene does not match
-    /// the array resolution, or propagates pixel/readout errors.
+    /// the array resolution, or propagates pixel errors.
     pub fn capture(&self, scene: &RgbFrame) -> Result<DigitalFrame> {
-        if scene.height() != self.config.height || scene.width() != self.config.width {
+        if scene.height() != self.height || scene.width() != self.width {
             return Err(SensorError::InvalidDimensions {
                 height: scene.height(),
                 width: scene.width(),
             });
         }
-        let mosaic = BayerMosaic::from_rgb(scene, self.config.pattern)?;
-        let mut codes = Vec::with_capacity(self.pixel_count());
-        for row in 0..self.config.height {
-            for col in 0..self.config.width {
-                let illumination = mosaic.intensity(row, col)?;
-                let voltage = self.pixel.output_voltage(illumination)?;
-                codes.push(self.crc.read_code(voltage));
+        let mut codes = Vec::with_capacity(self.height * self.width);
+        for row in 0..self.height {
+            for col in 0..self.width {
+                let illumination = scene.pixel(row, col)?[bayer::channel_at(row, col).index()];
+                let voltage = Pixel.output_voltage(illumination)?;
+                codes.push(ComparatorReadCircuit.read_code(voltage));
             }
         }
-        DigitalFrame::new(
-            self.config.height,
-            self.config.width,
-            self.config.pattern,
-            codes,
-        )
-    }
-
-    /// Captures only the raw Bayer mosaic (no read-out), for callers that
-    /// need the analog intermediate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidDimensions`] if the scene does not match
-    /// the array resolution.
-    pub fn capture_mosaic(&self, scene: &RgbFrame) -> Result<BayerMosaic> {
-        if scene.height() != self.config.height || scene.width() != self.config.width {
-            return Err(SensorError::InvalidDimensions {
-                height: scene.height(),
-                width: scene.width(),
-            });
-        }
-        BayerMosaic::from_rgb(scene, self.config.pattern)
+        DigitalFrame::new(self.height, self.width, codes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Channel;
 
     fn small_sensor() -> SensorArray {
         SensorArray::new(SensorArrayConfig::with_resolution(8, 8).expect("valid")).expect("valid")
@@ -273,10 +198,9 @@ mod tests {
 
     #[test]
     fn paper_default_is_256_square() {
-        let cfg = SensorArrayConfig::paper_default().expect("valid");
+        let cfg = SensorArrayConfig::paper_default();
         assert_eq!(cfg.height, 256);
         assert_eq!(cfg.width, 256);
-        assert_eq!(cfg.pattern, BayerPattern::Rggb);
     }
 
     #[test]
@@ -311,8 +235,8 @@ mod tests {
         let frame = sensor.capture(&scene).expect("ok");
         for row in 0..8 {
             for col in 0..8 {
-                let code = frame.code(row, col).expect("ok");
-                match frame.channel_at(row, col) {
+                let code = frame.codes()[row * 8 + col];
+                match bayer::channel_at(row, col) {
                     Channel::Red => assert!(code > 10, "red site ({row},{col}) too dark: {code}"),
                     _ => assert_eq!(code, 0, "non-red site ({row},{col}) should be dark"),
                 }
@@ -339,19 +263,9 @@ mod tests {
 
     #[test]
     fn digital_frame_validation() {
-        assert!(DigitalFrame::new(0, 4, BayerPattern::Rggb, vec![]).is_err());
-        assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![0; 3]).is_err());
-        assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![16, 0, 0, 0]).is_err());
-        assert!(DigitalFrame::new(2, 2, BayerPattern::Rggb, vec![15, 0, 7, 3]).is_ok());
-    }
-
-    #[test]
-    fn mosaic_capture_exposes_analog_intermediate() {
-        let sensor = small_sensor();
-        let scene = RgbFrame::filled(8, 8, [0.3, 0.6, 0.9]).expect("valid");
-        let mosaic = sensor.capture_mosaic(&scene).expect("ok");
-        assert_eq!(mosaic.height(), 8);
-        // Green sites carry the green intensity.
-        assert_eq!(mosaic.intensity(0, 1).expect("ok"), 0.6);
+        assert!(DigitalFrame::new(0, 4, vec![]).is_err());
+        assert!(DigitalFrame::new(2, 2, vec![0; 3]).is_err());
+        assert!(DigitalFrame::new(2, 2, vec![16, 0, 0, 0]).is_err());
+        assert!(DigitalFrame::new(2, 2, vec![15, 0, 7, 3]).is_ok());
     }
 }

@@ -1,181 +1,20 @@
-//! Bayer colour-filter-array model.
+//! Bayer colour-filter layout of the imager.
 //!
 //! The Lightator imager is an RGB sensor with the classic Bayer mosaic
 //! (paper Fig. 2): each physical pixel sees only one colour, arranged in
-//! 2×2 tiles of `R G / G B`. The compressive acquisitor consumes the mosaic
-//! directly — its RGB-to-grayscale weights are applied per photosite — so
-//! the sensor model must expose both the mosaic layout and the per-site
-//! colour assignment.
+//! 2×2 tiles of `R G / G B`. A capture samples each photosite's colour
+//! from the scene before the pixel integrates it.
 
-use crate::error::{Result, SensorError};
-use crate::frame::{Channel, GrayFrame, RgbFrame};
-use serde::{Deserialize, Serialize};
+use crate::frame::Channel;
 
-/// The 2×2 Bayer tile layouts supported by the sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum BayerPattern {
-    /// `R G` over `G B` — the layout drawn in the paper's Fig. 2.
-    #[default]
-    Rggb,
-    /// `B G` over `G R`.
-    Bggr,
-    /// `G R` over `B G`.
-    Grbg,
-    /// `G B` over `R G`.
-    Gbrg,
-}
-
-impl BayerPattern {
-    /// Colour seen by the photosite at `(row, col)`.
-    #[must_use]
-    pub fn channel_at(self, row: usize, col: usize) -> Channel {
-        let (r, c) = (row % 2, col % 2);
-        match self {
-            BayerPattern::Rggb => match (r, c) {
-                (0, 0) => Channel::Red,
-                (1, 1) => Channel::Blue,
-                _ => Channel::Green,
-            },
-            BayerPattern::Bggr => match (r, c) {
-                (0, 0) => Channel::Blue,
-                (1, 1) => Channel::Red,
-                _ => Channel::Green,
-            },
-            BayerPattern::Grbg => match (r, c) {
-                (0, 1) => Channel::Red,
-                (1, 0) => Channel::Blue,
-                _ => Channel::Green,
-            },
-            BayerPattern::Gbrg => match (r, c) {
-                (0, 1) => Channel::Blue,
-                (1, 0) => Channel::Red,
-                _ => Channel::Green,
-            },
-        }
-    }
-
-    /// Fraction of photosites assigned to a channel (green gets half).
-    #[must_use]
-    pub fn channel_share(self, channel: Channel) -> f64 {
-        match channel {
-            Channel::Green => 0.5,
-            _ => 0.25,
-        }
-    }
-}
-
-/// A raw Bayer mosaic: one intensity per photosite plus the pattern needed
-/// to interpret it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BayerMosaic {
-    pattern: BayerPattern,
-    frame: GrayFrame,
-}
-
-impl BayerMosaic {
-    /// Samples an RGB frame through the colour filter array, producing the
-    /// raw mosaic the photodiodes actually integrate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates frame-construction errors (cannot occur for a valid input
-    /// frame).
-    pub fn from_rgb(frame: &RgbFrame, pattern: BayerPattern) -> Result<Self> {
-        let mut data = Vec::with_capacity(frame.height() * frame.width());
-        for row in 0..frame.height() {
-            for col in 0..frame.width() {
-                let rgb = frame.pixel(row, col)?;
-                let channel = pattern.channel_at(row, col);
-                data.push(rgb[channel.index()]);
-            }
-        }
-        Ok(Self {
-            pattern,
-            frame: GrayFrame::new(frame.height(), frame.width(), data)?,
-        })
-    }
-
-    /// The Bayer pattern of this mosaic.
-    #[must_use]
-    pub fn pattern(&self) -> BayerPattern {
-        self.pattern
-    }
-
-    /// Mosaic height in photosites.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.frame.height()
-    }
-
-    /// Mosaic width in photosites.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.frame.width()
-    }
-
-    /// Raw intensity at a photosite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::PixelOutOfRange`] for out-of-frame coordinates.
-    pub fn intensity(&self, row: usize, col: usize) -> Result<f64> {
-        self.frame.value(row, col)
-    }
-
-    /// Colour of a photosite.
-    #[must_use]
-    pub fn channel_at(&self, row: usize, col: usize) -> Channel {
-        self.pattern.channel_at(row, col)
-    }
-
-    /// The underlying single-channel frame.
-    #[must_use]
-    pub fn as_gray(&self) -> &GrayFrame {
-        &self.frame
-    }
-
-    /// Simple bilinear-free demosaicking by 2×2 tile averaging: each output
-    /// RGB pixel covers one Bayer tile (half the resolution in each
-    /// dimension). This is the reference reconstruction used to validate the
-    /// compressive acquisitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidDimensions`] if the mosaic does not have
-    /// even dimensions.
-    pub fn demosaic_tiles(&self) -> Result<RgbFrame> {
-        if !self.height().is_multiple_of(2) || !self.width().is_multiple_of(2) {
-            return Err(SensorError::InvalidDimensions {
-                height: self.height(),
-                width: self.width(),
-            });
-        }
-        let oh = self.height() / 2;
-        let ow = self.width() / 2;
-        let mut data = Vec::with_capacity(oh * ow * 3);
-        for trow in 0..oh {
-            for tcol in 0..ow {
-                let mut sums = [0.0f64; 3];
-                let mut counts = [0usize; 3];
-                for dr in 0..2 {
-                    for dc in 0..2 {
-                        let row = trow * 2 + dr;
-                        let col = tcol * 2 + dc;
-                        let ch = self.channel_at(row, col);
-                        sums[ch.index()] += self.intensity(row, col)?;
-                        counts[ch.index()] += 1;
-                    }
-                }
-                for i in 0..3 {
-                    data.push(if counts[i] == 0 {
-                        0.0
-                    } else {
-                        sums[i] / counts[i] as f64
-                    });
-                }
-            }
-        }
-        RgbFrame::new(oh, ow, data)
+/// Colour seen by the photosite at `(row, col)` under the paper's RGGB
+/// tile.
+#[must_use]
+pub fn channel_at(row: usize, col: usize) -> Channel {
+    match (row % 2, col % 2) {
+        (0, 0) => Channel::Red,
+        (1, 1) => Channel::Blue,
+        _ => Channel::Green,
     }
 }
 
@@ -185,74 +24,12 @@ mod tests {
 
     #[test]
     fn rggb_layout_matches_paper_figure() {
-        let p = BayerPattern::Rggb;
-        assert_eq!(p.channel_at(0, 0), Channel::Red);
-        assert_eq!(p.channel_at(0, 1), Channel::Green);
-        assert_eq!(p.channel_at(1, 0), Channel::Green);
-        assert_eq!(p.channel_at(1, 1), Channel::Blue);
+        assert_eq!(channel_at(0, 0), Channel::Red);
+        assert_eq!(channel_at(0, 1), Channel::Green);
+        assert_eq!(channel_at(1, 0), Channel::Green);
+        assert_eq!(channel_at(1, 1), Channel::Blue);
         // The pattern tiles with period 2.
-        assert_eq!(p.channel_at(2, 2), Channel::Red);
-        assert_eq!(p.channel_at(3, 3), Channel::Blue);
-    }
-
-    #[test]
-    fn all_patterns_have_two_greens_per_tile() {
-        for pattern in [
-            BayerPattern::Rggb,
-            BayerPattern::Bggr,
-            BayerPattern::Grbg,
-            BayerPattern::Gbrg,
-        ] {
-            let mut counts = [0usize; 3];
-            for r in 0..2 {
-                for c in 0..2 {
-                    counts[pattern.channel_at(r, c).index()] += 1;
-                }
-            }
-            assert_eq!(counts[Channel::Green.index()], 2, "{pattern:?}");
-            assert_eq!(counts[Channel::Red.index()], 1, "{pattern:?}");
-            assert_eq!(counts[Channel::Blue.index()], 1, "{pattern:?}");
-        }
-    }
-
-    #[test]
-    fn channel_share_sums_to_one() {
-        let p = BayerPattern::Rggb;
-        let total: f64 = Channel::ALL.iter().map(|&c| p.channel_share(c)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mosaic_samples_the_right_channel() {
-        // A frame with distinct per-channel values everywhere.
-        let frame = RgbFrame::filled(4, 4, [0.9, 0.5, 0.1]).expect("valid");
-        let mosaic = BayerMosaic::from_rgb(&frame, BayerPattern::Rggb).expect("valid");
-        assert_eq!(mosaic.intensity(0, 0).expect("ok"), 0.9); // red site
-        assert_eq!(mosaic.intensity(0, 1).expect("ok"), 0.5); // green site
-        assert_eq!(mosaic.intensity(1, 1).expect("ok"), 0.1); // blue site
-    }
-
-    #[test]
-    fn demosaic_recovers_uniform_frames() {
-        let frame = RgbFrame::filled(8, 8, [0.25, 0.5, 0.75]).expect("valid");
-        let mosaic = BayerMosaic::from_rgb(&frame, BayerPattern::Rggb).expect("valid");
-        let rgb = mosaic.demosaic_tiles().expect("ok");
-        assert_eq!(rgb.height(), 4);
-        assert_eq!(rgb.width(), 4);
-        for row in 0..4 {
-            for col in 0..4 {
-                let px = rgb.pixel(row, col).expect("ok");
-                assert!((px[0] - 0.25).abs() < 1e-12);
-                assert!((px[1] - 0.5).abs() < 1e-12);
-                assert!((px[2] - 0.75).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn demosaic_requires_even_dimensions() {
-        let frame = RgbFrame::filled(3, 4, [0.2, 0.2, 0.2]).expect("valid");
-        let mosaic = BayerMosaic::from_rgb(&frame, BayerPattern::Rggb).expect("valid");
-        assert!(mosaic.demosaic_tiles().is_err());
+        assert_eq!(channel_at(2, 2), Channel::Red);
+        assert_eq!(channel_at(3, 3), Channel::Blue);
     }
 }

@@ -4,20 +4,24 @@
 //! near-sensor accelerator (DAC 2024):
 //!
 //! * [`frame`] — normalised RGB / grayscale frame containers;
-//! * [`bayer`] — the Bayer colour-filter mosaic of the RGB imager;
+//! * [`bayer`] — the imager's RGGB colour-filter layout (paper Fig. 2);
 //! * [`pixel`] — photodiode pixels with global-shutter exposure;
 //! * [`crc`] — the Comparator-based pixel Reading Circuit that replaces
 //!   column ADCs with a 15-comparator ladder (4-bit codes);
-//! * [`dmva`] — the Directly-Modulated VCSEL Array's selector between the
-//!   pixel path and the feedback path, and its driver's transistor count;
 //! * [`array`](mod@array) — the complete 256×256 global-shutter sensor;
-//! * [`video`] — deterministic frame-sequence sources (synthetic moving
-//!   patterns and validated raw-frame iterators) for streaming workloads.
+//! * [`video`] — deterministic synthetic frame sequences for streaming
+//!   workloads.
+//!
+//! The sensor is the paper's one design: the Bayer layout, the pixel's
+//! device figures and the comparator ladder are constants, and the
+//! resolution in [`SensorArrayConfig`] is its only setting.
 //!
 //! These models compute the codes the sensor produces, not what producing
 //! them costs: the CRC and VCSEL power the simulator charges are per-device
 //! constants of
-//! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable).
+//! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable). The
+//! DMVA's choice between the pixel path and the feedback path is the mask
+//! of the streaming delta gate in `lightator_core::stream`.
 //!
 //! # Example
 //!
@@ -44,17 +48,14 @@
 pub mod array;
 pub mod bayer;
 pub mod crc;
-pub mod dmva;
 pub mod error;
 pub mod frame;
 pub mod pixel;
 pub mod video;
 
 pub use array::{DigitalFrame, SensorArray, SensorArrayConfig, DEFAULT_RESOLUTION};
-pub use bayer::{BayerMosaic, BayerPattern};
-pub use crc::{ComparatorReadCircuit, CrcConfig, CrcReading, CRC_COMPARATORS};
-pub use dmva::{ActivationSource, Selector, DRIVER_TRANSISTORS};
+pub use crc::{ComparatorReadCircuit, CRC_COMPARATORS};
 pub use error::{Result, SensorError};
 pub use frame::{Channel, GrayFrame, RgbFrame};
-pub use pixel::{Pixel, PixelConfig};
-pub use video::{FrameSequence, MotionPattern, SyntheticVideo, SyntheticVideoConfig};
+pub use pixel::Pixel;
+pub use video::{MotionPattern, SyntheticVideo, SyntheticVideoConfig};

@@ -8,173 +8,57 @@
 
 use crate::error::{Result, SensorError};
 use lightator_photonics::units::{Time, Voltage};
-use serde::{Deserialize, Serialize};
 
-/// Static parameters of a pixel's photodiode and source follower.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PixelConfig {
-    /// Reset (dark) output voltage of the pixel.
-    pub reset_voltage_v: f64,
-    /// Minimum output voltage reached at full-well illumination.
-    pub saturation_voltage_v: f64,
-    /// Photocurrent at unit (full-scale) illumination, in nA.
-    pub full_scale_photocurrent_na: f64,
-    /// Integration capacitance of the sense node, in fF.
-    pub node_capacitance_ff: f64,
-    /// Exposure (integration) time.
-    pub exposure: Time,
-    /// Dark current in pA (adds a small offset even with no light).
-    pub dark_current_pa: f64,
-}
+/// Reset (dark) output voltage of the pixel, in volts.
+pub const RESET_VOLTAGE_V: f64 = 1.0;
+/// Minimum output voltage, reached at full-well illumination, in volts.
+pub const SATURATION_VOLTAGE_V: f64 = 0.2;
+/// Photocurrent at unit (full-scale) illumination, in nA.
+const FULL_SCALE_PHOTOCURRENT_NA: f64 = 2.88;
+/// Integration capacitance of the sense node, in fF.
+const NODE_CAPACITANCE_FF: f64 = 4.0;
+/// Global-shutter exposure (integration) time.
+const EXPOSURE: Time = Time::from_ns(1_000.0);
+/// Dark current in pA (a small drop even with no light).
+const DARK_CURRENT_PA: f64 = 2.0;
 
-impl Default for PixelConfig {
-    fn default() -> Self {
-        Self {
-            reset_voltage_v: 1.0,
-            saturation_voltage_v: 0.2,
-            full_scale_photocurrent_na: 2.88,
-            node_capacitance_ff: 4.0,
-            exposure: Time::from_us(1.0),
-            dark_current_pa: 2.0,
-        }
-    }
-}
-
-impl PixelConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidParameter`] naming the first invalid
-    /// field (non-finite, non-positive, or an inverted voltage range).
-    pub fn validate(&self) -> Result<()> {
-        let strictly_positive = [
-            ("reset_voltage_v", self.reset_voltage_v),
-            (
-                "full_scale_photocurrent_na",
-                self.full_scale_photocurrent_na,
-            ),
-            ("node_capacitance_ff", self.node_capacitance_ff),
-            ("exposure_ns", self.exposure.ns()),
-        ];
-        for (name, value) in strictly_positive {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(SensorError::InvalidParameter { name, value });
-            }
-        }
-        if !self.saturation_voltage_v.is_finite()
-            || self.saturation_voltage_v < 0.0
-            || self.saturation_voltage_v >= self.reset_voltage_v
-        {
-            return Err(SensorError::InvalidParameter {
-                name: "saturation_voltage_v",
-                value: self.saturation_voltage_v,
-            });
-        }
-        if !self.dark_current_pa.is_finite() || self.dark_current_pa < 0.0 {
-            return Err(SensorError::InvalidParameter {
-                name: "dark_current_pa",
-                value: self.dark_current_pa,
-            });
-        }
-        Ok(())
-    }
-
-    /// The full output swing available between reset and saturation.
-    #[must_use]
-    pub fn voltage_swing(&self) -> Voltage {
-        Voltage::from_volts(self.reset_voltage_v - self.saturation_voltage_v)
-    }
-}
-
-/// A single photodiode pixel.
+/// A photodiode pixel of the paper's imager.
 ///
 /// ```
-/// use lightator_sensor::pixel::{Pixel, PixelConfig};
+/// use lightator_sensor::pixel::Pixel;
 ///
 /// # fn main() -> Result<(), lightator_sensor::SensorError> {
-/// let pixel = Pixel::new(PixelConfig::default())?;
-/// let dark = pixel.output_voltage(0.0)?;
-/// let bright = pixel.output_voltage(1.0)?;
+/// let dark = Pixel.output_voltage(0.0)?;
+/// let bright = Pixel.output_voltage(1.0)?;
 /// assert!(dark.volts() > bright.volts());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Pixel {
-    config: PixelConfig,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Pixel;
 
 impl Pixel {
-    /// Creates a pixel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidParameter`] if the configuration is
-    /// invalid.
-    pub fn new(config: PixelConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The pixel configuration.
-    #[must_use]
-    pub fn config(&self) -> &PixelConfig {
-        &self.config
-    }
-
-    /// Charge-domain voltage drop produced by a normalised illumination in
-    /// `[0, 1]` over the configured exposure, before clamping to the
-    /// saturation voltage.
-    fn ideal_drop_volts(&self, illumination: f64) -> f64 {
-        let photo_a = illumination * self.config.full_scale_photocurrent_na * 1e-9
-            + self.config.dark_current_pa * 1e-12;
-        let charge_c = photo_a * self.config.exposure.seconds();
-        charge_c / (self.config.node_capacitance_ff * 1e-15)
-    }
-
     /// Output voltage of the pixel after exposure to a normalised
-    /// illumination in `[0, 1]`.
+    /// illumination in `[0, 1]`: the reset voltage minus the drop the
+    /// photo- and dark current integrate on the sense node, clamped at the
+    /// saturation voltage.
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::IntensityOutOfRange`] if `illumination` is not
     /// inside `[0, 1]`.
-    pub fn output_voltage(&self, illumination: f64) -> Result<Voltage> {
+    pub fn output_voltage(self, illumination: f64) -> Result<Voltage> {
         if !illumination.is_finite() || !(0.0..=1.0).contains(&illumination) {
             return Err(SensorError::IntensityOutOfRange {
                 value: illumination,
             });
         }
-        let drop = self.ideal_drop_volts(illumination);
-        let v = (self.config.reset_voltage_v - drop).max(self.config.saturation_voltage_v);
-        Ok(Voltage::from_volts(v))
-    }
-
-    /// Voltage *drop* relative to reset, normalised to the full swing — the
-    /// quantity the comparator ladder digitises. Returns a value in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::IntensityOutOfRange`] if `illumination` is not
-    /// inside `[0, 1]`.
-    pub fn normalized_drop(&self, illumination: f64) -> Result<f64> {
-        let v = self.output_voltage(illumination)?;
-        let swing = self.config.voltage_swing().volts();
-        Ok(((self.config.reset_voltage_v - v.volts()) / swing).clamp(0.0, 1.0))
-    }
-
-    /// Illumination at which the pixel saturates (reaches its minimum output
-    /// voltage). Values above this are clipped by the sensor.
-    #[must_use]
-    pub fn saturation_illumination(&self) -> f64 {
-        // Solve ideal_drop(illum) == swing for illum, ignoring dark current.
-        let swing = self.config.voltage_swing().volts();
-        let full_drop = self.ideal_drop_volts(1.0);
-        if full_drop <= 0.0 {
-            return f64::INFINITY;
-        }
-        swing / full_drop
+        let photo_a = illumination * FULL_SCALE_PHOTOCURRENT_NA * 1e-9 + DARK_CURRENT_PA * 1e-12;
+        let charge_c = photo_a * EXPOSURE.seconds();
+        let drop = charge_c / (NODE_CAPACITANCE_FF * 1e-15);
+        Ok(Voltage::from_volts(
+            (RESET_VOLTAGE_V - drop).max(SATURATION_VOLTAGE_V),
+        ))
     }
 }
 
@@ -182,39 +66,36 @@ impl Pixel {
 mod tests {
     use super::*;
 
-    fn pixel() -> Pixel {
-        Pixel::new(PixelConfig::default()).expect("valid")
-    }
-
     #[test]
     fn dark_pixel_stays_near_reset() {
-        let p = pixel();
-        let v = p.output_voltage(0.0).expect("ok");
-        assert!((v.volts() - p.config().reset_voltage_v).abs() < 0.05);
+        let v = Pixel.output_voltage(0.0).expect("ok");
+        assert!((v.volts() - RESET_VOLTAGE_V).abs() < 0.05);
     }
 
     #[test]
     fn brighter_light_drops_more_voltage() {
-        let p = pixel();
-        let v_dim = p.output_voltage(0.2).expect("ok");
-        let v_bright = p.output_voltage(0.8).expect("ok");
+        let v_dim = Pixel.output_voltage(0.2).expect("ok");
+        let v_bright = Pixel.output_voltage(0.8).expect("ok");
         assert!(v_bright.volts() < v_dim.volts());
     }
 
     #[test]
     fn output_never_falls_below_saturation() {
-        let p = pixel();
-        let v = p.output_voltage(1.0).expect("ok");
-        assert!(v.volts() >= p.config().saturation_voltage_v - 1e-12);
+        let v = Pixel.output_voltage(1.0).expect("ok");
+        assert!(v.volts() >= SATURATION_VOLTAGE_V - 1e-12);
     }
 
     #[test]
     fn normalized_drop_is_monotone_and_bounded() {
-        let p = pixel();
+        // The drop below reset as a fraction of the swing: what the
+        // comparator ladder digitises.
         let mut last = -1.0;
         for i in 0..=10 {
-            let illum = f64::from(i) / 10.0;
-            let d = p.normalized_drop(illum).expect("ok");
+            let v = Pixel
+                .output_voltage(f64::from(i) / 10.0)
+                .expect("ok")
+                .volts();
+            let d = (RESET_VOLTAGE_V - v) / (RESET_VOLTAGE_V - SATURATION_VOLTAGE_V);
             assert!((0.0..=1.0).contains(&d));
             assert!(d >= last);
             last = d;
@@ -223,39 +104,17 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_illumination() {
-        let p = pixel();
-        assert!(p.output_voltage(-0.1).is_err());
-        assert!(p.output_voltage(1.1).is_err());
-        assert!(p.output_voltage(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        let cfg = PixelConfig {
-            saturation_voltage_v: 2.0, // above reset voltage
-            ..PixelConfig::default()
-        };
-        assert!(Pixel::new(cfg).is_err());
-        let cfg = PixelConfig {
-            node_capacitance_ff: 0.0,
-            ..PixelConfig::default()
-        };
-        assert!(Pixel::new(cfg).is_err());
-    }
-
-    #[test]
-    fn saturation_illumination_is_positive() {
-        let p = pixel();
-        assert!(p.saturation_illumination() > 0.0);
+        assert!(Pixel.output_voltage(-0.1).is_err());
+        assert!(Pixel.output_voltage(1.1).is_err());
+        assert!(Pixel.output_voltage(f64::NAN).is_err());
     }
 
     #[test]
     fn default_exposure_uses_most_of_the_swing() {
-        // The default configuration should be able to reach a large portion
-        // of the available swing at full illumination so the CRC has dynamic
-        // range to digitise.
-        let p = pixel();
-        let d = p.normalized_drop(1.0).expect("ok");
+        // Full illumination should reach a large portion of the available
+        // swing so the CRC has dynamic range to digitise.
+        let v = Pixel.output_voltage(1.0).expect("ok").volts();
+        let d = (RESET_VOLTAGE_V - v) / (RESET_VOLTAGE_V - SATURATION_VOLTAGE_V);
         assert!(d > 0.8, "full-scale drop {d} uses too little of the swing");
     }
 }

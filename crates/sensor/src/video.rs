@@ -1,13 +1,9 @@
 //! Frame-sequence sources for streaming video workloads.
 //!
 //! The streaming pipeline consumes any iterator of [`RgbFrame`]s; this
-//! module provides the two sources the repro ships with:
-//!
-//! * [`SyntheticVideo`] — a deterministic moving-pattern generator
-//!   (every frame is a pure function of the configuration and the frame
-//!   index, so replays and sharded serving see identical pixels);
-//! * [`FrameSequence`] — a validated raw-frame iterator over frames
-//!   captured elsewhere (all frames must share one resolution).
+//! module provides [`SyntheticVideo`], a deterministic moving-pattern
+//! generator (every frame is a pure function of the configuration and the
+//! frame index, so replays and sharded serving see identical pixels).
 
 use crate::error::{Result, SensorError};
 use crate::frame::RgbFrame;
@@ -231,82 +227,6 @@ impl Iterator for SyntheticVideo {
     }
 }
 
-/// A validated raw-frame sequence: frames captured elsewhere, checked once
-/// for a uniform resolution so downstream consumers can rely on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameSequence {
-    frames: Vec<RgbFrame>,
-    next: usize,
-}
-
-impl FrameSequence {
-    /// Wraps a non-empty list of equally-sized frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidDimensions`] for an empty sequence and
-    /// [`SensorError::DataLengthMismatch`] when a frame's resolution differs
-    /// from the first frame's.
-    pub fn new(frames: Vec<RgbFrame>) -> Result<Self> {
-        let Some(first) = frames.first() else {
-            return Err(SensorError::InvalidDimensions {
-                height: 0,
-                width: 0,
-            });
-        };
-        let expected = first.height() * first.width() * 3;
-        for frame in &frames {
-            if frame.height() != first.height() || frame.width() != first.width() {
-                return Err(SensorError::DataLengthMismatch {
-                    expected,
-                    actual: frame.height() * frame.width() * 3,
-                });
-            }
-        }
-        Ok(Self { frames, next: 0 })
-    }
-
-    /// Number of frames in the sequence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the sequence is empty (never true for validated sequences).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Resolution shared by every frame, as `(height, width)`.
-    #[must_use]
-    pub fn resolution(&self) -> (usize, usize) {
-        (self.frames[0].height(), self.frames[0].width())
-    }
-
-    /// The validated frames, by reference.
-    #[must_use]
-    pub fn frames(&self) -> &[RgbFrame] {
-        &self.frames
-    }
-
-    /// Surrenders the validated frames.
-    #[must_use]
-    pub fn into_frames(self) -> Vec<RgbFrame> {
-        self.frames
-    }
-}
-
-impl Iterator for FrameSequence {
-    type Item = RgbFrame;
-
-    fn next(&mut self) -> Option<RgbFrame> {
-        let frame = self.frames.get(self.next)?.clone();
-        self.next += 1;
-        Some(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,24 +300,5 @@ mod tests {
             ..SyntheticVideoConfig::low_motion(8, 8, 3)
         };
         assert!(SyntheticVideo::new(bad_colour).is_err());
-    }
-
-    #[test]
-    fn frame_sequences_validate_uniform_resolution() {
-        let frames = vec![
-            RgbFrame::filled(4, 4, [0.1, 0.2, 0.3]).expect("ok"),
-            RgbFrame::filled(4, 4, [0.4, 0.5, 0.6]).expect("ok"),
-        ];
-        let sequence = FrameSequence::new(frames.clone()).expect("uniform");
-        assert_eq!(sequence.len(), 2);
-        assert_eq!(sequence.resolution(), (4, 4));
-        assert_eq!(sequence.clone().collect::<Vec<_>>(), frames);
-
-        assert!(FrameSequence::new(vec![]).is_err());
-        let mixed = vec![
-            RgbFrame::filled(4, 4, [0.1, 0.2, 0.3]).expect("ok"),
-            RgbFrame::filled(2, 2, [0.1, 0.2, 0.3]).expect("ok"),
-        ];
-        assert!(FrameSequence::new(mixed).is_err());
     }
 }

@@ -34,6 +34,18 @@ const MAX_CONFIG_NS: f64 = 9_007_199_254_740_992.0; // 2^53
 /// when the server builds.
 const MAX_BATCH: usize = 4096;
 
+/// Consecutive batches that may start at an interactive request past a
+/// batch-lane queue head before a shard must take the head. Bounds
+/// batch-lane starvation under interactive floods: out of every
+/// `INTERACTIVE_WEIGHT + 1` mixed drains, at least one starts at the head.
+pub(crate) const INTERACTIVE_WEIGHT: usize = 4;
+
+/// Largest number of frames one [`crate::Request::VideoStream`] may carry;
+/// longer streams are rejected at admission with
+/// [`ServeError::InvalidRequest`] so one client cannot monopolise a shard's
+/// timeline.
+pub(crate) const MAX_STREAM_FRAMES: usize = 256;
+
 /// Latency-SLO controller settings for the adaptive micro-batcher.
 ///
 /// When a [`ServeConfig`] carries an `slo`, every shard runs an AIMD-style
@@ -93,11 +105,6 @@ pub struct ServeConfig {
     /// stragglers before flushing it. Zero flushes as soon as the queue is
     /// drained.
     pub flush_deadline: Time,
-    /// Largest number of frames one [`crate::Request::VideoStream`] may
-    /// carry; longer streams are rejected at admission with
-    /// [`ServeError::InvalidRequest`] so one client cannot monopolise a
-    /// shard's timeline.
-    pub max_stream_frames: usize,
     /// Latency-SLO controller for adaptive batching. `None` (the default)
     /// keeps the fixed [`ServeConfig::max_batch`] /
     /// [`ServeConfig::flush_deadline`] batcher; `Some` makes every shard
@@ -108,12 +115,6 @@ pub struct ServeConfig {
     /// `serve.slo.max_batch` text keys (writing any one of them enables the
     /// controller; the others keep [`SloConfig::default`]).
     pub slo: Option<SloConfig>,
-    /// Consecutive priority-first drains allowed before a shard must take
-    /// the queue head even if it is batch-lane (the `serve.interactive_weight`
-    /// text key). Bounds batch-lane starvation under interactive floods:
-    /// out of every `interactive_weight + 1` mixed drains, at least one
-    /// starts at the head. Values are clamped to at least 1.
-    pub interactive_weight: usize,
 }
 
 impl Default for ServeConfig {
@@ -123,9 +124,7 @@ impl Default for ServeConfig {
             max_batch: 4,
             queue_depth: 32,
             flush_deadline: Time::from_ns(0.0),
-            max_stream_frames: 256,
             slo: None,
-            interactive_weight: 4,
         }
     }
 }
@@ -215,16 +214,6 @@ impl ServeConfig {
                 });
             }
         }
-        if self.interactive_weight == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "interactive_weight must allow at least one priority-first drain".into(),
-            });
-        }
-        if self.max_stream_frames == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "max_stream_frames must admit at least one frame per stream".into(),
-            });
-        }
         Ok(())
     }
 
@@ -252,12 +241,6 @@ impl ServeConfig {
             &mut out,
             "serve.flush_deadline_ns",
             self.flush_deadline.ns(),
-        );
-        write_line(&mut out, "serve.max_stream_frames", self.max_stream_frames);
-        write_line(
-            &mut out,
-            "serve.interactive_weight",
-            self.interactive_weight,
         );
         if let Some(slo) = &self.slo {
             write_line(
@@ -297,12 +280,6 @@ impl ServeConfig {
                 "serve.queue_depth" => config.queue_depth = parse_usize(key, value)?,
                 "serve.flush_deadline_ns" => {
                     config.flush_deadline = Time::from_ns(parse_f64(key, value)?);
-                }
-                "serve.max_stream_frames" => {
-                    config.max_stream_frames = parse_usize(key, value)?;
-                }
-                "serve.interactive_weight" => {
-                    config.interactive_weight = parse_usize(key, value)?;
                 }
                 "serve.slo.target_queue_wait_ns" => {
                     config
@@ -351,17 +328,14 @@ mod tests {
             max_batch: 8,
             queue_depth: 128,
             flush_deadline: Time::from_us(2.5),
-            max_stream_frames: 48,
             slo: Some(SloConfig {
                 target_queue_wait: Time::from_us(1.5),
                 min_batch: 2,
                 max_batch: 32,
             }),
-            interactive_weight: 7,
         };
         let text = config.to_text();
         assert!(text.contains("serve.slo.target_queue_wait_ns = 1500"));
-        assert!(text.contains("serve.interactive_weight = 7"));
         assert_eq!(ServeConfig::from_text(&text).expect("parse"), config);
     }
 
@@ -408,6 +382,8 @@ mod tests {
             "serve.workers = 2",
             "serve.seed_stride = 3",
             "serve.backend.classify = photonic",
+            "serve.interactive_weight = 4",
+            "serve.max_stream_frames = 256",
         ] {
             let err = ServeConfig::from_text(line).expect_err(line);
             assert!(
@@ -464,15 +440,6 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(bad.validate().is_err());
-        let bad = ServeConfig {
-            max_stream_frames: 0,
-            ..ServeConfig::default()
-        };
-        assert!(bad
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("max_stream_frames"));
         assert!(ServeConfig::default().validate().is_ok());
     }
 
@@ -558,15 +525,6 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(edge.validate().is_ok());
-        let bad = ServeConfig {
-            interactive_weight: 0,
-            ..ServeConfig::default()
-        };
-        assert!(bad
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("interactive_weight"));
         let good = ServeConfig {
             slo: Some(SloConfig::default()),
             ..ServeConfig::default()

@@ -20,7 +20,7 @@ pub enum ServeError {
         label: String,
     },
     /// The request itself is malformed (an empty video stream, or one
-    /// longer than the configured `max_stream_frames`).
+    /// longer than 256 frames).
     InvalidRequest {
         /// Human-readable description of the problem.
         reason: String,

@@ -30,8 +30,7 @@
 //! * **priority lanes** ([`Priority::Interactive`] /
 //!   [`Priority::Batch`], [`Server::submit_with_priority`]): a batch may
 //!   start at the first arrived interactive request instead of a
-//!   batch-lane queue head, bounded by
-//!   [`ServeConfig::interactive_weight`];
+//!   batch-lane queue head, at most four batches in a row;
 //! * an **open-loop soak harness** ([`load`]): seeded Poisson or bursty
 //!   arrival schedules on the simulated clock, mixed-kind traffic, and
 //!   exact `offered == admitted + dropped` accounting via

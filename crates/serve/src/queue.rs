@@ -27,6 +27,7 @@
 //! A request that finds `queue_depth` requests still waiting at its
 //! arrival is rejected with [`ServeError::Overloaded`].
 
+use crate::config::INTERACTIVE_WEIGHT;
 use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsInner, VirtualClock};
 use crate::request::{Payload, Priority, Response, ResponseSlot};
@@ -94,7 +95,7 @@ struct State {
     waiting: VecDeque<QueuedRequest>,
     next_ticket: u64,
     /// Remaining batches that may start at an interactive request instead
-    /// of the queue head; refilled to `interactive_weight` once spent.
+    /// of the queue head; refilled to [`INTERACTIVE_WEIGHT`] once spent.
     jump_credit: usize,
     /// The latest arrival the group took, or the latest close time a
     /// waiting client made it decide. Later arrivals are stamped no
@@ -131,9 +132,6 @@ impl State {
 #[derive(Debug)]
 pub(crate) struct Scheduler {
     capacity: usize,
-    /// Consecutive interactive-first batches allowed before one head batch
-    /// is forced (the batch-lane starvation bound).
-    interactive_weight: usize,
     costs: ShardCosts,
     metrics: Arc<MetricsInner>,
     /// Index of the group's first shard in `metrics.shards`.
@@ -152,17 +150,14 @@ impl Scheduler {
     /// gauges.
     pub(crate) fn new(
         capacity: usize,
-        interactive_weight: usize,
         costs: ShardCosts,
         metrics: Arc<MetricsInner>,
         first_shard: usize,
         clock: Arc<VirtualClock>,
         shards: Vec<(Batcher, Sender<Job>)>,
     ) -> Self {
-        let interactive_weight = interactive_weight.max(1);
         let scheduler = Self {
             capacity,
-            interactive_weight,
             costs,
             metrics,
             first_shard,
@@ -170,7 +165,7 @@ impl Scheduler {
             state: Mutex::new(State {
                 waiting: VecDeque::new(),
                 next_ticket: 0,
-                jump_credit: interactive_weight,
+                jump_credit: INTERACTIVE_WEIGHT,
                 horizon_ns: 0,
                 chips: shards
                     .into_iter()
@@ -386,7 +381,7 @@ impl Scheduler {
                 at
             }
             None => {
-                state.jump_credit = self.interactive_weight;
+                state.jump_credit = INTERACTIVE_WEIGHT;
                 0
             }
         }
@@ -496,7 +491,6 @@ mod tests {
         shards: usize,
         max_batch: usize,
         deadline_ns: u64,
-        interactive_weight: usize,
     ) -> (Scheduler, Vec<Receiver<Job>>) {
         let labels = (0..shards)
             .map(|i| (format!("test/{i}"), "photonic".to_string()))
@@ -508,20 +502,12 @@ mod tests {
             .map(|jobs| (Batcher::fixed(max_batch, deadline_ns), jobs))
             .collect();
         let clock = Arc::new(VirtualClock::new());
-        let scheduler = Scheduler::new(
-            capacity,
-            interactive_weight,
-            costs(),
-            metrics,
-            0,
-            clock,
-            shards,
-        );
+        let scheduler = Scheduler::new(capacity, costs(), metrics, 0, clock, shards);
         (scheduler, receivers)
     }
 
     fn single(capacity: usize, max_batch: usize, deadline_ns: u64) -> (Scheduler, Receiver<Job>) {
-        let (scheduler, mut receivers) = scheduler(capacity, 1, max_batch, deadline_ns, 4);
+        let (scheduler, mut receivers) = scheduler(capacity, 1, max_batch, deadline_ns);
         (scheduler, receivers.remove(0))
     }
 
@@ -652,7 +638,7 @@ mod tests {
 
     #[test]
     fn the_earliest_free_shard_takes_the_next_batch() {
-        let (scheduler, receivers) = scheduler(16, 2, 2, 100, 4);
+        let (scheduler, receivers) = scheduler(16, 2, 2, 100);
         // Shard 0 runs a two-frame batch, shard 1 a one-frame batch that
         // closes at its deadline.
         for _ in 0..3 {
@@ -668,7 +654,7 @@ mod tests {
 
     #[test]
     fn free_time_ties_go_to_the_lower_shard_index() {
-        let (scheduler, receivers) = scheduler(16, 2, 1, 0, 4);
+        let (scheduler, receivers) = scheduler(16, 2, 1, 0);
         for _ in 0..4 {
             push(&scheduler, frame(), Priority::Interactive, 0);
         }
@@ -764,20 +750,21 @@ mod tests {
 
     #[test]
     fn interactive_credit_bounds_batch_lane_starvation() {
-        // Credit 1: after one interactive-first batch the next batch must
-        // take the batch-lane head even though interactive work waits.
-        let (scheduler, mut receivers) = scheduler(64, 1, 1, 0, 1);
-        let jobs = receivers.remove(0);
+        // After INTERACTIVE_WEIGHT (4) interactive-first batches the next
+        // batch must take the batch-lane head even though interactive work
+        // waits.
+        let (scheduler, jobs) = single(64, 1, 0);
         push(&scheduler, frame(), Priority::Interactive, 0); // 0 occupies the chip
-        push(&scheduler, frame(), Priority::Batch, 0); // 1
-        push(&scheduler, frame(), Priority::Interactive, 0); // 2
-        push(&scheduler, frame(), Priority::Batch, 0); // 3
-        push(&scheduler, frame(), Priority::Interactive, 0); // 4
+        for _ in 0..6 {
+            push(&scheduler, frame(), Priority::Batch, 0); // 1, 3, 5, ...
+            push(&scheduler, frame(), Priority::Interactive, 0); // 2, 4, 6, ...
+        }
         scheduler.shutdown();
+        let order: Vec<u64> = batches(&jobs).concat();
         assert_eq!(
-            batches(&jobs),
-            vec![vec![0], vec![2], vec![1], vec![4], vec![3]],
-            "jump, forced head (refills the credit), jump, head"
+            order,
+            [0, 2, 4, 6, 8, 1, 10, 12, 3, 5, 7, 9, 11],
+            "four jumps, a forced head (refills the credit), then the rest"
         );
     }
 

@@ -13,10 +13,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// queue holds a mix, batch formation may *start* at the first arrived
 /// [`Priority::Interactive`] request instead of the queue head, so
 /// interactive tail latency holds while [`Priority::Batch`] traffic soaks
-/// the leftover capacity. An interactive-credit scheme (see
-/// [`ServeConfig::interactive_weight`](crate::ServeConfig::interactive_weight))
-/// bounds how many consecutive batches may overtake the head, so batch-lane
-/// requests cannot starve. Lane choice never changes a request's ticket or
+/// the leftover capacity. An interactive credit bounds the consecutive
+/// batches that may overtake the head to four, so batch-lane requests
+/// cannot starve. Lane choice never changes a request's ticket or
 /// its report bits — only the order batches form in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {

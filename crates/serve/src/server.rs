@@ -1,6 +1,6 @@
 //! The server: builder, router, shard pool and lifecycle.
 
-use crate::config::{ServeConfig, SloConfig};
+use crate::config::{ServeConfig, SloConfig, MAX_STREAM_FRAMES};
 use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsInner, MetricsSnapshot, VirtualClock};
 use crate::queue::Scheduler;
@@ -93,15 +93,6 @@ impl ServerBuilder {
     #[must_use]
     pub fn slo(mut self, slo: SloConfig) -> Self {
         self.config.slo = Some(slo);
-        self
-    }
-
-    /// Sets the interactive-lane credit: how many consecutive batches may
-    /// start at an interactive request past a batch-lane queue head (see
-    /// [`ServeConfig::interactive_weight`]).
-    #[must_use]
-    pub fn interactive_weight(mut self, weight: usize) -> Self {
-        self.config.interactive_weight = weight;
         self
     }
 
@@ -232,7 +223,6 @@ impl ServerBuilder {
                 .unzip();
             let scheduler = Arc::new(Scheduler::new(
                 self.config.queue_depth,
-                self.config.interactive_weight,
                 costs,
                 Arc::clone(&metrics),
                 first_shard,
@@ -345,8 +335,7 @@ impl Server {
     /// Never queues in simulated time: a full queue rejects with
     /// [`ServeError::Overloaded`] (counted in the metrics), an
     /// unregistered workload with [`ServeError::UnknownWorkload`], and a
-    /// malformed video stream (empty, or longer than the configured
-    /// [`ServeConfig::max_stream_frames`]) with
+    /// malformed video stream (empty, or longer than 256 frames) with
     /// [`ServeError::InvalidRequest`].
     ///
     /// # Errors
@@ -358,9 +347,9 @@ impl Server {
 
     /// Submits a request on an explicit scheduling lane.
     /// [`Priority::Interactive`] requests may overtake queued
-    /// [`Priority::Batch`] requests at batch-formation time (bounded by
-    /// [`ServeConfig::interactive_weight`]); the lane never changes the
-    /// request's report bits.
+    /// [`Priority::Batch`] requests at batch-formation time (at most four
+    /// batches in a row start past a batch-lane head); the lane never
+    /// changes the request's report bits.
     ///
     /// # Errors
     ///
@@ -449,13 +438,12 @@ impl Server {
                     reason: "a video stream needs at least one frame".into(),
                 });
             }
-            if frames.len() > self.config.max_stream_frames {
+            if frames.len() > MAX_STREAM_FRAMES {
                 return Err(ServeError::InvalidRequest {
                     reason: format!(
-                        "the stream carries {} frames but max_stream_frames is {} \
-                         (split the stream or raise the limit)",
-                        frames.len(),
-                        self.config.max_stream_frames
+                        "the stream carries {} frames but at most {MAX_STREAM_FRAMES} \
+                         are admitted (split the stream)",
+                        frames.len()
                     ),
                 });
             }
@@ -831,10 +819,6 @@ mod tests {
     fn stream_admission_rejects_empty_and_oversized_streams() {
         use lightator_core::stream::StreamConfig;
         let server = Server::builder(small_platform())
-            .serve_config(ServeConfig {
-                max_stream_frames: 3,
-                ..ServeConfig::default()
-            })
             .workload(Workload::VideoStream {
                 kernel: ImageKernel::SobelX,
                 stream: StreamConfig {
@@ -854,7 +838,7 @@ mod tests {
         assert!(matches!(
             server.submit(Request::VideoStream {
                 kernel: ImageKernel::SobelX,
-                frames: vec![scene(0); 4],
+                frames: vec![scene(0); MAX_STREAM_FRAMES + 1],
             }),
             Err(ServeError::InvalidRequest { .. })
         ));

@@ -205,7 +205,6 @@ proptest! {
         target_us in 1u64..=50,
         min_batch in 1usize..=3,
         batch_headroom in 0usize..=6,
-        interactive_weight in 1usize..=6,
         lane_seed in 0u64..=1024,
         frame_count in 1usize..=12,
     ) {
@@ -216,7 +215,6 @@ proptest! {
         );
         let server = Server::builder(noisy_platform())
             .shards(shards)
-            .interactive_weight(interactive_weight)
             .slo(SloConfig {
                 target_queue_wait: Time::from_us(target_us as f64),
                 min_batch,

@@ -65,7 +65,6 @@ fn main() -> Result<(), ServeError> {
             min_batch: 1,
             max_batch: 8,
         })
-        .interactive_weight(4)
         .queue_depth(4 * CLIENTS)
         .workload(Workload::Classify {
             model: classifier(),

@@ -58,9 +58,7 @@ pub use lightator_core::platform::{
     ImageKernel, Outcome, Platform, PlatformBuilder, PlatformConfig, Report, Session, Workload,
 };
 pub use lightator_core::stream::{StreamConfig, StreamFrame, StreamReport, StreamState};
-pub use lightator_sensor::video::{
-    FrameSequence, MotionPattern, SyntheticVideo, SyntheticVideoConfig,
-};
+pub use lightator_sensor::video::{MotionPattern, SyntheticVideo, SyntheticVideoConfig};
 pub use lightator_serve::{
     run_soak, ArrivalProcess, BackendSnapshot, MetricsSnapshot, Pending, Priority, Request,
     Response, ServeConfig, ServeError, Server, ServerBuilder, ShardSnapshot, SloConfig, SoakConfig,
