@@ -208,8 +208,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates sensor and CA errors.
+    /// Returns [`CoreError::ModelMismatch`] for a scene whose resolution is
+    /// not the platform sensor's, and propagates sensor and CA errors.
     pub fn acquire(&self, scene: &RgbFrame) -> Result<Tensor> {
+        self.check_resolution(scene)?;
         match self.lowered.plan().ca() {
             Some(ca) => {
                 let compressed = ca.acquire(scene)?;
@@ -230,15 +232,33 @@ impl Session {
         }
     }
 
+    /// Rejects a scene whose resolution is not the platform sensor's: the
+    /// CA banks would otherwise pool any divisible frame, transposed ones
+    /// included.
+    fn check_resolution(&self, scene: &RgbFrame) -> Result<()> {
+        let (height, width) = (self.sensor.height(), self.sensor.width());
+        if scene.height() != height || scene.width() != width {
+            return Err(CoreError::ModelMismatch {
+                reason: format!(
+                    "frame is {}x{} but the platform sensor is {height}x{width}",
+                    scene.height(),
+                    scene.width()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Processes one frame end to end through the cached plan and reports
     /// both the functional result and the workload's performance on this
     /// platform.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ModelMismatch`] if the acquired tensor does not
-    /// match the classify model's input shape, and propagates
-    /// sensor/CA/photonic errors. A failed frame still consumes its frame
+    /// Returns [`CoreError::ModelMismatch`] for a frame whose resolution is
+    /// not the platform sensor's or an acquired tensor that does not match
+    /// the classify model's input shape, and propagates sensor/CA/photonic
+    /// errors. A failed frame still consumes its frame
     /// index, so the noise stream of every later frame is independent of
     /// whether earlier frames succeeded. Video-stream sessions reject
     /// [`Session::run`] (without consuming an index) — use
@@ -587,31 +607,17 @@ impl Session {
         // Gate first: the delta decision only reads the raw scene (the CRC
         // comparators sit before the optical path), so a fully-skipped
         // frame never pays for acquisition at all.
+        self.check_resolution(scene)?;
         let mask = {
             let pipeline = self
                 .stream
-                .as_mut()
+                .as_ref()
                 .ok_or_else(|| CoreError::ModelMismatch {
                     reason: "stream frame submitted to a non-stream session".to_string(),
                 })?;
-            let (rows, cols) = pipeline.differencer.grid();
-            let bs = pipeline.differencer.config().block_size;
-            let window = pipeline.window;
-            let (sensor_h, sensor_w) = (rows * bs * window, cols * bs * window);
-            if scene.height() != sensor_h || scene.width() != sensor_w {
-                return Err(CoreError::ModelMismatch {
-                    reason: format!(
-                        "stream frame is {}x{} but the platform sensor is \
-                         {sensor_h}x{sensor_w}",
-                        scene.height(),
-                        scene.width()
-                    ),
-                });
-            }
-            let StreamPipeline {
-                differencer, state, ..
-            } = pipeline;
-            differencer.gate(scene, state.as_ref().map(|s| &s.ref_scene))
+            pipeline
+                .differencer
+                .gate(scene, pipeline.state.as_ref().map(|state| &state.ref_scene))
         };
         // Acquire only when at least one block actually wakes the CA banks.
         let acquired = if mask.iter().any(|&compute| compute) {
@@ -991,6 +997,36 @@ mod tests {
         let mut seeked = platform.session(workload()).expect("session");
         seeked.seek_frame(1);
         assert_eq!(seeked.run(&good).expect("ok"), after_error);
+    }
+
+    #[test]
+    fn frames_of_the_wrong_resolution_fail_and_consume_their_index() {
+        // An 8x16 (height x width) CA platform acquires to [1, 4, 8]; a
+        // transposed 16x8 frame pools to [1, 8, 4] unless it is checked.
+        let platform = Platform::builder()
+            .sensor_resolution(8, 16)
+            .build()
+            .expect("platform");
+        let transposed = RgbFrame::filled(16, 8, [0.5, 0.5, 0.5]).expect("ok");
+        for workload in [
+            Workload::Acquire,
+            Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            },
+            Workload::Classify {
+                model: tiny_model([1, 4, 8], 3),
+            },
+        ] {
+            let label = workload.label();
+            let mut session = platform.session(workload).expect("session");
+            let err = session.run(&transposed).expect_err("transposed frame");
+            assert!(
+                matches!(err, CoreError::ModelMismatch { .. }),
+                "{label}: {err}"
+            );
+            assert!(err.to_string().contains("16x8"), "{label}: {err}");
+            assert_eq!(session.next_frame_index(), 1, "{label}");
+        }
     }
 
     #[test]

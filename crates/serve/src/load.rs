@@ -305,13 +305,14 @@ struct FramePool {
 }
 
 impl FramePool {
-    /// Generates `count` uniformly random frames from `seed`.
-    fn new(count: usize, width: usize, height: usize, seed: u64) -> Result<Self> {
+    /// Generates `count` uniformly random `height` × `width` frames from
+    /// `seed`.
+    fn new(count: usize, height: usize, width: usize, seed: u64) -> Result<Self> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let frames = (0..count)
             .map(|_| {
-                let data: Vec<f64> = (0..width * height * 3).map(|_| rng.gen()).collect();
-                RgbFrame::new(width, height, data).map_err(|err| ServeError::Core(err.into()))
+                let data: Vec<f64> = (0..height * width * 3).map(|_| rng.gen()).collect();
+                RgbFrame::new(height, width, data).map_err(|err| ServeError::Core(err.into()))
             })
             .collect::<Result<_>>()?;
         Ok(FramePool { frames })
@@ -405,8 +406,8 @@ pub fn run_soak(server: &Server, config: &SoakConfig) -> Result<SoakOutcome> {
     config.validate()?;
     let frames = FramePool::new(
         config.frame_pool,
-        config.width,
         config.height,
+        config.width,
         config.seed ^ 0x5F0A_6B3D_9E1C_2487,
     )?;
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -442,11 +443,13 @@ mod tests {
     use super::*;
     use lightator_core::ca::CaConfig;
     use lightator_core::platform::{Platform, Workload};
+    use lightator_nn::layers::{Flatten, Linear};
+    use lightator_nn::model::Sequential;
     use lightator_photonics::noise::NoiseConfig;
 
     /// The schedule a config generates, without a server.
     fn schedule(config: &SoakConfig) -> Vec<(u64, String, Priority)> {
-        let frames = FramePool::new(config.frame_pool, config.width, config.height, config.seed)
+        let frames = FramePool::new(config.frame_pool, config.height, config.width, config.seed)
             .expect("test soak configs have a non-empty sensor");
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let mut arrival = 0u64;
@@ -631,5 +634,50 @@ mod tests {
             "both sides must agree on the drop rate"
         );
         assert!(outcome.offered_qps() > 0.0);
+    }
+
+    #[test]
+    fn non_square_soaks_serve_frames_of_the_sensor_resolution() {
+        let pool = FramePool::new(3, 8, 16, 1).expect("pool");
+        for frame in &pool.frames {
+            assert_eq!((frame.height(), frame.width()), (8, 16));
+        }
+        let platform = Platform::builder()
+            .sensor_resolution(8, 16)
+            .compressive_acquisition(CaConfig::default())
+            .noise(NoiseConfig::ideal())
+            .build()
+            .expect("platform");
+        // The classifier takes the [1, 4, 8] map the 8x16 sensor acquires
+        // to, so a transposed frame (a [1, 8, 4] map) would fail it.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut model = Sequential::new(&[1, 4, 8]);
+        model.push(Flatten::new());
+        model.push(Linear::new(32, 3, &mut rng).expect("linear"));
+        let server = Server::builder(platform)
+            .workload(Workload::Classify { model })
+            .workload(Workload::Acquire)
+            .workload(Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            })
+            .build()
+            .expect("server");
+        let config = SoakConfig {
+            requests: 200,
+            height: 8,
+            width: 16,
+            mix: TrafficMix {
+                classify: 1.0,
+                acquire: 1.0,
+                kernel: 1.0,
+                ..TrafficMix::default()
+            },
+            ..SoakConfig::default()
+        };
+        let outcome = run_soak(&server, &config).expect("soak");
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.errored, 0, "every served frame matches the sensor");
+        assert_eq!(snapshot.completed, outcome.admitted());
+        assert!(snapshot.completed > 0);
     }
 }
