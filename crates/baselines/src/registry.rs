@@ -29,23 +29,25 @@ use crate::optical::OpticalBaseline;
 use crate::reference::ElectronicReference;
 use crate::roofline::RooflineBackend;
 
-/// The five Lightator precision variants of Table 1: three uniform
-/// schedules and two mixed (first layer at `[4:4]`, the rest lower).
+/// The five Lightator precision variants of Table 1, each with the
+/// schedule it pins: three uniform schedules and two mixed (first layer at
+/// `[4:4]`, the rest lower).
 ///
 /// Names match the harness labels exactly (`"Lightator [4:4]"`,
 /// `"Lightator-MX [4:4][3:4]"`, ...); ids are `photonic:w4a4`,
 /// `photonic:mx-w3a4`, and so on.
 #[must_use]
-pub fn photonic_variants() -> Vec<PhotonicBackend> {
+pub fn photonic_variants() -> Vec<(PhotonicBackend, PrecisionSchedule)> {
     let uniform = [Precision::w4a4(), Precision::w3a4(), Precision::w2a4()]
         .into_iter()
         .map(|p| {
             let schedule = PrecisionSchedule::Uniform(p);
-            PhotonicBackend::with_schedule(
+            let backend = PhotonicBackend::with_schedule(
                 format!("photonic:w{}a{}", p.weight_bits, p.activation_bits),
                 format!("Lightator {}", schedule.label()),
                 schedule,
-            )
+            );
+            (backend, schedule)
         });
     let mixed = [Precision::w3a4(), Precision::w2a4()]
         .into_iter()
@@ -54,11 +56,12 @@ pub fn photonic_variants() -> Vec<PhotonicBackend> {
                 first: Precision::w4a4(),
                 rest,
             };
-            PhotonicBackend::with_schedule(
+            let backend = PhotonicBackend::with_schedule(
                 format!("photonic:mx-w{}a{}", rest.weight_bits, rest.activation_bits),
                 format!("Lightator-MX {}", schedule.label()),
                 schedule,
-            )
+            );
+            (backend, schedule)
         });
     uniform.chain(mixed).collect()
 }
@@ -93,7 +96,7 @@ pub fn all_backends() -> Vec<Arc<dyn Backend>> {
     backends.extend(
         photonic_variants()
             .into_iter()
-            .map(|b| Arc::new(b) as Arc<dyn Backend>),
+            .map(|(b, _)| Arc::new(b) as Arc<dyn Backend>),
     );
     backends.extend(
         electronic_references()
@@ -169,9 +172,7 @@ pub fn table1_registry() -> Vec<Table1Entry> {
     // Lightator variants: power measured as the platform peak on the
     // VGG9/CIFAR workload (Table 1 discussion, observations 1 and 5).
     let vgg9 = NetworkSpec::vgg9(100);
-    for variant in photonic_variants() {
-        #[expect(clippy::expect_used, reason = "photonic variants pin a schedule")]
-        let schedule = variant.schedule().expect("table-1 variants pin a schedule");
+    for (variant, schedule) in photonic_variants() {
         entries.push(Table1Entry {
             label: variant.name(),
             backend: Arc::new(variant),
@@ -242,7 +243,7 @@ mod tests {
 
     #[test]
     fn photonic_variant_names_match_the_table() {
-        let names: Vec<String> = photonic_variants().iter().map(|v| v.name()).collect();
+        let names: Vec<String> = photonic_variants().iter().map(|(v, _)| v.name()).collect();
         assert_eq!(
             names,
             [

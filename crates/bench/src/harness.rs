@@ -18,13 +18,7 @@ pub const PRECISIONS: [Precision; 3] = [Precision::w4a4(), Precision::w3a4(), Pr
 pub fn lightator_variants() -> Vec<(String, PrecisionSchedule)> {
     photonic_variants()
         .into_iter()
-        .map(|variant| {
-            #[expect(clippy::expect_used, reason = "photonic variants pin a schedule")]
-            let schedule = variant
-                .schedule()
-                .expect("registry variants pin a schedule");
-            (variant.name(), schedule)
-        })
+        .map(|(variant, schedule)| (variant.name(), schedule))
         .collect()
 }
 

@@ -222,14 +222,6 @@ impl PhotonicBackend {
         }
     }
 
-    /// The pinned precision schedule of a [`PhotonicBackend::with_schedule`]
-    /// variant, `None` for the default backend (which follows the
-    /// platform's schedule).
-    #[must_use]
-    pub fn schedule(&self) -> Option<PrecisionSchedule> {
-        self.schedule
-    }
-
     /// The platform configuration this backend actually executes under:
     /// the input configuration with the schedule override applied.
     fn effective<'c>(&self, config: &'c PlatformConfig) -> std::borrow::Cow<'c, PlatformConfig> {

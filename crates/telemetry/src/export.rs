@@ -7,11 +7,8 @@
 //! durations converted from simulated nanoseconds to the format's
 //! microseconds.
 //!
-//! This module is the **only** place the telemetry crate may look at the
-//! wall clock ([`wall_time_note`], used to annotate exported files with the
-//! export moment). Simulated-time recording never does; the root
-//! `clippy.toml` bans `SystemTime::now` and `Instant::now`, and
-//! [`wall_time_note`] carries the crate's one expectation of that lint.
+//! An exported trace depends only on its events: the writer reads no
+//! clock, so the same events always export to the same bytes.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
@@ -69,18 +66,8 @@ fn write_args(out: &mut String, numeric: &[(&str, f64)], strings: &[(String, Str
 }
 
 /// Renders the events as a Chrome trace-event JSON document.
-///
-/// Equivalent to [`chrome_trace_with_note`] with no annotation.
 #[must_use]
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    chrome_trace_with_note(events, None)
-}
-
-/// Renders the events as a Chrome trace-event JSON document, optionally
-/// annotated (e.g. with [`wall_time_note`]). The annotation rides along as
-/// process metadata and never affects the simulated timeline.
-#[must_use]
-pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> String {
     let tracks = track_ids(events);
     let tid_of = |track: &str| -> u64 {
         tracks
@@ -92,9 +79,6 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"displayTimeUnit\": \"ns\",");
-    if let Some(note) = note {
-        let _ = writeln!(out, "  \"metadata\": {{ \"note\": \"{}\" }},", escape(note));
-    }
     let _ = write!(out, "  \"traceEvents\": [");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -162,21 +146,8 @@ pub fn chrome_trace_with_note(events: &[TraceEvent], note: Option<&str>) -> Stri
     out
 }
 
-/// Seconds since the Unix epoch at the moment of export, as an annotation
-/// string — the one sanctioned wall-clock read in this crate, confined to
-/// export so simulated-time recording stays deterministic. Returns `None`
-/// if the system clock is unavailable or pre-epoch.
-#[must_use]
-pub fn wall_time_note() -> Option<String> {
-    #[expect(clippy::disallowed_methods, reason = "an export note, not sim input")]
-    let elapsed = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
-    elapsed
-        .ok()
-        .map(|d| format!("exported at unix time {}", d.as_secs()))
-}
-
-/// Writes the events as `trace.json`-style output at `path`, annotated
-/// with [`wall_time_note`], and returns the path.
+/// Writes [`chrome_trace`]`(events)` to `path` (`trace.json`-style
+/// output) and returns the path.
 ///
 /// # Errors
 ///
@@ -186,8 +157,7 @@ pub fn write_chrome_trace(
     events: &[TraceEvent],
 ) -> std::io::Result<PathBuf> {
     let path = path.as_ref().to_path_buf();
-    let note = wall_time_note();
-    std::fs::write(&path, chrome_trace_with_note(events, note.as_deref()))?;
+    std::fs::write(&path, chrome_trace(events))?;
     Ok(path)
 }
 
@@ -254,12 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn notes_are_escaped_and_optional() {
-        let with = chrome_trace_with_note(&[], Some("quote \" here"));
-        assert!(with.contains("\\\" here"));
-        let without = chrome_trace(&[]);
-        assert!(!without.contains("\"metadata\""));
-        assert!(wall_time_note().is_some());
+    fn written_traces_are_exactly_the_rendered_document() {
+        let events = sample_events();
+        let path =
+            std::env::temp_dir().join(format!("lightator-export-test-{}.json", std::process::id()));
+        let written = write_chrome_trace(&path, &events).expect("write");
+        let bytes = std::fs::read_to_string(&written).expect("read back");
+        std::fs::remove_file(&written).expect("clean up");
+        assert_eq!(bytes, chrome_trace(&events));
     }
 
     #[test]

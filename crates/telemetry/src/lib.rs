@@ -16,8 +16,8 @@
 //! * [`breakdown`] — per-stage sim-time/energy rollups ([`StageBreakdown`],
 //!   [`StageTotals`]);
 //! * [`export`] — the Chrome trace-event JSON writer (`trace.json`,
-//!   loadable in [Perfetto](https://ui.perfetto.dev)). Its one wall-clock
-//!   read is the crate's only `#[expect(clippy::disallowed_methods)]`;
+//!   loadable in [Perfetto](https://ui.perfetto.dev)); an exported trace
+//!   depends only on its events;
 //! * [`json`] — the workspace's one JSON writer and validator, and the
 //!   `BENCH_*.json` artifacts every harness writes.
 //!
