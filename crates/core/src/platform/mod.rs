@@ -28,9 +28,10 @@
 //! [`Workload::VideoStream`] sessions run whole frame sequences through
 //! [`Session::run_stream`]: a per-block temporal delta gate (its mask is
 //! the DMVA's choice between the pixel and the feedback path) skips the
-//! optical work of unchanged blocks, and the returned [`StreamReport`](crate::stream::StreamReport)
-//! carries frames processed, blocks skipped, simulated FPS, energy per
-//! frame and the speedup over dense per-frame execution:
+//! optical work of unchanged blocks, and the returned
+//! [`StreamReport`](crate::stream::StreamReport) carries frames processed,
+//! blocks skipped, simulated FPS, energy per frame and the speedup over
+//! dense per-frame execution:
 //!
 //! ```
 //! use lightator_core::platform::{ImageKernel, Platform, Workload};

@@ -258,9 +258,9 @@ impl Session {
     /// Returns [`CoreError::ModelMismatch`] for a frame whose resolution is
     /// not the platform sensor's or an acquired tensor that does not match
     /// the classify model's input shape, and propagates sensor/CA/photonic
-    /// errors. A failed frame still consumes its frame
-    /// index, so the noise stream of every later frame is independent of
-    /// whether earlier frames succeeded. Video-stream sessions reject
+    /// errors. A failed frame still consumes its frame index, so the noise
+    /// stream of every later frame is independent of whether earlier
+    /// frames succeeded. Video-stream sessions reject
     /// [`Session::run`] (without consuming an index) — use
     /// [`Session::run_stream`].
     pub fn run(&mut self, scene: &RgbFrame) -> Result<Report> {
@@ -604,10 +604,10 @@ impl Session {
     /// cached plan, feedback reuse, and the frame's gated performance
     /// numbers.
     fn stream_frame(&mut self, scene: &RgbFrame, index: u64) -> Result<StreamFrame> {
+        self.check_resolution(scene)?;
         // Gate first: the delta decision only reads the raw scene (the CRC
         // comparators sit before the optical path), so a fully-skipped
         // frame never pays for acquisition at all.
-        self.check_resolution(scene)?;
         let mask = {
             let pipeline = self
                 .stream
