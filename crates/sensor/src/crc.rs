@@ -88,6 +88,19 @@ mod tests {
     }
 
     #[test]
+    fn thermometer_code_is_always_contiguous() {
+        // The decreasing ladder makes the fired comparators a prefix of it,
+        // so their count is the value of the thermometer code.
+        for i in 0..=50 {
+            let voltage = Pixel.output_voltage(f64::from(i) / 50.0).expect("ok");
+            let fired = REFERENCES_V.map(|reference| voltage.volts() < reference);
+            let code = usize::from(ComparatorReadCircuit.read_code(voltage));
+            assert!(fired[..code].iter().all(|&f| f), "gap below code {code}");
+            assert!(fired[code..].iter().all(|&f| !f), "fired above code {code}");
+        }
+    }
+
+    #[test]
     fn code_is_monotone_in_illumination() {
         let mut last = 0;
         for i in 0..=20 {
