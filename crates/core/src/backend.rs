@@ -45,10 +45,9 @@ use lightator_nn::tensor::Tensor;
 /// Identifier of one execution backend (`"photonic"`,
 /// `"electronic:eyeriss"`, `"roofline:lightbulb"`, ...).
 ///
-/// Ids are plain lowercase strings so they round-trip through the
-/// `key = value` text configuration format unchanged. The photonic default
-/// is always resolvable, even on platforms that never registered a
-/// backend.
+/// Ids are plain lowercase strings, printed unchanged in group labels,
+/// metrics and traces. The photonic default is always resolvable, even on
+/// platforms that never registered a backend.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BackendId(String);
 

@@ -1,20 +1,20 @@
-//! Lightator configuration: optical-core geometry and platform parameters.
+//! Lightator configuration: the optical-core geometry and the analog noise
+//! a platform varies, and the paper's periphery and timing constants.
+//!
+//! The paper's power and latency figures come from one 45 nm design, so the
+//! periphery counts ([`PeripheryCounts::PAPER`]), the timing counts
+//! ([`TimingConfig::PAPER`]) and the device figures
+//! ([`DevicePowerTable::PAPER`](lightator_photonics::power::DevicePowerTable::PAPER))
+//! are constants, not settings.
 
 use crate::error::{CoreError, Result};
 use lightator_photonics::noise::NoiseConfig;
-use lightator_photonics::power::DevicePowerTable;
 use serde::{Deserialize, Serialize};
 
 /// Largest optical core a configuration may describe, in MRs. The paper's
 /// core has 5,184; the bound keeps every geometry product (banks, arms,
 /// MRs) and the mapper's per-MR arithmetic far from `usize` overflow.
 pub const MAX_MRS: usize = 1 << 24;
-
-/// Largest per-unit periphery count (DACs per arm, ADCs per bank, VCSELs per
-/// arm) and timing count (cycles per bank reload, per 1024 outputs, per MAC
-/// wave) a configuration may carry. The simulator multiplies each by
-/// per-frame unit and cycle counts, which stay exact in `usize` under it.
-pub const MAX_COUNT: usize = 1 << 20;
 
 /// Geometry of the optical core's MVM banks.
 ///
@@ -157,17 +157,16 @@ pub struct PeripheryCounts {
     pub activation_sram_kib: usize,
 }
 
-impl Default for PeripheryCounts {
-    fn default() -> Self {
-        Self {
-            dacs_per_arm: 1,
-            adcs_per_bank: 1,
-            vcsels_per_arm: 9,
-            crc_units: 256,
-            weight_sram_kib: 256,
-            activation_sram_kib: 128,
-        }
-    }
+impl PeripheryCounts {
+    /// The paper's periphery, the one the energy model charges.
+    pub const PAPER: Self = Self {
+        dacs_per_arm: 1,
+        adcs_per_bank: 1,
+        vcsels_per_arm: 9,
+        crc_units: 256,
+        weight_sram_kib: 256,
+        activation_sram_kib: 128,
+    };
 }
 
 /// Timing parameters of the platform.
@@ -183,41 +182,24 @@ pub struct TimingConfig {
     pub optical_cycles_per_wave: usize,
 }
 
-impl Default for TimingConfig {
-    fn default() -> Self {
-        Self {
-            weight_reload_cycles_per_bank: 54,
-            electronic_post_cycles_per_kilo_output: 64,
-            optical_cycles_per_wave: 1,
-        }
-    }
+impl TimingConfig {
+    /// The paper's timing, the one the simulator charges.
+    pub const PAPER: Self = Self {
+        weight_reload_cycles_per_bank: 54,
+        electronic_post_cycles_per_kilo_output: 64,
+        optical_cycles_per_wave: 1,
+    };
 }
 
-/// Complete Lightator platform configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The hardware settings of a Lightator platform: the optical-core geometry
+/// and the analog noise. Everything else about the hardware is one of the
+/// paper's constants (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LightatorConfig {
     /// Optical-core geometry.
     pub geometry: OcGeometry,
-    /// Periphery block counts.
-    pub periphery: PeripheryCounts,
-    /// Device-level power/energy table.
-    pub power: DevicePowerTable,
     /// Analog noise / non-ideality configuration for functional simulation.
     pub noise: NoiseConfig,
-    /// Timing parameters.
-    pub timing: TimingConfig,
-}
-
-impl Default for LightatorConfig {
-    fn default() -> Self {
-        Self {
-            geometry: OcGeometry::default(),
-            periphery: PeripheryCounts::default(),
-            power: DevicePowerTable::node_45nm(),
-            noise: NoiseConfig::default(),
-            timing: TimingConfig::default(),
-        }
-    }
 }
 
 impl LightatorConfig {
@@ -231,81 +213,10 @@ impl LightatorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for invalid geometry, zero
-    /// periphery counts that the simulator divides by, periphery or timing
-    /// counts above [`MAX_COUNT`], negative or non-finite device figures,
-    /// and non-positive or non-finite clock periods.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid geometry (see
+    /// [`OcGeometry::validate`]). The builder validates the noise.
     pub fn validate(&self) -> Result<()> {
-        self.geometry.validate()?;
-        if self.periphery.vcsels_per_arm == 0 {
-            return Err(CoreError::invalid_config(
-                "vcsels_per_arm",
-                0.0,
-                "each arm needs at least one VCSEL to drive activations into its MRs",
-            ));
-        }
-        if self.timing.optical_cycles_per_wave == 0 {
-            return Err(CoreError::invalid_config(
-                "optical_cycles_per_wave",
-                0.0,
-                "a MAC wave takes at least one optical cycle (symbol + detection settling)",
-            ));
-        }
-        let (p, t) = (&self.periphery, &self.timing);
-        for (name, value) in [
-            ("dacs_per_arm", p.dacs_per_arm),
-            ("adcs_per_bank", p.adcs_per_bank),
-            ("vcsels_per_arm", p.vcsels_per_arm),
-            (
-                "weight_reload_cycles_per_bank",
-                t.weight_reload_cycles_per_bank,
-            ),
-            (
-                "electronic_post_cycles_per_kilo_output",
-                t.electronic_post_cycles_per_kilo_output,
-            ),
-            ("optical_cycles_per_wave", t.optical_cycles_per_wave),
-        ] {
-            if value > MAX_COUNT {
-                return Err(CoreError::invalid_config(
-                    name,
-                    value as f64,
-                    format!("periphery and timing counts may be at most {MAX_COUNT}"),
-                ));
-            }
-        }
-        let w = &self.power;
-        for (name, value) in [
-            ("dac_power_mw", w.dac_power_mw),
-            ("adc_power_mw", w.adc_power_mw),
-            ("mr_tuning_power_mw", w.mr_tuning_power_mw),
-            ("crc_comparator_power_uw", w.crc_comparator_power_uw),
-            ("vcsel_power_mw", w.vcsel_power_mw),
-            ("bpd_power_mw", w.bpd_power_mw),
-            ("controller_power_mw", w.controller_power_mw),
-            ("sram_leakage_per_kib_uw", w.sram_leakage_per_kib_uw),
-        ] {
-            if !(value.is_finite() && value >= 0.0) {
-                return Err(CoreError::invalid_config(
-                    name,
-                    value,
-                    "device power figures must be finite and non-negative",
-                ));
-            }
-        }
-        for (name, value) in [
-            ("optical_cycle_ns", w.optical_cycle_ns),
-            ("electronic_cycle_ns", w.electronic_cycle_ns),
-        ] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(CoreError::invalid_config(
-                    name,
-                    value,
-                    "clock periods must be finite and positive",
-                ));
-            }
-        }
-        Ok(())
+        self.geometry.validate()
     }
 }
 
@@ -341,15 +252,5 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         LightatorConfig::default().validate().expect("valid");
-    }
-
-    #[test]
-    fn config_validation_catches_bad_values() {
-        let mut cfg = LightatorConfig::default();
-        cfg.periphery.vcsels_per_arm = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = LightatorConfig::default();
-        cfg.timing.optical_cycles_per_wave = 0;
-        assert!(cfg.validate().is_err());
     }
 }

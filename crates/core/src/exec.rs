@@ -30,14 +30,6 @@ pub struct PhotonicAccuracy {
     pub samples: usize,
 }
 
-impl PhotonicAccuracy {
-    /// Accuracy lost by moving from the digital to the analog datapath.
-    #[must_use]
-    pub fn analog_degradation(&self) -> f64 {
-        self.digital - self.photonic
-    }
-}
-
 /// Executes compiled plans on the photonic datapath.
 ///
 /// Every frame draws its analog noise from an independent stream derived
@@ -53,9 +45,15 @@ pub struct PhotonicExecutor {
     workers: usize,
 }
 
+/// Largest intra-session worker count. Every conv and linear layer starts
+/// one scoped thread per worker (up to its output count), so the bound keeps
+/// a frame from asking the host for more threads than it can start;
+/// nothing in this workspace uses more than 8.
+pub const MAX_WORKERS: usize = 256;
+
 /// The default intra-session worker count: the value of the
-/// `LIGHTATOR_DEFAULT_WORKERS` environment variable when it is a positive
-/// integer, otherwise 1 (sequential execution).
+/// `LIGHTATOR_DEFAULT_WORKERS` environment variable when it is an integer
+/// from 1 to [`MAX_WORKERS`], otherwise 1 (sequential execution).
 ///
 /// Worker tiling is bit-exact — the counter-based noise streams key every
 /// draw by `(seed, frame, channel, element)`, not by evaluation order — so
@@ -66,7 +64,7 @@ pub fn default_workers() -> usize {
     std::env::var("LIGHTATOR_DEFAULT_WORKERS")
         .ok()
         .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&workers| workers >= 1)
+        .filter(|workers| (1..=MAX_WORKERS).contains(workers))
         .unwrap_or(1)
 }
 
@@ -190,9 +188,9 @@ impl PhotonicExecutor {
 
     /// Sets the intra-session worker count. Tiling is bit-exact for any
     /// worker count (draws are keyed, not streamed), so this knob trades
-    /// wall-clock time only. Zero is clamped to 1.
+    /// wall-clock time only. The count is clamped to `1..=`[`MAX_WORKERS`].
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.workers = workers.clamp(1, MAX_WORKERS);
     }
 
     /// The precision schedule in use.
@@ -560,7 +558,6 @@ mod tests {
             "photonic {} vs digital {digital}",
             result.photonic
         );
-        assert!(result.analog_degradation().abs() <= 1.0);
     }
 
     #[test]

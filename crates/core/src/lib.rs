@@ -4,8 +4,9 @@
 //! This crate implements the paper's primary contribution on top of the
 //! photonic, sensor and DNN substrates:
 //!
-//! * [`config`] — optical-core geometry (96 banks × 6 arms × 9 MRs) and
-//!   platform parameters;
+//! * [`config`] — optical-core geometry (96 banks × 6 arms × 9 MRs), the
+//!   analog noise setting, and the paper's periphery counts and timing
+//!   constants;
 //! * [`oc`] — MVM banks, the summation tree and the photonic MAC unit;
 //! * [`mapping`] — the §4 hardware-mapping methodology (3×3/5×5/7×7 kernels,
 //!   FC segmentation, CA banks);
@@ -29,8 +30,6 @@
 //! * [`stream`] — the frame-delta compressive streaming path: per-block
 //!   temporal gating on the DMVA feedback model, [`StreamReport`]
 //!   aggregation and the dense-baseline speedup accounting;
-//! * [`textcfg`] — dependency-free text round-trips for
-//!   [`platform::PlatformConfig`];
 //! * [`trace`] — per-stage trace attribution: pure derivation of
 //!   acquire/CA/weight-encode/MAC-rows/readout [`StageSpan`]s from a
 //!   [`SimulationReport`], feeding `lightator-telemetry` sinks without
@@ -70,7 +69,6 @@ pub mod plan;
 pub mod platform;
 pub mod sim;
 pub mod stream;
-pub mod textcfg;
 pub mod trace;
 
 pub use backend::{Backend, BackendId, LoweredPlan, PhotonicBackend};

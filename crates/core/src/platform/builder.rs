@@ -2,15 +2,17 @@
 //! [`PlatformBuilder`] and the validated [`Platform`] front door.
 //!
 //! A [`Platform`] is immutable once built: [`PlatformBuilder::build`]
-//! validates the whole configuration exactly once (geometry, periphery,
-//! sensor, CA divisibility) so that opening sessions and compiling plans
-//! can assume a consistent device. The builder ships the paper's presets
-//! and chainable setters for every knob a deployment tunes.
+//! validates the whole configuration exactly once (geometry, noise,
+//! workers, sensor, CA divisibility) so that opening sessions and compiling
+//! plans can assume a consistent device. The builder starts from the
+//! paper's platform and has a chainable setter for every setting a caller
+//! varies.
 
 use crate::backend::{Backend, BackendId, PhotonicBackend};
 use crate::ca::CaConfig;
 use crate::config::{LightatorConfig, OcGeometry};
 use crate::error::{CoreError, Result};
+use crate::exec::MAX_WORKERS;
 use crate::platform::session::Session;
 use crate::platform::workload::Workload;
 use crate::sim::{ArchitectureSimulator, SimulationReport};
@@ -26,14 +28,13 @@ use std::sync::Arc;
 /// 256×256; the bound keeps every per-frame shape product exact.
 pub const MAX_SENSOR_AXIS: usize = 4096;
 
-/// Complete, serialisable description of one Lightator platform: hardware,
-/// sensor, acquisition mode, precision schedule and the analog noise seed.
+/// Complete description of one Lightator platform: hardware, sensor,
+/// acquisition mode, precision schedule and the analog noise seed.
 ///
-/// Build values through [`PlatformBuilder`]; round-trip them through
-/// [`PlatformConfig::to_text`] / [`PlatformConfig::from_text`].
+/// Build values through [`PlatformBuilder`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformConfig {
-    /// Optical core, periphery, power, noise and timing parameters.
+    /// Optical-core geometry and analog noise.
     pub hardware: LightatorConfig,
     /// The ADC-less sensor design in front of the optical core.
     pub sensor: SensorArrayConfig,
@@ -44,9 +45,10 @@ pub struct PlatformConfig {
     /// Seed of the analog-noise stream (deterministic runs for a fixed seed).
     pub seed: u64,
     /// Worker threads each session tiles its MAC loops across
-    /// (1 = sequential). Tiling is bit-exact for any worker count — noise
-    /// draws are keyed by `(seed, frame, channel, element)`, not by
-    /// evaluation order — so this knob trades wall-clock time only.
+    /// (1 = sequential, at most [`MAX_WORKERS`]). Tiling is bit-exact for
+    /// any worker count — noise draws are keyed by
+    /// `(seed, frame, channel, element)`, not by evaluation order — so this
+    /// knob trades wall-clock time only.
     pub workers: usize,
 }
 
@@ -155,9 +157,9 @@ impl PlatformBuilder {
 
     /// Sets the number of worker threads each session tiles its MAC loops
     /// across (1 = sequential, the default unless the
-    /// `LIGHTATOR_DEFAULT_WORKERS` environment variable overrides it).
-    /// Tiling is bit-exact for any worker count, so this knob trades
-    /// wall-clock time only, never results.
+    /// `LIGHTATOR_DEFAULT_WORKERS` environment variable overrides it; at
+    /// most [`MAX_WORKERS`]). Tiling is bit-exact for any worker count, so
+    /// this knob trades wall-clock time only, never results.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
@@ -181,11 +183,12 @@ impl PlatformBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] describing the violated
-    /// constraint: invalid optical-core geometry, periphery, timing or
-    /// device figures (see [`LightatorConfig::validate`]), a sensor axis of
-    /// zero or above [`MAX_SENSOR_AXIS`] photosites, a CA window that does
-    /// not divide the sensor resolution, a degenerate CA configuration, or
-    /// a schedule with fewer than 2 weight bits on some layer.
+    /// constraint: an invalid optical-core geometry (see
+    /// [`OcGeometry::validate`]), a negative or non-finite noise sigma, a
+    /// worker count of zero or above [`MAX_WORKERS`], a sensor axis of zero
+    /// or above [`MAX_SENSOR_AXIS`] photosites, a CA window that does not
+    /// divide the sensor resolution, a degenerate CA configuration, or a
+    /// schedule with fewer than 2 weight bits on some layer.
     pub fn build(self) -> Result<Platform> {
         let Self { config, backends } = self;
         config.hardware.validate()?;
@@ -221,12 +224,15 @@ impl PlatformBuilder {
                 ),
             ));
         }
-        if config.workers == 0 {
+        if !(1..=MAX_WORKERS).contains(&config.workers) {
             return Err(CoreError::invalid_config(
                 "workers",
-                0.0,
-                "sessions need at least one execution worker (1 = sequential; \
-                 larger counts tile the MAC loops bit-exactly)",
+                config.workers as f64,
+                format!(
+                    "sessions need between 1 and {MAX_WORKERS} execution workers \
+                     (1 = sequential; larger counts tile the MAC loops \
+                     bit-exactly, one scoped thread each)"
+                ),
             ));
         }
         let (height, width) = (config.sensor.height, config.sensor.width);
@@ -290,20 +296,6 @@ impl Platform {
     /// [`PlatformBuilder::build`].
     pub fn paper() -> Result<Self> {
         PlatformBuilder::paper().build()
-    }
-
-    /// Builds a platform from a previously validated configuration (e.g. one
-    /// loaded through [`PlatformConfig::from_text`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlatformBuilder::build`].
-    pub fn from_config(config: PlatformConfig) -> Result<Self> {
-        PlatformBuilder {
-            config,
-            backends: Vec::new(),
-        }
-        .build()
     }
 
     /// The validated configuration.
@@ -424,6 +416,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{ImageKernel, Workload};
 
     #[test]
     fn builder_rejects_indivisible_ca_window() {
@@ -523,11 +516,202 @@ mod tests {
         assert_eq!(platform.config().workers, 8);
     }
 
+    #[test]
+    fn builder_rejects_worker_counts_above_the_bound() {
+        // Each worker is a scoped thread per layer, so an unbounded count
+        // used to build and then panic on the first frame. No frame runs
+        // here: the build alone must fail.
+        for workers in [MAX_WORKERS + 1, 4097, usize::MAX] {
+            let err = Platform::builder()
+                .workers(workers)
+                .build()
+                .expect_err("workers above the bound must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        name: "workers",
+                        ..
+                    }
+                ),
+                "{workers} workers: {err}"
+            );
+        }
+        let platform = Platform::builder()
+            .workers(MAX_WORKERS)
+            .build()
+            .expect("the bound itself builds");
+        assert_eq!(platform.config().workers, MAX_WORKERS);
+    }
+
+    /// Each case used to panic on overflow while building or opening a
+    /// session.
+    #[test]
+    fn extreme_platform_inputs_fail_the_build_with_typed_errors() {
+        let paper = OcGeometry::paper();
+        for (case, builder) in [
+            (
+                "bank_columns = usize::MAX, bank_rows = 2",
+                Platform::builder().geometry(OcGeometry {
+                    bank_columns: usize::MAX,
+                    bank_rows: 2,
+                    ..paper
+                }),
+            ),
+            (
+                "mrs_per_arm = usize::MAX",
+                Platform::builder().geometry(OcGeometry {
+                    mrs_per_arm: usize::MAX,
+                    ..paper
+                }),
+            ),
+            (
+                "arms_per_bank = usize::MAX",
+                Platform::builder().geometry(OcGeometry {
+                    arms_per_bank: usize::MAX,
+                    ..paper
+                }),
+            ),
+            (
+                "sensor 2^32 x 2^32",
+                Platform::builder().sensor_resolution(1 << 32, 1 << 32),
+            ),
+        ] {
+            assert!(
+                matches!(builder.build(), Err(CoreError::InvalidConfig { .. })),
+                "`{case}` must fail the build with InvalidConfig"
+            );
+        }
+    }
+
+    /// Values tried against every numeric setting: small counts, one past
+    /// each bound, `2^32`, `u64::MAX` and one beyond it, a negative, NaN,
+    /// infinities and the float extremes. A setting takes the values its
+    /// type holds.
+    const EXTREMES: [&str; 15] = [
+        "0",
+        "1",
+        "3",
+        "4097",
+        "16385",
+        "1048577",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e308",
+        "1e-308",
+    ];
+
+    /// How a sweep row writes its value into the configuration.
+    enum Set {
+        Count(fn(&mut PlatformConfig, usize)),
+        Real(fn(&mut PlatformConfig, f64)),
+    }
+
+    /// Every numeric setting of [`PlatformConfig`]. A CA window set on a
+    /// platform without CA stays unused.
+    const NUMERIC_SETTINGS: [(&str, Set); 12] = [
+        (
+            "geometry.mrs_per_arm",
+            Set::Count(|c, v| c.hardware.geometry.mrs_per_arm = v),
+        ),
+        (
+            "geometry.arms_per_bank",
+            Set::Count(|c, v| c.hardware.geometry.arms_per_bank = v),
+        ),
+        (
+            "geometry.bank_columns",
+            Set::Count(|c, v| c.hardware.geometry.bank_columns = v),
+        ),
+        (
+            "geometry.bank_rows",
+            Set::Count(|c, v| c.hardware.geometry.bank_rows = v),
+        ),
+        (
+            "geometry.ca_banks",
+            Set::Count(|c, v| c.hardware.geometry.ca_banks = v),
+        ),
+        ("sensor.height", Set::Count(|c, v| c.sensor.height = v)),
+        ("sensor.width", Set::Count(|c, v| c.sensor.width = v)),
+        (
+            "ca.pooling_window",
+            Set::Count(|c, v| {
+                if let Some(ca) = &mut c.ca {
+                    ca.pooling_window = v;
+                }
+            }),
+        ),
+        (
+            "noise.vcsel_relative_sigma",
+            Set::Real(|c, v| c.hardware.noise.vcsel_relative_sigma = v),
+        ),
+        (
+            "noise.detector_relative_sigma",
+            Set::Real(|c, v| c.hardware.noise.detector_relative_sigma = v),
+        ),
+        (
+            "noise.weight_sigma",
+            Set::Real(|c, v| c.hardware.noise.weight_sigma = v),
+        ),
+        ("workers", Set::Count(|c, v| c.workers = v)),
+    ];
+
+    /// Every numeric setting takes every extreme value on four base
+    /// platforms. Each platform builds or fails with `InvalidConfig`, and a
+    /// platform that builds opens its sessions without a panic. No frame
+    /// runs, so no extreme worker count ever starts a thread.
+    #[test]
+    fn every_setting_takes_extreme_values_without_a_panic() {
+        let bases = [
+            Platform::builder(),
+            Platform::builder().without_compressive_acquisition(),
+            Platform::builder().sensor_resolution(4096, 4096),
+            Platform::builder().geometry(OcGeometry {
+                bank_columns: 4096,
+                bank_rows: 4096,
+                arms_per_bank: 1,
+                mrs_per_arm: 1,
+                ..OcGeometry::paper()
+            }),
+        ];
+        for base in &bases {
+            for (name, set) in NUMERIC_SETTINGS {
+                for value in EXTREMES {
+                    let mut builder = base.clone();
+                    match set {
+                        Set::Count(set) => match value.parse() {
+                            Ok(value) => set(&mut builder.config, value),
+                            Err(_) => continue,
+                        },
+                        Set::Real(set) => match value.parse() {
+                            Ok(value) => set(&mut builder.config, value),
+                            Err(_) => continue,
+                        },
+                    }
+                    let platform = match builder.build() {
+                        Ok(platform) => platform,
+                        Err(CoreError::InvalidConfig { .. }) => continue,
+                        Err(err) => {
+                            panic!("{name} = {value}: failed with {err:?}, not InvalidConfig")
+                        }
+                    };
+                    let _ = platform.session(Workload::Acquire);
+                    let _ = platform.session(Workload::ImageKernel {
+                        kernel: ImageKernel::SobelX,
+                    });
+                }
+            }
+        }
+    }
+
     /// Regression: a 1-bit weight precision built, then every frame failed
     /// with a NaN weight (`quantize_symmetric` divides by `q_max = 0`).
     #[test]
     fn builder_rejects_one_bit_weight_precisions() {
-        use crate::platform::{ImageKernel, Workload};
         use lightator_sensor::frame::RgbFrame;
         let one_bit: Precision = "[1:4]".parse().expect("a valid label");
         for schedule in [
@@ -557,9 +741,6 @@ mod tests {
                 schedule.label()
             );
         }
-        // A text config fails at load.
-        let config = PlatformConfig::from_text("schedule = [1:4]").expect("parses");
-        assert!(Platform::from_config(config).is_err());
         // Two bits still build and run.
         let mut session = Platform::builder()
             .sensor_resolution(16, 16)

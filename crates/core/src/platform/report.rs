@@ -116,14 +116,6 @@ impl Report {
         self.perf.kfps_per_watt()
     }
 
-    /// The frame decomposed into attributed stages (acquire/CA,
-    /// weight-encode, MAC rows, readout); stage latencies and energies sum
-    /// exactly to [`latency`](Report::latency) and [`energy`](Report::energy).
-    #[must_use]
-    pub fn stage_spans(&self) -> Vec<crate::trace::StageSpan> {
-        crate::trace::frame_stages(&self.perf)
-    }
-
     /// The frame's stage rollup on track `session:<workload>`, ready to
     /// merge into a wider [`StageBreakdown`](lightator_telemetry::StageBreakdown).
     #[must_use]

@@ -196,12 +196,6 @@ impl Session {
         &self.perf
     }
 
-    /// Whether the acquisition path compresses frames through the CA banks.
-    #[must_use]
-    pub fn uses_compressive_acquisition(&self) -> bool {
-        self.lowered.plan().ca().is_some()
-    }
-
     /// Acquires a scene into the tensor fed to the optical core: the fused
     /// CA weighted sum when CA is enabled, the normalised 4-bit readout
     /// otherwise.
@@ -903,7 +897,6 @@ mod tests {
         let scene = RgbFrame::filled(8, 8, [0.4, 0.6, 0.2]).expect("ok");
         let tensor = session.acquire(&scene).expect("ok");
         assert_eq!(tensor.shape(), &[1, 4, 4]);
-        assert!(session.uses_compressive_acquisition());
     }
 
     #[test]

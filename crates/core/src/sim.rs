@@ -6,12 +6,13 @@
 //! platform-level figures of merit (frames per second, KFPS/W). This module
 //! is that simulator.
 
-use crate::config::LightatorConfig;
+use crate::config::{LightatorConfig, TimingConfig};
 use crate::energy::{ComponentPower, EnergyModel};
 use crate::error::Result;
 use crate::mapping::{HardwareMapper, LayerMapping};
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::spec::{LayerSpec, NetworkSpec};
+use lightator_photonics::power::DevicePowerTable;
 use lightator_photonics::units::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
 
@@ -140,17 +141,11 @@ impl ArchitectureSimulator {
         &self.config
     }
 
-    /// The energy model in use.
-    #[must_use]
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// Phase timing of one optically mapped layer.
     fn layer_phases(&self, layer: &LayerSpec, mapping: &LayerMapping) -> LayerPhases {
-        let timing = &self.config.timing;
-        let optical_cycle = self.config.power.optical_cycle();
-        let electronic_cycle = self.config.power.electronic_cycle();
+        let timing = &TimingConfig::PAPER;
+        let optical_cycle = DevicePowerTable::PAPER.optical_cycle();
+        let electronic_cycle = DevicePowerTable::PAPER.electronic_cycle();
 
         let compute =
             optical_cycle * (mapping.compute_cycles * timing.optical_cycles_per_wave) as f64;
@@ -172,14 +167,14 @@ impl ArchitectureSimulator {
     /// Phase timing of a layer that stays in the electronic periphery (max
     /// pool): everything is post-processing.
     fn electronic_layer_phases(&self, layer: &LayerSpec) -> LayerPhases {
-        let electronic_cycle = self.config.power.electronic_cycle();
+        let electronic_cycle = DevicePowerTable::PAPER.electronic_cycle();
         let outputs = layer.output_elements();
         LayerPhases {
             weight_encode: Time::zero(),
             mac: Time::zero(),
             readout: electronic_cycle
                 * (outputs.div_ceil(1024)
-                    * self.config.timing.electronic_post_cycles_per_kilo_output
+                    * TimingConfig::PAPER.electronic_post_cycles_per_kilo_output
                     * 2) as f64,
         }
     }
@@ -187,7 +182,7 @@ impl ArchitectureSimulator {
     /// Power of an electronically executed layer: controller + buffers only.
     fn electronic_layer_power(&self) -> ComponentPower {
         ComponentPower {
-            misc: Power::from_mw(self.config.power.controller_power_mw),
+            misc: Power::from_mw(DevicePowerTable::PAPER.controller_power_mw),
             ..ComponentPower::default()
         }
     }
@@ -539,7 +534,7 @@ mod tests {
         let sim = simulator();
         let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
         let report = sim.simulate(&NetworkSpec::vgg16(), schedule).expect("ok");
-        let peak = sim.energy_model().max_power(Precision::w4a4()).total();
+        let peak = sim.energy.max_power(Precision::w4a4()).total();
         assert!(report.max_power.watts() <= peak.watts() + 1e-9);
     }
 

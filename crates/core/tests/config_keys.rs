@@ -1,26 +1,34 @@
-//! The key table: every key of the platform text format moves a number.
+//! The settings table: every platform setting moves a number.
 //!
-//! One row per key that [`PlatformConfig::to_text`] writes for a 16×16,
-//! 1-worker paper platform. Each row gives the key's perturbed value and
-//! the observable that perturbation must move, bit for bit:
+//! One row per value of [`PlatformConfig`] a caller sets, perturbed through
+//! a [`PlatformBuilder`] setter on a 16×16, 1-worker paper platform. Each
+//! row names the observable that perturbation must move, bit for bit:
 //!
 //! * **perf**: LeNet's simulated latency, energy and max power
 //!   ([`Platform::simulate`]), plus the Acquire session's simulated energy;
 //! * **acquire**: the acquired tensor of a fixed RGB scene;
 //! * **output**: a noisy Sobel-X output frame of the same scene.
 //!
-//! A key that moves none of them is untrusted input to validate and fuzz
-//! that changes no result. The table also has to cover exactly the keys
-//! `to_text` writes, so a new key without a reader fails here, as a moved
-//! headline number fails the claims ledger. `workers` is the one row that
-//! must move nothing: tiling is bit-exact.
+//! A setting that moves none of them is input to validate that changes no
+//! result, so it is deleted or made a constant. [`settings`] destructures
+//! [`PlatformConfig`] with no `..` at any level, so a new field does not
+//! compile until it is named there, and the table must then give it a row,
+//! as a moved headline number fails the claims ledger. `workers` is the one
+//! row that must move nothing: tiling is bit-exact.
 
-use lightator_core::platform::{ImageKernel, Outcome, Platform, PlatformConfig, Workload};
+use lightator_core::ca::CaConfig;
+use lightator_core::config::{LightatorConfig, OcGeometry};
+use lightator_core::platform::{
+    ImageKernel, Outcome, Platform, PlatformBuilder, PlatformConfig, Workload,
+};
 use lightator_core::CoreError;
+use lightator_nn::quant::{Precision, PrecisionSchedule};
 use lightator_nn::spec::NetworkSpec;
+use lightator_photonics::noise::NoiseConfig;
+use lightator_sensor::array::SensorArrayConfig;
 use lightator_sensor::frame::RgbFrame;
 
-/// What perturbing a key must move.
+/// What perturbing a setting must move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Moves {
     /// LeNet's latency, energy or max power, or the Acquire session's
@@ -36,48 +44,174 @@ enum Moves {
 
 use Moves::{Acquire, Nothing, Output, Perf};
 
-/// `(key, perturbed value, what it must move)`. Integers get +1, other
-/// numbers ×1.5 and booleans flip; the schedule goes from `[4:4]` to
-/// `[3:4]`, the sensor from 16 to 32, the CA window from 2 to 4 and
-/// `workers` from 1 to 2.
-const KEYS: &[(&str, &str, Moves)] = &[
-    ("geometry.mrs_per_arm", "10", Perf),
-    ("geometry.arms_per_bank", "7", Perf),
-    ("geometry.bank_columns", "9", Perf),
-    ("geometry.bank_rows", "13", Perf),
-    ("geometry.ca_banks", "9", Perf),
-    ("periphery.dacs_per_arm", "2", Perf),
-    ("periphery.adcs_per_bank", "2", Perf),
-    ("periphery.vcsels_per_arm", "10", Perf),
-    ("periphery.crc_units", "257", Perf),
-    ("periphery.weight_sram_kib", "257", Perf),
-    ("periphery.activation_sram_kib", "129", Perf),
-    ("power.dac_power_mw", "11.85", Perf),
-    ("power.adc_power_mw", "3.9", Perf),
-    ("power.mr_tuning_power_mw", "0.09", Perf),
-    ("power.crc_comparator_power_uw", "11.25", Perf),
-    ("power.vcsel_power_mw", "0.075", Perf),
-    ("power.bpd_power_mw", "0.18", Perf),
-    ("power.controller_power_mw", "27", Perf),
-    ("power.sram_leakage_per_kib_uw", "2.4", Perf),
-    ("power.optical_cycle_ns", "0.3", Perf),
-    ("power.electronic_cycle_ns", "1.5", Perf),
-    ("noise.vcsel_relative_sigma", "0.006", Output),
-    ("noise.detector_relative_sigma", "0.0045", Output),
-    ("noise.weight_sigma", "0.006", Output),
-    ("noise.apply_crosstalk", "false", Output),
-    ("timing.weight_reload_cycles_per_bank", "55", Perf),
-    ("timing.electronic_post_cycles_per_kilo_output", "65", Perf),
-    ("timing.optical_cycles_per_wave", "2", Perf),
-    ("sensor.height", "32", Acquire),
-    ("sensor.width", "32", Acquire),
-    ("ca.enabled", "false", Acquire),
-    ("ca.pooling_window", "4", Acquire),
-    ("ca.rgb_to_grayscale", "false", Acquire),
-    ("schedule", "[3:4]", Perf),
-    ("seed", "8", Output),
-    ("workers", "2", Nothing),
+/// `(setting, perturbation, what it must move)`. Counts get +1, sigmas
+/// ×1.5 and booleans flip; the schedule goes from `[4:4]` to `[3:4]`, one
+/// sensor axis from 16 to 32, the CA window from 2 to 4 and `workers` from
+/// 1 to 2.
+type Row = (&'static str, fn(PlatformBuilder) -> PlatformBuilder, Moves);
+
+const ROWS: &[Row] = &[
+    (
+        "geometry.mrs_per_arm",
+        |b| b.geometry(geometry(|g| g.mrs_per_arm = 10)),
+        Perf,
+    ),
+    (
+        "geometry.arms_per_bank",
+        |b| b.geometry(geometry(|g| g.arms_per_bank = 7)),
+        Perf,
+    ),
+    (
+        "geometry.bank_columns",
+        |b| b.geometry(geometry(|g| g.bank_columns = 9)),
+        Perf,
+    ),
+    (
+        "geometry.bank_rows",
+        |b| b.geometry(geometry(|g| g.bank_rows = 13)),
+        Perf,
+    ),
+    (
+        "geometry.ca_banks",
+        |b| b.geometry(geometry(|g| g.ca_banks = 9)),
+        Perf,
+    ),
+    (
+        "noise.vcsel_relative_sigma",
+        |b| b.noise(noise(|n| n.vcsel_relative_sigma = 0.006)),
+        Output,
+    ),
+    (
+        "noise.detector_relative_sigma",
+        |b| b.noise(noise(|n| n.detector_relative_sigma = 0.0045)),
+        Output,
+    ),
+    (
+        "noise.weight_sigma",
+        |b| b.noise(noise(|n| n.weight_sigma = 0.006)),
+        Output,
+    ),
+    (
+        "noise.apply_crosstalk",
+        |b| b.noise(noise(|n| n.apply_crosstalk = false)),
+        Output,
+    ),
+    ("sensor.height", |b| b.sensor_resolution(32, 16), Acquire),
+    ("sensor.width", |b| b.sensor_resolution(16, 32), Acquire),
+    (
+        "ca.enabled",
+        PlatformBuilder::without_compressive_acquisition,
+        Acquire,
+    ),
+    (
+        "ca.pooling_window",
+        |b| {
+            b.compressive_acquisition(CaConfig {
+                pooling_window: 4,
+                ..CaConfig::default()
+            })
+        },
+        Acquire,
+    ),
+    (
+        "ca.rgb_to_grayscale",
+        |b| {
+            b.compressive_acquisition(CaConfig {
+                rgb_to_grayscale: false,
+                ..CaConfig::default()
+            })
+        },
+        Acquire,
+    ),
+    (
+        "schedule",
+        |b| b.precision(PrecisionSchedule::Uniform(Precision::w3a4())),
+        Perf,
+    ),
+    ("seed", |b| b.seed(8), Output),
+    ("workers", |b| b.workers(2), Nothing),
 ];
+
+/// The paper geometry with one field changed.
+fn geometry(change: fn(&mut OcGeometry)) -> OcGeometry {
+    let mut geometry = OcGeometry::paper();
+    change(&mut geometry);
+    geometry
+}
+
+/// The default noise with one field changed.
+fn noise(change: fn(&mut NoiseConfig)) -> NoiseConfig {
+    let mut noise = NoiseConfig::default();
+    change(&mut noise);
+    noise
+}
+
+fn base() -> PlatformBuilder {
+    Platform::builder().sensor_resolution(16, 16).workers(1)
+}
+
+/// Every setting of `config`, by name, with its value as text. The pattern
+/// names every field at every level, so a field added to the configuration
+/// does not compile until it is named here.
+fn settings(config: &PlatformConfig) -> Vec<(&'static str, String)> {
+    let PlatformConfig {
+        hardware:
+            LightatorConfig {
+                geometry:
+                    OcGeometry {
+                        mrs_per_arm,
+                        arms_per_bank,
+                        bank_columns,
+                        bank_rows,
+                        ca_banks,
+                    },
+                noise:
+                    NoiseConfig {
+                        vcsel_relative_sigma,
+                        detector_relative_sigma,
+                        weight_sigma,
+                        apply_crosstalk,
+                    },
+            },
+        sensor: SensorArrayConfig { height, width },
+        ca,
+        schedule,
+        seed,
+        workers,
+    } = config;
+    let (pooling_window, rgb_to_grayscale) = match ca {
+        Some(CaConfig {
+            pooling_window,
+            rgb_to_grayscale,
+        }) => (Some(pooling_window), Some(rgb_to_grayscale)),
+        None => (None, None),
+    };
+    vec![
+        ("geometry.mrs_per_arm", mrs_per_arm.to_string()),
+        ("geometry.arms_per_bank", arms_per_bank.to_string()),
+        ("geometry.bank_columns", bank_columns.to_string()),
+        ("geometry.bank_rows", bank_rows.to_string()),
+        ("geometry.ca_banks", ca_banks.to_string()),
+        (
+            "noise.vcsel_relative_sigma",
+            format!("{vcsel_relative_sigma:?}"),
+        ),
+        (
+            "noise.detector_relative_sigma",
+            format!("{detector_relative_sigma:?}"),
+        ),
+        ("noise.weight_sigma", format!("{weight_sigma:?}")),
+        ("noise.apply_crosstalk", apply_crosstalk.to_string()),
+        ("sensor.height", height.to_string()),
+        ("sensor.width", width.to_string()),
+        ("ca.enabled", ca.is_some().to_string()),
+        ("ca.pooling_window", format!("{pooling_window:?}")),
+        ("ca.rgb_to_grayscale", format!("{rgb_to_grayscale:?}")),
+        ("schedule", schedule.label()),
+        ("seed", seed.to_string()),
+        ("workers", workers.to_string()),
+    ]
+}
 
 /// The three observables, each as raw bits.
 #[derive(Debug, PartialEq)]
@@ -85,16 +219,6 @@ struct Observables {
     perf: Vec<u64>,
     acquire: (Vec<usize>, Vec<u32>),
     output: (Vec<usize>, Vec<u32>),
-}
-
-fn base() -> PlatformConfig {
-    Platform::builder()
-        .sensor_resolution(16, 16)
-        .workers(1)
-        .build()
-        .expect("base platform")
-        .config()
-        .clone()
 }
 
 /// A fixed scene in `[0, 1]` that fills every channel differently.
@@ -114,8 +238,9 @@ fn frame_bits(outcome: Outcome) -> (Vec<usize>, Vec<u32>) {
     }
 }
 
-fn observe(config: PlatformConfig) -> Result<Observables, CoreError> {
-    let platform = Platform::from_config(config)?;
+/// Builds the platform and reads its configuration and observables.
+fn observe(builder: PlatformBuilder) -> Result<(PlatformConfig, Observables), CoreError> {
+    let platform = builder.build()?;
     let lenet = platform.simulate(&NetworkSpec::lenet())?;
     let mut acquire = platform.session(Workload::Acquire)?;
     let mut kernel = platform.session(Workload::ImageKernel {
@@ -129,58 +254,63 @@ fn observe(config: PlatformConfig) -> Result<Observables, CoreError> {
     ];
     let sensor = &platform.config().sensor;
     let scene = scene(sensor.height, sensor.width);
-    Ok(Observables {
+    let observed = Observables {
         perf,
         acquire: frame_bits(acquire.run(&scene)?.outcome),
         output: frame_bits(kernel.run(&scene)?.outcome),
-    })
+    };
+    Ok((platform.config().clone(), observed))
 }
 
 #[test]
-fn the_table_covers_exactly_the_keys_to_text_writes() {
-    let text = base().to_text();
-    let written: Vec<&str> = text
-        .lines()
-        .filter_map(|line| Some(line.split_once(" = ")?.0))
-        .collect();
-    let missing: Vec<&str> = written
+fn the_table_covers_every_setting() {
+    let config = base().build().expect("base platform").config().clone();
+    let named: Vec<&str> = settings(&config).iter().map(|(name, _)| *name).collect();
+    let missing: Vec<&str> = named
         .iter()
         .copied()
-        .filter(|key| !KEYS.iter().any(|(row, _, _)| row == key))
+        .filter(|name| !ROWS.iter().any(|(row, _, _)| row == name))
         .collect();
-    let extra: Vec<&str> = KEYS
+    let extra: Vec<&str> = ROWS
         .iter()
-        .map(|(key, _, _)| *key)
-        .filter(|key| !written.contains(key))
+        .map(|(name, _, _)| *name)
+        .filter(|name| !named.contains(name))
         .collect();
     assert!(
         missing.is_empty() && extra.is_empty(),
-        "keys written without a row (give each a reader and a row, or delete it): \
-         {missing:?}; rows for keys not written: {extra:?}"
+        "settings without a row (give each a reader and a row, or make it a \
+         constant): {missing:?}; rows for no setting: {extra:?}"
     );
-    assert_eq!(written.len(), KEYS.len(), "a key is written twice");
+    assert_eq!(named.len(), ROWS.len(), "a setting has two rows");
 }
 
 #[test]
-fn every_key_moves_the_observable_of_its_row() {
-    let base = base();
-    let text = base.to_text();
-    let reference = observe(base.clone()).expect("base observables");
+fn every_setting_moves_the_observable_of_its_row() {
+    let (base_config, reference) = observe(base()).expect("base observables");
+    let base_settings = settings(&base_config);
+    let group = |name: &str| name.split('.').next().unwrap_or(name).to_string();
     let mut failures = Vec::new();
-    for &(key, value, moves) in KEYS {
-        let config = PlatformConfig::from_text(&format!("{text}{key} = {value}\n"))
-            .unwrap_or_else(|e| panic!("`{key} = {value}` must parse: {e}"));
-        if config == base {
-            failures.push(format!("{key} = {value}: equals the base value"));
-            continue;
-        }
-        let perturbed = match observe(config) {
+    for &(setting, perturb, moves) in ROWS {
+        let (config, perturbed) = match observe(perturb(base())) {
             Ok(observed) => observed,
             Err(err) => {
-                failures.push(format!("{key} = {value}: does not build: {err}"));
+                failures.push(format!("{setting}: does not build: {err}"));
                 continue;
             }
         };
+        // The perturbation changes its own setting, and nothing outside
+        // its group (disabling CA also clears the window and the colour
+        // switch).
+        let changed: Vec<&str> = settings(&config)
+            .iter()
+            .zip(&base_settings)
+            .filter(|((_, value), (_, base))| value != base)
+            .map(|((name, _), _)| *name)
+            .collect();
+        if !changed.contains(&setting) || changed.iter().any(|c| group(c) != group(setting)) {
+            failures.push(format!("{setting}: the perturbation changed {changed:?}"));
+            continue;
+        }
         let moved: Vec<Moves> = [
             (Perf, perturbed.perf != reference.perf),
             (Acquire, perturbed.acquire != reference.acquire),
@@ -194,16 +324,14 @@ fn every_key_moves_the_observable_of_its_row() {
             _ => moved.contains(&moves),
         };
         if !ok {
-            failures.push(format!(
-                "{key} = {value}: must move {moves:?}, moved {moved:?}"
-            ));
+            failures.push(format!("{setting}: must move {moves:?}, moved {moved:?}"));
         }
     }
     assert!(
         failures.is_empty(),
         "{} of {} rows failed:\n{}",
         failures.len(),
-        KEYS.len(),
+        ROWS.len(),
         failures.join("\n")
     );
 }

@@ -3,10 +3,11 @@
 //! The paper evaluates on MNIST, CIFAR-10 and CIFAR-100. Those image files
 //! are not available in this environment, so the reproduction substitutes
 //! procedurally generated datasets with the same tensor shapes and class
-//! counts (see DESIGN.md §5). Each class is defined by a deterministic
-//! prototype pattern (an oriented sinusoidal grating plus a class-specific
-//! blob); samples are noisy, slightly shifted instances of their class
-//! prototype. The resulting classification task is learnable by the same
+//! counts: [`SyntheticConfig::mnist_like`] and
+//! [`SyntheticConfig::cifar10_like`] (see DESIGN.md §5). Each class is
+//! defined by a deterministic prototype pattern (an oriented sinusoidal
+//! grating plus a class-specific blob); samples are noisy, slightly shifted
+//! instances of their class prototype. The resulting classification task is learnable by the same
 //! topologies the paper trains, and — crucially for the reproduction — its
 //! accuracy degrades with weight quantization and analog noise the same way
 //! a natural-image task does.
@@ -114,21 +115,6 @@ impl SyntheticConfig {
             width: 32,
             train_per_class: 30,
             test_per_class: 10,
-            noise: 0.08,
-            max_shift: 2,
-        }
-    }
-
-    /// CIFAR-100-like configuration: 100 classes of 3×32×32 images.
-    #[must_use]
-    pub fn cifar100_like() -> Self {
-        Self {
-            classes: 100,
-            channels: 3,
-            height: 32,
-            width: 32,
-            train_per_class: 8,
-            test_per_class: 3,
             noise: 0.08,
             max_shift: 2,
         }
@@ -280,34 +266,6 @@ fn generate_sample<R: Rng + ?Sized>(
     })
 }
 
-/// Generates the MNIST-like dataset used wherever the paper uses MNIST.
-///
-/// # Errors
-///
-/// Never fails for the built-in configuration.
-pub fn synthetic_mnist<R: Rng + ?Sized>(rng: &mut R) -> Result<Dataset> {
-    generate("synthetic-mnist", SyntheticConfig::mnist_like(), rng)
-}
-
-/// Generates the CIFAR-10-like dataset used wherever the paper uses CIFAR-10.
-///
-/// # Errors
-///
-/// Never fails for the built-in configuration.
-pub fn synthetic_cifar10<R: Rng + ?Sized>(rng: &mut R) -> Result<Dataset> {
-    generate("synthetic-cifar10", SyntheticConfig::cifar10_like(), rng)
-}
-
-/// Generates the CIFAR-100-like dataset used wherever the paper uses
-/// CIFAR-100.
-///
-/// # Errors
-///
-/// Never fails for the built-in configuration.
-pub fn synthetic_cifar100<R: Rng + ?Sized>(rng: &mut R) -> Result<Dataset> {
-    generate("synthetic-cifar100", SyntheticConfig::cifar100_like(), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,21 +342,5 @@ mod tests {
         let a = generate("a", config, &mut SmallRng::seed_from_u64(9)).expect("ok");
         let b = generate("b", config, &mut SmallRng::seed_from_u64(9)).expect("ok");
         assert_eq!(a.train()[0].input, b.train()[0].input);
-    }
-
-    #[test]
-    fn named_generators_match_paper_shapes() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        assert_eq!(
-            synthetic_mnist(&mut rng).expect("ok").input_shape(),
-            [1, 28, 28]
-        );
-        assert_eq!(
-            synthetic_cifar10(&mut rng).expect("ok").input_shape(),
-            [3, 32, 32]
-        );
-        let c100 = synthetic_cifar100(&mut rng).expect("ok");
-        assert_eq!(c100.input_shape(), [3, 32, 32]);
-        assert_eq!(c100.classes(), 100);
     }
 }

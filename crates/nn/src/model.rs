@@ -2,7 +2,6 @@
 
 use crate::error::{NnError, Result};
 use crate::layers::LayerNode;
-use crate::quant::{quantize_tensor_unsigned, Precision};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -136,51 +135,6 @@ impl Sequential {
         Ok(value)
     }
 
-    /// Forward pass that additionally quantizes the activations flowing out
-    /// of every weighted layer to `precision.activation_bits`, emulating the
-    /// finite VCSEL drive resolution of the accelerator.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sequential::forward`].
-    pub fn forward_with_activation_quant(
-        &mut self,
-        input: &Tensor,
-        precision: Precision,
-    ) -> Result<Tensor> {
-        if input.shape() != self.input_shape.as_slice() {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{:?}", self.input_shape),
-                actual: input.shape().to_vec(),
-            });
-        }
-        let mut value = input.clone();
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let weighted = layer.is_weighted();
-            value = layer.forward(&value)?;
-            // Quantize hidden activations; the final logits stay continuous
-            // so the classifier's argmax is unaffected by a global scale.
-            if weighted && i != last {
-                let (quantized, _) = quantize_tensor_unsigned(&value, precision.activation_bits);
-                // Negative pre-activations are preserved (the following
-                // activation layer decides what to do with them); only the
-                // positive range is quantized, matching the unsigned optical
-                // intensity encoding.
-                value = Tensor::from_vec(
-                    value
-                        .data()
-                        .iter()
-                        .zip(quantized.data())
-                        .map(|(&orig, &q)| if orig > 0.0 { q } else { orig })
-                        .collect(),
-                    value.shape(),
-                )?;
-            }
-        }
-        Ok(value)
-    }
-
     /// Backward pass; returns the gradient with respect to the model input.
     ///
     /// # Errors
@@ -276,29 +230,6 @@ mod tests {
         model.apply_gradients(0.05);
         let after = model.parameter_fingerprint();
         assert_ne!(before, after, "an SGD step must move the parameters");
-    }
-
-    #[test]
-    fn activation_quantized_forward_matches_shape() {
-        let mut model = tiny_cnn();
-        let x = Tensor::full(&[1, 8, 8], 0.5);
-        let exact = model.forward(&x).expect("ok");
-        let quantized = model
-            .forward_with_activation_quant(&x, Precision::w4a4())
-            .expect("ok");
-        assert_eq!(exact.shape(), quantized.shape());
-        // Quantizing hidden activations perturbs but does not destroy the
-        // output.
-        let diff: f32 = exact
-            .data()
-            .iter()
-            .zip(quantized.data())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(
-            diff < 1.0,
-            "activation quantization changed logits by {diff}"
-        );
     }
 
     impl Sequential {

@@ -72,18 +72,6 @@ impl Precision {
             activation_bits: 4,
         }
     }
-
-    /// Number of representable signed weight levels.
-    #[must_use]
-    pub fn weight_levels(&self) -> u32 {
-        1u32 << self.weight_bits
-    }
-
-    /// Number of representable unsigned activation levels.
-    #[must_use]
-    pub fn activation_levels(&self) -> u32 {
-        1u32 << self.activation_bits
-    }
 }
 
 impl fmt::Display for Precision {
@@ -235,14 +223,6 @@ pub fn quantize_tensor_symmetric(tensor: &Tensor, bits: u8) -> (Tensor, f32) {
     (quantized, scale)
 }
 
-/// Quantizes a tensor of non-negative activations with a per-tensor scale.
-#[must_use]
-pub fn quantize_tensor_unsigned(tensor: &Tensor, bits: u8) -> (Tensor, f32) {
-    let scale = tensor.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
-    let quantized = tensor.map(|x| quantize_unsigned(x.max(0.0), scale, bits));
-    (quantized, scale)
-}
-
 /// Quantizes the weights of every weighted layer of a model in place
 /// according to the schedule (post-training quantization). Returns the number
 /// of weighted layers touched.
@@ -285,8 +265,6 @@ mod tests {
         assert!(Precision::new(0, 4).is_err());
         assert!(Precision::new(4, 9).is_err());
         assert_eq!(Precision::w4a4().to_string(), "[4:4]");
-        assert_eq!(Precision::w3a4().weight_levels(), 8);
-        assert_eq!(Precision::w2a4().activation_levels(), 16);
     }
 
     #[test]

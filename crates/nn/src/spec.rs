@@ -174,18 +174,6 @@ impl LayerSpec {
         }
     }
 
-    /// Kernel size relevant for bank mapping: the convolution kernel, the
-    /// pooling window, or 0 for fully connected layers (which are segmented
-    /// into 9-MAC chunks regardless).
-    #[must_use]
-    pub fn kernel_size(&self) -> usize {
-        match self {
-            LayerSpec::Conv(c) => c.kernel,
-            LayerSpec::Pool(p) => p.window,
-            LayerSpec::Linear(_) => 0,
-        }
-    }
-
     /// Number of activation values produced by the layer.
     #[must_use]
     pub fn output_elements(&self) -> usize {
@@ -199,16 +187,6 @@ impl LayerSpec {
                 let [a, b, d] = p.output_shape();
                 a * b * d
             }
-        }
-    }
-
-    /// Number of activation values consumed by the layer.
-    #[must_use]
-    pub fn input_elements(&self) -> usize {
-        match self {
-            LayerSpec::Conv(c) => c.in_channels * c.in_height * c.in_width,
-            LayerSpec::Linear(l) => l.in_features,
-            LayerSpec::Pool(p) => p.channels * p.in_height * p.in_width,
         }
     }
 }
@@ -406,12 +384,6 @@ impl NetworkSpec {
     #[must_use]
     pub fn weighted_layer_count(&self) -> usize {
         self.layers.iter().filter(|l| l.is_weighted()).count()
-    }
-
-    /// Total weights mapped onto the optical core.
-    #[must_use]
-    pub fn total_weights(&self) -> usize {
-        self.layers.iter().map(LayerSpec::weight_count).sum()
     }
 
     /// Total MACs per inference.
@@ -653,13 +625,6 @@ mod tests {
     #[test]
     fn spec_counts_are_consistent() {
         let net = NetworkSpec::vgg9(100);
-        let weighted_weight_sum: usize = net
-            .layers()
-            .iter()
-            .filter(|l| l.is_weighted())
-            .map(|l| l.weight_count())
-            .sum();
-        assert_eq!(weighted_weight_sum, net.total_weights());
         for layer in net.layers() {
             if layer.is_weighted() {
                 assert!(layer.weight_count() > 0);

@@ -180,33 +180,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Element-wise multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, |a, b| a * b)
-    }
-
-    /// In-place scaled addition: `self += alpha * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if the shapes differ.
-    pub fn add_scaled(&mut self, other: &Tensor, alpha: f32) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape),
-                actual: other.shape.clone(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Applies a function to every element, returning a new tensor.
     #[must_use]
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
@@ -344,18 +317,9 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]).expect("ok");
         assert_eq!(a.add(&b).expect("ok").data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).expect("ok").data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).expect("ok").data(), &[3.0, 10.0]);
         assert_eq!(a.dot(&b).expect("ok"), 13.0);
         let c = Tensor::zeros(&[3]);
         assert!(a.add(&c).is_err());
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Tensor::from_vec(vec![1.0, 1.0], &[2]).expect("ok");
-        let g = Tensor::from_vec(vec![2.0, 4.0], &[2]).expect("ok");
-        a.add_scaled(&g, -0.5).expect("ok");
-        assert_eq!(a.data(), &[0.0, -1.0]);
     }
 
     #[test]

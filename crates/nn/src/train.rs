@@ -16,18 +16,22 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Numerically stable softmax.
+/// Numerically stable softmax, computed in place on a copy of the logits.
 #[must_use]
 pub fn softmax(logits: &Tensor) -> Tensor {
     let max = logits
         .data()
         .iter()
         .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let exps: Vec<f32> = logits.data().iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    #[expect(clippy::expect_used, reason = "softmax keeps the element count")]
-    Tensor::from_vec(exps.into_iter().map(|e| e / sum).collect(), logits.shape())
-        .expect("softmax preserves the shape")
+    let mut probabilities = logits.clone();
+    for x in probabilities.data_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f32 = probabilities.data().iter().sum();
+    for p in probabilities.data_mut() {
+        *p /= sum;
+    }
+    probabilities
 }
 
 /// Softmax cross-entropy loss and its gradient with respect to the logits.

@@ -114,16 +114,6 @@ impl MicroringConfig {
         Wavelength::from_nm(self.natural_resonance().nm() / self.quality_factor)
     }
 
-    /// Free spectral range approximated as `λ² / (n_g · L)` with the group
-    /// index taken equal to the effective index.
-    #[must_use]
-    pub fn free_spectral_range(&self) -> Wavelength {
-        let lambda_m = self.natural_resonance().meters();
-        let circumference_m = self.circumference_um * 1e-6;
-        let fsr_m = lambda_m * lambda_m / (self.effective_index * circumference_m);
-        Wavelength::from_nm(fsr_m * 1e9)
-    }
-
     /// Minimum through-port transmission (at exact resonance), linear scale.
     #[must_use]
     pub fn minimum_transmission(&self) -> f64 {
@@ -372,12 +362,6 @@ mod tests {
         assert!(
             (cfg.fwhm().nm() - cfg.natural_resonance().nm() / cfg.quality_factor).abs() < 1e-12
         );
-    }
-
-    #[test]
-    fn fsr_positive_and_larger_than_fwhm() {
-        let cfg = MicroringConfig::default();
-        assert!(cfg.free_spectral_range().nm() > cfg.fwhm().nm());
     }
 
     #[test]

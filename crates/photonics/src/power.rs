@@ -1,12 +1,13 @@
 //! Device-level power constants and clock periods.
 //!
 //! The paper's architecture simulator consumes per-device circuit parameters
-//! extracted from Cadence Spectre / SPICE runs (Fig. 7). Here those extracted
-//! numbers are represented as an explicit, overridable table so the
-//! architecture-level power breakdowns (Figs. 8 and 9) can be regenerated and
-//! stress-tested. The defaults are chosen to reproduce the paper's reported
-//! component shares: DACs dominating weight-tuning designs, DMVA and BPD an
-//! order of magnitude below, ADCs only where a design converts activations.
+//! extracted from Cadence Spectre / SPICE runs (Fig. 7) for its one 45 nm
+//! design. Here those extracted numbers are one constant table,
+//! [`DevicePowerTable::PAPER`], from which the architecture-level power
+//! breakdowns (Figs. 8 and 9) are regenerated. Its values are chosen to
+//! reproduce the paper's reported component shares: DACs dominating
+//! weight-tuning designs, DMVA and BPD an order of magnitude below, ADCs
+//! only where a design converts activations.
 //!
 //! [`DevicePowerTable`] is the single source of device power: the energy
 //! model reads every VCSEL, BPD, MR-tuning and CRC term from it, and its
@@ -54,34 +55,25 @@ pub struct DevicePowerTable {
     pub electronic_cycle_ns: f64,
 }
 
-impl Default for DevicePowerTable {
-    fn default() -> Self {
-        Self {
-            // 45 nm-class mixed-signal blocks; values representative of the
-            // per-component shares reported in the paper's Figs. 8-9 (DACs
-            // programming the MR weights dominate, everything else is one to
-            // two orders of magnitude below).
-            dac_power_mw: 7.9,
-            adc_power_mw: 2.6,
-            mr_tuning_power_mw: 0.06,
-            crc_comparator_power_uw: 7.5,
-            vcsel_power_mw: 0.05,
-            bpd_power_mw: 0.12,
-            controller_power_mw: 18.0,
-            sram_leakage_per_kib_uw: 1.6,
-            optical_cycle_ns: 0.2,
-            electronic_cycle_ns: 1.0,
-        }
-    }
-}
-
 impl DevicePowerTable {
-    /// Table for a 45 nm process (the paper's node for Lightator); identical
-    /// to [`Default`].
-    #[must_use]
-    pub fn node_45nm() -> Self {
-        Self::default()
-    }
+    /// The paper's 45 nm table, the one set of device figures the energy
+    /// model and the simulator read.
+    pub const PAPER: Self = Self {
+        // 45 nm-class mixed-signal blocks; values representative of the
+        // per-component shares reported in the paper's Figs. 8-9 (DACs
+        // programming the MR weights dominate, everything else is one to
+        // two orders of magnitude below).
+        dac_power_mw: 7.9,
+        adc_power_mw: 2.6,
+        mr_tuning_power_mw: 0.06,
+        crc_comparator_power_uw: 7.5,
+        vcsel_power_mw: 0.05,
+        bpd_power_mw: 0.12,
+        controller_power_mw: 18.0,
+        sram_leakage_per_kib_uw: 1.6,
+        optical_cycle_ns: 0.2,
+        electronic_cycle_ns: 1.0,
+    };
 
     /// DAC power when driving a reduced weight bit-width.
     ///
@@ -141,7 +133,7 @@ mod tests {
 
     #[test]
     fn default_table_has_positive_entries() {
-        let t = DevicePowerTable::default();
+        let t = DevicePowerTable::PAPER;
         assert!(t.dac_power_mw > 0.0);
         assert!(t.adc_power_mw > 0.0);
         assert!(t.mr_tuning_power_mw > 0.0);
@@ -152,7 +144,7 @@ mod tests {
 
     #[test]
     fn dac_power_scales_down_with_bits() {
-        let t = DevicePowerTable::default();
+        let t = DevicePowerTable::PAPER;
         let p4 = t.dac_power_at_bits(4);
         let p3 = t.dac_power_at_bits(3);
         let p2 = t.dac_power_at_bits(2);
@@ -169,13 +161,13 @@ mod tests {
 
     #[test]
     fn dac_power_clamps_bits_above_native() {
-        let t = DevicePowerTable::default();
+        let t = DevicePowerTable::PAPER;
         assert_eq!(t.dac_power_at_bits(8), t.dac_power_at_bits(4));
     }
 
     #[test]
     fn crc_power_counts_fifteen_comparators() {
-        let t = DevicePowerTable::default();
+        let t = DevicePowerTable::PAPER;
         assert!((t.crc_power().mw() - 15.0 * t.crc_comparator_power_uw / 1e3).abs() < 1e-12);
     }
 }

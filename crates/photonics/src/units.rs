@@ -156,12 +156,6 @@ impl Wavelength {
     pub fn meters(&self) -> f64 {
         self.nm() * 1e-9
     }
-
-    /// Creates a wavelength from micrometres.
-    #[must_use]
-    pub fn from_um(um: f64) -> Self {
-        Self::from_nm(um * 1e3)
-    }
 }
 
 unit_newtype!(
@@ -199,12 +193,6 @@ impl Voltage {
     #[must_use]
     pub fn mv(&self) -> f64 {
         self.volts() * 1e3
-    }
-
-    /// Creates a voltage from millivolts.
-    #[must_use]
-    pub fn from_mv(mv: f64) -> Self {
-        Self::from_volts(mv / 1e3)
     }
 }
 
@@ -254,22 +242,10 @@ unit_newtype!(
 );
 
 impl Time {
-    /// Creates a time from picoseconds.
-    #[must_use]
-    pub fn from_ps(ps: f64) -> Self {
-        Self::from_ns(ps / 1e3)
-    }
-
     /// Creates a time from microseconds.
     #[must_use]
     pub fn from_us(us: f64) -> Self {
         Self::from_ns(us * 1e3)
-    }
-
-    /// Creates a time from milliseconds.
-    #[must_use]
-    pub fn from_ms(ms: f64) -> Self {
-        Self::from_ns(ms * 1e6)
     }
 
     /// Creates a time from seconds.
@@ -312,7 +288,6 @@ mod tests {
         let w = Wavelength::from_nm(1550.0);
         assert!((w.um() - 1.55).abs() < 1e-12);
         assert!((w.meters() - 1.55e-6).abs() < 1e-18);
-        assert_eq!(Wavelength::from_um(1.55), w);
     }
 
     #[test]
@@ -326,8 +301,8 @@ mod tests {
 
     #[test]
     fn time_conversions_consistent() {
-        let t = Time::from_ms(2.0);
-        assert!((t.us() - 2000.0).abs() < 1e-9);
+        let t = Time::from_us(2000.0);
+        assert!((t.ms() - 2.0).abs() < 1e-12);
         assert!((t.seconds() - 0.002).abs() < 1e-15);
         assert!((Time::from_seconds(0.002).ns() - t.ns()).abs() < 1e-6);
     }

@@ -164,12 +164,6 @@ impl CrosstalkModel {
         }
     }
 
-    /// Whether crosstalk is applied.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The channel grid.
     #[must_use]
     pub fn grid(&self) -> &WdmGrid {

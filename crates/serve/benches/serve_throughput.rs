@@ -4,7 +4,8 @@
 //! timeline, so sustained throughput — completed frames per simulated
 //! second under a saturating closed-loop load — must scale with the shard
 //! count (target ≥ 2× at 4 shards) regardless of how many host CPUs run
-//! the simulation.
+//! the simulation. The clients run in rounds from one thread, so the ratio
+//! is the same on every run and host.
 
 use lightator_core::ca::CaConfig;
 use lightator_core::platform::{Platform, Workload};
@@ -12,7 +13,7 @@ use lightator_nn::layers::{Activation, Flatten, Linear};
 use lightator_nn::model::Sequential;
 use lightator_photonics::noise::NoiseConfig;
 use lightator_sensor::frame::RgbFrame;
-use lightator_serve::{MetricsSnapshot, Request, ServeError, Server};
+use lightator_serve::{MetricsSnapshot, Request, Server};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -59,31 +60,30 @@ fn server(shards: usize, queue_depth: usize) -> Server {
         .expect("server")
 }
 
-/// Closed-loop load: `clients` threads, each submitting `frames_per_client`
-/// classify requests back to back, then graceful shutdown.
+/// Closed-loop load: `clients` clients, each submitting
+/// `frames_per_client` classify requests back to back, then graceful
+/// shutdown. The clients run in rounds from this thread: each round submits
+/// one request per client at the server clock, then waits for every reply
+/// in client order, so each client waits for its reply before it sends its
+/// next request.
 fn closed_loop(shards: usize, clients: usize, frames_per_client: usize) -> MetricsSnapshot {
     let server = server(shards, 2 * clients);
     let frames = scenes(clients);
-    std::thread::scope(|scope| {
-        for frame in &frames {
-            scope.spawn(|| {
-                for _ in 0..frames_per_client {
-                    loop {
-                        match server.run(Request::Classify {
-                            frame: frame.clone(),
-                        }) {
-                            Ok(report) => {
-                                black_box(report);
-                                break;
-                            }
-                            Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
-                            Err(err) => panic!("serving failed: {err}"),
-                        }
-                    }
-                }
-            });
+    for _ in 0..frames_per_client {
+        let pending: Vec<_> = frames
+            .iter()
+            .map(|frame| {
+                server
+                    .submit(Request::Classify {
+                        frame: frame.clone(),
+                    })
+                    .expect("a round fits the queue")
+            })
+            .collect();
+        for pending in pending {
+            black_box(pending.wait().expect("served"));
         }
-    });
+    }
     server.shutdown()
 }
 
@@ -95,8 +95,8 @@ fn main() {
     // Headline: sustained simulated throughput must scale >= 2x from 1 to
     // 4 shards (each shard is an independent virtual chip). The scheduler
     // hands every batch to the earliest-free shard on the simulated clock,
-    // so the spread of frames across shards does not hinge on which host
-    // thread wins a lock.
+    // and the clients submit in rounds from one thread, so neither the
+    // batches nor their spread across shards hinges on host timing.
     let single = closed_loop(1, clients, 2 * frames_per_client);
     let pooled = closed_loop(4, clients, 2 * frames_per_client);
     let ratio = pooled.throughput_fps() / single.throughput_fps();

@@ -1,26 +1,8 @@
-//! Server configuration and its `key = value` text round-trip.
-//!
-//! [`ServeConfig`] reuses the dependency-free text format of
-//! [`lightator_core::textcfg`], so a platform file and a serve file share
-//! one syntax:
-//!
-//! ```
-//! use lightator_serve::ServeConfig;
-//!
-//! # fn main() -> Result<(), lightator_serve::ServeError> {
-//! let config = ServeConfig {
-//!     shards: 4,
-//!     ..ServeConfig::default()
-//! };
-//! assert_eq!(ServeConfig::from_text(&config.to_text())?, config);
-//! # Ok(())
-//! # }
-//! ```
+//! Server configuration: [`ServeConfig`] and its latency-SLO controller
+//! settings, [`SloConfig`]. Both are set through [`crate::ServerBuilder`],
+//! which validates them once at build.
 
 use crate::error::{Result, ServeError};
-use lightator_core::textcfg::{
-    malformed_value, parse_f64, parse_usize, split_key_value, write_line,
-};
 use lightator_photonics::units::Time;
 
 /// Largest simulated duration (in ns) a config may carry: beyond 2^53 ns a
@@ -58,9 +40,7 @@ pub(crate) const MAX_STREAM_FRAMES: usize = 256;
 /// halves the flush deadline, and halves the batch limit too (toward
 /// [`SloConfig::min_batch`]) unless the overshooting batch was full — a
 /// full, late batch signals queueing backlog, which bigger batches drain
-/// faster, so the limit grows instead. Serialised as the
-/// `serve.slo.target_queue_wait_ns` / `serve.slo.min_batch` /
-/// `serve.slo.max_batch` text keys.
+/// faster, so the limit grows instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// Queue-wait target (simulated time, arrival → batch start) the
@@ -88,8 +68,7 @@ impl Default for SloConfig {
 /// each workload group, how requests batch, and how much queueing the
 /// admission controller tolerates.
 ///
-/// Build values through [`crate::ServerBuilder`]; round-trip them through
-/// [`ServeConfig::to_text`] / [`ServeConfig::from_text`].
+/// Build values through [`crate::ServerBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads per workload group, each owning one virtual Lightator
@@ -110,10 +89,7 @@ pub struct ServeConfig {
     /// [`ServeConfig::flush_deadline`] batcher; `Some` makes every shard
     /// adapt its batch-size limit and flush deadline between
     /// [`SloConfig::min_batch`] and [`SloConfig::max_batch`] to hold
-    /// [`SloConfig::target_queue_wait`]. Serialised as the
-    /// `serve.slo.target_queue_wait_ns`, `serve.slo.min_batch` and
-    /// `serve.slo.max_batch` text keys (writing any one of them enables the
-    /// controller; the others keep [`SloConfig::default`]).
+    /// [`SloConfig::target_queue_wait`].
     pub slo: Option<SloConfig>,
 }
 
@@ -227,172 +203,11 @@ impl ServeConfig {
             None => self.max_batch.max(1),
         }
     }
-
-    /// Serialises the configuration to the `key = value` text format shared
-    /// with `PlatformConfig`.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# Lightator serve configuration\n");
-        write_line(&mut out, "serve.shards", self.shards);
-        write_line(&mut out, "serve.max_batch", self.max_batch);
-        write_line(&mut out, "serve.queue_depth", self.queue_depth);
-        write_line(
-            &mut out,
-            "serve.flush_deadline_ns",
-            self.flush_deadline.ns(),
-        );
-        if let Some(slo) = &self.slo {
-            write_line(
-                &mut out,
-                "serve.slo.target_queue_wait_ns",
-                slo.target_queue_wait.ns(),
-            );
-            write_line(&mut out, "serve.slo.min_batch", slo.min_batch);
-            write_line(&mut out, "serve.slo.max_batch", slo.max_batch);
-        }
-        out
-    }
-
-    /// Parses the `key = value` text format produced by
-    /// [`ServeConfig::to_text`].
-    ///
-    /// Missing keys keep their defaults; unknown keys and malformed values
-    /// are rejected with an error naming the offending line. The result is
-    /// *not* re-validated here; call [`ServeConfig::validate`] (or let
-    /// `ServerBuilder::build` do it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Core`] wrapping the text-format error for
-    /// syntax errors, unknown keys or unparsable values.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut config = Self::default();
-        for raw in text.lines() {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let (key, value) = split_key_value(trimmed)?;
-            match key {
-                "serve.shards" => config.shards = parse_usize(key, value)?,
-                "serve.max_batch" => config.max_batch = parse_usize(key, value)?,
-                "serve.queue_depth" => config.queue_depth = parse_usize(key, value)?,
-                "serve.flush_deadline_ns" => {
-                    config.flush_deadline = Time::from_ns(parse_f64(key, value)?);
-                }
-                "serve.slo.target_queue_wait_ns" => {
-                    config
-                        .slo
-                        .get_or_insert_with(SloConfig::default)
-                        .target_queue_wait = Time::from_ns(parse_f64(key, value)?);
-                }
-                "serve.slo.min_batch" => {
-                    config.slo.get_or_insert_with(SloConfig::default).min_batch =
-                        parse_usize(key, value)?;
-                }
-                "serve.slo.max_batch" => {
-                    config.slo.get_or_insert_with(SloConfig::default).max_batch =
-                        parse_usize(key, value)?;
-                }
-                unknown => {
-                    return Err(malformed_value(
-                        unknown,
-                        "unknown serve configuration key (check for typos)",
-                    )
-                    .into());
-                }
-            }
-        }
-        Ok(config)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_round_trips() {
-        let config = ServeConfig::default();
-        assert_eq!(
-            ServeConfig::from_text(&config.to_text()).expect("parse"),
-            config
-        );
-    }
-
-    #[test]
-    fn customised_config_round_trips() {
-        let config = ServeConfig {
-            shards: 4,
-            max_batch: 8,
-            queue_depth: 128,
-            flush_deadline: Time::from_us(2.5),
-            slo: Some(SloConfig {
-                target_queue_wait: Time::from_us(1.5),
-                min_batch: 2,
-                max_batch: 32,
-            }),
-        };
-        let text = config.to_text();
-        assert!(text.contains("serve.slo.target_queue_wait_ns = 1500"));
-        assert_eq!(ServeConfig::from_text(&text).expect("parse"), config);
-    }
-
-    #[test]
-    fn a_single_slo_key_enables_the_controller_with_defaults() {
-        let parsed = ServeConfig::from_text("serve.slo.max_batch = 16\n").expect("parse");
-        let slo = parsed.slo.clone().expect("controller enabled");
-        assert_eq!(slo.max_batch, 16);
-        assert_eq!(slo.min_batch, SloConfig::default().min_batch);
-        assert_eq!(
-            slo.target_queue_wait,
-            SloConfig::default().target_queue_wait
-        );
-        assert_eq!(parsed.effective_max_batch(), 16);
-        // Without an SLO the fixed bound is the effective one.
-        assert_eq!(
-            ServeConfig::default().effective_max_batch(),
-            ServeConfig::default().max_batch
-        );
-    }
-
-    #[test]
-    fn partial_configs_fall_back_to_defaults() {
-        let parsed = ServeConfig::from_text("serve.shards = 3\n").expect("parse");
-        assert_eq!(parsed.shards, 3);
-        assert_eq!(parsed.max_batch, ServeConfig::default().max_batch);
-        assert_eq!(parsed.queue_depth, ServeConfig::default().queue_depth);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_ignored() {
-        let parsed = ServeConfig::from_text("# a comment\n\nserve.max_batch = 6\n").expect("ok");
-        assert_eq!(parsed.max_batch, 6);
-    }
-
-    #[test]
-    fn unknown_keys_and_bad_values_are_rejected_with_context() {
-        let err = ServeConfig::from_text("serve.shards = four").expect_err("bad value");
-        assert!(err.to_string().contains("serve.shards"));
-        // A typo, and options that no longer exist, are unknown keys.
-        for line in [
-            "serve.shardz = 4",
-            "serve.steal = true",
-            "serve.workers = 2",
-            "serve.seed_stride = 3",
-            "serve.backend.classify = photonic",
-            "serve.interactive_weight = 4",
-            "serve.max_stream_frames = 256",
-        ] {
-            let err = ServeConfig::from_text(line).expect_err(line);
-            assert!(
-                err.to_string().contains("unknown serve configuration key"),
-                "{line}: {err}"
-            );
-        }
-        assert!(ServeConfig::from_text("no equals sign").is_err());
-    }
 
     #[test]
     fn validation_names_the_violated_constraint() {
@@ -530,73 +345,11 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(good.validate().is_ok());
-    }
-
-    /// Key fragments and separators that bias random bytes toward
-    /// `key = value` lines, so the fuzzer reaches the value parsers.
-    const ALPHABET: &[u8] = b"serve.shards_max_batch_slo_backend=#\n \t0123456789-+.eENaxin";
-
-    /// Zero, one past the batch bound, `u64::MAX` and one beyond it, a
-    /// negative, a huge float, NaN, the empty string and a non-number.
-    const EXTREMES: [&str; 9] = [
-        "0",
-        "4097",
-        "18446744073709551615",
-        "18446744073709551616",
-        "-1",
-        "1e300",
-        "NaN",
-        "",
-        "x",
-    ];
-
-    proptest::proptest! {
-        /// Arbitrary bytes make `from_text` and `validate` return `Ok` or a
-        /// typed error, never panic.
-        #[test]
-        fn arbitrary_bytes_never_panic_the_parser(
-            picks in proptest::collection::vec((0u8..4, 0u8..=255), 0..512),
-        ) {
-            let bytes: Vec<u8> = picks
-                .into_iter()
-                .map(|(pick, byte)| match pick {
-                    0 => byte,
-                    _ => ALPHABET[usize::from(byte) % ALPHABET.len()],
-                })
-                .collect();
-            if let Ok(config) = ServeConfig::from_text(&String::from_utf8_lossy(&bytes)) {
-                let _ = config.validate();
-            }
-        }
-
-        /// Extreme `serve.*` lines appended to a valid file never panic, and
-        /// every config that still validates round-trips exactly with its
-        /// batches inside the bound.
-        #[test]
-        fn extreme_values_never_panic_and_valid_configs_round_trip(
-            lines in proptest::collection::vec((0usize..64, 0usize..EXTREMES.len()), 1..6),
-        ) {
-            // Every key the writer emits, the SLO keys included.
-            let full = ServeConfig {
-                slo: Some(SloConfig::default()),
-                ..ServeConfig::default()
-            }
-            .to_text();
-            let keys: Vec<&str> = full
-                .lines()
-                .filter_map(|line| Some(line.split_once(" = ")?.0))
-                .collect();
-            let mut text = ServeConfig::default().to_text();
-            for (key, value) in lines {
-                text.push_str(&format!("{} = {}\n", keys[key % keys.len()], EXTREMES[value]));
-            }
-            if let Ok(config) = ServeConfig::from_text(&text) {
-                if config.validate().is_ok() {
-                    assert!(config.effective_max_batch() <= MAX_BATCH);
-                    let reparsed = ServeConfig::from_text(&config.to_text()).expect("reparse");
-                    assert_eq!(reparsed, config);
-                }
-            }
-        }
+        // The controller's cap, not the fixed bound, is the effective one.
+        assert_eq!(good.effective_max_batch(), SloConfig::default().max_batch);
+        assert_eq!(
+            ServeConfig::default().effective_max_batch(),
+            ServeConfig::default().max_batch
+        );
     }
 }

@@ -15,8 +15,10 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// Fluent builder for a [`Server`], mirroring the `PlatformBuilder` idiom:
-/// chain the serving knobs, register one or more workloads, and let
-/// [`ServerBuilder::build`] validate everything once and spawn the pool.
+/// chain the serving knobs (one setter per [`ServeConfig`] field, the SLO
+/// controller through [`ServerBuilder::slo`]), register one or more
+/// workloads, and let [`ServerBuilder::build`] validate everything once and
+/// spawn the pool.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
     platform: Platform,
@@ -93,14 +95,6 @@ impl ServerBuilder {
     #[must_use]
     pub fn slo(mut self, slo: SloConfig) -> Self {
         self.config.slo = Some(slo);
-        self
-    }
-
-    /// Replaces the whole serving configuration (e.g. one loaded through
-    /// [`ServeConfig::from_text`]).
-    #[must_use]
-    pub fn serve_config(mut self, config: ServeConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -711,67 +705,47 @@ mod tests {
         assert!(snapshot.table().contains("stream frames"));
     }
 
+    /// Client threads may share one server. Which requests meet in a batch
+    /// then depends on how the threads interleave, so only host-independent
+    /// facts are asserted.
     #[test]
-    fn huge_cycle_times_saturate_the_serve_timeline() {
-        use lightator_core::stream::StreamConfig;
-        // `build` accepts any finite positive cycle time; at 1e300 ns a
-        // frame costs more than u64::MAX ns, so every batch offset, frame
-        // completion and stream completion must saturate, not overflow.
-        for optical in [true, false] {
-            let mut config = small_platform().config().clone();
-            if optical {
-                config.hardware.power.optical_cycle_ns = 1e300;
-            } else {
-                config.hardware.power.electronic_cycle_ns = 1e300;
+    fn closed_loop_clients_on_several_threads_are_all_served() {
+        const CLIENTS: usize = 4;
+        const REQUESTS: usize = 8;
+        // Each client has at most one request outstanding, so a queue of
+        // `CLIENTS` never rejects.
+        let server = Server::builder(small_platform())
+            .shards(2)
+            .max_batch(4)
+            .queue_depth(CLIENTS)
+            .workload(Workload::Acquire)
+            .workload(Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            })
+            .build()
+            .expect("server");
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let server = &server;
+                scope.spawn(move || {
+                    for index in 0..REQUESTS {
+                        let frame = scene(client * REQUESTS + index);
+                        let request = if (client + index) % 2 == 0 {
+                            Request::Acquire { frame }
+                        } else {
+                            Request::ImageKernel {
+                                kernel: ImageKernel::SobelX,
+                                frame,
+                            }
+                        };
+                        server.run(request).expect("served");
+                    }
+                });
             }
-            let server = Server::builder(Platform::from_config(config).expect("platform"))
-                .shards(1)
-                .max_batch(4)
-                .flush_deadline(Time::from_us(1.0))
-                .trace_recorder(Arc::new(TraceRecorder::new()))
-                .workload(Workload::ImageKernel {
-                    kernel: ImageKernel::SobelX,
-                })
-                .workload(Workload::VideoStream {
-                    kernel: ImageKernel::SobelX,
-                    stream: StreamConfig {
-                        block_size: 2,
-                        delta_threshold: 0.05,
-                    },
-                })
-                .build()
-                .expect("server");
-            // The batch starts at 1 ns, so a frame's completion and trace
-            // offsets overflow unless they saturate.
-            let pending: Vec<Pending> = (0..4)
-                .map(|i| {
-                    let frame = Request::ImageKernel {
-                        kernel: ImageKernel::SobelX,
-                        frame: scene(i),
-                    };
-                    server
-                        .submit_at(frame, Priority::Interactive, 1)
-                        .expect("admitted")
-                })
-                .collect();
-            for frame in pending {
-                assert!(frame.wait().is_ok());
-            }
-            // The second stream starts where the first saturated.
-            for _ in 0..2 {
-                let stream = Request::VideoStream {
-                    kernel: ImageKernel::SobelX,
-                    frames: vec![scene(0); 2],
-                };
-                assert!(server.run_stream(stream).is_ok());
-            }
-            let snapshot = server.shutdown();
-            assert_eq!(snapshot.completed, 6);
-            assert_eq!(snapshot.stream_frames, 4);
-            let kernel_shard = &snapshot.shards[0];
-            assert_eq!(kernel_shard.shard, "kernel:sobel-x/0");
-            assert_eq!(kernel_shard.batch_sizes, [0, 0, 0, 1], "one batch of four");
-        }
+        });
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.completed as usize, CLIENTS * REQUESTS);
+        assert_eq!(snapshot.errored, 0);
     }
 
     #[test]
@@ -1081,10 +1055,8 @@ mod tests {
             .expect_err("no workloads");
         assert!(err.to_string().contains("at least one workload"));
         // An oversized batch bound fails validation, not an allocation.
-        let config =
-            ServeConfig::from_text("serve.max_batch = 18446744073709551615").expect("parses");
         let err = Server::builder(small_platform())
-            .serve_config(config)
+            .max_batch(usize::MAX)
             .workload(Workload::Acquire)
             .build()
             .expect_err("oversized max_batch");

@@ -1,17 +1,22 @@
-//! Serving at scale: a closed-loop load generator hammering a sharded,
+//! Serving at scale: a closed-loop load generator driving a sharded,
 //! micro-batching `lightator-serve` server with mixed workloads.
 //!
 //! ```text
 //! cargo run --release --example serving
 //! ```
 //!
-//! Six client threads submit classify / acquire / Sobel-kernel requests in
-//! a closed loop against a 2-shard-per-workload pool running the adaptive
-//! SLO batching controller, each group's scheduler handing batches to its
+//! Six closed-loop clients submit classify / acquire / Sobel-kernel
+//! requests against a 2-shard-per-workload pool running the adaptive SLO
+//! batching controller, each group's scheduler handing batches to its
 //! earliest-free shard, with requests split across the interactive and
-//! batch priority lanes. The example then
-//! prints the server's metrics table — per-lane admissions and p99 queue
-//! waits included — and emits the `BENCH_serve_metrics.json` artifact.
+//! batch priority lanes. The clients run in rounds from one thread: each
+//! round submits one request per client at the server clock, then waits
+//! for every reply in client order, so each client still waits for its
+//! reply before it sends its next request. Nothing the server sees depends
+//! on host thread timing, so the printed numbers and the artifact are the
+//! same on every run and host. The example then prints the server's
+//! metrics table — per-lane admissions and p99 queue waits included — and
+//! emits the `BENCH_serve_metrics.json` artifact.
 
 use lightator_suite::core::ca::CaConfig;
 use lightator_suite::nn::layers::{Activation, Flatten, Linear};
@@ -79,47 +84,39 @@ fn main() -> Result<(), ServeError> {
         server.workloads()
     );
 
-    std::thread::scope(|scope| {
-        for client in 0..CLIENTS {
-            let server = &server;
-            scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(client as u64);
-                for index in 0..FRAMES_PER_CLIENT {
-                    let data: Vec<f64> =
-                        (0..SENSOR * SENSOR * 3).map(|_| rng.gen::<f64>()).collect();
-                    let frame = RgbFrame::new(SENSOR, SENSOR, data).expect("frame");
-                    // Odd clients ride the background batch lane.
-                    let lane = if client % 2 == 0 {
-                        Priority::Interactive
-                    } else {
-                        Priority::Batch
-                    };
-                    loop {
-                        let submitted = server
-                            .submit_with_priority(request_for(client, index, frame.clone()), lane)
-                            .and_then(|pending| pending.wait());
-                        match submitted {
-                            Ok(report) => {
-                                if index == 0 {
-                                    println!(
-                                        "client {client}: first `{}` report in {:.3} us \
-                                         ({:.1} KFPS/W)",
-                                        report.workload,
-                                        report.latency().us(),
-                                        report.kfps_per_watt()
-                                    );
-                                }
-                                break;
-                            }
-                            // Admission control pushed back: retry later.
-                            Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
-                            Err(err) => panic!("serving failed: {err}"),
-                        }
-                    }
-                }
-            });
+    // One round at a time: a round holds at most one request per client,
+    // well inside the queue depth, so admission never pushes back.
+    let mut rngs: Vec<SmallRng> = (0..CLIENTS)
+        .map(|client| SmallRng::seed_from_u64(client as u64))
+        .collect();
+    for index in 0..FRAMES_PER_CLIENT {
+        let pending = rngs
+            .iter_mut()
+            .enumerate()
+            .map(|(client, rng)| {
+                let data: Vec<f64> = (0..SENSOR * SENSOR * 3).map(|_| rng.gen::<f64>()).collect();
+                let frame = RgbFrame::new(SENSOR, SENSOR, data).expect("frame");
+                // Odd clients ride the background batch lane.
+                let lane = if client % 2 == 0 {
+                    Priority::Interactive
+                } else {
+                    Priority::Batch
+                };
+                server.submit_with_priority(request_for(client, index, frame), lane)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        for (client, pending) in pending.into_iter().enumerate() {
+            let report = pending.wait()?;
+            if index == 0 {
+                println!(
+                    "client {client}: first `{}` report in {:.3} us ({:.1} KFPS/W)",
+                    report.workload,
+                    report.latency().us(),
+                    report.kfps_per_watt()
+                );
+            }
         }
-    });
+    }
 
     let metrics = server.shutdown();
     println!("\n== server metrics ==\n{}", metrics.table());

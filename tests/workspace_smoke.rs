@@ -41,10 +41,7 @@ fn every_crate_is_reachable_through_the_umbrella() {
 
     // lightator-serve
     let serve = ServeConfig::default();
-    assert_eq!(
-        ServeConfig::from_text(&serve.to_text()).expect("round-trip"),
-        serve
-    );
+    assert!(serve.validate().is_ok());
 }
 
 /// The umbrella's module aliases stay aligned with the underlying crate
