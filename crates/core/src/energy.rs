@@ -10,7 +10,7 @@
 //! term is a power; the simulator turns it into energy by the layer's
 //! latency, so no term is charged per access.
 
-use crate::config::{LightatorConfig, PeripheryCounts};
+use crate::config::{LightatorConfig, OcGeometry, PeripheryCounts};
 use crate::error::Result;
 use crate::mapping::LayerMapping;
 use lightator_nn::quant::Precision;
@@ -77,7 +77,9 @@ impl ComponentPower {
 /// The Lightator energy model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyModel {
-    config: LightatorConfig,
+    /// The optical-core geometry, the model's one platform input; the
+    /// device figures are the [`DevicePowerTable::PAPER`] constants.
+    geometry: OcGeometry,
 }
 
 impl EnergyModel {
@@ -89,18 +91,14 @@ impl EnergyModel {
     /// if the configuration is invalid.
     pub fn new(config: LightatorConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The platform configuration.
-    #[must_use]
-    pub fn config(&self) -> &LightatorConfig {
-        &self.config
+        Ok(Self {
+            geometry: config.geometry,
+        })
     }
 
     /// Number of arms engaged each cycle for a mapping.
     fn arms_active(&self, mapping: &LayerMapping) -> usize {
-        let geometry = &self.config.geometry;
+        let geometry = &self.geometry;
         let engaged =
             mapping.strides_per_cycle.min(mapping.total_strides) * mapping.arms_per_stride;
         engaged.min(geometry.arms())
@@ -118,7 +116,7 @@ impl EnergyModel {
         precision: Precision,
         is_first_layer: bool,
     ) -> ComponentPower {
-        let geometry = &self.config.geometry;
+        let geometry = &self.geometry;
         let periphery = &PeripheryCounts::PAPER;
         let table = &DevicePowerTable::PAPER;
 
@@ -178,7 +176,7 @@ impl EnergyModel {
     /// at the given weight precision — the "Max Power" column of Table 1.
     #[must_use]
     pub fn max_power(&self, precision: Precision) -> ComponentPower {
-        let geometry = &self.config.geometry;
+        let geometry = &self.geometry;
         let full = LayerMapping {
             arms_per_stride: 1,
             strides_per_bank: geometry.arms_per_bank,

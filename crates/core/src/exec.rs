@@ -9,14 +9,20 @@
 //! analog non-idealities — so the inference accuracy of Table 1 can be
 //! measured. Every conv and linear layer runs through one tiled MAC-loop
 //! driver; one worker runs it inline, several split it into chunks.
+//!
+//! The weight bank is programmed once per session: a layer's row load
+//! reads each lane's realised transmission from the plan's table
+//! ([`EncodedWeights`]), so no ring is tuned per frame, and each layer's
+//! quantized input is range-checked once, not once per MAC.
 
 use crate::error::{CoreError, Result};
-use crate::oc::PhotonicMacUnit;
-use crate::plan::{CompiledPlan, EncodedWeights, PlanScratch, WorkerScratch};
+use crate::oc::{check_activations, PhotonicMacUnit};
+use crate::plan::{check_weight_bits, CompiledPlan, EncodedWeights, PlanScratch, WorkerScratch};
 use lightator_nn::layers::{Conv2d, LayerNode, Linear};
-use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, Precision, PrecisionSchedule};
+use lightator_nn::quant::{quantize_unsigned, Precision, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::PhotonicsError;
 use serde::{Deserialize, Serialize};
 
 /// Result of evaluating a model photonically on a dataset split.
@@ -68,31 +74,53 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Quantizes one weight row into `[-1, 1]` MR transmission values. This is
-/// the single definition of the weight encoding; the plan compiler
-/// ([`crate::plan::encode_model`]) programs every MR row through it.
-pub(crate) fn quantize_weight_row(row: &[f32], weight_scale: f32, weight_bits: u8) -> Vec<f64> {
-    row.iter()
-        .map(|&w| {
-            let q = quantize_symmetric(w, weight_scale, weight_bits);
-            if weight_scale == 0.0 {
-                0.0
-            } else {
-                f64::from(q / weight_scale).clamp(-1.0, 1.0)
-            }
-        })
-        .collect()
+/// The activation widths a layer input quantizes to, those
+/// [`Precision::new`] accepts.
+pub(crate) const ACTIVATION_BITS: std::ops::RangeInclusive<u8> = 1..=8;
+
+/// Rejects a schedule with a weight width outside
+/// [`crate::plan::WEIGHT_BITS`] or an activation width outside
+/// [`ACTIVATION_BITS`] on some layer.
+pub(crate) fn check_schedule(schedule: PrecisionSchedule) -> Result<()> {
+    // Layer 0 carries a mixed schedule's `first` precision and layer 1 its
+    // `rest`; a uniform schedule has one precision for both.
+    for layer in 0..2 {
+        let Precision {
+            weight_bits,
+            activation_bits,
+        } = schedule.for_layer(layer);
+        check_weight_bits(weight_bits)?;
+        if !ACTIVATION_BITS.contains(&activation_bits) {
+            return Err(CoreError::invalid_config(
+                "activation_bits",
+                f64::from(activation_bits),
+                format!(
+                    "activations need 1 to 8 bits on every layer (got {activation_bits}): \
+                     the VCSEL drive codes of schedule {} would not fit",
+                    schedule.label()
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Quantizes a whole layer input into `[0, 1]` VCSEL drive codes, once
 /// per layer, writing into a reusable buffer. The activation scale is the
 /// input's largest non-negative value; it is returned with the codes. This
 /// is the single definition of the activation encoding.
+///
+/// # Errors
+///
+/// Returns [`PhotonicsError::ActivationOutOfRange`] if the input holds a
+/// NaN, or a `+∞` (which makes every code NaN): light intensities lie in
+/// `[0, 1]`, and this is the one check of the layer's codes, so the MAC
+/// loop checks none.
 fn quantize_layer_input<'a>(
     input: &Tensor,
     activation_bits: u8,
     codes: &'a mut Vec<f64>,
-) -> (&'a [f64], f32) {
+) -> Result<(&'a [f64], f32)> {
     let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
     codes.resize(input.data().len(), 0.0);
     for (slot, &a) in codes.iter_mut().zip(input.data()) {
@@ -103,7 +131,14 @@ fn quantize_layer_input<'a>(
             f64::from(q / activation_scale).clamp(0.0, 1.0)
         };
     }
-    (codes, activation_scale)
+    check_activations(codes)?;
+    // `f32::max` reads a NaN as 0, so a NaN input leaves an in-range code.
+    if let Some(&a) = input.data().iter().find(|a| a.is_nan()) {
+        return Err(CoreError::Photonics(PhotonicsError::ActivationOutOfRange {
+            activation: f64::from(a),
+        }));
+    }
+    Ok((codes, activation_scale))
 }
 
 /// Validates one input: the plan must carry an optical model and the input
@@ -169,8 +204,11 @@ impl PhotonicExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Photonics`] if the arm configuration is invalid.
+    /// Returns [`CoreError::InvalidConfig`] for a weight or activation
+    /// width the datapath does not hold, and [`CoreError::Photonics`] if
+    /// the arm configuration is invalid.
     pub fn new(schedule: PrecisionSchedule, noise: NoiseConfig, seed: u64) -> Result<Self> {
+        check_schedule(schedule)?;
         Ok(Self {
             mac_unit: PhotonicMacUnit::new(noise, seed)?,
             schedule,
@@ -224,9 +262,9 @@ impl PhotonicExecutor {
     }
 
     /// Runs one input through a [`CompiledPlan`] as one frame: every
-    /// weighted layer streams against the plan's pre-encoded MR rows on the
-    /// photonic MAC unit, unweighted layers run digitally, and the plan's
-    /// scratch buffers serve every stride.
+    /// weighted layer streams against the plan's encoded MR weight bank on
+    /// the photonic MAC unit, unweighted layers run digitally, and the
+    /// plan's scratch buffers serve every stride.
     ///
     /// Activations are clamped to the non-negative range before being encoded
     /// as light intensities (Lightator encodes activations as unsigned VCSEL
@@ -286,7 +324,7 @@ impl PhotonicExecutor {
                 })?;
         let mut value = input.clone();
         let mut weighted_index = 0usize;
-        for (layer_index, encoding) in encodings.iter().enumerate() {
+        for (layer_index, encoding) in encodings.iter_mut().enumerate() {
             value = match (&model.layers()[layer_index], encoding) {
                 (LayerNode::Conv2d(conv), Some(encoded)) => {
                     let precision = self.schedule.for_layer(weighted_index);
@@ -305,14 +343,14 @@ impl PhotonicExecutor {
     }
 
     /// Every conv runs weight-stationary: each output channel's row is
-    /// programmed once per chunk, one arm per segment, and every stride
-    /// streams against it. The input is quantized once per layer; each
-    /// stride gathers its drive codes from that plane, which every worker
-    /// reads.
+    /// loaded once per chunk from the layer's transmission table, and every
+    /// stride streams against it. The input is quantized once per layer;
+    /// each stride gathers its drive codes from that plane, which every
+    /// worker reads.
     fn conv_forward(
         &mut self,
         conv: &Conv2d,
-        encoded: &EncodedWeights,
+        encoded: &mut EncodedWeights,
         scratch: &mut PlanScratch,
         input: &Tensor,
         precision: Precision,
@@ -326,12 +364,12 @@ impl PhotonicExecutor {
             a_norm, workers, ..
         } = scratch;
         let (plane, activation_scale) =
-            quantize_layer_input(input, precision.activation_bits, a_norm);
+            quantize_layer_input(input, precision.activation_bits, a_norm)?;
         let (weight_scale, activation_scale) =
             (f64::from(encoded.weight_scale), f64::from(activation_scale));
         let row_len = in_c * k * k;
         let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
-        let (rows, bias) = (&encoded.rows, conv.bias().data());
+        let (rows, bias) = (encoded.programmed(&mut self.mac_unit)?, conv.bias().data());
         let stride_span = oh_n * ow_n;
         let mut out = Tensor::zeros(&out_shape);
         self.run_tiled(
@@ -348,11 +386,11 @@ impl PhotonicExecutor {
                 let mut loaded = usize::MAX;
                 for slot in out_chunk.iter_mut() {
                     if oc != loaded {
-                        unit.load_row(&rows[oc])?;
+                        unit.load_coded_row(rows.row(oc), rows.table)?;
                         loaded = oc;
                     }
                     gather_patch(plane, in_c, in_h, in_w, k, stride, padding, oh, ow, patch);
-                    let normalized = unit.mac_loaded(patch)?;
+                    let normalized = unit.mac_row(patch);
                     let value = normalized * weight_scale * activation_scale;
                     *slot = value as f32 + bias[oc];
                     ow += 1;
@@ -369,10 +407,12 @@ impl PhotonicExecutor {
         Ok(out)
     }
 
+    /// Every linear layer runs one output feature per row load, each read
+    /// from the layer's transmission table, against the one quantized input.
     fn linear_forward(
         &mut self,
         linear: &Linear,
-        encoded: &EncodedWeights,
+        encoded: &mut EncodedWeights,
         scratch: &mut PlanScratch,
         input: &Tensor,
         precision: Precision,
@@ -383,10 +423,13 @@ impl PhotonicExecutor {
             a_norm, workers, ..
         } = scratch;
         let (a_norm, activation_scale) =
-            quantize_layer_input(input, precision.activation_bits, a_norm);
+            quantize_layer_input(input, precision.activation_bits, a_norm)?;
         let scale = f64::from(encoded.weight_scale) * f64::from(activation_scale);
         let calls_per_item = a_norm.len().div_ceil(self.mac_unit.segment_length()) as u64;
-        let (rows, bias) = (&encoded.rows, linear.bias().data());
+        let (rows, bias) = (
+            encoded.programmed(&mut self.mac_unit)?,
+            linear.bias().data(),
+        );
         let mut out = Tensor::zeros(&[linear.out_features()]);
         self.run_tiled(
             out.data_mut(),
@@ -394,7 +437,8 @@ impl PhotonicExecutor {
             workers,
             |unit, _, start, out_chunk| {
                 for (slot, o) in out_chunk.iter_mut().zip(start..) {
-                    let normalized = unit.dot(&rows[o], a_norm)?;
+                    unit.load_coded_row(rows.row(o), rows.table)?;
+                    let normalized = unit.mac_row(a_norm);
                     *slot = (normalized * scale) as f32 + bias[o];
                 }
                 Ok(())
@@ -678,6 +722,60 @@ mod tests {
                     expected.data(),
                     got.data(),
                     "{workers}-worker tiling diverged from sequential"
+                );
+            }
+        }
+    }
+
+    /// A layer input holding `+∞` (which turns every drive code NaN) or
+    /// NaN (which `f32::max` reads as dark) fails the per-plane check with
+    /// `ActivationOutOfRange`, through the executor and the lowered plan,
+    /// at 1 and 4 workers.
+    #[test]
+    fn non_finite_layer_inputs_fail_the_plane_check() {
+        use crate::backend::{Backend, PhotonicBackend};
+        use crate::platform::ImageKernel;
+        let mut rng = SmallRng::seed_from_u64(4);
+        let model = build_mlp(&[1, 4, 4], 3, 8, &mut rng).expect("mlp");
+        let schedule = PrecisionSchedule::Uniform(Precision::w4a4());
+        let out_of_range = |result: Result<Tensor>| {
+            matches!(
+                result,
+                Err(CoreError::Photonics(
+                    PhotonicsError::ActivationOutOfRange { .. }
+                ))
+            )
+        };
+        for workers in [1, 4] {
+            let config = Platform::builder()
+                .sensor_resolution(16, 16)
+                .workers(workers)
+                .build()
+                .expect("platform")
+                .config()
+                .clone();
+            let workload = Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            };
+            let mut lowered = PhotonicBackend::new()
+                .lower(&workload, &config, config.seed)
+                .expect("lowered");
+            let mut plan = compile(&model, schedule);
+            let mut executor =
+                PhotonicExecutor::new(schedule, NoiseConfig::default(), 2).expect("ok");
+            executor.set_workers(workers);
+            for bad in [f32::INFINITY, f32::NAN] {
+                let mut input = Tensor::zeros(&config.acquired_shape());
+                input.data_mut()[5] = bad;
+                assert!(
+                    out_of_range(lowered.forward(&input)),
+                    "{workers} workers, {bad}"
+                );
+                let mut input = Tensor::zeros(&[1, 4, 4]);
+                input.data_mut()[3] = bad;
+                assert!(
+                    out_of_range(executor.forward(&mut plan, &input)),
+                    "{workers} workers, {bad}"
                 );
             }
         }

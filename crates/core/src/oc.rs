@@ -1,22 +1,25 @@
 //! Optical core: MVM banks, the summation tree and the photonic MAC unit.
 //!
 //! The functional behaviour of every bank arm is identical (same ring design,
-//! same WDM grid), so functional inference keeps one [`OpticalArm`] per
-//! segment of the widest row it has programmed, not one per physical arm,
-//! and models the two-stage electronic summation tree that combines partial
-//! sums of long dot products (paper Figs. 5 and 6).
+//! same WDM grid), so functional inference keeps one [`OpticalArm`], not one
+//! per physical arm: a programmed row is kept as the [`Lane`] constants of
+//! its segments, and every segment runs on that arm's MAC kernel. The unit
+//! also models the two-stage electronic summation tree that combines
+//! partial sums of long dot products (paper Figs. 5 and 6).
 
 use crate::error::{CoreError, Result};
-use lightator_photonics::arm::{ArmConfig, OpticalArm};
+use crate::plan::Transmissions;
+use lightator_photonics::arm::{ArmConfig, Lane, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
 use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::PhotonicsError;
 use serde::{Deserialize, Serialize};
 
 /// A photonic dot-product engine of arbitrary length.
 ///
 /// Long dot products are segmented into arm-sized (9-MAC) chunks; each chunk
-/// is evaluated optically on its own [`OpticalArm`] and the partial results
-/// are accumulated electronically, exactly as the bank summation tree does.
+/// is evaluated optically as one arm pass and the partial results are
+/// accumulated electronically, exactly as the bank summation tree does.
 ///
 /// ```
 /// use lightator_core::oc::PhotonicMacUnit;
@@ -31,11 +34,15 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhotonicMacUnit {
-    /// One arm per segment of the widest row loaded so far. The first arm
-    /// exists from construction; the others are cloned from it on the
-    /// first row that needs them.
-    arms: Vec<OpticalArm>,
-    /// Length of the row programmed by [`PhotonicMacUnit::load_row`].
+    /// The paper's 9-MR arm: it programs rings for
+    /// [`PhotonicMacUnit::load_row`], and its noise stream and kernel run
+    /// every segment.
+    arm: OpticalArm,
+    /// The loaded row's lane constants, segment after segment.
+    lanes: Vec<Lane>,
+    /// Segment `s` holds `lanes[ends[s - 1]..ends[s]]` (from 0 for `s = 0`).
+    ends: Vec<usize>,
+    /// Length of the loaded row.
     row_len: usize,
     seed: u64,
     mac_cursor: u64,
@@ -48,29 +55,20 @@ impl PhotonicMacUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Photonics`] if the arm configuration is invalid.
+    /// Returns [`CoreError::Photonics`] if the noise configuration is
+    /// invalid.
     pub fn new(noise: NoiseConfig, seed: u64) -> Result<Self> {
-        Self::with_arm_config(
-            ArmConfig {
-                channels: 9,
-                ring: MicroringConfig::default(),
-                noise,
-            },
-            seed,
-        )
-    }
-
-    /// Creates a MAC unit with an explicit arm configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Photonics`] if the arm configuration is invalid.
-    pub fn with_arm_config(config: ArmConfig, seed: u64) -> Result<Self> {
-        let mut arm = OpticalArm::new(config)?;
+        let mut arm = OpticalArm::new(ArmConfig {
+            channels: 9,
+            ring: MicroringConfig::default(),
+            noise,
+        })?;
         // A fresh unit sits at the frame-0 stream.
         arm.begin_frame(seed, 0);
         Ok(Self {
-            arms: vec![arm],
+            arm,
+            lanes: Vec::new(),
+            ends: Vec::new(),
             row_len: 0,
             seed,
             mac_cursor: 0,
@@ -88,9 +86,7 @@ impl PhotonicMacUnit {
     /// evaluate it. This is what lets batched, pooled and worker-tiled
     /// execution reproduce sequential runs bit for bit.
     pub fn begin_frame(&mut self, index: u64) {
-        for arm in &mut self.arms {
-            arm.begin_frame(self.seed, index);
-        }
+        self.arm.begin_frame(self.seed, index);
         self.mac_cursor = 0;
     }
 
@@ -120,16 +116,17 @@ impl PhotonicMacUnit {
     /// Number of MAC elements one segment carries.
     #[must_use]
     pub fn segment_length(&self) -> usize {
-        self.arms[0].channels()
+        self.arm.channels()
     }
 
     /// Programs a weight row of any length for weight-stationary
-    /// streaming: the row is cut into arm-sized segments and each segment is
-    /// programmed onto an arm of its own, ⌈len/9⌉ arms in all, as a bank
-    /// maps a 5×5 or 7×7 kernel onto several arms (paper Fig. 6). The row
-    /// stays loaded across subsequent [`PhotonicMacUnit::mac_loaded`] calls,
-    /// which is how a bank serves all strides of one output channel (and,
-    /// in a batch, all frames) with a single DAC programming pass.
+    /// streaming: the row is cut into arm-sized segments, ⌈len/9⌉ in all,
+    /// as a bank maps a 5×5 or 7×7 kernel onto several arms (paper Fig. 6),
+    /// and each segment's rings are tuned on the unit's arm and kept as
+    /// its [`Lane`] constants. The row stays loaded across subsequent
+    /// [`PhotonicMacUnit::mac_loaded`] calls, which is how a bank serves
+    /// all strides of one output channel (and, in a batch, all frames) with
+    /// a single DAC programming pass.
     ///
     /// Weight programming is deterministic (analog noise is drawn during the
     /// MAC itself), so hoisting it out of the stride loop does not change any
@@ -141,22 +138,80 @@ impl PhotonicMacUnit {
     /// the unit is then left with no row loaded.
     pub fn load_row(&mut self, weights: &[f64]) -> Result<()> {
         let segment = self.segment_length();
-        let segments = weights.len().div_ceil(segment);
-        if self.arms.len() < segments {
-            let spare = self.arms[0].clone();
-            self.arms.resize(segments, spare);
-        }
-        self.row_len = 0;
-        for (arm, chunk) in self.arms.iter_mut().zip(weights.chunks(segment)) {
+        self.load_segments(weights.chunks(segment), |arm, chunk, lanes| {
             arm.load_weights(chunk)?;
-        }
+            lanes.extend_from_slice(arm.lanes());
+            Ok(())
+        })?;
         self.row_len = weights.len();
         Ok(())
     }
 
+    /// Loads a row of a compiled layer from its weight codes: every lane
+    /// reads its realised transmission from the layer's table
+    /// ([`Transmissions`]), so no ring is tuned. The lanes equal those
+    /// [`PhotonicMacUnit::load_row`] builds from the codes' weights.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Photonics`] for a code whose weight no ring can
+    /// hold (a NaN weight); the unit is then left with no row loaded.
+    pub(crate) fn load_coded_row(&mut self, codes: &[i8], table: &Transmissions) -> Result<()> {
+        let segment = self.segment_length();
+        self.load_segments(codes.chunks(segment), |arm, chunk, lanes| {
+            let transmissions = chunk
+                .iter()
+                .enumerate()
+                .map(|(lane, &code)| table.get(lane, code));
+            Ok(arm.append_lanes(transmissions, lanes)?)
+        })?;
+        self.row_len = codes.len();
+        Ok(())
+    }
+
+    /// Replaces the loaded row by the lanes `program` appends for each
+    /// segment, leaving no row loaded if one fails.
+    fn load_segments<'a, T: 'a>(
+        &mut self,
+        segments: impl Iterator<Item = &'a [T]>,
+        mut program: impl FnMut(&mut OpticalArm, &'a [T], &mut Vec<Lane>) -> Result<()>,
+    ) -> Result<()> {
+        self.row_len = 0;
+        self.lanes.clear();
+        self.ends.clear();
+        for chunk in segments {
+            if let Err(err) = program(&mut self.arm, chunk, &mut self.lanes) {
+                self.lanes.clear();
+                self.ends.clear();
+                return Err(err);
+            }
+            self.ends.push(self.lanes.len());
+        }
+        Ok(())
+    }
+
+    /// Realises each of `weights` on every lane by programming the arm's
+    /// rings, for a layer's [`Transmissions`] table: entry
+    /// `weight · channels + lane` is the signed transmission lane `lane`
+    /// realises for that weight, `0.0` for a zero weight (a parked ring)
+    /// and NaN for a NaN one.
+    pub(crate) fn realise(&mut self, weights: &[f64]) -> Result<Vec<f64>> {
+        let channels = self.segment_length();
+        let mut entries = Vec::with_capacity(weights.len() * channels);
+        for &weight in weights {
+            if weight.is_nan() || weight == 0.0 {
+                entries.extend(std::iter::repeat_n(weight, channels));
+                continue;
+            }
+            self.arm.load_weights(&vec![weight; channels])?;
+            entries.extend(self.arm.lanes().iter().map(|lane| lane.transmission));
+        }
+        Ok(entries)
+    }
+
     /// Evaluates `Σ wᵢ·aᵢ` against the row programmed by
-    /// [`PhotonicMacUnit::load_row`]: each of the row's segments runs on its
-    /// arm at the next MAC cursor and the partial results are summed in
+    /// [`PhotonicMacUnit::load_row`]: each of the row's segments runs on
+    /// the arm at the next MAC cursor and the partial results are summed in
     /// segment order, exactly as [`PhotonicMacUnit::dot`] does. The cursor
     /// advances by the row's segment count.
     ///
@@ -169,26 +224,32 @@ impl PhotonicMacUnit {
     /// longer than the loaded row.
     pub fn mac_loaded(&mut self, activations: &[f64]) -> Result<f64> {
         if activations.len() > self.row_len {
-            return Err(CoreError::Photonics(
-                lightator_photonics::PhotonicsError::LengthMismatch {
-                    expected: self.row_len,
-                    actual: activations.len(),
-                },
-            ));
+            return Err(CoreError::Photonics(PhotonicsError::LengthMismatch {
+                expected: self.row_len,
+                actual: activations.len(),
+            }));
         }
+        check_activations(activations)?;
+        Ok(self.mac_row(activations))
+    }
+
+    /// [`PhotonicMacUnit::mac_loaded`] for activations the caller has
+    /// checked: in `[0, 1]` and no longer than the loaded row.
+    pub(crate) fn mac_row(&mut self, activations: &[f64]) -> f64 {
         let segment = self.segment_length();
-        let segments = self.row_len.div_ceil(segment);
-        let lanes = activations
+        let segments = activations
             .chunks(segment)
             .chain(std::iter::repeat(&[][..]));
         let mut total = 0.0;
-        for (arm, lanes) in self.arms[..segments].iter_mut().zip(lanes) {
-            arm.set_mac_cursor(self.mac_cursor);
-            total += arm.mac(lanes)?.value;
+        let mut start = 0;
+        for (&end, activations) in self.ends.iter().zip(segments) {
+            self.arm.set_mac_cursor(self.mac_cursor);
+            total += self.arm.mac_lanes(&self.lanes[start..end], activations);
+            start = end;
             self.mac_cursor = self.mac_cursor.wrapping_add(1);
             self.segments_evaluated += 1;
         }
-        Ok(total)
+        total
     }
 
     /// Evaluates `Σ wᵢ·aᵢ` photonically: [`PhotonicMacUnit::load_row`]
@@ -204,15 +265,24 @@ impl PhotonicMacUnit {
     /// or a value is out of range.
     pub fn dot(&mut self, weights: &[f64], activations: &[f64]) -> Result<f64> {
         if weights.len() != activations.len() {
-            return Err(CoreError::Photonics(
-                lightator_photonics::PhotonicsError::LengthMismatch {
-                    expected: weights.len(),
-                    actual: activations.len(),
-                },
-            ));
+            return Err(CoreError::Photonics(PhotonicsError::LengthMismatch {
+                expected: weights.len(),
+                actual: activations.len(),
+            }));
         }
         self.load_row(weights)?;
         self.mac_loaded(activations)
+    }
+}
+
+/// Light intensities lie in `[0, 1]`: the first activation that does not
+/// (NaN included) is an error.
+pub(crate) fn check_activations(activations: &[f64]) -> Result<()> {
+    match activations.iter().find(|a| !(0.0..=1.0).contains(*a)) {
+        Some(&activation) => Err(CoreError::Photonics(PhotonicsError::ActivationOutOfRange {
+            activation,
+        })),
+        None => Ok(()),
     }
 }
 
@@ -359,6 +429,82 @@ mod tests {
                 expected.to_bits()
             );
         }
+    }
+
+    /// A row loaded from its codes through the layer's transmission table
+    /// holds the lanes `load_row` programs from the codes' weights, and
+    /// `mac_loaded` gives the same bits, with noise on, at several cursors.
+    /// For every width, the 400-weight rows hold every code at every lane.
+    #[test]
+    fn coded_rows_match_programmed_rows_bit_for_bit() {
+        use crate::plan::{EncodedWeights, WEIGHT_BITS};
+        const ROW: usize = 400;
+        // Row r shifts each lane's codes by the 44 full segments a lane
+        // gets per row, so consecutive rows continue every lane's sweep.
+        const SHIFT: usize = 44;
+        let activations: Vec<f64> = (0..ROW).map(|j| ((j * 7 + 3) % 16) as f64 / 15.0).collect();
+        for bits in WEIGHT_BITS {
+            let levels = (1usize << (bits - 1)) - 1;
+            let codes = 2 * levels + 1;
+            let rows = codes.div_ceil(SHIFT);
+            let weights: Vec<f32> = (0..rows * ROW)
+                .map(|i| {
+                    let (row, j) = (i / ROW, i % ROW);
+                    let code = (j / 9 + row * SHIFT + j % 9) % codes;
+                    (code as f32 - levels as f32) / levels as f32
+                })
+                .collect();
+            let mut encoded =
+                EncodedWeights::new(&weights, ROW, 1.0, bits).expect("width in range");
+            let mut seen = vec![false; 9 * codes];
+            for (i, &code) in encoded.codes().iter().enumerate() {
+                seen[(i % ROW % 9) * codes + (i32::from(code) + levels as i32) as usize] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "{bits} bits: a lane misses a code");
+
+            let decoded = encoded.rows();
+            let mut coded = PhotonicMacUnit::new(NoiseConfig::default(), 5).expect("ok");
+            let mut programmed = coded.clone();
+            let layer = encoded.programmed(&mut coded).expect("table");
+            for (r, row) in decoded.iter().enumerate() {
+                coded
+                    .load_coded_row(layer.row(r), layer.table)
+                    .expect("coded row");
+                programmed.load_row(row).expect("programmed row");
+                assert_eq!(coded.lanes, programmed.lanes, "{bits} bits, row {r}");
+                assert_eq!(coded.ends, programmed.ends);
+                for (frame, cursor) in [(0, 0), (3, 17), (9, 1 << 40), (2, u64::MAX - 3)] {
+                    for unit in [&mut coded, &mut programmed] {
+                        unit.begin_frame(frame);
+                        unit.set_mac_cursor(cursor);
+                    }
+                    let got = coded.mac_loaded(&activations).expect("in range");
+                    let want = programmed.mac_loaded(&activations).expect("in range");
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{bits} bits, row {r}, cursor {cursor}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A NaN code fails the coded row load like a NaN weight fails
+    /// `load_row`, and leaves no row loaded.
+    #[test]
+    fn a_code_with_no_weight_fails_the_row_load() {
+        use crate::plan::EncodedWeights;
+        let mut encoded = EncodedWeights::new(&[0.5, f32::NAN, -1.0], 3, 1.0, 4).expect("4 bits");
+        let mut unit = PhotonicMacUnit::new(NoiseConfig::default(), 5).expect("ok");
+        let layer = encoded.programmed(&mut unit).expect("table");
+        assert!(matches!(
+            unit.load_coded_row(layer.row(0), layer.table),
+            Err(CoreError::Photonics(
+                lightator_photonics::PhotonicsError::WeightOutOfRange { .. }
+            ))
+        ));
+        assert!(unit.mac_loaded(&[0.5]).is_err());
     }
 
     #[test]

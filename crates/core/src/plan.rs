@@ -10,8 +10,9 @@
 //!   into the optical core's input tensor,
 //! * the workload's **lowered optical model** (the classify network, the
 //!   3×3 filter conv, or the per-block stream tile conv),
-//! * the **pre-encoded MR weight bank** — one [`EncodedWeights`] per
-//!   weighted layer, exactly the normalised transmissions the DACs program —
+//! * the **MR weight bank** — one [`EncodedWeights`] per weighted layer:
+//!   the `[W]`-bit codes the weight SRAM holds, plus the ring transmission
+//!   each code realises on each lane, tabled on the layer's first frame —
 //! * the **resolved precision schedule**, and
 //! * **reusable scratch and tile buffers**, so the steady-state execution
 //!   path performs no per-frame encoding work and no per-stride allocation.
@@ -48,52 +49,216 @@
 //! ```
 
 use crate::ca::CompressiveAcquisitor;
-use crate::error::Result;
-use crate::exec::quantize_weight_row;
+use crate::error::{CoreError, Result};
+use crate::oc::PhotonicMacUnit;
 use crate::platform::{ImageKernel, PlatformConfig, Workload};
 use lightator_nn::layers::{Conv2d, LayerNode};
 use lightator_nn::model::Sequential;
+#[cfg(doc)]
+use lightator_nn::quant::quantize_symmetric;
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Quantized, normalised weight rows of one weighted layer — the exact
-/// values the DACs program into the MR transmissions.
+/// The MR weight bank of one weighted layer as the weight SRAM holds it:
+/// the signed `[W]`-bit quantization code of every weight, plus a table of
+/// the ring transmission each code realises on each of the arm's 9 lanes.
+/// The table is filled on the layer's first forward pass, by tuning one
+/// ring per lane and code; every row load after that reads it, so no ring
+/// is tuned per frame.
 ///
 /// Encoding is input-independent, so a compiled plan encodes each layer
 /// once and every frame streams through the shared encoding (the hardware
 /// analogy: the weights are programmed once and light does the rest).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedWeights {
-    /// One normalised row per output channel (conv) or output feature
-    /// (linear), each entry already clamped to the MR transmission range.
-    pub(crate) rows: Vec<Vec<f64>>,
+    /// One code per weight, row after row: a row per output channel (conv)
+    /// or output feature (linear). [`NO_CODE`] marks a NaN weight.
+    codes: Vec<i8>,
+    row_len: usize,
     /// Scale that maps the normalised optical sum back to weight units.
     pub(crate) weight_scale: f32,
+    /// `2^(W−1) − 1`, the largest code magnitude.
+    q_max: i8,
+    /// The realised transmissions of every lane and code, filled on the
+    /// layer's first forward pass ([`EncodedWeights::programmed`]).
+    table: Option<Transmissions>,
 }
 
+/// The code of a weight that has none: a NaN weight, which no ring holds.
+const NO_CODE: i8 = i8::MIN;
+
+/// The weight widths a layer's codes can hold: 2 bits give the one
+/// positive level a signed weight needs, and the weight SRAM holds codes
+/// of at most 8 bits.
+pub(crate) const WEIGHT_BITS: std::ops::RangeInclusive<u8> = 2..=8;
+
 impl EncodedWeights {
-    /// Encodes `row_len`-element weight rows into the normalised MR values.
-    #[must_use]
-    pub fn new(weights: &[f32], row_len: usize, weight_scale: f32, weight_bits: u8) -> Self {
-        let rows = weights
-            .chunks(row_len)
-            .map(|row| quantize_weight_row(row, weight_scale, weight_bits))
+    /// Encodes `row_len`-element weight rows into `weight_bits`-bit codes,
+    /// exactly as [`quantize_symmetric`] rounds them under `weight_scale`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for a width outside 2–8 bits.
+    pub fn new(
+        weights: &[f32],
+        row_len: usize,
+        weight_scale: f32,
+        weight_bits: u8,
+    ) -> Result<Self> {
+        check_weight_bits(weight_bits)?;
+        let q_max = ((1u16 << (weight_bits - 1)) - 1) as i8;
+        let levels = f32::from(q_max);
+        let codes = weights
+            .iter()
+            .map(|&w| {
+                if weight_scale == 0.0 {
+                    return 0;
+                }
+                // `quantize_symmetric`'s rounding, kept as the integer code.
+                let q = (w / weight_scale * levels).round().clamp(-levels, levels);
+                if q.is_nan() {
+                    NO_CODE
+                } else {
+                    q as i8
+                }
+            })
             .collect();
-        Self { rows, weight_scale }
+        Ok(Self {
+            codes,
+            row_len,
+            weight_scale,
+            q_max,
+            table: None,
+        })
     }
 
-    /// The normalised MR transmission rows, one per output channel/feature.
+    /// Every weight's signed code, row after row; [`NO_CODE`] marks a NaN
+    /// weight.
+    #[cfg(test)]
+    pub(crate) fn codes(&self) -> &[i8] {
+        &self.codes
+    }
+
+    /// The normalised MR value `code` programs, in `[-1, 1]`: the weight
+    /// [`quantize_symmetric`] returns for that code, over the scale. NaN
+    /// for [`NO_CODE`], and for every code of a layer whose scale is
+    /// infinite.
+    fn weight(&self, code: i8) -> f64 {
+        if code == NO_CODE {
+            return f64::NAN;
+        }
+        if self.weight_scale == 0.0 {
+            return 0.0;
+        }
+        let q = f32::from(code) / f32::from(self.q_max) * self.weight_scale;
+        f64::from(q / self.weight_scale).clamp(-1.0, 1.0)
+    }
+
+    /// The normalised MR transmission rows, one per output channel/feature,
+    /// decoded from the codes. The plan keeps only the codes; this builds
+    /// the rows on each call, for inspection and for reference runs through
+    /// [`crate::oc::PhotonicMacUnit::load_row`].
     #[must_use]
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
+    pub fn rows(&self) -> Vec<Vec<f64>> {
+        if self.row_len == 0 {
+            return Vec::new();
+        }
+        self.codes
+            .chunks(self.row_len)
+            .map(|row| row.iter().map(|&code| self.weight(code)).collect())
+            .collect()
     }
 
     /// The scale mapping the normalised optical sum back to weight units.
     #[must_use]
     pub fn weight_scale(&self) -> f32 {
         self.weight_scale
+    }
+
+    /// The layer's rows as a row load reads them: the codes and the table
+    /// of realised transmissions, which the first call fills by programming
+    /// `unit`'s rings, one tuning per lane and code instead of one per
+    /// weight per frame.
+    pub(crate) fn programmed(&mut self, unit: &mut PhotonicMacUnit) -> Result<ProgrammedRows<'_>> {
+        let table = match self.table.take() {
+            Some(table) => table,
+            None => {
+                let weights: Vec<f64> = (-self.q_max..=self.q_max)
+                    .map(|code| self.weight(code))
+                    .collect();
+                Transmissions {
+                    entries: unit.realise(&weights)?,
+                    lanes: unit.segment_length(),
+                    q_max: self.q_max,
+                }
+            }
+        };
+        Ok(ProgrammedRows {
+            codes: &self.codes,
+            row_len: self.row_len,
+            table: self.table.insert(table),
+        })
+    }
+}
+
+/// A weighted layer programmed onto the MAC units: its codes and its
+/// filled [`Transmissions`] table.
+pub(crate) struct ProgrammedRows<'a> {
+    codes: &'a [i8],
+    row_len: usize,
+    /// The realised transmission of every lane and code.
+    pub(crate) table: &'a Transmissions,
+}
+
+impl ProgrammedRows<'_> {
+    /// The codes of row `row` (output channel or feature).
+    pub(crate) fn row(&self, row: usize) -> &[i8] {
+        &self.codes[row * self.row_len..(row + 1) * self.row_len]
+    }
+}
+
+/// Rejects a weight width outside [`WEIGHT_BITS`].
+pub(crate) fn check_weight_bits(bits: u8) -> Result<()> {
+    if WEIGHT_BITS.contains(&bits) {
+        return Ok(());
+    }
+    Err(CoreError::invalid_config(
+        "weight_bits",
+        f64::from(bits),
+        format!(
+            "weights need 2 to 8 bits on every layer (got {bits}): signed weights \
+             quantize to 2^(bits-1) - 1 positive levels, none with 1 bit, and the \
+             weight SRAM holds codes of at most 8 bits"
+        ),
+    ))
+}
+
+/// The signed transmission each lane's ring realises for each code of one
+/// weighted layer, as [`OpticalArm::lanes`] reports it: `0.0` for a zero
+/// weight (a parked ring) and NaN for a weight no ring holds. Every MAC
+/// unit has the paper's 9-lane ring, so any unit fills the same table.
+///
+/// [`OpticalArm::lanes`]: lightator_photonics::arm::OpticalArm::lanes
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Transmissions {
+    /// Entry `(code + q_max) · lanes + lane`.
+    entries: Vec<f64>,
+    lanes: usize,
+    q_max: i8,
+}
+
+impl Transmissions {
+    /// The signed transmission lane `lane` realises for `code`; NaN for a
+    /// code outside the layer's width.
+    pub(crate) fn get(&self, lane: usize, code: i8) -> f64 {
+        let (code, q_max) = (i32::from(code), i32::from(self.q_max));
+        if code.abs() > q_max || lane >= self.lanes {
+            return f64::NAN;
+        }
+        let index = (code + q_max) as usize * self.lanes + lane;
+        self.entries.get(index).copied().unwrap_or(f64::NAN)
     }
 }
 
@@ -102,37 +267,43 @@ impl EncodedWeights {
 ///
 /// This is the single weight-encoding pass: [`CompiledPlan::compile`] runs
 /// it once and every frame streams through its result.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] for a weight width outside 2–8
+/// bits.
 pub fn encode_model(
     model: &Sequential,
     schedule: PrecisionSchedule,
-) -> Vec<Option<EncodedWeights>> {
+) -> Result<Vec<Option<EncodedWeights>>> {
     let mut weighted_index = 0usize;
     model
         .layers()
         .iter()
         .map(|layer| {
             if !layer.is_weighted() {
-                return None;
+                return Ok(None);
             }
             let precision = schedule.for_layer(weighted_index);
             weighted_index += 1;
             match layer {
                 LayerNode::Conv2d(conv) => {
                     let row_len = conv.in_channels() * conv.kernel() * conv.kernel();
-                    Some(EncodedWeights::new(
+                    EncodedWeights::new(
                         conv.weight().data(),
                         row_len,
                         conv.weight().max_abs(),
                         precision.weight_bits,
-                    ))
+                    )
+                    .map(Some)
                 }
-                LayerNode::Linear(linear) => Some(EncodedWeights::new(
+                LayerNode::Linear(linear) => EncodedWeights::new(
                     linear.weight().data(),
                     linear.in_features(),
                     linear.weight().max_abs(),
                     precision.weight_bits,
-                )),
+                )
+                .map(Some),
                 _ => unreachable!("is_weighted covers exactly conv and linear"),
             }
         })
@@ -191,7 +362,7 @@ pub struct CompiledPlan {
     ca: Option<CompressiveAcquisitor>,
     /// The lowered optical model, `None` for acquisition-only plans.
     model: Option<Sequential>,
-    /// Pre-encoded MR rows, indexed by model layer position.
+    /// The encoded MR weight bank, indexed by model layer position.
     encodings: Vec<Option<EncodedWeights>>,
     scratch: PlanScratch,
     stats: PlanStats,
@@ -203,7 +374,7 @@ impl CompiledPlan {
     /// The lowering pass builds the CA operator, materialises the
     /// workload's optical model (cloning the classify network, or
     /// constructing the filter/tile convolution from the kernel
-    /// coefficients), encodes every weighted layer's quantized MR rows
+    /// coefficients), encodes every weighted layer's weight codes
     /// under the platform's precision schedule, and reserves the stream
     /// tile buffer. `seed` only seeds the RNG of freshly constructed
     /// layers whose weights are immediately overwritten, mirroring the
@@ -211,7 +382,9 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// Propagates CA construction and model construction errors.
+    /// Propagates CA construction and model construction errors, and
+    /// returns [`CoreError::InvalidConfig`] for a weight width outside 2–8
+    /// bits.
     pub fn compile(workload: &Workload, config: &PlatformConfig, seed: u64) -> Result<Self> {
         let ca = config.ca.map(CompressiveAcquisitor::new).transpose()?;
         let acquired = config.acquired_shape();
@@ -226,6 +399,7 @@ impl CompiledPlan {
         let encodings = model
             .as_ref()
             .map(|m| encode_model(m, config.schedule))
+            .transpose()?
             .unwrap_or_default();
         let tiles = match workload {
             Workload::VideoStream { stream, .. } => {
@@ -282,7 +456,7 @@ impl CompiledPlan {
         self.encodings.iter().flatten().count()
     }
 
-    /// The pre-encoded MR rows, indexed by model layer position.
+    /// The encoded MR weight bank, indexed by model layer position.
     #[must_use]
     pub fn encodings(&self) -> &[Option<EncodedWeights>] {
         &self.encodings
@@ -310,12 +484,17 @@ impl CompiledPlan {
     }
 
     /// Splits the plan into the disjoint parts one planned forward pass
-    /// needs: the model, its encodings and the scratch buffers.
+    /// needs: the model, its encodings (whose tables the pass fills) and
+    /// the scratch buffers.
     pub(crate) fn exec_parts_mut(
         &mut self,
-    ) -> Option<(&mut Sequential, &[Option<EncodedWeights>], &mut PlanScratch)> {
+    ) -> Option<(
+        &mut Sequential,
+        &mut [Option<EncodedWeights>],
+        &mut PlanScratch,
+    )> {
         let model = self.model.as_mut()?;
-        Some((model, &self.encodings, &mut self.scratch))
+        Some((model, &mut self.encodings, &mut self.scratch))
     }
 
     /// Takes the reusable tile buffer out of the plan (the streaming path
@@ -464,22 +643,81 @@ mod tests {
             first: Precision::w4a4(),
             rest: Precision::w2a4(),
         };
-        let encodings = encode_model(&model, mixed);
+        let encodings = encode_model(&model, mixed).expect("widths in range");
         assert_eq!(encodings.len(), 4);
         assert!(encodings[0].is_some());
         assert!(encodings[1].is_none());
         assert!(encodings[2].is_none());
         assert!(encodings[3].is_some());
-        // Lower weight precision -> coarser MR levels: the distinct value
-        // count of the 2-bit layer never exceeds the 4-bit grid size.
-        let distinct = |e: &EncodedWeights| {
-            let mut values: Vec<u64> = e.rows.iter().flatten().map(|w| w.abs().to_bits()).collect();
-            values.sort_unstable();
-            values.dedup();
-            values.len()
-        };
+        // Each layer's codes span its own width: up to ±7 at 4 bits, ±1 at
+        // 2 bits, and the largest weight reaches the top code.
+        let largest = |e: &EncodedWeights| e.codes().iter().map(|c| c.unsigned_abs()).max();
+        let first = encodings[0].as_ref().expect("conv encoding");
         let rest = encodings[3].as_ref().expect("linear encoding");
-        assert!(distinct(rest) <= 2usize.pow(2));
+        assert_eq!(largest(first), Some(7));
+        assert_eq!(largest(rest), Some(1));
+    }
+
+    /// The codes program exactly the MR values the old `f64` rows held:
+    /// `quantize_symmetric` over the scale, clamped to `[-1, 1]`, for every
+    /// width and a weight on every code, with zero and extreme scales.
+    #[test]
+    fn codes_decode_to_the_quantized_weights() {
+        use lightator_nn::quant::quantize_symmetric;
+        for bits in WEIGHT_BITS {
+            let levels = (1u32 << (bits - 1)) - 1;
+            for scale in [1.0f32, 0.37, 3e-39, 0.0] {
+                let weights: Vec<f32> = (0..=4 * levels)
+                    .map(|i| (i as f32 / (2 * levels) as f32 - 1.0) * scale)
+                    .chain([scale, -scale, 0.3 * scale, -0.0])
+                    .collect();
+                let encoded = EncodedWeights::new(&weights, weights.len(), scale, bits)
+                    .expect("width in range");
+                for (&w, got) in weights.iter().zip(&encoded.rows()[0]) {
+                    let q = quantize_symmetric(w, scale, bits);
+                    let want = if scale == 0.0 {
+                        0.0
+                    } else {
+                        f64::from(q / scale).clamp(-1.0, 1.0)
+                    };
+                    // Zero codes carry no sign: both zeros park the ring.
+                    assert_eq!(
+                        got.to_bits(),
+                        (want + 0.0).to_bits(),
+                        "{bits} bits, {w}/{scale}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A NaN weight has no code and decodes to NaN, and an infinite weight
+    /// makes the scale infinite, so every weight of its layer decodes to
+    /// NaN: as with the old rows, no ring holds them.
+    #[test]
+    fn non_finite_weights_decode_to_nan() {
+        let encoded = EncodedWeights::new(&[0.5, f32::NAN, -1.0], 3, 1.0, 4).expect("4 bits");
+        let row = &encoded.rows()[0];
+        assert_eq!(encoded.codes(), &[4, i8::MIN, -7]);
+        assert!(row[1].is_nan() && !row[0].is_nan() && !row[2].is_nan());
+        let infinite =
+            EncodedWeights::new(&[0.5, f32::INFINITY], 2, f32::INFINITY, 4).expect("4 bits");
+        assert!(infinite.rows()[0].iter().all(|w| w.is_nan()));
+    }
+
+    /// Widths outside 2..=8 fail the encoding with `InvalidConfig` instead
+    /// of wrapping the code range or overflowing a shift.
+    #[test]
+    fn encoding_rejects_widths_it_cannot_hold() {
+        for bits in (0..=255u8).filter(|bits| !WEIGHT_BITS.contains(bits)) {
+            assert!(matches!(
+                EncodedWeights::new(&[0.5, -0.25], 2, 0.5, bits),
+                Err(CoreError::InvalidConfig {
+                    name: "weight_bits",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::backend::{Backend, BackendId, PhotonicBackend};
 use crate::ca::CaConfig;
 use crate::config::{LightatorConfig, OcGeometry};
 use crate::error::{CoreError, Result};
-use crate::exec::MAX_WORKERS;
+use crate::exec::{check_schedule, MAX_WORKERS};
 use crate::platform::session::Session;
 use crate::platform::workload::Workload;
 use crate::sim::{ArchitectureSimulator, SimulationReport};
@@ -188,7 +188,8 @@ impl PlatformBuilder {
     /// worker count of zero or above [`MAX_WORKERS`], a sensor axis of zero
     /// or above [`MAX_SENSOR_AXIS`] photosites, a CA window that does not
     /// divide the sensor resolution, a degenerate CA configuration, or a
-    /// schedule with fewer than 2 weight bits on some layer.
+    /// schedule with a weight width outside 2–8 bits or an activation width
+    /// outside 1–8 bits on some layer.
     pub fn build(self) -> Result<Platform> {
         let Self { config, backends } = self;
         config.hardware.validate()?;
@@ -205,25 +206,7 @@ impl PlatformBuilder {
             ),
             other => CoreError::Photonics(other),
         })?;
-        // Layer 0 carries a mixed schedule's `first` precision and layer 1
-        // its `rest`; a uniform schedule has one precision for both.
-        let schedule = config.schedule;
-        let bits = schedule
-            .for_layer(0)
-            .weight_bits
-            .min(schedule.for_layer(1).weight_bits);
-        if bits < 2 {
-            return Err(CoreError::invalid_config(
-                "weight_bits",
-                f64::from(bits),
-                format!(
-                    "schedule {} needs at least 2 weight bits on every layer: \
-                     signed weights quantize to 2^(bits-1) - 1 positive levels, \
-                     none with 1 bit",
-                    schedule.label()
-                ),
-            ));
-        }
+        check_schedule(config.schedule)?;
         if !(1..=MAX_WORKERS).contains(&config.workers) {
             return Err(CoreError::invalid_config(
                 "workers",
@@ -753,6 +736,100 @@ mod tests {
             .expect("session");
         let scene = RgbFrame::filled(16, 16, [0.4, 0.6, 0.2]).expect("scene");
         assert!(session.run(&scene).is_ok());
+    }
+
+    /// Every weight and activation width 0..=255, in a uniform schedule
+    /// and in either half of a mixed one, goes through `build` and
+    /// `Session::open`. A width the datapath holds (2–8 weight bits, 1–8
+    /// activation bits) builds and runs a frame of a one-layer kernel and
+    /// of a two-layer classifier, so a mixed schedule's `rest` runs too;
+    /// any other fails the build with `InvalidConfig` naming the width, as
+    /// does lowering it through a schedule-pinned backend. Nothing panics.
+    #[test]
+    fn every_precision_width_builds_and_runs_or_fails_with_invalid_config() {
+        use lightator_nn::layers::{Flatten, Linear};
+        use lightator_nn::model::Sequential;
+        use lightator_sensor::frame::RgbFrame;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let scene = RgbFrame::filled(16, 16, [0.4, 0.6, 0.2]).expect("scene");
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut classifier = Sequential::new(&[1, 8, 8]);
+        classifier.push(Flatten::new());
+        classifier.push(Linear::new(64, 4, &mut rng).expect("linear"));
+        classifier.push(Linear::new(4, 2, &mut rng).expect("head"));
+        let workloads = [
+            Workload::ImageKernel {
+                kernel: ImageKernel::SobelX,
+            },
+            Workload::Classify { model: classifier },
+        ];
+        let paper = Precision::w4a4();
+        let at = |weight_bits, activation_bits| Precision {
+            weight_bits,
+            activation_bits,
+        };
+        for bits in 0..=255u8 {
+            for (name, width) in [
+                ("weight_bits", at(bits, 4)),
+                ("activation_bits", at(4, bits)),
+            ] {
+                // `Precision::new`'s range, with the 2 bits a signed weight needs.
+                let holds = Precision::new(width.weight_bits, width.activation_bits).is_ok()
+                    && width.weight_bits >= 2;
+                for schedule in [
+                    PrecisionSchedule::Uniform(width),
+                    PrecisionSchedule::Mixed {
+                        first: width,
+                        rest: paper,
+                    },
+                    PrecisionSchedule::Mixed {
+                        first: paper,
+                        rest: width,
+                    },
+                ] {
+                    let label = schedule.label();
+                    match Platform::builder()
+                        .sensor_resolution(16, 16)
+                        .precision(schedule)
+                        .build()
+                    {
+                        Ok(platform) => {
+                            assert!(holds, "{label} built");
+                            for workload in &workloads {
+                                let mut session =
+                                    platform.session(workload.clone()).expect("session opens");
+                                session.run(&scene).expect("a frame runs");
+                            }
+                        }
+                        Err(CoreError::InvalidConfig { name: got, .. }) => {
+                            assert!(!holds, "{label} was rejected");
+                            assert_eq!(got, name, "{label}");
+                            let pinned = Platform::builder()
+                                .sensor_resolution(16, 16)
+                                .register_backend(Arc::new(PhotonicBackend::with_schedule(
+                                    "photonic:pinned",
+                                    "pinned",
+                                    schedule,
+                                )))
+                                .build()
+                                .expect("the platform's own schedule is valid");
+                            let err = pinned
+                                .session_on(
+                                    workloads[0].clone(),
+                                    &BackendId::new("photonic:pinned"),
+                                )
+                                .expect_err("the pinned schedule must not lower");
+                            assert!(
+                                matches!(err, CoreError::InvalidConfig { name: got, .. } if got == name),
+                                "{label}: {err:?}"
+                            );
+                        }
+                        Err(err) => panic!("{label}: failed with {err:?}, not InvalidConfig"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

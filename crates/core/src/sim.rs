@@ -6,7 +6,7 @@
 //! platform-level figures of merit (frames per second, KFPS/W). This module
 //! is that simulator.
 
-use crate::config::{LightatorConfig, TimingConfig};
+use crate::config::{LightatorConfig, OcGeometry, TimingConfig};
 use crate::energy::{ComponentPower, EnergyModel};
 use crate::error::Result;
 use crate::mapping::{HardwareMapper, LayerMapping};
@@ -112,7 +112,7 @@ impl SimulationReport {
 /// The Lightator architecture simulator.
 #[derive(Debug, Clone)]
 pub struct ArchitectureSimulator {
-    config: LightatorConfig,
+    geometry: OcGeometry,
     mapper: HardwareMapper,
     energy: EnergyModel,
 }
@@ -126,19 +126,14 @@ impl ArchitectureSimulator {
     /// if the configuration is invalid.
     pub fn new(config: LightatorConfig) -> Result<Self> {
         config.validate()?;
-        let mapper = HardwareMapper::new(config.geometry)?;
-        let energy = EnergyModel::new(config.clone())?;
+        let geometry = config.geometry;
+        let mapper = HardwareMapper::new(geometry)?;
+        let energy = EnergyModel::new(config)?;
         Ok(Self {
-            config,
+            geometry,
             mapper,
             energy,
         })
-    }
-
-    /// The platform configuration.
-    #[must_use]
-    pub fn config(&self) -> &LightatorConfig {
-        &self.config
     }
 
     /// Phase timing of one optically mapped layer.
@@ -295,7 +290,7 @@ impl ArchitectureSimulator {
             .zip(&mappings)
             .find(|(layer, _)| layer.is_weighted())
             .and_then(|(_, mapping)| *mapping);
-        let arms = self.config.geometry.arms().max(1);
+        let arms = self.geometry.arms().max(1);
         let share = first_mapping
             .map(|m| {
                 let engaged = m.strides_per_cycle.min(m.total_strides) * m.arms_per_stride;

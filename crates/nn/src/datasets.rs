@@ -4,13 +4,13 @@
 //! are not available in this environment, so the reproduction substitutes
 //! procedurally generated datasets with the same tensor shapes and class
 //! counts: [`SyntheticConfig::mnist_like`] and
-//! [`SyntheticConfig::cifar10_like`] (see DESIGN.md §5). Each class is
-//! defined by a deterministic prototype pattern (an oriented sinusoidal
-//! grating plus a class-specific blob); samples are noisy, slightly shifted
-//! instances of their class prototype. The resulting classification task is learnable by the same
-//! topologies the paper trains, and — crucially for the reproduction — its
-//! accuracy degrades with weight quantization and analog noise the same way
-//! a natural-image task does.
+//! [`SyntheticConfig::cifar10_like`]. Each class is defined by a
+//! deterministic prototype pattern (an oriented sinusoidal grating plus a
+//! class-specific blob); samples are noisy, slightly shifted instances of
+//! their class prototype. The resulting classification task is learnable by
+//! the same topologies the paper trains, and — crucially for the
+//! reproduction — its accuracy degrades with weight quantization and analog
+//! noise the same way a natural-image task does.
 
 use crate::error::{NnError, Result};
 use crate::tensor::Tensor;

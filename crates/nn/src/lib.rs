@@ -13,7 +13,7 @@
 //! * [`spec`] — structural topology descriptions (LeNet, VGG9/13/16, AlexNet)
 //!   consumed by the architecture simulator;
 //! * [`datasets`] — procedurally generated MNIST/CIFAR-like datasets
-//!   (substituting the real image sets, see DESIGN.md);
+//!   (substituting the real image sets; the module doc says why);
 //! * [`models`] — executable model builders for the accuracy experiments.
 //!
 //! # Example

@@ -4,8 +4,9 @@
 //! structurally for the architecture simulator; the builders here construct
 //! *trainable* [`Sequential`] models for the functional accuracy experiments.
 //! The LeNet builder is full-size; the VGG-style builder is width-reduced so
-//! that training on a laptop-scale budget stays tractable (documented as a
-//! substitution in DESIGN.md §5).
+//! that training on a laptop-scale budget stays tractable. It trains on the
+//! synthetic stand-ins for the paper's image sets; the
+//! [`datasets`](crate::datasets) module doc says why they stand in.
 
 use crate::error::{NnError, Result};
 use crate::layers::{Activation, AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d};

@@ -18,6 +18,12 @@
 //! cursor with [`OpticalArm::set_mac_cursor`] therefore reproduces — or
 //! skips ahead in — the noise sequence exactly, which is what lets callers
 //! tile MAC loops across threads bit-exactly.
+//!
+//! What a MAC reads of a programmed ring does not change while the ring
+//! holds its weight, so programming a row turns it into [`Lane`] constants
+//! once, and every MAC of the row reads those: the arm's own rings through
+//! [`OpticalArm::mac`], or a caller's rows through
+//! [`OpticalArm::mac_lanes`]. Both run the same kernel.
 
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
@@ -64,6 +70,30 @@ impl ArmOutput {
     }
 }
 
+/// The constants one MAC reads of a programmed lane, a ring that holds a
+/// non-zero weight. They stay fixed while the ring holds its weight, so a
+/// weight-stationary loop builds them once per row, not once per MAC.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lane {
+    /// The lane's channel in the arm.
+    pub channel: usize,
+    /// The ring's realised channel transmission, negated when the weight is
+    /// negative: the sign selects the balanced detector's rail.
+    pub transmission: f64,
+    /// The product of the parasitic transmissions the arm's other rings
+    /// impose on this channel (1.0 without crosstalk).
+    pub crosstalk: f64,
+}
+
+/// Reusable buffers of the MAC kernel: one Philox block and one normal
+/// pair per lane plus one for detection, sized at [`OpticalArm::new`] for
+/// one lane per channel.
+#[derive(Debug, Clone)]
+struct Draws {
+    blocks: Vec<[u64; 2]>,
+    normals: Vec<(f64, f64)>,
+}
+
 /// An optical MAC arm: per-channel MRs plus a balanced photodetector.
 ///
 /// ```
@@ -87,15 +117,13 @@ pub struct OpticalArm {
     /// magnitude a ring can realise.
     max_transmission: f64,
     weights: Vec<f64>,
+    /// The lane constants of the rings holding a non-zero weight, in
+    /// channel order, rebuilt by [`OpticalArm::load_weights`].
+    lanes: Vec<Lane>,
     crosstalk: CrosstalkModel,
     injector: NoiseInjector,
     mac_cursor: u64,
-    /// Scratch of [`OpticalArm::mac`], sized at [`OpticalArm::new`]: the
-    /// indices of the lanes that contribute to the current MAC, then one
-    /// Philox block and one normal pair per lane plus one for detection.
-    active: Vec<usize>,
-    blocks: Vec<[u64; 2]>,
-    normals: Vec<(f64, f64)>,
+    draws: Draws,
 }
 
 impl OpticalArm {
@@ -137,12 +165,14 @@ impl OpticalArm {
             rings,
             max_transmission: notch.t_max,
             weights: vec![0.0; channels],
+            lanes: Vec::new(),
             crosstalk,
             injector,
             mac_cursor: 0,
-            active: vec![0; channels],
-            blocks: vec![[0; 2]; channels + 1],
-            normals: vec![(0.0, 0.0); channels + 1],
+            draws: Draws {
+                blocks: vec![[0; 2]; channels + 1],
+                normals: vec![(0.0, 0.0); channels + 1],
+            },
         })
     }
 
@@ -197,11 +227,19 @@ impl OpticalArm {
         &self.weights
     }
 
+    /// The lane constants of the loaded rings that hold a non-zero weight,
+    /// in channel order: what [`OpticalArm::mac`] reads.
+    #[must_use]
+    pub fn lanes(&self) -> &[Lane] {
+        &self.lanes
+    }
+
     /// Loads a vector of signed weights in `[-1, 1]` onto the arm's MRs.
     ///
     /// Shorter vectors leave the remaining rings parked (weight 0, no tuning
     /// power), matching how partially filled arms behave for 5×5 / 7×7
-    /// kernels (paper Fig. 6).
+    /// kernels (paper Fig. 6). Each ring that holds a weight becomes one of
+    /// the arm's [`OpticalArm::lanes`].
     ///
     /// # Errors
     ///
@@ -221,6 +259,8 @@ impl OpticalArm {
                 return Err(PhotonicsError::WeightOutOfRange { weight: w });
             }
         }
+        let crosstalk = self.crosstalk.factors()?;
+        self.lanes.clear();
         for (i, ring) in self.rings.iter_mut().enumerate() {
             let w = weights.get(i).copied().unwrap_or(0.0);
             self.weights[i] = w;
@@ -231,6 +271,54 @@ impl OpticalArm {
                 // Weight 1.0 maps to the maximum representable transmission.
                 let magnitude = w.abs().min(self.max_transmission);
                 ring.set_weight(magnitude)?;
+                let transmission = ring.channel_transmission();
+                self.lanes.push(Lane {
+                    channel: i,
+                    transmission: if w < 0.0 { -transmission } else { transmission },
+                    crosstalk: crosstalk[i],
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the lane constants of one segment to `lanes`, from the
+    /// signed realised transmission of each of its channels in channel
+    /// order, as [`Lane::transmission`] holds it; `0.0` marks a parked
+    /// ring, which adds no lane. This is how a caller that keeps the
+    /// transmissions its rings realise programs a row without tuning a
+    /// ring: [`OpticalArm::load_weights`] builds the same lanes.
+    ///
+    /// # Errors
+    ///
+    /// * [`PhotonicsError::LengthMismatch`] for more transmissions than
+    ///   channels.
+    /// * [`PhotonicsError::WeightOutOfRange`] for a NaN transmission, the
+    ///   mark of a weight no ring can hold.
+    pub fn append_lanes(
+        &self,
+        transmissions: impl IntoIterator<Item = f64>,
+        lanes: &mut Vec<Lane>,
+    ) -> Result<()> {
+        let crosstalk = self.crosstalk.factors()?;
+        for (channel, transmission) in transmissions.into_iter().enumerate() {
+            let Some(&crosstalk) = crosstalk.get(channel) else {
+                return Err(PhotonicsError::LengthMismatch {
+                    expected: self.config.channels,
+                    actual: channel + 1,
+                });
+            };
+            if transmission.is_nan() {
+                return Err(PhotonicsError::WeightOutOfRange {
+                    weight: transmission,
+                });
+            }
+            if transmission != 0.0 {
+                lanes.push(Lane {
+                    channel,
+                    transmission,
+                    crosstalk,
+                });
             }
         }
         Ok(())
@@ -263,6 +351,10 @@ impl OpticalArm {
     /// every value goes through the same IEEE-754 operations; and both
     /// rails still sum their products in lane order.
     ///
+    /// The phases are [`OpticalArm::mac_lanes`]'s kernel, run on the arm's
+    /// own lanes after this call checks its activations and sums the ideal
+    /// dot product.
+    ///
     /// # Errors
     ///
     /// * [`PhotonicsError::LengthMismatch`] if more activations than channels
@@ -289,74 +381,39 @@ impl OpticalArm {
             .zip(&self.weights)
             .map(|(a, w)| a * w)
             .sum();
-
-        let NoiseConfig {
-            vcsel_relative_sigma,
-            detector_relative_sigma,
-            weight_sigma,
-            ..
-        } = *self.injector.config();
-        let rng = *self.injector.rng();
-        let crosstalk = self.crosstalk.factors()?;
-        let lanes_draw = vcsel_relative_sigma != 0.0 || weight_sigma != 0.0;
-        let detection_draws = detector_relative_sigma != 0.0;
-
-        // 1. Philox words: the blocks of the lanes that contribute, then the
-        //    detection block. A noise source whose sigmas are zero computes
-        //    none. Every draw is keyed by lane, so parked rings and dark
-        //    channels skip theirs without shifting any other lane's sequence.
-        //    The blocks are computed in the scan that finds the lanes: in a
-        //    loop of their own LLVM vectorizes the rounds, and as SSE2 has no
-        //    64×64→128-bit multiply, every round then crosses between vector
-        //    and scalar registers, which doubled a block's cost.
-        let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
-        let mut lanes = 0;
-        for (i, &w) in self.weights[..activations.len()].iter().enumerate() {
-            if w != 0.0 {
-                self.active[lanes] = i;
-                if lanes_draw {
-                    self.blocks[lanes] = rng.lane_block(lane_base.wrapping_add(i as u64));
-                }
-                lanes += 1;
-            }
-        }
-        let active = &self.active[..lanes];
-        if detection_draws {
-            self.blocks[lanes] = rng.detection_block(self.mac_cursor);
-        }
-        // 2. Box–Muller over the batch. Slots left undrawn are read only
-        //    with a zero sigma, which `offset` ignores.
-        let drawn = if lanes_draw { 0 } else { lanes }..lanes + usize::from(detection_draws);
-        normal_pairs(&self.blocks[drawn.clone()], &mut self.normals[drawn]);
-        // 3. Per lane, in lane order: VCSEL amplitude noise and the realised
-        //    (noisy) MR transmission, inter-channel crosstalk along the shared
-        //    bus, then weighting by the ring, routed to the positive or
-        //    negative BPD rail according to the weight sign. Then balanced
-        //    detection plus detector-referred noise, keyed by the MAC cursor
-        //    (one detection event per call).
-        let mut positive = 0.0;
-        let mut negative = 0.0;
-        for (&i, &(z_light, z_weight)) in active.iter().zip(&self.normals) {
-            let light = offset_unit(activations[i], vcsel_relative_sigma, z_light);
-            let realised =
-                offset_unit(self.rings[i].channel_transmission(), weight_sigma, z_weight);
-            let product = light * crosstalk[i] * realised;
-            if self.weights[i] >= 0.0 {
-                positive += product;
-            } else {
-                negative += product;
-            }
-        }
-        let detected = offset(
-            positive - negative,
-            detector_relative_sigma,
-            self.normals[lanes].0,
+        let value = mac_kernel(
+            &mut self.draws,
+            &self.injector,
+            self.mac_cursor,
+            self.config.channels,
+            &self.lanes,
+            activations,
         );
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
-        Ok(ArmOutput {
-            value: detected,
-            ideal,
-        })
+        Ok(ArmOutput { value, ideal })
+    }
+
+    /// Evaluates one MAC against `lanes` instead of the arm's own rings:
+    /// the analog value of [`OpticalArm::mac`] for an arm whose rings hold
+    /// those lanes, at the same cursor, which advances by one.
+    ///
+    /// It is the kernel alone, with no checks and no ideal sum: a
+    /// weight-stationary caller checks its activations once per layer, not
+    /// once per MAC. `lanes` must be at most one per channel, in channel
+    /// order, as [`OpticalArm::lanes`] and [`OpticalArm::append_lanes`]
+    /// build them. `activations` must lie in `[0, 1]` and be no longer than
+    /// the arm; lanes past its end are dark.
+    pub fn mac_lanes(&mut self, lanes: &[Lane], activations: &[f64]) -> f64 {
+        let value = mac_kernel(
+            &mut self.draws,
+            &self.injector,
+            self.mac_cursor,
+            self.config.channels,
+            lanes,
+            activations,
+        );
+        self.mac_cursor = self.mac_cursor.wrapping_add(1);
+        value
     }
 
     /// Number of rings currently holding a non-zero weight.
@@ -364,6 +421,79 @@ impl OpticalArm {
     pub fn active_rings(&self) -> usize {
         self.weights.iter().filter(|w| **w != 0.0).count()
     }
+}
+
+/// The MAC kernel behind [`OpticalArm::mac`] and [`OpticalArm::mac_lanes`]:
+/// the three phases over `lanes` at MAC cursor `cursor`, for in-range
+/// activations. Lanes at or past the end of `activations` are dark.
+fn mac_kernel(
+    draws: &mut Draws,
+    injector: &NoiseInjector,
+    cursor: u64,
+    channels: usize,
+    lanes: &[Lane],
+    activations: &[f64],
+) -> f64 {
+    let NoiseConfig {
+        vcsel_relative_sigma,
+        detector_relative_sigma,
+        weight_sigma,
+        ..
+    } = *injector.config();
+    let rng = *injector.rng();
+    let lanes_draw = vcsel_relative_sigma != 0.0 || weight_sigma != 0.0;
+    let detection_draws = detector_relative_sigma != 0.0;
+    if draws.blocks.len() <= lanes.len() {
+        draws.blocks.resize(lanes.len() + 1, [0; 2]);
+        draws.normals.resize(lanes.len() + 1, (0.0, 0.0));
+    }
+
+    // 1. Philox words: the blocks of the live lanes, those before the end
+    //    of the activations, then the detection block. A noise source
+    //    whose sigmas are zero computes none. Every draw is keyed by lane,
+    //    so parked rings and dark channels skip theirs without shifting any
+    //    other lane's sequence.
+    let lane_base = cursor.wrapping_mul(channels as u64);
+    let mut live = 0;
+    for lane in lanes {
+        if lane.channel >= activations.len() {
+            break;
+        }
+        if lanes_draw {
+            draws.blocks[live] = rng.lane_block(lane_base.wrapping_add(lane.channel as u64));
+        }
+        live += 1;
+    }
+    if detection_draws {
+        draws.blocks[live] = rng.detection_block(cursor);
+    }
+    // 2. Box–Muller over the batch. Slots left undrawn are read only
+    //    with a zero sigma, which `offset` ignores.
+    let drawn = if lanes_draw { 0 } else { live }..live + usize::from(detection_draws);
+    normal_pairs(&draws.blocks[drawn.clone()], &mut draws.normals[drawn]);
+    // 3. Per lane, in lane order: VCSEL amplitude noise and the realised
+    //    (noisy) MR transmission, inter-channel crosstalk along the shared
+    //    bus, then weighting by the ring, routed to the positive or
+    //    negative BPD rail according to the weight sign. Then balanced
+    //    detection plus detector-referred noise, keyed by the MAC cursor
+    //    (one detection event per call).
+    let mut positive = 0.0;
+    let mut negative = 0.0;
+    for (lane, &(z_light, z_weight)) in lanes[..live].iter().zip(&draws.normals) {
+        let light = offset_unit(activations[lane.channel], vcsel_relative_sigma, z_light);
+        let realised = offset_unit(lane.transmission.abs(), weight_sigma, z_weight);
+        let product = light * lane.crosstalk * realised;
+        if lane.transmission.is_sign_negative() {
+            negative += product;
+        } else {
+            positive += product;
+        }
+    }
+    offset(
+        positive - negative,
+        detector_relative_sigma,
+        draws.normals[live].0,
+    )
 }
 
 #[cfg(test)]

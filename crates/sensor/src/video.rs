@@ -164,9 +164,11 @@ impl SyntheticVideo {
     #[must_use]
     pub fn frame_at(&self, index: usize) -> RgbFrame {
         let c = &self.config;
-        #[expect(clippy::expect_used, reason = "the constructor validated the config")]
-        let mut frame = RgbFrame::filled(c.height, c.width, c.background)
-            .expect("validated configuration renders valid frames");
+        let mut data = c.background.repeat(c.height * c.width);
+        let mut paint = |row: usize, col: usize, rgb: [f64; 3]| {
+            let base = (row * c.width + col) * 3;
+            data[base..base + 3].copy_from_slice(&rgb);
+        };
         match c.pattern {
             MotionPattern::Static => {}
             MotionPattern::MovingSquare { size, step, hold } => {
@@ -176,10 +178,7 @@ impl SyntheticVideo {
                 let col0 = offset % (c.width - size + 1);
                 for row in row0..row0 + size {
                     for col in col0..col0 + size {
-                        #[expect(clippy::expect_used, reason = "row/col wrap within the frame")]
-                        frame
-                            .set_pixel(row, col, c.foreground)
-                            .expect("square fits the frame");
+                        paint(row, col, c.foreground);
                     }
                 }
             }
@@ -189,23 +188,26 @@ impl SyntheticVideo {
                         let phase = (col + index * step) % c.width;
                         let t = phase as f64 / c.width as f64;
                         let mix = |a: f64, b: f64| a + (b - a) * t;
-                        #[expect(clippy::expect_used, reason = "a convex mix stays in range")]
-                        frame
-                            .set_pixel(
-                                row,
-                                col,
-                                [
-                                    mix(c.background[0], c.foreground[0]),
-                                    mix(c.background[1], c.foreground[1]),
-                                    mix(c.background[2], c.foreground[2]),
-                                ],
-                            )
-                            .expect("mixed colours stay in range");
+                        paint(
+                            row,
+                            col,
+                            [
+                                mix(c.background[0], c.foreground[0]),
+                                mix(c.background[1], c.foreground[1]),
+                                mix(c.background[2], c.foreground[2]),
+                            ],
+                        );
                     }
                 }
             }
         }
-        frame
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor validated the config: the square fits the \
+                      frame and a convex mix of in-range colours stays in range"
+        )]
+        RgbFrame::new(c.height, c.width, data)
+            .expect("validated configuration renders valid frames")
     }
 }
 

@@ -19,7 +19,8 @@ use rand::SeedableRng;
 fn main() -> Result<(), CoreError> {
     let mut rng = SmallRng::seed_from_u64(2024);
 
-    // A small class-structured dataset standing in for MNIST (see DESIGN.md).
+    // A small class-structured dataset standing in for MNIST (the
+    // `lightator_nn::datasets` module doc says why synthetic sets stand in).
     let dataset = generate(
         "edge-demo",
         SyntheticConfig {
