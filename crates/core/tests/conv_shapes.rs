@@ -1,12 +1,14 @@
 //! Convolution shapes the golden fixtures never reach — up to three input
 //! channels, 1×1 and 5×5 kernels, stride 2 and padding up to 2 — run
 //! through `PhotonicExecutor::forward` with analog noise on, one worker and
-//! three. The reference is built here in the executor's original order:
-//! for every stride it gathers the raw `f32` patch (zeros for padding),
-//! quantizes each element with `quantize_unsigned` and streams the codes
-//! through a `PhotonicMacUnit` at the cursors a sequential walk reaches.
-//! The executor quantizes each layer input once and gathers drive codes
-//! from that plane, so it must reproduce the reference bit for bit.
+//! three. The reference is built here in the executor's original order,
+//! from the conv alone: its rows are the weights rounded by
+//! `quantize_symmetric` under their largest magnitude, as the plan encodes
+//! them; for every stride it gathers the raw `f32` patch (zeros for
+//! padding), quantizes each element with `quantize_unsigned` and streams
+//! the codes through a `PhotonicMacUnit` at the cursors a sequential walk
+//! reaches. The executor quantizes each layer input once and gathers drive
+//! codes from that plane, so it must reproduce the reference bit for bit.
 
 use lightator_core::exec::PhotonicExecutor;
 use lightator_core::oc::PhotonicMacUnit;
@@ -14,7 +16,7 @@ use lightator_core::plan::CompiledPlan;
 use lightator_core::platform::{Platform, Workload};
 use lightator_nn::layers::Conv2d;
 use lightator_nn::model::Sequential;
-use lightator_nn::quant::{quantize_unsigned, Precision, PrecisionSchedule};
+use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, Precision, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::noise::NoiseConfig;
 use proptest::prelude::*;
@@ -22,19 +24,34 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 29;
+const WEIGHT_BITS: u8 = 4;
 
 /// The executor's conv on a fresh frame 0, computed stride by stride:
-/// raw patch, per-element quantization, one `mac_loaded` per stride.
-fn reference(conv: &Conv2d, plan: &CompiledPlan, input: &Tensor, activation_bits: u8) -> Vec<f32> {
-    let encoded = plan.encodings()[0].as_ref().expect("conv encoding");
+/// `WEIGHT_BITS`-bit MR rows, raw patch, per-element quantization, one
+/// `mac_loaded` per stride.
+fn reference(conv: &Conv2d, input: &Tensor, activation_bits: u8) -> Vec<f32> {
     let [in_c, in_h, in_w] = [input.shape()[0], input.shape()[1], input.shape()[2]];
     let out_shape = conv.output_shape(input.shape()).expect("valid shape");
     let (k, stride, padding) = (conv.kernel(), conv.stride(), conv.padding());
+    let weight_scale = conv.weight().max_abs();
+    let weights: Vec<f64> = conv
+        .weight()
+        .data()
+        .iter()
+        .map(|&w| {
+            let q = quantize_symmetric(w, weight_scale, WEIGHT_BITS);
+            if weight_scale == 0.0 {
+                0.0
+            } else {
+                f64::from(q / weight_scale).clamp(-1.0, 1.0)
+            }
+        })
+        .collect();
     let scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
     let mut unit = PhotonicMacUnit::new(NoiseConfig::default(), SEED).expect("valid unit");
     unit.begin_frame(0);
     let mut out = Vec::new();
-    for (oc, row) in encoded.rows().iter().enumerate() {
+    for (oc, row) in weights.chunks(in_c * k * k).enumerate() {
         unit.load_row(row).expect("row in range");
         for oh in 0..out_shape[1] {
             for ow in 0..out_shape[2] {
@@ -60,7 +77,7 @@ fn reference(conv: &Conv2d, plan: &CompiledPlan, input: &Tensor, activation_bits
                     }
                 }
                 let normalized = unit.mac_loaded(&codes).expect("codes in range");
-                let value = normalized * f64::from(encoded.weight_scale()) * f64::from(scale);
+                let value = normalized * f64::from(weight_scale) * f64::from(scale);
                 out.push(value as f32 + conv.bias().data()[oc]);
             }
         }
@@ -95,7 +112,7 @@ proptest! {
         model.push(conv.clone());
 
         let schedule = PrecisionSchedule::Uniform(
-            Precision::new(4, activation_bits).expect("precision"),
+            Precision::new(WEIGHT_BITS, activation_bits).expect("precision"),
         );
         let platform = Platform::builder()
             .precision(schedule)
@@ -103,7 +120,7 @@ proptest! {
             .expect("platform");
         let mut plan = CompiledPlan::compile(&Workload::Classify { model }, platform.config(), SEED)
             .expect("plan");
-        let expected = reference(&conv, &plan, &input, activation_bits);
+        let expected = reference(&conv, &input, activation_bits);
         for workers in [1usize, 3] {
             let mut executor =
                 PhotonicExecutor::new(schedule, NoiseConfig::default(), SEED).expect("executor");
