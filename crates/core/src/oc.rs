@@ -2,14 +2,15 @@
 //!
 //! The functional behaviour of every bank arm is identical (same ring design,
 //! same WDM grid), so functional inference keeps one [`OpticalArm`], not one
-//! per physical arm: a programmed row is kept as the [`Lane`] constants of
-//! its segments, and every segment runs on that arm's MAC kernel. The unit
-//! also models the two-stage electronic summation tree that combines
-//! partial sums of long dot products (paper Figs. 5 and 6).
+//! per physical arm: a programmed row is kept as a [`LoadedRow`], the lane
+//! constants of its arm-sized segments, and each MAC of the row is one call
+//! of that arm's kernel, which runs every segment and adds their partial
+//! sums in segment order, as the two-stage electronic summation tree
+//! combines the partial sums of a long dot product (paper Figs. 5 and 6).
 
 use crate::error::{CoreError, Result};
 use crate::plan::Transmissions;
-use lightator_photonics::arm::{ArmConfig, Lane, OpticalArm};
+use lightator_photonics::arm::{ArmConfig, LoadedRow, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
 use lightator_photonics::noise::NoiseConfig;
 use lightator_photonics::PhotonicsError;
@@ -35,17 +36,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone)]
 pub struct PhotonicMacUnit {
     /// The paper's 9-MR arm: it programs rings for
-    /// [`PhotonicMacUnit::load_row`], and its noise stream and kernel run
-    /// every segment.
+    /// [`PhotonicMacUnit::load_row`], and its noise stream, MAC cursor and
+    /// kernel run every row.
     arm: OpticalArm,
     /// The loaded row's lane constants, segment after segment.
-    lanes: Vec<Lane>,
-    /// Segment `s` holds `lanes[ends[s - 1]..ends[s]]` (from 0 for `s = 0`).
-    ends: Vec<usize>,
+    row: LoadedRow,
     /// Length of the loaded row.
     row_len: usize,
     seed: u64,
-    mac_cursor: u64,
     segments_evaluated: u64,
 }
 
@@ -67,11 +65,9 @@ impl PhotonicMacUnit {
         arm.begin_frame(seed, 0);
         Ok(Self {
             arm,
-            lanes: Vec::new(),
-            ends: Vec::new(),
+            row: LoadedRow::new(),
             row_len: 0,
             seed,
-            mac_cursor: 0,
             segments_evaluated: 0,
         })
     }
@@ -87,15 +83,14 @@ impl PhotonicMacUnit {
     /// execution reproduce sequential runs bit for bit.
     pub fn begin_frame(&mut self, index: u64) {
         self.arm.begin_frame(self.seed, index);
-        self.mac_cursor = 0;
     }
 
     /// The MAC-call cursor within the current frame's noise stream: the
     /// number of segments evaluated since [`PhotonicMacUnit::begin_frame`]
-    /// (see [`lightator_photonics::arm::OpticalArm::mac_cursor`]).
+    /// (the arm's [`OpticalArm::mac_cursor`]).
     #[must_use]
     pub fn mac_cursor(&self) -> u64 {
-        self.mac_cursor
+        self.arm.mac_cursor()
     }
 
     /// Repositions the MAC-call cursor within the current frame's noise
@@ -104,7 +99,7 @@ impl PhotonicMacUnit {
     /// reproduces the `n`-th sequential MAC call bit for bit — the hook the
     /// executor's parallel tiling is built on.
     pub fn set_mac_cursor(&mut self, cursor: u64) {
-        self.mac_cursor = cursor;
+        self.arm.set_mac_cursor(cursor);
     }
 
     /// Number of arm-sized segments evaluated so far (one per optical wave).
@@ -123,7 +118,7 @@ impl PhotonicMacUnit {
     /// streaming: the row is cut into arm-sized segments, ⌈len/9⌉ in all,
     /// as a bank maps a 5×5 or 7×7 kernel onto several arms (paper Fig. 6),
     /// and each segment's rings are tuned on the unit's arm and kept as
-    /// its [`Lane`] constants. The row stays loaded across subsequent
+    /// its lane constants. The row stays loaded across subsequent
     /// [`PhotonicMacUnit::mac_loaded`] calls, which is how a bank serves
     /// all strides of one output channel (and, in a batch, all frames) with
     /// a single DAC programming pass.
@@ -138,9 +133,9 @@ impl PhotonicMacUnit {
     /// the unit is then left with no row loaded.
     pub fn load_row(&mut self, weights: &[f64]) -> Result<()> {
         let segment = self.segment_length();
-        self.load_segments(weights.chunks(segment), |arm, chunk, lanes| {
+        self.load_segments(weights.chunks(segment), |arm, chunk, row| {
             arm.load_weights(chunk)?;
-            lanes.extend_from_slice(arm.lanes());
+            arm.push_loaded(row);
             Ok(())
         })?;
         self.row_len = weights.len();
@@ -158,34 +153,31 @@ impl PhotonicMacUnit {
     /// hold (a NaN weight); the unit is then left with no row loaded.
     pub(crate) fn load_coded_row(&mut self, codes: &[i8], table: &Transmissions) -> Result<()> {
         let segment = self.segment_length();
-        self.load_segments(codes.chunks(segment), |arm, chunk, lanes| {
+        self.load_segments(codes.chunks(segment), |arm, chunk, row| {
             let transmissions = chunk
                 .iter()
                 .enumerate()
                 .map(|(lane, &code)| table.get(lane, code));
-            Ok(arm.append_lanes(transmissions, lanes)?)
+            Ok(arm.push_segment(row, transmissions)?)
         })?;
         self.row_len = codes.len();
         Ok(())
     }
 
-    /// Replaces the loaded row by the lanes `program` appends for each
-    /// segment, leaving no row loaded if one fails.
+    /// Replaces the loaded row by the segments `program` appends, one per
+    /// chunk, leaving no row loaded if one fails.
     fn load_segments<'a, T: 'a>(
         &mut self,
         segments: impl Iterator<Item = &'a [T]>,
-        mut program: impl FnMut(&mut OpticalArm, &'a [T], &mut Vec<Lane>) -> Result<()>,
+        mut program: impl FnMut(&mut OpticalArm, &'a [T], &mut LoadedRow) -> Result<()>,
     ) -> Result<()> {
         self.row_len = 0;
-        self.lanes.clear();
-        self.ends.clear();
+        self.row.clear();
         for chunk in segments {
-            if let Err(err) = program(&mut self.arm, chunk, &mut self.lanes) {
-                self.lanes.clear();
-                self.ends.clear();
+            if let Err(err) = program(&mut self.arm, chunk, &mut self.row) {
+                self.row.clear();
                 return Err(err);
             }
-            self.ends.push(self.lanes.len());
         }
         Ok(())
     }
@@ -210,10 +202,11 @@ impl PhotonicMacUnit {
     }
 
     /// Evaluates `Σ wᵢ·aᵢ` against the row programmed by
-    /// [`PhotonicMacUnit::load_row`]: each of the row's segments runs on
-    /// the arm at the next MAC cursor and the partial results are summed in
-    /// segment order, exactly as [`PhotonicMacUnit::dot`] does. The cursor
-    /// advances by the row's segment count.
+    /// [`PhotonicMacUnit::load_row`]: one [`OpticalArm::mac_row`] call runs
+    /// each of the row's segments at the next MAC cursor and sums the
+    /// partial results in segment order, exactly as
+    /// [`PhotonicMacUnit::dot`] does. The cursor advances by the row's
+    /// segment count.
     ///
     /// Activations may be shorter than the row; the missing lanes are dark,
     /// as on a single arm.
@@ -236,20 +229,8 @@ impl PhotonicMacUnit {
     /// [`PhotonicMacUnit::mac_loaded`] for activations the caller has
     /// checked: in `[0, 1]` and no longer than the loaded row.
     pub(crate) fn mac_row(&mut self, activations: &[f64]) -> f64 {
-        let segment = self.segment_length();
-        let segments = activations
-            .chunks(segment)
-            .chain(std::iter::repeat(&[][..]));
-        let mut total = 0.0;
-        let mut start = 0;
-        for (&end, activations) in self.ends.iter().zip(segments) {
-            self.arm.set_mac_cursor(self.mac_cursor);
-            total += self.arm.mac_lanes(&self.lanes[start..end], activations);
-            start = end;
-            self.mac_cursor = self.mac_cursor.wrapping_add(1);
-            self.segments_evaluated += 1;
-        }
-        total
+        self.segments_evaluated += self.row.segments() as u64;
+        self.arm.mac_row(&self.row, activations)
     }
 
     /// Evaluates `Σ wᵢ·aᵢ` photonically: [`PhotonicMacUnit::load_row`]
@@ -462,17 +443,20 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "{bits} bits: a lane misses a code");
 
-            let decoded = encoded.rows();
+            let decoded: Vec<f64> = encoded
+                .codes()
+                .iter()
+                .map(|&code| encoded.weight(code))
+                .collect();
             let mut coded = PhotonicMacUnit::new(NoiseConfig::default(), 5).expect("ok");
             let mut programmed = coded.clone();
             let layer = encoded.programmed(&mut coded).expect("table");
-            for (r, row) in decoded.iter().enumerate() {
+            for (r, row) in decoded.chunks(ROW).enumerate() {
                 coded
                     .load_coded_row(layer.row(r), layer.table)
                     .expect("coded row");
                 programmed.load_row(row).expect("programmed row");
-                assert_eq!(coded.lanes, programmed.lanes, "{bits} bits, row {r}");
-                assert_eq!(coded.ends, programmed.ends);
+                assert_eq!(coded.row, programmed.row, "{bits} bits, row {r}");
                 for (frame, cursor) in [(0, 0), (3, 17), (9, 1 << 40), (2, u64::MAX - 3)] {
                     for unit in [&mut coded, &mut programmed] {
                         unit.begin_frame(frame);

@@ -145,7 +145,7 @@ impl EncodedWeights {
     /// [`quantize_symmetric`] returns for that code, over the scale. NaN
     /// for [`NO_CODE`], and for every code of a layer whose scale is
     /// infinite.
-    fn weight(&self, code: i8) -> f64 {
+    pub(crate) fn weight(&self, code: i8) -> f64 {
         if code == NO_CODE {
             return f64::NAN;
         }
@@ -154,21 +154,6 @@ impl EncodedWeights {
         }
         let q = f32::from(code) / f32::from(self.q_max) * self.weight_scale;
         f64::from(q / self.weight_scale).clamp(-1.0, 1.0)
-    }
-
-    /// The normalised MR transmission rows, one per output channel/feature,
-    /// decoded from the codes. The plan keeps only the codes; this builds
-    /// the rows on each call, for inspection and for reference runs through
-    /// [`crate::oc::PhotonicMacUnit::load_row`].
-    #[must_use]
-    pub fn rows(&self) -> Vec<Vec<f64>> {
-        if self.row_len == 0 {
-            return Vec::new();
-        }
-        self.codes
-            .chunks(self.row_len)
-            .map(|row| row.iter().map(|&code| self.weight(code)).collect())
-            .collect()
     }
 
     /// The scale mapping the normalised optical sum back to weight units.
@@ -589,10 +574,13 @@ mod tests {
         assert_eq!(model.input_shape(), &[1, 8, 8]);
         assert_eq!(plan.encoded_layer_count(), 1);
         let encoded = plan.encodings()[0].as_ref().expect("conv encoding");
-        assert_eq!(encoded.rows().len(), 1);
-        assert_eq!(encoded.rows()[0].len(), 9);
+        // One row of 9 codes.
+        assert_eq!((encoded.codes().len(), encoded.row_len), (9, 9));
         // Every MR value sits in the transmission range.
-        assert!(encoded.rows()[0].iter().all(|w| (-1.0..=1.0).contains(w)));
+        assert!(encoded
+            .codes()
+            .iter()
+            .all(|&code| (-1.0..=1.0).contains(&encoded.weight(code))));
     }
 
     #[test]
@@ -673,7 +661,8 @@ mod tests {
                     .collect();
                 let encoded = EncodedWeights::new(&weights, weights.len(), scale, bits)
                     .expect("width in range");
-                for (&w, got) in weights.iter().zip(&encoded.rows()[0]) {
+                for (&w, &code) in weights.iter().zip(encoded.codes()) {
+                    let got = encoded.weight(code);
                     let q = quantize_symmetric(w, scale, bits);
                     let want = if scale == 0.0 {
                         0.0
@@ -697,12 +686,15 @@ mod tests {
     #[test]
     fn non_finite_weights_decode_to_nan() {
         let encoded = EncodedWeights::new(&[0.5, f32::NAN, -1.0], 3, 1.0, 4).expect("4 bits");
-        let row = &encoded.rows()[0];
+        let row: Vec<f64> = encoded.codes().iter().map(|&c| encoded.weight(c)).collect();
         assert_eq!(encoded.codes(), &[4, i8::MIN, -7]);
         assert!(row[1].is_nan() && !row[0].is_nan() && !row[2].is_nan());
         let infinite =
             EncodedWeights::new(&[0.5, f32::INFINITY], 2, f32::INFINITY, 4).expect("4 bits");
-        assert!(infinite.rows()[0].iter().all(|w| w.is_nan()));
+        assert!(infinite
+            .codes()
+            .iter()
+            .all(|&c| infinite.weight(c).is_nan()));
     }
 
     /// Widths outside 2..=8 fail the encoding with `InvalidConfig` instead

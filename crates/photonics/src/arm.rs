@@ -12,18 +12,22 @@
 //! detector, so the electrical output is `Σ aᵢ·wᵢ` with `wᵢ ∈ [−1, 1]`.
 //!
 //! Noise draws are keyed, not streamed: the arm keeps a **MAC cursor** that
-//! counts [`OpticalArm::mac`] calls since [`OpticalArm::begin_frame`], and
-//! every perturbation is a pure function of
-//! `(seed, frame, channel, cursor-derived element)`. Repositioning the
+//! counts the MACs evaluated since [`OpticalArm::begin_frame`], one per
+//! [`OpticalArm::mac`] call and one per segment of an
+//! [`OpticalArm::mac_row`] row, and every perturbation is a pure function
+//! of `(seed, frame, channel, cursor-derived element)`. Repositioning the
 //! cursor with [`OpticalArm::set_mac_cursor`] therefore reproduces — or
 //! skips ahead in — the noise sequence exactly, which is what lets callers
 //! tile MAC loops across threads bit-exactly.
 //!
 //! What a MAC reads of a programmed ring does not change while the ring
 //! holds its weight, so programming a row turns it into [`Lane`] constants
-//! once, and every MAC of the row reads those: the arm's own rings through
-//! [`OpticalArm::mac`], or a caller's rows through
-//! [`OpticalArm::mac_lanes`]. Both run the same kernel.
+//! once, and every MAC of the row reads those. A row wider than the arm is
+//! spread over several arms whose partial sums the summation tree adds
+//! (paper Figs. 5–6); a [`LoadedRow`] holds the lanes of each such
+//! arm-sized segment, and [`OpticalArm::mac_row`] runs the whole row
+//! through one kernel call, segment `s` at MAC cursor `c + s`.
+//! [`OpticalArm::mac`] is the one-segment case, on the arm's own rings.
 
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
@@ -85,9 +89,48 @@ pub struct Lane {
     pub crosstalk: f64,
 }
 
+/// A programmed row: the [`Lane`] constants of each of its arm-sized
+/// segments, in segment order. Segment `s` covers channels
+/// `s·channels..(s + 1)·channels` of the row, on an arm of `channels`
+/// rings.
+///
+/// Only an arm builds one, from rings it programmed
+/// ([`OpticalArm::push_loaded`]) or from transmissions it checked
+/// ([`OpticalArm::push_segment`]), so every segment holds at most one lane
+/// per channel, in channel order, and every row is one
+/// [`OpticalArm::mac_row`] can run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LoadedRow {
+    lanes: Vec<Lane>,
+    /// Segment `s` holds `lanes[ends[s - 1]..ends[s]]` (from 0 for `s = 0`).
+    ends: Vec<usize>,
+}
+
+impl LoadedRow {
+    /// An empty row, with no segment.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Removes every segment, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.lanes.clear();
+        self.ends.clear();
+    }
+
+    /// Number of segments: the MAC cursors one [`OpticalArm::mac_row`]
+    /// call takes.
+    #[must_use]
+    pub fn segments(&self) -> usize {
+        self.ends.len()
+    }
+}
+
 /// Reusable buffers of the MAC kernel: one Philox block and one normal
-/// pair per lane plus one for detection, sized at [`OpticalArm::new`] for
-/// one lane per channel.
+/// pair per segment for detection, then one per lane. [`OpticalArm::new`]
+/// sizes them for one segment with one lane per channel; a wider row grows
+/// them on its first MAC.
 #[derive(Debug, Clone)]
 struct Draws {
     blocks: Vec<[u64; 2]>,
@@ -191,8 +234,10 @@ impl OpticalArm {
         self.mac_cursor = 0;
     }
 
-    /// The number of [`OpticalArm::mac`] calls evaluated since the last
-    /// [`OpticalArm::begin_frame`] (or [`OpticalArm::set_mac_cursor`]).
+    /// The number of MACs evaluated since the last
+    /// [`OpticalArm::begin_frame`] (or [`OpticalArm::set_mac_cursor`]): one
+    /// per [`OpticalArm::mac`] call, one per segment of an
+    /// [`OpticalArm::mac_row`] row.
     #[must_use]
     pub fn mac_cursor(&self) -> u64 {
         self.mac_cursor
@@ -282,12 +327,19 @@ impl OpticalArm {
         Ok(())
     }
 
-    /// Appends the lane constants of one segment to `lanes`, from the
-    /// signed realised transmission of each of its channels in channel
-    /// order, as [`Lane::transmission`] holds it; `0.0` marks a parked
-    /// ring, which adds no lane. This is how a caller that keeps the
-    /// transmissions its rings realise programs a row without tuning a
-    /// ring: [`OpticalArm::load_weights`] builds the same lanes.
+    /// Appends the loaded rings' lanes ([`OpticalArm::lanes`]) to `row` as
+    /// its next segment.
+    pub fn push_loaded(&self, row: &mut LoadedRow) {
+        row.lanes.extend_from_slice(&self.lanes);
+        row.ends.push(row.lanes.len());
+    }
+
+    /// Appends a segment to `row`, from the signed realised transmission
+    /// of each of its channels in channel order, as [`Lane::transmission`]
+    /// holds it; `0.0` marks a parked ring, which adds no lane. This is how
+    /// a caller that keeps the transmissions its rings realise programs a
+    /// row without tuning a ring: [`OpticalArm::load_weights`] and
+    /// [`OpticalArm::push_loaded`] build the same lanes.
     ///
     /// # Errors
     ///
@@ -295,7 +347,24 @@ impl OpticalArm {
     ///   channels.
     /// * [`PhotonicsError::WeightOutOfRange`] for a NaN transmission, the
     ///   mark of a weight no ring can hold.
-    pub fn append_lanes(
+    ///
+    /// `row` is left as it was on error.
+    pub fn push_segment(
+        &self,
+        row: &mut LoadedRow,
+        transmissions: impl IntoIterator<Item = f64>,
+    ) -> Result<()> {
+        let start = row.lanes.len();
+        if let Err(err) = self.push_lanes(transmissions, &mut row.lanes) {
+            row.lanes.truncate(start);
+            return Err(err);
+        }
+        row.ends.push(row.lanes.len());
+        Ok(())
+    }
+
+    /// [`OpticalArm::push_segment`]'s lanes, appended to `lanes`.
+    fn push_lanes(
         &self,
         transmissions: impl IntoIterator<Item = f64>,
         lanes: &mut Vec<Lane>,
@@ -338,8 +407,8 @@ impl OpticalArm {
     /// A MAC runs in three array-shaped phases over its lanes with a
     /// non-zero weight (parked rings and dark channels draw nothing):
     ///
-    /// 1. the Philox words of every such lane's block, then of the
-    ///    detection block;
+    /// 1. the Philox words of the detection block and of every such lane's
+    ///    block;
     /// 2. the Box–Muller transform of the whole batch, whose iterations are
     ///    independent, so the CPU overlaps the blocks' `ln` → `√` chains;
     /// 3. the lane combine in lane order — VCSEL offset and clamp, the
@@ -351,9 +420,9 @@ impl OpticalArm {
     /// every value goes through the same IEEE-754 operations; and both
     /// rails still sum their products in lane order.
     ///
-    /// The phases are [`OpticalArm::mac_lanes`]'s kernel, run on the arm's
-    /// own lanes after this call checks its activations and sums the ideal
-    /// dot product.
+    /// It is the one-segment case of [`OpticalArm::mac_row`]'s kernel, run
+    /// on the arm's own lanes after this call checks its activations and
+    /// sums the ideal dot product.
     ///
     /// # Errors
     ///
@@ -386,33 +455,42 @@ impl OpticalArm {
             &self.injector,
             self.mac_cursor,
             self.config.channels,
-            &self.lanes,
+            (&self.lanes, &[self.lanes.len()]),
             activations,
         );
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
         Ok(ArmOutput { value, ideal })
     }
 
-    /// Evaluates one MAC against `lanes` instead of the arm's own rings:
-    /// the analog value of [`OpticalArm::mac`] for an arm whose rings hold
-    /// those lanes, at the same cursor, which advances by one.
+    /// Evaluates `Σ aᵢ·wᵢ` against `row` instead of the arm's own rings:
+    /// segment `s` is the analog value of [`OpticalArm::mac`] at cursor
+    /// `c + s`, on an arm whose rings hold that segment's lanes, fed
+    /// activations `s·channels..(s + 1)·channels`, and the segments' values
+    /// are summed in segment order, as the bank's summation tree adds its
+    /// arms' partial sums. The cursor advances by the row's segment count.
+    ///
+    /// The whole row is one batch of the three phases: the Philox words of
+    /// every segment's detection block and live lanes, the Box–Muller
+    /// transform over all of those blocks, and the combine, segment by
+    /// segment in lane order. Every value goes through the same IEEE-754
+    /// operations, in the same order, as one [`OpticalArm::mac`] per
+    /// segment.
     ///
     /// It is the kernel alone, with no checks and no ideal sum: a
     /// weight-stationary caller checks its activations once per layer, not
-    /// once per MAC. `lanes` must be at most one per channel, in channel
-    /// order, as [`OpticalArm::lanes`] and [`OpticalArm::append_lanes`]
-    /// build them. `activations` must lie in `[0, 1]` and be no longer than
-    /// the arm; lanes past its end are dark.
-    pub fn mac_lanes(&mut self, lanes: &[Lane], activations: &[f64]) -> f64 {
+    /// once per MAC. `activations` should lie in `[0, 1]`; channels past
+    /// their end are dark, and a segment with none draws only its detection
+    /// noise. `row` should come from an arm of this one's channel count.
+    pub fn mac_row(&mut self, row: &LoadedRow, activations: &[f64]) -> f64 {
         let value = mac_kernel(
             &mut self.draws,
             &self.injector,
             self.mac_cursor,
             self.config.channels,
-            lanes,
+            (&row.lanes, &row.ends),
             activations,
         );
-        self.mac_cursor = self.mac_cursor.wrapping_add(1);
+        self.mac_cursor = self.mac_cursor.wrapping_add(row.ends.len() as u64);
         value
     }
 
@@ -423,15 +501,16 @@ impl OpticalArm {
     }
 }
 
-/// The MAC kernel behind [`OpticalArm::mac`] and [`OpticalArm::mac_lanes`]:
-/// the three phases over `lanes` at MAC cursor `cursor`, for in-range
-/// activations. Lanes at or past the end of `activations` are dark.
+/// The MAC kernel behind [`OpticalArm::mac`] and [`OpticalArm::mac_row`]:
+/// the three phases over a row's segments, `lanes[ends[s - 1]..ends[s]]`
+/// at MAC cursor `cursor + s`, for in-range activations. Lanes at or past
+/// the end of their segment's activations are dark.
 fn mac_kernel(
     draws: &mut Draws,
     injector: &NoiseInjector,
     cursor: u64,
     channels: usize,
-    lanes: &[Lane],
+    (lanes, ends): (&[Lane], &[usize]),
     activations: &[f64],
 ) -> f64 {
     let NoiseConfig {
@@ -443,62 +522,87 @@ fn mac_kernel(
     let rng = *injector.rng();
     let lanes_draw = vcsel_relative_sigma != 0.0 || weight_sigma != 0.0;
     let detection_draws = detector_relative_sigma != 0.0;
-    if draws.blocks.len() <= lanes.len() {
-        draws.blocks.resize(lanes.len() + 1, [0; 2]);
-        draws.normals.resize(lanes.len() + 1, (0.0, 0.0));
+    let segments = ends.len();
+    if draws.blocks.len() < segments + lanes.len() {
+        draws.blocks.resize(segments + lanes.len(), [0; 2]);
+        draws.normals.resize(segments + lanes.len(), (0.0, 0.0));
     }
+    // Segment s's activations; none past the end of the row's.
+    let lit = || {
+        activations
+            .chunks(channels)
+            .chain(std::iter::repeat(&[][..]))
+    };
 
-    // 1. Philox words: the blocks of the live lanes, those before the end
-    //    of the activations, then the detection block. A noise source
-    //    whose sigmas are zero computes none. Every draw is keyed by lane,
-    //    so parked rings and dark channels skip theirs without shifting any
-    //    other lane's sequence.
-    let lane_base = cursor.wrapping_mul(channels as u64);
-    let mut live = 0;
-    for lane in lanes {
-        if lane.channel >= activations.len() {
-            break;
+    // 1. Philox words, segment by segment: its detection block, in slot
+    //    s, then the blocks of its live lanes (those before the end of its
+    //    activations), in the slots after every segment's detection slot.
+    //    A noise source whose sigmas are zero computes none. Every draw is keyed by
+    //    lane, so parked rings and dark channels skip theirs without
+    //    shifting any other lane's sequence. Each block is computed in this
+    //    scan rather than in a loop of its own, which LLVM would vectorize
+    //    into 64×64-bit multiplies that SSE2 does not have.
+    let mut live = segments;
+    let mut start = 0;
+    for ((s, &end), lit) in (0u64..).zip(ends).zip(lit()) {
+        let segment_cursor = cursor.wrapping_add(s);
+        if detection_draws {
+            draws.blocks[s as usize] = rng.detection_block(segment_cursor);
         }
-        if lanes_draw {
-            draws.blocks[live] = rng.lane_block(lane_base.wrapping_add(lane.channel as u64));
+        let lane_base = segment_cursor.wrapping_mul(channels as u64);
+        for lane in &lanes[start..end] {
+            if lane.channel >= lit.len() {
+                break;
+            }
+            if lanes_draw {
+                draws.blocks[live] = rng.lane_block(lane_base.wrapping_add(lane.channel as u64));
+            }
+            live += 1;
         }
-        live += 1;
+        start = end;
     }
-    if detection_draws {
-        draws.blocks[live] = rng.detection_block(cursor);
-    }
-    // 2. Box–Muller over the batch. Slots left undrawn are read only
-    //    with a zero sigma, which `offset` ignores.
-    let drawn = if lanes_draw { 0 } else { live }..live + usize::from(detection_draws);
+    // 2. Box–Muller over the drawn blocks, detection and lanes in one
+    //    batch. Slots left undrawn are read only with a zero sigma, which
+    //    `offset` ignores.
+    let drawn =
+        if detection_draws { 0 } else { segments }..if lanes_draw { live } else { segments };
     normal_pairs(&draws.blocks[drawn.clone()], &mut draws.normals[drawn]);
-    // 3. Per lane, in lane order: VCSEL amplitude noise and the realised
-    //    (noisy) MR transmission, inter-channel crosstalk along the shared
-    //    bus, then weighting by the ring, routed to the positive or
-    //    negative BPD rail according to the weight sign. Then balanced
-    //    detection plus detector-referred noise, keyed by the MAC cursor
-    //    (one detection event per call).
-    let mut positive = 0.0;
-    let mut negative = 0.0;
-    for (lane, &(z_light, z_weight)) in lanes[..live].iter().zip(&draws.normals) {
-        let light = offset_unit(activations[lane.channel], vcsel_relative_sigma, z_light);
-        let realised = offset_unit(lane.transmission.abs(), weight_sigma, z_weight);
-        let product = light * lane.crosstalk * realised;
-        if lane.transmission.is_sign_negative() {
-            negative += product;
-        } else {
-            positive += product;
+    // 3. Per segment, per lane in lane order: VCSEL amplitude noise and the
+    //    realised (noisy) MR transmission, inter-channel crosstalk along the
+    //    shared bus, then weighting by the ring, routed to the positive or
+    //    negative BPD rail according to the weight sign. Then the segment's
+    //    balanced detection plus detector-referred noise, keyed by its MAC
+    //    cursor, and the segments summed in order.
+    let (detections, lane_normals) = draws.normals.split_at(segments);
+    let mut lane_normals = lane_normals.iter();
+    let mut total = 0.0;
+    let mut start = 0;
+    for ((&end, lit), &(z_detection, _)) in ends.iter().zip(lit()).zip(detections) {
+        let mut positive = 0.0;
+        let mut negative = 0.0;
+        let live = lanes[start..end]
+            .iter()
+            .take_while(|lane| lane.channel < lit.len());
+        for (lane, &(z_light, z_weight)) in live.zip(&mut lane_normals) {
+            let light = offset_unit(lit[lane.channel], vcsel_relative_sigma, z_light);
+            let realised = offset_unit(lane.transmission.abs(), weight_sigma, z_weight);
+            let product = light * lane.crosstalk * realised;
+            if lane.transmission.is_sign_negative() {
+                negative += product;
+            } else {
+                positive += product;
+            }
         }
+        total += offset(positive - negative, detector_relative_sigma, z_detection);
+        start = end;
     }
-    offset(
-        positive - negative,
-        detector_relative_sigma,
-        draws.normals[live].0,
-    )
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::{CounterRng, NoiseChannel};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -700,6 +804,163 @@ mod tests {
             let key = (rng.gen(), rng.gen_range(0..1 << 40), cursor);
             assert_matches_reference(arm, &weights, &activations, key, 4);
         }
+    }
+
+    /// Loads `weights` as a row of arm-sized segments on a copy of `arm`
+    /// and checks one [`OpticalArm::mac_row`] from `cursor` on
+    /// `(seed, frame)` against [`reference_mac`] run per segment, segment
+    /// `s` at cursor `cursor + s`, summed in segment order, bit for bit.
+    /// The kernel's cursor must end advanced by the segment count.
+    fn assert_row_matches_reference(
+        arm: &OpticalArm,
+        weights: &[f64],
+        activations: &[f64],
+        (seed, frame, cursor): (u64, u64, u64),
+    ) {
+        let n = arm.channels();
+        let mut kernel = arm.clone();
+        let mut row = LoadedRow::new();
+        for segment in weights.chunks(n) {
+            kernel.load_weights(segment).expect("weights in range");
+            kernel.push_loaded(&mut row);
+        }
+        kernel.begin_frame(seed, frame);
+        kernel.set_mac_cursor(cursor);
+        let got = kernel.mac_row(&row, activations);
+
+        let mut reference = arm.clone();
+        reference.begin_frame(seed, frame);
+        let lit = activations.chunks(n).chain(std::iter::repeat(&[][..]));
+        let mut want = 0.0;
+        for ((s, segment), lit) in (0u64..).zip(weights.chunks(n)).zip(lit) {
+            reference.load_weights(segment).expect("weights in range");
+            reference.set_mac_cursor(cursor.wrapping_add(s));
+            want += reference_mac(&mut reference, lit).value;
+        }
+        let segments = weights.len().div_ceil(n);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{n} lanes, {:?}, {} weights, {} activations, cursor {cursor}: {got} vs {want}",
+            arm.config().noise,
+            weights.len(),
+            activations.len()
+        );
+        assert_eq!(row.segments(), segments);
+        assert_eq!(kernel.mac_cursor(), cursor.wrapping_add(segments as u64));
+    }
+
+    proptest! {
+        /// One kernel call per row reproduces the per-lane loop run once
+        /// per segment, on every checked channel count and noise setting:
+        /// multi-segment rows with parked rings, activations that stop
+        /// short so whole segments are dark, and cursors near `u64::MAX`,
+        /// where the segment cursors and lane keys wrap.
+        #[test]
+        fn mac_row_matches_the_per_segment_reference(
+            row in proptest::collection::vec((-1.0f64..=1.0, 0u8..8), 1..=60),
+            lanes in proptest::collection::vec((0.0f64..=1.0, 0u8..8), 0..=60),
+            key in (0u64..u64::MAX, 0u64..1 << 40, 0u64..64),
+        ) {
+            let weights: Vec<f64> = row.into_iter().map(weight).collect();
+            let lit = lanes.len() % (weights.len() + 1);
+            let activations: Vec<f64> = lanes.into_iter().take(lit).map(activation).collect();
+            let (seed, frame, back) = key;
+            for arm in &reference_arms() {
+                assert_row_matches_reference(
+                    arm,
+                    &weights,
+                    &activations,
+                    (seed, frame, u64::MAX - back),
+                );
+            }
+        }
+    }
+
+    /// [`mac_row_matches_the_per_segment_reference`] over 10⁶ random rows
+    /// of 1–60 weights, spread over every arm of [`reference_arms`]. Run it
+    /// in release:
+    ///
+    /// ```text
+    /// cargo test --release -p lightator-photonics --lib -- --ignored arm::tests::mac_matches
+    /// ```
+    #[test]
+    #[ignore = "10^6 rows; run in release"]
+    fn mac_matches_the_per_segment_reference_over_a_million_rows() {
+        let arms = reference_arms();
+        let mut rng = SmallRng::seed_from_u64(31);
+        for row in 0..1_000_000 {
+            let arm = &arms[row % arms.len()];
+            let weights: Vec<f64> = (0..rng.gen_range(1..=60))
+                .map(|_| weight((rng.gen_range(-1.0..=1.0), rng.gen_range(0..8))))
+                .collect();
+            let activations: Vec<f64> = (0..rng.gen_range(0..=weights.len()))
+                .map(|_| activation((rng.gen_range(0.0..=1.0), rng.gen_range(0..8))))
+                .collect();
+            let cursor = if rng.gen_bool(0.5) {
+                u64::MAX - rng.gen_range(0..64)
+            } else {
+                rng.gen_range(0..1 << 40)
+            };
+            let key = (rng.gen(), rng.gen_range(0..1 << 40), cursor);
+            assert_row_matches_reference(arm, &weights, &activations, key);
+        }
+    }
+
+    /// A segment with no live lane, parked or dark, still draws its
+    /// detection noise and adds it to the row: with only the first of three
+    /// segments lit, the row reads that segment's MAC plus the other two
+    /// segments' detection draws, and with none lit, the three draws.
+    #[test]
+    fn dark_segments_still_add_their_detection_noise() {
+        let sigma = NoiseConfig::default().detector_relative_sigma;
+        let mut arm = OpticalArm::new(ArmConfig {
+            noise: NoiseConfig {
+                detector_relative_sigma: sigma,
+                ..NoiseConfig::ideal()
+            },
+            ..ArmConfig::default()
+        })
+        .expect("valid");
+        let mut first = arm.clone();
+        first.load_weights(&[0.5; 9]).expect("ok");
+        let mut row = LoadedRow::new();
+        for segment in [&[0.5; 9][..], &[0.0; 9], &[-0.25, 0.75]] {
+            arm.load_weights(segment).expect("ok");
+            arm.push_loaded(&mut row);
+        }
+        let rng = CounterRng::new(4, 2);
+        let draw = |cursor| rng.sample(NoiseChannel::Detection, cursor, 0.0, sigma);
+        for lit in [&[][..], &[0.5; 9]] {
+            let lit_value = if lit.is_empty() {
+                draw(u64::MAX)
+            } else {
+                first.begin_frame(4, 2);
+                first.set_mac_cursor(u64::MAX);
+                first.mac(lit).expect("ok").value
+            };
+            arm.begin_frame(4, 2);
+            arm.set_mac_cursor(u64::MAX);
+            let got = arm.mac_row(&row, lit);
+            let want = 0.0 + lit_value + draw(0) + draw(1);
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+            assert_ne!(draw(0), 0.0);
+            assert_eq!(arm.mac_cursor(), 2);
+        }
+    }
+
+    /// A segment that fails to load leaves the row as it was.
+    #[test]
+    fn a_failed_segment_leaves_the_row_unchanged() {
+        let arm = ideal_arm();
+        let mut row = LoadedRow::new();
+        arm.push_segment(&mut row, [0.5, 0.0, -0.25]).expect("ok");
+        let loaded = row.clone();
+        for bad in [vec![0.5, f64::NAN], vec![0.5; 10]] {
+            assert!(arm.push_segment(&mut row, bad).is_err());
+            assert_eq!(row, loaded);
+        }
+        assert_eq!(row.segments(), 1);
     }
 
     #[test]

@@ -34,19 +34,23 @@
 //! draw's bits do not depend on the host's libm: the same key gives the
 //! same draw on any platform.
 //!
-//! [`crate::arm::OpticalArm::mac`] computes a MAC's blocks as one batch, in
-//! three phases: the Philox words of every lane with a non-zero weight and
-//! of the detection block; the Box–Muller transform over the batch, whose
-//! iterations are independent, so the CPU overlaps their `ln` → `√`
-//! chains and the compiler packs part of them two to an SSE2 register; and
-//! the lane combine in lane order, then detection. The batch cannot move a
-//! bit: a draw is a pure function of its key, so computing it earlier or
-//! next to another changes nothing; each value goes through the same
-//! IEEE-754 operations as [`CounterRng::lane_normals`] and
-//! [`NoiseInjector::perturb_lane`], which share its `ln`, `sin`/`cos` and
-//! offset-and-clamp code; `+ − × ÷ √` round the same in a vector lane as
-//! in scalar code, and Rust never fuses a multiply-add; and both rails
-//! still sum in lane order.
+//! [`crate::arm::OpticalArm::mac_row`] computes the blocks of a whole
+//! programmed row as one batch, in three phases: the Philox words of each
+//! segment's detection block and of every lane with a non-zero weight; the
+//! Box–Muller transform over the batch, whose iterations are independent;
+//! and the lane combine, segment by segment in lane order, each segment's
+//! detection, and the sum of the segments. The transform converts its
+//! integers to doubles by exact bit arithmetic (a magic-constant add and a
+//! subtraction) instead of `as f64`, a scalar `cvtsi2sd` on x86-64, so the
+//! compiler runs it on two blocks at a time in SSE2 registers, from the
+//! Philox words to the normals. The batch cannot move a bit: a draw is a
+//! pure function of its key, so computing it earlier or next to another
+//! changes nothing; each conversion is exact, so it gives the bits of
+//! `as f64`; each value goes through the same IEEE-754 operations as
+//! [`CounterRng::lane_normals`] and [`NoiseInjector::perturb_lane`], which
+//! share its `ln`, `sin`/`cos` and offset-and-clamp code; `+ − × ÷ √`
+//! round the same in a vector lane as in scalar code, and Rust never fuses
+//! a multiply-add; and both rails still sum in lane order.
 
 use crate::error::{PhotonicsError, Result};
 use serde::{Deserialize, Serialize};
@@ -326,10 +330,10 @@ fn normal_pair(words: [u64; 2]) -> (f64, f64) {
     (r * cos, r * sin)
 }
 
-/// Phase 2 of [`crate::arm::OpticalArm::mac`]: [`normal_pair`] over a batch
-/// of Philox blocks, written to `normals` in block order. No iteration
-/// reads another's result; the module doc says why the batch gives the
-/// same bits as one block at a time.
+/// Phase 2 of the MAC kernel ([`crate::arm::OpticalArm::mac_row`]):
+/// [`normal_pair`] over a batch of Philox blocks, written to `normals` in
+/// block order. No iteration reads another's result; the module doc says
+/// why the batch gives the same bits as one block at a time.
 pub(crate) fn normal_pairs(blocks: &[[u64; 2]], normals: &mut [(f64, f64)]) {
     for (normal, &words) in normals.iter_mut().zip(blocks) {
         *normal = normal_pair(words);
@@ -407,6 +411,30 @@ const FRAC_PI_2_LO: f64 = f64::from_bits(0x3E51_10B4_6000_0000);
 const FRAC_PI_2_TAIL: f64 = f64::from_bits(0x3C91_A626_3314_5C07);
 /// `2⁻⁵¹`, one step of a quarter-turn remainder.
 const TWO_POW_M51: f64 = 1.0 / (1u64 << 51) as f64;
+/// `1.5·2⁵²`: its mantissa has bit 51 set and bits 0–50 clear, so adding
+/// an integer `|j| < 2⁵¹` to its bits gives the double `1.5·2⁵² + j`.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
+
+// The two conversions below are exact on their domains, so they give the
+// bits of `as f64`, but as an integer add and a subtraction, which stay in
+// the vector registers `normal_pairs` runs in; `as f64` is a scalar
+// `cvtsi2sd` on x86-64.
+
+/// `j as f64` for `|j| < 2⁵¹`: [`MAGIC`] plus `j`, less [`MAGIC`], which
+/// is exact.
+#[inline]
+fn small_to_f64(j: i64) -> f64 {
+    f64::from_bits(MAGIC.to_bits().wrapping_add(j as u64)) - MAGIC
+}
+
+/// `n as f64` for `n ≤ 2⁵³`: the halves above and below `2²⁶` convert
+/// exactly, scaling the high half by `2²⁶` is exact, and their sum is `n`,
+/// which a double holds.
+#[inline]
+fn u53_to_f64(n: u64) -> f64 {
+    const TWO_POW_26: f64 = (1u64 << 26) as f64;
+    small_to_f64((n >> 26) as i64) * TWO_POW_26 + small_to_f64((n & ((1 << 26) - 1)) as i64)
+}
 
 /// `ln(n·2⁻⁵³)` for `n ∈ [1, 2⁵³]`, within one ulp.
 ///
@@ -420,8 +448,8 @@ fn ln_unit(n: u64) -> f64 {
     // exponent; masking the mantissa and adding √½'s high word back leaves
     // f ∈ [√½, √2) with f·2^(k+53) = n exactly, and no branch.
     const SQRT_HALF_HIGH: u64 = 0x3FE6_A09E << 32;
-    let bits = (n as i64 as f64).to_bits() + ((0x3FF0_0000 << 32) - SQRT_HALF_HIGH);
-    let k = ((bits >> 52) as i64 - 1023 - 53) as f64;
+    let bits = u53_to_f64(n).to_bits() + ((0x3FF0_0000 << 32) - SQRT_HALF_HIGH);
+    let k = small_to_f64((bits >> 52) as i64 - 1023 - 53);
     let f = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) + SQRT_HALF_HIGH);
     let f = f - 1.0;
     let half_f2 = 0.5 * f * f;
@@ -447,8 +475,11 @@ fn sin_cos_turn(k: u64) -> (f64, f64) {
     // of at most 25 and 26 bits, so every partial product below is exact.
     let j = k as i64 - (n << 51) as i64;
     let j_hi = ((j + (1 << 25)) >> 26) << 26;
-    let (t_hi, t_lo) = (j_hi as f64 * TWO_POW_M51, (j - j_hi) as f64 * TWO_POW_M51);
-    let t = j as f64 * TWO_POW_M51;
+    let (t_hi, t_lo) = (
+        small_to_f64(j_hi) * TWO_POW_M51,
+        small_to_f64(j - j_hi) * TWO_POW_M51,
+    );
+    let t = small_to_f64(j) * TWO_POW_M51;
     let x = t * (FRAC_PI_2_HI + FRAC_PI_2_LO);
     let x_err = t_lo * FRAC_PI_2_LO
         - (((x - t_hi * FRAC_PI_2_HI) - t_lo * FRAC_PI_2_HI) - t_hi * FRAC_PI_2_LO);
@@ -561,6 +592,43 @@ mod accuracy;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Box–Muller kernels' integer-to-double conversions give the bits
+    /// of `as f64` at the edges of their domains and on 10⁶ random values
+    /// each, half of them spread over every magnitude.
+    #[test]
+    fn exact_conversions_match_as_f64() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const SMALL: i64 = (1 << 51) - 1;
+        const U53: u64 = 1 << 53;
+        let check = |j: i64, n: u64| {
+            assert_eq!(small_to_f64(j).to_bits(), (j as f64).to_bits(), "{j}");
+            assert_eq!(u53_to_f64(n).to_bits(), (n as f64).to_bits(), "{n}");
+        };
+        for (j, n) in [
+            (0, 0),
+            (1, 1),
+            (-1, (1 << 26) - 1),
+            (SMALL, 1 << 26),
+            (-SMALL, SMALL as u64),
+            (1 << 50, 1 << 52),
+            (-(1 << 50), U53 - 1),
+            (SMALL - 1, U53),
+        ] {
+            check(j, n);
+        }
+        let mut rng = SmallRng::seed_from_u64(31);
+        for i in 0..1_000_000 {
+            let (j, n) = if i % 2 == 0 {
+                (rng.gen_range(-SMALL..=SMALL), rng.gen_range(0..=U53))
+            } else {
+                let j = rng.gen_range(-SMALL..=SMALL) >> rng.gen_range(0..51);
+                (j, rng.gen_range(0..=U53) >> rng.gen_range(0..53))
+            };
+            check(j, n);
+        }
+    }
 
     #[test]
     fn ideal_config_reports_ideal() {
