@@ -11,9 +11,12 @@
 //! driver; one worker runs it inline, several split it into chunks.
 //!
 //! The weight bank is programmed once per session: a layer's row load
-//! reads each lane's realised transmission from the plan's table
+//! reads each lane's programmed transmission from the plan's table
 //! ([`EncodedWeights`]), so no ring is tuned per frame, and each layer's
-//! quantized input is range-checked once, not once per MAC.
+//! quantized input is range-checked once, not once per MAC. A row is
+//! loaded under its identity, its layer's position in the model and its
+//! output channel or feature, so its rings' weight errors are the same
+//! whichever worker, chunk or stream tile loads it in a frame.
 
 use crate::error::{CoreError, Result};
 use crate::oc::{check_activations, PhotonicMacUnit};

@@ -7,12 +7,19 @@
 //! of that arm's kernel, which runs every segment and adds their partial
 //! sums in segment order, as the two-stage electronic summation tree
 //! combines the partial sums of a long dot product (paper Figs. 5 and 6).
+//!
+//! A row is loaded under its [`RowId`] (layer and row), which keys each
+//! ring's weight error: the row's first MAC in a frame draws every ring's
+//! realised transmission once, and every stride of the frame reads it, so
+//! a unit, a worker's clone of it and a stream tile that load the same row
+//! in the same frame see the same weights. Copies of one row on several
+//! arms of a bank share that one draw.
 
 use crate::error::{CoreError, Result};
-use crate::plan::Transmissions;
+use crate::plan::{CodedRow, Transmissions};
 use lightator_photonics::arm::{ArmConfig, LoadedRow, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{NoiseConfig, RowId};
 use lightator_photonics::PhotonicsError;
 use serde::{Deserialize, Serialize};
 
@@ -123,17 +130,29 @@ impl PhotonicMacUnit {
     /// all strides of one output channel (and, in a batch, all frames) with
     /// a single DAC programming pass.
     ///
-    /// Weight programming is deterministic (analog noise is drawn during the
-    /// MAC itself), so hoisting it out of the stride loop does not change any
-    /// result — it only removes redundant tuning work.
+    /// Weight programming is deterministic, and the realised weights are
+    /// drawn once per frame from the ring's key, so hoisting it out of the
+    /// stride loop does not change any result — it only removes redundant
+    /// tuning work. The row is keyed as row 0 of layer 0
+    /// ([`PhotonicMacUnit::load_row_as`]).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Photonics`] if a weight is outside `[-1, 1]`;
     /// the unit is then left with no row loaded.
     pub fn load_row(&mut self, weights: &[f64]) -> Result<()> {
+        self.load_row_as(RowId::default(), weights)
+    }
+
+    /// [`PhotonicMacUnit::load_row`] for row `id`, whose key each ring's
+    /// weight error draws from.
+    ///
+    /// # Errors
+    ///
+    /// As [`PhotonicMacUnit::load_row`].
+    pub fn load_row_as(&mut self, id: RowId, weights: &[f64]) -> Result<()> {
         let segment = self.segment_length();
-        self.load_segments(weights.chunks(segment), |arm, chunk, row| {
+        self.load_segments(id, weights.chunks(segment), |arm, chunk, row| {
             arm.load_weights(chunk)?;
             arm.push_loaded(row);
             Ok(())
@@ -143,17 +162,22 @@ impl PhotonicMacUnit {
     }
 
     /// Loads a row of a compiled layer from its weight codes: every lane
-    /// reads its realised transmission from the layer's table
-    /// ([`Transmissions`]), so no ring is tuned. The lanes equal those
-    /// [`PhotonicMacUnit::load_row`] builds from the codes' weights.
+    /// reads its programmed transmission from the layer's table
+    /// ([`Transmissions`]), so no ring is tuned. The row equals the one
+    /// [`PhotonicMacUnit::load_row_as`] builds from the codes' weights
+    /// under the row's identity.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Photonics`] for a code whose weight no ring can
     /// hold (a NaN weight); the unit is then left with no row loaded.
-    pub(crate) fn load_coded_row(&mut self, codes: &[i8], table: &Transmissions) -> Result<()> {
+    pub(crate) fn load_coded_row(
+        &mut self,
+        CodedRow { id, codes }: CodedRow<'_>,
+        table: &Transmissions,
+    ) -> Result<()> {
         let segment = self.segment_length();
-        self.load_segments(codes.chunks(segment), |arm, chunk, row| {
+        self.load_segments(id, codes.chunks(segment), |arm, chunk, row| {
             let transmissions = chunk
                 .iter()
                 .enumerate()
@@ -164,30 +188,31 @@ impl PhotonicMacUnit {
         Ok(())
     }
 
-    /// Replaces the loaded row by the segments `program` appends, one per
-    /// chunk, leaving no row loaded if one fails.
+    /// Replaces the loaded row by row `id`'s segments that `program`
+    /// appends, one per chunk, leaving no row loaded if one fails.
     fn load_segments<'a, T: 'a>(
         &mut self,
+        id: RowId,
         segments: impl Iterator<Item = &'a [T]>,
         mut program: impl FnMut(&mut OpticalArm, &'a [T], &mut LoadedRow) -> Result<()>,
     ) -> Result<()> {
         self.row_len = 0;
-        self.row.clear();
+        self.row.reset(id);
         for chunk in segments {
             if let Err(err) = program(&mut self.arm, chunk, &mut self.row) {
-                self.row.clear();
+                self.row.reset(id);
                 return Err(err);
             }
         }
         Ok(())
     }
 
-    /// Realises each of `weights` on every lane by programming the arm's
+    /// Tunes each of `weights` on every lane by programming the arm's
     /// rings, for a layer's [`Transmissions`] table: entry
     /// `weight · channels + lane` is the signed transmission lane `lane`
-    /// realises for that weight, `0.0` for a zero weight (a parked ring)
-    /// and NaN for a NaN one.
-    pub(crate) fn realise(&mut self, weights: &[f64]) -> Result<Vec<f64>> {
+    /// is programmed to for that weight, `0.0` for a zero weight (a parked
+    /// ring) and NaN for a NaN one. No weight error is drawn.
+    pub(crate) fn tune(&mut self, weights: &[f64]) -> Result<Vec<f64>> {
         let channels = self.segment_length();
         let mut entries = Vec::with_capacity(weights.len() * channels);
         for &weight in weights {
@@ -230,7 +255,7 @@ impl PhotonicMacUnit {
     /// checked: in `[0, 1]` and no longer than the loaded row.
     pub(crate) fn mac_row(&mut self, activations: &[f64]) -> f64 {
         self.segments_evaluated += self.row.segments() as u64;
-        self.arm.mac_row(&self.row, activations)
+        self.arm.mac_row(&mut self.row, activations)
     }
 
     /// Evaluates `Σ wᵢ·aᵢ` photonically: [`PhotonicMacUnit::load_row`]
@@ -413,9 +438,10 @@ mod tests {
     }
 
     /// A row loaded from its codes through the layer's transmission table
-    /// holds the lanes `load_row` programs from the codes' weights, and
-    /// `mac_loaded` gives the same bits, with noise on, at several cursors.
-    /// For every width, the 400-weight rows hold every code at every lane.
+    /// holds the lanes `load_row_as` programs from the codes' weights under
+    /// the row's identity, and `mac_loaded` gives the same bits, with noise
+    /// on, at several cursors. For every width, the 400-weight rows hold
+    /// every code at every lane.
     #[test]
     fn coded_rows_match_programmed_rows_bit_for_bit() {
         use crate::plan::{EncodedWeights, WEIGHT_BITS};
@@ -455,7 +481,11 @@ mod tests {
                 coded
                     .load_coded_row(layer.row(r), layer.table)
                     .expect("coded row");
-                programmed.load_row(row).expect("programmed row");
+                let id = RowId {
+                    layer: 0,
+                    row: r as u64,
+                };
+                programmed.load_row_as(id, row).expect("programmed row");
                 assert_eq!(coded.row, programmed.row, "{bits} bits, row {r}");
                 for (frame, cursor) in [(0, 0), (3, 17), (9, 1 << 40), (2, u64::MAX - 3)] {
                     for unit in [&mut coded, &mut programmed] {

@@ -12,7 +12,7 @@
 //!   3×3 filter conv, or the per-block stream tile conv),
 //! * the **MR weight bank** — one [`EncodedWeights`] per weighted layer:
 //!   the `[W]`-bit codes the weight SRAM holds, plus the ring transmission
-//!   each code realises on each lane, tabled on the layer's first frame —
+//!   each code programs on each lane, tabled on the layer's first frame —
 //! * the **resolved precision schedule**, and
 //! * **reusable scratch and tile buffers**, so the steady-state execution
 //!   path performs no per-frame encoding work and no per-stride allocation.
@@ -58,12 +58,13 @@ use lightator_nn::model::Sequential;
 use lightator_nn::quant::quantize_symmetric;
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::tensor::Tensor;
+use lightator_photonics::noise::RowId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// The MR weight bank of one weighted layer as the weight SRAM holds it:
 /// the signed `[W]`-bit quantization code of every weight, plus a table of
-/// the ring transmission each code realises on each of the arm's 9 lanes.
+/// the ring transmission each code programs on each of the arm's 9 lanes.
 /// The table is filled on the layer's first forward pass, by tuning one
 /// ring per lane and code; every row load after that reads it, so no ring
 /// is tuned per frame.
@@ -81,7 +82,11 @@ pub struct EncodedWeights {
     pub(crate) weight_scale: f32,
     /// `2^(W−1) − 1`, the largest code magnitude.
     q_max: i8,
-    /// The realised transmissions of every lane and code, filled on the
+    /// The layer's position in its model, which with a row's index keys
+    /// the weight errors of the row's rings (0 unless [`encode_model`]
+    /// encoded it).
+    layer: u64,
+    /// The programmed transmissions of every lane and code, filled on the
     /// layer's first forward pass ([`EncodedWeights::programmed`]).
     table: Option<Transmissions>,
 }
@@ -130,6 +135,7 @@ impl EncodedWeights {
             row_len,
             weight_scale,
             q_max,
+            layer: 0,
             table: None,
         })
     }
@@ -163,7 +169,7 @@ impl EncodedWeights {
     }
 
     /// The layer's rows as a row load reads them: the codes and the table
-    /// of realised transmissions, which the first call fills by programming
+    /// of programmed transmissions, which the first call fills by tuning
     /// `unit`'s rings, one tuning per lane and code instead of one per
     /// weight per frame.
     pub(crate) fn programmed(&mut self, unit: &mut PhotonicMacUnit) -> Result<ProgrammedRows<'_>> {
@@ -174,7 +180,7 @@ impl EncodedWeights {
                     .map(|code| self.weight(code))
                     .collect();
                 Transmissions {
-                    entries: unit.realise(&weights)?,
+                    entries: unit.tune(&weights)?,
                     lanes: unit.segment_length(),
                     q_max: self.q_max,
                 }
@@ -183,6 +189,7 @@ impl EncodedWeights {
         Ok(ProgrammedRows {
             codes: &self.codes,
             row_len: self.row_len,
+            layer: self.layer,
             table: self.table.insert(table),
         })
     }
@@ -193,14 +200,27 @@ impl EncodedWeights {
 pub(crate) struct ProgrammedRows<'a> {
     codes: &'a [i8],
     row_len: usize,
-    /// The realised transmission of every lane and code.
+    layer: u64,
+    /// The programmed transmission of every lane and code.
     pub(crate) table: &'a Transmissions,
 }
 
+/// One row of a programmed layer: its identity and its codes.
+pub(crate) struct CodedRow<'a> {
+    pub(crate) id: RowId,
+    pub(crate) codes: &'a [i8],
+}
+
 impl ProgrammedRows<'_> {
-    /// The codes of row `row` (output channel or feature).
-    pub(crate) fn row(&self, row: usize) -> &[i8] {
-        &self.codes[row * self.row_len..(row + 1) * self.row_len]
+    /// Row `row` (output channel or feature).
+    pub(crate) fn row(&self, row: usize) -> CodedRow<'_> {
+        CodedRow {
+            id: RowId {
+                layer: self.layer,
+                row: row as u64,
+            },
+            codes: &self.codes[row * self.row_len..(row + 1) * self.row_len],
+        }
     }
 }
 
@@ -220,10 +240,10 @@ pub(crate) fn check_weight_bits(bits: u8) -> Result<()> {
     ))
 }
 
-/// The signed transmission each lane's ring realises for each code of one
-/// weighted layer, as [`OpticalArm::lanes`] reports it: `0.0` for a zero
-/// weight (a parked ring) and NaN for a weight no ring holds. Every MAC
-/// unit has the paper's 9-lane ring, so any unit fills the same table.
+/// The signed transmission each lane's ring is programmed to for each code
+/// of one weighted layer, as [`OpticalArm::lanes`] reports it: `0.0` for a
+/// zero weight (a parked ring) and NaN for a weight no ring holds. Every
+/// MAC unit has the paper's 9-lane ring, so any unit fills the same table.
 ///
 /// [`OpticalArm::lanes`]: lightator_photonics::arm::OpticalArm::lanes
 #[derive(Debug, Clone, PartialEq)]
@@ -235,8 +255,8 @@ pub(crate) struct Transmissions {
 }
 
 impl Transmissions {
-    /// The signed transmission lane `lane` realises for `code`; NaN for a
-    /// code outside the layer's width.
+    /// The signed transmission lane `lane` is programmed to for `code`; NaN
+    /// for a code outside the layer's width.
     pub(crate) fn get(&self, lane: usize, code: i8) -> f64 {
         let (code, q_max) = (i32::from(code), i32::from(self.q_max));
         if code.abs() > q_max || lane >= self.lanes {
@@ -262,16 +282,15 @@ pub fn encode_model(
     schedule: PrecisionSchedule,
 ) -> Result<Vec<Option<EncodedWeights>>> {
     let mut weighted_index = 0usize;
-    model
-        .layers()
-        .iter()
-        .map(|layer| {
+    (0u64..)
+        .zip(model.layers())
+        .map(|(position, layer)| {
             if !layer.is_weighted() {
                 return Ok(None);
             }
             let precision = schedule.for_layer(weighted_index);
             weighted_index += 1;
-            match layer {
+            let encoded = match layer {
                 LayerNode::Conv2d(conv) => {
                     let row_len = conv.in_channels() * conv.kernel() * conv.kernel();
                     EncodedWeights::new(
@@ -290,7 +309,11 @@ pub fn encode_model(
                 )
                 .map(Some),
                 _ => unreachable!("is_weighted covers exactly conv and linear"),
-            }
+            };
+            Ok(encoded?.map(|weights| EncodedWeights {
+                layer: position,
+                ..weights
+            }))
         })
         .collect()
 }

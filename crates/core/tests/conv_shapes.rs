@@ -6,8 +6,9 @@
 //! `quantize_symmetric` under their largest magnitude, as the plan encodes
 //! them; for every stride it gathers the raw `f32` patch (zeros for
 //! padding), quantizes each element with `quantize_unsigned` and streams
-//! the codes through a `PhotonicMacUnit` at the cursors a sequential walk
-//! reaches. The executor quantizes each layer input once and gathers drive
+//! the codes through a `PhotonicMacUnit`, each output channel's row loaded
+//! as row `oc` of layer 0 so its rings draw the executor's weight errors,
+//! at the cursors a sequential walk reaches. The executor quantizes each layer input once and gathers drive
 //! codes from that plane, so it must reproduce the reference bit for bit.
 
 use lightator_core::exec::PhotonicExecutor;
@@ -18,7 +19,7 @@ use lightator_nn::layers::Conv2d;
 use lightator_nn::model::Sequential;
 use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, Precision, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{NoiseConfig, RowId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +53,11 @@ fn reference(conv: &Conv2d, input: &Tensor, activation_bits: u8) -> Vec<f32> {
     unit.begin_frame(0);
     let mut out = Vec::new();
     for (oc, row) in weights.chunks(in_c * k * k).enumerate() {
-        unit.load_row(row).expect("row in range");
+        let id = RowId {
+            layer: 0,
+            row: oc as u64,
+        };
+        unit.load_row_as(id, row).expect("row in range");
         for oh in 0..out_shape[1] {
             for ow in 0..out_shape[2] {
                 let mut codes = Vec::with_capacity(in_c * k * k);

@@ -1,14 +1,15 @@
 //! Rows wider than one arm: `PhotonicMacUnit::load_row` programs one arm
 //! per 9-element segment and `mac_loaded` runs the segments at consecutive
 //! MAC cursors. The reference is built here from a bare `OpticalArm`,
-//! reprogrammed for every 9-chunk and evaluated once per chunk, so the unit
+//! reprogrammed for every 9-chunk as that segment of the row (so its rings
+//! draw the row's weight errors) and evaluated once per chunk, so the unit
 //! must reproduce it bit for bit with either noise setting.
 
 use lightator_core::oc::PhotonicMacUnit;
 use lightator_core::CoreError;
 use lightator_photonics::arm::{ArmConfig, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{NoiseConfig, RowId};
 use lightator_photonics::PhotonicsError;
 use proptest::prelude::*;
 
@@ -23,9 +24,10 @@ fn noise(ideal: bool) -> NoiseConfig {
     }
 }
 
-/// `Σ wᵢ·aᵢ` from one arm reloaded per 9-chunk, one MAC per chunk at
-/// consecutive cursors from `cursor`, partial sums added in order. Returns
-/// the sum and the arm's cursor afterwards.
+/// `Σ wᵢ·aᵢ` from one arm reloaded per 9-chunk as segment `s` of row 0 of
+/// layer 0, the row `load_row` keys, one MAC per chunk at consecutive
+/// cursors from `cursor`, partial sums added in order. Returns the sum and
+/// the arm's cursor afterwards.
 fn per_segment_reference(
     noise: NoiseConfig,
     frame: u64,
@@ -42,8 +44,10 @@ fn per_segment_reference(
     arm.begin_frame(SEED, frame);
     arm.set_mac_cursor(cursor);
     let mut total = 0.0;
-    for (w, a) in weights.chunks(SEGMENT).zip(activations.chunks(SEGMENT)) {
-        arm.load_weights(w).expect("weights in range");
+    let chunks = weights.chunks(SEGMENT).zip(activations.chunks(SEGMENT));
+    for (s, (w, a)) in (0u64..).zip(chunks) {
+        arm.load_segment(RowId::default(), s, w)
+            .expect("weights in range");
         total += arm.mac(a).expect("activations in range").value;
     }
     (total, arm.mac_cursor())

@@ -14,11 +14,12 @@
 //! Noise draws are keyed, not streamed: the arm keeps a **MAC cursor** that
 //! counts the MACs evaluated since [`OpticalArm::begin_frame`], one per
 //! [`OpticalArm::mac`] call and one per segment of an
-//! [`OpticalArm::mac_row`] row, and every perturbation is a pure function
-//! of `(seed, frame, channel, cursor-derived element)`. Repositioning the
-//! cursor with [`OpticalArm::set_mac_cursor`] therefore reproduces — or
-//! skips ahead in — the noise sequence exactly, which is what lets callers
-//! tile MAC loops across threads bit-exactly.
+//! [`OpticalArm::mac_row`] row, and every intensity and detection draw is a
+//! pure function of `(seed, frame, cursor, slot)`
+//! ([`crate::noise::CounterRng::mac_normal`]). Repositioning the cursor with
+//! [`OpticalArm::set_mac_cursor`] therefore reproduces — or skips ahead in —
+//! the noise sequence exactly, which is what lets callers tile MAC loops
+//! across threads bit-exactly.
 //!
 //! What a MAC reads of a programmed ring does not change while the ring
 //! holds its weight, so programming a row turns it into [`Lane`] constants
@@ -28,10 +29,20 @@
 //! arm-sized segment, and [`OpticalArm::mac_row`] runs the whole row
 //! through one kernel call, segment `s` at MAC cursor `c + s`.
 //! [`OpticalArm::mac`] is the one-segment case, on the arm's own rings.
+//!
+//! A ring's weight error does not change while it holds its weight either:
+//! the first MAC of a row in a frame draws each ring's realised transmission
+//! once, keyed by the row's [`RowId`] and the ring's weight index
+//! ([`crate::noise::CounterRng::weight_normal`]), and keeps it in the row
+//! for every later MAC of that frame. A MAC then draws only its packed
+//! intensity and detection slots: 5 blocks for a full 9-lane MAC.
 
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
-use crate::noise::{normal_pairs, offset, offset_unit, NoiseConfig, NoiseInjector};
+use crate::noise::{
+    mac_blocks, normal_pairs, offset, offset_unit, realised, CounterRng, NoiseConfig,
+    NoiseInjector, RowId,
+};
 use crate::wdm::{CrosstalkModel, WdmGrid};
 use serde::{Deserialize, Serialize};
 
@@ -81,8 +92,9 @@ impl ArmOutput {
 pub struct Lane {
     /// The lane's channel in the arm.
     pub channel: usize,
-    /// The ring's realised channel transmission, negated when the weight is
-    /// negative: the sign selects the balanced detector's rail.
+    /// The ring's programmed channel transmission, with no weight error,
+    /// negated when the weight is negative: the sign selects the balanced
+    /// detector's rail.
     pub transmission: f64,
     /// The product of the parasitic transmissions the arm's other rings
     /// impose on this channel (1.0 without crosstalk).
@@ -90,33 +102,46 @@ pub struct Lane {
 }
 
 /// A programmed row: the [`Lane`] constants of each of its arm-sized
-/// segments, in segment order. Segment `s` covers channels
+/// segments, in segment order, and the transmissions its rings realise in
+/// the current frame. Segment `s` covers channels
 /// `s·channels..(s + 1)·channels` of the row, on an arm of `channels`
-/// rings.
+/// rings, so lane `i` of segment `s` is the row's ring `s·channels + i`.
 ///
 /// Only an arm builds one, from rings it programmed
 /// ([`OpticalArm::push_loaded`]) or from transmissions it checked
 /// ([`OpticalArm::push_segment`]), so every segment holds at most one lane
 /// per channel, in channel order, and every row is one
-/// [`OpticalArm::mac_row`] can run.
+/// [`OpticalArm::mac_row`] can run. The row's first MAC in a frame draws
+/// its realised transmissions; a changed row draws them again.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadedRow {
+    /// The row these rings hold, which keys their weight errors.
+    id: RowId,
     lanes: Vec<Lane>,
     /// Segment `s` holds `lanes[ends[s - 1]..ends[s]]` (from 0 for `s = 0`).
     ends: Vec<usize>,
+    /// The signed transmission each lane's ring realises, as
+    /// [`crate::noise::NoiseInjector::realise_weight`] computes it.
+    realised: Vec<f64>,
+    /// The noise stream and weight sigma `realised` was drawn with; `None`
+    /// until the first MAC after the row changed.
+    realised_in: Option<(CounterRng, f64)>,
 }
 
 impl LoadedRow {
-    /// An empty row, with no segment.
+    /// An empty row, with no segment, keyed as row 0 of layer 0.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Removes every segment, keeping the buffers.
-    pub fn clear(&mut self) {
+    /// Removes every segment, keeping the buffers, and keys the rings of
+    /// the segments pushed next as row `id`.
+    pub fn reset(&mut self, id: RowId) {
+        self.id = id;
         self.lanes.clear();
         self.ends.clear();
+        self.realised_in = None;
     }
 
     /// Number of segments: the MAC cursors one [`OpticalArm::mac_row`]
@@ -125,16 +150,54 @@ impl LoadedRow {
     pub fn segments(&self) -> usize {
         self.ends.len()
     }
+
+    /// Closes the segment whose lanes were just appended.
+    fn end_segment(&mut self) {
+        self.ends.push(self.lanes.len());
+        self.realised_in = None;
+    }
 }
 
-/// Reusable buffers of the MAC kernel: one Philox block and one normal
-/// pair per segment for detection, then one per lane. [`OpticalArm::new`]
-/// sizes them for one segment with one lane per channel; a wider row grows
-/// them on its first MAC.
-#[derive(Debug, Clone)]
+/// Reusable buffers of the row realisation and the MAC kernel: the Philox
+/// words of the drawn blocks, each block's place among its window's blocks,
+/// their normal pairs, and the window's slots, where block `b`'s pair lands
+/// at `2b` and `2b + 1`. A window is a row's rings, or every slot of a
+/// row's MACs. A wider row grows the buffers on its first MAC.
+#[derive(Debug, Clone, Default)]
 struct Draws {
     blocks: Vec<[u64; 2]>,
+    at: Vec<usize>,
     normals: Vec<(f64, f64)>,
+    slots: Vec<f64>,
+}
+
+impl Draws {
+    /// Makes room for a window of `blocks` blocks.
+    fn reserve(&mut self, blocks: usize) {
+        if self.blocks.len() < blocks {
+            self.blocks.resize(blocks, [0; 2]);
+            self.at.resize(blocks, 0);
+            self.normals.resize(blocks, (0.0, 0.0));
+            self.slots.resize(2 * blocks, 0.0);
+        }
+    }
+
+    /// Records block `drawn`'s Philox words and its place `at` in the window.
+    #[inline]
+    fn draw(&mut self, drawn: usize, at: usize, words: [u64; 2]) {
+        self.blocks[drawn] = words;
+        self.at[drawn] = at;
+    }
+
+    /// Phase 2: the Box–Muller transform of the first `drawn` blocks in
+    /// one batch, then each pair into its window slots.
+    fn transform(&mut self, drawn: usize) {
+        normal_pairs(&self.blocks[..drawn], &mut self.normals[..drawn]);
+        for (&at, &(cos, sin)) in self.at[..drawn].iter().zip(&self.normals[..drawn]) {
+            self.slots[2 * at] = cos;
+            self.slots[2 * at + 1] = sin;
+        }
+    }
 }
 
 /// An optical MAC arm: per-channel MRs plus a balanced photodetector.
@@ -160,9 +223,12 @@ pub struct OpticalArm {
     /// magnitude a ring can realise.
     max_transmission: f64,
     weights: Vec<f64>,
-    /// The lane constants of the rings holding a non-zero weight, in
-    /// channel order, rebuilt by [`OpticalArm::load_weights`].
-    lanes: Vec<Lane>,
+    /// The arm's own rings as a one-segment row: the lane constants of the
+    /// rings holding a non-zero weight, in channel order, rebuilt by
+    /// [`OpticalArm::load_segment`].
+    own: LoadedRow,
+    /// The segment of `own`'s row that the arm's rings hold.
+    segment: u64,
     crosstalk: CrosstalkModel,
     injector: NoiseInjector,
     mac_cursor: u64,
@@ -208,14 +274,12 @@ impl OpticalArm {
             rings,
             max_transmission: notch.t_max,
             weights: vec![0.0; channels],
-            lanes: Vec::new(),
+            own: LoadedRow::new(),
+            segment: 0,
             crosstalk,
             injector,
             mac_cursor: 0,
-            draws: Draws {
-                blocks: vec![[0; 2]; channels + 1],
-                normals: vec![(0.0, 0.0); channels + 1],
-            },
+            draws: Draws::default(),
         })
     }
 
@@ -226,9 +290,9 @@ impl OpticalArm {
     }
 
     /// Repositions the arm's noise stream on `(seed, frame)` and rewinds the
-    /// MAC cursor to zero. MR weights stay loaded. Every subsequent draw is
-    /// a pure function of `(seed, frame, channel, element)` where the
-    /// element index derives from the MAC cursor.
+    /// MAC cursor to zero. MR weights stay loaded; the next MAC realises
+    /// them in the new frame. Every subsequent draw is a pure function of
+    /// `(seed, frame)` and its key: a MAC slot at the MAC cursor, or a ring.
     pub fn begin_frame(&mut self, seed: u64, frame: u64) {
         self.injector.begin_frame(seed, frame);
         self.mac_cursor = 0;
@@ -276,7 +340,7 @@ impl OpticalArm {
     /// in channel order: what [`OpticalArm::mac`] reads.
     #[must_use]
     pub fn lanes(&self) -> &[Lane] {
-        &self.lanes
+        &self.own.lanes
     }
 
     /// Loads a vector of signed weights in `[-1, 1]` onto the arm's MRs.
@@ -284,7 +348,20 @@ impl OpticalArm {
     /// Shorter vectors leave the remaining rings parked (weight 0, no tuning
     /// power), matching how partially filled arms behave for 5×5 / 7×7
     /// kernels (paper Fig. 6). Each ring that holds a weight becomes one of
-    /// the arm's [`OpticalArm::lanes`].
+    /// the arm's [`OpticalArm::lanes`]. The rings are keyed as segment 0 of
+    /// row 0 of layer 0 ([`OpticalArm::load_segment`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`OpticalArm::load_segment`].
+    pub fn load_weights(&mut self, weights: &[f64]) -> Result<()> {
+        self.load_segment(RowId::default(), 0, weights)
+    }
+
+    /// Loads `weights` as segment `segment` of row `row`: ring `i` of the
+    /// arm holds the row's weight `segment·channels + i`, the index that
+    /// keys its weight error, as when a bank spreads a long row over
+    /// several arms (paper Fig. 6).
     ///
     /// # Errors
     ///
@@ -292,7 +369,7 @@ impl OpticalArm {
     ///   supplied.
     /// * [`PhotonicsError::WeightOutOfRange`] if a weight is outside
     ///   `[-1, 1]` or not finite.
-    pub fn load_weights(&mut self, weights: &[f64]) -> Result<()> {
+    pub fn load_segment(&mut self, row: RowId, segment: u64, weights: &[f64]) -> Result<()> {
         if weights.len() > self.config.channels {
             return Err(PhotonicsError::LengthMismatch {
                 expected: self.config.channels,
@@ -305,7 +382,8 @@ impl OpticalArm {
             }
         }
         let crosstalk = self.crosstalk.factors()?;
-        self.lanes.clear();
+        self.own.reset(row);
+        self.segment = segment;
         for (i, ring) in self.rings.iter_mut().enumerate() {
             let w = weights.get(i).copied().unwrap_or(0.0);
             self.weights[i] = w;
@@ -317,29 +395,30 @@ impl OpticalArm {
                 let magnitude = w.abs().min(self.max_transmission);
                 ring.set_weight(magnitude)?;
                 let transmission = ring.channel_transmission();
-                self.lanes.push(Lane {
+                self.own.lanes.push(Lane {
                     channel: i,
                     transmission: if w < 0.0 { -transmission } else { transmission },
                     crosstalk: crosstalk[i],
                 });
             }
         }
+        self.own.end_segment();
         Ok(())
     }
 
     /// Appends the loaded rings' lanes ([`OpticalArm::lanes`]) to `row` as
     /// its next segment.
     pub fn push_loaded(&self, row: &mut LoadedRow) {
-        row.lanes.extend_from_slice(&self.lanes);
-        row.ends.push(row.lanes.len());
+        row.lanes.extend_from_slice(&self.own.lanes);
+        row.end_segment();
     }
 
-    /// Appends a segment to `row`, from the signed realised transmission
+    /// Appends a segment to `row`, from the signed programmed transmission
     /// of each of its channels in channel order, as [`Lane::transmission`]
     /// holds it; `0.0` marks a parked ring, which adds no lane. This is how
-    /// a caller that keeps the transmissions its rings realise programs a
-    /// row without tuning a ring: [`OpticalArm::load_weights`] and
-    /// [`OpticalArm::push_loaded`] build the same lanes.
+    /// a caller that keeps the transmissions its rings are tuned to
+    /// programs a row without tuning a ring: [`OpticalArm::load_weights`]
+    /// and [`OpticalArm::push_loaded`] build the same lanes.
     ///
     /// # Errors
     ///
@@ -359,7 +438,7 @@ impl OpticalArm {
             row.lanes.truncate(start);
             return Err(err);
         }
-        row.ends.push(row.lanes.len());
+        row.end_segment();
         Ok(())
     }
 
@@ -398,22 +477,27 @@ impl OpticalArm {
     /// The activation vector may be shorter than the arm; missing channels
     /// are dark: they draw no noise and contribute nothing. Non-idealities
     /// (VCSEL noise, crosstalk, weight error, detection noise) are applied
-    /// according to the arm's [`NoiseConfig`], keyed by the MAC cursor:
-    /// lane `i` of cursor `c` draws its intensity and weight noise from one
-    /// Philox block at element `c·channels + i`
-    /// ([`crate::noise::CounterRng::lane_normals`]) and the balanced
-    /// detector draws at element `c`. The cursor advances by one per call.
+    /// according to the arm's [`NoiseConfig`]. The rings' realised
+    /// transmissions are drawn once per frame, at the first MAC after
+    /// [`OpticalArm::begin_frame`] or a load, keyed by the rings' row and
+    /// weight indices ([`OpticalArm::load_segment`]). Each MAC draws its
+    /// packed slots at the MAC cursor `c`: slot `i` is channel `i`'s
+    /// intensity and slot `channels` the balanced detector
+    /// ([`crate::noise::CounterRng::mac_normal`]). The cursor advances by one
+    /// per call.
     ///
-    /// A MAC runs in three array-shaped phases over its lanes with a
-    /// non-zero weight (parked rings and dark channels draw nothing):
+    /// A MAC runs in three array-shaped phases over its live lanes, those
+    /// with a non-zero weight and an activation:
     ///
-    /// 1. the Philox words of the detection block and of every such lane's
-    ///    block;
+    /// 1. the Philox words of each of its blocks that has a consumer, a live
+    ///    lane while the VCSEL sigma is non-zero or the detector while its
+    ///    sigma is (parked rings and dark channels draw nothing that shifts
+    ///    another slot);
     /// 2. the Box–Muller transform of the whole batch, whose iterations are
     ///    independent, so the CPU overlaps the blocks' `ln` → `√` chains;
-    /// 3. the lane combine in lane order — VCSEL offset and clamp, the
-    ///    realised ring transmission, crosstalk, the rail of the weight's
-    ///    sign — then balanced detection.
+    /// 3. the lane combine in lane order — VCSEL offset and clamp,
+    ///    crosstalk, the ring's realised transmission, the rail of the
+    ///    weight's sign — then balanced detection.
     ///
     /// This is bit-identical to evaluating one lane at a time. A draw is a
     /// pure function of its key, so computing it earlier changes nothing;
@@ -450,12 +534,11 @@ impl OpticalArm {
             .zip(&self.weights)
             .map(|(a, w)| a * w)
             .sum();
-        let value = mac_kernel(
+        let value = run_row(
             &mut self.draws,
             &self.injector,
-            self.mac_cursor,
-            self.config.channels,
-            (&self.lanes, &[self.lanes.len()]),
+            (self.mac_cursor, self.config.channels),
+            (self.segment, &mut self.own),
             activations,
         );
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
@@ -464,30 +547,36 @@ impl OpticalArm {
 
     /// Evaluates `Σ aᵢ·wᵢ` against `row` instead of the arm's own rings:
     /// segment `s` is the analog value of [`OpticalArm::mac`] at cursor
-    /// `c + s`, on an arm whose rings hold that segment's lanes, fed
-    /// activations `s·channels..(s + 1)·channels`, and the segments' values
-    /// are summed in segment order, as the bank's summation tree adds its
-    /// arms' partial sums. The cursor advances by the row's segment count.
+    /// `c + s`, on an arm whose rings hold that segment's lanes as segment
+    /// `s` of the row ([`OpticalArm::load_segment`]), fed activations
+    /// `s·channels..(s + 1)·channels`, and the segments' values are summed
+    /// in segment order, as the bank's summation tree adds its arms'
+    /// partial sums. The cursor advances by the row's segment count.
     ///
-    /// The whole row is one batch of the three phases: the Philox words of
-    /// every segment's detection block and live lanes, the Box–Muller
-    /// transform over all of those blocks, and the combine, segment by
-    /// segment in lane order. Every value goes through the same IEEE-754
-    /// operations, in the same order, as one [`OpticalArm::mac`] per
-    /// segment.
+    /// The row's first MAC in a frame draws its realised transmissions and
+    /// keeps them in `row`. The whole row is then one batch of the three
+    /// phases: the Philox words of every segment's blocks that have a
+    /// consumer, the Box–Muller transform over all of those blocks, and the
+    /// combine, segment by segment in lane order. Every value goes through
+    /// the same IEEE-754 operations, in the same order, as one
+    /// [`OpticalArm::mac`] per segment.
     ///
     /// It is the kernel alone, with no checks and no ideal sum: a
     /// weight-stationary caller checks its activations once per layer, not
     /// once per MAC. `activations` should lie in `[0, 1]`; channels past
     /// their end are dark, and a segment with none draws only its detection
     /// noise. `row` should come from an arm of this one's channel count.
-    pub fn mac_row(&mut self, row: &LoadedRow, activations: &[f64]) -> f64 {
-        let value = mac_kernel(
+    ///
+    /// # Panics
+    ///
+    /// May panic if `row` holds a lane on a channel this arm does not have
+    /// (a row loaded on an arm with more channels).
+    pub fn mac_row(&mut self, row: &mut LoadedRow, activations: &[f64]) -> f64 {
+        let value = run_row(
             &mut self.draws,
             &self.injector,
-            self.mac_cursor,
-            self.config.channels,
-            (&row.lanes, &row.ends),
+            (self.mac_cursor, self.config.channels),
+            (0, row),
             activations,
         );
         self.mac_cursor = self.mac_cursor.wrapping_add(row.ends.len() as u64);
@@ -501,32 +590,119 @@ impl OpticalArm {
     }
 }
 
+/// Runs `row`, whose first segment is segment `first` of its row, from MAC
+/// cursor `cursor` on an arm of `channels` rings: realises its weights in
+/// the injector's frame and weight sigma unless it already holds those,
+/// then runs [`mac_kernel`].
+fn run_row(
+    draws: &mut Draws,
+    injector: &NoiseInjector,
+    (cursor, channels): (u64, usize),
+    (first, row): (u64, &mut LoadedRow),
+    activations: &[f64],
+) -> f64 {
+    let drawn_with = (*injector.rng(), injector.config().weight_sigma);
+    if row.realised_in != Some(drawn_with) {
+        realise(draws, drawn_with, channels, first, row);
+    }
+    mac_kernel(draws, injector, cursor, channels, row, activations)
+}
+
+/// Draws the transmission each of `row`'s rings realises in `rng`'s frame
+/// with weight sigma `sigma`, `clamp(|t| + sigma·z, 0, 1)` signed as `t`,
+/// in the same three phases as
+/// the MAC kernel. Lane `i` of segment `s` is the row's ring
+/// `(first + s)·channels + i`, and rings `2p` and `2p + 1` share the row's
+/// block `p`, computed only when one of them holds a weight. A zero sigma
+/// draws nothing.
+fn realise(
+    draws: &mut Draws,
+    (rng, sigma): (CounterRng, f64),
+    channels: usize,
+    first: u64,
+    row: &mut LoadedRow,
+) {
+    let LoadedRow {
+        id,
+        lanes,
+        ends,
+        realised: weights,
+        realised_in,
+    } = row;
+    weights.clear();
+    *realised_in = Some((rng, sigma));
+    if sigma == 0.0 {
+        weights.extend(
+            lanes
+                .iter()
+                .map(|lane| realised(lane.transmission, 0.0, 0.0)),
+        );
+        return;
+    }
+    // The window starts at the block of the row's first ring: ring j is
+    // slot j − origin, in the row's block origin / 2 + slot / 2.
+    let first_ring = first.wrapping_mul(channels as u64);
+    let origin = first_ring & !1;
+    let offset = (first_ring - origin) as usize;
+    draws.reserve((offset + ends.len() * channels).div_ceil(2));
+    let mut drawn = 0;
+    let mut last = usize::MAX;
+    let mut start = 0;
+    for (s, &end) in ends.iter().enumerate() {
+        for lane in &lanes[start..end] {
+            let block = (offset + s * channels + lane.channel) / 2;
+            if block != last {
+                last = block;
+                let pair = (origin / 2).wrapping_add(block as u64);
+                draws.draw(drawn, block, rng.weight_block(*id, pair));
+                drawn += 1;
+            }
+        }
+        start = end;
+    }
+    draws.transform(drawn);
+    let mut start = 0;
+    for (s, &end) in ends.iter().enumerate() {
+        let z = &draws.slots[offset + s * channels..];
+        weights.extend(
+            lanes[start..end]
+                .iter()
+                .map(|lane| realised(lane.transmission, sigma, z[lane.channel])),
+        );
+        start = end;
+    }
+}
+
 /// The MAC kernel behind [`OpticalArm::mac`] and [`OpticalArm::mac_row`]:
 /// the three phases over a row's segments, `lanes[ends[s - 1]..ends[s]]`
-/// at MAC cursor `cursor + s`, for in-range activations. Lanes at or past
-/// the end of their segment's activations are dark.
+/// at MAC cursor `cursor + s`, for in-range activations and the row's
+/// realised transmissions. Lanes at or past the end of their segment's
+/// activations are dark.
 fn mac_kernel(
     draws: &mut Draws,
     injector: &NoiseInjector,
     cursor: u64,
     channels: usize,
-    (lanes, ends): (&[Lane], &[usize]),
+    row: &LoadedRow,
     activations: &[f64],
 ) -> f64 {
     let NoiseConfig {
         vcsel_relative_sigma,
         detector_relative_sigma,
-        weight_sigma,
         ..
     } = *injector.config();
     let rng = *injector.rng();
-    let lanes_draw = vcsel_relative_sigma != 0.0 || weight_sigma != 0.0;
+    let lanes_draw = vcsel_relative_sigma != 0.0;
     let detection_draws = detector_relative_sigma != 0.0;
-    let segments = ends.len();
-    if draws.blocks.len() < segments + lanes.len() {
-        draws.blocks.resize(segments + lanes.len(), [0; 2]);
-        draws.normals.resize(segments + lanes.len(), (0.0, 0.0));
-    }
+    let LoadedRow {
+        lanes,
+        ends,
+        realised,
+        ..
+    } = row;
+    let per_mac = mac_blocks(channels);
+    // The detector is slot `channels`, in block `channels / 2`.
+    let detection = channels / 2;
     // Segment s's activations; none past the end of the row's.
     let lit = || {
         activations
@@ -534,66 +710,77 @@ fn mac_kernel(
             .chain(std::iter::repeat(&[][..]))
     };
 
-    // 1. Philox words, segment by segment: its detection block, in slot
-    //    s, then the blocks of its live lanes (those before the end of its
-    //    activations), in the slots after every segment's detection slot.
-    //    A noise source whose sigmas are zero computes none. Every draw is keyed by
-    //    lane, so parked rings and dark channels skip theirs without
-    //    shifting any other lane's sequence. Each block is computed in this
-    //    scan rather than in a loop of its own, which LLVM would vectorize
-    //    into 64×64-bit multiplies that SSE2 does not have.
-    let mut live = segments;
-    let mut start = 0;
-    for ((s, &end), lit) in (0u64..).zip(ends).zip(lit()) {
-        let segment_cursor = cursor.wrapping_add(s);
-        if detection_draws {
-            draws.blocks[s as usize] = rng.detection_block(segment_cursor);
-        }
-        let lane_base = segment_cursor.wrapping_mul(channels as u64);
-        for lane in &lanes[start..end] {
-            if lane.channel >= lit.len() {
-                break;
-            }
+    // 1. Philox words, segment by segment, in block order: the block of
+    //    each live lane's slot (lane i reads slot i, in block i / 2), then
+    //    the detection block unless the last lane's block was it. A block
+    //    with no consumer is not computed. Every block is keyed by its
+    //    MAC's cursor and its position, so parked rings and dark channels
+    //    skip theirs without shifting any other slot. Each block is
+    //    computed in this scan rather than in a loop of its own, which LLVM
+    //    would vectorize into 64×64-bit multiplies that SSE2 does not have.
+    // 2. Box–Muller over the drawn blocks in one batch, each pair into its
+    //    segment's slots, `per_mac` blocks to a segment.
+    let segments = ends.len();
+    draws.reserve(segments * per_mac);
+    if lanes_draw || detection_draws {
+        let mut drawn = 0;
+        let mut start = 0;
+        for ((s, &end), lit) in (0..segments).zip(ends).zip(lit()) {
+            let key = cursor.wrapping_add(s as u64).wrapping_mul(per_mac as u64);
+            let window = s * per_mac;
+            let mut last = usize::MAX;
             if lanes_draw {
-                draws.blocks[live] = rng.lane_block(lane_base.wrapping_add(lane.channel as u64));
+                for lane in lanes[start..end]
+                    .iter()
+                    .take_while(|lane| lane.channel < lit.len())
+                {
+                    if lane.channel / 2 != last {
+                        last = lane.channel / 2;
+                        let words = rng.mac_block(key.wrapping_add(last as u64));
+                        draws.draw(drawn, window + last, words);
+                        drawn += 1;
+                    }
+                }
             }
-            live += 1;
+            if detection_draws && last != detection {
+                let words = rng.mac_block(key.wrapping_add(detection as u64));
+                draws.draw(drawn, window + detection, words);
+                drawn += 1;
+            }
+            start = end;
         }
-        start = end;
+        draws.transform(drawn);
     }
-    // 2. Box–Muller over the drawn blocks, detection and lanes in one
-    //    batch. Slots left undrawn are read only with a zero sigma, which
+    // 3. Per segment, per live lane in lane order: VCSEL amplitude noise,
+    //    inter-channel crosstalk along the shared bus, then weighting by
+    //    the ring's realised transmission, routed to the positive or
+    //    negative BPD rail by its sign. Then the segment's balanced
+    //    detection plus detector-referred noise, and the segments summed in
+    //    order. A slot left undrawn is read only with a zero sigma, which
     //    `offset` ignores.
-    let drawn =
-        if detection_draws { 0 } else { segments }..if lanes_draw { live } else { segments };
-    normal_pairs(&draws.blocks[drawn.clone()], &mut draws.normals[drawn]);
-    // 3. Per segment, per lane in lane order: VCSEL amplitude noise and the
-    //    realised (noisy) MR transmission, inter-channel crosstalk along the
-    //    shared bus, then weighting by the ring, routed to the positive or
-    //    negative BPD rail according to the weight sign. Then the segment's
-    //    balanced detection plus detector-referred noise, keyed by its MAC
-    //    cursor, and the segments summed in order.
-    let (detections, lane_normals) = draws.normals.split_at(segments);
-    let mut lane_normals = lane_normals.iter();
     let mut total = 0.0;
     let mut start = 0;
-    for ((&end, lit), &(z_detection, _)) in ends.iter().zip(lit()).zip(detections) {
+    for ((&end, lit), z) in ends
+        .iter()
+        .zip(lit())
+        .zip(draws.slots.chunks_exact(2 * per_mac))
+    {
         let mut positive = 0.0;
         let mut negative = 0.0;
         let live = lanes[start..end]
             .iter()
-            .take_while(|lane| lane.channel < lit.len());
-        for (lane, &(z_light, z_weight)) in live.zip(&mut lane_normals) {
-            let light = offset_unit(lit[lane.channel], vcsel_relative_sigma, z_light);
-            let realised = offset_unit(lane.transmission.abs(), weight_sigma, z_weight);
-            let product = light * lane.crosstalk * realised;
-            if lane.transmission.is_sign_negative() {
+            .zip(&realised[start..end])
+            .take_while(|(lane, _)| lane.channel < lit.len());
+        for (lane, &weight) in live {
+            let light = offset_unit(lit[lane.channel], vcsel_relative_sigma, z[lane.channel]);
+            let product = light * lane.crosstalk * weight.abs();
+            if weight.is_sign_negative() {
                 negative += product;
             } else {
                 positive += product;
             }
         }
-        total += offset(positive - negative, detector_relative_sigma, z_detection);
+        total += offset(positive - negative, detector_relative_sigma, z[channels]);
         start = end;
     }
     total
@@ -602,7 +789,7 @@ fn mac_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::{CounterRng, NoiseChannel};
+    use crate::noise::CounterRng;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -615,10 +802,14 @@ mod tests {
         .expect("valid")
     }
 
-    /// The per-lane MAC that [`OpticalArm::mac`]'s three phases replaced,
-    /// kept as their bit-exact reference: each lane draws its block,
-    /// perturbs its intensity and ring, crosses the bus and lands on its
-    /// rail before the next lane starts. Inputs must be in range.
+    /// The per-slot MAC, the bit-exact reference of the kernel: each lit
+    /// lane that holds a weight, one at a time in channel order, perturbs
+    /// its intensity with its own slot's draw, realises its ring with the
+    /// ring's own draw (the arm's rings are segment `segment` of row `id`),
+    /// crosses the bus and lands on its rail; then the detector adds its
+    /// slot's draw. Every draw goes through a public keyed call
+    /// ([`NoiseInjector::perturb_lane`], [`NoiseInjector::realise_weight`],
+    /// [`NoiseInjector::perturb_detection`]). Inputs must be in range.
     fn reference_mac(arm: &mut OpticalArm, activations: &[f64]) -> ArmOutput {
         let ideal: f64 = activations
             .iter()
@@ -626,7 +817,8 @@ mod tests {
             .zip(&arm.weights)
             .map(|(a, w)| a * w)
             .sum();
-        let lane_base = arm.mac_cursor.wrapping_mul(arm.config.channels as u64);
+        let (cursor, channels) = (arm.mac_cursor, arm.config.channels);
+        let first_ring = arm.segment.wrapping_mul(channels as u64);
         let crosstalk = arm.crosstalk.factors().expect("well-formed grid");
         let mut positive = 0.0;
         let mut negative = 0.0;
@@ -635,10 +827,12 @@ mod tests {
             if w == 0.0 {
                 continue;
             }
-            let lane = lane_base.wrapping_add(i as u64);
-            let (light, realised) =
-                arm.injector
-                    .perturb_lane(lane, a, arm.rings[i].channel_transmission());
+            let light = arm.injector.perturb_lane(cursor, channels, i, a);
+            let realised = arm.injector.realise_weight(
+                arm.own.id,
+                first_ring.wrapping_add(i as u64),
+                arm.rings[i].channel_transmission(),
+            );
             let product = light * crosstalk[i] * realised;
             if w >= 0.0 {
                 positive += product;
@@ -648,7 +842,7 @@ mod tests {
         }
         let value = arm
             .injector
-            .perturb_detection(arm.mac_cursor, positive - negative);
+            .perturb_detection(cursor, channels, positive - negative);
         arm.mac_cursor = arm.mac_cursor.wrapping_add(1);
         ArmOutput { value, ideal }
     }
@@ -747,10 +941,11 @@ mod tests {
     }
 
     proptest! {
-        /// The three-phase kernel reproduces the per-lane loop bit for bit
-        /// on every checked channel count and noise setting, with zero and
-        /// negative weights, rows and activations shorter than the arm, and
-        /// cursors near `u64::MAX`, where the lane key and the cursor wrap.
+        /// The three-phase kernel reproduces the per-slot reference bit for
+        /// bit on every checked channel count and noise setting, with zero
+        /// and negative weights, rows and activations shorter than the arm,
+        /// and cursors near `u64::MAX`, where the slot keys and the cursor
+        /// wrap. The name keeps the `mac_matches` prefix CI's filter runs.
         #[test]
         fn mac_matches_the_per_lane_reference(
             row in proptest::collection::vec((-1.0f64..=1.0, 0u8..8), 0..=25),
@@ -806,11 +1001,13 @@ mod tests {
         }
     }
 
-    /// Loads `weights` as a row of arm-sized segments on a copy of `arm`
-    /// and checks one [`OpticalArm::mac_row`] from `cursor` on
-    /// `(seed, frame)` against [`reference_mac`] run per segment, segment
-    /// `s` at cursor `cursor + s`, summed in segment order, bit for bit.
-    /// The kernel's cursor must end advanced by the segment count.
+    /// Loads `weights` as a row of arm-sized segments on a copy of `arm`,
+    /// keyed as a row named by the seed and frame, and checks one
+    /// [`OpticalArm::mac_row`] from `cursor` on `(seed, frame)` against
+    /// [`reference_mac`] run per segment, segment `s` loaded as segment `s`
+    /// of that row and run at cursor `cursor + s`, summed in segment order,
+    /// bit for bit. The kernel's cursor must end advanced by the segment
+    /// count.
     fn assert_row_matches_reference(
         arm: &OpticalArm,
         weights: &[f64],
@@ -818,22 +1015,29 @@ mod tests {
         (seed, frame, cursor): (u64, u64, u64),
     ) {
         let n = arm.channels();
+        let id = RowId {
+            layer: frame % 5,
+            row: seed >> 54,
+        };
         let mut kernel = arm.clone();
         let mut row = LoadedRow::new();
+        row.reset(id);
         for segment in weights.chunks(n) {
             kernel.load_weights(segment).expect("weights in range");
             kernel.push_loaded(&mut row);
         }
         kernel.begin_frame(seed, frame);
         kernel.set_mac_cursor(cursor);
-        let got = kernel.mac_row(&row, activations);
+        let got = kernel.mac_row(&mut row, activations);
 
         let mut reference = arm.clone();
         reference.begin_frame(seed, frame);
         let lit = activations.chunks(n).chain(std::iter::repeat(&[][..]));
         let mut want = 0.0;
         for ((s, segment), lit) in (0u64..).zip(weights.chunks(n)).zip(lit) {
-            reference.load_weights(segment).expect("weights in range");
+            reference
+                .load_segment(id, s, segment)
+                .expect("weights in range");
             reference.set_mac_cursor(cursor.wrapping_add(s));
             want += reference_mac(&mut reference, lit).value;
         }
@@ -851,11 +1055,11 @@ mod tests {
     }
 
     proptest! {
-        /// One kernel call per row reproduces the per-lane loop run once
-        /// per segment, on every checked channel count and noise setting:
-        /// multi-segment rows with parked rings, activations that stop
-        /// short so whole segments are dark, and cursors near `u64::MAX`,
-        /// where the segment cursors and lane keys wrap.
+        /// One kernel call per row reproduces the per-slot reference run
+        /// once per segment, on every checked channel count and noise
+        /// setting: multi-segment rows with parked rings, activations that
+        /// stop short so whole segments are dark, and cursors near
+        /// `u64::MAX`, where the segment cursors and slot keys wrap.
         #[test]
         fn mac_row_matches_the_per_segment_reference(
             row in proptest::collection::vec((-1.0f64..=1.0, 0u8..8), 1..=60),
@@ -930,7 +1134,7 @@ mod tests {
             arm.push_loaded(&mut row);
         }
         let rng = CounterRng::new(4, 2);
-        let draw = |cursor| rng.sample(NoiseChannel::Detection, cursor, 0.0, sigma);
+        let draw = |cursor| 0.0 + sigma * rng.mac_normal(cursor, 9, 9);
         for lit in [&[][..], &[0.5; 9]] {
             let lit_value = if lit.is_empty() {
                 draw(u64::MAX)
@@ -941,12 +1145,75 @@ mod tests {
             };
             arm.begin_frame(4, 2);
             arm.set_mac_cursor(u64::MAX);
-            let got = arm.mac_row(&row, lit);
+            let got = arm.mac_row(&mut row, lit);
             let want = 0.0 + lit_value + draw(0) + draw(1);
             assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
             assert_ne!(draw(0), 0.0);
             assert_eq!(arm.mac_cursor(), 2);
         }
+    }
+
+    /// A realised weight belongs to the frame its MAC runs in, whether the
+    /// rings were loaded before or after [`OpticalArm::begin_frame`], and a
+    /// row keeps it across the frame's MACs: with only weight noise on, one
+    /// frame's MACs of one input agree, and the next frame's differ. An
+    /// arm with another weight sigma realises the row afresh.
+    #[test]
+    fn realised_weights_follow_the_frame_of_the_mac() {
+        let weights = [0.3, -0.7, 0.2, 0.1, 0.5, -0.1, 0.9, -0.4, 0.6];
+        let activations = [0.2, 0.4, 0.6, 0.8, 1.0, 0.1, 0.3, 0.5, 0.7];
+        let noise = NoiseConfig {
+            weight_sigma: NoiseConfig::default().weight_sigma,
+            ..NoiseConfig::ideal()
+        };
+        let arm = OpticalArm::new(ArmConfig {
+            noise,
+            ..ArmConfig::default()
+        })
+        .expect("valid");
+        let mut loaded_first = arm.clone();
+        loaded_first.load_weights(&weights).expect("ok");
+        loaded_first.begin_frame(3, 0);
+        let frame0 = loaded_first.mac(&activations).expect("ok").value;
+        loaded_first.begin_frame(3, 1);
+        let frame1 = loaded_first.mac(&activations).expect("ok").value;
+        assert_ne!(frame0.to_bits(), frame1.to_bits());
+        for frame in [0, 1] {
+            let mut framed_first = arm.clone();
+            framed_first.begin_frame(3, frame);
+            framed_first.load_weights(&weights).expect("ok");
+            let macs: Vec<f64> = (0..3)
+                .map(|_| framed_first.mac(&activations).expect("ok").value)
+                .collect();
+            let want = [frame0, frame1][frame as usize];
+            assert!(
+                macs.iter().all(|v| v.to_bits() == want.to_bits()),
+                "{macs:?}"
+            );
+        }
+        let mut row = LoadedRow::new();
+        loaded_first.push_loaded(&mut row);
+        loaded_first.begin_frame(3, 0);
+        assert_eq!(
+            loaded_first.mac_row(&mut row, &activations).to_bits(),
+            frame0.to_bits()
+        );
+        loaded_first.begin_frame(3, 1);
+        assert_eq!(
+            loaded_first.mac_row(&mut row, &activations).to_bits(),
+            frame1.to_bits()
+        );
+        // The same row on an arm without weight noise, in the same frame,
+        // realises its own weights, not the ones the row last held.
+        let mut ideal = ideal_arm();
+        ideal.load_weights(&weights).expect("ok");
+        ideal.begin_frame(3, 1);
+        let want = ideal.mac(&activations).expect("ok").value;
+        ideal.set_mac_cursor(0);
+        assert_eq!(
+            ideal.mac_row(&mut row, &activations).to_bits(),
+            want.to_bits()
+        );
     }
 
     /// A segment that fails to load leaves the row as it was.

@@ -7,22 +7,36 @@
 //! of MR tuning DACs.
 //!
 //! Gaussian samples come from a counter-based (Philox-style) generator: each
-//! draw is a pure function of `(seed, frame index, channel, element index)`,
-//! with `channel` tagging the physical noise source (intensity / weight /
-//! detection). One Philox block feeds one Box–Muller transform, whose two
-//! branches are two independent standard normals. A MAC lane's intensity
-//! draw is the cosine branch of its block and its weight draw the sine
-//! branch of the same block, so a full 9-lane MAC computes 10 blocks: one
-//! per lane plus the detection block. Two consequences follow from the
-//! keying:
+//! draw is a pure function of its key, the `(seed, frame)` stream and the
+//! draw's place in it. One Philox block feeds one Box–Muller transform,
+//! whose two branches, cosine and sine, are two independent standard
+//! normals. Two block streams hold every draw:
+//!
+//! * **The MAC stream** ([`CounterRng::mac_normal`]). A MAC on an arm of
+//!   `channels` rings has `channels + 1` slots: slot `i` is channel `i`'s
+//!   VCSEL intensity draw and slot `channels` the balanced detector's draw.
+//!   Slot `2b` is the cosine branch of the MAC's block `b` and slot `2b + 1`
+//!   its sine branch, and block `b` of the MAC at cursor `c` is keyed by
+//!   `c·⌈(channels + 1)/2⌉ + b`. A full 9-lane MAC computes 5 blocks.
+//! * **The ring stream** ([`CounterRng::weight_normal`]). A ring's weight
+//!   error is fixed while the ring holds its weight, so it is drawn once per
+//!   programming, keyed by the ring's identity: its layer, its row
+//!   ([`RowId`]) and its weight index `j` in the row. Rings `2p` and
+//!   `2p + 1` of a row are the cosine and sine branches of the row's block
+//!   `p`. The frame is the programming epoch: every MAC of a row in one
+//!   frame reads the same realised weights, whichever stride, stream tile or
+//!   worker runs it.
+//!
+//! A block is computed only when one of its two slots has a consumer: a lit
+//! lane holding a weight while the VCSEL sigma is non-zero, or the detector
+//! while its sigma is. Two consequences follow from the keying:
 //!
 //! * **Per-channel independence.** Zeroing one channel's sigma leaves every
 //!   other channel's draws bit-identical, so noise-ablation sweeps compare
-//!   exactly what they claim to compare. A lane still computes its block
-//!   while either of its sigmas is non-zero, and each branch is read only by
-//!   its own channel. (The previous sequential Box–Muller stream shared one
-//!   cached spare across channels, so ablating one channel silently shifted
-//!   the others.)
+//!   exactly what they claim to compare: a skipped block is one nothing
+//!   reads, and no draw's key depends on which others were computed. (The
+//!   previous sequential Box–Muller stream shared one cached spare across
+//!   channels, so ablating one channel silently shifted the others.)
 //! * **Order independence.** Draws need no sequential RNG state, so MAC
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
@@ -35,22 +49,23 @@
 //! same draw on any platform.
 //!
 //! [`crate::arm::OpticalArm::mac_row`] computes the blocks of a whole
-//! programmed row as one batch, in three phases: the Philox words of each
-//! segment's detection block and of every lane with a non-zero weight; the
-//! Box–Muller transform over the batch, whose iterations are independent;
-//! and the lane combine, segment by segment in lane order, each segment's
-//! detection, and the sum of the segments. The transform converts its
-//! integers to doubles by exact bit arithmetic (a magic-constant add and a
-//! subtraction) instead of `as f64`, a scalar `cvtsi2sd` on x86-64, so the
-//! compiler runs it on two blocks at a time in SSE2 registers, from the
-//! Philox words to the normals. The batch cannot move a bit: a draw is a
-//! pure function of its key, so computing it earlier or next to another
-//! changes nothing; each conversion is exact, so it gives the bits of
-//! `as f64`; each value goes through the same IEEE-754 operations as
-//! [`CounterRng::lane_normals`] and [`NoiseInjector::perturb_lane`], which
-//! share its `ln`, `sin`/`cos` and offset-and-clamp code; `+ − × ÷ √`
-//! round the same in a vector lane as in scalar code, and Rust never fuses
-//! a multiply-add; and both rails still sum in lane order.
+//! programmed row as one batch, in three phases: the Philox words of every
+//! segment's blocks that have a consumer; the Box–Muller transform over the
+//! batch, whose iterations are independent; and the lane combine, segment by
+//! segment in lane order, each segment's detection, and the sum of the
+//! segments. A row's realised weights are drawn the same way, once per row
+//! and frame. The transform converts its integers to doubles by exact bit
+//! arithmetic (a magic-constant add and a subtraction) instead of `as f64`,
+//! a scalar `cvtsi2sd` on x86-64, so the compiler runs it on two blocks at a
+//! time in SSE2 registers, from the Philox words to the normals. The batch
+//! cannot move a bit: a draw is a pure function of its key, so computing it
+//! earlier or next to another changes nothing; each conversion is exact, so
+//! it gives the bits of `as f64`; each value goes through the same IEEE-754
+//! operations as [`CounterRng::mac_normal`], [`CounterRng::weight_normal`]
+//! and [`NoiseInjector`]'s perturbations, which share its `ln`,
+//! `sin`/`cos` and offset-and-clamp code; `+ − × ÷ √` round the same in a
+//! vector lane as in scalar code, and Rust never fuses a multiply-add; and
+//! both rails still sum in lane order.
 
 use crate::error::{PhotonicsError, Result};
 use serde::{Deserialize, Serialize};
@@ -70,7 +85,12 @@ pub struct NoiseConfig {
     /// (shot + thermal, folded into one knob for architecture studies).
     pub detector_relative_sigma: f64,
     /// RMS error of the realised MR weight caused by finite tuning-DAC
-    /// resolution and thermal drift, in absolute weight units.
+    /// resolution and thermal drift, in absolute weight units. Both are
+    /// fixed while a ring holds its weight, so the error is drawn once per
+    /// ring programming per frame, keyed by the ring's row and weight index
+    /// ([`CounterRng::weight_normal`]): every MAC of the row in that frame
+    /// reads the same realised weight, a gain error that does not average
+    /// out over a layer's output positions.
     pub weight_sigma: f64,
     /// Whether inter-channel crosstalk should be applied by arm simulations.
     pub apply_crosstalk: bool,
@@ -151,11 +171,10 @@ impl NoiseConfig {
 
 /// The physical noise source a draw belongs to.
 ///
-/// [`NoiseChannel::Intensity`] and [`NoiseChannel::Weight`] draws at the
-/// same element are the two branches of one Philox block's Box–Muller
-/// transform: cosine and sine. The two branches are independent standard
-/// normals, so the channels stay uncorrelated while sharing one block.
-/// [`NoiseChannel::Detection`] keys a Philox stream of its own.
+/// [`NoiseChannel::Intensity`] and [`NoiseChannel::Detection`] draws are
+/// slots of one packed MAC stream ([`CounterRng::mac_normal`]): where a slot
+/// sits in its MAC says which source it feeds. [`NoiseChannel::Weight`]
+/// draws come from the ring stream ([`CounterRng::weight_normal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NoiseChannel {
     /// VCSEL amplitude noise on the modulated intensities.
@@ -166,11 +185,23 @@ pub enum NoiseChannel {
     Detection,
 }
 
-/// Philox key tag of the per-lane block (intensity and weight draws).
-const LANE_TAG: u64 = 0;
-/// Philox key tag of the detection block. Renumbering a tag moves every
-/// draw of its stream.
-const DETECTION_TAG: u64 = 2;
+/// The rings of one programmed row: the weighted layer it belongs to and
+/// its row in that layer (an output channel or feature). With a ring's
+/// weight index in the row, it keys the ring's weight error
+/// ([`CounterRng::weight_normal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RowId {
+    /// The layer's position in its model.
+    pub layer: u64,
+    /// The row's position in its layer.
+    pub row: u64,
+}
+
+/// Philox key tag of the MAC stream (intensity and detection draws).
+const MAC_TAG: u64 = 0;
+/// Philox key tag of layer 0's ring stream; layer `l` uses tag
+/// `WEIGHT_TAG + l`. Renumbering a tag moves every draw of its stream.
+const WEIGHT_TAG: u64 = 2;
 
 /// Philox-2x64 round multiplier (Salmon et al., "Parallel random numbers:
 /// as easy as 1, 2, 3", SC'11).
@@ -178,32 +209,52 @@ const PHILOX_M: u64 = 0xD2B7_4407_B1CE_6E93;
 /// Weyl sequence increment applied to the Philox key each round (the golden
 /// ratio in 0.64 fixed point, as in the reference implementation).
 const PHILOX_W: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Odd multiplier mixing the block tag into the Philox key so the lane and
-/// detection streams are decorrelated even under identical counters.
+/// Odd multiplier mixing the block tag into the Philox key so the MAC and
+/// ring streams are decorrelated even under identical counters.
 const CHANNEL_KEY_MUL: u64 = 0xA076_1D64_78BD_642F;
+
+/// Philox blocks one MAC on an arm of `channels` rings owns: its
+/// `channels + 1` slots, two to a block.
+pub(crate) fn mac_blocks(channels: usize) -> usize {
+    channels / 2 + 1
+}
+
+/// Branch `slot % 2` of one block's normal pair: the cosine branch for an
+/// even slot, the sine branch for an odd one.
+#[inline]
+fn branch((cos, sin): (f64, f64), slot: usize) -> f64 {
+    if slot.is_multiple_of(2) {
+        cos
+    } else {
+        sin
+    }
+}
 
 /// A counter-based Gaussian generator (Philox-2x64, 10 rounds).
 ///
 /// Unlike a sequential RNG, a `CounterRng` carries no mutable stream state:
-/// every draw is a pure function of `(seed, frame, channel, element)`. Draws
-/// can therefore be evaluated in any order — or concurrently — and still
+/// every draw is a pure function of `(seed, frame)` and its key. Draws can
+/// therefore be evaluated in any order — or concurrently — and still
 /// reproduce the exact bits of a sequential walk. No Box–Muller spare is
-/// cached across calls: the sine branch of a block is the weight draw of
-/// the same element, so ablating one channel cannot shift another
-/// channel's sequence.
+/// cached across calls: both branches of a block are keyed slots, so
+/// ablating one channel cannot shift another channel's sequence.
 ///
 /// ```
-/// use lightator_photonics::noise::{CounterRng, NoiseChannel};
+/// use lightator_photonics::noise::{CounterRng, NoiseChannel, RowId};
 ///
 /// let rng = CounterRng::new(7, 0);
 /// let a = rng.standard_normal(NoiseChannel::Intensity, 3);
 /// let b = rng.standard_normal(NoiseChannel::Intensity, 3);
 /// assert_eq!(a.to_bits(), b.to_bits()); // pure function of the key
 /// assert!(a.is_finite());
-/// // A lane's intensity and weight draws share one block.
-/// let (intensity, weight) = rng.lane_normals(3);
-/// assert_eq!(intensity.to_bits(), a.to_bits());
-/// assert_eq!(weight.to_bits(), rng.standard_normal(NoiseChannel::Weight, 3).to_bits());
+/// // A 9-lane MAC's slots 0–9 are elements 10c..10c + 10 of the MAC
+/// // stream: lane 3 of the MAC at cursor 2 is element 23.
+/// let lane = rng.mac_normal(2, 9, 3);
+/// let flat = rng.standard_normal(NoiseChannel::Intensity, 23);
+/// assert_eq!(lane.to_bits(), flat.to_bits());
+/// // Rings 4 and 5 of a row share its block 2.
+/// let row = RowId { layer: 1, row: 6 };
+/// assert_ne!(rng.weight_normal(row, 4).to_bits(), rng.weight_normal(row, 5).to_bits());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
@@ -245,18 +296,26 @@ impl CounterRng {
         ctr
     }
 
-    /// The Philox words of MAC lane `element`'s block, the input of
-    /// [`normal_pairs`].
+    /// The Philox words of the MAC stream's block `element`: block `b` of
+    /// the MAC at cursor `c` is element `c·⌈(channels + 1)/2⌉ + b`. The
+    /// input of [`normal_pairs`].
     #[inline]
-    pub(crate) fn lane_block(&self, element: u64) -> [u64; 2] {
-        self.block(LANE_TAG, element)
+    pub(crate) fn mac_block(&self, element: u64) -> [u64; 2] {
+        self.block(MAC_TAG, element)
     }
 
-    /// The Philox words of detection event `element`'s block, the input of
-    /// [`normal_pairs`].
+    /// The Philox words of `row`'s ring block `pair`, which holds rings
+    /// `2·pair` and `2·pair + 1`. The input of [`normal_pairs`].
+    ///
+    /// The layer selects the stream's tag and the row and pair share the
+    /// counter word, so keys are distinct for rows and pairs below 2³²:
+    /// far more than any model's layer holds.
     #[inline]
-    pub(crate) fn detection_block(&self, element: u64) -> [u64; 2] {
-        self.block(DETECTION_TAG, element)
+    pub(crate) fn weight_block(&self, row: RowId, pair: u64) -> [u64; 2] {
+        self.block(
+            WEIGHT_TAG.wrapping_add(row.layer),
+            (row.row << 32).wrapping_add(pair),
+        )
     }
 
     /// The Box–Muller polar form of one Philox block's two words,
@@ -275,37 +334,48 @@ impl CounterRng {
     }
 
     /// One standard-normal draw — a pure function of
-    /// `(seed, frame, channel, element)`.
+    /// `(seed, frame, channel, element)`: branch `element % 2` (cosine when
+    /// even, sine when odd) of block `element / 2` of the channel's stream.
     ///
-    /// Intensity and detection draws are the cosine branch of their block;
-    /// a weight draw is the sine branch of the intensity block at the same
-    /// element. This is exactly the pair [`CounterRng::lane_normals`]
-    /// returns, computed one branch at a time.
+    /// Intensity and detection draws read the MAC stream, in which slot `s`
+    /// of the MAC at cursor `c` on an arm of `channels` rings is element
+    /// `2·c·⌈(channels + 1)/2⌉ + s` while that is below 2⁶⁴
+    /// ([`CounterRng::mac_normal`] keys every cursor). Weight draws read
+    /// layer 0's ring stream, in which element `r·2³³ + j` is ring `j` of
+    /// row `r` ([`CounterRng::weight_normal`]).
     #[must_use]
     pub fn standard_normal(&self, channel: NoiseChannel, element: u64) -> f64 {
-        match channel {
-            NoiseChannel::Intensity => {
-                let (r, _, cos) = Self::polar(self.block(LANE_TAG, element));
-                r * cos
-            }
-            NoiseChannel::Weight => {
-                let (r, sin, _) = Self::polar(self.block(LANE_TAG, element));
-                r * sin
-            }
-            NoiseChannel::Detection => {
-                let (r, _, cos) = Self::polar(self.block(DETECTION_TAG, element));
-                r * cos
-            }
-        }
+        let tag = match channel {
+            NoiseChannel::Intensity | NoiseChannel::Detection => MAC_TAG,
+            NoiseChannel::Weight => WEIGHT_TAG,
+        };
+        branch(
+            normal_pair(self.block(tag, element / 2)),
+            (element % 2) as usize,
+        )
     }
 
-    /// Both draws of MAC lane `element` from its one Philox block:
-    /// `(intensity, weight)`, bit-identical to
-    /// `standard_normal(Intensity, element)` and
-    /// `standard_normal(Weight, element)`.
+    /// The draw of slot `slot` of the MAC at cursor `cursor` on an arm of
+    /// `channels` rings: channel `slot`'s VCSEL intensity draw for
+    /// `slot < channels`, the detector's draw for `slot == channels`. It is
+    /// branch `slot % 2` of the MAC's block `slot / 2`, keyed by
+    /// `cursor·⌈(channels + 1)/2⌉ + slot / 2` (wrapping).
     #[must_use]
-    pub fn lane_normals(&self, element: u64) -> (f64, f64) {
-        normal_pair(self.block(LANE_TAG, element))
+    pub fn mac_normal(&self, cursor: u64, channels: usize, slot: usize) -> f64 {
+        let element = cursor
+            .wrapping_mul(mac_blocks(channels) as u64)
+            .wrapping_add((slot / 2) as u64);
+        branch(normal_pair(self.mac_block(element)), slot)
+    }
+
+    /// The weight error draw of ring `index` of `row`, drawn once per
+    /// programming: branch `index % 2` of the row's ring block `index / 2`.
+    #[must_use]
+    pub fn weight_normal(&self, row: RowId, index: u64) -> f64 {
+        branch(
+            normal_pair(self.weight_block(row, index / 2)),
+            (index % 2) as usize,
+        )
     }
 
     /// Draws one sample from `N(mean, sigma²)` at `(channel, element)`.
@@ -321,9 +391,8 @@ impl CounterRng {
     }
 }
 
-/// The two standard normals of one Philox block, `(r·cos θ, r·sin θ)`: a
-/// lane's intensity and weight draws, or a detection draw and an unused
-/// branch.
+/// The two standard normals of one Philox block, `(r·cos θ, r·sin θ)`:
+/// two slots of a MAC, or two rings of a row.
 #[inline]
 fn normal_pair(words: [u64; 2]) -> (f64, f64) {
     let (r, sin, cos) = CounterRng::polar(words);
@@ -356,6 +425,14 @@ pub(crate) fn offset(mean: f64, sigma: f64, z: f64) -> f64 {
 #[inline]
 pub(crate) fn offset_unit(mean: f64, sigma: f64, z: f64) -> f64 {
     offset(mean, sigma, z).clamp(0.0, 1.0)
+}
+
+/// The transmission a ring programmed to the signed `transmission` realises,
+/// `clamp(|t| + sigma·z, 0, 1)`, with the sign of `t`: the sign selects the
+/// balanced detector's rail (see [`NoiseInjector::realise_weight`]).
+#[inline]
+pub(crate) fn realised(transmission: f64, sigma: f64, z: f64) -> f64 {
+    offset_unit(transmission.abs(), sigma, z).copysign(transmission)
 }
 
 // The Box–Muller arithmetic below uses only `+ − × ÷ √` and integer
@@ -507,7 +584,7 @@ fn sin_cos_turn(k: u64) -> (f64, f64) {
 ///
 /// The injector is positioned on a `(seed, frame)` stream with
 /// [`NoiseInjector::begin_frame`]; individual perturbations are then keyed
-/// by `(channel, element)` and take `&self`, so callers may evaluate them
+/// by their MAC slot or ring and take `&self`, so callers may evaluate them
 /// in any order (including concurrently) without changing a single bit.
 #[derive(Debug, Clone)]
 pub struct NoiseInjector {
@@ -539,49 +616,67 @@ impl NoiseInjector {
     }
 
     /// Repositions the injector on the `(seed, frame)` noise stream. Every
-    /// draw after this call is a pure function of
-    /// `(seed, frame, channel, element)`.
+    /// draw after this call is a pure function of `(seed, frame)` and its
+    /// key.
     pub fn begin_frame(&mut self, seed: u64, frame: u64) {
         self.rng = CounterRng::new(seed, frame);
     }
 
-    /// Perturbs one MAC lane: its normalised VCSEL intensity (full scale =
-    /// 1.0) and its realised MR weight (transmission in `[0, 1]`), returned
-    /// as `(intensity, weight)`. Both draws come from the lane's one Philox
-    /// block ([`CounterRng::lane_normals`]), which is not computed when both
-    /// sigmas are zero. A zero sigma returns its mean exactly. Both results
-    /// are clamped to `[0, 1]`: intensity can be neither negative nor above
-    /// the saturated laser output, and a ring cannot transmit more than it
-    /// receives.
+    /// Perturbs the normalised VCSEL intensity (full scale = 1.0) of
+    /// channel `channel` in the MAC at cursor `cursor` on an arm of
+    /// `channels` rings, with that slot's draw ([`CounterRng::mac_normal`]),
+    /// which is not computed when the sigma is zero. A zero sigma returns
+    /// the intensity exactly. The result is clamped to `[0, 1]`: intensity
+    /// can be neither negative nor above the saturated laser output.
     #[must_use]
-    pub fn perturb_lane(&self, element: u64, intensity: f64, weight: f64) -> (f64, f64) {
-        let NoiseConfig {
-            vcsel_relative_sigma,
-            weight_sigma,
-            ..
-        } = self.config;
-        let (z_intensity, z_weight) = if vcsel_relative_sigma == 0.0 && weight_sigma == 0.0 {
-            (0.0, 0.0)
+    pub fn perturb_lane(
+        &self,
+        cursor: u64,
+        channels: usize,
+        channel: usize,
+        intensity: f64,
+    ) -> f64 {
+        let sigma = self.config.vcsel_relative_sigma;
+        let z = if sigma == 0.0 {
+            0.0
         } else {
-            self.rng.lane_normals(element)
+            self.rng.mac_normal(cursor, channels, channel)
         };
-        (
-            offset_unit(intensity, vcsel_relative_sigma, z_intensity),
-            offset_unit(weight, weight_sigma, z_weight),
-        )
+        offset_unit(intensity, sigma, z)
+    }
+
+    /// The transmission ring `index` of `row` realises in this frame when
+    /// programmed to the signed `transmission`: `clamp(|t| + σ_w·z, 0, 1)`
+    /// with the sign of `t`, from the ring's draw
+    /// ([`CounterRng::weight_normal`]), which is not computed when
+    /// `weight_sigma` is zero. A ring cannot transmit more than it
+    /// receives, and the sign still selects the detector's rail.
+    #[must_use]
+    pub fn realise_weight(&self, row: RowId, index: u64, transmission: f64) -> f64 {
+        let sigma = self.config.weight_sigma;
+        let z = if sigma == 0.0 {
+            0.0
+        } else {
+            self.rng.weight_normal(row, index)
+        };
+        realised(transmission, sigma, z)
     }
 
     /// Adds detector-referred noise to a normalised MAC result (full scale
     /// = 1.0 per accumulated term; the caller passes the already-summed
     /// value so the noise is applied once per detection event, as in
-    /// hardware).
+    /// hardware): the last slot of the MAC at cursor `cursor` on an arm of
+    /// `channels` rings.
     #[must_use]
-    pub fn perturb_detection(&self, element: u64, value: f64) -> f64 {
-        self.rng.sample(
-            NoiseChannel::Detection,
-            element,
+    pub fn perturb_detection(&self, cursor: u64, channels: usize, value: f64) -> f64 {
+        let sigma = self.config.detector_relative_sigma;
+        if sigma == 0.0 {
+            return value;
+        }
+        offset(
             value,
-            self.config.detector_relative_sigma,
+            sigma,
+            self.rng.mac_normal(cursor, channels, channels),
         )
     }
 }
@@ -761,47 +856,98 @@ mod tests {
         );
     }
 
-    /// The pair a MAC lane draws is exactly the two per-channel draws the
-    /// public API names for that element.
+    /// A MAC's slots are the branches of its keyed blocks, two to a block,
+    /// and the flat channel streams name the same draws; a ring's draw is
+    /// its row's block branch, and layer 0's rings are the flat weight
+    /// stream.
     #[test]
-    fn lane_normals_are_the_intensity_and_weight_draws() {
+    fn mac_normals_are_the_keyed_slot_draws() {
         for (seed, frame) in [(0u64, 0u64), (7, 13), (u64::MAX, 1 << 40)] {
             let rng = CounterRng::new(seed, frame);
-            for element in (0..2_000u64).chain([u64::MAX - 1, u64::MAX]) {
-                let (intensity, weight) = rng.lane_normals(element);
-                assert_eq!(
-                    intensity.to_bits(),
-                    rng.standard_normal(NoiseChannel::Intensity, element)
-                        .to_bits()
-                );
-                assert_eq!(
-                    weight.to_bits(),
-                    rng.standard_normal(NoiseChannel::Weight, element).to_bits()
-                );
+            for channels in [1usize, 2, 4, 9, 16] {
+                let per_mac = mac_blocks(channels) as u64;
+                assert_eq!(per_mac, (channels as u64 + 2) / 2);
+                for cursor in (0..200u64).chain([1 << 40, u64::MAX - 1, u64::MAX]) {
+                    for slot in 0..=channels {
+                        let got = rng.mac_normal(cursor, channels, slot);
+                        let block = cursor.wrapping_mul(per_mac).wrapping_add(slot as u64 / 2);
+                        let (cos, sin) = normal_pair(rng.mac_block(block));
+                        let want = if slot.is_multiple_of(2) { cos } else { sin };
+                        assert_eq!(got.to_bits(), want.to_bits());
+                        if cursor < 1 << 40 {
+                            let element = 2 * cursor * per_mac + slot as u64;
+                            for channel in [NoiseChannel::Intensity, NoiseChannel::Detection] {
+                                let flat = rng.standard_normal(channel, element);
+                                assert_eq!(got.to_bits(), flat.to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+            for (layer, row) in [(0u64, 0u64), (0, 3), (4, 1 << 20)] {
+                let id = RowId { layer, row };
+                for ring in (0..500u64).chain([(1 << 33) - 2, (1 << 33) - 1]) {
+                    let got = rng.weight_normal(id, ring);
+                    let (cos, sin) = normal_pair(rng.weight_block(id, ring / 2));
+                    let want = if ring.is_multiple_of(2) { cos } else { sin };
+                    assert_eq!(got.to_bits(), want.to_bits());
+                    if layer == 0 {
+                        let flat = rng.standard_normal(NoiseChannel::Weight, (row << 33) + ring);
+                        assert_eq!(got.to_bits(), flat.to_bits());
+                    }
+                }
             }
         }
     }
 
-    /// The two branches of a lane block are standard normals and
-    /// uncorrelated with each other.
+    /// Over 2·10⁴ 9-lane MACs, every packed slot, detection included, is a
+    /// standard normal, and the cosine and sine slots of each block are
+    /// uncorrelated.
     #[test]
-    fn lane_normal_halves_are_standard_and_uncorrelated() {
+    fn packed_normals_are_standard_and_uncorrelated() {
+        const CHANNELS: usize = 9;
         let rng = CounterRng::new(42, 5);
         let n = 20_000u64;
-        let pairs: Vec<(f64, f64)> = (0..n).map(|element| rng.lane_normals(element)).collect();
-        let mean = |f: fn(&(f64, f64)) -> f64| pairs.iter().map(f).sum::<f64>() / n as f64;
-        let (mean_i, mean_w) = (mean(|p| p.0), mean(|p| p.1));
-        let (sigma_i, sigma_w) = (mean(|p| p.0 * p.0).sqrt(), mean(|p| p.1 * p.1).sqrt());
-        let correlation = (mean(|p| p.0 * p.1) - mean_i * mean_w) / (sigma_i * sigma_w);
-        for (what, m, sigma) in [("intensity", mean_i, sigma_i), ("weight", mean_w, sigma_w)] {
-            assert!(m.abs() < 0.02, "{what} mean {m}");
-            assert!((sigma - 1.0).abs() < 0.02, "{what} sigma {sigma}");
+        let slots: Vec<Vec<f64>> = (0..=CHANNELS)
+            .map(|slot| {
+                (0..n)
+                    .map(|cursor| rng.mac_normal(cursor, CHANNELS, slot))
+                    .collect()
+            })
+            .collect();
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / n as f64;
+        let moments: Vec<(f64, f64)> = slots
+            .iter()
+            .map(|xs| {
+                let m = mean(xs);
+                (
+                    m,
+                    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64).sqrt(),
+                )
+            })
+            .collect();
+        for (slot, &(m, sigma)) in moments.iter().enumerate() {
+            assert!(m.abs() < 0.03, "slot {slot} mean {m}");
+            assert!((sigma - 1.0).abs() < 0.02, "slot {slot} sigma {sigma}");
         }
-        assert!(correlation.abs() < 0.02, "correlation {correlation}");
+        for cos in (0..=CHANNELS).step_by(2) {
+            let sin = cos + 1;
+            let ((m_cos, s_cos), (m_sin, s_sin)) = (moments[cos], moments[sin]);
+            let products: Vec<f64> = slots[cos]
+                .iter()
+                .zip(&slots[sin])
+                .map(|(a, b)| (a - m_cos) * (b - m_sin))
+                .collect();
+            let correlation = mean(&products) / (s_cos * s_sin);
+            assert!(
+                correlation.abs() < 0.02,
+                "slots {cos}, {sin}: {correlation}"
+            );
+        }
     }
 
-    /// A zero lane sigma returns its mean exactly while the other channel
-    /// still draws.
+    /// A zero sigma returns its mean exactly while the other channel still
+    /// draws.
     #[test]
     fn perturb_lane_returns_the_mean_of_a_zero_sigma_channel() {
         for config in [
@@ -817,7 +963,8 @@ mod tests {
             let mut injector = NoiseInjector::new(config);
             injector.begin_frame(9, 4);
             for element in 0..256u64 {
-                let (i, w) = injector.perturb_lane(element, 0.375, 0.625);
+                let i = injector.perturb_lane(element, 9, (element % 9) as usize, 0.375);
+                let w = injector.realise_weight(RowId::default(), element, 0.625);
                 assert_eq!(i == 0.375, config.vcsel_relative_sigma == 0.0);
                 assert_eq!(w == 0.625, config.weight_sigma == 0.0);
             }
@@ -829,9 +976,13 @@ mod tests {
         let mut injector = NoiseInjector::new(NoiseConfig::default().scaled(20.0));
         injector.begin_frame(3, 0);
         for element in 0..1_000u64 {
-            let (i, w) = injector.perturb_lane(element, 0.98, 0.02);
+            let i = injector.perturb_lane(element, 9, (element % 9) as usize, 0.98);
+            let w = injector.realise_weight(RowId::default(), element, 0.02);
+            // The sign of a negative weight is kept for the rail.
+            let negative = injector.realise_weight(RowId::default(), element, -0.98);
             assert!((0.0..=1.0).contains(&i));
             assert!((0.0..=1.0).contains(&w));
+            assert!((-1.0..=0.0).contains(&negative) && negative.is_sign_negative());
         }
     }
 
@@ -839,8 +990,10 @@ mod tests {
     fn ideal_injector_is_transparent() {
         let mut injector = NoiseInjector::new(NoiseConfig::ideal());
         injector.begin_frame(5, 2);
-        assert_eq!(injector.perturb_lane(0, 0.33, 0.66), (0.33, 0.66));
-        assert_eq!(injector.perturb_detection(2, -0.4), -0.4);
+        assert_eq!(injector.perturb_lane(0, 9, 0, 0.33), 0.33);
+        assert_eq!(injector.realise_weight(RowId::default(), 0, 0.66), 0.66);
+        assert_eq!(injector.realise_weight(RowId::default(), 1, -0.66), -0.66);
+        assert_eq!(injector.perturb_detection(2, 9, -0.4), -0.4);
     }
 
     #[test]
@@ -850,7 +1003,7 @@ mod tests {
             ..NoiseConfig::default()
         });
         injector.begin_frame(11, 0);
-        let saw_below = (0..200u64).any(|element| injector.perturb_detection(element, 0.0) < 0.0);
+        let saw_below = (0..200u64).any(|cursor| injector.perturb_detection(cursor, 9, 0.0) < 0.0);
         assert!(
             saw_below,
             "detector noise must be able to push values negative"
@@ -884,23 +1037,26 @@ mod tests {
             let mut ablated = NoiseInjector::new(ablated_config);
             full.begin_frame(7, 13);
             ablated.begin_frame(7, 13);
-            for element in 0..64u64 {
-                if ablated_config.vcsel_relative_sigma != 0.0 {
-                    assert_eq!(
-                        full.perturb_lane(element, 0.5, 0.5).0.to_bits(),
-                        ablated.perturb_lane(element, 0.5, 0.5).0.to_bits()
-                    );
+            let row = RowId { layer: 2, row: 5 };
+            for cursor in 0..64u64 {
+                for channel in 0..9 {
+                    if ablated_config.vcsel_relative_sigma != 0.0 {
+                        assert_eq!(
+                            full.perturb_lane(cursor, 9, channel, 0.5).to_bits(),
+                            ablated.perturb_lane(cursor, 9, channel, 0.5).to_bits()
+                        );
+                    }
                 }
                 if ablated_config.weight_sigma != 0.0 {
                     assert_eq!(
-                        full.perturb_lane(element, 0.5, 0.5).1.to_bits(),
-                        ablated.perturb_lane(element, 0.5, 0.5).1.to_bits()
+                        full.realise_weight(row, cursor, 0.5).to_bits(),
+                        ablated.realise_weight(row, cursor, 0.5).to_bits()
                     );
                 }
                 if ablated_config.detector_relative_sigma != 0.0 {
                     assert_eq!(
-                        full.perturb_detection(element, 0.5).to_bits(),
-                        ablated.perturb_detection(element, 0.5).to_bits()
+                        full.perturb_detection(cursor, 9, 0.5).to_bits(),
+                        ablated.perturb_detection(cursor, 9, 0.5).to_bits()
                     );
                 }
             }

@@ -14,7 +14,7 @@
 //! cargo test --release -p lightator-photonics --lib -- --ignored noise::accuracy
 //! ```
 
-use super::{ln_unit, sin_cos_turn, CounterRng, DETECTION_TAG, LANE_TAG};
+use super::{ln_unit, sin_cos_turn, CounterRng, MAC_TAG, WEIGHT_TAG};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Error bound of every kernel, in ulps of the exact result.
@@ -276,9 +276,9 @@ impl Checker {
         for element in 0..blocks {
             let (seed, frame) = keys[(element % 3) as usize];
             let tag = if element.is_multiple_of(2) {
-                LANE_TAG
+                MAC_TAG
             } else {
-                DETECTION_TAG
+                WEIGHT_TAG
             };
             let [x0, x1] = CounterRng::new(seed, frame).block(tag, element / 3);
             self.ln((x0 >> 11) + 1);
