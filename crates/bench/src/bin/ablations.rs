@@ -108,14 +108,18 @@ fn ablation_mapping() -> Result<()> {
 }
 
 /// Mean absolute error of `trials` seeded 9-element photonic dot products.
+/// Each trial runs in a frame of its own: `dot` keys every row as row 0 of
+/// layer 0, so trials sharing a frame would share one draw of the rings'
+/// weight errors.
 fn mean_absolute_error(noise: NoiseConfig, trials: usize) -> Result<f64> {
     let mut unit = PhotonicMacUnit::new(noise, 7)?;
     let mut rng = SmallRng::seed_from_u64(13);
     let mut total = 0.0;
-    for _ in 0..trials {
+    for trial in 0..trials {
         let weights: Vec<f64> = (0..9).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let activations: Vec<f64> = (0..9).map(|_| rng.gen_range(0.0..1.0)).collect();
         let exact: f64 = weights.iter().zip(&activations).map(|(w, a)| w * a).sum();
+        unit.begin_frame(trial as u64);
         total += (unit.dot(&weights, &activations)? - exact).abs();
     }
     Ok(total / trials as f64)

@@ -17,6 +17,11 @@
 //! loaded under its identity, its layer's position in the model and its
 //! output channel or feature, so its rings' weight errors are the same
 //! whichever worker, chunk or stream tile loads it in a frame.
+//!
+//! A conv layer copies its quantized input once into a plane with a zero
+//! border as wide as the conv's padding, so each stride's patch is
+//! `in_c·k` runs of `k` contiguous codes of that plane, copied whole, with
+//! no bounds test per code.
 
 use crate::error::{CoreError, Result};
 use crate::oc::{check_activations, PhotonicMacUnit};
@@ -168,37 +173,27 @@ fn check_plan_input(plan: &CompiledPlan, input: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Copies the drive codes of the `(oh, ow)` input patch of a convolution
-/// from the layer's quantized input plane into `patch`, matching the
-/// gathering order of the weight rows (channel-major, then kernel rows).
-/// Padding gathers `0.0`, exactly what quantizing a zero activation gives.
-#[allow(clippy::too_many_arguments)]
-fn gather_patch(
+/// Copies a layer's quantized input plane, `in_c` channels of
+/// `in_h × in_w` codes, into `padded` with a zero border `padding` codes
+/// wide, and returns the padded channels' height and width. The border
+/// reads `0.0`, exactly what quantizing a zero activation gives, so every
+/// stride's patch is whole runs of the padded plane.
+fn pad_plane(
     plane: &[f64],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    k: usize,
-    stride: usize,
+    (in_c, in_h, in_w): (usize, usize, usize),
     padding: usize,
-    oh: usize,
-    ow: usize,
-    patch: &mut [f64],
-) {
+    padded: &mut Vec<f64>,
+) -> (usize, usize) {
+    let (height, width) = (in_h + 2 * padding, in_w + 2 * padding);
+    padded.clear();
+    padded.resize(in_c * height * width, 0.0);
     for ic in 0..in_c {
-        for kh in 0..k {
-            for kw in 0..k {
-                let ih = (oh * stride + kh) as isize - padding as isize;
-                let iw = (ow * stride + kw) as isize - padding as isize;
-                patch[(ic * k + kh) * k + kw] =
-                    if ih < 0 || iw < 0 || ih as usize >= in_h || iw as usize >= in_w {
-                        0.0
-                    } else {
-                        plane[(ic * in_h + ih as usize) * in_w + iw as usize]
-                    };
-            }
+        for ih in 0..in_h {
+            let at = (ic * height + padding + ih) * width + padding;
+            padded[at..at + in_w].copy_from_slice(&plane[(ic * in_h + ih) * in_w..][..in_w]);
         }
     }
+    (height, width)
 }
 
 impl PhotonicExecutor {
@@ -347,9 +342,11 @@ impl PhotonicExecutor {
 
     /// Every conv runs weight-stationary: each output channel's row is
     /// loaded once per chunk from the layer's transmission table, and every
-    /// stride streams against it. The input is quantized once per layer;
-    /// each stride gathers its drive codes from that plane, which every
-    /// worker reads.
+    /// stride streams against it. The input is quantized once per layer and
+    /// copied once into a zero-bordered plane, which every worker reads;
+    /// each stride gathers its drive codes as `in_c·k` runs of `k`
+    /// contiguous codes of that plane, in the order of the weight rows
+    /// (channel-major, then kernel rows).
     fn conv_forward(
         &mut self,
         conv: &Conv2d,
@@ -364,10 +361,15 @@ impl PhotonicExecutor {
         let k = conv.kernel();
         let (stride, padding) = (conv.stride(), conv.padding());
         let PlanScratch {
-            a_norm, workers, ..
+            a_norm,
+            padded,
+            workers,
+            ..
         } = scratch;
         let (plane, activation_scale) =
             quantize_layer_input(input, precision.activation_bits, a_norm)?;
+        let (height, width) = pad_plane(plane, (in_c, in_h, in_w), padding, padded);
+        let padded = &padded[..];
         let (weight_scale, activation_scale) =
             (f64::from(encoded.weight_scale), f64::from(activation_scale));
         let row_len = in_c * k * k;
@@ -392,7 +394,16 @@ impl PhotonicExecutor {
                         unit.load_coded_row(rows.row(oc), rows.table)?;
                         loaded = oc;
                     }
-                    gather_patch(plane, in_c, in_h, in_w, k, stride, padding, oh, ow, patch);
+                    // Run ic·k + kh of the patch is row oh·stride + kh of
+                    // channel ic, from column ow·stride.
+                    let corner = oh * stride * width + ow * stride;
+                    let mut runs = patch.chunks_exact_mut(k);
+                    for channel in padded.chunks_exact(height * width) {
+                        for (run, row) in runs.by_ref().take(k).zip(channel[corner..].chunks(width))
+                        {
+                            run.copy_from_slice(&row[..k]);
+                        }
+                    }
                     let normalized = unit.mac_row(patch);
                     let value = normalized * weight_scale * activation_scale;
                     *slot = value as f32 + bias[oc];

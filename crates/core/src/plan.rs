@@ -343,6 +343,9 @@ pub(crate) struct PlanScratch {
     /// input, conv or linear, written once per layer; the MAC workers read
     /// it concurrently.
     pub(crate) a_norm: Vec<f64>,
+    /// The current conv layer's [`PlanScratch::a_norm`] with a zero border
+    /// of the conv's padding, from which every stride gathers its patch.
+    pub(crate) padded: Vec<f64>,
     /// One conv patch buffer per MAC worker.
     pub(crate) workers: Vec<WorkerScratch>,
     /// Reusable `block+halo` tile tensors for the streaming path.
@@ -353,7 +356,7 @@ pub(crate) struct PlanScratch {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WorkerScratch {
     /// VCSEL drive codes of one convolution stride's patch, gathered from
-    /// [`PlanScratch::a_norm`].
+    /// [`PlanScratch::padded`].
     pub(crate) a_norm: Vec<f64>,
 }
 

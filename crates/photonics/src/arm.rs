@@ -36,6 +36,14 @@
 //! ([`crate::noise::CounterRng::weight_normal`]), and keeps it in the row
 //! for every later MAC of that frame. A MAC then draws only its packed
 //! intensity and detection slots: 5 blocks for a full 9-lane MAC.
+//!
+//! Every kernel call draws one dense window of what it runs: a row's
+//! realisation draws every ring pair of the row, and a row's MACs draw
+//! every block of their MACs, each window one loop over contiguous Philox
+//! counters and one Box–Muller batch written straight into the slots the
+//! combine reads. Blocks no lane reads (parked rings, dark channels) are
+//! computed and dropped; every draw is a pure function of its key, so that
+//! moves no bit.
 
 use crate::error::{PhotonicsError, Result};
 use crate::microring::{MicroringConfig, MicroringResonator, Notch};
@@ -158,45 +166,83 @@ impl LoadedRow {
     }
 }
 
-/// Reusable buffers of the row realisation and the MAC kernel: the Philox
-/// words of the drawn blocks, each block's place among its window's blocks,
-/// their normal pairs, and the window's slots, where block `b`'s pair lands
-/// at `2b` and `2b + 1`. A window is a row's rings, or every slot of a
-/// row's MACs. A wider row grows the buffers on its first MAC.
+/// Reusable buffers of the row realisation and the MAC kernel: one
+/// window of contiguous blocks, their Philox words and their slots, where
+/// block `b`'s normal pair lands at slots `2b` and `2b + 1`. A window is
+/// every ring pair of a row, or every block of a row's MACs. A wider row
+/// grows the buffers on its first MAC.
 #[derive(Debug, Clone, Default)]
 struct Draws {
     blocks: Vec<[u64; 2]>,
-    at: Vec<usize>,
-    normals: Vec<(f64, f64)>,
-    slots: Vec<f64>,
+    slots: Vec<[f64; 2]>,
 }
 
 impl Draws {
-    /// Makes room for a window of `blocks` blocks.
-    fn reserve(&mut self, blocks: usize) {
+    /// The words and slots of a window of `blocks` blocks.
+    fn window(&mut self, blocks: usize) -> (&mut [[u64; 2]], &mut [[f64; 2]]) {
         if self.blocks.len() < blocks {
             self.blocks.resize(blocks, [0; 2]);
-            self.at.resize(blocks, 0);
-            self.normals.resize(blocks, (0.0, 0.0));
-            self.slots.resize(2 * blocks, 0.0);
+            self.slots.resize(blocks, [0.0; 2]);
         }
+        (&mut self.blocks[..blocks], &mut self.slots[..blocks])
     }
 
-    /// Records block `drawn`'s Philox words and its place `at` in the window.
-    #[inline]
-    fn draw(&mut self, drawn: usize, at: usize, words: [u64; 2]) {
-        self.blocks[drawn] = words;
-        self.at[drawn] = at;
+    /// The MAC window of `segments` MACs from cursor `cursor` on an arm of
+    /// `channels` rings, drawn from `injector`'s frame as its sigmas ask;
+    /// returns its slots. MAC `s` owns slots `2s·⌈(channels + 1)/2⌉`
+    /// onwards, and its slot `i` is
+    /// [`CounterRng::mac_normal`]`(cursor + s, channels, i)`, so the window
+    /// is the MAC stream's blocks from `cursor·⌈(channels + 1)/2⌉` on:
+    /// contiguous counters.
+    ///
+    /// While the VCSEL sigma is non-zero every block is computed, those of
+    /// parked rings and dark channels too: no key depends on which blocks
+    /// were computed, so the ones no lane reads are dropped without moving
+    /// a bit. While only the detector draws, only each MAC's detection
+    /// block is computed, in place. With neither, nothing is drawn, and the
+    /// slots hold what the last window left, which a zero sigma ignores.
+    fn macs(
+        &mut self,
+        injector: &NoiseInjector,
+        (cursor, channels): (u64, usize),
+        segments: usize,
+    ) -> &[f64] {
+        let (rng, noise) = (injector.rng(), injector.config());
+        let per_mac = mac_blocks(channels);
+        let first = cursor.wrapping_mul(per_mac as u64);
+        let (blocks, slots) = self.window(segments * per_mac);
+        if noise.vcsel_relative_sigma != 0.0 {
+            // 1. Philox over the window's counters; 2. Box–Muller over the
+            //    window, straight into the slots.
+            rng.mac_window(first, blocks);
+            normal_pairs(slots.iter_mut().zip(&*blocks));
+        } else if noise.detector_relative_sigma != 0.0 {
+            // The detector is slot `channels`, in block `channels / 2`.
+            let detection = channels / 2;
+            for b in (detection..blocks.len()).step_by(per_mac) {
+                blocks[b] = rng.mac_block(first.wrapping_add(b as u64));
+            }
+            normal_pairs(
+                slots
+                    .iter_mut()
+                    .zip(&*blocks)
+                    .skip(detection)
+                    .step_by(per_mac),
+            );
+        }
+        slots.as_flattened()
     }
 
-    /// Phase 2: the Box–Muller transform of the first `drawn` blocks in
-    /// one batch, then each pair into its window slots.
-    fn transform(&mut self, drawn: usize) {
-        normal_pairs(&self.blocks[..drawn], &mut self.normals[..drawn]);
-        for (&at, &(cos, sin)) in self.at[..drawn].iter().zip(&self.normals[..drawn]) {
-            self.slots[2 * at] = cos;
-            self.slots[2 * at + 1] = sin;
-        }
+    /// The ring window of `rings` rings of row `id` from its ring
+    /// `first_ring`: every ring pair they touch, from the pair of ring
+    /// `first_ring & !1`. Returns its slots: slot `k` is
+    /// [`CounterRng::weight_normal`]`(id, (first_ring & !1) + k)`.
+    fn rings(&mut self, rng: &CounterRng, id: RowId, first_ring: u64, rings: usize) -> &[f64] {
+        let odd = (first_ring & 1) as usize;
+        let (blocks, slots) = self.window((odd + rings).div_ceil(2));
+        rng.weight_window(id, first_ring / 2, blocks);
+        normal_pairs(slots.iter_mut().zip(&*blocks));
+        slots.as_flattened()
     }
 }
 
@@ -486,23 +532,24 @@ impl OpticalArm {
     /// ([`crate::noise::CounterRng::mac_normal`]). The cursor advances by one
     /// per call.
     ///
-    /// A MAC runs in three array-shaped phases over its live lanes, those
-    /// with a non-zero weight and an activation:
+    /// A MAC runs in three array-shaped phases:
     ///
-    /// 1. the Philox words of each of its blocks that has a consumer, a live
-    ///    lane while the VCSEL sigma is non-zero or the detector while its
-    ///    sigma is (parked rings and dark channels draw nothing that shifts
-    ///    another slot);
-    /// 2. the Box–Muller transform of the whole batch, whose iterations are
-    ///    independent, so the CPU overlaps the blocks' `ln` → `√` chains;
-    /// 3. the lane combine in lane order — VCSEL offset and clamp,
-    ///    crosstalk, the ring's realised transmission, the rail of the
-    ///    weight's sign — then balanced detection.
+    /// 1. the Philox words of every block of the MAC, those of parked rings
+    ///    and dark channels too, while the VCSEL sigma is non-zero; only
+    ///    the detection block while only the detector's sigma is;
+    /// 2. the Box–Muller transform of those blocks in one batch, whose
+    ///    iterations are independent, so the CPU overlaps the blocks'
+    ///    `ln` → `√` chains;
+    /// 3. the combine of the live lanes, those with a non-zero weight and
+    ///    an activation, in lane order — VCSEL offset and clamp, crosstalk,
+    ///    the ring's realised transmission, the rail of the weight's sign —
+    ///    then balanced detection.
     ///
     /// This is bit-identical to evaluating one lane at a time. A draw is a
-    /// pure function of its key, so computing it earlier changes nothing;
-    /// every value goes through the same IEEE-754 operations; and both
-    /// rails still sum their products in lane order.
+    /// pure function of its key, so computing it earlier, or computing one
+    /// nothing reads, changes nothing; every value goes through the same
+    /// IEEE-754 operations; and both rails still sum their products in lane
+    /// order.
     ///
     /// It is the one-segment case of [`OpticalArm::mac_row`]'s kernel, run
     /// on the arm's own lanes after this call checks its activations and
@@ -553,12 +600,15 @@ impl OpticalArm {
     /// in segment order, as the bank's summation tree adds its arms'
     /// partial sums. The cursor advances by the row's segment count.
     ///
-    /// The row's first MAC in a frame draws its realised transmissions and
-    /// keeps them in `row`. The whole row is then one batch of the three
-    /// phases: the Philox words of every segment's blocks that have a
-    /// consumer, the Box–Muller transform over all of those blocks, and the
-    /// combine, segment by segment in lane order. Every value goes through
-    /// the same IEEE-754 operations, in the same order, as one
+    /// The row's first MAC in a frame draws its realised transmissions, one
+    /// window of every ring pair of the row, and keeps them in `row`. The
+    /// whole row is then one batch of the three phases: the Philox words of
+    /// the row's MAC window, blocks `c·⌈(n + 1)/2⌉` up to
+    /// `(c + S)·⌈(n + 1)/2⌉` of the MAC stream for `S` segments on an arm
+    /// of `n` rings, in one loop over those contiguous counters; the
+    /// Box–Muller transform over the window, straight into the slots; and
+    /// the combine, segment by segment in lane order. Every value goes
+    /// through the same IEEE-754 operations, in the same order, as one
     /// [`OpticalArm::mac`] per segment.
     ///
     /// It is the kernel alone, with no checks and no ideal sum: a
@@ -610,11 +660,9 @@ fn run_row(
 
 /// Draws the transmission each of `row`'s rings realises in `rng`'s frame
 /// with weight sigma `sigma`, `clamp(|t| + sigma·z, 0, 1)` signed as `t`,
-/// in the same three phases as
-/// the MAC kernel. Lane `i` of segment `s` is the row's ring
-/// `(first + s)·channels + i`, and rings `2p` and `2p + 1` share the row's
-/// block `p`, computed only when one of them holds a weight. A zero sigma
-/// draws nothing.
+/// from one ring window ([`Draws::rings`]). Lane `i` of segment `s` is the
+/// row's ring `(first + s)·channels + i`, and rings `2p` and `2p + 1` share
+/// the row's block `p`. A zero sigma draws nothing.
 fn realise(
     draws: &mut Draws,
     (rng, sigma): (CounterRng, f64),
@@ -639,31 +687,12 @@ fn realise(
         );
         return;
     }
-    // The window starts at the block of the row's first ring: ring j is
-    // slot j − origin, in the row's block origin / 2 + slot / 2.
     let first_ring = first.wrapping_mul(channels as u64);
-    let origin = first_ring & !1;
-    let offset = (first_ring - origin) as usize;
-    draws.reserve((offset + ends.len() * channels).div_ceil(2));
-    let mut drawn = 0;
-    let mut last = usize::MAX;
+    let slots = draws.rings(&rng, *id, first_ring, ends.len() * channels);
+    // The window starts at the pair of the row's first ring.
+    let z = &slots[(first_ring & 1) as usize..];
     let mut start = 0;
-    for (s, &end) in ends.iter().enumerate() {
-        for lane in &lanes[start..end] {
-            let block = (offset + s * channels + lane.channel) / 2;
-            if block != last {
-                last = block;
-                let pair = (origin / 2).wrapping_add(block as u64);
-                draws.draw(drawn, block, rng.weight_block(*id, pair));
-                drawn += 1;
-            }
-        }
-        start = end;
-    }
-    draws.transform(drawn);
-    let mut start = 0;
-    for (s, &end) in ends.iter().enumerate() {
-        let z = &draws.slots[offset + s * channels..];
+    for (&end, z) in ends.iter().zip(z.chunks(channels)) {
         weights.extend(
             lanes[start..end]
                 .iter()
@@ -686,71 +715,19 @@ fn mac_kernel(
     row: &LoadedRow,
     activations: &[f64],
 ) -> f64 {
-    let NoiseConfig {
-        vcsel_relative_sigma,
-        detector_relative_sigma,
-        ..
-    } = *injector.config();
-    let rng = *injector.rng();
-    let lanes_draw = vcsel_relative_sigma != 0.0;
-    let detection_draws = detector_relative_sigma != 0.0;
+    let noise = injector.config();
     let LoadedRow {
         lanes,
         ends,
         realised,
         ..
     } = row;
-    let per_mac = mac_blocks(channels);
-    // The detector is slot `channels`, in block `channels / 2`.
-    let detection = channels / 2;
+    // 1–2. The Philox words and normals of the row's MAC window.
+    let slots = draws.macs(injector, (cursor, channels), ends.len());
     // Segment s's activations; none past the end of the row's.
-    let lit = || {
-        activations
-            .chunks(channels)
-            .chain(std::iter::repeat(&[][..]))
-    };
-
-    // 1. Philox words, segment by segment, in block order: the block of
-    //    each live lane's slot (lane i reads slot i, in block i / 2), then
-    //    the detection block unless the last lane's block was it. A block
-    //    with no consumer is not computed. Every block is keyed by its
-    //    MAC's cursor and its position, so parked rings and dark channels
-    //    skip theirs without shifting any other slot. Each block is
-    //    computed in this scan rather than in a loop of its own, which LLVM
-    //    would vectorize into 64×64-bit multiplies that SSE2 does not have.
-    // 2. Box–Muller over the drawn blocks in one batch, each pair into its
-    //    segment's slots, `per_mac` blocks to a segment.
-    let segments = ends.len();
-    draws.reserve(segments * per_mac);
-    if lanes_draw || detection_draws {
-        let mut drawn = 0;
-        let mut start = 0;
-        for ((s, &end), lit) in (0..segments).zip(ends).zip(lit()) {
-            let key = cursor.wrapping_add(s as u64).wrapping_mul(per_mac as u64);
-            let window = s * per_mac;
-            let mut last = usize::MAX;
-            if lanes_draw {
-                for lane in lanes[start..end]
-                    .iter()
-                    .take_while(|lane| lane.channel < lit.len())
-                {
-                    if lane.channel / 2 != last {
-                        last = lane.channel / 2;
-                        let words = rng.mac_block(key.wrapping_add(last as u64));
-                        draws.draw(drawn, window + last, words);
-                        drawn += 1;
-                    }
-                }
-            }
-            if detection_draws && last != detection {
-                let words = rng.mac_block(key.wrapping_add(detection as u64));
-                draws.draw(drawn, window + detection, words);
-                drawn += 1;
-            }
-            start = end;
-        }
-        draws.transform(drawn);
-    }
+    let lit = activations
+        .chunks(channels)
+        .chain(std::iter::repeat(&[][..]));
     // 3. Per segment, per live lane in lane order: VCSEL amplitude noise,
     //    inter-channel crosstalk along the shared bus, then weighting by
     //    the ring's realised transmission, routed to the positive or
@@ -762,8 +739,8 @@ fn mac_kernel(
     let mut start = 0;
     for ((&end, lit), z) in ends
         .iter()
-        .zip(lit())
-        .zip(draws.slots.chunks_exact(2 * per_mac))
+        .zip(lit)
+        .zip(slots.chunks_exact(2 * mac_blocks(channels)))
     {
         let mut positive = 0.0;
         let mut negative = 0.0;
@@ -772,7 +749,11 @@ fn mac_kernel(
             .zip(&realised[start..end])
             .take_while(|(lane, _)| lane.channel < lit.len());
         for (lane, &weight) in live {
-            let light = offset_unit(lit[lane.channel], vcsel_relative_sigma, z[lane.channel]);
+            let light = offset_unit(
+                lit[lane.channel],
+                noise.vcsel_relative_sigma,
+                z[lane.channel],
+            );
             let product = light * lane.crosstalk * weight.abs();
             if weight.is_sign_negative() {
                 negative += product;
@@ -780,7 +761,11 @@ fn mac_kernel(
                 positive += product;
             }
         }
-        total += offset(positive - negative, detector_relative_sigma, z[channels]);
+        total += offset(
+            positive - negative,
+            noise.detector_relative_sigma,
+            z[channels],
+        );
         start = end;
     }
     total
@@ -1108,6 +1093,80 @@ mod tests {
             };
             let key = (rng.gen(), rng.gen_range(0..1 << 40), cursor);
             assert_row_matches_reference(arm, &weights, &activations, key);
+        }
+    }
+
+    /// A kernel call's windows hold the keyed draw in every slot, slots no
+    /// lane reads included. Slot `i` of MAC `s` in the MAC window from
+    /// cursor `c` is `mac_normal(c + s, n, i)`, past slot `n` too; with only
+    /// the detector drawing, each MAC's detection block still lands in its
+    /// place over whatever the window held. Slot `k` of a ring window is
+    /// `weight_normal` of ring `(first & !1) + k`, for rows that start at an
+    /// even and at an odd ring. Every channel count from 1 to 25, cursors
+    /// that wrap past `u64::MAX`.
+    #[test]
+    fn dense_windows_hold_every_keyed_draw() {
+        let framed = |noise| {
+            let mut injector = NoiseInjector::new(noise);
+            injector.begin_frame(11, 3);
+            injector
+        };
+        let every = framed(NoiseConfig::default());
+        let detection_only = framed(NoiseConfig {
+            detector_relative_sigma: NoiseConfig::default().detector_relative_sigma,
+            ..NoiseConfig::ideal()
+        });
+        let rng = *every.rng();
+        let id = RowId { layer: 2, row: 7 };
+        let mut draws = Draws::default();
+        for channels in 1..=25 {
+            let per_mac = mac_blocks(channels);
+            for cursor in [0, 5, u64::MAX - 2, u64::MAX] {
+                for segments in [1, 3] {
+                    let slots = draws.macs(&every, (cursor, channels), segments);
+                    assert_eq!(slots.len(), 2 * per_mac * segments);
+                    for (s, mac) in (0u64..).zip(slots.chunks_exact(2 * per_mac)) {
+                        for (slot, z) in mac.iter().enumerate() {
+                            let want = rng.mac_normal(cursor.wrapping_add(s), channels, slot);
+                            assert_eq!(
+                                z.to_bits(),
+                                want.to_bits(),
+                                "{channels} channels, cursor {cursor} + {s}, slot {slot}"
+                            );
+                        }
+                    }
+                    // Over a window of stale draws (a cursor further on),
+                    // the detector-only call rewrites each detection block.
+                    draws.macs(&every, (cursor ^ (1 << 63), channels), segments);
+                    let slots = draws.macs(&detection_only, (cursor, channels), segments);
+                    let detection = 2 * (channels / 2);
+                    for (s, mac) in (0u64..).zip(slots.chunks_exact(2 * per_mac)) {
+                        for slot in [detection, detection + 1] {
+                            let want = rng.mac_normal(cursor.wrapping_add(s), channels, slot);
+                            assert_eq!(mac[slot].to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+            let n = channels as u64;
+            for first_ring in [0, 1, 2 * n, 2 * n + 1, (1 << 40) + n] {
+                let origin = first_ring & !1;
+                for rings in [1, channels, 3 * channels] {
+                    let slots = draws.rings(&rng, id, first_ring, rings);
+                    assert_eq!(
+                        slots.len(),
+                        ((first_ring - origin) as usize + rings).next_multiple_of(2)
+                    );
+                    for (k, z) in (0u64..).zip(slots) {
+                        let want = rng.weight_normal(id, origin + k);
+                        assert_eq!(
+                            z.to_bits(),
+                            want.to_bits(),
+                            "{rings} rings from ring {first_ring}, slot {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

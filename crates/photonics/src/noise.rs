@@ -27,16 +27,19 @@
 //!   frame reads the same realised weights, whichever stride, stream tile or
 //!   worker runs it.
 //!
-//! A block is computed only when one of its two slots has a consumer: a lit
-//! lane holding a weight while the VCSEL sigma is non-zero, or the detector
-//! while its sigma is. Two consequences follow from the keying:
+//! A kernel call computes one dense window of each stream it reads: every
+//! ring pair of a row it realises, and every block of the MACs it runs,
+//! while the VCSEL sigma is non-zero (only each MAC's detection block while
+//! only the detector's sigma is, and nothing with ideal optics). Blocks no
+//! lane reads, those of parked rings and dark channels, are computed and
+//! dropped. Two consequences follow from the keying:
 //!
 //! * **Per-channel independence.** Zeroing one channel's sigma leaves every
 //!   other channel's draws bit-identical, so noise-ablation sweeps compare
-//!   exactly what they claim to compare: a skipped block is one nothing
-//!   reads, and no draw's key depends on which others were computed. (The
-//!   previous sequential Box–Muller stream shared one cached spare across
-//!   channels, so ablating one channel silently shifted the others.)
+//!   exactly what they claim to compare: no draw's key depends on which
+//!   blocks were computed, so a dropped or skipped block moves nothing.
+//!   (The previous sequential Box–Muller stream shared one cached spare
+//!   across channels, so ablating one channel silently shifted the others.)
 //! * **Order independence.** Draws need no sequential RNG state, so MAC
 //!   loops can be tiled across threads and still produce the sequential
 //!   bits exactly.
@@ -48,18 +51,21 @@
 //! draw's bits do not depend on the host's libm: the same key gives the
 //! same draw on any platform.
 //!
-//! [`crate::arm::OpticalArm::mac_row`] computes the blocks of a whole
-//! programmed row as one batch, in three phases: the Philox words of every
-//! segment's blocks that have a consumer; the Box–Muller transform over the
-//! batch, whose iterations are independent; and the lane combine, segment by
-//! segment in lane order, each segment's detection, and the sum of the
-//! segments. A row's realised weights are drawn the same way, once per row
-//! and frame. The transform converts its integers to doubles by exact bit
-//! arithmetic (a magic-constant add and a subtraction) instead of `as f64`,
-//! a scalar `cvtsi2sd` on x86-64, so the compiler runs it on two blocks at a
-//! time in SSE2 registers, from the Philox words to the normals. The batch
-//! cannot move a bit: a draw is a pure function of its key, so computing it
-//! earlier or next to another changes nothing; each conversion is exact, so
+//! [`crate::arm::OpticalArm::mac_row`] computes the MAC window of a whole
+//! programmed row as one batch, in three phases: the Philox words of the
+//! window's contiguous counters, in one plain loop whose rounds compile to
+//! scalar `mulq`; the Box–Muller transform over the window, whose iterations
+//! are independent, written as `[cos, sin]` straight into the slots the
+//! combine reads; and the lane combine, segment by segment in lane order,
+//! each segment's detection, and the sum of the segments. A row's realised
+//! weights are drawn the same way, once per row and frame, from a window of
+//! every ring pair of the row. The transform converts its integers to
+//! doubles by exact bit arithmetic (a magic-constant add and a subtraction)
+//! instead of `as f64`, a scalar `cvtsi2sd` on x86-64, so the compiler runs
+//! it on two blocks at a time in SSE2 registers, from the Philox words to
+//! the normals. The batch cannot move a bit: a draw is a pure function of
+//! its key, so computing it earlier, next to another or with no reader
+//! changes nothing; each conversion is exact, so
 //! it gives the bits of `as f64`; each value goes through the same IEEE-754
 //! operations as [`CounterRng::mac_normal`], [`CounterRng::weight_normal`]
 //! and [`NoiseInjector`]'s perturbations, which share its `ln`,
@@ -305,17 +311,44 @@ impl CounterRng {
     }
 
     /// The Philox words of `row`'s ring block `pair`, which holds rings
-    /// `2·pair` and `2·pair + 1`. The input of [`normal_pairs`].
+    /// `2·pair` and `2·pair + 1`.
     ///
     /// The layer selects the stream's tag and the row and pair share the
     /// counter word, so keys are distinct for rows and pairs below 2³²:
     /// far more than any model's layer holds.
     #[inline]
-    pub(crate) fn weight_block(&self, row: RowId, pair: u64) -> [u64; 2] {
+    fn weight_block(&self, row: RowId, pair: u64) -> [u64; 2] {
         self.block(
             WEIGHT_TAG.wrapping_add(row.layer),
             (row.row << 32).wrapping_add(pair),
         )
+    }
+
+    /// Phase 1 of a MAC window: the Philox words of the MAC stream's blocks
+    /// `first`, `first + 1`, … (wrapping), one per entry of `blocks`. The
+    /// input of [`normal_pairs`].
+    pub(crate) fn mac_window(&self, first: u64, blocks: &mut [[u64; 2]]) {
+        self.window(MAC_TAG, first, blocks);
+    }
+
+    /// Phase 1 of a ring window: the Philox words of `row`'s ring blocks
+    /// `first`, `first + 1`, …, one per entry of `blocks`, as
+    /// [`CounterRng::weight_normal`] keys them. The input of
+    /// [`normal_pairs`].
+    pub(crate) fn weight_window(&self, row: RowId, first: u64, blocks: &mut [[u64; 2]]) {
+        self.window(
+            WEIGHT_TAG.wrapping_add(row.layer),
+            (row.row << 32).wrapping_add(first),
+            blocks,
+        );
+    }
+
+    /// Blocks `first + i` of stream `tag` into `blocks[i]`: one plain loop
+    /// over contiguous counters. Its rounds compile to scalar `mulq`.
+    fn window(&self, tag: u64, first: u64, blocks: &mut [[u64; 2]]) {
+        for (i, words) in (0u64..).zip(blocks.iter_mut()) {
+            *words = self.block(tag, first.wrapping_add(i));
+        }
     }
 
     /// The Box–Muller polar form of one Philox block's two words,
@@ -399,13 +432,15 @@ fn normal_pair(words: [u64; 2]) -> (f64, f64) {
     (r * cos, r * sin)
 }
 
-/// Phase 2 of the MAC kernel ([`crate::arm::OpticalArm::mac_row`]):
-/// [`normal_pair`] over a batch of Philox blocks, written to `normals` in
-/// block order. No iteration reads another's result; the module doc says
-/// why the batch gives the same bits as one block at a time.
-pub(crate) fn normal_pairs(blocks: &[[u64; 2]], normals: &mut [(f64, f64)]) {
-    for (normal, &words) in normals.iter_mut().zip(blocks) {
-        *normal = normal_pair(words);
+/// Phase 2 of a window ([`crate::arm::OpticalArm::mac_row`]): each
+/// block's [`normal_pair`] written as `[cos, sin]` into its slot pair, the
+/// two slots the block's draws fill. No iteration reads another's result;
+/// the module doc says why the batch gives the same bits as one block at a
+/// time.
+pub(crate) fn normal_pairs<'a>(pairs: impl IntoIterator<Item = (&'a mut [f64; 2], &'a [u64; 2])>) {
+    for (slots, &words) in pairs {
+        let (cos, sin) = normal_pair(words);
+        *slots = [cos, sin];
     }
 }
 
