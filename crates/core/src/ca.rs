@@ -5,10 +5,24 @@
 //! weight of pixel *i*, channel *j* is `(1/window²) · w_j` where `w_j` is the
 //! BT.601 luma coefficient. The CA is optional — it can be bypassed when the
 //! workload needs the full-resolution frame.
+//!
+//! [`CompressiveAcquisitor::acquire`] evaluates the sum tap-major over
+//! tiles of eight outputs of a row: for each tap of
+//! [`CompressiveAcquisitor::weights`], in that order, it adds
+//! `sample × coefficient` into every output of the tile, whose eight sums
+//! stay in registers, then clamps them to `[0, 1]` (a row's last outputs,
+//! fewer than eight, are tiles of one). Each output therefore starts from
+//! `0.0` and adds the same products in the same order as a per-output loop
+//! over the taps would, so every acquired value keeps its bits. Only the
+//! order across outputs changes: one output's chain of dependent adds
+//! becomes eight independent chains advancing together. Each MR reads
+//! exactly the channel its fused weight declares, so without grayscale
+//! conversion a 1×1 window is a bit-exact identity of the green plane.
 
 use crate::error::{CoreError, Result};
 use lightator_sensor::frame::{Channel, GrayFrame, RgbFrame};
 use serde::{Deserialize, Serialize};
+use std::slice;
 
 /// Configuration of the compressive acquisitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,14 +151,18 @@ impl CompressiveAcquisitor {
         weights
     }
 
-    /// Number of MRs one output value occupies in a CA bank.
+    /// Number of MRs one output value occupies in a CA bank: one per pixel
+    /// of the pooling window and channel read, the length of
+    /// [`CompressiveAcquisitor::weights`].
     #[must_use]
     pub fn mrs_per_output(&self) -> usize {
-        self.weights().len()
+        let channels = if self.config.rgb_to_grayscale { 3 } else { 1 };
+        self.config.pooling_window * self.config.pooling_window * channels
     }
 
     /// Acquires (compresses) an RGB frame into the reduced grayscale frame in
-    /// a single weighted-sum pass, exactly as the CA banks would.
+    /// a single weighted-sum pass, exactly as the CA banks would, tap-major
+    /// (see the module documentation).
     ///
     /// # Errors
     ///
@@ -166,23 +184,29 @@ impl CompressiveAcquisitor {
         }
         let oh = frame.height() / window;
         let ow = frame.width() / window;
-        let weights = self.weights();
+        let width = frame.width();
+        // Each tap's sample offset from the first sample of its output's
+        // window; the next output of a row is `window` pixels further on,
+        // the next row of outputs one band of `window` sensor rows down.
+        let taps: Vec<(usize, f64)> = self
+            .weights()
+            .iter()
+            .map(|w| {
+                (
+                    (w.row_offset * width + w.col_offset) * 3 + w.channel.index(),
+                    w.value,
+                )
+            })
+            .collect();
+        let stride = window * 3;
         let mut data = vec![0.0f64; oh * ow];
-        for orow in 0..oh {
-            for ocol in 0..ow {
-                let mut acc = 0.0;
-                for w in &weights {
-                    let row = orow * window + w.row_offset;
-                    let col = ocol * window + w.col_offset;
-                    let rgb = frame.pixel(row, col)?;
-                    // Each MR reads exactly the channel its fused weight
-                    // declares; without grayscale conversion `weights()`
-                    // taps the single (green, luma-dominant) wavelength, so
-                    // a 1x1 window without conversion is a bit-exact
-                    // identity of that plane.
-                    acc += rgb[w.channel.index()] * w.value;
-                }
-                data[orow * ow + ocol] = acc.clamp(0.0, 1.0);
+        let bands = frame.data().chunks_exact(window * width * 3);
+        for (out, band) in data.chunks_exact_mut(ow).zip(bands) {
+            for (t, tile) in out.chunks_exact_mut(TILE).enumerate() {
+                add_taps::<TILE>(tile, &band[t * TILE * stride..], &taps, stride);
+            }
+            for (ocol, last) in out.iter_mut().enumerate().skip(ow - ow % TILE) {
+                add_taps::<1>(slice::from_mut(last), &band[ocol * stride..], &taps, stride);
             }
         }
         Ok(GrayFrame::new(oh, ow, data)?)
@@ -212,9 +236,30 @@ impl CompressiveAcquisitor {
     }
 }
 
+/// Outputs of a row whose running sums [`CompressiveAcquisitor::acquire`]
+/// keeps in registers across every tap.
+const TILE: usize = 8;
+
+/// Sums every tap, in order and from 0.0, into the `N` outputs of `out`,
+/// then clamps them to `[0, 1]`. The first output's window starts at
+/// `band[0]` and each next one `stride` samples on; a tap's offset is
+/// relative to its output's window.
+fn add_taps<const N: usize>(out: &mut [f64], band: &[f64], taps: &[(usize, f64)], stride: usize) {
+    let mut acc = [0.0f64; N];
+    for &(offset, value) in taps {
+        for (k, a) in acc.iter_mut().enumerate() {
+            *a += band[offset + k * stride] * value;
+        }
+    }
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = a.clamp(0.0, 1.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -222,6 +267,70 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..height * width * 3).map(|_| rng.gen::<f64>()).collect();
         RgbFrame::new(height, width, data).expect("valid")
+    }
+
+    /// The output-major CA pass: one running sum per output over the taps
+    /// of [`CompressiveAcquisitor::weights`], each tap read through
+    /// [`RgbFrame::pixel`], then clamped. `acquire` must match it bit for
+    /// bit.
+    fn reference_acquire(ca: &CompressiveAcquisitor, frame: &RgbFrame) -> GrayFrame {
+        let window = ca.config().pooling_window;
+        let oh = frame.height() / window;
+        let ow = frame.width() / window;
+        let weights = ca.weights();
+        let mut data = vec![0.0f64; oh * ow];
+        for orow in 0..oh {
+            for ocol in 0..ow {
+                let mut acc = 0.0;
+                for w in &weights {
+                    let row = orow * window + w.row_offset;
+                    let col = ocol * window + w.col_offset;
+                    let rgb = frame.pixel(row, col).expect("inside the frame");
+                    acc += rgb[w.channel.index()] * w.value;
+                }
+                data[orow * ow + ocol] = acc.clamp(0.0, 1.0);
+            }
+        }
+        GrayFrame::new(oh, ow, data).expect("clamped values")
+    }
+
+    proptest! {
+        /// The tap-major pass reproduces the output-major reference bit for
+        /// bit: windows 1–4 with grayscale on and off, non-square frames up
+        /// to 64×64, random scenes and all-0 and all-1 scenes (whose sums
+        /// land on the clamp's edges).
+        #[test]
+        fn acquire_matches_the_output_major_reference(
+            window in 1usize..=4,
+            grayscale in proptest::bool::ANY,
+            size in (1usize..=64, 1usize..=64),
+            scene in (0u8..4, 0u64..u64::MAX),
+        ) {
+            let ca = CompressiveAcquisitor::new(CaConfig {
+                pooling_window: window,
+                rgb_to_grayscale: grayscale,
+            })
+            .expect("valid window");
+            let height = (size.0 / window).max(1) * window;
+            let width = (size.1 / window).max(1) * window;
+            let frame = match scene.0 {
+                0 => RgbFrame::black(height, width).expect("valid"),
+                1 => RgbFrame::filled(height, width, [1.0; 3]).expect("valid"),
+                _ => random_frame(height, width, scene.1),
+            };
+            let got = ca.acquire(&frame).expect("divisible frame");
+            let want = reference_acquire(&ca, &frame);
+            prop_assert_eq!((got.height(), got.width()), (want.height(), want.width()));
+            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{}x{} window {} grayscale {}, output {}: {} vs {}",
+                    height, width, window, grayscale, i, a, b
+                );
+            }
+            prop_assert_eq!(ca.mrs_per_output(), ca.weights().len());
+        }
     }
 
     #[test]

@@ -359,9 +359,149 @@ impl StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn frame_of(value: f64) -> RgbFrame {
         RgbFrame::filled(8, 8, [value, value, value]).expect("valid")
+    }
+
+    /// Brute force of [`TemporalDifferencer::gate`] against a reference
+    /// scene: a block recomputes iff some channel of some sensor pixel in
+    /// the block, or within one acquired pixel (`window` sensor pixels) of
+    /// it, differs from the reference by at least the threshold.
+    fn reference_gate(
+        differencer: &TemporalDifferencer,
+        scene: &RgbFrame,
+        reference: &RgbFrame,
+    ) -> Vec<bool> {
+        let (rows, cols) = differencer.grid();
+        let window = differencer.window as isize;
+        let sensor_block = differencer.config().block_size as isize * window;
+        let threshold = differencer.config().delta_threshold;
+        let near = |pixel: usize, block: usize| {
+            let start = block as isize * sensor_block;
+            (start - window..start + sensor_block + window).contains(&(pixel as isize))
+        };
+        let mut mask = Vec::new();
+        for br in 0..rows {
+            for bc in 0..cols {
+                let mut changed = false;
+                for row in 0..scene.height() {
+                    for col in 0..scene.width() {
+                        if near(row, br) && near(col, bc) {
+                            let a = scene.pixel(row, col).expect("inside the scene");
+                            let b = reference.pixel(row, col).expect("inside the scene");
+                            changed |= (0..3).any(|c| (a[c] - b[c]).abs() >= threshold);
+                        }
+                    }
+                }
+                mask.push(changed);
+            }
+        }
+        mask
+    }
+
+    /// Sensor coordinates along one axis that the gate must place exactly:
+    /// each block's first and last pixel, the first and last pixel of its
+    /// halo, and the pixels just outside the halo.
+    fn edges(blocks: usize, sensor_block: usize, halo: usize) -> Vec<usize> {
+        let dim = (blocks * sensor_block) as isize;
+        let halo = halo as isize;
+        let mut edges = Vec::new();
+        for block in 0..=blocks {
+            let start = (block * sensor_block) as isize;
+            for at in [-halo - 1, -halo, -1, 0, halo - 1, halo].map(|d| start + d) {
+                if (0..dim).contains(&at) {
+                    edges.push(at as usize);
+                }
+            }
+        }
+        edges
+    }
+
+    proptest! {
+        /// The gate's mask matches the brute force on grids of 1–4 blocks
+        /// per side, blocks of 1–3 acquired pixels and CA windows 1–3, for
+        /// single-channel changes that mostly sit on block and halo edges
+        /// (over a scene that may also drift everywhere by up to a random
+        /// threshold), with a zero threshold, a threshold exactly equal to
+        /// a change, and random thresholds.
+        #[test]
+        fn gate_matches_the_brute_force_reference(
+            grid in (1usize..=4, 1usize..=4),
+            shape in (1usize..=3, 1usize..=3),
+            changes in proptest::collection::vec(
+                (0u64..u64::MAX, 0u64..u64::MAX, 0usize..3, -1.0f64..=1.0),
+                0..=4,
+            ),
+            gate in (0u8..4, 0.0f64..0.5, 0u64..u64::MAX, proptest::bool::ANY),
+        ) {
+            let ((rows, cols), (window, block_size)) = (grid, shape);
+            let (kind, random_threshold, seed, drift) = gate;
+            let (height, width) = (rows * block_size * window, cols * block_size * window);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let samples = (0..height * width * 3).map(|_| rng.gen::<f64>()).collect();
+            let reference = RgbFrame::new(height, width, samples).expect("valid");
+            let mut scene = reference.clone();
+            if drift {
+                let data = scene
+                    .data()
+                    .iter()
+                    .map(|v| (v + rng.gen_range(-1.0..1.0) * random_threshold).clamp(0.0, 1.0))
+                    .collect();
+                scene = RgbFrame::new(height, width, data).expect("valid");
+            }
+            let sensor_block = block_size * window;
+            let (row_edges, col_edges) = (
+                edges(rows, sensor_block, window),
+                edges(cols, sensor_block, window),
+            );
+            let pick = |at: u64, edges: &[usize], dim: usize| {
+                if at.is_multiple_of(4) {
+                    (at / 4) as usize % dim
+                } else {
+                    edges[(at / 4) as usize % edges.len()]
+                }
+            };
+            let mut first = None;
+            for &(r, c, channel, delta) in &changes {
+                let (row, col) = (pick(r, &row_edges, height), pick(c, &col_edges, width));
+                let before = reference.pixel(row, col).expect("inside")[channel];
+                let mut now = scene.pixel(row, col).expect("inside");
+                now[channel] = (before + delta).clamp(0.0, 1.0);
+                scene.set_pixel(row, col, now).expect("in range");
+                first.get_or_insert((row, col, channel));
+            }
+            // The first change as it stands in the final scene.
+            let first = first.map(|(row, col, channel)| {
+                let now = scene.pixel(row, col).expect("inside")[channel];
+                let before = reference.pixel(row, col).expect("inside")[channel];
+                (row, col, (now - before).abs())
+            });
+            let delta_threshold = match (kind, first) {
+                (0, _) => 0.0,
+                (1, Some((_, _, exact))) => exact,
+                _ => random_threshold,
+            };
+            let differencer = TemporalDifferencer::new(
+                StreamConfig { block_size, delta_threshold },
+                rows * block_size,
+                cols * block_size,
+                window,
+            )
+            .expect("divisible grid");
+            let mask = differencer.gate(&scene, Some(&reference));
+            prop_assert_eq!(&mask, &reference_gate(&differencer, &scene, &reference));
+            if delta_threshold == 0.0 {
+                prop_assert!(mask.iter().all(|&c| c), "a zero threshold is dense");
+            }
+            if let (1, Some((row, col, _))) = (kind, first) {
+                let block = row / sensor_block * cols + col / sensor_block;
+                prop_assert!(mask[block], "a change of exactly the threshold recomputes");
+            }
+        }
     }
 
     #[test]
