@@ -41,13 +41,8 @@ pub enum ServeError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// The operating system refused to spawn a shard worker thread.
-    WorkerSpawn {
-        /// The underlying I/O error, rendered.
-        reason: String,
-    },
-    /// The shard worker panicked while serving the batch holding this
-    /// request; the request was abandoned rather than left hanging.
+    /// Executing the batch holding this request panicked; the request was
+    /// abandoned rather than left without an outcome.
     WorkerPanicked,
     /// An error bubbled up from the platform while serving the request.
     Core(CoreError),
@@ -77,11 +72,8 @@ impl fmt::Display for ServeError {
             Self::InvalidConfig { reason } => {
                 write!(f, "invalid server configuration: {reason}")
             }
-            Self::WorkerSpawn { reason } => {
-                write!(f, "could not spawn a shard worker thread: {reason}")
-            }
             Self::WorkerPanicked => {
-                write!(f, "the shard worker panicked while serving this request")
+                write!(f, "executing this request's batch panicked")
             }
             Self::Core(err) => write!(f, "platform error: {err}"),
         }

@@ -3,16 +3,19 @@
 //!
 //! The paper's throughput story (KFPS per watt) only pays off when frames
 //! keep flowing; this crate turns the weight-stationary win of a session's
-//! compiled plan into system-level throughput. It is std-only
-//! (`std::thread` + `Mutex`/`Condvar`, no async runtime):
+//! compiled plan into system-level throughput. It is std-only (one `Mutex`
+//! per workload group, no async runtime, no worker threads):
 //!
 //! * a [`ServerBuilder`] mirrors the `PlatformBuilder` idiom: shards per
 //!   workload group, `max_batch`, bounded `queue_depth` and a flush
 //!   deadline in simulated time;
-//! * a **shard pool** of worker threads, each owning a clone of its
-//!   group's `Session` (opened once through `Platform::session_on`,
-//!   exactly what a sequential client opens) — one virtual Lightator chip
-//!   with its own simulated timeline. A shard only executes the batches it is handed;
+//! * a **shard pool** of virtual Lightator chips, each owning a clone of
+//!   its group's `Session` (opened once through `Platform::session_on`,
+//!   exactly what a sequential client opens) with its own simulated
+//!   timeline. A shard runs each batch its scheduler closes on it at once,
+//!   on the thread whose call closed the batch (a submission, a
+//!   [`Pending::wait`] or shutdown), so the shards of one group share that
+//!   group's host thread of the moment;
 //! * one **discrete-event scheduler** per workload group decides every
 //!   batch on the simulated clock: it admits requests, holds a batch open
 //!   until it is full (`max_batch`, or the SLO controller's limit) or its
@@ -35,7 +38,8 @@
 //!   arrival schedules on the simulated clock, mixed-kind traffic, and
 //!   exact `offered == admitted + dropped` accounting via
 //!   [`Server::submit_at`], which runs the group's events up to each
-//!   arrival before admitting it;
+//!   arrival before admitting it, each request kind offered from a
+//!   submitter thread of its own;
 //! * a **router** dispatches typed [`Request`]s to the matching workload
 //!   group (classify / acquire / image kernel / video stream — streams get
 //!   their own shard queue with weighted tickets, one frame index per
@@ -56,8 +60,8 @@
 //!   and per-frame stage decomposition onto a shared
 //!   [`TraceRecorder`](lightator_telemetry::TraceRecorder), timestamped in
 //!   simulated time and exportable as a Perfetto-loadable `trace.json`;
-//! * **graceful shutdown** drains all in-flight work before the workers
-//!   exit.
+//! * **graceful shutdown** runs all admitted work before it returns the
+//!   final metrics.
 //!
 //! Serving is **deterministic**: every admitted request gets a ticket (its
 //! global frame index), shards execute contiguous-ticket batches at those

@@ -11,6 +11,12 @@
 //! priority lanes, so soak results are reproducible bit-for-bit across
 //! hosts and thread schedules.
 //!
+//! Each request kind in the mix goes to its own workload group, so the
+//! harness offers each kind from a submitter thread of its own, fed in
+//! schedule order by the generator through a bounded channel: a group
+//! sees its arrivals in schedule order, and the batches it closes run on
+//! its submitter, beside the other groups'.
+//!
 //! The harness never waits on responses (the [`Pending`](crate::Pending)
 //! handles are dropped on admission and drained by
 //! [`Server::shutdown`]); its own tallies count *offered* traffic, and
@@ -22,6 +28,7 @@ use lightator_core::platform::ImageKernel;
 use lightator_sensor::frame::RgbFrame;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::{self, Receiver};
 
 use crate::error::{Result, ServeError};
 use crate::request::{Priority, Request};
@@ -29,6 +36,13 @@ use crate::server::Server;
 
 /// Nanoseconds per second, as the float used for rate conversions.
 const NS_PER_SEC: f64 = 1e9;
+/// Arrivals each submitter's channel holds: enough to keep a submitter
+/// busy while the generator runs ahead, few enough that the frames they
+/// carry stay a small part of a soak's memory.
+const SUBMIT_BOUND: usize = 64;
+
+/// One offered request: what, on which lane, arriving when (ns).
+type Arrival = (Request, Priority, u64);
 
 /// The stochastic process generating inter-arrival gaps on the simulated
 /// clock. Both variants sample exponential gaps from a seeded generator,
@@ -203,32 +217,42 @@ impl TrafficMix {
         Ok(())
     }
 
-    /// Samples the request kind for one offered request.
-    fn sample_request(&self, frames: &FramePool, rng: &mut SmallRng) -> Request {
-        let total = self.classify + self.acquire + self.kernel + self.stream;
-        let mut draw = rng.gen::<f64>() * total;
-        draw -= self.classify;
-        if draw < 0.0 {
-            return Request::Classify {
-                frame: frames.next(rng),
-            };
-        }
-        draw -= self.acquire;
-        if draw < 0.0 {
-            return Request::Acquire {
-                frame: frames.next(rng),
-            };
-        }
-        draw -= self.kernel;
-        if draw < 0.0 {
-            return Request::ImageKernel {
+    /// The weights of the four request kinds (classify, acquire, kernel,
+    /// stream), in sampling order; a kind's index here is its arm.
+    fn weights(&self) -> [f64; 4] {
+        [self.classify, self.acquire, self.kernel, self.stream]
+    }
+
+    /// Samples one offered request and the arm that made it. A draw that
+    /// rounding carries past every weight goes to the last positive arm.
+    fn sample_request(&self, frames: &FramePool, rng: &mut SmallRng) -> (usize, Request) {
+        let weights = self.weights();
+        let mut draw = rng.gen::<f64>() * weights.iter().sum::<f64>();
+        let last = weights.iter().rposition(|&w| w > 0.0).unwrap_or(3);
+        let arm = weights
+            .iter()
+            .position(|&w| {
+                draw -= w;
+                draw < 0.0
+            })
+            .unwrap_or(last);
+        (arm, self.request(arm, || frames.next(rng)))
+    }
+
+    /// Arm `arm`'s request on frames from `frame`: one frame, or
+    /// [`TrafficMix::stream_frames`] frames for a stream.
+    fn request(&self, arm: usize, mut frame: impl FnMut() -> RgbFrame) -> Request {
+        match arm {
+            0 => Request::Classify { frame: frame() },
+            1 => Request::Acquire { frame: frame() },
+            2 => Request::ImageKernel {
                 kernel: self.kernel_filter,
-                frame: frames.next(rng),
-            };
-        }
-        Request::VideoStream {
-            kernel: self.kernel_filter,
-            frames: (0..self.stream_frames).map(|_| frames.next(rng)).collect(),
+                frame: frame(),
+            },
+            _ => Request::VideoStream {
+                kernel: self.kernel_filter,
+                frames: (0..self.stream_frames).map(|_| frame()).collect(),
+            },
         }
     }
 
@@ -389,19 +413,22 @@ impl SoakOutcome {
 }
 
 /// Generates the seeded arrival schedule and offers it to `server`
-/// open-loop via [`Server::submit_at`]. Returns the harness tallies;
-/// call [`Server::shutdown`] afterwards for the server-side metrics
-/// (queue-wait quantiles, per-lane admitted/rejected, throughput).
+/// open-loop via [`Server::submit_at`], each request kind from a scoped
+/// submitter thread of its own (see the module docs). Returns the harness
+/// tallies; call [`Server::shutdown`] afterwards for the server-side
+/// metrics (queue-wait quantiles, per-lane admitted/rejected, throughput).
 ///
 /// The run upholds `offered == admitted + dropped` exactly: every
 /// request is counted once, at its simulated arrival time.
 ///
 /// # Errors
 ///
-/// [`ServeError::InvalidConfig`] for malformed soak parameters, plus any
-/// non-`Overloaded` submission error (e.g.
-/// [`ServeError::UnknownWorkload`] when the mix offers a kind the server
-/// does not serve) — `Overloaded` is accounting, not failure.
+/// [`ServeError::InvalidConfig`] for malformed soak parameters, and — with
+/// nothing offered — [`ServeError::UnknownWorkload`] or
+/// [`ServeError::InvalidRequest`] when the mix offers a kind the server
+/// does not serve or cannot take. Any other non-`Overloaded` submission
+/// error ends the run and is returned — `Overloaded` is accounting, not
+/// failure.
 pub fn run_soak(server: &Server, config: &SoakConfig) -> Result<SoakOutcome> {
     config.validate()?;
     let frames = FramePool::new(
@@ -410,32 +437,82 @@ pub fn run_soak(server: &Server, config: &SoakConfig) -> Result<SoakOutcome> {
         config.width,
         config.seed ^ 0x5F0A_6B3D_9E1C_2487,
     )?;
+    let arms = config.mix.weights().map(|weight| weight > 0.0);
+    for (arm, _) in arms.iter().enumerate().filter(|(_, offered)| **offered) {
+        server.check(&config.mix.request(arm, || frames.frames[0].clone()))?;
+    }
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut outcome = SoakOutcome::default();
     let mut arrival_ns: u64 = 0;
-    for index in 0..config.requests {
-        arrival_ns = arrival_ns.saturating_add(config.arrivals.next_gap_ns(index, &mut rng));
-        let request = config.mix.sample_request(&frames, &mut rng);
-        let priority = config.mix.sample_priority(&mut rng);
-        match priority {
-            Priority::Interactive => outcome.offered_interactive += 1,
-            Priority::Batch => outcome.offered_batch += 1,
+    let tallies = std::thread::scope(|scope| {
+        let (senders, submitters): (Vec<_>, Vec<_>) = arms
+            .iter()
+            .map(|&offered| {
+                if !offered {
+                    return (None, None);
+                }
+                let (sender, arrivals) = mpsc::sync_channel(SUBMIT_BOUND);
+                (Some(sender), Some(scope.spawn(|| offer(server, arrivals))))
+            })
+            .unzip();
+        for index in 0..config.requests {
+            arrival_ns = arrival_ns.saturating_add(config.arrivals.next_gap_ns(index, &mut rng));
+            let (arm, request) = config.mix.sample_request(&frames, &mut rng);
+            let priority = config.mix.sample_priority(&mut rng);
+            match priority {
+                Priority::Interactive => outcome.offered_interactive += 1,
+                Priority::Batch => outcome.offered_batch += 1,
+            }
+            let sent = senders[arm]
+                .as_ref()
+                .is_some_and(|sender| sender.send((request, priority, arrival_ns)).is_ok());
+            if !sent {
+                // The arm's submitter stopped at an error it returns below.
+                break;
+            }
         }
+        drop(senders);
+        submitters
+            .into_iter()
+            .flatten()
+            .map(|submitter| {
+                submitter
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect::<Vec<_>>()
+    });
+    for tally in tallies {
+        let tally = tally?;
+        outcome.admitted_interactive += tally.admitted_interactive;
+        outcome.admitted_batch += tally.admitted_batch;
+        outcome.dropped_interactive += tally.dropped_interactive;
+        outcome.dropped_batch += tally.dropped_batch;
+    }
+    outcome.last_arrival_ns = arrival_ns;
+    Ok(outcome)
+}
+
+/// Offers one request kind's arrivals to `server` in schedule order and
+/// tallies what it admitted and dropped. The batches each admission
+/// closes run on this thread.
+fn offer(server: &Server, arrivals: Receiver<Arrival>) -> Result<SoakOutcome> {
+    let mut tally = SoakOutcome::default();
+    for (request, priority, arrival_ns) in arrivals {
         match server.submit_at(request, priority, arrival_ns) {
             Ok(_pending) => match priority {
-                // Dropped handle: shutdown() drains in-flight work.
-                Priority::Interactive => outcome.admitted_interactive += 1,
-                Priority::Batch => outcome.admitted_batch += 1,
+                // Dropped handle: shutdown() runs what is still queued.
+                Priority::Interactive => tally.admitted_interactive += 1,
+                Priority::Batch => tally.admitted_batch += 1,
             },
             Err(ServeError::Overloaded { .. }) => match priority {
-                Priority::Interactive => outcome.dropped_interactive += 1,
-                Priority::Batch => outcome.dropped_batch += 1,
+                Priority::Interactive => tally.dropped_interactive += 1,
+                Priority::Batch => tally.dropped_batch += 1,
             },
             Err(err) => return Err(err),
         }
     }
-    outcome.last_arrival_ns = arrival_ns;
-    Ok(outcome)
+    Ok(tally)
 }
 
 #[cfg(test)]
@@ -456,7 +533,7 @@ mod tests {
         (0..config.requests)
             .map(|index| {
                 arrival += config.arrivals.next_gap_ns(index, &mut rng);
-                let request = config.mix.sample_request(&frames, &mut rng);
+                let (_, request) = config.mix.sample_request(&frames, &mut rng);
                 let priority = config.mix.sample_priority(&mut rng);
                 (arrival, request.label(), priority)
             })
@@ -587,6 +664,39 @@ mod tests {
             );
         }
         drop(server.shutdown());
+    }
+
+    #[test]
+    fn a_mix_the_server_cannot_route_is_rejected_before_anything_is_offered() {
+        let platform = Platform::builder()
+            .sensor_resolution(8, 8)
+            .noise(NoiseConfig::ideal())
+            .build()
+            .expect("platform");
+        let server = Server::builder(platform)
+            .workload(Workload::Acquire)
+            .build()
+            .expect("server");
+        // Acquire routes, the kernel arm does not.
+        let config = SoakConfig {
+            mix: TrafficMix {
+                classify: 0.0,
+                acquire: 1.0,
+                kernel: 1.0,
+                ..TrafficMix::default()
+            },
+            ..SoakConfig::default()
+        };
+        let err = run_soak(&server, &config).expect_err("no kernel group");
+        assert_eq!(
+            err,
+            ServeError::UnknownWorkload {
+                label: "kernel:sobel-x".into()
+            }
+        );
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.admitted(), 0, "nothing was offered");
+        assert_eq!(snapshot.rejected, 0, "nothing was offered");
     }
 
     #[test]

@@ -131,8 +131,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-shard counters, updated by the group's scheduler (batch shape,
-/// gauges) and by the owning worker thread (execution).
+/// Per-shard counters, updated by the shard as it runs its batches, under
+/// its group's lock.
 #[derive(Debug)]
 pub(crate) struct ShardMetrics {
     pub(crate) label: String,
@@ -154,16 +154,16 @@ pub(crate) struct ShardMetrics {
     /// Executions the shard served from its cached plan encoding.
     pub(crate) plan_hits: AtomicU64,
     /// Simulated energy charged to this shard, stored as `f64` bits in
-    /// picojoules (updated only by the owning worker thread; read by
-    /// snapshots).
+    /// picojoules (updated only by the shard; read by snapshots).
     pub(crate) energy_pj_bits: AtomicU64,
 }
 
 impl ShardMetrics {
     /// Adds `pj` picojoules of simulated energy to this shard's meter.
     ///
-    /// Only the owning worker thread writes, so a load + store pair is
-    /// race-free; the atomic makes the concurrent snapshot reads defined.
+    /// Only the shard writes, under its group's lock, so a load + store
+    /// pair is race-free; the atomic makes the concurrent snapshot reads
+    /// defined.
     pub(crate) fn add_energy_pj(&self, pj: f64) {
         let current = f64::from_bits(self.energy_pj_bits.load(Ordering::Relaxed));
         self.energy_pj_bits
@@ -411,7 +411,7 @@ pub struct MetricsSnapshot {
     /// registration order — the telemetry a heterogeneous pool is compared
     /// by.
     pub backends: Vec<BackendSnapshot>,
-    /// Per-shard batch statistics, one entry per worker thread.
+    /// Per-shard batch statistics, one entry per shard (virtual chip).
     pub shards: Vec<ShardSnapshot>,
     /// Per-stage sim-time/energy attribution rows from the attached
     /// [`TraceRecorder`](lightator_telemetry::TraceRecorder), sorted by
@@ -631,7 +631,7 @@ impl MetricsSnapshot {
 pub struct BackendSnapshot {
     /// Backend id (e.g. `photonic`, `electronic:eyeriss`).
     pub backend: String,
-    /// Worker threads whose sessions run on this backend.
+    /// Shards whose sessions run on this backend.
     pub shards: usize,
     /// Batches executed across those shards.
     pub batches: u64,
@@ -669,7 +669,7 @@ impl BackendSnapshot {
     }
 }
 
-/// Batch statistics of one shard (worker thread).
+/// Batch statistics of one shard (virtual chip).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     /// Shard label: `<workload>[@<backend>]/<index>`.

@@ -5,7 +5,7 @@ use crate::queue::Scheduler;
 use lightator_core::platform::{ImageKernel, Report, Workload};
 use lightator_core::stream::StreamReport;
 use lightator_sensor::frame::RgbFrame;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Scheduling lane of a submitted request.
 ///
@@ -203,12 +203,11 @@ impl Response {
 /// A served request's outcome and its simulated completion time (ns).
 type Outcome = (Result<Response>, u64);
 
-/// One-shot rendezvous between the client that submitted a request and the
-/// shard that serves it.
+/// One-shot hand-off of a request's outcome from the shard that served it
+/// to the client's [`Pending`].
 #[derive(Debug, Default)]
 pub(crate) struct ResponseSlot {
     outcome: Mutex<Option<Outcome>>,
-    done: Condvar,
 }
 
 impl ResponseSlot {
@@ -216,31 +215,27 @@ impl ResponseSlot {
         Self::default()
     }
 
-    /// Publishes the outcome, completed at `completion_ns`, and wakes the
-    /// waiting client.
+    /// Publishes the outcome, completed at `completion_ns`.
     pub(crate) fn fulfil(&self, outcome: Result<Response>, completion_ns: u64) {
         let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = Some((outcome, completion_ns));
-        self.done.notify_all();
     }
 
-    /// Blocks until the outcome is published, then takes it.
+    /// Takes the outcome. A request's batch has run by the time its
+    /// group's scheduler hands the slot to the client, so the slot is
+    /// filled; an empty one reads as an abandoned request.
     pub(crate) fn take(&self) -> Outcome {
         let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
+        slot.take().unwrap_or((Err(ServeError::WorkerPanicked), 0))
     }
 }
 
 /// Handle to a request admitted into the server's queue.
 ///
-/// The server fulfils every admitted request — also during graceful
-/// shutdown, which drains the queue before the workers exit — so
-/// [`Pending::wait`] always terminates once the request was admitted.
+/// Waiting runs every batch the request's group still holds, the
+/// request's own included, on the calling thread, so [`Pending::wait`]
+/// always returns once the request was admitted — also after
+/// [`Server::shutdown`](crate::Server::shutdown), which ran it already.
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<ResponseSlot>,
@@ -253,13 +248,14 @@ impl Pending {
         Self { slot, scheduler }
     }
 
-    /// Blocks until the shard group serves the request, returning its
-    /// [`Response`] — frame or stream.
+    /// Returns the request's [`Response`] — frame or stream — once its
+    /// shard group served it.
     ///
     /// A waiting client submits nothing further, so the group closes every
-    /// batch it holds open instead of waiting for more arrivals. When the
-    /// call returns, [`Server::sim_now`](crate::Server::sim_now) has moved
-    /// to the request's simulated completion.
+    /// batch it holds open instead of waiting for more arrivals, and runs
+    /// each on the calling thread. When the call returns,
+    /// [`Server::sim_now`](crate::Server::sim_now) has moved to the
+    /// request's simulated completion.
     ///
     /// # Errors
     ///
@@ -268,8 +264,8 @@ impl Pending {
         self.scheduler.wait(&self.slot)
     }
 
-    /// Blocks until a single-frame request is served, returning its
-    /// [`Report`] (see [`Pending::wait_response`]).
+    /// Returns a single-frame request's [`Report`] once it is served (see
+    /// [`Pending::wait_response`]).
     ///
     /// # Errors
     ///
@@ -280,8 +276,8 @@ impl Pending {
         self.wait_response()?.into_report()
     }
 
-    /// Blocks until a video-stream request is served, returning its
-    /// [`StreamReport`].
+    /// Returns a video-stream request's [`StreamReport`] once it is served
+    /// (see [`Pending::wait_response`]).
     ///
     /// # Errors
     ///
@@ -372,15 +368,9 @@ mod tests {
 
     #[test]
     fn response_slot_hands_the_outcome_to_the_waiter() {
-        let slot = Arc::new(ResponseSlot::new());
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.take())
-        };
+        // A slot is always filled before it is taken.
+        let slot = ResponseSlot::new();
         slot.fulfil(Err(ServeError::ShuttingDown), 42);
-        assert_eq!(
-            waiter.join().expect("no panic"),
-            (Err(ServeError::ShuttingDown), 42)
-        );
+        assert_eq!(slot.take(), (Err(ServeError::ShuttingDown), 42));
     }
 }

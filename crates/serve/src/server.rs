@@ -5,20 +5,19 @@ use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsInner, MetricsSnapshot, VirtualClock};
 use crate::queue::Scheduler;
 use crate::request::{Pending, Priority, Request, RequestKind, ResponseSlot};
-use crate::shard::{self, Batcher, ShardContext, ShardCosts};
+use crate::shard::{Batcher, Shard, ShardCosts};
 use lightator_core::backend::BackendId;
 use lightator_core::platform::{Platform, Session, Workload};
 use lightator_core::CoreError;
 use lightator_photonics::units::Time;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Fluent builder for a [`Server`], mirroring the `PlatformBuilder` idiom:
 /// chain the serving knobs (one setter per [`ServeConfig`] field, the SLO
 /// controller through [`ServerBuilder::slo`]), register one or more
 /// workloads, and let [`ServerBuilder::build`] validate everything once and
-/// spawn the pool.
+/// open the pool.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
     platform: Platform,
@@ -56,8 +55,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the number of worker threads (virtual chips) per workload
-    /// group.
+    /// Sets the number of shards (virtual chips) per workload group.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
@@ -98,7 +96,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Registers a workload: one shard group (scheduler + workers) will serve
+    /// Registers a workload: one shard group (scheduler + shards) will serve
     /// requests routed to it. The group runs on the photonic default; use
     /// [`ServerBuilder::workload_on`] to pin it to another backend.
     #[must_use]
@@ -116,18 +114,15 @@ impl ServerBuilder {
         self
     }
 
-    /// Validates the configuration, opens each workload group's session
-    /// once and spawns the worker pool, every shard on a clone of its
-    /// group's session.
+    /// Validates the configuration and opens each workload group's session
+    /// once, every shard on a clone of its group's session.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for an invalid serving
     /// configuration, no registered workloads, or two workloads routing to
     /// the same key; [`ServeError::Core`] when opening a session fails or a
-    /// classify model cannot take acquired frames;
-    /// [`ServeError::WorkerSpawn`] when the OS refuses a worker thread (any
-    /// already-spawned workers are stopped and joined first).
+    /// classify model cannot take acquired frames.
     pub fn build(self) -> Result<Server> {
         self.config.validate()?;
         if self.workloads.is_empty() {
@@ -137,8 +132,8 @@ impl ServerBuilder {
         }
 
         // Open every group's session first so build is all-or-nothing: no
-        // threads are spawned if any workload is rejected by the platform
-        // (or names an unknown / non-executing backend).
+        // group is built if any workload is rejected by the platform (or
+        // names an unknown / non-executing backend).
         let mut opened: Vec<(RequestKind, BackendId, String, Vec<Session>)> = Vec::new();
         let mut shard_labels = Vec::new();
         for (workload, backend) in &self.workloads {
@@ -196,77 +191,44 @@ impl ServerBuilder {
         let flush_deadline_ns = self.config.flush_deadline.ns().ceil() as u64;
         let clock = Arc::new(VirtualClock::new());
         let mut groups: Vec<Group> = Vec::new();
-        let mut handles = Vec::new();
         for (kind, backend, label, sessions) in opened {
-            // Shards are numbered across groups in spawn order.
-            let first_shard = handles.len();
+            // Shards are numbered across groups in registration order.
+            let first_shard = groups.len() * self.config.shards;
             // A group's shards run the same session, so they share one cost
             // model. It comes from the session's backend, so an electronic
             // group runs (and meters) on the electronic cost model.
             let costs = ShardCosts::of(&sessions[0]);
-            let (shards, receivers): (Vec<_>, Vec<_>) = sessions
-                .iter()
-                .map(|_| {
-                    let (jobs, receiver) = mpsc::channel();
+            let shards = sessions
+                .into_iter()
+                .enumerate()
+                .map(|(index, session)| {
                     let batcher = match &self.config.slo {
                         Some(slo) => Batcher::adaptive(slo),
                         None => Batcher::fixed(self.config.max_batch, flush_deadline_ns),
                     };
-                    ((batcher, jobs), receiver)
+                    Shard::new(
+                        session,
+                        batcher,
+                        costs,
+                        Arc::clone(&metrics),
+                        first_shard + index,
+                        self.recorder.clone(),
+                    )
                 })
-                .unzip();
-            let scheduler = Arc::new(Scheduler::new(
-                self.config.queue_depth,
-                costs,
-                Arc::clone(&metrics),
-                first_shard,
-                Arc::clone(&clock),
-                shards,
-            ));
+                .collect();
             groups.push(Group {
                 kind,
                 backend,
                 label,
-                scheduler: Arc::clone(&scheduler),
+                scheduler: Arc::new(Scheduler::new(
+                    self.config.queue_depth,
+                    Arc::clone(&clock),
+                    shards,
+                )),
             });
-            for (group_index, (session, jobs)) in sessions.into_iter().zip(receivers).enumerate() {
-                let shard_index = first_shard + group_index;
-                let ctx = ShardContext {
-                    session,
-                    scheduler: Arc::clone(&scheduler),
-                    metrics: Arc::clone(&metrics),
-                    shard_index,
-                    group_index,
-                    costs,
-                    tracer: self.recorder.clone(),
-                };
-                let spawned = std::thread::Builder::new()
-                    .name(format!(
-                        "lightator-serve:{}",
-                        metrics.shards[shard_index].label
-                    ))
-                    .spawn(move || shard::run(ctx, jobs));
-                match spawned {
-                    Ok(handle) => handles.push(handle),
-                    Err(err) => {
-                        // Unwind the partial pool: stop and join the workers
-                        // spawned so far before reporting the failure.
-                        for group in &groups {
-                            group.scheduler.shutdown();
-                        }
-                        for handle in handles {
-                            let _ = handle.join();
-                        }
-                        return Err(ServeError::WorkerSpawn {
-                            reason: err.to_string(),
-                        });
-                    }
-                }
-            }
         }
         Ok(Server {
             groups,
-            handles,
             clock,
             metrics,
             config: self.config,
@@ -285,19 +247,18 @@ struct Group {
     scheduler: Arc<Scheduler>,
 }
 
-/// A running pool of shard workers serving typed requests over one
+/// A pool of virtual chips (shards) serving typed requests over one
 /// [`Platform`].
 ///
 /// Built through [`Server::builder`]. Submissions are admitted into the
 /// matching workload group's bounded queue (or rejected with
 /// [`ServeError::Overloaded`]); each group's scheduler forms micro-batches
-/// on the simulated clock and hands each to its earliest-free shard.
-/// Dropping the server (or calling [`Server::shutdown`]) drains all
-/// in-flight work before the workers exit.
+/// on the simulated clock, and its earliest-free shard runs each one as it
+/// closes, on the thread whose call closed it. Dropping the server (or
+/// calling [`Server::shutdown`]) runs all admitted work first.
 #[derive(Debug)]
 pub struct Server {
     groups: Vec<Group>,
-    handles: Vec<JoinHandle<()>>,
     clock: Arc<VirtualClock>,
     metrics: Arc<MetricsInner>,
     config: ServeConfig,
@@ -362,6 +323,8 @@ impl Server {
     /// The group first runs every scheduling event up to `arrival_ns` —
     /// batch opens and closes, in simulated time — and then admits the
     /// request, or drops it if `queue_depth` requests still wait there.
+    /// Each batch that closes runs at once on the calling thread, so the
+    /// call's host time includes executing those batches.
     /// Arrivals before one the group already took are stamped at that
     /// later arrival, so each group sees its arrivals in order. The request
     /// arrives exactly once and is counted once; admission advances the
@@ -423,6 +386,18 @@ impl Server {
                 label: format!("{}@{}", request.label(), backend),
             })?;
         self.admit(group, request, Priority::Interactive, self.clock.now())
+    }
+
+    /// Checks `request` as every submission does before it reaches a
+    /// queue.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidRequest`] for a malformed request,
+    /// [`ServeError::UnknownWorkload`] when no group serves it.
+    pub(crate) fn check(&self, request: &Request) -> Result<()> {
+        self.validate_request(request)?;
+        self.route(request).map(drop)
     }
 
     fn validate_request(&self, request: &Request) -> Result<()> {
@@ -555,11 +530,11 @@ impl Server {
         self.groups.iter().map(|g| g.scheduler.len()).sum()
     }
 
-    /// Gracefully shuts down: stops admitting, drains every queue, joins
-    /// the workers, and returns the final telemetry snapshot.
+    /// Gracefully shuts down: stops admitting, runs every admitted request
+    /// on the calling thread, and returns the final telemetry snapshot.
     #[must_use]
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.stop_workers();
+    pub fn shutdown(self) -> MetricsSnapshot {
+        self.drain();
         let mut snapshot = self.metrics.snapshot(0);
         self.fill_stages(&mut snapshot);
         snapshot
@@ -578,19 +553,17 @@ impl Server {
         }
     }
 
-    fn stop_workers(&mut self) {
+    /// Stops every group admitting and runs what they still hold.
+    fn drain(&self) {
         for group in &self.groups {
             group.scheduler.shutdown();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_workers();
+        self.drain();
     }
 }
 
@@ -774,7 +747,7 @@ mod tests {
         for shard in &snapshot.shards {
             assert_eq!(
                 shard.plan_encodes, 1,
-                "shard {} must compile its plan exactly once at spawn",
+                "shard {} must compile its plan exactly once at build",
                 shard.shard
             );
         }
@@ -1080,7 +1053,7 @@ mod tests {
             })
             .collect();
         let snapshot = server.shutdown();
-        // Every admitted request was served before the workers exited.
+        // Shutdown ran every admitted request.
         for pending in pendings {
             assert!(pending.wait().is_ok());
         }

@@ -1,15 +1,17 @@
-//! The shard worker: one thread, one virtual Lightator chip.
+//! One shard: one virtual Lightator chip of a workload group.
 //!
 //! Each shard runs exactly what a sequential client runs. It owns a clone
-//! of its group's session, opened once through `Platform::session_on`, and
-//! executes the jobs its group's
-//! [`Scheduler`] sends it: seek the session to the batch's first ticket,
-//! execute the batch (frame batches one `Session::run` per frame; video
-//! streams one request at a time through `run_stream`), meter the energy,
-//! replay the trace and fulfil the response slots. The scheduler decides
-//! which requests form a batch, which shard runs it and when; the worker
-//! loop exits once the scheduler released its job channel, which is what
-//! makes server shutdown graceful.
+//! of its group's session, opened once through `Platform::session_on`, its
+//! batch-formation policy ([`Batcher`]) and the simulated time it frees
+//! up. When its group's scheduler closes a batch on it, the shard runs the
+//! batch at once, on the thread that closed it: seek the session to the
+//! batch's first ticket, execute the batch (frame batches one
+//! `Session::run` per frame; video streams one request at a time through
+//! `run_stream`), meter the energy, replay the trace, fulfil the response
+//! slots and move its free time to the batch's completion. The scheduler
+//! decides which requests form a batch, which shard runs it and when; by
+//! the next decision, the shard's free time already holds the batch's
+//! cost, a stream batch's gated cost included.
 //!
 //! # Batch amortisation
 //!
@@ -35,23 +37,23 @@
 use crate::config::SloConfig;
 use crate::error::ServeError;
 use crate::metrics::MetricsInner;
-use crate::queue::{Job, QueuedRequest, Scheduler};
+use crate::queue::QueuedRequest;
 use crate::request::{Payload, Response, ResponseSlot};
 use lightator_core::platform::Session;
+use lightator_core::StageSpan;
 use lightator_sensor::frame::RgbFrame;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 /// Client-side bookkeeping of one batched request: its ticket, its
 /// simulated arrival time, and the slot awaiting the report.
 type RequestHandle = (u64, u64, Arc<ResponseSlot>);
 
-/// Fulfils a batch's slots strictly in ticket order, and — if the worker
+/// Fulfils a batch's slots strictly in ticket order, and — if execution
 /// unwinds mid-batch — fails whatever is left with
 /// [`ServeError::WorkerPanicked`] on drop, so a panic in core code can
-/// never strand a client in `Pending::wait`.
+/// never leave a client's slot empty.
 struct SlotGuard {
     handles: Vec<RequestHandle>,
     next: usize,
@@ -165,21 +167,332 @@ impl Batcher {
     }
 }
 
-/// Everything one worker thread needs, moved into it at spawn.
-pub(crate) struct ShardContext {
-    pub(crate) session: Session,
-    /// The group's scheduler, which stream batches report back to.
-    pub(crate) scheduler: Arc<Scheduler>,
-    pub(crate) metrics: Arc<MetricsInner>,
-    /// Index into `metrics.shards` (global across groups).
-    pub(crate) shard_index: usize,
-    /// This shard's index within its group.
-    pub(crate) group_index: usize,
+/// One virtual chip: a clone of its group's session, its batch-formation
+/// policy, the simulated time it frees up, and where its telemetry goes.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    session: Session,
+    batcher: Batcher,
+    /// Completion of the shard's last batch.
+    free_ns: u64,
     /// The simulated cost model of the group's session.
-    pub(crate) costs: ShardCosts,
+    costs: ShardCosts,
+    metrics: Arc<MetricsInner>,
+    /// Index into `metrics.shards` (global across groups).
+    index: usize,
     /// Optional trace sink shared by the whole pool; events land on this
-    /// shard's `shard:<label>` track, timestamped on the serve timeline.
-    pub(crate) tracer: Option<Arc<TraceRecorder>>,
+    /// shard's `track`, timestamped on the serve timeline.
+    tracer: Option<Arc<TraceRecorder>>,
+    /// The shard's Perfetto track, `shard:<label>`.
+    track: String,
+    /// One frame's stage decomposition, replayed per traced frame (empty
+    /// when untraced).
+    stages: Vec<StageSpan>,
+}
+
+impl Shard {
+    /// A shard running `session` under `batcher`, metering into
+    /// `metrics.shards[index]`. Publishes its gauges and its plan's one
+    /// compile up front, so an idle shard still reports both.
+    pub(crate) fn new(
+        session: Session,
+        batcher: Batcher,
+        costs: ShardCosts,
+        metrics: Arc<MetricsInner>,
+        index: usize,
+        tracer: Option<Arc<TraceRecorder>>,
+    ) -> Self {
+        // The track and the stage decomposition are pure functions of the
+        // session's perf model, computed once so serving only replays them.
+        let track = format!("shard:{}", metrics.shards[index].label);
+        let stages = match tracer {
+            Some(_) => lightator_core::frame_stages(session.perf()),
+            None => Vec::new(),
+        };
+        let shard = Self {
+            session,
+            batcher,
+            free_ns: 0,
+            costs,
+            metrics,
+            index,
+            tracer,
+            track,
+            stages,
+        };
+        shard.publish();
+        shard
+    }
+
+    pub(crate) fn batcher(&self) -> &Batcher {
+        &self.batcher
+    }
+
+    pub(crate) fn free_ns(&self) -> u64 {
+        self.free_ns
+    }
+
+    /// Runs a batch its scheduler closed on this shard, moves the shard's
+    /// free time to the batch's completion, feeds the batch to the
+    /// batcher and publishes the shard's gauges and plan counters.
+    pub(crate) fn run(&mut self, batch: Vec<QueuedRequest>) {
+        let len = batch.len();
+        // A group serves one workload, so one stream payload means a
+        // stream batch.
+        let max_wait_ns = if matches!(batch[0].payload, Payload::Stream(_)) {
+            self.run_stream_batch(batch)
+        } else {
+            self.run_frame_batch(batch)
+        };
+        self.batcher.observe(max_wait_ns, len);
+        self.publish();
+    }
+
+    /// Publishes the batching gauges, and mirrors the session's cumulative
+    /// plan counters (a store, not an add).
+    fn publish(&self) {
+        let shard = &self.metrics.shards[self.index];
+        shard
+            .batch_limit
+            .store(self.batcher.limit() as u64, Ordering::Relaxed);
+        shard
+            .flush_deadline_ns
+            .store(self.batcher.deadline_ns(), Ordering::Relaxed);
+        let stats = self.session.plan_stats();
+        shard.plan_encodes.store(stats.encodes, Ordering::Relaxed);
+        shard.plan_hits.store(stats.cache_hits, Ordering::Relaxed);
+    }
+
+    /// Runs one batch of single-frame requests. It starts once the shard is
+    /// free and its newest request arrived, and occupies the chip for one
+    /// full frame plus one resident frame per follow-on frame. Returns the
+    /// worst queue wait the batch carried.
+    fn run_frame_batch(&mut self, batch: Vec<QueuedRequest>) -> u64 {
+        let len = batch.len();
+        let start_ns = self.free_ns.max(batch[len - 1].arrival_ns);
+        let completion_ns = start_ns.saturating_add(self.costs.batch_latency_ns(len));
+        let shard = &self.metrics.shards[self.index];
+        shard.batches.fetch_add(1, Ordering::Relaxed);
+        shard.frames.fetch_add(len as u64, Ordering::Relaxed);
+        shard.batch_sizes[len - 1].fetch_add(1, Ordering::Relaxed);
+        let mut max_wait_ns = 0u64;
+        for request in &batch {
+            let wait_ns = start_ns.saturating_sub(request.arrival_ns);
+            max_wait_ns = max_wait_ns.max(wait_ns);
+            self.metrics.record_wait(request.priority, wait_ns);
+        }
+        self.metrics
+            .first_start_ns
+            .fetch_min(start_ns, Ordering::Relaxed);
+        self.metrics
+            .last_completion_ns
+            .fetch_max(completion_ns, Ordering::Relaxed);
+        self.free_ns = completion_ns;
+
+        let first_ticket = batch[0].ticket;
+        let (frames, handles): (Vec<RgbFrame>, Vec<RequestHandle>) = batch
+            .into_iter()
+            .map(|r| {
+                let frame = match r.payload {
+                    Payload::Frame(frame) => frame,
+                    Payload::Stream(_) => unreachable!("frame batches carry frame payloads"),
+                };
+                (frame, (r.ticket, r.arrival_ns, r.slot))
+            })
+            .unzip();
+        let mut guard = SlotGuard::new(handles);
+        if let Some(tracer) = &self.tracer {
+            trace_frame_batch(
+                tracer.as_ref(),
+                &self.track,
+                &self.stages,
+                guard.handles(),
+                start_ns,
+                &self.costs,
+            );
+        }
+
+        // Execute at the tickets' frame indices: bit-identical to a single
+        // sequential session running these frames at the same positions.
+        // `catch_unwind` keeps the thread that closed the batch alive
+        // across a panic in core code, and the guard fails the batch's
+        // unfulfilled slots so no client hangs.
+        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.execute_batch(first_ticket, start_ns, &frames, &mut guard)
+        }));
+        if executed.is_err() {
+            self.metrics
+                .errored
+                .fetch_add(guard.remaining() as u64, Ordering::Relaxed);
+        }
+        max_wait_ns
+    }
+
+    /// Runs one batch of video-stream requests, one request at a time: each
+    /// stream starts once the shard is free and the stream arrived, seeks to
+    /// its ticket, runs under the delta gate, and occupies the virtual chip
+    /// for its *gated* simulated time — the serving payoff of skipped blocks.
+    /// Returns the worst queue wait the batch carried.
+    fn run_stream_batch(&mut self, batch: Vec<QueuedRequest>) -> u64 {
+        let shard = &self.metrics.shards[self.index];
+        shard.batches.fetch_add(1, Ordering::Relaxed);
+        shard.batch_sizes[batch.len() - 1].fetch_add(1, Ordering::Relaxed);
+        let mut max_wait_ns = 0u64;
+        for request in batch {
+            let QueuedRequest {
+                payload,
+                ticket,
+                weight,
+                arrival_ns,
+                priority,
+                slot,
+            } = request;
+            let frames = match payload {
+                Payload::Stream(frames) => frames,
+                Payload::Frame(_) => unreachable!("stream batches carry stream payloads"),
+            };
+            let start_ns = self.free_ns.max(arrival_ns);
+            let wait_ns = start_ns.saturating_sub(arrival_ns);
+            max_wait_ns = max_wait_ns.max(wait_ns);
+            self.metrics.record_wait(priority, wait_ns);
+            self.metrics
+                .first_start_ns
+                .fetch_min(start_ns, Ordering::Relaxed);
+            shard.frames.fetch_add(weight, Ordering::Relaxed);
+
+            let mut guard = SlotGuard::new(vec![(ticket, arrival_ns, slot)]);
+            let session = &mut self.session;
+            let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.seek_frame(ticket);
+                session.run_stream(&frames)
+            }));
+            let completion_ns = match &executed {
+                Ok(Ok(report)) => {
+                    start_ns.saturating_add(report.sim_time.ns().ceil().max(1.0) as u64)
+                }
+                // A failed or panicked stream still occupied the chip for the
+                // frames it consumed; charge a dense-cost upper bound so the
+                // timeline never runs backwards.
+                _ => start_ns.saturating_add(weight.saturating_mul(self.costs.frame_latency_ns)),
+            };
+            self.metrics
+                .last_completion_ns
+                .fetch_max(completion_ns, Ordering::Relaxed);
+            self.free_ns = completion_ns;
+
+            if let Some(tracer) = &self.tracer {
+                // Stream lifecycle: queue → execute → respond. The execute span
+                // carries the *gated* simulated time and energy; the per-frame
+                // fine structure lives on the session track when a recorder is
+                // attached to a standalone session.
+                tracer.record(
+                    TraceEvent::span(
+                        "request",
+                        "queue",
+                        &self.track,
+                        arrival_ns as f64,
+                        start_ns.saturating_sub(arrival_ns) as f64,
+                        0.0,
+                    )
+                    .with_arg("ticket", ticket),
+                );
+                let energy_pj = match &executed {
+                    Ok(Ok(report)) => report.energy.pj(),
+                    _ => 0.0,
+                };
+                tracer.record(
+                    TraceEvent::span(
+                        "stage",
+                        "execute",
+                        &self.track,
+                        start_ns as f64,
+                        completion_ns.saturating_sub(start_ns) as f64,
+                        energy_pj,
+                    )
+                    .with_arg("ticket", ticket)
+                    .with_arg("stream_frames", weight),
+                );
+                let outcome = if matches!(&executed, Ok(Ok(_))) {
+                    "respond"
+                } else {
+                    "stream-error"
+                };
+                tracer.record(
+                    TraceEvent::instant("request", outcome, &self.track, completion_ns as f64)
+                        .with_arg("ticket", ticket),
+                );
+            }
+
+            match executed {
+                Ok(Ok(report)) => {
+                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    // Streams meter their *gated* energy: skipped blocks spend
+                    // the DMVA feedback path, not the optical core.
+                    shard.add_energy_pj(report.energy.pj());
+                    self.metrics
+                        .served_frames
+                        .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
+                    self.metrics
+                        .stream_frames
+                        .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
+                    self.metrics
+                        .stream_blocks_total
+                        .fetch_add(report.blocks_total() as u64, Ordering::Relaxed);
+                    self.metrics
+                        .stream_blocks_skipped
+                        .fetch_add(report.blocks_skipped() as u64, Ordering::Relaxed);
+                    guard.fulfil(Ok(Response::Stream(report)), completion_ns);
+                }
+                Ok(Err(err)) => {
+                    self.metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    guard.fulfil(Err(ServeError::Core(err)), completion_ns);
+                }
+                Err(_) => {
+                    self.metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    // The guard's drop publishes `WorkerPanicked`.
+                }
+            }
+            drop(guard);
+        }
+        max_wait_ns
+    }
+
+    /// Runs one batch, one [`Session::run`] per frame from the batch's first
+    /// ticket, and fulfils its slots in ticket order, each with its frame's
+    /// completion on the batch's amortised timeline from `start_ns`. Every run
+    /// consumes its frame index, failed or not, so an error reaches only its
+    /// own request. Energy is charged to the shard per *completed* frame
+    /// (errored frames never occupied the datapath), amortised: the batch's
+    /// first completed frame pays the full frame energy, later ones the
+    /// resident share.
+    fn execute_batch(
+        &mut self,
+        first_ticket: u64,
+        start_ns: u64,
+        frames: &[RgbFrame],
+        guard: &mut SlotGuard,
+    ) {
+        let (metrics, costs) = (&self.metrics, &self.costs);
+        let shard = &metrics.shards[self.index];
+        self.session.seek_frame(first_ticket);
+        let mut energy_pj = costs.frame_energy_pj;
+        for (index, frame) in frames.iter().enumerate() {
+            let completion_ns = start_ns.saturating_add(costs.frame_end_ns(index));
+            match self.session.run(frame) {
+                Ok(report) => {
+                    metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    metrics.served_frames.fetch_add(1, Ordering::Relaxed);
+                    shard.add_energy_pj(energy_pj);
+                    energy_pj = costs.resident_energy_pj;
+                    guard.fulfil(Ok(Response::Frame(report)), completion_ns);
+                }
+                Err(err) => {
+                    metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    guard.fulfil(Err(ServeError::Core(err)), completion_ns);
+                }
+            }
+        }
+    }
 }
 
 /// Simulated cost model of one shard, derived once at build from the
@@ -232,100 +545,11 @@ impl ShardCosts {
     }
 }
 
-/// The worker loop. Returns once the scheduler released the job channel
-/// and every job sent before it ran.
-pub(crate) fn run(mut ctx: ShardContext, jobs: Receiver<Job>) {
-    // Trace bookkeeping: the shard's Perfetto track and its per-frame stage
-    // decomposition. Both are pure functions of the spawn-time perf model,
-    // computed once so the serving path only replays them.
-    let track = format!("shard:{}", ctx.metrics.shards[ctx.shard_index].label);
-    let stages = ctx
-        .tracer
-        .as_ref()
-        .map(|_| lightator_core::frame_stages(ctx.session.perf()));
-    // The workload group's plan was compiled exactly once when this shard's
-    // session opened (at spawn); publish the encode counter up front so an
-    // idle shard still reports its compile.
-    publish_plan_stats(&ctx);
-    for Job { requests, start_ns } in jobs {
-        // A group serves one workload, so one stream payload means a
-        // stream batch.
-        if matches!(requests[0].payload, Payload::Stream(_)) {
-            let len = requests.len();
-            let (free_ns, max_wait_ns) = run_stream_batch(&mut ctx, requests, start_ns, &track);
-            ctx.scheduler
-                .report_stream(ctx.group_index, free_ns, max_wait_ns, len);
-        } else {
-            let stages = stages.as_deref().unwrap_or(&[]);
-            run_frame_batch(&mut ctx, requests, start_ns, &track, stages);
-        }
-        // Every batch ran against the spawn-time plan: refresh the shard's
-        // encode/hit counters from the session's cumulative stats.
-        publish_plan_stats(&ctx);
-    }
-}
-
-/// Mirrors the session's cumulative plan counters into the shard metrics.
-/// The counters are cumulative per session, so this is a store, not an add.
-fn publish_plan_stats(ctx: &ShardContext) {
-    let stats = ctx.session.plan_stats();
-    let shard = &ctx.metrics.shards[ctx.shard_index];
-    shard.plan_encodes.store(stats.encodes, Ordering::Relaxed);
-    shard.plan_hits.store(stats.cache_hits, Ordering::Relaxed);
-}
-
-/// Executes one batch of single-frame requests that the scheduler costed
-/// and started at `start_ns`.
-fn run_frame_batch(
-    ctx: &mut ShardContext,
-    batch: Vec<QueuedRequest>,
-    start_ns: u64,
-    track: &str,
-    stages: &[lightator_core::StageSpan],
-) {
-    let first_ticket = batch[0].ticket;
-    let (frames, handles): (Vec<RgbFrame>, Vec<RequestHandle>) = batch
-        .into_iter()
-        .map(|r| {
-            let frame = match r.payload {
-                Payload::Frame(frame) => frame,
-                Payload::Stream(_) => unreachable!("frame batches carry frame payloads"),
-            };
-            (frame, (r.ticket, r.arrival_ns, r.slot))
-        })
-        .unzip();
-    let mut guard = SlotGuard::new(handles);
-
-    if let Some(tracer) = &ctx.tracer {
-        trace_frame_batch(
-            tracer.as_ref(),
-            track,
-            stages,
-            guard.handles(),
-            start_ns,
-            &ctx.costs,
-        );
-    }
-
-    // Execute at the tickets' frame indices: bit-identical to a single
-    // sequential session running these frames at the same positions.
-    // `catch_unwind` keeps the worker alive across a panic in core
-    // code, and the guard fails the batch's unfulfilled slots so no
-    // client hangs.
-    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_batch(ctx, first_ticket, start_ns, &frames, &mut guard)
-    }));
-    if executed.is_err() {
-        ctx.metrics
-            .errored
-            .fetch_add(guard.remaining() as u64, Ordering::Relaxed);
-    }
-}
 /// Replays one frame batch onto the trace: the request lifecycle (queue →
 /// batch-form → execute → respond) plus each frame's stage decomposition,
 /// all timestamped on the shard's simulated timeline. Everything emitted
 /// here is derived from already-computed quantities (arrival/start times
-/// and the spawn-time perf model), so tracing never perturbs execution.
+/// and the build-time perf model), so tracing never perturbs execution.
 /// The stage spans describe the chip occupancy of the whole batch — the
 /// first frame carries the full stage list, follow-on frames skip the
 /// amortised `weight_encode` stages — so the stage totals still sum to the
@@ -334,7 +558,7 @@ fn run_frame_batch(
 fn trace_frame_batch(
     tracer: &TraceRecorder,
     track: &str,
-    stages: &[lightator_core::StageSpan],
+    stages: &[StageSpan],
     handles: &[RequestHandle],
     start_ns: u64,
     costs: &ShardCosts,
@@ -402,175 +626,6 @@ fn trace_frame_batch(
     }
 }
 
-/// Executes one batch of video-stream requests, one request at a time:
-/// each stream seeks to its ticket, runs under the delta gate, and occupies
-/// the virtual chip for its *gated* simulated time — the serving payoff of
-/// skipped blocks. Returns the shard's new free time and the worst queue
-/// wait the batch carried.
-fn run_stream_batch(
-    ctx: &mut ShardContext,
-    batch: Vec<QueuedRequest>,
-    mut free_ns: u64,
-    track: &str,
-) -> (u64, u64) {
-    let shard = &ctx.metrics.shards[ctx.shard_index];
-    shard.batches.fetch_add(1, Ordering::Relaxed);
-    shard.batch_sizes[batch.len() - 1].fetch_add(1, Ordering::Relaxed);
-    let mut max_wait_ns = 0u64;
-    for request in batch {
-        let QueuedRequest {
-            payload,
-            ticket,
-            weight,
-            arrival_ns,
-            priority,
-            slot,
-        } = request;
-        let frames = match payload {
-            Payload::Stream(frames) => frames,
-            Payload::Frame(_) => unreachable!("stream batches carry stream payloads"),
-        };
-        let start_ns = free_ns.max(arrival_ns);
-        let wait_ns = start_ns.saturating_sub(arrival_ns);
-        max_wait_ns = max_wait_ns.max(wait_ns);
-        ctx.metrics.record_wait(priority, wait_ns);
-        ctx.metrics
-            .first_start_ns
-            .fetch_min(start_ns, Ordering::Relaxed);
-        shard.frames.fetch_add(weight, Ordering::Relaxed);
-
-        let mut guard = SlotGuard::new(vec![(ticket, arrival_ns, slot)]);
-        let session = &mut ctx.session;
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.seek_frame(ticket);
-            session.run_stream(&frames)
-        }));
-        let completion_ns = match &executed {
-            Ok(Ok(report)) => start_ns.saturating_add(report.sim_time.ns().ceil().max(1.0) as u64),
-            // A failed or panicked stream still occupied the chip for the
-            // frames it consumed; charge a dense-cost upper bound so the
-            // timeline never runs backwards.
-            _ => start_ns.saturating_add(weight.saturating_mul(ctx.costs.frame_latency_ns)),
-        };
-        ctx.metrics
-            .last_completion_ns
-            .fetch_max(completion_ns, Ordering::Relaxed);
-        free_ns = completion_ns;
-
-        if let Some(tracer) = &ctx.tracer {
-            // Stream lifecycle: queue → execute → respond. The execute span
-            // carries the *gated* simulated time and energy; the per-frame
-            // fine structure lives on the session track when a recorder is
-            // attached to a standalone session.
-            tracer.record(
-                TraceEvent::span(
-                    "request",
-                    "queue",
-                    track,
-                    arrival_ns as f64,
-                    start_ns.saturating_sub(arrival_ns) as f64,
-                    0.0,
-                )
-                .with_arg("ticket", ticket),
-            );
-            let energy_pj = match &executed {
-                Ok(Ok(report)) => report.energy.pj(),
-                _ => 0.0,
-            };
-            tracer.record(
-                TraceEvent::span(
-                    "stage",
-                    "execute",
-                    track,
-                    start_ns as f64,
-                    completion_ns.saturating_sub(start_ns) as f64,
-                    energy_pj,
-                )
-                .with_arg("ticket", ticket)
-                .with_arg("stream_frames", weight),
-            );
-            let outcome = if matches!(&executed, Ok(Ok(_))) {
-                "respond"
-            } else {
-                "stream-error"
-            };
-            tracer.record(
-                TraceEvent::instant("request", outcome, track, completion_ns as f64)
-                    .with_arg("ticket", ticket),
-            );
-        }
-
-        match executed {
-            Ok(Ok(report)) => {
-                ctx.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                // Streams meter their *gated* energy: skipped blocks spend
-                // the DMVA feedback path, not the optical core.
-                shard.add_energy_pj(report.energy.pj());
-                ctx.metrics
-                    .served_frames
-                    .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
-                ctx.metrics
-                    .stream_frames
-                    .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
-                ctx.metrics
-                    .stream_blocks_total
-                    .fetch_add(report.blocks_total() as u64, Ordering::Relaxed);
-                ctx.metrics
-                    .stream_blocks_skipped
-                    .fetch_add(report.blocks_skipped() as u64, Ordering::Relaxed);
-                guard.fulfil(Ok(Response::Stream(report)), completion_ns);
-            }
-            Ok(Err(err)) => {
-                ctx.metrics.errored.fetch_add(1, Ordering::Relaxed);
-                guard.fulfil(Err(ServeError::Core(err)), completion_ns);
-            }
-            Err(_) => {
-                ctx.metrics.errored.fetch_add(1, Ordering::Relaxed);
-                // The guard's drop publishes `WorkerPanicked`.
-            }
-        }
-        drop(guard);
-    }
-    (free_ns, max_wait_ns)
-}
-
-/// Runs one batch, one [`Session::run`] per frame from the batch's first
-/// ticket, and fulfils its slots in ticket order, each with its frame's
-/// completion on the batch's amortised timeline from `start_ns`. Every run
-/// consumes its frame index, failed or not, so an error reaches only its
-/// own request. Energy is charged to the shard per *completed* frame
-/// (errored frames never occupied the datapath), amortised: the batch's
-/// first completed frame pays the full frame energy, later ones the
-/// resident share.
-fn execute_batch(
-    ctx: &mut ShardContext,
-    first_ticket: u64,
-    start_ns: u64,
-    frames: &[RgbFrame],
-    guard: &mut SlotGuard,
-) {
-    let (metrics, costs) = (&ctx.metrics, &ctx.costs);
-    let shard = &metrics.shards[ctx.shard_index];
-    ctx.session.seek_frame(first_ticket);
-    let mut energy_pj = costs.frame_energy_pj;
-    for (index, frame) in frames.iter().enumerate() {
-        let completion_ns = start_ns.saturating_add(costs.frame_end_ns(index));
-        match ctx.session.run(frame) {
-            Ok(report) => {
-                metrics.completed.fetch_add(1, Ordering::Relaxed);
-                metrics.served_frames.fetch_add(1, Ordering::Relaxed);
-                shard.add_energy_pj(energy_pj);
-                energy_pj = costs.resident_energy_pj;
-                guard.fulfil(Ok(Response::Frame(report)), completion_ns);
-            }
-            Err(err) => {
-                metrics.errored.fetch_add(1, Ordering::Relaxed);
-                guard.fulfil(Err(ServeError::Core(err)), completion_ns);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,7 +642,7 @@ mod tests {
         let mut guard = SlotGuard::new(handles);
         guard.fulfil(Err(ServeError::ShuttingDown), 7);
         assert_eq!(guard.remaining(), 2);
-        drop(guard); // simulates a worker unwinding mid-batch
+        drop(guard); // as when execution unwinds mid-batch
         assert_eq!(slots[0].take(), (Err(ServeError::ShuttingDown), 7));
         assert_eq!(slots[1].take(), (Err(ServeError::WorkerPanicked), 0));
         assert_eq!(slots[2].take(), (Err(ServeError::WorkerPanicked), 0));
