@@ -2,15 +2,11 @@
 //! as a [`Backend`], plus the Table-1 / Fig-10 row descriptions that turn
 //! the bench harness into thin loops.
 //!
-//! Three backend families are registered:
-//!
-//! * [`photonic_variants`] — the five Lightator precision variants of
-//!   Table 1 (`photonic:w4a4` … `photonic:mx-w2a4`), built on
-//!   [`PhotonicBackend::with_schedule`];
-//! * [`electronic_references`] — the four Fig-10 electronic designs and
-//!   the GPU baseline as executable [`ElectronicReference`] backends;
-//! * [`roofline_backends`] — the five Table-1 photonic baselines as
-//!   analytical [`RooflineBackend`]s.
+//! [`photonic_variants`] builds the five Lightator precision variants of
+//! Table 1 (`photonic:w4a4` … `photonic:mx-w2a4`) on
+//! [`PhotonicBackend::with_schedule`]; the electronic designs run as
+//! executable [`ElectronicReference`] backends and the Table-1 photonic
+//! baselines as analytical [`RooflineBackend`]s.
 //!
 //! [`table1_registry`] and [`fig10_registry`] describe the two headline
 //! comparisons as data: each entry names the backend plus the row policy
@@ -64,51 +60,6 @@ pub fn photonic_variants() -> Vec<(PhotonicBackend, PrecisionSchedule)> {
             (backend, schedule)
         });
     uniform.chain(mixed).collect()
-}
-
-/// The executable electronic reference backends: the four Fig-10 edge
-/// accelerators plus the GPU baseline.
-#[must_use]
-pub fn electronic_references() -> Vec<ElectronicReference> {
-    ElectronicBaseline::fig10_designs()
-        .into_iter()
-        .chain(std::iter::once(ElectronicBaseline::gpu_rtx3060ti()))
-        .map(ElectronicReference::new)
-        .collect()
-}
-
-/// The analytical roofline backends: the five Table-1 photonic baselines.
-#[must_use]
-pub fn roofline_backends() -> Vec<RooflineBackend> {
-    OpticalBaseline::table1_designs()
-        .into_iter()
-        .map(RooflineBackend::new)
-        .collect()
-}
-
-/// Every non-default backend of the evaluation, ready for
-/// [`PlatformBuilder::register_backend`](lightator_core::platform::PlatformBuilder::register_backend):
-/// the five Lightator variants, five electronic references and five
-/// rooflines.
-#[must_use]
-pub fn all_backends() -> Vec<Arc<dyn Backend>> {
-    let mut backends: Vec<Arc<dyn Backend>> = Vec::new();
-    backends.extend(
-        photonic_variants()
-            .into_iter()
-            .map(|(b, _)| Arc::new(b) as Arc<dyn Backend>),
-    );
-    backends.extend(
-        electronic_references()
-            .into_iter()
-            .map(|b| Arc::new(b) as Arc<dyn Backend>),
-    );
-    backends.extend(
-        roofline_backends()
-            .into_iter()
-            .map(|b| Arc::new(b) as Arc<dyn Backend>),
-    );
-    backends
 }
 
 /// One row description of the Table-1 performance comparison.
@@ -239,7 +190,6 @@ pub fn fig10_registry() -> Vec<Fig10Entry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
     fn photonic_variant_names_match_the_table() {
@@ -254,17 +204,6 @@ mod tests {
                 "Lightator-MX [4:4][2:4]",
             ]
         );
-    }
-
-    #[test]
-    fn all_backend_ids_are_unique() {
-        let backends = all_backends();
-        assert_eq!(backends.len(), 15);
-        let ids: BTreeSet<String> = backends
-            .iter()
-            .map(|b| b.id().as_str().to_string())
-            .collect();
-        assert_eq!(ids.len(), backends.len());
     }
 
     #[test]
