@@ -438,7 +438,7 @@ pub fn run_soak(server: &Server, config: &SoakConfig) -> Result<SoakOutcome> {
         config.seed ^ 0x5F0A_6B3D_9E1C_2487,
     )?;
     let arms = config.mix.weights().map(|weight| weight > 0.0);
-    for (arm, _) in arms.iter().enumerate().filter(|(_, offered)| **offered) {
+    for arm in (0..arms.len()).filter(|&arm| arms[arm]) {
         server.check(&config.mix.request(arm, || frames.frames[0].clone()))?;
     }
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -518,6 +518,7 @@ fn offer(server: &Server, arrivals: Receiver<Arrival>) -> Result<SoakOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_STREAM_FRAMES;
     use lightator_core::ca::CaConfig;
     use lightator_core::platform::{Platform, Workload};
     use lightator_nn::layers::{Flatten, Linear};
@@ -667,36 +668,49 @@ mod tests {
     }
 
     #[test]
-    fn a_mix_the_server_cannot_route_is_rejected_before_anything_is_offered() {
+    fn a_mix_the_server_cannot_serve_is_rejected_before_anything_is_offered() {
         let platform = Platform::builder()
             .sensor_resolution(8, 8)
             .noise(NoiseConfig::ideal())
             .build()
             .expect("platform");
-        let server = Server::builder(platform)
-            .workload(Workload::Acquire)
-            .build()
-            .expect("server");
-        // Acquire routes, the kernel arm does not.
-        let config = SoakConfig {
-            mix: TrafficMix {
-                classify: 0.0,
-                acquire: 1.0,
-                kernel: 1.0,
-                ..TrafficMix::default()
-            },
-            ..SoakConfig::default()
+        // Acquire is served; a kernel arm has no group, and a stream arm's
+        // streams are longer than a server admits.
+        let unroutable = TrafficMix {
+            classify: 0.0,
+            acquire: 1.0,
+            kernel: 1.0,
+            ..TrafficMix::default()
         };
-        let err = run_soak(&server, &config).expect_err("no kernel group");
+        let oversized = TrafficMix {
+            classify: 0.0,
+            acquire: 1.0,
+            stream: 1.0,
+            stream_frames: MAX_STREAM_FRAMES + 1,
+            ..TrafficMix::default()
+        };
+        let soak = |mix: TrafficMix| {
+            let server = Server::builder(platform.clone())
+                .workload(Workload::Acquire)
+                .build()
+                .expect("server");
+            let config = SoakConfig {
+                mix,
+                ..SoakConfig::default()
+            };
+            let err = run_soak(&server, &config).expect_err("the mix cannot be served");
+            let snapshot = server.shutdown();
+            assert_eq!(snapshot.admitted(), 0, "nothing was offered before {err}");
+            assert_eq!(snapshot.rejected, 0, "nothing was offered before {err}");
+            err
+        };
         assert_eq!(
-            err,
+            soak(unroutable),
             ServeError::UnknownWorkload {
                 label: "kernel:sobel-x".into()
             }
         );
-        let snapshot = server.shutdown();
-        assert_eq!(snapshot.admitted(), 0, "nothing was offered");
-        assert_eq!(snapshot.rejected, 0, "nothing was offered");
+        assert!(matches!(soak(oversized), ServeError::InvalidRequest { .. }));
     }
 
     #[test]
