@@ -81,8 +81,8 @@ pub use session::Session;
 pub use workload::{ImageKernel, Workload};
 
 // Compile-time guarantee that the facade types can cross threads: the serve
-// crate moves cloned `Session`s into shard worker threads and shares the
-// `Platform` across clients.
+// crate runs a group's cloned `Session`s on whichever client thread closes a
+// batch, and shares the `Platform` across clients.
 const _: () = {
     const fn require_send_sync<T: Send + Sync>() {}
     require_send_sync::<Platform>();

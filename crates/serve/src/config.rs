@@ -71,8 +71,8 @@ impl Default for SloConfig {
 /// Build values through [`crate::ServerBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Worker threads per workload group, each owning one virtual Lightator
-    /// chip (its own `Session`, opened under the platform seed).
+    /// Shards per workload group: virtual Lightator chips, each owning its
+    /// own `Session`, opened under the platform seed.
     pub shards: usize,
     /// Largest number of frames one batch serves, at most 4096 (the weights
     /// are programmed once per batch).

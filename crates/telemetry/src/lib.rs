@@ -193,7 +193,7 @@ struct RecorderInner {
 /// evicted (counted by [`dropped`](TraceRecorder::dropped)). The per-stage
 /// rollup is accumulated on the way in, so [`breakdown`](TraceRecorder::breakdown)
 /// stays exact no matter how small the ring is. A single short-lived mutex
-/// guards the ring; the recorder is safe to share across shard threads.
+/// guards the ring; the recorder is safe to share across threads.
 #[derive(Debug)]
 pub struct TraceRecorder {
     capacity: usize,
