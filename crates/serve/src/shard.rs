@@ -167,6 +167,56 @@ impl Batcher {
     }
 }
 
+/// Simulated cost model of one shard, derived once at build from the
+/// session's perf report.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardCosts {
+    /// Full cost of the batch's first frame.
+    frame_latency_ns: u64,
+    frame_energy_pj: f64,
+    /// Cost of every follow-on frame in a batch: the weights are already
+    /// programmed, so the weight-encode phase is skipped.
+    resident_latency_ns: u64,
+    resident_energy_pj: f64,
+}
+
+impl ShardCosts {
+    pub(crate) fn of(session: &Session) -> Self {
+        let perf = session.perf();
+        let frame_latency_ns = perf.frame_latency.ns().ceil().max(1.0) as u64;
+        let frame_energy_pj = perf.frame_energy.pj();
+        // The weight-encode share of a frame, summed over layers. Workloads
+        // without one (acquire, opaque baselines) amortise nothing.
+        let (encode_ns, encode_pj) = lightator_core::frame_stages(perf)
+            .iter()
+            .filter(|stage| stage.stage == "weight_encode")
+            .fold((0.0f64, 0.0f64), |(ns, pj), stage| {
+                (ns + stage.latency.ns(), pj + stage.energy.pj())
+            });
+        let resident_latency_ns = (perf.frame_latency.ns() - encode_ns).ceil().max(1.0) as u64;
+        Self {
+            frame_latency_ns,
+            frame_energy_pj,
+            resident_latency_ns: resident_latency_ns.min(frame_latency_ns),
+            resident_energy_pj: (frame_energy_pj - encode_pj).max(0.0),
+        }
+    }
+
+    /// Simulated chip occupancy of a batch of `len` frames.
+    pub(crate) fn batch_latency_ns(&self, len: usize) -> u64 {
+        self.frame_end_ns(len - 1)
+    }
+
+    /// Simulated completion offset of frame `index` within a batch,
+    /// saturating: a platform with huge cycle times pins the timeline at
+    /// `u64::MAX` instead of wrapping it.
+    fn frame_end_ns(&self, index: usize) -> u64 {
+        (index as u64)
+            .saturating_mul(self.resident_latency_ns)
+            .saturating_add(self.frame_latency_ns)
+    }
+}
+
 /// One virtual chip: a clone of its group's session, its batch-formation
 /// policy, the simulated time it frees up, and where its telemetry goes.
 #[derive(Debug)]
@@ -492,56 +542,6 @@ impl Shard {
                 }
             }
         }
-    }
-}
-
-/// Simulated cost model of one shard, derived once at build from the
-/// session's perf report.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardCosts {
-    /// Full cost of the batch's first frame.
-    frame_latency_ns: u64,
-    frame_energy_pj: f64,
-    /// Cost of every follow-on frame in a batch: the weights are already
-    /// programmed, so the weight-encode phase is skipped.
-    resident_latency_ns: u64,
-    resident_energy_pj: f64,
-}
-
-impl ShardCosts {
-    pub(crate) fn of(session: &Session) -> Self {
-        let perf = session.perf();
-        let frame_latency_ns = perf.frame_latency.ns().ceil().max(1.0) as u64;
-        let frame_energy_pj = perf.frame_energy.pj();
-        // The weight-encode share of a frame, summed over layers. Workloads
-        // without one (acquire, opaque baselines) amortise nothing.
-        let (encode_ns, encode_pj) = lightator_core::frame_stages(perf)
-            .iter()
-            .filter(|stage| stage.stage == "weight_encode")
-            .fold((0.0f64, 0.0f64), |(ns, pj), stage| {
-                (ns + stage.latency.ns(), pj + stage.energy.pj())
-            });
-        let resident_latency_ns = (perf.frame_latency.ns() - encode_ns).ceil().max(1.0) as u64;
-        Self {
-            frame_latency_ns,
-            frame_energy_pj,
-            resident_latency_ns: resident_latency_ns.min(frame_latency_ns),
-            resident_energy_pj: (frame_energy_pj - encode_pj).max(0.0),
-        }
-    }
-
-    /// Simulated chip occupancy of a batch of `len` frames.
-    pub(crate) fn batch_latency_ns(&self, len: usize) -> u64 {
-        self.frame_end_ns(len - 1)
-    }
-
-    /// Simulated completion offset of frame `index` within a batch,
-    /// saturating: a platform with huge cycle times pins the timeline at
-    /// `u64::MAX` instead of wrapping it.
-    fn frame_end_ns(&self, index: usize) -> u64 {
-        (index as u64)
-            .saturating_mul(self.resident_latency_ns)
-            .saturating_add(self.frame_latency_ns)
     }
 }
 
