@@ -54,7 +54,10 @@
 //! * **telemetry** ([`MetricsSnapshot`]) reports sustained throughput,
 //!   p50/p95/p99/p99.9 queueing latency, queue depth, the per-shard
 //!   batch-size distribution, and per-backend frame/energy/plan totals
-//!   ([`metrics::BackendSnapshot`]);
+//!   ([`metrics::BackendSnapshot`]). Each group counts what it serves
+//!   under its own `Mutex`, and [`Server::metrics`] reads each group under
+//!   it, so a snapshot never counts a request served before it was
+//!   admitted;
 //! * **tracing** ([`ServerBuilder::trace_recorder`]) replays every
 //!   request's lifecycle (admit → queue → batch-form → execute → respond)
 //!   and per-frame stage decomposition onto a shared

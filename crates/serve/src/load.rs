@@ -760,6 +760,105 @@ mod tests {
         assert!(outcome.offered_qps() > 0.0);
     }
 
+    /// Every counter a snapshot reports, in a fixed order.
+    fn counters(snapshot: &crate::MetricsSnapshot) -> Vec<u64> {
+        let mut counters = vec![
+            snapshot.completed,
+            snapshot.admitted_interactive,
+            snapshot.admitted_batch,
+            snapshot.rejected_interactive,
+            snapshot.rejected_batch,
+            snapshot.errored,
+            snapshot.served_frames,
+            snapshot.stream_frames,
+            snapshot.stream_blocks_total,
+            snapshot.stream_blocks_skipped,
+            snapshot.plan_hits,
+        ];
+        for shard in &snapshot.shards {
+            counters.extend([shard.batches, shard.frames, shard.plan_hits]);
+            counters.extend(&shard.batch_sizes);
+        }
+        counters
+    }
+
+    #[test]
+    fn snapshots_taken_while_groups_serve_never_count_more_than_was_admitted() {
+        use lightator_core::stream::StreamConfig;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const REQUESTS: u64 = 16_000;
+        let platform = Platform::builder()
+            .sensor_resolution(8, 8)
+            .build()
+            .expect("platform");
+        // One shard per group and a queue that never drops; the arrivals
+        // outpace the chips, so requests wait in the queues as well.
+        let server = Server::builder(platform)
+            .shards(1)
+            .queue_depth(REQUESTS as usize)
+            .workload(Workload::Acquire)
+            .workload(Workload::VideoStream {
+                kernel: ImageKernel::SobelX,
+                stream: StreamConfig {
+                    block_size: 2,
+                    delta_threshold: 0.05,
+                },
+            })
+            .build()
+            .expect("server");
+        let config = SoakConfig {
+            requests: REQUESTS,
+            frame_pool: 32,
+            arrivals: ArrivalProcess::Poisson { mean_qps: 1e7 },
+            mix: TrafficMix {
+                classify: 0.0,
+                acquire: 0.8,
+                stream: 0.2,
+                stream_frames: 4,
+                interactive_fraction: 0.7,
+                ..TrafficMix::default()
+            },
+            ..SoakConfig::default()
+        };
+        // The watcher checks what every interleaving must keep, so it polls
+        // as fast as it can while both submitters serve.
+        let soaking = AtomicBool::new(true);
+        let (outcome, snapshots) = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut previous = counters(&server.metrics());
+                let mut snapshots = 1u64;
+                while soaking.load(Ordering::Relaxed) {
+                    let snapshot = server.metrics();
+                    let counted = snapshot.completed + snapshot.errored + snapshot.queued as u64;
+                    assert!(
+                        counted <= snapshot.admitted(),
+                        "snapshot {snapshots} counts {counted} requests completed, errored or \
+                         queued but only {} admitted",
+                        snapshot.admitted()
+                    );
+                    let now = counters(&snapshot);
+                    assert!(
+                        now.iter().zip(&previous).all(|(now, before)| now >= before),
+                        "a counter fell in snapshot {snapshots}: {previous:?} -> {now:?}"
+                    );
+                    previous = now;
+                    snapshots += 1;
+                }
+                snapshots
+            });
+            let outcome = run_soak(&server, &config);
+            soaking.store(false, Ordering::Relaxed);
+            let snapshots = watcher
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (outcome.expect("soak"), snapshots)
+        });
+        assert!(snapshots > 1, "the watcher polled while the groups served");
+        assert_eq!(outcome.dropped(), 0);
+        let last = server.shutdown();
+        assert_eq!(last.completed + last.errored, outcome.admitted());
+    }
+
     #[test]
     fn non_square_soaks_serve_frames_of_the_sensor_resolution() {
         let pool = FramePool::new(3, 8, 16, 1).expect("pool");

@@ -1,5 +1,5 @@
-//! Serving telemetry: the virtual clock, the queue-wait histogram and the
-//! public [`MetricsSnapshot`].
+//! Serving telemetry: the virtual clock, each workload group's tally, the
+//! queue-wait histogram and the public [`MetricsSnapshot`].
 //!
 //! All serving time is **simulated** time. Each shard models one Lightator
 //! chip with its own timeline: a batch of `B` frames occupies the shard for
@@ -15,6 +15,15 @@
 //! Measuring in simulated time keeps the figures meaningful for the
 //! accelerator (KFPS-scale latencies) and independent of how many host
 //! CPUs happen to run the simulation.
+//!
+//! Every count lives beside the state it counts, under the lock that
+//! already orders that state: a group's scheduler keeps one plain tally,
+//! and each of its shards keeps its own row. [`Server::metrics`] locks
+//! each group in turn and merges what it finds, so a snapshot never sees
+//! a request served before it was admitted, nor half a batch. The clock is
+//! the one atomic, because groups on different threads share it.
+//!
+//! [`Server::metrics`]: crate::Server::metrics
 
 use crate::request::Priority;
 use lightator_photonics::units::{Energy, Time};
@@ -56,26 +65,29 @@ impl VirtualClock {
     }
 }
 
-/// Lock-free log-linear latency histogram over simulated nanoseconds.
+/// Log-linear latency histogram over simulated nanoseconds.
 ///
 /// Values below [`SUB_BUCKETS`] ns get exact unit buckets; every higher
 /// power of two splits into [`SUB_BUCKETS`] linear sub-buckets, so the
 /// quantile error is bounded by `1/SUB_BUCKETS` (≈ 3%) instead of the 2×
 /// error of a plain log2 ladder — tight enough that p99.9 means something.
-/// Recording stays a single atomic increment with no allocation on the
-/// serving path.
-#[derive(Debug)]
+/// Recording is one increment with no allocation; two histograms merge
+/// bucket by bucket, so a merged ladder reports exactly the quantiles of
+/// one that recorded every sample itself.
+#[derive(Debug, Clone)]
 pub(crate) struct LatencyHistogram {
-    buckets: Vec<AtomicU64>,
+    buckets: Vec<u64>,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self {
+            buckets: vec![0; BUCKETS],
+        }
+    }
 }
 
 impl LatencyHistogram {
-    pub(crate) fn new() -> Self {
-        Self {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
     fn bucket_of(ns: u64) -> usize {
         if ns < SUB_BUCKETS as u64 {
             return ns as usize;
@@ -102,26 +114,28 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
-    pub(crate) fn record(&self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.buckets[Self::bucket_of(ns)] += 1;
+    }
+
+    /// Adds every sample of `other` to this histogram.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        for (count, more) in self.buckets.iter_mut().zip(&other.buckets) {
+            *count += more;
+        }
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample
     /// (`0 < q <= 1`), or zero when the histogram is empty. The bound
     /// over-reports the true quantile by at most `1/SUB_BUCKETS`.
     pub(crate) fn quantile(&self, q: f64) -> Time {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+        let total: u64 = self.buckets.iter().sum();
         if total == 0 {
             return Time::from_ns(0.0);
         }
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (i, count) in counts.iter().enumerate() {
+        for (i, count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= rank {
                 return Time::from_ns(Self::bucket_upper(i) as f64);
@@ -131,172 +145,79 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-shard counters, updated by the shard as it runs its batches, under
-/// its group's lock.
-#[derive(Debug)]
-pub(crate) struct ShardMetrics {
-    pub(crate) label: String,
-    /// Id of the backend this shard's session was lowered onto.
-    pub(crate) backend: String,
-    pub(crate) batches: AtomicU64,
-    pub(crate) frames: AtomicU64,
-    /// `batch_sizes[s - 1]` counts batches of exactly `s` requests.
-    pub(crate) batch_sizes: Vec<AtomicU64>,
-    /// The shard's current batch-size bound — a gauge; constant without an
-    /// SLO controller, adapted batch to batch with one.
-    pub(crate) batch_limit: AtomicU64,
-    /// The shard's current flush deadline in simulated ns — a gauge,
-    /// adapted by the SLO controller.
-    pub(crate) flush_deadline_ns: AtomicU64,
-    /// Weight-encoding passes of the shard session's compiled plan — a
-    /// healthy shard's plan is encoded once at build and stays at 1.
-    pub(crate) plan_encodes: AtomicU64,
-    /// Executions the shard served from its cached plan encoding.
-    pub(crate) plan_hits: AtomicU64,
-    /// Simulated energy charged to this shard, stored as `f64` bits in
-    /// picojoules (updated only by the shard; read by snapshots).
-    pub(crate) energy_pj_bits: AtomicU64,
-}
-
-impl ShardMetrics {
-    /// Adds `pj` picojoules of simulated energy to this shard's meter.
-    ///
-    /// Only the shard writes, under its group's lock, so a load + store
-    /// pair is race-free; the atomic makes the concurrent snapshot reads
-    /// defined.
-    pub(crate) fn add_energy_pj(&self, pj: f64) {
-        let current = f64::from_bits(self.energy_pj_bits.load(Ordering::Relaxed));
-        self.energy_pj_bits
-            .store((current + pj).to_bits(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn energy(&self) -> Energy {
-        Energy::from_pj(f64::from_bits(self.energy_pj_bits.load(Ordering::Relaxed)))
-    }
-}
-
-/// Shared mutable telemetry behind the public snapshot.
-#[derive(Debug)]
-pub(crate) struct MetricsInner {
-    pub(crate) completed: AtomicU64,
-    /// Admissions per scheduling lane.
-    pub(crate) admitted_interactive: AtomicU64,
-    pub(crate) admitted_batch: AtomicU64,
+/// What one workload group counted: kept in its scheduler's state, under
+/// the group's lock, beside the queue and the shards it counts. A shard's
+/// own row (batches, frames, energy) stays on the shard.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// Admissions per scheduling lane, indexed by [`lane`].
+    pub(crate) admitted: [u64; 2],
     /// Admission-control rejections (queue full) per scheduling lane.
-    pub(crate) rejected_interactive: AtomicU64,
-    pub(crate) rejected_batch: AtomicU64,
-    pub(crate) errored: AtomicU64,
+    pub(crate) rejected: [u64; 2],
+    pub(crate) completed: u64,
+    pub(crate) errored: u64,
     /// Frames served across all successful requests: one per frame
     /// request, the processed frame count per stream request. The
     /// numerator of [`MetricsSnapshot::throughput_fps`].
-    pub(crate) served_frames: AtomicU64,
-    pub(crate) stream_frames: AtomicU64,
-    pub(crate) stream_blocks_total: AtomicU64,
-    pub(crate) stream_blocks_skipped: AtomicU64,
-    pub(crate) queue_wait: LatencyHistogram,
-    /// Queue-wait histograms split by scheduling lane.
-    pub(crate) interactive_wait: LatencyHistogram,
-    pub(crate) batch_wait: LatencyHistogram,
-    pub(crate) first_start_ns: AtomicU64,
-    pub(crate) last_completion_ns: AtomicU64,
-    pub(crate) shards: Vec<ShardMetrics>,
+    pub(crate) served_frames: u64,
+    pub(crate) stream_frames: u64,
+    pub(crate) stream_blocks_total: u64,
+    pub(crate) stream_blocks_skipped: u64,
+    /// Queue-wait histograms per scheduling lane; the combined ladder is
+    /// their merge.
+    pub(crate) waits: [LatencyHistogram; 2],
+    /// The earliest batch start and the latest completion, once a batch
+    /// ran.
+    pub(crate) span_ns: Option<(u64, u64)>,
 }
 
-impl MetricsInner {
-    /// `shard_labels` pairs each shard's display label with the id of the
-    /// backend its session runs on. `max_batch` is the *effective* bound
-    /// (the SLO controller's cap when one is configured).
-    pub(crate) fn new(shard_labels: Vec<(String, String)>, max_batch: usize) -> Self {
-        Self {
-            completed: AtomicU64::new(0),
-            admitted_interactive: AtomicU64::new(0),
-            admitted_batch: AtomicU64::new(0),
-            rejected_interactive: AtomicU64::new(0),
-            rejected_batch: AtomicU64::new(0),
-            errored: AtomicU64::new(0),
-            served_frames: AtomicU64::new(0),
-            stream_frames: AtomicU64::new(0),
-            stream_blocks_total: AtomicU64::new(0),
-            stream_blocks_skipped: AtomicU64::new(0),
-            queue_wait: LatencyHistogram::new(),
-            interactive_wait: LatencyHistogram::new(),
-            batch_wait: LatencyHistogram::new(),
-            first_start_ns: AtomicU64::new(u64::MAX),
-            last_completion_ns: AtomicU64::new(0),
-            shards: shard_labels
-                .into_iter()
-                .map(|(label, backend)| ShardMetrics {
-                    label,
-                    backend,
-                    batches: AtomicU64::new(0),
-                    frames: AtomicU64::new(0),
-                    batch_sizes: (0..max_batch).map(|_| AtomicU64::new(0)).collect(),
-                    batch_limit: AtomicU64::new(0),
-                    flush_deadline_ns: AtomicU64::new(0),
-                    plan_encodes: AtomicU64::new(0),
-                    plan_hits: AtomicU64::new(0),
-                    energy_pj_bits: AtomicU64::new(0f64.to_bits()),
-                })
-                .collect(),
+/// Index of `priority`'s lane in a [`Tally`]'s per-lane arrays.
+pub(crate) fn lane(priority: Priority) -> usize {
+    match priority {
+        Priority::Interactive => 0,
+        Priority::Batch => 1,
+    }
+}
+
+impl Tally {
+    /// Records one request's queue wait on its lane's ladder.
+    pub(crate) fn record_wait(&mut self, priority: Priority, ns: u64) {
+        self.waits[lane(priority)].record(ns);
+    }
+
+    /// Widens the serving span to a batch or stream that ran from
+    /// `start_ns` to `completion_ns`.
+    pub(crate) fn record_run(&mut self, start_ns: u64, completion_ns: u64) {
+        self.span_ns = Some(match self.span_ns {
+            Some((first, last)) => (first.min(start_ns), last.max(completion_ns)),
+            None => (start_ns, completion_ns),
+        });
+    }
+
+    /// Adds every count of `other` to this tally.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        for lane in 0..2 {
+            self.admitted[lane] += other.admitted[lane];
+            self.rejected[lane] += other.rejected[lane];
+            self.waits[lane].merge(&other.waits[lane]);
+        }
+        self.completed += other.completed;
+        self.errored += other.errored;
+        self.served_frames += other.served_frames;
+        self.stream_frames += other.stream_frames;
+        self.stream_blocks_total += other.stream_blocks_total;
+        self.stream_blocks_skipped += other.stream_blocks_skipped;
+        if let Some((first, last)) = other.span_ns {
+            self.record_run(first, last);
         }
     }
 
-    /// Records one queue-wait sample on the combined and per-lane ladders.
-    pub(crate) fn record_wait(&self, priority: Priority, ns: u64) {
-        self.queue_wait.record(ns);
-        match priority {
-            Priority::Interactive => self.interactive_wait.record(ns),
-            Priority::Batch => self.batch_wait.record(ns),
-        }
-    }
-
-    /// Counts one admission on `priority`'s lane.
-    pub(crate) fn count_admitted(&self, priority: Priority) {
-        match priority {
-            Priority::Interactive => &self.admitted_interactive,
-            Priority::Batch => &self.admitted_batch,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one admission-control rejection on `priority`'s lane.
-    pub(crate) fn count_rejected(&self, priority: Priority) {
-        match priority {
-            Priority::Interactive => &self.rejected_interactive,
-            Priority::Batch => &self.rejected_batch,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, queued: usize) -> MetricsSnapshot {
-        let first = self.first_start_ns.load(Ordering::Relaxed);
-        let last = self.last_completion_ns.load(Ordering::Relaxed);
-        let span_ns = if first == u64::MAX {
-            0.0
-        } else {
-            last.saturating_sub(first) as f64
-        };
-        let shards: Vec<ShardSnapshot> = self
-            .shards
-            .iter()
-            .map(|s| ShardSnapshot {
-                shard: s.label.clone(),
-                backend: s.backend.clone(),
-                batches: s.batches.load(Ordering::Relaxed),
-                frames: s.frames.load(Ordering::Relaxed),
-                batch_sizes: s
-                    .batch_sizes
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                steals: 0,
-                batch_limit: s.batch_limit.load(Ordering::Relaxed),
-                flush_deadline: Time::from_ns(s.flush_deadline_ns.load(Ordering::Relaxed) as f64),
-                plan_encodes: s.plan_encodes.load(Ordering::Relaxed),
-                plan_hits: s.plan_hits.load(Ordering::Relaxed),
-                energy: s.energy(),
-            })
-            .collect();
+    /// The public snapshot of this tally, with `queued` requests waiting
+    /// and one row per shard, in registration order.
+    pub(crate) fn snapshot(&self, queued: usize, shards: Vec<ShardSnapshot>) -> MetricsSnapshot {
+        let span_ns = self
+            .span_ns
+            .map_or(0.0, |(first, last)| last.saturating_sub(first) as f64);
         // Fold the shard rows into one row per backend, in first-seen
         // (registration) order.
         let mut backends: Vec<BackendSnapshot> = Vec::new();
@@ -325,27 +246,30 @@ impl MetricsInner {
             entry.plan_encodes += shard.plan_encodes;
             entry.plan_hits += shard.plan_hits;
         }
-        let rejected_interactive = self.rejected_interactive.load(Ordering::Relaxed);
-        let rejected_batch = self.rejected_batch.load(Ordering::Relaxed);
+        let [interactive_wait, batch_wait] = &self.waits;
+        let mut queue_wait = interactive_wait.clone();
+        queue_wait.merge(batch_wait);
+        let [admitted_interactive, admitted_batch] = self.admitted;
+        let [rejected_interactive, rejected_batch] = self.rejected;
         MetricsSnapshot {
-            completed: self.completed.load(Ordering::Relaxed),
-            admitted_interactive: self.admitted_interactive.load(Ordering::Relaxed),
-            admitted_batch: self.admitted_batch.load(Ordering::Relaxed),
+            completed: self.completed,
+            admitted_interactive,
+            admitted_batch,
             rejected: rejected_interactive + rejected_batch,
             rejected_interactive,
             rejected_batch,
-            errored: self.errored.load(Ordering::Relaxed),
-            served_frames: self.served_frames.load(Ordering::Relaxed),
-            stream_frames: self.stream_frames.load(Ordering::Relaxed),
-            stream_blocks_total: self.stream_blocks_total.load(Ordering::Relaxed),
-            stream_blocks_skipped: self.stream_blocks_skipped.load(Ordering::Relaxed),
+            errored: self.errored,
+            served_frames: self.served_frames,
+            stream_frames: self.stream_frames,
+            stream_blocks_total: self.stream_blocks_total,
+            stream_blocks_skipped: self.stream_blocks_skipped,
             queued,
-            p50_queue_wait: self.queue_wait.quantile(0.50),
-            p95_queue_wait: self.queue_wait.quantile(0.95),
-            p99_queue_wait: self.queue_wait.quantile(0.99),
-            p99_9_queue_wait: self.queue_wait.quantile(0.999),
-            p99_interactive_wait: self.interactive_wait.quantile(0.99),
-            p99_batch_wait: self.batch_wait.quantile(0.99),
+            p50_queue_wait: queue_wait.quantile(0.50),
+            p95_queue_wait: queue_wait.quantile(0.95),
+            p99_queue_wait: queue_wait.quantile(0.99),
+            p99_9_queue_wait: queue_wait.quantile(0.999),
+            p99_interactive_wait: interactive_wait.quantile(0.99),
+            p99_batch_wait: batch_wait.quantile(0.99),
             simulated_span: Time::from_ns(span_ns),
             plan_encodes: shards.iter().map(|s| s.plan_encodes).sum(),
             plan_hits: shards.iter().map(|s| s.plan_hits).sum(),
@@ -382,7 +306,9 @@ pub struct MetricsSnapshot {
     pub stream_blocks_total: u64,
     /// Delta-gate blocks served from the DMVA feedback path (skipped).
     pub stream_blocks_skipped: u64,
-    /// Requests currently queued across all workload groups.
+    /// Requests admitted but not yet in a batch, summed over the workload
+    /// groups, each read under its lock (0 in the snapshot
+    /// [`Server::shutdown`](crate::Server::shutdown) returns).
     pub queued: usize,
     /// Median simulated queueing latency (arrival → batch start).
     pub p50_queue_wait: Time,
@@ -731,7 +657,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_ordered_and_bracket_the_samples() {
-        let hist = LatencyHistogram::new();
+        let mut hist = LatencyHistogram::default();
         for ns in [0u64, 3, 3, 40, 40, 40, 500, 500, 6_000, 70_000] {
             hist.record(ns);
         }
@@ -769,7 +695,7 @@ mod tests {
             123_456_789,
             u64::MAX / 2,
         ] {
-            let hist = LatencyHistogram::new();
+            let mut hist = LatencyHistogram::default();
             hist.record(value);
             let upper = hist.quantile(1.0).ns();
             assert!(upper >= value as f64, "upper {upper} < value {value}");
@@ -799,29 +725,45 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero() {
-        let hist = LatencyHistogram::new();
+        let hist = LatencyHistogram::default();
         assert_eq!(hist.quantile(0.99).ns(), 0.0);
     }
 
     #[test]
     fn zero_latency_lands_in_the_zero_bucket() {
-        let hist = LatencyHistogram::new();
+        let mut hist = LatencyHistogram::default();
         hist.record(0);
         assert_eq!(hist.quantile(1.0).ns(), 0.0);
     }
 
+    /// A shard row with `frames` served and `energy_pj` metered.
+    fn shard(label: &str, backend: &str, frames: u64, energy_pj: f64) -> ShardSnapshot {
+        ShardSnapshot {
+            shard: label.into(),
+            backend: backend.into(),
+            batches: 0,
+            frames,
+            batch_sizes: Vec::new(),
+            steals: 0,
+            batch_limit: 1,
+            flush_deadline: Time::from_ns(0.0),
+            plan_encodes: 1,
+            plan_hits: 0,
+            energy: Energy::from_pj(energy_pj),
+        }
+    }
+
     #[test]
     fn snapshot_aggregates_counters() {
-        let inner = MetricsInner::new(vec![("classify/0".into(), "photonic".into())], 4);
-        inner.completed.fetch_add(7, Ordering::Relaxed);
-        inner.served_frames.fetch_add(7, Ordering::Relaxed);
-        inner.shards[0].batches.fetch_add(2, Ordering::Relaxed);
-        inner.shards[0].frames.fetch_add(7, Ordering::Relaxed);
-        inner.shards[0].batch_sizes[3].fetch_add(1, Ordering::Relaxed);
-        inner.shards[0].batch_sizes[2].fetch_add(1, Ordering::Relaxed);
-        inner.first_start_ns.fetch_min(100, Ordering::Relaxed);
-        inner.last_completion_ns.fetch_max(1_100, Ordering::Relaxed);
-        let snap = inner.snapshot(3);
+        let mut tally = Tally::default();
+        tally.completed += 7;
+        tally.served_frames += 7;
+        tally.record_run(100, 600);
+        tally.record_run(400, 1_100);
+        let mut row = shard("classify/0", "photonic", 7, 0.0);
+        row.batches = 2;
+        row.batch_sizes = vec![0, 0, 1, 1];
+        let snap = tally.snapshot(3, vec![row]);
         assert_eq!(snap.completed, 7);
         assert_eq!(snap.queued, 3);
         assert_eq!(snap.simulated_span.ns(), 1_000.0);
@@ -835,18 +777,19 @@ mod tests {
 
     #[test]
     fn lane_counters_feed_the_drop_rate() {
-        let inner = MetricsInner::new(vec![("classify/0".into(), "photonic".into())], 2);
-        for _ in 0..6 {
-            inner.count_admitted(Priority::Interactive);
-        }
-        for _ in 0..2 {
-            inner.count_admitted(Priority::Batch);
-        }
-        inner.count_rejected(Priority::Interactive);
-        inner.count_rejected(Priority::Batch);
-        inner.record_wait(Priority::Interactive, 10);
-        inner.record_wait(Priority::Batch, 1_000);
-        let snap = inner.snapshot(0);
+        // Two groups' tallies merge lane by lane.
+        let mut interactive = Tally::default();
+        interactive.admitted[lane(Priority::Interactive)] += 6;
+        interactive.rejected[lane(Priority::Interactive)] += 1;
+        interactive.record_wait(Priority::Interactive, 10);
+        let mut batch = Tally::default();
+        batch.admitted[lane(Priority::Batch)] += 2;
+        batch.rejected[lane(Priority::Batch)] += 1;
+        batch.record_wait(Priority::Batch, 1_000);
+        let mut tally = Tally::default();
+        tally.merge(&interactive);
+        tally.merge(&batch);
+        let snap = tally.snapshot(0, Vec::new());
         assert_eq!(snap.admitted_interactive, 6);
         assert_eq!(snap.admitted_batch, 2);
         assert_eq!(snap.admitted(), 8);
@@ -866,7 +809,7 @@ mod tests {
 
     #[test]
     fn p99_9_extends_the_quantile_ladder() {
-        let hist = LatencyHistogram::new();
+        let mut hist = LatencyHistogram::default();
         // 998 fast samples and one slow outlier: p99 stays in the fast
         // bucket, p99.9 must reach the outlier's bucket (rank 999 of 999).
         for _ in 0..998 {
@@ -877,12 +820,14 @@ mod tests {
         assert_eq!(hist.quantile(0.99).ns(), 10.0);
         assert!(hist.quantile(0.999).ns() >= 1_000_000.0);
 
-        let inner = MetricsInner::new(vec![("acquire/0".into(), "photonic".into())], 1);
+        // Merged bucket by bucket, the lane ladders keep every quantile.
+        let mut tally = Tally::default();
         for _ in 0..998 {
-            inner.queue_wait.record(10);
+            tally.record_wait(Priority::Batch, 10);
         }
-        inner.queue_wait.record(1_000_000);
-        let snap = inner.snapshot(0);
+        tally.record_wait(Priority::Interactive, 1_000_000);
+        let snap = tally.snapshot(0, Vec::new());
+        assert_eq!(snap.p99_queue_wait, hist.quantile(0.99));
         assert!(snap.p99_9_queue_wait.ns() >= snap.p99_queue_wait.ns());
         assert!(snap.p99_9_queue_wait.ns() >= 1_000_000.0);
         assert!(snap.table().contains("p99.9 queue wait"));
@@ -890,8 +835,7 @@ mod tests {
 
     #[test]
     fn table_appends_stage_attribution_when_rows_are_present() {
-        let inner = MetricsInner::new(vec![("classify/0".into(), "photonic".into())], 2);
-        let mut snap = inner.snapshot(0);
+        let mut snap = Tally::default().snapshot(0, vec![shard("classify/0", "photonic", 0, 0.0)]);
         assert!(!snap.table().contains("per-stage attribution"));
         snap.stages = vec![
             StageTotals {
@@ -924,29 +868,21 @@ mod tests {
 
     #[test]
     fn snapshot_folds_shards_into_per_backend_totals() {
-        let inner = MetricsInner::new(
+        let mut tally = Tally::default();
+        tally.record_run(0, 1_000);
+        let snap = tally.snapshot(
+            0,
             vec![
-                ("classify/0".into(), "photonic".into()),
-                ("classify/1".into(), "photonic".into()),
-                (
-                    "kernel:sobel-x@electronic:eyeriss/0".into(),
-                    "electronic:eyeriss".into(),
+                shard("classify/0", "photonic", 4, 100.0),
+                shard("classify/1", "photonic", 2, 50.0),
+                shard(
+                    "kernel:sobel-x@electronic:eyeriss/0",
+                    "electronic:eyeriss",
+                    3,
+                    9_000.0,
                 ),
             ],
-            2,
         );
-        inner.shards[0].frames.fetch_add(4, Ordering::Relaxed);
-        inner.shards[0].plan_encodes.fetch_add(1, Ordering::Relaxed);
-        inner.shards[0].add_energy_pj(100.0);
-        inner.shards[1].frames.fetch_add(2, Ordering::Relaxed);
-        inner.shards[1].plan_encodes.fetch_add(1, Ordering::Relaxed);
-        inner.shards[1].add_energy_pj(50.0);
-        inner.shards[2].frames.fetch_add(3, Ordering::Relaxed);
-        inner.shards[2].plan_encodes.fetch_add(1, Ordering::Relaxed);
-        inner.shards[2].add_energy_pj(9_000.0);
-        inner.first_start_ns.fetch_min(0, Ordering::Relaxed);
-        inner.last_completion_ns.fetch_max(1_000, Ordering::Relaxed);
-        let snap = inner.snapshot(0);
         assert_eq!(snap.backends.len(), 2);
         let photonic = &snap.backends[0];
         assert_eq!(photonic.backend, "photonic");

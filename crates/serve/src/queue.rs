@@ -24,10 +24,16 @@
 //!
 //! A request that finds `queue_depth` requests still waiting at its
 //! arrival is rejected with [`ServeError::Overloaded`].
+//!
+//! The group's lock also guards what the group counts: its [`Tally`] and
+//! its shards' rows. An admission is counted before the batch that holds
+//! it can run, and a batch is counted while it runs, so whoever takes the
+//! lock sees every admitted request queued, in a held batch or counted as
+//! served or errored.
 
 use crate::config::INTERACTIVE_WEIGHT;
 use crate::error::{Result, ServeError};
-use crate::metrics::VirtualClock;
+use crate::metrics::{lane, ShardSnapshot, Tally, VirtualClock};
 use crate::request::{Payload, Priority, Response, ResponseSlot};
 use crate::shard::Shard;
 use std::collections::VecDeque;
@@ -77,6 +83,8 @@ struct State {
     shards: Vec<Shard>,
     open: Option<OpenBatch>,
     shutdown: bool,
+    /// What the group counted so far.
+    tally: Tally,
 }
 
 impl State {
@@ -113,6 +121,7 @@ impl Scheduler {
                 shards,
                 open: None,
                 shutdown: false,
+                tally: Tally::default(),
             }),
         }
     }
@@ -121,15 +130,21 @@ impl Scheduler {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Requests admitted but not yet in a batch.
-    pub(crate) fn len(&self) -> usize {
-        self.lock().waiting.len()
+    /// Under the group's lock, adds what the group counted to `tally` and
+    /// its shards' rows to `shards`, and returns how many requests wait.
+    /// Waits for a batch that is running.
+    pub(crate) fn read(&self, tally: &mut Tally, shards: &mut Vec<ShardSnapshot>) -> usize {
+        let state = self.lock();
+        tally.merge(&state.tally);
+        shards.extend(state.shards.iter().map(Shard::snapshot));
+        state.waiting.len()
     }
 
     /// Offers one request arriving at `arrival_ns`, stamped no earlier than
     /// the group's horizon. Runs every event up to the stamp, then admits
     /// the request unless `capacity` requests still wait, moving the clock
-    /// to the stamp. Returns the request's ticket and its arrival stamp.
+    /// to the stamp, and counts the admission or the rejection on the
+    /// request's lane. Returns the request's ticket and its arrival stamp.
     /// The batches those events close run on the calling thread.
     ///
     /// # Errors
@@ -151,6 +166,7 @@ impl Scheduler {
         state.horizon_ns = arrival_ns;
         self.advance(&mut state, arrival_ns);
         if state.waiting.len() >= self.capacity {
+            state.tally.rejected[lane(priority)] += 1;
             return Err(ServeError::Overloaded {
                 queue_depth: self.capacity,
             });
@@ -166,6 +182,7 @@ impl Scheduler {
             priority,
             slot,
         });
+        state.tally.admitted[lane(priority)] += 1;
         self.advance(&mut state, arrival_ns);
         self.clock.advance_to(arrival_ns);
         Ok((ticket, arrival_ns))
@@ -277,20 +294,18 @@ impl Scheduler {
     /// the calling thread.
     fn close(&self, state: &mut State, batch: OpenBatch, close_ns: u64) {
         state.horizon_ns = state.horizon_ns.max(close_ns);
-        state.shards[batch.shard].run(batch.requests);
+        state.shards[batch.shard].run(batch.requests, &mut state.tally);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsInner;
     use crate::shard::{Batcher, ShardCosts};
     use lightator_core::platform::{ImageKernel, Platform, Workload};
     use lightator_core::stream::StreamConfig;
     use lightator_sensor::frame::RgbFrame;
     use lightator_telemetry::{TraceEvent, TraceRecorder};
-    use std::sync::atomic::Ordering;
 
     fn scene() -> RgbFrame {
         RgbFrame::filled(8, 8, [0.5, 0.5, 0.5]).expect("ok")
@@ -304,12 +319,11 @@ mod tests {
         Payload::Stream(vec![scene(); frames])
     }
 
-    /// A workload group under test: its scheduler, and the recorder and
-    /// meters its shards write to.
+    /// A workload group under test: its scheduler, and the recorder its
+    /// shards trace to.
     struct Group {
         scheduler: Scheduler,
         recorder: Arc<TraceRecorder>,
-        metrics: Arc<MetricsInner>,
     }
 
     /// A group serving `workload` on an 8x8 sensor over `shards`
@@ -328,19 +342,15 @@ mod tests {
             .session(workload)
             .expect("session");
         let costs = ShardCosts::of(&session);
-        let labels = (0..shards)
-            .map(|i| (format!("test/{i}"), "photonic".to_string()))
-            .collect();
-        let metrics = Arc::new(MetricsInner::new(labels, max_batch));
         let recorder = Arc::new(TraceRecorder::new());
         let shards = (0..shards)
             .map(|index| {
                 Shard::new(
+                    format!("test/{index}"),
                     session.clone(),
                     Batcher::fixed(max_batch, deadline_ns),
                     costs,
-                    Arc::clone(&metrics),
-                    index,
+                    max_batch,
                     Some(Arc::clone(&recorder)),
                 )
             })
@@ -349,7 +359,6 @@ mod tests {
         Group {
             scheduler: Scheduler::new(capacity, clock, shards),
             recorder,
-            metrics,
         }
     }
 
@@ -399,8 +408,8 @@ mod tests {
             events
         }
 
-        /// The tickets of every frame batch shard `shard` ran so far, read
-        /// off its track: a `batch-form` instant, then one `queue` span per
+        /// The tickets of every batch shard `shard` ran so far, read off
+        /// its track: a `batch-form` instant, then one `queue` span per
         /// ticket.
         fn batches(&self, shard: usize) -> Vec<Vec<u64>> {
             let mut batches: Vec<Vec<u64>> = Vec::new();
@@ -417,7 +426,7 @@ mod tests {
             batches
         }
 
-        /// When shard `shard`'s frame batches started: their `batch-form`
+        /// When shard `shard`'s batches started: their `batch-form`
         /// instants.
         fn starts(&self, shard: usize) -> Vec<u64> {
             let events = self.events(shard);
@@ -444,7 +453,7 @@ mod tests {
         assert_eq!(group.push(frame(), Priority::Interactive, 0), 2);
         // The first request went straight into a batch; the chip is busy
         // with it, so the other two still wait.
-        assert_eq!(group.scheduler.len(), 2);
+        assert_eq!(group.scheduler.lock().waiting.len(), 2);
     }
 
     #[test]
@@ -456,9 +465,7 @@ mod tests {
         group.scheduler.shutdown();
         // Weighted tickets still batch as one contiguous run: one batch of
         // three streams, each run at its ticket for its frame count.
-        let shard = &group.metrics.shards[0];
-        assert_eq!(shard.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(shard.batch_sizes[2].load(Ordering::Relaxed), 1);
+        assert_eq!(group.batches(0), vec![vec![0, 3, 4]]);
         let runs: Vec<(u64, u64)> = group
             .events(0)
             .iter()

@@ -2,7 +2,7 @@
 
 use crate::config::{ServeConfig, SloConfig, MAX_STREAM_FRAMES};
 use crate::error::{Result, ServeError};
-use crate::metrics::{MetricsInner, MetricsSnapshot, VirtualClock};
+use crate::metrics::{MetricsSnapshot, Tally, VirtualClock};
 use crate::queue::Scheduler;
 use crate::request::{Pending, Priority, Request, RequestKind, ResponseSlot};
 use crate::shard::{Batcher, Shard, ShardCosts};
@@ -135,7 +135,6 @@ impl ServerBuilder {
         // group is built if any workload is rejected by the platform (or
         // names an unknown / non-executing backend).
         let mut opened: Vec<(RequestKind, BackendId, String, Vec<Session>)> = Vec::new();
-        let mut shard_labels = Vec::new();
         for (workload, backend) in &self.workloads {
             let kind = RequestKind::of_workload(workload);
             let label = workload.label();
@@ -170,9 +169,6 @@ impl ServerBuilder {
             } else {
                 format!("{label}@{backend}")
             };
-            for index in 0..self.config.shards {
-                shard_labels.push((format!("{group_label}/{index}"), backend.to_string()));
-            }
             // Every shard runs what a sequential client runs: the same
             // session, at the tickets' frame indices. A clone taken before
             // any frame runs is the session a second open would build.
@@ -180,10 +176,6 @@ impl ServerBuilder {
             opened.push((kind, backend.clone(), group_label, sessions));
         }
 
-        let metrics = Arc::new(MetricsInner::new(
-            shard_labels,
-            self.config.effective_max_batch(),
-        ));
         // `ServeConfig::validate` bounded the deadline to finite,
         // non-negative values no larger than 2^53 ns, so `ceil() as u64` is
         // an exact conversion here — never the silent saturation it used to
@@ -192,8 +184,6 @@ impl ServerBuilder {
         let clock = Arc::new(VirtualClock::new());
         let mut groups: Vec<Group> = Vec::new();
         for (kind, backend, label, sessions) in opened {
-            // Shards are numbered across groups in registration order.
-            let first_shard = groups.len() * self.config.shards;
             // A group's shards run the same session, so they share one cost
             // model. It comes from the session's backend, so an electronic
             // group runs (and meters) on the electronic cost model.
@@ -207,11 +197,11 @@ impl ServerBuilder {
                         None => Batcher::fixed(self.config.max_batch, flush_deadline_ns),
                     };
                     Shard::new(
+                        format!("{label}/{index}"),
                         session,
                         batcher,
                         costs,
-                        Arc::clone(&metrics),
-                        first_shard + index,
+                        self.config.effective_max_batch(),
                         self.recorder.clone(),
                     )
                 })
@@ -230,7 +220,6 @@ impl ServerBuilder {
         Ok(Server {
             groups,
             clock,
-            metrics,
             config: self.config,
             recorder: self.recorder,
         })
@@ -260,7 +249,6 @@ struct Group {
 pub struct Server {
     groups: Vec<Group>,
     clock: Arc<VirtualClock>,
-    metrics: Arc<MetricsInner>,
     config: ServeConfig,
     recorder: Option<Arc<TraceRecorder>>,
 }
@@ -421,7 +409,8 @@ impl Server {
     }
 
     /// Offers `request` to `group`'s scheduler on the given lane, arriving
-    /// at `arrival_ns`, and accounts the admission or rejection.
+    /// at `arrival_ns`, and traces the admission or rejection (the
+    /// scheduler counts it).
     fn admit(
         &self,
         group: &Group,
@@ -437,7 +426,6 @@ impl Server {
             Arc::clone(&slot),
         ) {
             Ok((ticket, arrival_ns)) => {
-                self.metrics.count_admitted(priority);
                 if let Some(recorder) = &self.recorder {
                     recorder.record(
                         TraceEvent::instant("request", "admit", "router", arrival_ns as f64)
@@ -449,15 +437,12 @@ impl Server {
                 Ok(Pending::new(slot, Arc::clone(&group.scheduler)))
             }
             Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.count_rejected(priority);
-                    if let Some(recorder) = &self.recorder {
-                        recorder.record(
-                            TraceEvent::instant("request", "reject", "router", arrival_ns as f64)
-                                .with_arg("group", &group.label)
-                                .with_arg("lane", priority.name()),
-                        );
-                    }
+                if let (ServeError::Overloaded { .. }, Some(recorder)) = (&err, &self.recorder) {
+                    recorder.record(
+                        TraceEvent::instant("request", "reject", "router", arrival_ns as f64)
+                            .with_arg("group", &group.label)
+                            .with_arg("lane", priority.name()),
+                    );
                 }
                 Err(err)
             }
@@ -513,31 +498,34 @@ impl Server {
         backends
     }
 
-    /// A point-in-time snapshot of the serving telemetry. When a
-    /// [`TraceRecorder`] is attached, [`MetricsSnapshot::stages`] carries
-    /// its per-stage rollup.
+    /// A snapshot of the serving telemetry. Each workload group counts
+    /// under its own lock, and the snapshot takes each group's lock in
+    /// turn, so it waits for a batch that is running and never counts a
+    /// request served before it was admitted. When a [`TraceRecorder`] is
+    /// attached, [`MetricsSnapshot::stages`] carries its per-stage rollup.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = self.metrics.snapshot(self.queued());
-        self.fill_stages(&mut snapshot);
+        let mut tally = Tally::default();
+        let mut shards = Vec::new();
+        let queued = self
+            .groups
+            .iter()
+            .map(|g| g.scheduler.read(&mut tally, &mut shards))
+            .sum();
+        let mut snapshot = tally.snapshot(queued, shards);
+        if let Some(recorder) = &self.recorder {
+            snapshot.stages = recorder.breakdown().rows().to_vec();
+        }
         snapshot
-    }
-
-    /// Requests currently queued (admitted, not yet in a batch) across all
-    /// workload groups.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.groups.iter().map(|g| g.scheduler.len()).sum()
     }
 
     /// Gracefully shuts down: stops admitting, runs every admitted request
-    /// on the calling thread, and returns the final telemetry snapshot.
+    /// on the calling thread, and returns [`Server::metrics`] once nothing
+    /// is left queued.
     #[must_use]
     pub fn shutdown(self) -> MetricsSnapshot {
         self.drain();
-        let mut snapshot = self.metrics.snapshot(0);
-        self.fill_stages(&mut snapshot);
-        snapshot
+        self.metrics()
     }
 
     /// The attached trace recorder, if the server was built with
@@ -545,12 +533,6 @@ impl Server {
     #[must_use]
     pub fn trace_recorder(&self) -> Option<&Arc<TraceRecorder>> {
         self.recorder.as_ref()
-    }
-
-    fn fill_stages(&self, snapshot: &mut MetricsSnapshot) {
-        if let Some(recorder) = &self.recorder {
-            snapshot.stages = recorder.breakdown().rows().to_vec();
-        }
     }
 
     /// Stops every group admitting and runs what they still hold.

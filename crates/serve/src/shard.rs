@@ -8,7 +8,9 @@
 //! batch's first ticket, execute the batch (frame batches one
 //! `Session::run` per frame; video streams one request at a time through
 //! `run_stream`), meter the energy, replay the trace, fulfil the response
-//! slots and move its free time to the batch's completion. The scheduler
+//! slots and move its free time to the batch's completion. It counts its
+//! own row (batches, frames, batch sizes, energy) in plain fields and the
+//! rest in its group's tally, both under the group's lock. The scheduler
 //! decides which requests form a batch, which shard runs it and when; by
 //! the next decision, the shard's free time already holds the batch's
 //! cost, a stream batch's gated cost included.
@@ -36,14 +38,14 @@
 
 use crate::config::SloConfig;
 use crate::error::ServeError;
-use crate::metrics::MetricsInner;
+use crate::metrics::{ShardSnapshot, Tally};
 use crate::queue::QueuedRequest;
 use crate::request::{Payload, Response, ResponseSlot};
 use lightator_core::platform::Session;
 use lightator_core::StageSpan;
+use lightator_photonics::units::{Energy, Time};
 use lightator_sensor::frame::RgbFrame;
 use lightator_telemetry::{TraceEvent, TraceRecorder, TraceSink};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Client-side bookkeeping of one batched request: its ticket, its
@@ -218,18 +220,25 @@ impl ShardCosts {
 }
 
 /// One virtual chip: a clone of its group's session, its batch-formation
-/// policy, the simulated time it frees up, and where its telemetry goes.
+/// policy, the simulated time it frees up, its own counts, and where its
+/// trace goes.
 #[derive(Debug)]
 pub(crate) struct Shard {
+    /// Display label, `<workload>[@<backend>]/<index>`.
+    label: String,
     session: Session,
     batcher: Batcher,
     /// Completion of the shard's last batch.
     free_ns: u64,
     /// The simulated cost model of the group's session.
     costs: ShardCosts,
-    metrics: Arc<MetricsInner>,
-    /// Index into `metrics.shards` (global across groups).
-    index: usize,
+    batches: u64,
+    /// Frames served (in a stream group, the frames its streams carried).
+    frames: u64,
+    /// `batch_sizes[s - 1]` counts batches of exactly `s` requests.
+    batch_sizes: Vec<u64>,
+    /// Simulated energy charged to work completed on this shard.
+    energy_pj: f64,
     /// Optional trace sink shared by the whole pool; events land on this
     /// shard's `track`, timestamped on the serve timeline.
     tracer: Option<Arc<TraceRecorder>>,
@@ -241,37 +250,37 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// A shard running `session` under `batcher`, metering into
-    /// `metrics.shards[index]`. Publishes its gauges and its plan's one
-    /// compile up front, so an idle shard still reports both.
+    /// A shard labelled `label`, running `session` under `batcher`, whose
+    /// batches hold at most `max_batch` requests.
     pub(crate) fn new(
+        label: String,
         session: Session,
         batcher: Batcher,
         costs: ShardCosts,
-        metrics: Arc<MetricsInner>,
-        index: usize,
+        max_batch: usize,
         tracer: Option<Arc<TraceRecorder>>,
     ) -> Self {
         // The track and the stage decomposition are pure functions of the
         // session's perf model, computed once so serving only replays them.
-        let track = format!("shard:{}", metrics.shards[index].label);
+        let track = format!("shard:{label}");
         let stages = match tracer {
             Some(_) => lightator_core::frame_stages(session.perf()),
             None => Vec::new(),
         };
-        let shard = Self {
+        Self {
+            label,
             session,
             batcher,
             free_ns: 0,
             costs,
-            metrics,
-            index,
+            batches: 0,
+            frames: 0,
+            batch_sizes: vec![0; max_batch],
+            energy_pj: 0.0,
             tracer,
             track,
             stages,
-        };
-        shard.publish();
-        shard
+        }
     }
 
     pub(crate) fn batcher(&self) -> &Batcher {
@@ -282,61 +291,58 @@ impl Shard {
         self.free_ns
     }
 
-    /// Runs a batch its scheduler closed on this shard, moves the shard's
-    /// free time to the batch's completion, feeds the batch to the
-    /// batcher and publishes the shard's gauges and plan counters.
-    pub(crate) fn run(&mut self, batch: Vec<QueuedRequest>) {
+    /// This shard's row: its counts, its batching gauges and its plan's
+    /// cumulative counters.
+    pub(crate) fn snapshot(&self) -> ShardSnapshot {
+        let plan = self.session.plan_stats();
+        ShardSnapshot {
+            shard: self.label.clone(),
+            backend: self.session.backend().to_string(),
+            batches: self.batches,
+            frames: self.frames,
+            batch_sizes: self.batch_sizes.clone(),
+            steals: 0,
+            batch_limit: self.batcher.limit() as u64,
+            flush_deadline: Time::from_ns(self.batcher.deadline_ns() as f64),
+            plan_encodes: plan.encodes,
+            plan_hits: plan.cache_hits,
+            energy: Energy::from_pj(self.energy_pj),
+        }
+    }
+
+    /// Runs a batch its scheduler closed on this shard, counting what it
+    /// serves here and in its group's `tally`, moves the shard's free time
+    /// to the batch's completion and feeds the batch to the batcher.
+    pub(crate) fn run(&mut self, batch: Vec<QueuedRequest>, tally: &mut Tally) {
         let len = batch.len();
+        self.batches += 1;
+        self.batch_sizes[len - 1] += 1;
         // A group serves one workload, so one stream payload means a
         // stream batch.
         let max_wait_ns = if matches!(batch[0].payload, Payload::Stream(_)) {
-            self.run_stream_batch(batch)
+            self.run_stream_batch(batch, tally)
         } else {
-            self.run_frame_batch(batch)
+            self.run_frame_batch(batch, tally)
         };
         self.batcher.observe(max_wait_ns, len);
-        self.publish();
-    }
-
-    /// Publishes the batching gauges, and mirrors the session's cumulative
-    /// plan counters (a store, not an add).
-    fn publish(&self) {
-        let shard = &self.metrics.shards[self.index];
-        shard
-            .batch_limit
-            .store(self.batcher.limit() as u64, Ordering::Relaxed);
-        shard
-            .flush_deadline_ns
-            .store(self.batcher.deadline_ns(), Ordering::Relaxed);
-        let stats = self.session.plan_stats();
-        shard.plan_encodes.store(stats.encodes, Ordering::Relaxed);
-        shard.plan_hits.store(stats.cache_hits, Ordering::Relaxed);
     }
 
     /// Runs one batch of single-frame requests. It starts once the shard is
     /// free and its newest request arrived, and occupies the chip for one
     /// full frame plus one resident frame per follow-on frame. Returns the
     /// worst queue wait the batch carried.
-    fn run_frame_batch(&mut self, batch: Vec<QueuedRequest>) -> u64 {
+    fn run_frame_batch(&mut self, batch: Vec<QueuedRequest>, tally: &mut Tally) -> u64 {
         let len = batch.len();
         let start_ns = self.free_ns.max(batch[len - 1].arrival_ns);
         let completion_ns = start_ns.saturating_add(self.costs.batch_latency_ns(len));
-        let shard = &self.metrics.shards[self.index];
-        shard.batches.fetch_add(1, Ordering::Relaxed);
-        shard.frames.fetch_add(len as u64, Ordering::Relaxed);
-        shard.batch_sizes[len - 1].fetch_add(1, Ordering::Relaxed);
+        self.frames += len as u64;
         let mut max_wait_ns = 0u64;
         for request in &batch {
             let wait_ns = start_ns.saturating_sub(request.arrival_ns);
             max_wait_ns = max_wait_ns.max(wait_ns);
-            self.metrics.record_wait(request.priority, wait_ns);
+            tally.record_wait(request.priority, wait_ns);
         }
-        self.metrics
-            .first_start_ns
-            .fetch_min(start_ns, Ordering::Relaxed);
-        self.metrics
-            .last_completion_ns
-            .fetch_max(completion_ns, Ordering::Relaxed);
+        tally.record_run(start_ns, completion_ns);
         self.free_ns = completion_ns;
 
         let first_ticket = batch[0].ticket;
@@ -368,12 +374,10 @@ impl Shard {
         // across a panic in core code, and the guard fails the batch's
         // unfulfilled slots so no client hangs.
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_batch(first_ticket, start_ns, &frames, &mut guard)
+            self.execute_batch(first_ticket, start_ns, &frames, &mut guard, tally)
         }));
         if executed.is_err() {
-            self.metrics
-                .errored
-                .fetch_add(guard.remaining() as u64, Ordering::Relaxed);
+            tally.errored += guard.remaining() as u64;
         }
         max_wait_ns
     }
@@ -383,10 +387,19 @@ impl Shard {
     /// its ticket, runs under the delta gate, and occupies the virtual chip
     /// for its *gated* simulated time — the serving payoff of skipped blocks.
     /// Returns the worst queue wait the batch carried.
-    fn run_stream_batch(&mut self, batch: Vec<QueuedRequest>) -> u64 {
-        let shard = &self.metrics.shards[self.index];
-        shard.batches.fetch_add(1, Ordering::Relaxed);
-        shard.batch_sizes[batch.len() - 1].fetch_add(1, Ordering::Relaxed);
+    fn run_stream_batch(&mut self, batch: Vec<QueuedRequest>, tally: &mut Tally) -> u64 {
+        if let Some(tracer) = &self.tracer {
+            // As for frame batches: the batch's size at its first start.
+            tracer.record(
+                TraceEvent::instant(
+                    "request",
+                    "batch-form",
+                    &self.track,
+                    self.free_ns.max(batch[0].arrival_ns) as f64,
+                )
+                .with_arg("batch", batch.len()),
+            );
+        }
         let mut max_wait_ns = 0u64;
         for request in batch {
             let QueuedRequest {
@@ -404,11 +417,8 @@ impl Shard {
             let start_ns = self.free_ns.max(arrival_ns);
             let wait_ns = start_ns.saturating_sub(arrival_ns);
             max_wait_ns = max_wait_ns.max(wait_ns);
-            self.metrics.record_wait(priority, wait_ns);
-            self.metrics
-                .first_start_ns
-                .fetch_min(start_ns, Ordering::Relaxed);
-            shard.frames.fetch_add(weight, Ordering::Relaxed);
+            tally.record_wait(priority, wait_ns);
+            self.frames += weight;
 
             let mut guard = SlotGuard::new(vec![(ticket, arrival_ns, slot)]);
             let session = &mut self.session;
@@ -425,9 +435,7 @@ impl Shard {
                 // timeline never runs backwards.
                 _ => start_ns.saturating_add(weight.saturating_mul(self.costs.frame_latency_ns)),
             };
-            self.metrics
-                .last_completion_ns
-                .fetch_max(completion_ns, Ordering::Relaxed);
+            tally.record_run(start_ns, completion_ns);
             self.free_ns = completion_ns;
 
             if let Some(tracer) = &self.tracer {
@@ -475,30 +483,22 @@ impl Shard {
 
             match executed {
                 Ok(Ok(report)) => {
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    tally.completed += 1;
                     // Streams meter their *gated* energy: skipped blocks spend
                     // the DMVA feedback path, not the optical core.
-                    shard.add_energy_pj(report.energy.pj());
-                    self.metrics
-                        .served_frames
-                        .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
-                    self.metrics
-                        .stream_frames
-                        .fetch_add(report.frames_processed() as u64, Ordering::Relaxed);
-                    self.metrics
-                        .stream_blocks_total
-                        .fetch_add(report.blocks_total() as u64, Ordering::Relaxed);
-                    self.metrics
-                        .stream_blocks_skipped
-                        .fetch_add(report.blocks_skipped() as u64, Ordering::Relaxed);
+                    self.energy_pj += report.energy.pj();
+                    tally.served_frames += report.frames_processed() as u64;
+                    tally.stream_frames += report.frames_processed() as u64;
+                    tally.stream_blocks_total += report.blocks_total() as u64;
+                    tally.stream_blocks_skipped += report.blocks_skipped() as u64;
                     guard.fulfil(Ok(Response::Stream(report)), completion_ns);
                 }
                 Ok(Err(err)) => {
-                    self.metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    tally.errored += 1;
                     guard.fulfil(Err(ServeError::Core(err)), completion_ns);
                 }
                 Err(_) => {
-                    self.metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    tally.errored += 1;
                     // The guard's drop publishes `WorkerPanicked`.
                 }
             }
@@ -521,23 +521,23 @@ impl Shard {
         start_ns: u64,
         frames: &[RgbFrame],
         guard: &mut SlotGuard,
+        tally: &mut Tally,
     ) {
-        let (metrics, costs) = (&self.metrics, &self.costs);
-        let shard = &metrics.shards[self.index];
+        let costs = self.costs;
         self.session.seek_frame(first_ticket);
         let mut energy_pj = costs.frame_energy_pj;
         for (index, frame) in frames.iter().enumerate() {
             let completion_ns = start_ns.saturating_add(costs.frame_end_ns(index));
             match self.session.run(frame) {
                 Ok(report) => {
-                    metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    metrics.served_frames.fetch_add(1, Ordering::Relaxed);
-                    shard.add_energy_pj(energy_pj);
+                    tally.completed += 1;
+                    tally.served_frames += 1;
+                    self.energy_pj += energy_pj;
                     energy_pj = costs.resident_energy_pj;
                     guard.fulfil(Ok(Response::Frame(report)), completion_ns);
                 }
                 Err(err) => {
-                    metrics.errored.fetch_add(1, Ordering::Relaxed);
+                    tally.errored += 1;
                     guard.fulfil(Err(ServeError::Core(err)), completion_ns);
                 }
             }
