@@ -148,7 +148,7 @@ impl LatencyHistogram {
 /// What one workload group counted: kept in its scheduler's state, under
 /// the group's lock, beside the queue and the shards it counts. A shard's
 /// own row (batches, frames, energy) stays on the shard.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Tally {
     /// Admissions per scheduling lane, indexed by [`lane`].
     pub(crate) admitted: [u64; 2],
