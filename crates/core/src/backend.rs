@@ -113,11 +113,17 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
 
     /// Runs every input inside one frame's noise stream (the per-block
-    /// stream tile path), consuming exactly one frame index.
+    /// stream tile path), consuming exactly one frame index, failed or not.
+    /// Input `t` reads the bits it would read if the frame's earlier inputs
+    /// had run one by one before it, whatever order the backend evaluates
+    /// the batch in: the photonic backend runs it layer by layer, loading
+    /// each weight row once per frame for every input.
     ///
     /// # Errors
     ///
-    /// Propagates backend execution errors.
+    /// Propagates backend execution errors. With several failing inputs,
+    /// which failure is reported depends on the backend's evaluation
+    /// order.
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
 
     /// Index of the global frame the next forward executes as.

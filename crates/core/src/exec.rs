@@ -7,8 +7,18 @@
 //! [`CompiledPlan`]'s pre-encoded MR weight bank on that analog datapath —
 //! quantizing activations to the `[W:A]` configuration and drawing the
 //! analog non-idealities — so the inference accuracy of Table 1 can be
-//! measured. Every conv and linear layer runs through one tiled MAC-loop
-//! driver; one worker runs it inline, several split it into chunks.
+//! measured.
+//!
+//! There is one walk. A frame is a batch of inputs, one for a single frame
+//! or a classify sample, one per computed block for a stream frame, and it
+//! runs layer by layer: each weighted layer quantizes every input once,
+//! under that input's own activation scale, loads each of its rows once,
+//! and runs every input's strides or features against it, as a programmed
+//! layer serves every patch of a frame. Every conv and linear layer runs
+//! through one tiled MAC-loop driver: one worker runs the batch inline,
+//! several split its `(input, output)` items into contiguous shares. Each
+//! input's MAC calls keep the cursors an input-by-input walk would give
+//! them, so neither the batch size nor the worker count moves a bit.
 //!
 //! The weight bank is programmed once per session: a layer's row load
 //! reads each lane's programmed transmission from the plan's table
@@ -16,22 +26,26 @@
 //! quantized input is range-checked once, not once per MAC. A row is
 //! loaded under its identity, its layer's position in the model and its
 //! output channel or feature, so its rings' weight errors are the same
-//! whichever worker, chunk or stream tile loads it in a frame.
+//! whichever worker loads it in a frame, and every input of the frame
+//! reads the one realisation its load draws.
 //!
-//! A conv layer copies its quantized input once into a plane with a zero
+//! A conv layer quantizes each input straight into a plane with a zero
 //! border as wide as the conv's padding, so each stride's patch is
 //! `in_c·k` runs of `k` contiguous codes of that plane, copied whole, with
 //! no bounds test per code.
 
 use crate::error::{CoreError, Result};
 use crate::oc::{check_activations, PhotonicMacUnit};
-use crate::plan::{check_weight_bits, CompiledPlan, EncodedWeights, PlanScratch, WorkerScratch};
+use crate::plan::{
+    check_weight_bits, CompiledPlan, EncodedWeights, PlanScratch, ProgrammedRows, WorkerScratch,
+};
 use lightator_nn::layers::{Conv2d, LayerNode, Linear};
 use lightator_nn::quant::{quantize_unsigned, Precision, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
 use lightator_photonics::noise::NoiseConfig;
 use lightator_photonics::PhotonicsError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Result of evaluating a model photonically on a dataset split.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -113,9 +127,9 @@ pub(crate) fn check_schedule(schedule: PrecisionSchedule) -> Result<()> {
     Ok(())
 }
 
-/// Quantizes a whole layer input into `[0, 1]` VCSEL drive codes, once
-/// per layer, writing into a reusable buffer. The activation scale is the
-/// input's largest non-negative value; it is returned with the codes. This
+/// Quantizes one layer input into `[0, 1]` VCSEL drive codes, written run
+/// after run into `runs`, whose lengths sum to the input's. The activation
+/// scale is the input's largest non-negative value; it is returned. This
 /// is the single definition of the activation encoding.
 ///
 /// # Errors
@@ -124,29 +138,31 @@ pub(crate) fn check_schedule(schedule: PrecisionSchedule) -> Result<()> {
 /// NaN, or a `+∞` (which makes every code NaN): light intensities lie in
 /// `[0, 1]`, and this is the one check of the layer's codes, so the MAC
 /// loop checks none.
-fn quantize_layer_input<'a>(
+fn quantize_layer_input<'c>(
     input: &Tensor,
     activation_bits: u8,
-    codes: &'a mut Vec<f64>,
-) -> Result<(&'a [f64], f32)> {
+    runs: impl Iterator<Item = &'c mut [f64]>,
+) -> Result<f32> {
     let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
-    codes.resize(input.data().len(), 0.0);
-    for (slot, &a) in codes.iter_mut().zip(input.data()) {
-        let q = quantize_unsigned(a.max(0.0), activation_scale, activation_bits);
-        *slot = if activation_scale == 0.0 {
-            0.0
-        } else {
-            f64::from(q / activation_scale).clamp(0.0, 1.0)
-        };
+    let mut values = input.data().iter();
+    for run in runs {
+        for (slot, &a) in run.iter_mut().zip(values.by_ref()) {
+            let q = quantize_unsigned(a.max(0.0), activation_scale, activation_bits);
+            *slot = if activation_scale == 0.0 {
+                0.0
+            } else {
+                f64::from(q / activation_scale).clamp(0.0, 1.0)
+            };
+        }
+        check_activations(run)?;
     }
-    check_activations(codes)?;
     // `f32::max` reads a NaN as 0, so a NaN input leaves an in-range code.
     if let Some(&a) = input.data().iter().find(|a| a.is_nan()) {
         return Err(CoreError::Photonics(PhotonicsError::ActivationOutOfRange {
             activation: f64::from(a),
         }));
     }
-    Ok((codes, activation_scale))
+    Ok(activation_scale)
 }
 
 /// Validates one input: the plan must carry an optical model and the input
@@ -173,27 +189,85 @@ fn check_plan_input(plan: &CompiledPlan, input: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Copies a layer's quantized input plane, `in_c` channels of
-/// `in_h × in_w` codes, into `padded` with a zero border `padding` codes
-/// wide, and returns the padded channels' height and width. The border
-/// reads `0.0`, exactly what quantizing a zero activation gives, so every
-/// stride's patch is whole runs of the padded plane.
-fn pad_plane(
-    plane: &[f64],
-    (in_c, in_h, in_w): (usize, usize, usize),
-    padding: usize,
-    padded: &mut Vec<f64>,
-) -> (usize, usize) {
-    let (height, width) = (in_h + 2 * padding, in_w + 2 * padding);
-    padded.clear();
-    padded.resize(in_c * height * width, 0.0);
-    for ic in 0..in_c {
-        for ih in 0..in_h {
-            let at = (ic * height + padding + ih) * width + padding;
-            padded[at..at + in_w].copy_from_slice(&plane[(ic * in_h + ih) * in_w..][..in_w]);
+/// The MAC calls one input's pass through `layer` takes on an arm of
+/// `segment` lanes: ⌈row/segment⌉ per output of a weighted layer, none for
+/// an unweighted one.
+fn layer_calls(layer: &LayerNode, input_shape: &[usize], segment: usize) -> Result<u64> {
+    let (outputs, row_len) = match layer {
+        LayerNode::Conv2d(conv) => (
+            conv.output_shape(input_shape)?.iter().product(),
+            conv.in_channels() * conv.kernel() * conv.kernel(),
+        ),
+        LayerNode::Linear(linear) => (linear.out_features(), linear.in_features()),
+        _ => (0, 0),
+    };
+    Ok(outputs as u64 * row_len.div_ceil(segment) as u64)
+}
+
+/// Where one layer's MAC calls sit in a frame batch's noise stream. The
+/// input-by-input walk runs input `t`'s forward from cursor `t·per_input`,
+/// and its layer from `layer` calls after that, so output `o` of input `t`
+/// runs from cursor `t·per_input + layer + o·per_output`.
+#[derive(Debug, Clone, Copy)]
+struct Cursors {
+    /// MAC calls one input's forward takes.
+    per_input: u64,
+    /// MAC calls the earlier layers of one input's forward take.
+    layer: u64,
+    /// MAC calls one output takes: its row's segments.
+    per_output: u64,
+}
+
+impl Cursors {
+    fn at(self, input: usize, output: usize) -> u64 {
+        input as u64 * self.per_input + self.layer + output as u64 * self.per_output
+    }
+}
+
+/// Outputs `start..start + out.len()` of one input of a layer: the part of
+/// a worker's share that falls in that input.
+struct Run<'a> {
+    input: usize,
+    start: usize,
+    out: &'a mut [f32],
+}
+
+/// Runs one worker's share of a weighted layer row-major. Each output row
+/// (conv channel of `span` strides, or linear feature with `span = 1`) that
+/// a run reaches is loaded once; then, run after run, the unit's cursor is
+/// set at the run's first output in that row and
+/// `mac(unit, row, input, outputs, slots)` fills those outputs.
+fn walk_rows(
+    unit: &mut PhotonicMacUnit,
+    runs: &mut [Run<'_>],
+    (rows, span): (&ProgrammedRows<'_>, usize),
+    cursors: Cursors,
+    mut mac: impl FnMut(&mut PhotonicMacUnit, usize, usize, Range<usize>, &mut [f32]),
+) -> Result<()> {
+    let first = runs.iter().map(|run| run.start / span).min().unwrap_or(0);
+    let end = runs
+        .iter()
+        .map(|run| (run.start + run.out.len()).div_ceil(span))
+        .max()
+        .unwrap_or(0);
+    for row in first..end {
+        let mut loaded = false;
+        for run in runs.iter_mut() {
+            let outputs =
+                run.start.max(row * span)..(run.start + run.out.len()).min((row + 1) * span);
+            if outputs.is_empty() {
+                continue;
+            }
+            if !loaded {
+                unit.load_coded_row(rows.row(row), rows.table)?;
+                loaded = true;
+            }
+            unit.set_mac_cursor(cursors.at(run.input, outputs.start));
+            let slots = &mut run.out[outputs.start - run.start..outputs.end - run.start];
+            mac(unit, row, run.input, outputs, slots);
         }
     }
-    (height, width)
+    Ok(())
 }
 
 impl PhotonicExecutor {
@@ -259,10 +333,8 @@ impl PhotonicExecutor {
         self.next_frame = self.next_frame.saturating_add(1);
     }
 
-    /// Runs one input through a [`CompiledPlan`] as one frame: every
-    /// weighted layer streams against the plan's encoded MR weight bank on
-    /// the photonic MAC unit, unweighted layers run digitally, and the
-    /// plan's scratch buffers serve every stride.
+    /// Runs one input through a [`CompiledPlan`] as one frame: the frame
+    /// batch of that one input ([`PhotonicExecutor::forward_frame_batch`]).
     ///
     /// Activations are clamped to the non-negative range before being encoded
     /// as light intensities (Lightator encodes activations as unsigned VCSEL
@@ -275,14 +347,31 @@ impl PhotonicExecutor {
     /// frame index, and propagates photonic errors.
     pub fn forward(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
         check_plan_input(plan, input)?;
-        self.begin_frame();
-        plan.record_hits(1);
-        self.forward_in_frame(plan, input)
+        self.forward_frame_batch(plan, std::slice::from_ref(input))?
+            .pop()
+            .ok_or_else(|| CoreError::ModelMismatch {
+                reason: "a frame batch of one input returned no output".to_string(),
+            })
     }
 
     /// Runs several inputs through a [`CompiledPlan`] **within one frame's
     /// noise stream**: the frame counter advances exactly once and the
-    /// inputs consume the frame's analog-noise draws in order.
+    /// inputs consume the frame's analog-noise draws in order. Every entry
+    /// point runs through this walk: [`PhotonicExecutor::forward`] is the
+    /// batch of one.
+    ///
+    /// The walk is layer-major, as a programmed layer serves every patch of
+    /// a frame: each weighted layer quantizes every input once, under that
+    /// input's own activation scale, fetches its programmed rows once and
+    /// loads each row once, then runs every input's strides or features
+    /// against it. Unweighted layers run digitally, input by input. Input
+    /// `t`'s calls at a layer start at MAC cursor `t·C + off`, where `C` is
+    /// the number of MAC calls one input's forward takes and `off` the
+    /// number its earlier layers take: the cursors an input-by-input walk
+    /// gives, so every output bit is the one the input would read run
+    /// alone at that position. A row's ring weights are keyed by its
+    /// [`RowId`](lightator_photonics::noise::RowId), so every input reads
+    /// the one realisation the row's load draws in the frame.
     ///
     /// This is the primitive behind the frame-delta streaming path, where
     /// one video frame decomposes into a variable number of block tiles:
@@ -293,7 +382,10 @@ impl PhotonicExecutor {
     ///
     /// # Errors
     ///
-    /// Same as [`PhotonicExecutor::forward`], checked per input.
+    /// Same as [`PhotonicExecutor::forward`], except that the frame index is
+    /// consumed even when an input is rejected. Every input's shape is
+    /// checked before any layer runs; after that the first failing
+    /// (layer, input) pair, layer-major, is reported.
     pub fn forward_frame_batch(
         &mut self,
         plan: &mut CompiledPlan,
@@ -301,18 +393,12 @@ impl PhotonicExecutor {
     ) -> Result<Vec<Tensor>> {
         self.begin_frame();
         plan.record_hits(1);
-        inputs
-            .iter()
-            .map(|input| {
-                check_plan_input(plan, input)?;
-                self.forward_in_frame(plan, input)
-            })
-            .collect()
-    }
-
-    /// One forward pass through the plan's cached encodings *inside the
-    /// already open frame*.
-    fn forward_in_frame(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
+        for input in inputs {
+            check_plan_input(plan, input)?;
+        }
+        if inputs.is_empty() {
+            return Ok(Vec::new());
+        }
         let (model, encodings, scratch) =
             plan.exec_parts_mut()
                 .ok_or_else(|| CoreError::ModelMismatch {
@@ -320,188 +406,255 @@ impl PhotonicExecutor {
                          model-carrying plans)"
                         .to_string(),
                 })?;
-        let mut value = input.clone();
+        let segment = self.mac_unit.segment_length();
+        let mut shape = model.input_shape().to_vec();
+        let mut per_input = 0;
+        for (layer, encoding) in model.layers().iter().zip(encodings.iter()) {
+            if encoding.is_some() {
+                per_input += layer_calls(layer, &shape, segment)?;
+            }
+            shape = layer.output_shape(&shape)?;
+        }
+        let mut cursors = Cursors {
+            per_input,
+            layer: 0,
+            per_output: 0,
+        };
+        let mut values: Option<Vec<Tensor>> = None;
         let mut weighted_index = 0usize;
-        for (layer_index, encoding) in encodings.iter_mut().enumerate() {
-            value = match (&model.layers()[layer_index], encoding) {
+        for (layer, encoding) in model.layers_mut().iter_mut().zip(encodings.iter_mut()) {
+            let batch = values.as_deref().unwrap_or(inputs);
+            let calls = match encoding {
+                Some(_) => layer_calls(layer, batch[0].shape(), segment)?,
+                None => 0,
+            };
+            let next = match (layer, encoding) {
                 (LayerNode::Conv2d(conv), Some(encoded)) => {
                     let precision = self.schedule.for_layer(weighted_index);
                     weighted_index += 1;
-                    self.conv_forward(conv, encoded, scratch, &value, precision)?
+                    self.conv_forward(conv, encoded, scratch, batch, precision, cursors)?
                 }
                 (LayerNode::Linear(linear), Some(encoded)) => {
                     let precision = self.schedule.for_layer(weighted_index);
                     weighted_index += 1;
-                    self.linear_forward(linear, encoded, scratch, &value, precision)?
+                    self.linear_forward(linear, encoded, scratch, batch, precision, cursors)?
                 }
-                _ => model.layers_mut()[layer_index].forward(&value)?,
+                (layer, _) => batch
+                    .iter()
+                    .map(|value| Ok(layer.forward(value)?))
+                    .collect::<Result<_>>()?,
             };
+            cursors.layer += calls;
+            values = Some(next);
         }
-        Ok(value)
+        Ok(values.unwrap_or_else(|| inputs.to_vec()))
     }
 
     /// Every conv runs weight-stationary: each output channel's row is
-    /// loaded once per chunk from the layer's transmission table, and every
-    /// stride streams against it. The input is quantized once per layer and
-    /// copied once into a zero-bordered plane, which every worker reads;
-    /// each stride gathers its drive codes as `in_c·k` runs of `k`
-    /// contiguous codes of that plane, in the order of the weight rows
-    /// (channel-major, then kernel rows).
+    /// loaded once per worker from the layer's transmission table, and
+    /// every input's strides stream against it. Each input is quantized
+    /// once, straight into its own plane of the batch with a zero border as
+    /// wide as the conv's padding, which every worker reads; each stride
+    /// gathers its drive codes as `in_c·k` runs of `k` contiguous codes of
+    /// that plane, in the order of the weight rows (channel-major, then
+    /// kernel rows).
     fn conv_forward(
         &mut self,
         conv: &Conv2d,
         encoded: &mut EncodedWeights,
         scratch: &mut PlanScratch,
-        input: &Tensor,
+        inputs: &[Tensor],
         precision: Precision,
-    ) -> Result<Tensor> {
-        let out_shape = conv.output_shape(input.shape())?;
+        cursors: Cursors,
+    ) -> Result<Vec<Tensor>> {
+        let in_shape = inputs[0].shape();
+        let out_shape = conv.output_shape(in_shape)?;
         let (oh_n, ow_n) = (out_shape[1], out_shape[2]);
-        let (in_c, in_h, in_w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let (in_c, in_h, in_w) = (in_shape[0], in_shape[1], in_shape[2]);
         let k = conv.kernel();
         let (stride, padding) = (conv.stride(), conv.padding());
         let PlanScratch {
-            a_norm,
             padded,
+            scales,
             workers,
             ..
         } = scratch;
-        let (plane, activation_scale) =
-            quantize_layer_input(input, precision.activation_bits, a_norm)?;
-        let (height, width) = pad_plane(plane, (in_c, in_h, in_w), padding, padded);
-        let padded = &padded[..];
-        let (weight_scale, activation_scale) =
-            (f64::from(encoded.weight_scale), f64::from(activation_scale));
+        // The zero border reads `0.0`, exactly what quantizing a zero
+        // activation gives, so every stride's patch is whole runs of the
+        // padded plane.
+        let (height, width) = (in_h + 2 * padding, in_w + 2 * padding);
+        let plane_len = in_c * height * width;
+        padded.clear();
+        padded.resize(inputs.len() * plane_len, 0.0);
+        scales.clear();
+        for (input, plane) in inputs.iter().zip(padded.chunks_exact_mut(plane_len)) {
+            let interior = plane.chunks_exact_mut(height * width).flat_map(|channel| {
+                channel
+                    .chunks_exact_mut(width)
+                    .skip(padding)
+                    .take(in_h)
+                    .map(|row| &mut row[padding..padding + in_w])
+            });
+            let activation_scale =
+                quantize_layer_input(input, precision.activation_bits, interior)?;
+            scales.push(f64::from(activation_scale));
+        }
+        let (padded, scales) = (&padded[..], &scales[..]);
+        let weight_scale = f64::from(encoded.weight_scale);
         let row_len = in_c * k * k;
-        let calls_per_item = row_len.div_ceil(self.mac_unit.segment_length()) as u64;
+        let cursors = Cursors {
+            per_output: row_len.div_ceil(self.mac_unit.segment_length()) as u64,
+            ..cursors
+        };
         let (rows, bias) = (encoded.programmed(&mut self.mac_unit)?, conv.bias().data());
         let stride_span = oh_n * ow_n;
-        let mut out = Tensor::zeros(&out_shape);
-        self.run_tiled(
-            out.data_mut(),
-            calls_per_item,
-            workers,
-            |unit, buffers, start, out_chunk| {
-                buffers.a_norm.resize(row_len, 0.0);
-                let patch = &mut buffers.a_norm[..];
-                // Walk (oc, oh, ow) from the chunk's first output, loading
-                // the row whenever the walk enters a new output channel.
-                let (mut oc, rest) = (start / stride_span, start % stride_span);
-                let (mut oh, mut ow) = (rest / ow_n, rest % ow_n);
-                let mut loaded = usize::MAX;
-                for slot in out_chunk.iter_mut() {
-                    if oc != loaded {
-                        unit.load_coded_row(rows.row(oc), rows.table)?;
-                        loaded = oc;
-                    }
-                    // Run ic·k + kh of the patch is row oh·stride + kh of
-                    // channel ic, from column ow·stride.
-                    let corner = oh * stride * width + ow * stride;
-                    let mut runs = patch.chunks_exact_mut(k);
-                    for channel in padded.chunks_exact(height * width) {
-                        for (run, row) in runs.by_ref().take(k).zip(channel[corner..].chunks(width))
-                        {
-                            run.copy_from_slice(&row[..k]);
+        let mut outputs = vec![Tensor::zeros(&out_shape); inputs.len()];
+        self.run_tiled(&mut outputs, workers, |unit, buffers, runs| {
+            buffers.a_norm.resize(row_len, 0.0);
+            let patch = &mut buffers.a_norm[..];
+            walk_rows(
+                unit,
+                runs,
+                (&rows, stride_span),
+                cursors,
+                |unit, oc, input, outputs, slots| {
+                    let plane = &padded[input * plane_len..][..plane_len];
+                    let at = outputs.start - oc * stride_span;
+                    let (mut oh, mut ow) = (at / ow_n, at % ow_n);
+                    for slot in slots {
+                        // Run ic·k + kh of the patch is row oh·stride + kh
+                        // of channel ic, from column ow·stride.
+                        let corner = oh * stride * width + ow * stride;
+                        let mut runs = patch.chunks_exact_mut(k);
+                        for channel in plane.chunks_exact(height * width) {
+                            for (run, row) in
+                                runs.by_ref().take(k).zip(channel[corner..].chunks(width))
+                            {
+                                run.copy_from_slice(&row[..k]);
+                            }
+                        }
+                        let normalized = unit.mac_row(patch);
+                        let value = normalized * weight_scale * scales[input];
+                        *slot = value as f32 + bias[oc];
+                        ow += 1;
+                        if ow == ow_n {
+                            (ow, oh) = (0, oh + 1);
                         }
                     }
-                    let normalized = unit.mac_row(patch);
-                    let value = normalized * weight_scale * activation_scale;
-                    *slot = value as f32 + bias[oc];
-                    ow += 1;
-                    if ow == ow_n {
-                        (ow, oh) = (0, oh + 1);
-                    }
-                    if oh == oh_n {
-                        (oh, oc) = (0, oc + 1);
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(out)
+                },
+            )
+        })?;
+        Ok(outputs)
     }
 
     /// Every linear layer runs one output feature per row load, each read
-    /// from the layer's transmission table, against the one quantized input.
+    /// from the layer's transmission table, against every input's
+    /// quantized features.
     fn linear_forward(
         &mut self,
         linear: &Linear,
         encoded: &mut EncodedWeights,
         scratch: &mut PlanScratch,
-        input: &Tensor,
+        inputs: &[Tensor],
         precision: Precision,
-    ) -> Result<Tensor> {
-        linear.output_shape(input.shape())?;
-        // The activation vector is the same for every output row.
+        cursors: Cursors,
+    ) -> Result<Vec<Tensor>> {
+        linear.output_shape(inputs[0].shape())?;
         let PlanScratch {
-            a_norm, workers, ..
+            a_norm,
+            scales,
+            workers,
+            ..
         } = scratch;
-        let (a_norm, activation_scale) =
-            quantize_layer_input(input, precision.activation_bits, a_norm)?;
-        let scale = f64::from(encoded.weight_scale) * f64::from(activation_scale);
-        let calls_per_item = a_norm.len().div_ceil(self.mac_unit.segment_length()) as u64;
+        let in_len = linear.in_features();
+        a_norm.clear();
+        a_norm.resize(inputs.len() * in_len, 0.0);
+        scales.clear();
+        for (input, codes) in inputs.iter().zip(a_norm.chunks_exact_mut(in_len)) {
+            let activation_scale =
+                quantize_layer_input(input, precision.activation_bits, std::iter::once(codes))?;
+            scales.push(f64::from(activation_scale));
+        }
+        let (a_norm, scales) = (&a_norm[..], &scales[..]);
+        let weight_scale = f64::from(encoded.weight_scale);
+        let cursors = Cursors {
+            per_output: in_len.div_ceil(self.mac_unit.segment_length()) as u64,
+            ..cursors
+        };
         let (rows, bias) = (
             encoded.programmed(&mut self.mac_unit)?,
             linear.bias().data(),
         );
-        let mut out = Tensor::zeros(&[linear.out_features()]);
-        self.run_tiled(
-            out.data_mut(),
-            calls_per_item,
-            workers,
-            |unit, _, start, out_chunk| {
-                for (slot, o) in out_chunk.iter_mut().zip(start..) {
-                    unit.load_coded_row(rows.row(o), rows.table)?;
-                    let normalized = unit.mac_row(a_norm);
-                    *slot = (normalized * scale) as f32 + bias[o];
-                }
-                Ok(())
-            },
-        )?;
-        Ok(out)
+        let mut outputs = vec![Tensor::zeros(&[linear.out_features()]); inputs.len()];
+        self.run_tiled(&mut outputs, workers, |unit, _, runs| {
+            walk_rows(
+                unit,
+                runs,
+                (&rows, 1),
+                cursors,
+                |unit, o, input, _, slots| {
+                    let codes = &a_norm[input * in_len..][..in_len];
+                    let scale = weight_scale * scales[input];
+                    for slot in slots {
+                        *slot = (unit.mac_row(codes) * scale) as f32 + bias[o];
+                    }
+                },
+            )
+        })?;
+        Ok(outputs)
     }
 
-    /// The one MAC-loop driver: `body(unit, buffers, start, chunk)` fills
-    /// `chunk`, the outputs `start..start + chunk.len()` of a layer whose
-    /// every output costs `calls_per_item` MAC calls.
+    /// The one MAC-loop driver. A layer's items are the batch's
+    /// `(input, output)` pairs, input-major, held in `outputs`, one tensor
+    /// per input; `body(unit, buffers, runs)` fills one worker's share of
+    /// them, cut into [`Run`]s at input boundaries, and positions its unit's
+    /// MAC cursor at every run it starts ([`walk_rows`]).
     ///
-    /// With one worker the single chunk runs inline on the executor's own
-    /// MAC unit. With more, the outputs split into one chunk per worker,
-    /// each run on a clone of the unit positioned at cursor
-    /// `layer_base + start·calls_per_item`. MAC call `j` of a layer draws
-    /// its noise purely from cursor `layer_base + j`, so every worker count
-    /// reproduces the sequential bits.
+    /// With one worker the whole batch is one share, run inline on the
+    /// executor's own MAC unit. With more, the items split into one
+    /// contiguous share per worker, each run on a clone of the unit. MAC
+    /// call `j` of a frame draws its noise purely from cursor `j`, so every
+    /// worker count reproduces the sequential bits.
     fn run_tiled<F>(
         &mut self,
-        out: &mut [f32],
-        calls_per_item: u64,
+        outputs: &mut [Tensor],
         buffers: &mut Vec<WorkerScratch>,
         body: F,
     ) -> Result<()>
     where
-        F: Fn(&mut PhotonicMacUnit, &mut WorkerScratch, usize, &mut [f32]) -> Result<()> + Sync,
+        F: Fn(&mut PhotonicMacUnit, &mut WorkerScratch, &mut [Run<'_>]) -> Result<()> + Sync,
     {
-        let workers = self.workers.min(out.len()).max(1);
+        let len = outputs.first().map_or(0, Tensor::len);
+        let items = outputs.len() * len;
+        let workers = self.workers.min(items).max(1);
         if buffers.len() < workers {
             buffers.resize_with(workers, WorkerScratch::default);
         }
-        if workers == 1 {
-            return body(&mut self.mac_unit, &mut buffers[0], 0, out);
-        }
-        let layer_base = self.mac_unit.mac_cursor();
-        let items = out.len();
+        // Share `w` holds items `w·chunk..(w + 1)·chunk`.
         let chunk = items.div_ceil(workers);
+        let mut shares: Vec<Vec<Run<'_>>> =
+            std::iter::repeat_with(Vec::new).take(workers).collect();
+        for (input, output) in outputs.iter_mut().enumerate() {
+            let (mut rest, mut start) = (output.data_mut(), 0);
+            while !rest.is_empty() {
+                let item = input * len + start;
+                let take = (chunk - item % chunk).min(rest.len());
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(take);
+                shares[item / chunk].push(Run { input, start, out });
+                (rest, start) = (tail, start + take);
+            }
+        }
+        if workers == 1 {
+            return body(&mut self.mac_unit, &mut buffers[0], &mut shares[0]);
+        }
         let (unit, body) = (&self.mac_unit, &body);
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .chunks_mut(chunk)
+            let handles: Vec<_> = shares
+                .iter_mut()
                 .zip(buffers.iter_mut())
-                .enumerate()
-                .map(|(worker, (out_chunk, buffers))| {
-                    let start = worker * chunk;
+                .map(|(share, buffers)| {
                     let mut worker_unit = unit.clone();
-                    worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
-                    scope.spawn(move || body(&mut worker_unit, buffers, start, out_chunk))
+                    scope.spawn(move || body(&mut worker_unit, buffers, share))
                 })
                 .collect();
             handles
@@ -515,12 +668,7 @@ impl PhotonicExecutor {
                 })
                 .collect()
         });
-        results.into_iter().collect::<Result<()>>()?;
-        // The executor's unit takes over at the end of the layer's cursor
-        // range, exactly where a sequential walk would have landed.
-        self.mac_unit
-            .set_mac_cursor(layer_base + items as u64 * calls_per_item);
-        Ok(())
+        results.into_iter().collect()
     }
 }
 
@@ -571,6 +719,73 @@ mod tests {
             .take(count)
             .map(|s| s.input.clone())
             .collect()
+    }
+
+    /// A conv 2→3 (3×3, padding 1), ReLU, Flatten and Linear → 4 plan, and
+    /// three 2×5×5 inputs whose largest values, so their activation scales,
+    /// differ: input `t` spans `[-0.3, 1)·(t + 1)`.
+    fn conv_linear_setup() -> (CompiledPlan, Vec<Tensor>) {
+        use lightator_nn::layers::{Activation, Conv2d, Flatten, Linear};
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut model = Sequential::new(&[2, 5, 5]);
+        model.push(Conv2d::new(2, 3, 3, 1, 1, &mut rng).expect("conv"));
+        model.push(Activation::relu());
+        model.push(Flatten::new());
+        model.push(Linear::new(75, 4, &mut rng).expect("linear"));
+        let inputs = (1..=3)
+            .map(|t| {
+                let data = (0..50)
+                    .map(|_| rng.gen_range(-0.3f32..1.0) * t as f32)
+                    .collect();
+                Tensor::from_vec(data, &[2, 5, 5]).expect("input")
+            })
+            .collect();
+        let plan = compile(&model, PrecisionSchedule::Uniform(Precision::w4a4()));
+        (plan, inputs)
+    }
+
+    /// With no draw in the frame, ideal and with crosstalk only, a batch
+    /// input reads what it reads alone, bit for bit: each input is
+    /// quantized under its own activation scale.
+    #[test]
+    fn batch_inputs_read_what_they_read_alone_without_draws() {
+        let crosstalk_only = NoiseConfig {
+            apply_crosstalk: true,
+            ..NoiseConfig::ideal()
+        };
+        for noise in [NoiseConfig::ideal(), crosstalk_only] {
+            let (mut plan, inputs) = conv_linear_setup();
+            let schedule = plan.schedule();
+            let mut executor = PhotonicExecutor::new(schedule, noise, 3).expect("ok");
+            let batch = executor
+                .forward_frame_batch(&mut plan, &inputs)
+                .expect("batch");
+            assert_eq!(batch.len(), inputs.len());
+            for (input, got) in inputs.iter().zip(&batch) {
+                let alone = executor.forward(&mut plan, input).expect("alone");
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&alone), "{noise:?}");
+            }
+        }
+    }
+
+    /// A batch whose second input has the wrong shape fails with
+    /// `ModelMismatch`, runs no layer, and still consumes its one frame
+    /// index, as every frame batch does.
+    #[test]
+    fn a_batch_with_a_misshapen_input_fails_and_consumes_one_index() {
+        let (mut plan, mut inputs) = conv_linear_setup();
+        inputs[1] = Tensor::zeros(&[2, 4, 5]);
+        let mut executor =
+            PhotonicExecutor::new(plan.schedule(), NoiseConfig::default(), 3).expect("ok");
+        executor.set_next_frame_index(6);
+        assert!(matches!(
+            executor.forward_frame_batch(&mut plan, &inputs),
+            Err(CoreError::ModelMismatch { .. })
+        ));
+        assert_eq!(executor.next_frame_index(), 7);
+        assert_eq!(plan.stats().cache_hits, 1);
     }
 
     #[test]
@@ -738,6 +953,31 @@ mod tests {
                     "{workers}-worker tiling diverged from sequential"
                 );
             }
+        }
+
+        // A frame batch too, through linear layers and through a conv: a
+        // worker's share can end inside one input and start the next.
+        let (mut conv_plan, conv_inputs) = conv_linear_setup();
+        let batch = |plan: &mut CompiledPlan, inputs: &[Tensor], workers: usize| {
+            let mut executor =
+                PhotonicExecutor::new(schedule, NoiseConfig::default(), 31).expect("ok");
+            executor.set_workers(workers);
+            executor.set_next_frame_index(5);
+            executor.forward_frame_batch(plan, inputs).expect("batch")
+        };
+        let expected = (
+            batch(&mut plan, &inputs, 1),
+            batch(&mut conv_plan, &conv_inputs, 1),
+        );
+        for workers in [2usize, 4, 8] {
+            let got = (
+                batch(&mut plan, &inputs, workers),
+                batch(&mut conv_plan, &conv_inputs, workers),
+            );
+            assert_eq!(
+                expected, got,
+                "{workers}-worker batch diverged from 1 worker"
+            );
         }
     }
 

@@ -339,13 +339,17 @@ pub struct PlanStats {
 /// allocates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanScratch {
-    /// Quantized VCSEL drive codes of the current weighted layer's whole
-    /// input, conv or linear, written once per layer; the MAC workers read
-    /// it concurrently.
+    /// Quantized VCSEL drive codes of the current linear layer's input,
+    /// one run per input of the frame batch, written once per layer; the
+    /// MAC workers read it concurrently.
     pub(crate) a_norm: Vec<f64>,
-    /// The current conv layer's [`PlanScratch::a_norm`] with a zero border
-    /// of the conv's padding, from which every stride gathers its patch.
+    /// The current conv layer's quantized input, one plane per input of
+    /// the frame batch, each with a zero border of the conv's padding, from
+    /// which every stride gathers its patch.
     pub(crate) padded: Vec<f64>,
+    /// The activation scale of each input of the frame batch at the
+    /// current weighted layer.
+    pub(crate) scales: Vec<f64>,
     /// One conv patch buffer per MAC worker.
     pub(crate) workers: Vec<WorkerScratch>,
     /// Reusable `block+halo` tile tensors for the streaming path.
