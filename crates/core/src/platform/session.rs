@@ -656,8 +656,13 @@ impl Session {
         // cannot accumulate unboundedly. (`acquired` is `None` only when no
         // block computes.)
         if let Some(acquired) = &acquired {
+            let sensor_block = bs * pipeline.window;
             for &(br, bc) in &positions {
-                copy_scene_block(&mut state.ref_scene, scene, br, bc, bs * pipeline.window)?;
+                state.ref_scene.copy_rect_from(
+                    scene,
+                    (br * sensor_block, bc * sensor_block),
+                    (sensor_block, sensor_block),
+                )?;
                 copy_tensor_block(&mut state.ref_acquired, acquired, aw, br, bc, bs);
             }
         }
@@ -686,9 +691,8 @@ impl Session {
         lowered.plan_mut().return_tiles(tiles);
         let outputs = outputs?;
 
-        let mut output = state.prev_output.clone();
         for (&(br, bc), tile) in positions.iter().zip(&outputs) {
-            scatter_tile(&mut output, tile, aw, bs, br, bc);
+            scatter_tile(&mut state.prev_output, tile, aw, bs, br, bc);
         }
 
         let computed = positions.len();
@@ -703,11 +707,10 @@ impl Session {
             computed_blocks: computed,
             skipped_blocks: skipped,
             shape: vec![1, ah, aw],
-            data: output.data().to_vec(),
+            data: state.prev_output.data().to_vec(),
             latency,
             energy,
         };
-        state.prev_output = output;
         pipeline.state = Some(state);
         Ok(frame)
     }
@@ -757,22 +760,6 @@ fn non_stream_error() -> CoreError {
     CoreError::ModelMismatch {
         reason: "streaming needs a `Workload::VideoStream` session".to_string(),
     }
-}
-
-/// Copies one gate block (in sensor pixels) of `scene` into `target`.
-fn copy_scene_block(
-    target: &mut RgbFrame,
-    scene: &RgbFrame,
-    block_row: usize,
-    block_col: usize,
-    sensor_block: usize,
-) -> Result<()> {
-    for row in block_row * sensor_block..(block_row + 1) * sensor_block {
-        for col in block_col * sensor_block..(block_col + 1) * sensor_block {
-            target.set_pixel(row, col, scene.pixel(row, col)?)?;
-        }
-    }
-    Ok(())
 }
 
 /// Copies one gate block (in acquired pixels) of `source` into `target`;

@@ -165,6 +165,46 @@ impl RgbFrame {
         Ok(())
     }
 
+    /// Copies the rectangle of `height × width` pixels whose top-left pixel
+    /// is `(row, col)` from `source`, a frame of the same size, row by row.
+    /// The values need no range check: `source` holds them.
+    ///
+    /// # Errors
+    ///
+    /// * [`SensorError::InvalidDimensions`] with `source`'s size if it
+    ///   differs from this frame's.
+    /// * [`SensorError::PixelOutOfRange`] with the rectangle's last row and
+    ///   column if it does not lie inside the frame.
+    pub fn copy_rect_from(
+        &mut self,
+        source: &RgbFrame,
+        (row, col): (usize, usize),
+        (height, width): (usize, usize),
+    ) -> Result<()> {
+        if (source.height, source.width) != (self.height, self.width) {
+            return Err(SensorError::InvalidDimensions {
+                height: source.height,
+                width: source.width,
+            });
+        }
+        let fits = |start: usize, len: usize, size: usize| {
+            start.checked_add(len).is_some_and(|end| end <= size)
+        };
+        if !fits(row, height, self.height) || !fits(col, width, self.width) {
+            return Err(SensorError::PixelOutOfRange {
+                row: row.saturating_add(height.saturating_sub(1)),
+                col: col.saturating_add(width.saturating_sub(1)),
+                height: self.height,
+                width: self.width,
+            });
+        }
+        for r in row..row + height {
+            let at = (r * self.width + col) * 3;
+            self.data[at..at + width * 3].copy_from_slice(&source.data[at..at + width * 3]);
+        }
+        Ok(())
+    }
+
     /// Reference grayscale conversion using the BT.601 weights; used by the
     /// compressive-acquisitor tests as the golden model.
     #[must_use]
@@ -320,6 +360,68 @@ mod tests {
         assert_eq!(f.pixel(1, 2).expect("ok"), [0.1, 0.2, 0.3]);
         assert!(f.pixel(3, 0).is_err());
         assert!(f.set_pixel(0, 0, [1.1, 0.0, 0.0]).is_err());
+    }
+
+    #[test]
+    fn rect_copies_touch_only_the_rectangle() {
+        let data: Vec<f64> = (0..4 * 5 * 3).map(|i| f64::from(i) / 60.0).collect();
+        let source = RgbFrame::new(4, 5, data).expect("valid");
+        let mut target = RgbFrame::black(4, 5).expect("valid");
+        target
+            .copy_rect_from(&source, (1, 2), (2, 3))
+            .expect("inside the frame");
+        for row in 0..4 {
+            for col in 0..5 {
+                let inside = (1..3).contains(&row) && (2..5).contains(&col);
+                let want = if inside {
+                    source.pixel(row, col).expect("ok")
+                } else {
+                    [0.0; 3]
+                };
+                assert_eq!(target.pixel(row, col).expect("ok"), want, "({row}, {col})");
+            }
+        }
+        // An empty rectangle copies nothing.
+        let before = target.clone();
+        target
+            .copy_rect_from(&source, (4, 5), (0, 0))
+            .expect("empty");
+        assert_eq!(target, before);
+    }
+
+    #[test]
+    fn rect_copies_reject_other_sizes_and_rectangles_outside_the_frame() {
+        let source = RgbFrame::filled(4, 5, [0.5; 3]).expect("valid");
+        let mut target = RgbFrame::black(4, 5).expect("valid");
+        for other in [(5, 4), (4, 6), (2, 10)] {
+            let other = RgbFrame::black(other.0, other.1).expect("valid");
+            assert_eq!(
+                target.copy_rect_from(&other, (0, 0), (1, 1)),
+                Err(SensorError::InvalidDimensions {
+                    height: other.height(),
+                    width: other.width(),
+                })
+            );
+        }
+        for ((row, col), (height, width), last) in [
+            ((3, 0), (2, 1), (4, 0)),
+            ((0, 3), (1, 3), (0, 5)),
+            ((0, 0), (5, 5), (4, 4)),
+            ((usize::MAX, 0), (2, 1), (usize::MAX, 0)),
+            ((0, 1), (1, usize::MAX), (0, usize::MAX)),
+        ] {
+            assert_eq!(
+                target.copy_rect_from(&source, (row, col), (height, width)),
+                Err(SensorError::PixelOutOfRange {
+                    row: last.0,
+                    col: last.1,
+                    height: 4,
+                    width: 5,
+                }),
+                "({row}, {col}) + ({height}, {width})"
+            );
+        }
+        assert_eq!(target, RgbFrame::black(4, 5).expect("valid"));
     }
 
     #[test]
